@@ -1,6 +1,6 @@
 #include "router/config_space.h"
 
-#include <set>
+#include <bit>
 
 #include "common/assert.h"
 #include "sim/switch_isa.h"
@@ -85,6 +85,73 @@ TileConfig project(const RingConfig& cfg, std::span<const HeaderReq> headers,
   return tc;
 }
 
+namespace {
+
+// TileConfig packed into 19 bits whose integer order is the order of
+// TileConfig's operator<=> (members compared in declaration order):
+// out | cwnext | ccwnext (2 bits each), the three expansion numbers (4 bits
+// each: distances stay below kMaxRingSize = 16), then ingress_blocked.
+constexpr int kKeyBits = 19;
+
+std::uint32_t pack(const TileConfig& tc) {
+  return static_cast<std::uint32_t>(tc.out) << 17 |
+         static_cast<std::uint32_t>(tc.cwnext) << 15 |
+         static_cast<std::uint32_t>(tc.ccwnext) << 13 |
+         static_cast<std::uint32_t>(tc.out_dist) << 9 |
+         static_cast<std::uint32_t>(tc.cw_dist) << 5 |
+         static_cast<std::uint32_t>(tc.ccw_dist) << 1 |
+         static_cast<std::uint32_t>(tc.ingress_blocked);
+}
+
+TileConfig unpack(std::uint32_t key) {
+  TileConfig tc;
+  tc.out = static_cast<Client>(key >> 17 & 3u);
+  tc.cwnext = static_cast<Client>(key >> 15 & 3u);
+  tc.ccwnext = static_cast<Client>(key >> 13 & 3u);
+  tc.out_dist = static_cast<std::uint8_t>(key >> 9 & 15u);
+  tc.cw_dist = static_cast<std::uint8_t>(key >> 5 & 15u);
+  tc.ccw_dist = static_cast<std::uint8_t>(key >> 1 & 15u);
+  tc.ingress_blocked = (key & 1u) != 0;
+  return tc;
+}
+
+// Depth-first walk over the header combinations with the token at input 0.
+// With the token at 0 the rule claims inputs in index order, so a node at
+// depth `input` holds the configuration its header prefix produced; each
+// child copies it and applies one claim_input step. Leaves project every
+// tile into the bitsets.
+struct SpaceWalk {
+  int r;
+  RuleOptions options;
+  std::vector<HeaderReq> headers = std::vector<HeaderReq>(static_cast<std::size_t>(r));
+  std::vector<std::uint64_t> tiles =  // bit per packed TileConfig key
+      std::vector<std::uint64_t>(std::size_t{1} << (kKeyBits - 6));
+  std::uint64_t blocks = 0;  // bit per 6-bit block_key
+
+  void walk(const RingConfig& cfg, int input) {
+    if (input == r) {
+      for (int tile = 0; tile < r; ++tile) {
+        const TileConfig tc = project(cfg, headers, tile);
+        const std::uint32_t key = pack(tc);
+        tiles[key >> 6] |= std::uint64_t{1} << (key & 63u);
+        blocks |= std::uint64_t{1} << tc.block_key();
+      }
+      return;
+    }
+    HeaderReq& h = headers[static_cast<std::size_t>(input)];
+    h = HeaderReq{};  // an empty input claims nothing
+    walk(cfg, input + 1);
+    for (int dest = 0; dest < r; ++dest) {
+      h = HeaderReq{1u << dest, 16};
+      RingConfig child = cfg;
+      claim_input(child, input, h, options);
+      walk(child, input + 1);
+    }
+  }
+};
+
+}  // namespace
+
 SpaceSummary enumerate_space(int ring_size, RuleOptions options) {
   RAW_ASSERT(ring_size >= 2 && ring_size <= kMaxRingSize);
   SpaceSummary summary;
@@ -100,33 +167,26 @@ SpaceSummary enumerate_space(int ring_size, RuleOptions options) {
       static_cast<double>(sim::kSwitchImemWords) /
       static_cast<double>(summary.global_configs);
 
-  std::set<TileConfig> tile_set;
-  std::set<std::uint16_t> block_set;
-  std::vector<HeaderReq> headers(static_cast<std::size_t>(ring_size));
+  // Only token 0 is walked: the rule is rotation-equivariant, so the
+  // configuration for (headers, token t) is token 0's configuration for the
+  // headers rotated by t, rotated back — its projection onto tile j is
+  // token 0's projection onto tile j - t. Projecting token 0's
+  // configurations onto every tile therefore yields every tile
+  // configuration of every token.
+  SpaceWalk space{ring_size, options};
+  space.walk(idle_config(ring_size), 0);
 
-  for (std::uint64_t combo = 0; combo < combos; ++combo) {
-    std::uint64_t code = combo;
-    for (int i = 0; i < ring_size; ++i) {
-      const auto digit = static_cast<int>(code % static_cast<std::uint64_t>(alphabet));
-      code /= static_cast<std::uint64_t>(alphabet);
-      headers[static_cast<std::size_t>(i)] =
-          digit == 0 ? HeaderReq{} : HeaderReq{1u << (digit - 1), 16};
-    }
-    for (int token = 0; token < ring_size; ++token) {
-      const RingConfig cfg = evaluate_rule(headers, token, options);
-      for (int tile = 0; tile < ring_size; ++tile) {
-        const TileConfig tc = project(cfg, headers, tile);
-        tile_set.insert(tc);
-        block_set.insert(tc.block_key());
-      }
+  summary.distinct_blocks = static_cast<std::uint64_t>(std::popcount(space.blocks));
+  for (std::size_t w = 0; w < space.tiles.size(); ++w) {
+    for (std::uint64_t bits = space.tiles[w]; bits != 0; bits &= bits - 1) {
+      const auto key = static_cast<std::uint32_t>(
+          w << 6 | static_cast<unsigned>(std::countr_zero(bits)));
+      summary.tile_configs.push_back(unpack(key));
     }
   }
-
-  summary.distinct_tile_configs = tile_set.size();
-  summary.distinct_blocks = block_set.size();
+  summary.distinct_tile_configs = summary.tile_configs.size();
   summary.reduction_factor = static_cast<double>(summary.global_configs) /
                              static_cast<double>(summary.distinct_tile_configs);
-  summary.tile_configs.assign(tile_set.begin(), tile_set.end());
   return summary;
 }
 

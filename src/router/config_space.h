@@ -78,6 +78,15 @@ TileConfig project(const RingConfig& cfg, std::span<const HeaderReq> headers,
 
 /// Exhaustive enumeration of the unicast configuration space for a ring of
 /// size R with header alphabet {empty, out0..out(R-1)}.
+///
+/// The result equals running evaluate_rule on every (headers, token) pair
+/// and projecting onto every tile, at a fraction of the work: only token 0
+/// is walked (the rule is rotation-equivariant, so the other tokens'
+/// projections are token 0's projections onto other tiles); the walk is
+/// depth-first over inputs 0..R-1, one claim_input step per tree node, so
+/// combinations sharing a header prefix share its rule work; and distinct
+/// tile configurations are collected in a bitset of packed keys whose
+/// in-order scan yields `tile_configs` already sorted.
 struct SpaceSummary {
   int ring_size = 4;
   std::uint64_t global_configs = 0;       // |Hdr|^R * R (2,500 for R = 4)

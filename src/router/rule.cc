@@ -6,10 +6,6 @@
 
 namespace raw::router {
 
-int cw_distance(int ring_size, int from, int to) {
-  return ((to - from) % ring_size + ring_size) % ring_size;
-}
-
 namespace {
 
 struct Claim {
@@ -74,60 +70,67 @@ Claim build_claim(int ring_size, int input, std::uint32_t out_mask,
 
 }  // namespace
 
-RingConfig evaluate_rule(std::span<const HeaderReq> headers, int token,
-                         RuleOptions options) {
-  const int r = static_cast<int>(headers.size());
-  RAW_ASSERT_MSG(r >= 2 && r <= kMaxRingSize, "unsupported ring size");
-  RAW_ASSERT(token >= 0 && token < r);
-
+RingConfig idle_config(int ring_size) {
+  RAW_ASSERT_MSG(ring_size >= 2 && ring_size <= kMaxRingSize,
+                 "unsupported ring size");
   RingConfig cfg;
-  cfg.ring_size = r;
+  cfg.ring_size = ring_size;
   cfg.cw_edge.fill(-1);
   cfg.ccw_edge.fill(-1);
   cfg.egress.fill(-1);
-  cfg.granted.fill(false);
-  cfg.cw_mask.fill(0);
-  cfg.ccw_mask.fill(0);
-  cfg.grant_words.fill(0);
+  return cfg;
+}
 
+bool claim_input(RingConfig& cfg, int input, const HeaderReq& h,
+                 RuleOptions options) {
+  const int r = cfg.ring_size;
+  RAW_ASSERT(input >= 0 && input < r);
+  if (h.empty()) return false;
+  const std::uint32_t mask = h.out_mask & ((1u << r) - 1u);
+  RAW_ASSERT_MSG(mask == h.out_mask, "destination mask beyond ring size");
+
+  // Preferred assignment: every destination takes its shorter direction
+  // (ties clockwise).
+  std::uint32_t preferred_cw = 0;
+  bool has_remote = false;
+  for (int j = 0; j < r; ++j) {
+    if ((mask >> j & 1u) == 0 || j == input) continue;
+    has_remote = true;
+    const int dcw = cw_distance(r, input, j);
+    if (dcw * 2 <= r) preferred_cw |= 1u << j;
+  }
+
+  bool granted = try_claim(cfg, input, build_claim(r, input, mask, preferred_cw));
+  if (!granted && options.direction_fallback && has_remote) {
+    // Fallback assignments: flip the whole remote set to one direction,
+    // then the other, then the complement of the preference.
+    const std::uint32_t remote = mask & ~(1u << input);
+    for (const std::uint32_t alt :
+         {remote, std::uint32_t{0}, remote & ~preferred_cw}) {
+      if (alt == preferred_cw) continue;
+      if (try_claim(cfg, input, build_claim(r, input, mask, alt))) {
+        granted = true;
+        break;
+      }
+    }
+  }
+  if (granted) {
+    cfg.grant_words[static_cast<std::size_t>(input)] =
+        fragment_words(h.words, options.quantum_cap);
+  }
+  return granted;
+}
+
+RingConfig evaluate_rule(std::span<const HeaderReq> headers, int token,
+                         RuleOptions options) {
+  const int r = static_cast<int>(headers.size());
+  RingConfig cfg = idle_config(r);
+  RAW_ASSERT(token >= 0 && token < r);
   // Walk downstream from the token owner; earlier positions have priority,
   // which is what guarantees the owner always sends (§5.4).
   for (int k = 0; k < r; ++k) {
     const int i = (token + k) % r;
-    const HeaderReq& h = headers[static_cast<std::size_t>(i)];
-    if (h.empty()) continue;
-    const std::uint32_t mask = h.out_mask & ((1u << r) - 1u);
-    RAW_ASSERT_MSG(mask == h.out_mask, "destination mask beyond ring size");
-
-    // Preferred assignment: every destination takes its shorter direction
-    // (ties clockwise).
-    std::uint32_t preferred_cw = 0;
-    bool has_remote = false;
-    for (int j = 0; j < r; ++j) {
-      if ((mask >> j & 1u) == 0 || j == i) continue;
-      has_remote = true;
-      const int dcw = cw_distance(r, i, j);
-      if (dcw * 2 <= r) preferred_cw |= 1u << j;
-    }
-
-    bool granted = try_claim(cfg, i, build_claim(r, i, mask, preferred_cw));
-    if (!granted && options.direction_fallback && has_remote) {
-      // Fallback assignments: flip the whole remote set to one direction,
-      // then the other, then the complement of the preference.
-      const std::uint32_t remote = mask & ~(1u << i);
-      for (const std::uint32_t alt :
-           {remote, std::uint32_t{0}, remote & ~preferred_cw}) {
-        if (alt == preferred_cw) continue;
-        if (try_claim(cfg, i, build_claim(r, i, mask, alt))) {
-          granted = true;
-          break;
-        }
-      }
-    }
-    if (granted) {
-      cfg.grant_words[static_cast<std::size_t>(i)] =
-          fragment_words(h.words, options.quantum_cap);
-    }
+    claim_input(cfg, i, headers[static_cast<std::size_t>(i)], options);
   }
   return cfg;
 }

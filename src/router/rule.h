@@ -17,6 +17,13 @@
 // quanta); allocations never form cycles, so the compile-time schedules are
 // conflict-free and the static network cannot deadlock (§5.4, §5.5).
 //
+// The rule depends only on positions *relative* to each input and to the
+// token, so it is rotation-equivariant: rotating the headers and the token
+// together rotates the result. Each step of the walk (`claim_input`) sees
+// the inputs before it only through the partial configuration they left,
+// which lets the configuration-space enumeration share one walk prefix
+// across every header combination that starts with it.
+//
 // The rule is generic in the ring size R (the §8.5 scalability study); the
 // thesis instance is R = 4. Destinations are a port *bit mask* so the §8.6
 // multicast extension (one ingress to several egresses) falls out naturally:
@@ -72,6 +79,8 @@ struct RingConfig {
     for (int i = 0; i < ring_size; ++i) n += granted[static_cast<std::size_t>(i)] ? 1 : 0;
     return n;
   }
+
+  friend bool operator==(const RingConfig&, const RingConfig&) = default;
 };
 
 struct RuleOptions {
@@ -97,14 +106,31 @@ constexpr std::uint32_t fragment_words(std::uint32_t remaining,
   return cap;
 }
 
+/// A ring of `ring_size` tiles with every edge and egress free and no input
+/// granted: the state the rule walk starts from.
+RingConfig idle_config(int ring_size);
+
+/// One step of the rule walk: input `input` with request `h` claims its
+/// egress(es) and ring path in `cfg` — shorter direction first, then the
+/// fallbacks — if every resource is still free, and leaves `cfg` untouched
+/// otherwise. Returns whether the input was granted.
+bool claim_input(RingConfig& cfg, int input, const HeaderReq& h,
+                 RuleOptions options = {});
+
 /// Evaluates the global rule. `headers[i]` is input i's request; `token` is
 /// the ring index holding the token. Deterministic and side-effect free —
-/// every crossbar tile calls this with identical arguments.
+/// every crossbar tile calls this with identical arguments. It is
+/// `claim_input` applied to inputs token, token+1, ... (mod R), starting
+/// from `idle_config`.
 RingConfig evaluate_rule(std::span<const HeaderReq> headers, int token,
                          RuleOptions options = {});
 
-/// Clockwise distance from ring position `from` to `to`.
-int cw_distance(int ring_size, int from, int to);
+/// Clockwise distance from ring position `from` to `to`, both in
+/// [0, ring_size).
+constexpr int cw_distance(int ring_size, int from, int to) {
+  const int d = to - from;
+  return d < 0 ? d + ring_size : d;
+}
 
 /// All destinations reachable, single static network: the §5.3 property —
 /// whenever requested egresses are all distinct (no output contention),

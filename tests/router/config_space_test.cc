@@ -142,5 +142,66 @@ TEST(SpaceTest, DisablingFallbackShrinksConfigSet) {
   EXPECT_LE(without.distinct_tile_configs, with.distinct_tile_configs);
 }
 
+// Reference enumeration: every (header combination, token) pair through the
+// whole rule, projected onto every tile into ordered sets.
+SpaceSummary brute_force_space(int ring_size, RuleOptions options) {
+  SpaceSummary summary;
+  summary.ring_size = ring_size;
+  const int alphabet = 1 + ring_size;
+  std::uint64_t combos = 1;
+  for (int i = 0; i < ring_size; ++i) combos *= static_cast<std::uint64_t>(alphabet);
+  summary.global_configs = combos * static_cast<std::uint64_t>(ring_size);
+
+  std::set<TileConfig> tile_set;
+  std::set<std::uint16_t> block_set;
+  std::vector<HeaderReq> headers(static_cast<std::size_t>(ring_size));
+  for (std::uint64_t combo = 0; combo < combos; ++combo) {
+    std::uint64_t code = combo;
+    for (int i = 0; i < ring_size; ++i) {
+      const auto digit = static_cast<int>(code % static_cast<std::uint64_t>(alphabet));
+      code /= static_cast<std::uint64_t>(alphabet);
+      headers[static_cast<std::size_t>(i)] =
+          digit == 0 ? HeaderReq{} : HeaderReq{1u << (digit - 1), 16};
+    }
+    for (int token = 0; token < ring_size; ++token) {
+      const RingConfig cfg = evaluate_rule(headers, token, options);
+      for (int tile = 0; tile < ring_size; ++tile) {
+        const TileConfig tc = project(cfg, headers, tile);
+        tile_set.insert(tc);
+        block_set.insert(tc.block_key());
+      }
+    }
+  }
+  summary.distinct_tile_configs = tile_set.size();
+  summary.distinct_blocks = block_set.size();
+  summary.reduction_factor = static_cast<double>(summary.global_configs) /
+                             static_cast<double>(summary.distinct_tile_configs);
+  summary.tile_configs.assign(tile_set.begin(), tile_set.end());
+  return summary;
+}
+
+TEST(SpaceTest, BruteForceMatchesEnumeration) {
+  for (const bool fallback : {true, false}) {
+    RuleOptions options;
+    options.direction_fallback = fallback;
+    for (int r = 2; r <= 6; ++r) {
+      SCOPED_TRACE(testing::Message() << "ring " << r << " fallback " << fallback);
+      const SpaceSummary want = brute_force_space(r, options);
+      const SpaceSummary got = enumerate_space(r, options);
+      EXPECT_EQ(got.global_configs, want.global_configs);
+      EXPECT_EQ(got.distinct_tile_configs, want.distinct_tile_configs);
+      EXPECT_EQ(got.distinct_blocks, want.distinct_blocks);
+      EXPECT_EQ(got.reduction_factor, want.reduction_factor);
+      EXPECT_EQ(got.tile_configs, want.tile_configs);
+    }
+  }
+}
+
+TEST(SpaceTest, Ring7Pinned) {
+  const SpaceSummary s = enumerate_space(7);
+  EXPECT_EQ(s.global_configs, 14'680'064u);  // 8^7 x 7
+  EXPECT_EQ(s.distinct_tile_configs, 212u);
+}
+
 }  // namespace
 }  // namespace raw::router

@@ -221,5 +221,102 @@ TEST(RuleTest, FairnessOverRotatingToken) {
   for (const int w : wins) EXPECT_EQ(w, 1);
 }
 
+// Moves destination bit j of `mask` to bit (j + shift) mod r.
+std::uint32_t rotate_mask(std::uint32_t mask, int r, int shift) {
+  std::uint32_t out = 0;
+  for (int j = 0; j < r; ++j) {
+    if ((mask >> j & 1u) != 0) out |= 1u << ((j + shift) % r + r) % r;
+  }
+  return out;
+}
+
+// `cfg` with every ring position p relabelled (p + shift) mod r.
+RingConfig rotate_config(const RingConfig& cfg, int shift) {
+  const int r = cfg.ring_size;
+  const auto pos = [&](int p) {
+    return static_cast<std::size_t>(((p + shift) % r + r) % r);
+  };
+  const auto occupant = [&](int o) { return o < 0 ? o : static_cast<int>(pos(o)); };
+  RingConfig out = cfg;
+  for (int p = 0; p < r; ++p) {
+    const auto s = static_cast<std::size_t>(p);
+    out.cw_edge[pos(p)] = occupant(cfg.cw_edge[s]);
+    out.ccw_edge[pos(p)] = occupant(cfg.ccw_edge[s]);
+    out.egress[pos(p)] = occupant(cfg.egress[s]);
+    out.granted[pos(p)] = cfg.granted[s];
+    out.cw_mask[pos(p)] = rotate_mask(cfg.cw_mask[s], r, shift);
+    out.ccw_mask[pos(p)] = rotate_mask(cfg.ccw_mask[s], r, shift);
+    out.grant_words[pos(p)] = cfg.grant_words[s];
+  }
+  return out;
+}
+
+// For every assignment of `alphabet` masks to the r inputs and every token:
+// the rule commutes with rotating the ring, and it is claim_input applied
+// from the token onwards. Input i's fragment is 8 + i words under a 10-word
+// cap, so the granted lengths differ per input and must rotate too.
+void expect_rotation_equivariant(int r, const std::vector<std::uint32_t>& alphabet,
+                                 RuleOptions options) {
+  options.quantum_cap = 10;
+  const auto n = static_cast<std::uint64_t>(alphabet.size());
+  std::uint64_t combos = 1;
+  for (int i = 0; i < r; ++i) combos *= n;
+  std::vector<HeaderReq> h(static_cast<std::size_t>(r));
+  std::vector<HeaderReq> rotated(static_cast<std::size_t>(r));
+  int failures = 0;
+  for (std::uint64_t combo = 0; combo < combos && failures < 5; ++combo) {
+    std::uint64_t code = combo;
+    for (int i = 0; i < r; ++i) {
+      h[static_cast<std::size_t>(i)] =
+          HeaderReq{alphabet[static_cast<std::size_t>(code % n)],
+                    8 + static_cast<std::uint32_t>(i)};
+      code /= n;
+    }
+    for (int token = 0; token < r; ++token) {
+      // Input p moves to p - token, so the token owner becomes input 0.
+      for (int p = 0; p < r; ++p) {
+        const HeaderReq& src = h[static_cast<std::size_t>(p)];
+        rotated[static_cast<std::size_t>(((p - token) % r + r) % r)] =
+            HeaderReq{rotate_mask(src.out_mask, r, -token), src.words};
+      }
+      const RingConfig direct = evaluate_rule(h, token, options);
+      const RingConfig via_zero =
+          rotate_config(evaluate_rule(rotated, 0, options), token);
+
+      RingConfig stepped = idle_config(r);
+      for (int k = 0; k < r; ++k) {
+        const int i = (token + k) % r;
+        claim_input(stepped, i, h[static_cast<std::size_t>(i)], options);
+      }
+
+      if (direct != via_zero || direct != stepped) {
+        ADD_FAILURE() << "ring " << r << " combo " << combo << " token " << token
+                      << (direct != via_zero ? ": not rotation-equivariant"
+                                             : ": differs from claim_input walk");
+        ++failures;
+      }
+    }
+  }
+}
+
+TEST(RuleTest, RotationEquivariant) {
+  // Ring 4: every destination mask, unicast and multicast, on every input.
+  std::vector<std::uint32_t> all4;
+  for (std::uint32_t m = 0; m < 16; ++m) all4.push_back(m);
+  for (const bool fallback : {true, false}) {
+    RuleOptions options;
+    options.direction_fallback = fallback;
+    expect_rotation_equivariant(4, all4, options);
+  }
+  // Ring 5 (all 32^5 mask combinations are too many for a unit test): empty,
+  // every unicast, every two-destination mask {j, j+2}, and broadcast.
+  std::vector<std::uint32_t> some5 = {0, 31};
+  for (int j = 0; j < 5; ++j) {
+    some5.push_back(1u << j);
+    some5.push_back(1u << j | 1u << (j + 2) % 5);
+  }
+  expect_rotation_equivariant(5, some5, RuleOptions{});
+}
+
 }  // namespace
 }  // namespace raw::router
