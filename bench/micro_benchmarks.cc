@@ -14,7 +14,9 @@
 #include "router/config_space.h"
 #include "router/rule.h"
 #include "sim/chip.h"
+#include "sim/device.h"
 #include "sim/dynamic_network.h"
+#include "sim/switch_isa.h"
 
 namespace {
 
@@ -161,6 +163,58 @@ BENCHMARK(BM_StreamMeshCycle)
     ->Args({8, 1})
     ->Args({8, 2})
     ->Args({8, 4});
+
+// Feeds one chip-edge input and drains one chip-edge output every cycle.
+class EdgePump : public raw::sim::Device {
+ public:
+  EdgePump(raw::sim::Channel* in, raw::sim::Channel* out) : in_(in), out_(out) {}
+  void step(raw::sim::Chip&) override {
+    if (in_->can_write()) in_->write(word_++);
+    if (out_->can_read()) benchmark::DoNotOptimize(out_->read());
+  }
+
+ private:
+  raw::sim::Channel* in_;
+  raw::sim::Channel* out_;
+  raw::common::Word word_ = 0;
+};
+
+// Switch-processor cost on the streaming path: a 1x2 chip whose two switch
+// programs forward W>E in a single-cycle bnezd loop (the schedule
+// compiler's counted-stream idiom), fed and drained at the chip edges. One
+// iteration runs 1,000 cycles; ns_per_switch_step divides wall time by the
+// two switch steps per cycle (chip engine overhead included).
+void BM_SwitchStreamStep(benchmark::State& state) {
+  raw::sim::ChipConfig cfg;
+  cfg.shape = raw::sim::GridShape{1, 2};
+  cfg.with_dynamic_network = false;
+  raw::sim::Chip chip(cfg);
+  std::string error;
+  const auto program = std::make_shared<const raw::sim::SwitchProgram>(
+      raw::sim::assemble("top: li r0, 4096\n"
+                         "loop: bnezd r0, loop | W>E\n"
+                         "jump top\n",
+                         &error));
+  if (!error.empty()) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  chip.tile(0).switch_proc().load(program);
+  chip.tile(1).switch_proc().load(program);
+  EdgePump pump(chip.io_port(0, 0, raw::sim::Dir::kWest).to_chip,
+                chip.io_port(0, 1, raw::sim::Dir::kEast).from_chip);
+  chip.add_device(&pump);
+  constexpr int kCycles = 1000;
+  for (auto _ : state) {
+    chip.run(kCycles);
+  }
+  const auto steps = static_cast<double>(2 * kCycles * state.iterations());
+  state.counters["ns_per_switch_step"] = benchmark::Counter(
+      steps, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["words"] =
+      static_cast<double>(chip.static_words_transferred());
+}
+BENCHMARK(BM_SwitchStreamStep);
 
 void BM_DynNetworkRandomTraffic(benchmark::State& state) {
   raw::sim::DynamicNetwork net(raw::sim::GridShape{4, 4});

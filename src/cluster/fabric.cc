@@ -47,6 +47,13 @@ ClusterFabric::ClusterFabric(ClusterConfig config, std::uint64_t seed)
   chip_dead_.assign(static_cast<std::size_t>(num_chips()), false);
   watchdog_chip_cycle_.assign(static_cast<std::size_t>(num_chips()), 0);
 
+  for (int p = 0; p < router::kNumPorts; ++p) {
+    const auto pi = static_cast<std::size_t>(p);
+    crossbar_[pi] = compiler_.compile_crossbar(p);
+    ingress_[pi] = compiler_.compile_ingress(p);
+    egress_[pi] = compiler_.compile_egress(p);
+  }
+
   inputs_.resize(topo_.hosts.size());
   outputs_.resize(topo_.hosts.size());
   for (int c = 0; c < num_chips(); ++c) {
@@ -95,9 +102,10 @@ void ClusterFabric::build_chip(int c) {
   // roles: an idle ingress just circulates EMPTY headers.
   for (int p = 0; p < router::kNumPorts; ++p) {
     const router::PortTiles tiles = layout_.port(p);
-    const router::CrossbarSchedule cb = compiler_.compile_crossbar(p);
-    const router::IngressSchedule in = compiler_.compile_ingress(p);
-    const router::EgressSchedule eg = compiler_.compile_egress(p);
+    const auto pi = static_cast<std::size_t>(p);
+    const router::CrossbarSchedule& cb = crossbar_[pi];
+    const router::IngressSchedule& in = ingress_[pi];
+    const router::EgressSchedule& eg = egress_[pi];
     node->chip->tile(tiles.crossbar).switch_proc().load(cb.program);
     node->chip->tile(tiles.ingress).switch_proc().load(in.program);
     node->chip->tile(tiles.egress).switch_proc().load(eg.program);

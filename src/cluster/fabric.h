@@ -17,6 +17,7 @@
 // digest-identical to the serial schedule at any worker count.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -218,6 +219,11 @@ class ClusterFabric {
   Topology topo_;
   router::Layout layout_;
   router::ScheduleCompiler compiler_{layout_};
+  // Per-port switch schedules, compiled once: they depend only on the port
+  // and the layout, so every chip loads the same shared programs.
+  std::array<router::CrossbarSchedule, router::kNumPorts> crossbar_;
+  std::array<router::IngressSchedule, router::kNumPorts> ingress_;
+  std::array<router::EgressSchedule, router::kNumPorts> egress_;
   router::PacketLedger ledger_;
   std::vector<std::unique_ptr<ChipNode>> nodes_;
   std::vector<std::unique_ptr<InterChipLink>> links_;  // parallel to topo_.links

@@ -42,15 +42,13 @@ Chip::Chip(ChipConfig config) : config_(config) {
   for (int t = 0; t < shape.num_tiles(); ++t) {
     SwitchProcessor::Ports ports;
     for (int net = 0; net < kNumStaticNets; ++net) {
-      const auto ni = static_cast<std::size_t>(net);
+      const auto n8 = static_cast<std::uint8_t>(net);
       for (const Dir d : kMeshDirs) {
-        const auto di = static_cast<std::size_t>(d);
-        ports.out[ni][di] = out_link(net, t, d);
-        ports.in[ni][di] = in_link(net, t, d);
+        ports.out[switch_port(n8, d)] = out_link(net, t, d);
+        ports.in[switch_port(n8, d)] = in_link(net, t, d);
       }
-      const auto pi = static_cast<std::size_t>(Dir::kProc);
-      ports.in[ni][pi] = &tile(t).csto(net);
-      ports.out[ni][pi] = &tile(t).csti(net);
+      ports.in[switch_port(n8, Dir::kProc)] = &tile(t).csto(net);
+      ports.out[switch_port(n8, Dir::kProc)] = &tile(t).csti(net);
     }
     tile(t).switch_proc().connect(ports);
   }

@@ -1,5 +1,7 @@
 #include "sim/dynamic_network.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 
 namespace raw::sim {
@@ -21,7 +23,9 @@ std::uint32_t dyn_header_len(common::Word header) { return header & 0xff; }
 DynamicNetwork::DynamicNetwork(GridShape shape, std::size_t endpoint_queue_words)
     : shape_(shape),
       routers_(static_cast<std::size_t>(shape.num_tiles())),
-      links_(static_cast<std::size_t>(shape.num_tiles())) {
+      links_(routers_.size()),
+      in_(routers_.size()),
+      route_(routers_.size() * routers_.size()) {
   for (int t = 0; t < shape_.num_tiles(); ++t) {
     const TileCoord c = shape_.coord(t);
     for (const Dir d : kMeshDirs) {
@@ -33,6 +37,36 @@ DynamicNetwork::DynamicNetwork(GridShape shape, std::size_t endpoint_queue_words
     inject_.emplace_back(endpoint_queue_words);
     eject_.emplace_back(endpoint_queue_words);
   }
+  const auto n = routers_.size();
+  for (int t = 0; t < shape_.num_tiles(); ++t) {
+    const TileCoord here = shape_.coord(t);
+    const auto ti = static_cast<std::size_t>(t);
+    for (const Dir d : kMeshDirs) {
+      const TileCoord nb = GridShape::neighbor(here, d);
+      if (!shape_.contains(nb)) continue;
+      in_[ti][static_cast<std::size_t>(d)] =
+          links_[static_cast<std::size_t>(shape_.index(nb))]
+                [static_cast<std::size_t>(opposite(d))]
+                    .get();
+    }
+    // X-first dimension order; every mesh hop it picks stays on the grid.
+    for (int dest = 0; dest < shape_.num_tiles(); ++dest) {
+      const TileCoord to = shape_.coord(dest);
+      std::size_t out = kEjectPort;
+      if (to.col > here.col) {
+        out = static_cast<std::size_t>(Dir::kEast);
+      } else if (to.col < here.col) {
+        out = static_cast<std::size_t>(Dir::kWest);
+      } else if (to.row > here.row) {
+        out = static_cast<std::size_t>(Dir::kSouth);
+      } else if (to.row < here.row) {
+        out = static_cast<std::size_t>(Dir::kNorth);
+      }
+      RAW_ASSERT(out == kEjectPort || links_[ti][out] != nullptr);
+      route_[ti * n + static_cast<std::size_t>(dest)] =
+          static_cast<std::uint8_t>(out);
+    }
+  }
 }
 
 bool DynamicNetwork::can_inject(int tile, std::uint32_t payload_words) const {
@@ -42,6 +76,8 @@ bool DynamicNetwork::can_inject(int tile, std::uint32_t payload_words) const {
 
 void DynamicNetwork::inject(int tile, int dest_tile,
                             std::span<const common::Word> payload) {
+  RAW_ASSERT_MSG(dest_tile >= 0 && dest_tile < shape_.num_tiles(),
+                 "dynamic message to off-chip tile");
   RAW_ASSERT_MSG(can_inject(tile, static_cast<std::uint32_t>(payload.size())),
                  "dynamic-network inject queue overflow; poll can_inject first");
   auto& q = inject_[static_cast<std::size_t>(tile)];
@@ -70,42 +106,25 @@ common::Word DynamicNetwork::peek_eject(int tile, std::size_t i) const {
   return eject_[static_cast<std::size_t>(tile)].peek(i);
 }
 
-std::size_t DynamicNetwork::route_output(int tile, common::Word header) const {
-  const TileCoord here = shape_.coord(tile);
-  const TileCoord dest = shape_.coord(dyn_header_dest(header));
-  RAW_ASSERT_MSG(shape_.contains(dest), "dynamic message to off-chip tile");
-  // X-first dimension order.
-  if (dest.col > here.col) return static_cast<std::size_t>(Dir::kEast);
-  if (dest.col < here.col) return static_cast<std::size_t>(Dir::kWest);
-  if (dest.row > here.row) return static_cast<std::size_t>(Dir::kSouth);
-  if (dest.row < here.row) return static_cast<std::size_t>(Dir::kNorth);
-  return kEjectPort;
-}
-
-Channel* DynamicNetwork::in_link(int tile, std::size_t input) const {
-  RAW_ASSERT(input < 4);
-  const Dir d = static_cast<Dir>(input);
-  const TileCoord n = GridShape::neighbor(shape_.coord(tile), d);
-  if (!shape_.contains(n)) return nullptr;
-  // Flits flowing into `tile` from direction d travel on the neighbour's
-  // link pointing back at us.
-  return links_[static_cast<std::size_t>(shape_.index(n))]
-               [static_cast<std::size_t>(opposite(d))]
-                   .get();
-}
-
-Channel* DynamicNetwork::out_link(int tile, std::size_t output) const {
-  RAW_ASSERT(output < 4);
-  return links_[static_cast<std::size_t>(tile)][output].get();
-}
-
 void DynamicNetwork::step() {
   // Quiescence early-out: with nothing in flight no input port has a head
   // flit, so every arbitration below would fail without side effects (the
   // round-robin pointers only advance when an input is chosen).
   if (net_words_ == 0) return;
-  for (int t = 0; t < shape_.num_tiles(); ++t) {
-    Router& r = routers_[static_cast<std::size_t>(t)];
+  for (std::size_t t = 0; t < routers_.size(); ++t) {
+    auto& inject = inject_[t];
+    const std::array<Channel*, 4>& in = in_[t];
+    // Idle-router skip, exact for the same reason per router: with its
+    // inject queue and incoming links empty no input has a flit, so nothing
+    // is chosen and no pointer moves. (Flits routed by other routers this
+    // cycle are staged, not yet readable here.)
+    if (inject.empty() &&
+        std::all_of(in.begin(), in.end(), [](const Channel* ch) {
+          return ch == nullptr || ch->occupancy() == 0;
+        })) {
+      continue;
+    }
+    Router& r = routers_[t];
     for (std::size_t o = 0; o < kNumOutputs; ++o) {
       // Pick the sending input: a locked worm continues; otherwise arbitrate
       // round-robin among inputs whose head flit is a header routed to o.
@@ -116,15 +135,14 @@ void DynamicNetwork::step() {
           if (r.locked_output[i].has_value()) continue;  // busy with a worm
           common::Word head = 0;
           if (i == kInjectPort) {
-            auto& q = inject_[static_cast<std::size_t>(t)];
-            if (q.empty()) continue;
-            head = q.front();
+            if (inject.empty()) continue;
+            head = inject.front();
           } else {
-            Channel* ch = in_link(t, i);
+            Channel* ch = in[i];
             if (ch == nullptr || !ch->can_read()) continue;
             head = ch->front();
           }
-          if (route_output(t, head) != o) continue;
+          if (route(t, head) != o) continue;
           chosen = i;
           r.rr[o] = (i + 1) % kNumInputs;
           break;
@@ -135,37 +153,31 @@ void DynamicNetwork::step() {
 
       // Source word available this cycle?
       common::Word word = 0;
-      bool src_ready = false;
       if (i == kInjectPort) {
-        src_ready = !inject_[static_cast<std::size_t>(t)].empty();
-        if (src_ready) word = inject_[static_cast<std::size_t>(t)].front();
+        if (inject.empty()) continue;
+        word = inject.front();
       } else {
-        Channel* ch = in_link(t, i);
-        src_ready = ch != nullptr && ch->can_read();
-        if (src_ready) word = ch->front();
+        Channel* ch = in[i];
+        if (ch == nullptr || !ch->can_read()) continue;
+        word = ch->front();
       }
-      if (!src_ready) continue;
 
       // Destination space available?
-      if (o == kEjectPort) {
-        if (eject_[static_cast<std::size_t>(t)].full()) continue;
-      } else {
-        Channel* ch = out_link(t, o);
-        RAW_ASSERT_MSG(ch != nullptr, "dimension-ordered route fell off the mesh");
-        if (!ch->can_write()) continue;
-      }
+      const bool eject = o == kEjectPort;
+      Channel* out = eject ? nullptr : links_[t][o].get();
+      if (eject ? eject_[t].full() : !out->can_write()) continue;
 
       // Transfer one flit.
       if (i == kInjectPort) {
-        inject_[static_cast<std::size_t>(t)].pop();
+        inject.pop();
       } else {
-        (void)in_link(t, i)->read();
+        (void)in[i]->read();
       }
-      if (o == kEjectPort) {
-        eject_[static_cast<std::size_t>(t)].push(word);
+      if (eject) {
+        eject_[t].push(word);
         --net_words_;
       } else {
-        out_link(t, o)->write(word);
+        out->write(word);
       }
       ++flits_routed_;
 

@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/ring_buffer.h"
 #include "common/types.h"
 #include "sim/channel.h"
@@ -47,7 +48,8 @@ class DynamicNetwork {
 
   /// Injection from a tile processor. The whole message must fit in the
   /// tile's inject queue at once (the hardware blocks the processor
-  /// otherwise; callers poll can_inject and retry next cycle).
+  /// otherwise; callers poll can_inject and retry next cycle). A destination
+  /// outside the grid aborts here, at the caller.
   [[nodiscard]] bool can_inject(int tile, std::uint32_t payload_words) const;
   void inject(int tile, int dest_tile, std::span<const common::Word> payload);
 
@@ -103,14 +105,24 @@ class DynamicNetwork {
     std::array<std::size_t, kNumOutputs> rr{};
   };
 
-  [[nodiscard]] std::size_t route_output(int tile, common::Word header) const;
-  [[nodiscard]] Channel* in_link(int tile, std::size_t input) const;
-  [[nodiscard]] Channel* out_link(int tile, std::size_t output) const;
+  /// Router output for a head flit at `tile`, from the X-first table.
+  [[nodiscard]] std::size_t route(std::size_t tile, common::Word header) const {
+    const auto dest = static_cast<std::size_t>(dyn_header_dest(header));
+    // inject() admits only on-chip destinations; this bound keeps a header
+    // corrupted in flight from indexing past the table.
+    RAW_ASSERT_MSG(dest < routers_.size(), "dynamic header names an off-chip tile");
+    return route_[tile * routers_.size() + dest];
+  }
 
   GridShape shape_;
   std::vector<Router> routers_;
   // links_[tile][dir]: channel carrying flits *out of* `tile` toward dir.
   std::vector<std::array<std::unique_ptr<Channel>, 4>> links_;
+  // in_[tile][dir]: channel carrying flits *into* `tile` from dir (the
+  // neighbour's link pointing back at it); null on the chip edge.
+  std::vector<std::array<Channel*, 4>> in_;
+  // route_[tile * num_tiles + dest]: X-first output port toward dest.
+  std::vector<std::uint8_t> route_;
   std::vector<common::RingBuffer<common::Word>> inject_;
   std::vector<common::RingBuffer<common::Word>> eject_;
   std::uint64_t flits_routed_ = 0;

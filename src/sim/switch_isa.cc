@@ -83,12 +83,38 @@ bool parse_move(const std::string& token, Move* out, std::string* error) {
   return true;
 }
 
+SwitchProgram::Decoded decode(const SwitchInstr& ins) {
+  SwitchProgram::Decoded d;
+  d.op = ins.op;
+  d.reg = ins.reg;
+  d.imm = ins.imm;
+  std::array<bool, kNumSwitchPorts> needed{};
+  for (const Move& m : ins.moves) needed[switch_port(m.net, m.src)] = true;
+  const std::size_t csto = switch_port(0, Dir::kProc);
+  if (ins.op == CtrlOp::kRecv) needed[csto] = true;
+  // Each distinct source gets one slot, in port-index = (net, dir) order.
+  std::array<std::uint8_t, kNumSwitchPorts> slot{};
+  for (std::size_t p = 0; p < kNumSwitchPorts; ++p) {
+    if (!needed[p]) continue;
+    slot[p] = d.num_src;
+    d.src[d.num_src++] = static_cast<std::uint8_t>(p);
+  }
+  for (const Move& m : ins.moves) {
+    d.dst[d.num_dst] = static_cast<std::uint8_t>(switch_port(m.net, m.dst));
+    d.feed[d.num_dst++] = slot[switch_port(m.net, m.src)];
+  }
+  if (ins.op == CtrlOp::kRecv) d.recv_slot = slot[csto];
+  return d;
+}
+
 }  // namespace
 
 SwitchProgram::SwitchProgram(std::vector<SwitchInstr> instrs)
     : instrs_(std::move(instrs)) {
   const std::string err = validate(instrs_);
   RAW_ASSERT_MSG(err.empty(), err.c_str());
+  decoded_.reserve(instrs_.size());
+  for (const SwitchInstr& ins : instrs_) decoded_.push_back(decode(ins));
 }
 
 std::string SwitchProgram::validate(const std::vector<SwitchInstr>& instrs) {
@@ -115,6 +141,9 @@ std::string SwitchProgram::validate(const std::vector<SwitchInstr>& instrs) {
     bool csto_routed[kNumStaticNets] = {};
     for (const Move& m : ins.moves) {
       if (m.net >= kNumStaticNets) return "bad network in move" + where;
+      if (m.src > Dir::kProc || m.dst > Dir::kProc) {
+        return "bad direction in move" + where;
+      }
       const auto d = static_cast<std::size_t>(m.dst);
       if (dst_seen[m.net][d]) {
         return "destination written twice in one instruction" + where;

@@ -30,6 +30,8 @@
 //                   instruction's routes exactly Q times at 1 word/cycle)
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,6 +42,9 @@ namespace raw::sim {
 
 inline constexpr int kNumStaticNets = 2;
 inline constexpr int kNumSwitchRegs = 4;
+/// Crossbar endpoints per switch across both static networks: port index
+/// `net * 5 + dir` (see switch_port()).
+inline constexpr std::size_t kNumSwitchPorts = kNumStaticNets * 5;
 /// Switch instruction memory: 8,192 words per tile (§3.2).
 inline constexpr std::size_t kSwitchImemWords = 8192;
 
@@ -55,6 +60,10 @@ enum class CtrlOp : std::uint8_t {
   kJr,     // indirect jump to the instruction index held in a register
   kBnezd,  // decrement register, branch when the result is non-zero
 };
+
+constexpr std::size_t switch_port(std::uint8_t net, Dir d) {
+  return std::size_t{net} * 5 + static_cast<std::size_t>(d);
+}
 
 /// One crossbar move: word travels src -> dst on static network `net`.
 struct Move {
@@ -77,12 +86,31 @@ struct SwitchInstr {
 /// A validated switch program.
 class SwitchProgram {
  public:
+  /// An instruction decoded once at construction into what one switch step
+  /// needs: the distinct sources in the order their readiness is checked
+  /// ((net, dir) ascending), each destination in move order with the source
+  /// slot that feeds it, and the slot `recv` consumes. Ports are indices
+  /// `net * 5 + dir` relative to the executing switch, never channels, so
+  /// every tile that loads the program shares one decoded copy.
+  struct Decoded {
+    CtrlOp op = CtrlOp::kNop;
+    std::uint8_t reg = 0;
+    std::uint8_t num_src = 0;
+    std::uint8_t num_dst = 0;
+    std::int32_t imm = 0;
+    std::uint8_t recv_slot = 0;  // meaningful only when op == kRecv
+    std::array<std::uint8_t, kNumSwitchPorts> src{};
+    std::array<std::uint8_t, kNumSwitchPorts> dst{};
+    std::array<std::uint8_t, kNumSwitchPorts> feed{};  // src slot of dst[k]
+  };
+
   SwitchProgram() = default;
   explicit SwitchProgram(std::vector<SwitchInstr> instrs);
 
   [[nodiscard]] const std::vector<SwitchInstr>& instrs() const { return instrs_; }
   [[nodiscard]] std::size_t size() const { return instrs_.size(); }
   [[nodiscard]] const SwitchInstr& at(std::size_t pc) const { return instrs_[pc]; }
+  [[nodiscard]] const Decoded& decoded(std::size_t pc) const { return decoded_[pc]; }
 
   /// Validation: program fits in switch imem, branch targets are in range,
   /// register indices are valid, and within each instruction no destination
@@ -92,6 +120,7 @@ class SwitchProgram {
 
  private:
   std::vector<SwitchInstr> instrs_;
+  std::vector<Decoded> decoded_;
 };
 
 /// Convenience builder with label resolution (used by the schedule compiler).

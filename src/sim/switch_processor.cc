@@ -28,31 +28,21 @@ AgentState SwitchProcessor::step() {
     ++idle_;
     return last_state_ = AgentState::kIdle;
   }
-  const SwitchInstr& ins = program_->at(pc_);
+  const SwitchProgram::Decoded& ins = program_->decoded(pc_);
 
-  // Readiness check. Distinct sources are read once; each needs one
-  // available word. Destinations each need write space.
-  bool src_needed[kNumStaticNets][5] = {};
-  for (const Move& m : ins.moves) {
-    src_needed[m.net][static_cast<std::size_t>(m.src)] = true;
-  }
-  const bool needs_recv = ins.op == CtrlOp::kRecv;
-  if (needs_recv) src_needed[0][static_cast<std::size_t>(Dir::kProc)] = true;
-
-  for (std::uint8_t net = 0; net < kNumStaticNets; ++net) {
-    for (std::size_t d = 0; d < 5; ++d) {
-      if (!src_needed[net][d]) continue;
-      Channel* ch = ports_.in[net][d];
-      RAW_ASSERT_MSG(ch != nullptr, "switch route from unconnected port");
-      if (!ch->can_read()) {
-        ++blocked_recv_;
-        last_block_channel_ = ch;
-        return last_state_ = AgentState::kBlockedRecv;
-      }
+  // Readiness check: every distinct source needs an available word, in
+  // (net, dir) order; every destination needs write space, in move order.
+  for (std::size_t k = 0; k < ins.num_src; ++k) {
+    Channel* ch = ports_.in[ins.src[k]];
+    RAW_ASSERT_MSG(ch != nullptr, "switch route from unconnected port");
+    if (!ch->can_read()) {
+      ++blocked_recv_;
+      last_block_channel_ = ch;
+      return last_state_ = AgentState::kBlockedRecv;
     }
   }
-  for (const Move& m : ins.moves) {
-    Channel* ch = ports_.output(m.net, m.dst);
+  for (std::size_t k = 0; k < ins.num_dst; ++k) {
+    Channel* ch = ports_.out[ins.dst[k]];
     RAW_ASSERT_MSG(ch != nullptr, "switch route to unconnected port");
     if (!ch->can_write()) {
       ++blocked_send_;
@@ -62,15 +52,12 @@ AgentState SwitchProcessor::step() {
   }
 
   // Fire: read each distinct source once, then fan out.
-  common::Word src_value[kNumStaticNets][5] = {};
-  for (std::uint8_t net = 0; net < kNumStaticNets; ++net) {
-    for (std::size_t d = 0; d < 5; ++d) {
-      if (src_needed[net][d]) src_value[net][d] = ports_.in[net][d]->read();
-    }
+  std::array<common::Word, kNumSwitchPorts> src_value{};
+  for (std::size_t k = 0; k < ins.num_src; ++k) {
+    src_value[k] = ports_.in[ins.src[k]]->read();
   }
-  for (const Move& m : ins.moves) {
-    ports_.output(m.net, m.dst)
-        ->write(src_value[m.net][static_cast<std::size_t>(m.src)]);
+  for (std::size_t k = 0; k < ins.num_dst; ++k) {
+    ports_.out[ins.dst[k]]->write(src_value[ins.feed[k]]);
   }
 
   // Control component.
@@ -98,7 +85,7 @@ AgentState SwitchProcessor::step() {
       if (regs_[ins.reg] == 0) next_pc = static_cast<std::size_t>(ins.imm);
       break;
     case CtrlOp::kRecv:
-      regs_[ins.reg] = src_value[0][static_cast<std::size_t>(Dir::kProc)];
+      regs_[ins.reg] = src_value[ins.recv_slot];
       break;
     case CtrlOp::kJr:
       next_pc = regs_[ins.reg];

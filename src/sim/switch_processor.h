@@ -29,21 +29,15 @@ enum class AgentState : std::uint8_t {
 
 class SwitchProcessor {
  public:
-  /// Channel endpoints seen by this switch. `in` channels are the ones the
-  /// switch reads (from neighbouring tiles' switches, edge I/O ports, or the
-  /// tile processor's $csto); `out` channels are the ones it writes. Entries
-  /// may be null where no link exists (an unconnected chip edge): routing to
-  /// or from a null port is a hard error caught at run time.
+  /// Channel endpoints seen by this switch, indexed by switch_port(net,
+  /// dir). `in` channels are the ones the switch reads (from neighbouring
+  /// tiles' switches, edge I/O ports, or the tile processor's $csto); `out`
+  /// channels are the ones it writes. Entries may be null where no link
+  /// exists (an unconnected chip edge): routing to or from a null port is a
+  /// hard error caught at run time.
   struct Ports {
-    std::array<std::array<Channel*, 5>, kNumStaticNets> in{};
-    std::array<std::array<Channel*, 5>, kNumStaticNets> out{};
-
-    [[nodiscard]] Channel* input(std::uint8_t net, Dir d) const {
-      return in[net][static_cast<std::size_t>(d)];
-    }
-    [[nodiscard]] Channel* output(std::uint8_t net, Dir d) const {
-      return out[net][static_cast<std::size_t>(d)];
-    }
+    std::array<Channel*, kNumSwitchPorts> in{};
+    std::array<Channel*, kNumSwitchPorts> out{};
   };
 
   void connect(Ports ports) { ports_ = ports; }

@@ -166,6 +166,50 @@ TEST(DynamicNetworkTest, RandomTrafficAllDelivered) {
   }
 }
 
+TEST(DynamicNetworkTest, SparseTrafficCycleExactDigest) {
+  // Pins timing, not only delivery: light random traffic (most routers idle
+  // on any cycle, with occasional bursts that contend for outputs) on a
+  // square and a non-square grid. Every ejection's (cycle, tile, word) and
+  // the final flit count fold into one FNV-1a digest.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  for (const GridShape shape : {GridShape{4, 4}, GridShape{3, 5}}) {
+    DynamicNetwork net(shape);
+    const int n = shape.num_tiles();
+    common::Rng rng(4242);
+    for (std::uint64_t cycle = 0; cycle < 4000; ++cycle) {
+      if (cycle < 3000 && rng.below(8) == 0) {
+        const auto burst = 1 + rng.below(3);
+        for (std::uint64_t b = 0; b < burst; ++b) {
+          const int src = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+          const int dst = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+          const auto len = static_cast<std::uint32_t>(rng.below(6));
+          if (!net.can_inject(src, len)) continue;
+          std::vector<common::Word> payload;
+          for (std::uint32_t w = 0; w < len; ++w) {
+            payload.push_back(static_cast<common::Word>(cycle * 8 + w));
+          }
+          net.inject(src, dst, payload);
+        }
+      }
+      net.step_standalone();
+      for (int t = 0; t < n; ++t) {
+        while (net.has_eject(t)) {
+          mix(cycle);
+          mix(static_cast<std::uint64_t>(t));
+          mix(net.pop_eject(t));
+        }
+      }
+    }
+    EXPECT_EQ(net.words_in_flight(), 0u);
+    mix(net.flits_routed());
+  }
+  EXPECT_EQ(h, 0x220a1993fed7d8fdULL);
+}
+
 TEST(DynamicNetworkTest, MaxPayloadEnforced) {
   DynamicNetwork net(GridShape{4, 4});
   const std::vector<common::Word> payload(kMaxDynPayloadWords, 5);
@@ -178,6 +222,14 @@ TEST(DynamicNetworkDeathTest, OversizedPayloadAborts) {
   DynamicNetwork net(GridShape{4, 4});
   const std::vector<common::Word> payload(kMaxDynPayloadWords + 1, 5);
   EXPECT_DEATH(net.inject(0, 1, payload), "");
+}
+
+TEST(DynamicNetworkDeathTest, OffChipDestinationAborts) {
+  // Rejected at inject(), where the caller is, not at the first hop.
+  DynamicNetwork net(GridShape{4, 4});
+  const std::array<common::Word, 1> payload{7};
+  EXPECT_DEATH(net.inject(0, 16, payload), "off-chip");
+  EXPECT_DEATH(net.inject(0, -1, payload), "off-chip");
 }
 
 }  // namespace

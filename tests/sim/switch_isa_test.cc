@@ -164,6 +164,17 @@ TEST(SwitchIsaTest, ValidateRejectsOversizedProgram) {
   EXPECT_NE(SwitchProgram::validate(instrs).find("8K"), std::string::npos);
 }
 
+TEST(SwitchIsaTest, ValidateRejectsOutOfRangeDirection) {
+  // Decoding indexes port tables by direction, so a move built through the
+  // API with a Dir past kProc must not reach it.
+  for (const Move m : {Move{0, static_cast<Dir>(5), Dir::kEast},
+                       Move{1, Dir::kWest, static_cast<Dir>(9)}}) {
+    SwitchInstr ins;
+    ins.moves.push_back(m);
+    EXPECT_NE(SwitchProgram::validate({ins}).find("bad direction"), std::string::npos);
+  }
+}
+
 TEST(SwitchIsaTest, BuilderLabelsAndFixups) {
   SwitchProgramBuilder b;
   b.define_label("start");

@@ -24,8 +24,8 @@ class SwitchHarness {
     SwitchProcessor::Ports ports;
     for (std::size_t net = 0; net < kNumStaticNets; ++net) {
       for (std::size_t d = 0; d < 5; ++d) {
-        ports.in[net][d] = in_[net][d].get();
-        ports.out[net][d] = out_[net][d].get();
+        ports.in[net * 5 + d] = in_[net][d].get();
+        ports.out[net * 5 + d] = out_[net][d].get();
       }
     }
     sw_.connect(ports);
