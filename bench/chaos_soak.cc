@@ -3,7 +3,7 @@
 // (see router/chaos.h). The default sweep is 16 seeds x 13 mixes = 208
 // combinations; the tier2 ctest runs a bounded version.
 //
-//   ./chaos_soak [--seeds N] [--cycles N] [--threads T]
+//   ./chaos_soak [--seeds N] [--cycles N]
 //                [--links] [--recovery] [--invariants]
 //                [--repro-dir DIR] [--flight-dir DIR]
 //   ./chaos_soak --cluster [--seeds N] [--cycles N] [--chips N]
@@ -11,7 +11,8 @@
 //
 // --cluster sweeps the *inter-chip* fault mixes (cluster/chaos.h) instead:
 // seeds x 8 mixes against a multi-chip fabric with reliable trunks and
-// fail-over armed, every recovery invariant checked. With --repro-dir,
+// fail-over armed, every recovery invariant checked; --threads sets its
+// thread-per-chip worker count. With --repro-dir,
 // every failing combination writes a replayable JSON bundle there
 // (rawchaos --cluster --replay).
 //
@@ -47,7 +48,7 @@ namespace {
 struct Args {
   int seeds = 16;
   raw::common::Cycle cycles = 40000;
-  int threads = 0;
+  int threads = 0;  // cluster thread-per-chip workers (0: RAWSIM_THREADS)
   bool links = false;
   bool recovery = false;
   bool invariants = false;
@@ -82,6 +83,10 @@ Args parse(int argc, char** argv) {
       a.flight_dir = argv[++i];
     }
   }
+  if (a.threads != 0 && !a.cluster) {
+    std::fprintf(stderr, "--threads needs --cluster (a chip steps serially)\n");
+    std::exit(2);
+  }
   return a;
 }
 
@@ -92,7 +97,6 @@ raw::router::ChaosSpec spec_for(const Args& args,
   spec.seed = r.seed;
   (void)raw::router::parse_mix(r.mix, &spec.mix);
   spec.run_cycles = args.cycles;
-  spec.threads = args.threads;
   spec.reliable_links = args.links;
   spec.recovery = args.recovery;
   return spec;
@@ -161,7 +165,6 @@ raw::router::ChaosSweepSummary sweep_local(const Args& args,
       spec.seed = static_cast<std::uint64_t>(s);
       spec.mix = mix;
       spec.run_cycles = args.cycles;
-      spec.threads = args.threads;
       spec.reliable_links = args.links;
       spec.recovery = args.recovery;
       if (args.invariants) {
@@ -318,8 +321,8 @@ int main(int argc, char** argv) {
   const raw::router::ChaosSweepSummary summary =
       args.flight_dir != nullptr || args.invariants
           ? sweep_local(args, args.flight_dir)
-          : raw::router::chaos_sweep(args.seeds, args.cycles, args.threads,
-                                     args.links, args.recovery);
+          : raw::router::chaos_sweep(args.seeds, args.cycles, args.links,
+                                     args.recovery);
 
   // Per-mix rollup.
   struct MixAgg {

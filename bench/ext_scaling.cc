@@ -8,10 +8,10 @@
 // the wall time of that enumeration (rings above 8 are still infeasible).
 //
 // A second section runs the cycle-accurate mesh itself at growing grid
-// sizes (the StreamMesh streaming workload) under the execution engine, so
-// scaling of the *simulator* — not just the rule — is measured too:
+// sizes (the StreamMesh streaming workload), so scaling of the *simulator*
+// — not just the rule — is measured too:
 //
-//   ./ext_scaling [--threads T] [--mesh-cycles N]
+//   ./ext_scaling [--mesh-cycles N]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "exec/parallel_runner.h"
 #include "exec/stream_mesh.h"
 #include "router/config_space.h"
 
@@ -58,11 +57,9 @@ double run(int ring, bool uniform, int quanta, std::uint64_t seed) {
 }
 
 /// Cycle-accurate mesh scaling: simulated cycles/second of the StreamMesh
-/// workload at each grid size, under the resolved engine thread count.
-void run_mesh_section(int threads, raw::common::Cycle cycles) {
-  const int resolved = raw::exec::resolve_threads(threads);
-  std::printf("\nmesh-level scaling (StreamMesh, %d engine thread%s, %llu cycles):\n\n",
-              resolved, resolved == 1 ? "" : "s",
+/// workload at each grid size.
+void run_mesh_section(raw::common::Cycle cycles) {
+  std::printf("\nmesh-level scaling (StreamMesh, %llu cycles):\n\n",
               static_cast<unsigned long long>(cycles));
   std::printf("%8s | %12s | %14s | %12s\n", "grid", "words", "cycles/sec",
               "wall ms");
@@ -71,9 +68,8 @@ void run_mesh_section(int threads, raw::common::Cycle cycles) {
     cfg.shape = raw::sim::GridShape{dim, dim};
     cfg.proc_work = 4;
     raw::exec::StreamMesh mesh(cfg);
-    raw::exec::ParallelRunner runner(mesh.chip(), threads);
     const auto t0 = std::chrono::steady_clock::now();
-    runner.run(cycles);
+    mesh.chip().run(cycles);
     const auto t1 = std::chrono::steady_clock::now();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     char grid[16];
@@ -87,12 +83,9 @@ void run_mesh_section(int threads, raw::common::Cycle cycles) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int threads = 0;
   raw::common::Cycle mesh_cycles = 20000;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--mesh-cycles") && i + 1 < argc) {
+    if (!std::strcmp(argv[i], "--mesh-cycles") && i + 1 < argc) {
       mesh_cycles = std::strtoull(argv[++i], nullptr, 10);
     }
   }
@@ -128,6 +121,6 @@ int main(int argc, char** argv) {
       "bind — the thesis's motivation for building big routers out of\n"
       "multiple 4-port crossbars rather than one large ring.\n");
 
-  run_mesh_section(threads, mesh_cycles);
+  run_mesh_section(mesh_cycles);
   return 0;
 }

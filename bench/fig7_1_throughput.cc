@@ -2,7 +2,7 @@
 // router, peak (conflict-free permutation destinations) and average
 // (uniform-random destinations), for 64..1,024-byte packets.
 //
-//   ./fig7_1_throughput [--cycles N] [--quantum W] [--seed S] [--threads T]
+//   ./fig7_1_throughput [--cycles N] [--quantum W] [--seed S]
 //
 // Prints the same rows the thesis plots, alongside the paper's reported
 // numbers and the closed-form analytic model's prediction.
@@ -25,7 +25,6 @@ struct Args {
   Cycle cycles = 200000;
   std::uint32_t quantum = 256;
   std::uint64_t seed = 2003;
-  int threads = 0;  // 0: RAWSIM_THREADS, else serial
   const char* metrics_json = nullptr;
 };
 
@@ -38,8 +37,6 @@ Args parse(int argc, char** argv) {
       a.quantum = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
       a.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      a.threads = std::atoi(argv[++i]);
     } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
       a.metrics_json = argv[++i];
     }
@@ -57,7 +54,6 @@ Result run_router(const Args& args, raw::net::DestPattern pattern,
                   const std::string& prefix) {
   raw::router::RouterConfig cfg;
   cfg.runtime.quantum_max_words = args.quantum;
-  cfg.threads = args.threads;
   raw::net::TrafficConfig t;
   t.num_ports = 4;
   t.pattern = pattern;

@@ -15,10 +15,9 @@
 
 namespace {
 
-void run_case(raw::common::ByteCount bytes, bool csv, int threads,
+void run_case(raw::common::ByteCount bytes, bool csv,
               raw::common::MetricRegistry* reg) {
   raw::router::RouterConfig cfg;
-  cfg.threads = threads;
   raw::net::TrafficConfig t;
   t.num_ports = 4;
   t.pattern = raw::net::DestPattern::kUniform;
@@ -66,13 +65,10 @@ void run_case(raw::common::ByteCount bytes, bool csv, int threads,
 
 int main(int argc, char** argv) {
   bool csv = false;
-  int threads = 0;
   const char* metrics_json = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--csv")) {
       csv = true;
-    } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
       metrics_json = argv[++i];
     }
@@ -82,8 +78,8 @@ int main(int argc, char** argv) {
       metrics_json != nullptr ? &registry : nullptr;
 
   std::printf("Figure 7-3: per-tile utilization, 800-cycle window\n");
-  run_case(64, csv, threads, reg);
-  run_case(1024, csv, threads, reg);
+  run_case(64, csv, reg);
+  run_case(1024, csv, reg);
 
   if (reg != nullptr) {
     std::FILE* f = std::fopen(metrics_json, "w");

@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "exec/parallel_runner.h"
 #include "exec/stream_mesh.h"
 #include "fabric/scheduler.h"
 #include "net/ipv4.h"
@@ -149,20 +148,16 @@ void BM_StreamMeshCycle(benchmark::State& state) {
   cfg.shape = raw::sim::GridShape{dim, dim};
   cfg.proc_work = 4;
   raw::exec::StreamMesh mesh(cfg);
-  raw::exec::ParallelRunner runner(mesh.chip(),
-                                   static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    runner.step();
+    mesh.chip().step();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["words"] = static_cast<double>(mesh.words_delivered());
 }
 BENCHMARK(BM_StreamMeshCycle)
-    ->ArgNames({"dim", "threads"})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({8, 2})
-    ->Args({8, 4});
+    ->ArgName("dim")
+    ->Arg(4)
+    ->Arg(8);
 
 // Feeds one chip-edge input and drains one chip-edge output every cycle.
 class EdgePump : public raw::sim::Device {

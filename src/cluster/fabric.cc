@@ -88,7 +88,6 @@ void ClusterFabric::build_chip(int c) {
   chip_cfg.shape = sim::GridShape{4, 4};
   chip_cfg.with_dynamic_network = true;  // lookup RPC path
   chip_cfg.link_fifo_depth = config_.link_fifo_depth;
-  chip_cfg.threads = 1;  // parallelism is across chips, not within them
   node->chip = std::make_unique<sim::Chip>(chip_cfg);
 
   node->core.chip = node->chip.get();

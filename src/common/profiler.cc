@@ -3,13 +3,11 @@
 #include <chrono>
 #include <cstdio>
 
-#include "common/assert.h"
 #include "common/metrics.h"
 #include "common/trace_event.h"
 
 namespace raw::common {
 
-thread_local int Profiler::t_worker_ = 0;
 thread_local ProfScope* ProfScope::t_open_ = nullptr;
 
 namespace {
@@ -29,30 +27,10 @@ const char* prof_phase_name(ProfPhase p) {
     case ProfPhase::kCompute: return "compute";
     case ProfPhase::kChannelCommit: return "channel_commit";
     case ProfPhase::kParkWake: return "park_wake";
-    case ProfPhase::kBarrierWait: return "barrier_wait";
     case ProfPhase::kSerialSection: return "serial_section";
     case ProfPhase::kStats: return "stats";
   }
   return "?";
-}
-
-Profiler::Profiler(int workers) { ensure_workers(workers < 1 ? 1 : workers); }
-
-void Profiler::ensure_workers(int workers) {
-  while (static_cast<int>(workers_.size()) < workers) {
-    owned_.push_back(std::make_unique<Worker>());
-    workers_.push_back(owned_.back().get());
-  }
-}
-
-Profiler::Worker& Profiler::worker(int w) {
-  RAW_ASSERT(w >= 0 && w < static_cast<int>(workers_.size()));
-  return *workers_[static_cast<std::size_t>(w)];
-}
-
-const Profiler::Worker& Profiler::worker(int w) const {
-  RAW_ASSERT(w >= 0 && w < static_cast<int>(workers_.size()));
-  return *workers_[static_cast<std::size_t>(w)];
 }
 
 std::uint64_t Profiler::now_ns() {
@@ -85,62 +63,16 @@ std::uint64_t Profiler::wall_ns() const {
   return ns;
 }
 
-Profiler::PhaseTotal Profiler::phase_total(ProfPhase p) const {
-  PhaseTotal total;
-  const auto i = static_cast<std::size_t>(p);
-  for (const Worker* wk : workers_) {
-    total.ns += wk->phase[i].ns.load(std::memory_order_relaxed);
-    total.calls += wk->phase[i].calls.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 std::uint64_t Profiler::phase_ns_sum() const {
   std::uint64_t sum = 0;
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    sum += phase_total(static_cast<ProfPhase>(p)).ns;
-  }
+  for (const PhaseTotal& t : phase_) sum += t.ns;
   return sum;
-}
-
-namespace {
-std::uint64_t sum_workers(const std::vector<Profiler::Worker*>& workers,
-                          std::atomic<std::uint64_t> Profiler::Worker::*field) {
-  std::uint64_t sum = 0;
-  for (const Profiler::Worker* wk : workers) {
-    sum += (wk->*field).load(std::memory_order_relaxed);
-  }
-  return sum;
-}
-}  // namespace
-
-std::uint64_t Profiler::parks() const {
-  return sum_workers(workers_, &Worker::parks);
-}
-std::uint64_t Profiler::wakes() const {
-  return sum_workers(workers_, &Worker::wakes);
-}
-std::uint64_t Profiler::commit_batches() const {
-  return sum_workers(workers_, &Worker::commit_batches);
-}
-std::uint64_t Profiler::dirty_channels() const {
-  return sum_workers(workers_, &Worker::dirty_channels);
 }
 
 double Profiler::coverage() const {
   const std::uint64_t wall = wall_ns();
   if (wall == 0) return 0.0;
-  const double budget =
-      static_cast<double>(wall) * static_cast<double>(workers_.size());
-  return static_cast<double>(phase_ns_sum()) / budget;
-}
-
-double Profiler::barrier_wait_share() const {
-  const std::uint64_t wall = wall_ns();
-  if (wall == 0) return 0.0;
-  const double budget =
-      static_cast<double>(wall) * static_cast<double>(workers_.size());
-  return static_cast<double>(phase_total(ProfPhase::kBarrierWait).ns) / budget;
+  return static_cast<double>(phase_ns_sum()) / static_cast<double>(wall);
 }
 
 void Profiler::enable_flight(std::size_t capacity, Cycle interval) {
@@ -159,16 +91,13 @@ void Profiler::flight_snap(Cycle cycle, bool on_stall) {
   snap.cycle = cycle;
   snap.wall_ns = wall_ns();
   snap.on_stall = on_stall;
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    snap.phase[static_cast<std::size_t>(p)] =
-        phase_total(static_cast<ProfPhase>(p));
-  }
-  snap.parks = parks();
-  snap.wakes = wakes();
-  snap.commit_batches = commit_batches();
-  snap.dirty_channels = dirty_channels();
-  snap.dense_sweeps = dense_sweeps();
-  snap.sparse_cycles = sparse_cycles();
+  snap.phase = phase_;
+  snap.parks = parks_;
+  snap.wakes = wakes_;
+  snap.commit_batches = commit_batches_;
+  snap.dirty_channels = dirty_channels_;
+  snap.dense_sweeps = dense_sweeps_;
+  snap.sparse_cycles = sparse_cycles_;
 
   ++flight_recorded_;
   if (flight_ring_.size() < flight_capacity_) {
@@ -230,53 +159,20 @@ std::string Profiler::flight_jsonl() const {
 void Profiler::export_metrics(MetricRegistry& registry,
                               const std::string& prefix) const {
   registry.counter(prefix + "/wall_ns").set(wall_ns());
-  registry.counter(prefix + "/workers")
-      .set(static_cast<std::uint64_t>(workers_.size()));
   registry.gauge(prefix + "/coverage").set(coverage());
-  registry.gauge(prefix + "/barrier_wait_share").set(barrier_wait_share());
-
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    const Worker& wk = *workers_[w];
-    const std::string wp = prefix + "/worker" + std::to_string(w);
-    for (int p = 0; p < kNumProfPhases; ++p) {
-      const auto i = static_cast<std::size_t>(p);
-      const std::string pp =
-          wp + "/phase/" + prof_phase_name(static_cast<ProfPhase>(p));
-      registry.counter(pp + "/ns").set(
-          wk.phase[i].ns.load(std::memory_order_relaxed));
-      registry.counter(pp + "/calls")
-          .set(wk.phase[i].calls.load(std::memory_order_relaxed));
-    }
-    registry.counter(wp + "/parks")
-        .set(wk.parks.load(std::memory_order_relaxed));
-    registry.counter(wp + "/wakes")
-        .set(wk.wakes.load(std::memory_order_relaxed));
-    registry.counter(wp + "/commit_batches")
-        .set(wk.commit_batches.load(std::memory_order_relaxed));
-    registry.counter(wp + "/dirty_channels")
-        .set(wk.dirty_channels.load(std::memory_order_relaxed));
-    // Project the per-worker barrier-wait distribution as count + quantiles
-    // (replaying every sample into a registry histogram would be O(samples)).
-    registry.counter(wp + "/barrier_wait_ns/count")
-        .set(wk.barrier_wait_ns.count());
-    registry.gauge(wp + "/barrier_wait_ns/p50")
-        .set(wk.barrier_wait_ns.quantile(0.50));
-    registry.gauge(wp + "/barrier_wait_ns/p95")
-        .set(wk.barrier_wait_ns.quantile(0.95));
-    registry.gauge(wp + "/barrier_wait_ns/p99")
-        .set(wk.barrier_wait_ns.quantile(0.99));
+  for (int p = 0; p < kNumProfPhases; ++p) {
+    const PhaseTotal& t = phase_[static_cast<std::size_t>(p)];
+    const std::string pp =
+        prefix + "/phase/" + prof_phase_name(static_cast<ProfPhase>(p));
+    registry.counter(pp + "/ns").set(t.ns);
+    registry.counter(pp + "/calls").set(t.calls);
   }
-
-  registry.counter(prefix + "/engine/dense_sweeps").set(dense_sweeps());
-  registry.counter(prefix + "/engine/sparse_cycles").set(sparse_cycles());
-  registry.counter(prefix + "/engine/quanta").set(quanta());
-  registry.counter(prefix + "/engine/quantum_cycles").set(quantum_cycles());
-  registry.counter(prefix + "/engine/max_quantum").set(max_quantum());
-  if (quanta() > 0) {
-    registry.gauge(prefix + "/engine/effective_quantum")
-        .set(static_cast<double>(quantum_cycles()) /
-             static_cast<double>(quanta()));
-  }
+  registry.counter(prefix + "/parks").set(parks_);
+  registry.counter(prefix + "/wakes").set(wakes_);
+  registry.counter(prefix + "/commit_batches").set(commit_batches_);
+  registry.counter(prefix + "/dirty_channels").set(dirty_channels_);
+  registry.counter(prefix + "/engine/dense_sweeps").set(dense_sweeps_);
+  registry.counter(prefix + "/engine/sparse_cycles").set(sparse_cycles_);
   registry.counter(prefix + "/engine/flight_snapshots").set(flight_recorded_);
 }
 
@@ -296,41 +192,34 @@ std::string speedscope_json(const std::vector<ProfiledRun>& runs) {
   bool first_profile = true;
   for (const ProfiledRun& run : runs) {
     if (run.prof == nullptr) continue;
-    for (int w = 0; w < run.prof->workers(); ++w) {
-      const Profiler::Worker& wk = run.prof->worker(w);
-      std::string samples;
-      std::string weights;
-      std::uint64_t total = 0;
-      for (int p = 0; p < kNumProfPhases; ++p) {
-        const std::uint64_t ns =
-            wk.phase[static_cast<std::size_t>(p)].ns.load(
-                std::memory_order_relaxed);
-        if (ns == 0) continue;
-        if (!samples.empty()) {
-          samples += ',';
-          weights += ',';
-        }
-        std::snprintf(buf, sizeof buf, "[%d]", p);
-        samples += buf;
-        std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(ns));
-        weights += buf;
-        total += ns;
+    std::string samples;
+    std::string weights;
+    std::uint64_t total = 0;
+    for (int p = 0; p < kNumProfPhases; ++p) {
+      const std::uint64_t ns = run.prof->phase_total(static_cast<ProfPhase>(p)).ns;
+      if (ns == 0) continue;
+      if (!samples.empty()) {
+        samples += ',';
+        weights += ',';
       }
-      if (!first_profile) out += ',';
-      first_profile = false;
-      std::snprintf(buf, sizeof buf,
-                    "{\"type\":\"sampled\",\"unit\":\"nanoseconds\","
-                    "\"name\":\"%s/worker%d\",\"startValue\":0,"
-                    "\"endValue\":%llu,\"samples\":[",
-                    run.name.c_str(), w,
-                    static_cast<unsigned long long>(total));
-      out += buf;
-      out += samples;
-      out += "],\"weights\":[";
-      out += weights;
-      out += "]}";
+      std::snprintf(buf, sizeof buf, "[%d]", p);
+      samples += buf;
+      std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(ns));
+      weights += buf;
+      total += ns;
     }
+    if (!first_profile) out += ',';
+    first_profile = false;
+    std::snprintf(buf, sizeof buf,
+                  "{\"type\":\"sampled\",\"unit\":\"nanoseconds\","
+                  "\"name\":\"%s\",\"startValue\":0,"
+                  "\"endValue\":%llu,\"samples\":[",
+                  run.name.c_str(), static_cast<unsigned long long>(total));
+    out += buf;
+    out += samples;
+    out += "],\"weights\":[";
+    out += weights;
+    out += "]}";
   }
   out += "]}";
   return out;

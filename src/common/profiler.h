@@ -3,14 +3,13 @@
 //
 // The simulator's observability layer (MetricRegistry, PacketTracer) sees
 // *simulated* packets; this layer sees the *engine executing them*: where
-// each worker thread's wall-clock time goes, cycle by cycle. Every lost
+// the stepping thread's wall-clock time goes, cycle by cycle. Every lost
 // microsecond is attributed to one of a small closed set of phases —
-// compute (agent stepping), channel commit, park/wake bookkeeping,
-// barrier wait, serial sections, and the stats pass — with per-phase call
-// counts, nanosecond totals, and a per-worker barrier-wait histogram, plus
-// the sparse-efficiency counters (dirty channels committed, park/wake
-// events, dense-fallback sweeps) that say whether the sparse engine is
-// earning its keep.
+// compute (agent stepping), channel commit, park/wake bookkeeping, serial
+// sections, and the stats pass — with per-phase call counts and nanosecond
+// totals, plus the sparse-efficiency counters (dirty channels committed,
+// park/wake events, dense-fallback sweeps) that say whether the sparse
+// engine is earning its keep.
 //
 // Everything is pull-attached and zero-cost when off: engines hold a
 // `Profiler*` that defaults to null, and every instrumentation site is a
@@ -19,28 +18,21 @@
 // byte-identical to an uninstrumented build.
 //
 // The flight recorder is a fixed-size ring of periodic profile snapshots
-// (one every `interval` simulated cycles, taken at the cycle close on the
-// serial worker), so a long soak run carries its own recent performance
-// history. Snapshots are also forced externally — on a watchdog
-// StallReport, or by a tool before a dump — and export as JSONL, one
-// snapshot object per line.
+// (one every `interval` simulated cycles, taken at the cycle close), so a
+// long soak run carries its own recent performance history. Snapshots are
+// also forced externally — on a watchdog StallReport, or by a tool before a
+// dump — and export as JSONL, one snapshot object per line.
 //
-// Thread model: each accumulator slot belongs to one worker thread (bound
-// via bind_worker, exactly like PacketTracer::bind_thread_shard). Slots are
-// written by their owner with relaxed atomics so the flight recorder on
-// worker 0 may aggregate them mid-run without a data race; the values are
-// wall-clock measurements, inherently nondeterministic, and never feed back
-// into simulation state.
+// Thread model: a profiler is attached to one chip and written only by the
+// thread stepping that chip. The values are wall-clock measurements,
+// inherently nondeterministic, and never feed back into simulation state.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/types.h"
 
 namespace raw::common {
@@ -49,64 +41,31 @@ class MetricRegistry;
 class PacketTracer;
 
 /// The phase taxonomy. Phases are exclusive (a nested scope pauses its
-/// parent), so per-worker phase times sum to the time spent inside scopes.
+/// parent), so phase times sum to the time spent inside scopes.
 enum class ProfPhase : std::uint8_t {
-  kCompute = 0,        // agent stepping (phase C / serial step_agents)
-  kChannelCommit = 1,  // dirty-lane commit (phase E)
+  kCompute = 0,        // agent stepping
+  kChannelCommit = 1,  // dirty-list commit
   kParkWake = 2,       // park/wake bookkeeping (wake application, sweeps)
-  kBarrierWait = 3,    // time blocked in the engine barrier
-  kSerialSection = 4,  // devices, faults, dynamic net, cycle close (B/D/F)
-  kStats = 5,          // per-channel stats sampling pass
+  kSerialSection = 3,  // devices, faults, dynamic network
+  kStats = 4,          // per-channel stats sampling pass
 };
-inline constexpr int kNumProfPhases = 6;
+inline constexpr int kNumProfPhases = 5;
 
 /// Metric-safe lowercase name ("compute", "channel_commit", ...).
 const char* prof_phase_name(ProfPhase p);
 
 class Profiler {
  public:
-  /// One phase accumulator. Relaxed atomics: written only by the owning
-  /// worker, read concurrently by the flight recorder.
-  struct PhaseAcc {
-    std::atomic<std::uint64_t> ns{0};
-    std::atomic<std::uint64_t> calls{0};
+  struct PhaseTotal {
+    std::uint64_t ns = 0;
+    std::uint64_t calls = 0;
   };
-
-  /// Per-worker accumulators, cache-line separated so concurrent workers
-  /// never share a line.
-  struct alignas(64) Worker {
-    std::array<PhaseAcc, kNumProfPhases> phase{};
-    std::atomic<std::uint64_t> parks{0};   // agents parked (phase C)
-    std::atomic<std::uint64_t> wakes{0};   // channel-event wakes applied
-    std::atomic<std::uint64_t> commit_batches{0};  // commit_lane calls
-    std::atomic<std::uint64_t> dirty_channels{0};  // channels those committed
-    /// Distribution of individual barrier waits, in nanoseconds.
-    Histogram barrier_wait_ns{kBarrierBucketNs, kBarrierBuckets};
-  };
-
-  static constexpr double kBarrierBucketNs = 256.0;
-  static constexpr std::size_t kBarrierBuckets = 4096;
-
-  explicit Profiler(int workers = 1);
-
-  /// Grows the worker-slot vector to at least `workers` without clearing
-  /// collected data. Engines call this when a profiler is attached.
-  void ensure_workers(int workers);
-
-  [[nodiscard]] int workers() const { return static_cast<int>(workers_.size()); }
-  [[nodiscard]] Worker& worker(int w);
-  [[nodiscard]] const Worker& worker(int w) const;
 
   /// Monotonic wall clock in nanoseconds (steady_clock; overridable for
   /// deterministic tests via set_clock_for_test).
   [[nodiscard]] static std::uint64_t now_ns();
   /// Test hook: replaces now_ns()'s source. Null restores the real clock.
   static void set_clock_for_test(std::uint64_t (*clock)());
-
-  /// Binds the calling thread to worker slot `w` (thread-local; engines
-  /// bind their workers, everything else defaults to slot 0).
-  static void bind_worker(int w) { t_worker_ = w; }
-  [[nodiscard]] static int bound_worker() { return t_worker_; }
 
   // ---- Wall clock of the profiled region ---------------------------------
   /// start()/stop() bracket the region coverage is judged against (a bench
@@ -119,94 +78,39 @@ class Profiler {
   [[nodiscard]] std::uint64_t wall_ns() const;
 
   // ---- Instrumentation hooks (cheap; callers null-test the profiler) -----
-  void record_barrier_wait(int w, std::uint64_t ns) {
-    Worker& wk = worker(w);
-    wk.phase[static_cast<std::size_t>(ProfPhase::kBarrierWait)].ns.fetch_add(
-        ns, std::memory_order_relaxed);
-    wk.phase[static_cast<std::size_t>(ProfPhase::kBarrierWait)].calls.fetch_add(
-        1, std::memory_order_relaxed);
-    wk.barrier_wait_ns.add(static_cast<double>(ns));
-  }
-  void count_park() {
-    worker(bound_worker()).parks.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_wake() {
-    worker(bound_worker()).wakes.fetch_add(1, std::memory_order_relaxed);
-  }
+  void count_park() { ++parks_; }
+  void count_wake() { ++wakes_; }
   void count_commit(std::uint64_t dirty) {
-    Worker& wk = worker(bound_worker());
-    wk.commit_batches.fetch_add(1, std::memory_order_relaxed);
-    wk.dirty_channels.fetch_add(dirty, std::memory_order_relaxed);
+    ++commit_batches_;
+    dirty_channels_ += dirty;
   }
-  /// Serial contexts only (cycle top, worker 0).
-  void count_dense_sweep() {
-    dense_sweeps_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_sparse_cycle() {
-    sparse_cycles_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Batched variant: a whole quantum of sparse cycles at once, so
-  /// dense_sweeps + sparse_cycles keeps summing to simulated cycles.
-  void count_sparse_cycles(std::uint64_t n) {
-    sparse_cycles_.fetch_add(n, std::memory_order_relaxed);
-  }
-  /// One batched-quantum engine iteration covering `cycles` simulated cycles
-  /// (1 when the engine clamped to cycle granularity). Serial contexts only
-  /// (quantum edge, worker 0).
-  void count_quantum(std::uint64_t cycles) {
-    quanta_.fetch_add(1, std::memory_order_relaxed);
-    quantum_cycles_.fetch_add(cycles, std::memory_order_relaxed);
-    if (cycles > max_quantum_.load(std::memory_order_relaxed)) {
-      max_quantum_.store(cycles, std::memory_order_relaxed);
-    }
-  }
+  void count_dense_sweep() { ++dense_sweeps_; }
+  void count_sparse_cycle() { ++sparse_cycles_; }
 
   // ---- Aggregates --------------------------------------------------------
-  struct PhaseTotal {
-    std::uint64_t ns = 0;
-    std::uint64_t calls = 0;
-  };
-  /// Sum of one phase across all workers.
-  [[nodiscard]] PhaseTotal phase_total(ProfPhase p) const;
-  /// Sum of every phase across all workers.
+  [[nodiscard]] PhaseTotal phase_total(ProfPhase p) const {
+    return phase_[static_cast<std::size_t>(p)];
+  }
+  /// Sum of every phase's time.
   [[nodiscard]] std::uint64_t phase_ns_sum() const;
-  [[nodiscard]] std::uint64_t parks() const;
-  [[nodiscard]] std::uint64_t wakes() const;
-  [[nodiscard]] std::uint64_t commit_batches() const;
-  [[nodiscard]] std::uint64_t dirty_channels() const;
-  [[nodiscard]] std::uint64_t dense_sweeps() const {
-    return dense_sweeps_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sparse_cycles() const {
-    return sparse_cycles_.load(std::memory_order_relaxed);
-  }
-  /// Batched-quantum engine iterations and the cycles they covered.
-  /// `quantum_cycles() / quanta()` is the effective quantum size (barrier
-  /// amortization: each quantum costs one barrier rendezvous regardless of
-  /// how many cycles it simulates).
-  [[nodiscard]] std::uint64_t quanta() const {
-    return quanta_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t quantum_cycles() const {
-    return quantum_cycles_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t max_quantum() const {
-    return max_quantum_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t parks() const { return parks_; }
+  [[nodiscard]] std::uint64_t wakes() const { return wakes_; }
+  [[nodiscard]] std::uint64_t commit_batches() const { return commit_batches_; }
+  [[nodiscard]] std::uint64_t dirty_channels() const { return dirty_channels_; }
+  [[nodiscard]] std::uint64_t dense_sweeps() const { return dense_sweeps_; }
+  [[nodiscard]] std::uint64_t sparse_cycles() const { return sparse_cycles_; }
 
-  /// Fraction of `workers * wall_ns()` the phase times account for (the
-  /// acceptance gate is >= 0.9 for profiled bench rows). 0 when no wall
-  /// time has been recorded.
+  /// Fraction of wall_ns() the phase times account for (the acceptance gate
+  /// is >= 0.9 for profiled bench rows). 0 when no wall time has been
+  /// recorded.
   [[nodiscard]] double coverage() const;
-  /// Barrier-wait share of `workers * wall_ns()`.
-  [[nodiscard]] double barrier_wait_share() const;
 
   // ---- Flight recorder ---------------------------------------------------
   struct FlightSnapshot {
     Cycle cycle = 0;
     std::uint64_t wall_ns = 0;  // profiled wall time at the snapshot
     bool on_stall = false;      // forced by a watchdog StallReport
-    std::array<PhaseTotal, kNumProfPhases> phase{};  // cumulative, all workers
+    std::array<PhaseTotal, kNumProfPhases> phase{};  // cumulative
     std::uint64_t parks = 0;
     std::uint64_t wakes = 0;
     std::uint64_t commit_batches = 0;
@@ -235,26 +139,24 @@ class Profiler {
 
   // ---- Export ------------------------------------------------------------
   /// Publishes totals into `registry` under `prefix` (default "profile"):
-  ///   <prefix>/wall_ns, <prefix>/workers
-  ///   <prefix>/worker<W>/phase/<name>/{ns,calls}
-  ///   <prefix>/worker<W>/{parks,wakes,commit_batches,dirty_channels}
-  ///   <prefix>/worker<W>/barrier_wait_ns            (histogram)
+  ///   <prefix>/wall_ns, <prefix>/coverage
+  ///   <prefix>/phase/<name>/{ns,calls}
+  ///   <prefix>/{parks,wakes,commit_batches,dirty_channels}
   ///   <prefix>/engine/{dense_sweeps,sparse_cycles,flight_snapshots}
   /// Every name matches ^[a-z0-9_/]+$ (the metric-name lint enforces this).
   void export_metrics(MetricRegistry& registry,
                       const std::string& prefix = "profile") const;
 
  private:
-  // Deque-of-owned-slots so ensure_workers never moves a Worker (atomics
-  // are not movable and workers hold raw references mid-run).
-  std::vector<Worker*> workers_;
-  std::vector<std::unique_ptr<Worker>> owned_;
+  friend class ProfScope;
 
-  std::atomic<std::uint64_t> dense_sweeps_{0};
-  std::atomic<std::uint64_t> sparse_cycles_{0};
-  std::atomic<std::uint64_t> quanta_{0};
-  std::atomic<std::uint64_t> quantum_cycles_{0};
-  std::atomic<std::uint64_t> max_quantum_{0};
+  std::array<PhaseTotal, kNumProfPhases> phase_{};
+  std::uint64_t parks_ = 0;           // agents parked
+  std::uint64_t wakes_ = 0;           // channel-event wakes applied
+  std::uint64_t commit_batches_ = 0;  // dirty-list commits
+  std::uint64_t dirty_channels_ = 0;  // channels those committed
+  std::uint64_t dense_sweeps_ = 0;
+  std::uint64_t sparse_cycles_ = 0;
 
   bool running_ = false;
   std::uint64_t start_ns_ = 0;
@@ -266,29 +168,24 @@ class Profiler {
   std::size_t flight_head_ = 0;  // oldest element once the ring is full
   std::uint64_t flight_recorded_ = 0;
   std::vector<FlightSnapshot> flight_ring_;
-
-  static thread_local int t_worker_;
 };
 
 /// RAII phase scope with nesting: entering a child scope flushes and pauses
 /// the parent, so each phase accumulates *exclusive* (self) time and the
-/// per-worker phase totals sum to scoped wall time. Constructing with a
-/// null profiler is free.
+/// phase totals sum to scoped wall time. Constructing with a null profiler
+/// is free.
 class ProfScope {
  public:
   ProfScope(Profiler* prof, ProfPhase phase) {
     if (prof == nullptr) return;
     prof_ = prof;
     phase_ = phase;
-    worker_ = Profiler::bound_worker();
     parent_ = t_open_;
     t_open_ = this;
     const std::uint64_t now = Profiler::now_ns();
     if (parent_ != nullptr) parent_->flush(now);
     resume_ = now;
-    prof_->worker(worker_)
-        .phase[static_cast<std::size_t>(phase_)]
-        .calls.fetch_add(1, std::memory_order_relaxed);
+    ++prof_->phase_[static_cast<std::size_t>(phase_)].calls;
   }
 
   ~ProfScope() {
@@ -304,15 +201,12 @@ class ProfScope {
 
  private:
   void flush(std::uint64_t now) {
-    prof_->worker(worker_)
-        .phase[static_cast<std::size_t>(phase_)]
-        .ns.fetch_add(now - resume_, std::memory_order_relaxed);
+    prof_->phase_[static_cast<std::size_t>(phase_)].ns += now - resume_;
     resume_ = now;
   }
 
   Profiler* prof_ = nullptr;
   ProfPhase phase_ = ProfPhase::kCompute;
-  int worker_ = 0;
   ProfScope* parent_ = nullptr;
   std::uint64_t resume_ = 0;
 
@@ -326,8 +220,8 @@ struct ProfiledRun {
 };
 
 /// speedscope file-format JSON (https://www.speedscope.app): one "sampled"
-/// profile per (run, worker), frames shared across all profiles — load the
-/// file and flip between workers to see where each thread's time went.
+/// profile per run, frames shared across all profiles — load the file and
+/// flip between runs to see where each one's time went.
 [[nodiscard]] std::string speedscope_json(const std::vector<ProfiledRun>& runs);
 
 /// Chrome trace_event JSON merging the packet-lifecycle tracks from `tracer`

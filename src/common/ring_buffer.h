@@ -1,10 +1,7 @@
 // Fixed-capacity single-threaded ring buffer used for network FIFOs.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <cstring>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,24 +32,6 @@ class RingBuffer {
     slots_[tail_] = std::move(value);
     tail_ = next(tail_);
     ++size_;
-  }
-
-  /// Bulk push of `n` values from `src`. The batched-quantum engine drains a
-  /// whole quantum of deferred boundary words in one call, so for trivially
-  /// copyable element types this is a word-batch memcpy into at most two
-  /// contiguous segments instead of n modulo-stepped pushes.
-  void push_n(const T* src, std::size_t n) {
-    RAW_ASSERT_MSG(n <= free_space(), "bulk push past ring buffer capacity");
-    if (n == 0) return;
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      const std::size_t first = std::min(n, slots_.size() - tail_);
-      std::memcpy(slots_.data() + tail_, src, first * sizeof(T));
-      std::memcpy(slots_.data(), src + first, (n - first) * sizeof(T));
-      tail_ = (tail_ + n) % slots_.size();
-      size_ += n;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) push(src[i]);
-    }
   }
 
   T pop() {

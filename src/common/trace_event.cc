@@ -6,8 +6,6 @@
 
 namespace raw::common {
 
-thread_local int PacketTracer::t_shard_ = -1;
-
 const char* packet_event_name(PacketEvent e) {
   switch (e) {
     case PacketEvent::kArrival: return "arrival";

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/assert.h"
 #include "common/types.h"
 
 namespace raw::common {
@@ -55,42 +54,7 @@ class PacketTracer {
   void record(std::uint64_t uid, Cycle cycle, PacketEvent event, int track,
               std::uint32_t arg = 0) {
     if (!enabled_) return;
-    if (staging_) {
-      RAW_ASSERT_MSG(t_shard_ >= 0, "staging record from an unbound thread");
-      shards_[static_cast<std::size_t>(t_shard_)].push_back(
-          Record{uid, cycle, event, track, arg});
-      return;
-    }
     push(Record{uid, cycle, event, track, arg});
-  }
-
-  // ---- Parallel-engine shard staging -------------------------------------
-  //
-  // The ring buffer is not thread safe, and eviction order matters for
-  // bit-identical output. When the parallel engine drives the chip it turns
-  // staging on for the duration of each cycle: every record() call appends
-  // to the calling worker's private shard instead of the shared ring, and at
-  // the cycle's serial tail merge_staged() replays the shards in worker
-  // order. Workers own ascending tile stripes and each worker records its
-  // tiles in ascending order, so the replay reproduces exactly the order the
-  // serial engine would have produced — including which events the ring
-  // evicts.
-
-  /// Sizes the per-worker shard vector. Call once before staging.
-  void configure_shards(int workers) {
-    shards_.assign(static_cast<std::size_t>(workers > 0 ? workers : 1), {});
-  }
-  /// Binds the calling thread to shard `index` (thread-local; -1 unbinds).
-  static void bind_thread_shard(int index) { t_shard_ = index; }
-  /// Turns shard routing on/off. Only the engine's serial phases may flip it.
-  void set_staging(bool on) { staging_ = on; }
-  /// Replays all shards (worker order) into the ring and clears them.
-  /// Caller must guarantee no concurrent record() calls.
-  void merge_staged() {
-    for (auto& shard : shards_) {
-      for (const Record& r : shard) push(r);
-      shard.clear();
-    }
   }
 
   /// Events currently held (<= budget).
@@ -122,14 +86,11 @@ class PacketTracer {
   void push(const Record& r);
 
   bool enabled_ = false;
-  bool staging_ = false;
   std::size_t budget_ = 0;
   std::size_t head_ = 0;  // index of the oldest record once the ring is full
   std::vector<Record> ring_;
-  std::vector<std::vector<Record>> shards_;
   std::uint64_t recorded_ = 0;
   std::map<int, std::string> track_names_;
-  static thread_local int t_shard_;
 };
 
 }  // namespace raw::common

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 
 #include "common/assert.h"
-#include "exec/partition.h"
 #include "sim/chip.h"
 
 namespace raw::exec {
@@ -31,6 +31,18 @@ int spin_budget() {
   static const int budget =
       std::thread::hardware_concurrency() > 1 ? 20000 : 0;
   return budget;
+}
+
+/// Resolves a configured worker count: values >= 1 are used as-is; 0 (the
+/// default everywhere) consults the RAWSIM_THREADS environment variable and
+/// falls back to 1 (serial) when it is unset or malformed.
+int resolve_threads(int requested) {
+  if (requested >= 1) return requested;
+  if (const char* env = std::getenv("RAWSIM_THREADS")) {
+    const long v = std::strtol(env, nullptr, 10);
+    if (v >= 1) return static_cast<int>(v);
+  }
+  return 1;
 }
 
 }  // namespace

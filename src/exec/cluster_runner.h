@@ -37,8 +37,8 @@ namespace raw::exec {
 class ClusterRunner {
  public:
   /// Wraps `chips` (not owned; must outlive the runner) with `threads`
-  /// workers. `threads` goes through resolve_threads() and is clamped to
-  /// the chip count, so 0 honours RAWSIM_THREADS and defaults to serial.
+  /// workers, clamped to the chip count. 0 honours the RAWSIM_THREADS
+  /// environment variable and defaults to serial.
   ClusterRunner(std::vector<sim::Chip*> chips, int threads);
   ~ClusterRunner();
 

@@ -50,7 +50,6 @@ StreamMesh::StreamMesh(StreamMeshConfig config) : config_(config) {
   chip_cfg.shape = config_.shape;
   chip_cfg.with_dynamic_network = config_.with_dynamic_network;
   chip_cfg.link_fifo_depth = config_.link_fifo_depth;
-  chip_cfg.threads = config_.threads;
   chip_ = std::make_unique<sim::Chip>(chip_cfg);
 
   // Every switch runs the same single-instruction dual-stream loop.
@@ -73,18 +72,16 @@ StreamMesh::StreamMesh(StreamMeshConfig config) : config_(config) {
   }
 
   const sim::GridShape shape = config_.shape;
-  auto add_feeder = [&](sim::Channel* ch, int home, std::uint64_t seed) {
+  auto add_feeder = [&](sim::Channel* ch, std::uint64_t seed) {
     auto f = std::make_unique<Feeder>();
     f->ch = ch;
-    f->home = home;
     f->state = seed;
     chip_->add_device(f.get());
     feeders_.push_back(std::move(f));
   };
-  auto add_sink = [&](sim::Channel* ch, int home) {
+  auto add_sink = [&](sim::Channel* ch) {
     auto s = std::make_unique<Sink>();
     s->ch = ch;
-    s->home = home;
     chip_->add_device(s.get());
     sinks_.push_back(std::move(s));
   };
@@ -94,16 +91,16 @@ StreamMesh::StreamMesh(StreamMeshConfig config) : config_(config) {
   for (int r = 0; r < shape.rows; ++r) {
     const int west = shape.index({r, 0});
     const int east = shape.index({r, shape.cols - 1});
-    add_feeder(chip_->io_port(0, west, sim::Dir::kWest).to_chip, west,
+    add_feeder(chip_->io_port(0, west, sim::Dir::kWest).to_chip,
                std::uint64_t{0x57E57000} + static_cast<std::uint64_t>(r));
-    add_sink(chip_->io_port(0, east, sim::Dir::kEast).from_chip, east);
+    add_sink(chip_->io_port(0, east, sim::Dir::kEast).from_chip);
   }
   for (int c = 0; c < shape.cols; ++c) {
     const int north = shape.index({0, c});
     const int south = shape.index({shape.rows - 1, c});
-    add_feeder(chip_->io_port(1, north, sim::Dir::kNorth).to_chip, north,
+    add_feeder(chip_->io_port(1, north, sim::Dir::kNorth).to_chip,
                std::uint64_t{0x0A07B000} + static_cast<std::uint64_t>(c));
-    add_sink(chip_->io_port(1, south, sim::Dir::kSouth).from_chip, south);
+    add_sink(chip_->io_port(1, south, sim::Dir::kSouth).from_chip);
   }
 }
 

@@ -1,5 +1,5 @@
-// Synthetic mesh-streaming workload for the execution engine's benchmarks
-// and differential tests.
+// Synthetic mesh-streaming workload for the cycle engine's benchmarks and
+// dense-vs-sparse differential tests.
 //
 // Every tile runs the one-instruction switch loop
 //
@@ -17,8 +17,8 @@
 // Everything about the workload is deterministic, and digest() folds the
 // sink hashes, word counts, scratch slots, and final cycle into one value —
 // two runs of the same configuration agree on digest() iff they simulated
-// identically, which is what the serial-vs-parallel differential tests
-// assert on.
+// identically, which is what the dense-vs-sparse differential tests assert
+// on.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +40,6 @@ struct StreamMeshConfig {
   /// never uses it, and benches want the lean configuration).
   bool with_dynamic_network = false;
   std::size_t link_fifo_depth = sim::Channel::kDefaultCapacity;
-  /// Forwarded to ChipConfig::threads for callers that resolve it there.
-  int threads = 0;
 };
 
 class StreamMesh {
@@ -59,23 +57,17 @@ class StreamMesh {
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
-  // Both edge devices touch exactly one I/O channel of one edge tile, so
-  // they declare that tile as their quantum home: the batched-quantum engine
-  // may step them inside the owning worker's free-run loop.
+  // Each edge device touches exactly one I/O channel of one edge tile.
   struct Feeder final : sim::Device {
     sim::Channel* ch = nullptr;
-    int home = -1;
     std::uint64_t state = 0;
     void step(sim::Chip&) override;
-    [[nodiscard]] int quantum_home_tile() const override { return home; }
   };
   struct Sink final : sim::Device {
     sim::Channel* ch = nullptr;
-    int home = -1;
     std::uint64_t count = 0;
     std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a offset basis
     void step(sim::Chip&) override;
-    [[nodiscard]] int quantum_home_tile() const override { return home; }
   };
 
   StreamMeshConfig config_;

@@ -11,7 +11,6 @@ namespace raw::router {
 
 RouterConfig router_config_for(const ChaosSpec& spec) {
   RouterConfig cfg;
-  cfg.threads = spec.threads;
   cfg.link.enabled = spec.reliable_links;
   cfg.recovery.enabled = spec.recovery;
   cfg.endurance = spec.endurance;
@@ -409,7 +408,7 @@ bool parse_mix(const std::string& s, ChaosMix* out) {
 }
 
 ChaosSweepSummary chaos_sweep(int num_seeds, common::Cycle run_cycles,
-                              int threads, bool reliable_links, bool recovery) {
+                              bool reliable_links, bool recovery) {
   ChaosSweepSummary summary;
   for (const ChaosMix& mix : standard_mixes()) {
     for (int s = 1; s <= num_seeds; ++s) {
@@ -417,7 +416,6 @@ ChaosSweepSummary chaos_sweep(int num_seeds, common::Cycle run_cycles,
       spec.seed = static_cast<std::uint64_t>(s);
       spec.mix = mix;
       spec.run_cycles = run_cycles;
-      spec.threads = threads;
       spec.reliable_links = reliable_links;
       spec.recovery = recovery;
       ChaosResult r = run_chaos(spec);

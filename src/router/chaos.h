@@ -54,8 +54,6 @@ struct ChaosSpec {
   int faults_per_kind = 6;
   common::ByteCount bytes = 256;
   double load = 0.9;
-  /// Execution-engine worker threads (RouterConfig::threads semantics).
-  int threads = 0;
   /// Reliable-link layer (RouterConfig::link): bit flips become retransmits,
   /// so the validation expects *zero* damage even under corrupting mixes.
   bool reliable_links = false;
@@ -188,11 +186,10 @@ struct ChaosSweepSummary {
 };
 
 /// Sweeps seeds x standard_mixes(): seeds 1..num_seeds against every mix.
-/// `threads` follows RouterConfig::threads (0 = RAWSIM_THREADS, then serial).
 /// `reliable_links` / `recovery` enable the self-healing layers for every
 /// combination (ChaosSpec::reliable_links / ChaosSpec::recovery semantics).
 ChaosSweepSummary chaos_sweep(int num_seeds, common::Cycle run_cycles,
-                              int threads = 0, bool reliable_links = false,
+                              bool reliable_links = false,
                               bool recovery = false);
 
 }  // namespace raw::router

@@ -57,13 +57,12 @@ struct PacketLedger {
     return erased_delivered + erased_invalid + erased_ingress + erased_lost;
   }
 
-  /// Records an ingress drop (ttl expiry, no route, malformed header). This
-  /// is the only ledger mutation that can happen on a tile-program thread
-  /// under the parallel engine, so it takes a mutex; all other mutations
-  /// (generation, output-card validation, drain write-off) run in device or
-  /// drain phases that the engine keeps serial. Distinct uids erase distinct
-  /// map entries, so the final ledger state is independent of the order in
-  /// which concurrent drops land. Returns whether the uid was present.
+  /// Records an ingress drop (ttl expiry, no route, malformed header). Tile
+  /// programs call this, and cluster chips share one ledger while stepping
+  /// on different threads, so it takes a mutex. Distinct uids erase
+  /// distinct map entries, so the final ledger state is independent of the
+  /// order in which concurrent drops land. Returns whether the uid was
+  /// present.
   bool erase_in_flight_ingress(std::uint64_t uid) {
     const std::lock_guard<std::mutex> lock(ingress_mutex);
     const bool present = in_flight.erase(uid) > 0;

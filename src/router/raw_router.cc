@@ -26,10 +26,15 @@ void RouterConfig::validate() const {
         "RouterConfig.watchdog.check_interval must be positive when the "
         "watchdog is enabled");
   }
-  if (threads < 0) {
+  if (threads < 0 || threads > 1) {
     throw std::invalid_argument(
-        "RouterConfig.threads must be >= 0 (0 resolves RAWSIM_THREADS); got " +
+        "RouterConfig.threads must be 0 or 1 (a chip steps serially); got " +
         std::to_string(threads));
+  }
+  if (max_lookahead > 1) {
+    throw std::invalid_argument(
+        "RouterConfig.max_lookahead must be 0 or 1 (a chip steps one cycle "
+        "at a time); got " + std::to_string(max_lookahead));
   }
   if (link.enabled && link.max_retries == 0) {
     throw std::invalid_argument(
@@ -109,15 +114,12 @@ RawRouter::RawRouter(RouterConfig config, net::RouteTable table,
   chip_cfg.shape = sim::GridShape{4, 4};
   chip_cfg.with_dynamic_network = true;  // lookup RPC path
   chip_cfg.link_fifo_depth = config_.link_fifo_depth;
-  chip_cfg.threads = config_.threads;
   chip_ = std::make_unique<sim::Chip>(chip_cfg);
   if (config_.link.enabled) {
     chip_->enable_link_protection(sim::LinkProtectionParams{
         config_.link.max_retries, config_.link.retransmit_rtt,
         config_.link.replay_depth});
   }
-  runner_ = std::make_unique<exec::ParallelRunner>(*chip_, config_.threads);
-  runner_->set_max_lookahead(config_.max_lookahead);
 
   core_.chip = chip_.get();
   core_.layout = &layout_;
@@ -161,7 +163,6 @@ RawRouter::RawRouter(RouterConfig config, net::RouteTable table,
 void RawRouter::set_tracer(common::PacketTracer* tracer) {
   ledger_.tracer = tracer;
   core_.tracer = tracer;
-  runner_->set_tracer(tracer);
   if (tracer == nullptr) return;
   static const char* kRoleNames[] = {"In", "Lookup", "Xbar", "Out"};
   for (int p = 0; p < kNumPorts; ++p) {
@@ -289,7 +290,7 @@ bool RawRouter::work_pending() const {
 }
 
 void RawRouter::flight_mark() {
-  common::Profiler* const prof = runner_->profiler();
+  common::Profiler* const prof = chip_->profiler();
   if (prof != nullptr && prof->flight_enabled()) {
     prof->flight_snap(chip_->cycle(), /*on_stall=*/true);
   }
@@ -385,12 +386,12 @@ RunStatus RawRouter::run(common::Cycle cycles) {
   if (monitor_ != nullptr) return run_endurance(cycles);
   const WatchdogConfig& wd = config_.watchdog;
   if (!wd.enabled) {
-    fabric_run(cycles);
+    chip_->run(cycles);
     return RunStatus::kOk;
   }
   const common::Cycle deadline = chip_->cycle() + cycles;
   while (chip_->cycle() < deadline) {
-    fabric_run(std::min(wd.check_interval, deadline - chip_->cycle()));
+    chip_->run(std::min(wd.check_interval, deadline - chip_->cycle()));
     if (check_watchdog()) return RunStatus::kStalled;
   }
   return degraded_ ? RunStatus::kDegraded : RunStatus::kOk;
@@ -511,7 +512,7 @@ void RawRouter::capture_checkpoint() {
   common::Cycle slid = 0;
   while (dyn != nullptr && dyn->words_in_flight() != 0 &&
          slid < config_.endurance.checkpoint_grace) {
-    fabric_run(1);
+    chip_->run(1);
     ++slid;
   }
   if (dyn != nullptr && dyn->words_in_flight() != 0) {
@@ -528,7 +529,7 @@ RunStatus RawRouter::run_endurance(common::Cycle cycles) {
   while (chip_->cycle() < deadline) {
     const common::Cycle next = std::min(
         {deadline, next_watchdog_, next_invariant_, next_checkpoint_});
-    if (next > chip_->cycle()) fabric_run(next - chip_->cycle());
+    if (next > chip_->cycle()) chip_->run(next - chip_->cycle());
     // Process every due stream before re-checking the deadline, so a stream
     // due exactly at the deadline still fires — run(anchor_cycle) must end
     // with the anchor checkpoint captured. Catch-up loops keep the next-due
@@ -566,7 +567,7 @@ bool RawRouter::drain(common::Cycle max_cycles) {
 
   const WatchdogConfig& wd = config_.watchdog;
   if (!wd.enabled) {
-    const bool ok = fabric_run_until(all_drained, max_cycles);
+    const bool ok = chip_->run_until(all_drained, max_cycles);
     drain_outcome_ = ok ? (degraded_ ? DrainOutcome::kDrainedDegraded
                                      : DrainOutcome::kDrained)
                         : DrainOutcome::kTimeout;
@@ -589,7 +590,7 @@ bool RawRouter::drain(common::Cycle max_cycles) {
     if (monitor_ != nullptr && next_invariant_ > chip_->cycle()) {
       chunk = std::min(chunk, next_invariant_ - chip_->cycle());
     }
-    if (fabric_run_until(all_drained, chunk)) {
+    if (chip_->run_until(all_drained, chunk)) {
       // One final sweep: a drain that empties the ledger through broken
       // books must not read as clean. No conservation assert on the
       // violation path — the books themselves may be the violation.

@@ -9,7 +9,6 @@
 #include <optional>
 #include <vector>
 
-#include "exec/parallel_runner.h"
 #include "net/route_table.h"
 #include "net/traffic.h"
 #include "router/line_cards.h"
@@ -78,17 +77,9 @@ struct RouterConfig {
   /// checks run every `check_interval` cycles and read only counters, so
   /// cycle-exact behaviour is unchanged.
   WatchdogConfig watchdog;
-  /// Execution-engine worker threads for the fabric simulation. 0 (default)
-  /// resolves via RAWSIM_THREADS and falls back to the serial engine; any
-  /// resolved count produces bit-identical results (see exec::ParallelRunner).
+  /// Kept only for the benchmark harness, which sets it; must be 0 or 1.
   int threads = 0;
-  /// Batched-quantum lookahead cap for the execution engine (see
-  /// exec::ParallelRunner::set_max_lookahead). 0 (default) resolves via
-  /// RAWSIM_LOOKAHEAD and the engine default; 1 pins the engine to
-  /// cycle-granular execution. Results are bit-identical at every value.
-  /// Note the full router holds the engine at K=1 anyway — the line cards
-  /// carry no quantum home tile and the dynamic network stays armed — so
-  /// this knob matters for sweeps and for reduced configurations.
+  /// Kept only for the benchmark harness, which sets it; must be 0 or 1.
   common::Cycle max_lookahead = 0;
   /// Reliable-link layer on the static-network wires (off by default).
   LinkProtectionConfig link;
@@ -100,8 +91,9 @@ struct RouterConfig {
 
   /// Rejects configurations that would misbehave deep inside the fabric
   /// (edge FIFOs too small to hold an IP header, a zero-capacity line-card
-  /// queue, a reliable-link layer that cannot cover its own FIFOs). Throws
-  /// std::invalid_argument with a message naming the field.
+  /// queue, a reliable-link layer that cannot cover its own FIFOs, threads
+  /// or max_lookahead other than 0 or 1). Throws std::invalid_argument with
+  /// a message naming the field.
   void validate() const;
 };
 
@@ -199,8 +191,8 @@ class RawRouter {
 
   /// FNV-1a digest of the router's observable end state: the chip's
   /// architectural digest folded with the ledger, per-port counters, and the
-  /// run/drain outcome. Equal digests across engines (dense/sparse, any
-  /// worker count) and across record/replay is the determinism check.
+  /// run/drain outcome. Equal digests across engines (dense/sparse) and
+  /// across record/replay is the determinism check.
   [[nodiscard]] std::uint64_t state_digest() const;
 
   /// Attaches a fault-injection plan to the chip (see sim::FaultPlan) and
@@ -216,8 +208,6 @@ class RawRouter {
   [[nodiscard]] std::uint64_t lost_packets() const { return ledger_.erased_lost; }
 
   [[nodiscard]] sim::Chip& chip() { return *chip_; }
-  /// Resolved execution-engine worker count (1 = serial).
-  [[nodiscard]] int threads() const { return runner_->workers(); }
   [[nodiscard]] const RouterCore& core() const { return core_; }
   [[nodiscard]] const Layout& layout() const { return layout_; }
   [[nodiscard]] const ScheduleCompiler& compiler() const { return compiler_; }
@@ -244,15 +234,15 @@ class RawRouter {
   void set_tracer(common::PacketTracer* tracer);
 
   /// Attaches (or detaches, with nullptr) an engine profiler (see
-  /// common/profiler.h) to the execution engine and chip. When the
-  /// profiler's flight recorder is armed, a watchdog StallReport and every
-  /// non-drained drain exit force a marked snapshot, so a wedged or lossy
-  /// run carries its own recent performance history. Not owned.
+  /// common/profiler.h) to the chip. When the profiler's flight recorder
+  /// is armed, a watchdog StallReport and every non-drained drain exit
+  /// force a marked snapshot, so a wedged or lossy run carries its own
+  /// recent performance history. Not owned.
   void set_profiler(common::Profiler* profiler) {
-    runner_->set_profiler(profiler);
+    chip_->set_profiler(profiler);
   }
   [[nodiscard]] common::Profiler* profiler() const {
-    return runner_->profiler();
+    return chip_->profiler();
   }
 
   /// Publishes the router's observability into `registry` under `prefix`:
@@ -268,17 +258,9 @@ class RawRouter {
  private:
   /// True when any port still has work: queued input or in-flight packets.
   [[nodiscard]] bool work_pending() const;
-  /// All fabric cycles go through these two so the watchdog/drain loops are
-  /// engine-agnostic: the runner delegates to the chip's serial loop when
-  /// the resolved worker count is 1.
-  void fabric_run(common::Cycle cycles) { runner_->run(cycles); }
-  bool fabric_run_until(const std::function<bool()>& pred,
-                        common::Cycle max_cycles) {
-    return runner_->run_until(pred, max_cycles);
-  }
   /// Runs the watchdog checks; returns true on a hard (no-progress) trip.
   bool check_watchdog();
-  /// The endurance run loop: chunks fabric_run() at the next due watchdog /
+  /// The endurance run loop: chunks the chip run at the next due watchdog /
   /// checkpoint / invariant event (all scheduled as absolute cycles, so
   /// run(x); run(y) is bit-identical to run(x + y) — the property anchored
   /// replay depends on).
@@ -309,7 +291,6 @@ class RawRouter {
   Layout layout_;
   ScheduleCompiler compiler_;
   std::unique_ptr<sim::Chip> chip_;
-  std::unique_ptr<exec::ParallelRunner> runner_;
   RouterCore core_;
   net::TrafficGen traffic_;
   PacketLedger ledger_;

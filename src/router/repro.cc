@@ -263,8 +263,6 @@ std::string to_json(const ChaosRepro& repro) {
   s += std::to_string(repro.spec.bytes);
   s += ", \"load\": ";
   append_double(s, repro.spec.load);
-  s += ", \"threads\": ";
-  s += std::to_string(repro.spec.threads);
   s += ", \"reliable_links\": ";
   s += repro.spec.reliable_links ? "true" : "false";
   s += ", \"recovery\": ";
@@ -387,7 +385,6 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
         else if (k == "faults_per_kind") repro.spec.faults_per_kind = static_cast<int>(num);
         else if (k == "bytes") repro.spec.bytes = static_cast<common::ByteCount>(num);
         else if (k == "load") repro.spec.load = num;
-        else if (k == "threads") repro.spec.threads = static_cast<int>(num);
         else if (k == "inject_invariant_failure_at") repro.spec.inject_invariant_failure_at = static_cast<common::Cycle>(num);
         return true;  // unknown numeric field: already consumed
       });

@@ -11,9 +11,8 @@
 //
 // Everything here is deterministic: run_chaos_events drives a fully seeded
 // router, so the same (spec, events) pair produces the same ChaosResult —
-// and the same RawRouter::state_digest() — under either engine and any
-// worker count. That is what makes a recorded repro replayable and a
-// minimization trustworthy.
+// and the same RawRouter::state_digest() — under either engine. That is
+// what makes a recorded repro replayable and a minimization trustworthy.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/assert.h"
 #include "common/profiler.h"
@@ -77,7 +78,16 @@ bool write_file(const std::string& path, const std::string& content) {
 
 }  // namespace
 
+void SoakSpec::validate() const {
+  if (threads < 0 || threads > 1) {
+    throw std::invalid_argument(
+        "SoakSpec.threads must be 0 or 1 (an epoch's chip steps serially); "
+        "got " + std::to_string(threads));
+  }
+}
+
 ChaosSpec epoch_spec(const SoakSpec& spec, std::int64_t epoch) {
+  spec.validate();
   RAW_ASSERT_MSG(epoch >= 0, "epoch index must be non-negative");
   const Rotation& rot =
       kRotation[static_cast<std::size_t>(epoch) % kRotationSize];
@@ -96,7 +106,6 @@ ChaosSpec epoch_spec(const SoakSpec& spec, std::int64_t epoch) {
   c.drain_cycles = spec.drain_cycles;
   c.faults_per_kind = spec.faults_per_kind;
   c.load = rot.load;
-  c.threads = spec.threads;
   c.reliable_links = spec.reliable_links;
   c.recovery = spec.recovery;
   c.force_dense = spec.force_dense;

@@ -10,8 +10,7 @@
 // checkpoint ring provides digest anchors: a failure bundle pins the failing
 // epoch and replays it alone — from zero, or anchored at the nearest
 // checkpoint — reproducing the identical state-digest trajectory under
-// either engine and any worker count. Replay cost is one epoch, not the
-// whole soak.
+// either engine. Replay cost is one epoch, not the whole soak.
 //
 // The memory-flatness sentinel (common::MemTrend over /proc RSS) is shared
 // across epochs and registered as a *non-deterministic* check: it reports
@@ -35,6 +34,7 @@ struct SoakSpec {
   /// Per-epoch drain budget.
   common::Cycle drain_cycles = 2'000'000;
   int faults_per_kind = 6;
+  /// Kept only for the benchmark harness, which sets it; must be 0 or 1.
   int threads = 0;
   bool reliable_links = true;
   bool recovery = true;
@@ -65,6 +65,10 @@ struct SoakSpec {
   /// verify the bundle: anchored replay and from-zero replay must agree
   /// with each other and with the recorded digests.
   bool verify_failure_replay = true;
+
+  /// Throws std::invalid_argument when `threads` is not 0 or 1 (an epoch's
+  /// chip steps serially). epoch_spec() calls this.
+  void validate() const;
 };
 
 /// Per-epoch record kept in the report.

@@ -16,8 +16,8 @@
 //   * attached (Chip-owned): the channel holds a pointer to the chip's
 //     EngineState and stamps itself with the engine cycle on first touch of
 //     each cycle, so `begin_cycle` never runs and untouched channels cost
-//     zero. Writes self-register on the executing worker's dirty lane; the
-//     engine commits only those channels at cycle end (see commit()).
+//     zero. Writes self-register on the engine's dirty list; the engine
+//     commits only those channels at cycle end (see commit()).
 //   * detached (standalone, e.g. unit tests): the classic eager protocol —
 //     the driver calls begin_cycle()/end_cycle() around each cycle.
 // Both modes are bit-identical; the epoch stamp reproduces exactly what the
@@ -64,21 +64,6 @@ class Channel {
   void attach(EngineState* engine) { engine_ = engine; }
   [[nodiscard]] bool attached() const { return engine_ != nullptr; }
 
-  /// Forces the epoch refresh now. The parallel engine pre-stamps channels
-  /// whose reader and writer live on different workers (while they are
-  /// barrier-separated from everyone else), so that every later touch() this
-  /// cycle is a pure read and the concurrent reader/writer never race on the
-  /// mutable epoch fields.
-  void refresh() const { touch(); }
-
-  /// Marks the channel as having its reader and writer on different parallel
-  /// workers. The sparse stepper then never parks a blocked writer on it
-  /// (the wake — the reader's read() — would race with the park inside the
-  /// stepping phase); the writer simply stays runnable and polls. Purely a
-  /// performance hint: parking decisions never change simulation results.
-  void set_shared(bool on) { shared_ = on; }
-  [[nodiscard]] bool shared() const { return shared_; }
-
   /// True when this cycle's read slot has been used. A blocked writer does
   /// not park when the FIFO was drained this cycle: the slot frees at the
   /// next cycle start, so it can (and must, for dense equivalence) retry.
@@ -104,19 +89,8 @@ class Channel {
 
   /// Commits this cycle's staged word; returns true when a word crossed the
   /// link (the chip's forward-progress signal). Called by end_cycle() in
-  /// detached mode and by the engine's dirty-lane drain in attached mode.
-  /// In quantum mode the word lands in the deferred side buffer instead of
-  /// the FIFO and no epoch field is touched (see begin_quantum()).
+  /// detached mode and by the engine's dirty-list drain in attached mode.
   bool commit() {
-    if (q_mode_) {
-      if (!staged_.has_value()) return false;
-      RAW_ASSERT_MSG(q_credit_ > 0, "quantum commit past granted credit");
-      q_deferred_.push_back(*staged_);
-      staged_.reset();
-      --q_credit_;
-      ++words_transferred_;
-      return true;
-    }
     touch();
     if (!staged_.has_value()) return false;
     buf_.push(*staged_);
@@ -163,8 +137,7 @@ class Channel {
     // This cycle's read frees a slot at the *next* cycle start; a writer
     // parked on the full FIFO becomes runnable then.
     if (wait_writer_ >= 0 && engine_ != nullptr) {
-      engine_->lanes[static_cast<std::size_t>(t_engine_lane)].wakes.push_back(
-          wait_writer_);
+      engine_->wakes.push_back(wait_writer_);
       wait_writer_ = -1;
     }
     return buf_.pop();
@@ -174,47 +147,12 @@ class Channel {
   [[nodiscard]] const Word& front() const { return buf_.front(); }
 
   /// True when this cycle's write slot is free and there is credit based on
-  /// start-of-cycle occupancy. In quantum mode the check is against the
-  /// credit granted at the quantum start and deliberately touches nothing:
-  /// the reader's worker exclusively owns the lazily-stamped epoch fields
-  /// for the duration of the quantum.
+  /// start-of-cycle occupancy.
   [[nodiscard]] bool can_write() const {
-    if (q_mode_) return !staged_.has_value() && q_credit_ > 0;
     touch();
     return !staged_.has_value() && size_at_start_ < buf_.capacity() &&
            now() >= stall_until_;
   }
-
-  /// Enters quantum mode for one batched quantum (parallel engine only; see
-  /// DESIGN.md "Batched-quantum execution"). For the K cycles of the
-  /// quantum the writer side runs against a credit equal to the free space
-  /// at the quantum start and commits into a deferred side buffer — it
-  /// never touches the FIFO or the mutable epoch fields, so the reader's
-  /// worker can step concurrently without a rendezvous. The engine only
-  /// grants K > 1 when the per-channel slack (start occupancy vs. free
-  /// space, see exec::ParallelRunner) proves both sides behave bit-
-  /// identically to cycle-by-cycle execution.
-  void begin_quantum() {
-    RAW_ASSERT_MSG(guard_ == nullptr, "quantum mode on a protected link");
-    RAW_ASSERT_MSG(!staged_.has_value(), "quantum start with a staged word");
-    RAW_ASSERT_MSG(now() >= stall_until_, "quantum start on a stalled link");
-    q_mode_ = true;
-    q_credit_ = static_cast<std::uint32_t>(buf_.capacity() - buf_.size());
-  }
-
-  /// Leaves quantum mode at the barrier-protected quantum edge (worker 0
-  /// only): drains the deferred words into the FIFO as one word-batch push.
-  void end_quantum() {
-    RAW_ASSERT_MSG(!staged_.has_value(), "quantum end with a staged word");
-    q_mode_ = false;
-    q_credit_ = 0;
-    if (!q_deferred_.empty()) {
-      buf_.push_n(q_deferred_.data(), q_deferred_.size());
-      q_deferred_.clear();
-    }
-  }
-
-  [[nodiscard]] bool in_quantum() const { return q_mode_; }
 
   /// Fault injection (sim::FaultPlan): takes the link down for `cycles`
   /// cycles starting now — no reads, no writes, occupancy frozen. Writers see
@@ -254,10 +192,7 @@ class Channel {
           LinkFrame{w, guard_->next_seq, link_crc8(w, guard_->next_seq)};
       ++guard_->next_seq;
     }
-    if (engine_ != nullptr) {
-      engine_->lanes[static_cast<std::size_t>(t_engine_lane)].dirty.push_back(
-          this);
-    }
+    if (engine_ != nullptr) engine_->dirty.push_back(this);
   }
 
   /// Enables the reliable-link layer on this channel. Must be called while
@@ -469,7 +404,7 @@ class Channel {
   /// mutation is re-observed this cycle exactly as under dense stepping.
   void fault_wake() {
     if (engine_ == nullptr) return;
-    auto& wakes = engine_->lanes[static_cast<std::size_t>(t_engine_lane)].wakes;
+    std::vector<std::int32_t>& wakes = engine_->wakes;
     if (wait_reader_ >= 0) {
       wakes.push_back(wait_reader_);
       wait_reader_ = -1;
@@ -480,14 +415,10 @@ class Channel {
     }
   }
 
-  /// Current cycle: the executing worker's lane clock in attached mode, the
-  /// local begin_cycle counter in detached mode. Lane clocks equal the
-  /// engine clock except inside a batched quantum, where each worker runs
-  /// its own lane clock through the quantum's local cycles.
+  /// Current cycle: the engine clock in attached mode, the local
+  /// begin_cycle counter in detached mode.
   [[nodiscard]] common::Cycle now() const {
-    return engine_ != nullptr
-               ? engine_->lanes[static_cast<std::size_t>(t_engine_lane)].now
-               : local_now_;
+    return engine_ != nullptr ? engine_->now : local_now_;
   }
 
   /// Attached-mode lazy epoch refresh: on the first touch of a cycle,
@@ -496,10 +427,8 @@ class Channel {
   /// first touches happen.
   void touch() const {
     if (engine_ == nullptr) return;
-    const common::Cycle n =
-        engine_->lanes[static_cast<std::size_t>(t_engine_lane)].now;
-    if (last_cycle_ != n) {
-      last_cycle_ = n;
+    if (last_cycle_ != engine_->now) {
+      last_cycle_ = engine_->now;
       size_at_start_ = buf_.size();
       read_this_cycle_ = false;
     }
@@ -512,7 +441,6 @@ class Channel {
   mutable std::size_t size_at_start_;
   mutable bool read_this_cycle_ = false;
   bool stats_enabled_ = false;
-  bool shared_ = false;  // reader and writer on different parallel workers
   EngineState* engine_ = nullptr;
   // Epoch stamp; kNoCycle forces a refresh on the very first touch.
   mutable common::Cycle last_cycle_ = ~common::Cycle{0};
@@ -527,10 +455,6 @@ class Channel {
   std::int32_t wait_writer_ = -1;  // parked writer agent, engine-managed
   std::unique_ptr<LinkGuard> guard_;  // null = link protection off (default)
   std::optional<Word> staged_;
-  // Batched-quantum state (boundary channels only, parallel engine).
-  bool q_mode_ = false;
-  std::uint32_t q_credit_ = 0;
-  std::vector<Word> q_deferred_;
   std::uint64_t words_transferred_ = 0;
   std::uint64_t stats_cycles_ = 0;
   std::uint64_t occupancy_sum_ = 0;

@@ -6,8 +6,6 @@
 
 namespace raw::sim {
 
-thread_local int t_engine_lane = 0;
-
 Chip::Chip(ChipConfig config) : config_(config) {
   const GridShape shape = config_.shape;
   const auto n = static_cast<std::size_t>(shape.num_tiles());
@@ -148,14 +146,15 @@ Channel* Chip::find_channel(const std::string& name) const {
   return it != channel_index_.end() ? it->second : nullptr;
 }
 
-void Chip::step_agents(int begin, int end, bool dense) {
+void Chip::step_agents(bool dense) {
   FaultPlan* const faults = faults_;
   const common::Cycle now = engine_.now;
+  const int n = num_tiles();
   if (dense) {
     if (faults == nullptr && !trace_.active(now)) {
       // Dense hot path (forced-dense reference engine): no per-tile frozen
       // test, no trace bookkeeping.
-      for (int t = begin; t < end; ++t) {
+      for (int t = 0; t < n; ++t) {
         Tile& tl = *tiles_[static_cast<std::size_t>(t)];
         (void)tl.step_switch();
         (void)tl.step_proc();
@@ -163,7 +162,7 @@ void Chip::step_agents(int begin, int end, bool dense) {
       return;
     }
     const bool tracing = trace_.active(now);
-    for (int t = begin; t < end; ++t) {
+    for (int t = 0; t < n; ++t) {
       if (faults != nullptr && faults->tile_frozen(t)) {
         // A frozen tile executes nothing this cycle; its FIFOs keep their
         // contents and neighbours simply see no words move.
@@ -184,7 +183,7 @@ void Chip::step_agents(int begin, int end, bool dense) {
   // channel event), and a fault that mutates a channel with parked agents
   // wakes them (Channel::fault_wake), so flips and stalls are exact here;
   // only tile-freeze windows force dense stepping (see dense_cycle()).
-  for (int t = begin; t < end; ++t) {
+  for (int t = 0; t < n; ++t) {
     const std::uint8_t f = run_flags_[static_cast<std::size_t>(t)];
     if (f == 0) continue;
     Tile& tl = *tiles_[static_cast<std::size_t>(t)];
@@ -224,53 +223,35 @@ bool Chip::may_park_on(const Channel* ch, AgentState cause) {
     // *inside* the stepping phase. If the FIFO was already drained this
     // cycle the wake has come and gone — the writer must stay runnable and
     // retry next cycle (when the freed slot becomes visible), exactly as a
-    // dense engine would. On shared channels (reader owned by a different
-    // parallel worker) the read races with the park, so never park there.
-    if (ch->shared() || ch->read_this_cycle()) return false;
+    // dense engine would.
+    if (ch->read_this_cycle()) return false;
   }
   return true;
 }
 
-bool Chip::commit_lane(std::size_t lane) {
-  EngineState::Lane& ln = engine_.lanes[lane];
-  if (profiler_ != nullptr) profiler_->count_commit(ln.dirty.size());
+bool Chip::commit_dirty() {
+  if (profiler_ != nullptr) profiler_->count_commit(engine_.dirty.size());
   bool progress = false;
-  for (Channel* ch : ln.dirty) {
+  for (Channel* ch : engine_.dirty) {
     if (ch->commit()) {
       progress = true;
       // The committed word is readable next cycle; a parked reader wakes.
       const std::int32_t r = ch->take_wait_reader();
-      if (r >= 0) ln.wakes.push_back(r);
+      if (r >= 0) engine_.wakes.push_back(r);
     }
   }
-  ln.dirty.clear();
+  engine_.dirty.clear();
   return progress;
 }
 
-void Chip::sample_stats_range(std::size_t begin, std::size_t end) {
-  for (std::size_t c = begin; c < end; ++c) all_channels_[c]->sample_stats();
-}
-
 void Chip::apply_wakes() {
-  for (EngineState::Lane& ln : engine_.lanes) {
-    for (const std::int32_t aid : ln.wakes) wake_agent(aid, engine_.now);
-    ln.wakes.clear();
-  }
-}
-
-void Chip::apply_wakes_lane(std::size_t lane, common::Cycle upto) {
-  EngineState::Lane& ln = engine_.lanes[lane];
-  for (const std::int32_t aid : ln.wakes) wake_agent(aid, upto);
-  ln.wakes.clear();
+  for (const std::int32_t aid : engine_.wakes) wake_agent(aid, engine_.now);
+  engine_.wakes.clear();
 }
 
 void Chip::park_agent(std::int32_t aid, AgentState cause, Channel* chan) {
   Park& p = parks_[static_cast<std::size_t>(aid)];
-  // This cycle was stepped and counted. The executing worker's lane clock is
-  // the agent's true local time (it trails engine_.now only inside a batched
-  // quantum, where it equals the local cycle being simulated).
-  p.counted_through =
-      engine_.lanes[static_cast<std::size_t>(t_engine_lane)].now;
+  p.counted_through = engine_.now;  // this cycle was stepped and counted
   p.cause = cause;
   p.chan = chan;
   if (chan != nullptr) {
@@ -284,7 +265,7 @@ void Chip::park_agent(std::int32_t aid, AgentState cause, Channel* chan) {
   }
   run_flags_[static_cast<std::size_t>(aid >> 1)] &=
       static_cast<std::uint8_t>(~(1u << (aid & 1)));
-  parked_count_.fetch_add(1, std::memory_order_relaxed);
+  ++parked_count_;
   if (profiler_ != nullptr) profiler_->count_park();
 }
 
@@ -307,14 +288,12 @@ void Chip::wake_agent(std::int32_t aid, common::Cycle counted_through) {
   p.chan = nullptr;
   run_flags_[static_cast<std::size_t>(aid >> 1)] |=
       static_cast<std::uint8_t>(1u << (aid & 1));
-  parked_count_.fetch_sub(1, std::memory_order_relaxed);
+  --parked_count_;
   if (profiler_ != nullptr) profiler_->count_wake();
 }
 
 void Chip::settle_parked() {
-  if (parked_count_.load(std::memory_order_relaxed) == 0 || engine_.now == 0) {
-    return;
-  }
+  if (parked_count_ == 0 || engine_.now == 0) return;
   const common::Cycle upto = engine_.now - 1;
   const int n = num_tiles();
   for (int t = 0; t < n; ++t) {
@@ -328,7 +307,7 @@ void Chip::settle_parked() {
 }
 
 void Chip::wake_all_parked() {
-  if (parked_count_.load(std::memory_order_relaxed) == 0) return;
+  if (parked_count_ == 0) return;
   const common::Cycle upto = engine_.now == 0 ? 0 : engine_.now - 1;
   const int n = num_tiles();
   for (int t = 0; t < n; ++t) {
@@ -346,7 +325,7 @@ void Chip::wake_all_parked() {
     }
     f = 3;
   }
-  parked_count_.store(0, std::memory_order_relaxed);
+  parked_count_ = 0;
 }
 
 std::string Chip::check_engine_invariants() const {
@@ -383,9 +362,8 @@ std::string Chip::check_engine_invariants() const {
       }
     }
   }
-  const int counted = parked_count_.load(std::memory_order_relaxed);
-  if (cleared != counted) {
-    return "parked_count " + std::to_string(counted) + " != " +
+  if (cleared != parked_count_) {
+    return "parked_count " + std::to_string(parked_count_) + " != " +
            std::to_string(cleared) + " agents with cleared run flags";
   }
   // Reverse direction: a wake slot must point at an agent that is actually
@@ -425,7 +403,7 @@ void Chip::step_cycle() {
       prof->count_sparse_cycle();
     }
   }
-  if (dense && parked_count_.load(std::memory_order_relaxed) > 0) {
+  if (dense && parked_count_ > 0) {
     common::ProfScope ps(prof, common::ProfPhase::kParkWake);
     wake_all_parked();
   }
@@ -439,7 +417,7 @@ void Chip::step_cycle() {
 
   {
     common::ProfScope ps(prof, common::ProfPhase::kCompute);
-    step_agents(0, num_tiles(), dense);
+    step_agents(dense);
   }
 
   // dyn_ is null when ChipConfig::with_dynamic_network is false; when
@@ -452,27 +430,21 @@ void Chip::step_cycle() {
   bool progress = false;
   {
     common::ProfScope ps(prof, common::ProfPhase::kChannelCommit);
-    for (std::size_t l = 0; l < engine_.lanes.size(); ++l) {
-      progress |= commit_lane(l);
-    }
+    progress = commit_dirty();
   }
   if (engine_.stats_channels > 0) {
     common::ProfScope ps(prof, common::ProfPhase::kStats);
-    sample_stats_range(0, all_channels_.size());
+    for (Channel* ch : all_channels_) ch->sample_stats();
   }
   {
     common::ProfScope ps(prof, common::ProfPhase::kParkWake);
     apply_wakes();
   }
-  finish_cycle(progress);
-}
-
-void Chip::profile_tick() {
-  // Runs inside finish_cycle, which the engine contract restricts to one
-  // serial call per cycle (worker 0 under ParallelRunner), so reading the
-  // other workers' relaxed accumulators here is the documented consumer the
-  // profiler's thread model allows.
-  if (profiler_->flight_due(engine_.now)) profiler_->flight_snap(engine_.now);
+  if (progress) last_progress_cycle_ = engine_.now;
+  if (prof != nullptr && prof->flight_due(engine_.now)) {
+    prof->flight_snap(engine_.now);
+  }
+  ++engine_.now;
 }
 
 void Chip::step() {
@@ -594,7 +566,6 @@ void Chip::restore(const Snapshot& s) {
   // parking decisions never change results, so both engines replay alike.
   wake_all_parked();
   engine_.now = s.cycle;
-  for (EngineState::Lane& lane : engine_.lanes) lane.now = engine_.now;
   last_progress_cycle_ = s.last_progress;
   for (std::size_t i = 0; i < all_channels_.size(); ++i) {
     all_channels_[i]->restore_state(s.channels[i]);

@@ -4,7 +4,7 @@
 // The cycle engine is *sparse* (see DESIGN.md "Sparse cycle engine"): its
 // per-cycle cost tracks activity, not capacity. Channels are epoch-stamped
 // and refresh lazily on first touch, staged writes self-register on a dirty
-// lane so commit walks only channels that moved, agents blocked on a channel
+// list so commit walks only channels that moved, agents blocked on a channel
 // park on that channel's wake slot and are skipped until a commit or read
 // wakes them, and idle agents (halted switch, finished program) leave the
 // runnable set entirely. Results are bit-identical to the dense engine —
@@ -13,7 +13,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -29,10 +28,6 @@
 #include "sim/tile.h"
 #include "sim/trace.h"
 
-namespace raw::exec {
-class ParallelRunner;
-}
-
 namespace raw::common {
 class Profiler;
 }
@@ -46,11 +41,6 @@ struct ChipConfig {
   bool with_dynamic_network = true;
   /// FIFO depth of every static-network link.
   std::size_t link_fifo_depth = Channel::kDefaultCapacity;
-  /// Execution-engine worker threads. The chip itself always steps serially;
-  /// this field is consumed by callers (RawRouter, benches) that wrap the
-  /// chip in an exec::ParallelRunner when the resolved value exceeds 1.
-  /// 0 = resolve from RAWSIM_THREADS (default 1); see exec::resolve_threads.
-  int threads = 0;
 };
 
 /// One chip-edge static-network port: the pair of channels a line card (or
@@ -85,14 +75,6 @@ class Chip {
   [[nodiscard]] const std::vector<Device*>& devices() const { return devices_; }
 
   [[nodiscard]] common::Cycle cycle() const { return engine_.now; }
-  /// The simulated cycle as seen by the calling thread's engine lane: equal
-  /// to cycle() everywhere except inside a batched quantum, where each
-  /// worker free-runs its own lane clock ahead of the global one. Devices
-  /// that declare a quantum home tile must use this (not cycle()) for any
-  /// timestamp they record mid-step; channels already resolve time this way.
-  [[nodiscard]] common::Cycle local_cycle() const {
-    return engine_.lanes[static_cast<std::size_t>(t_engine_lane)].now;
-  }
   [[nodiscard]] Trace& trace() { return trace_; }
 
   /// Attaches (or detaches, with nullptr) a fault-injection plan. The plan
@@ -156,32 +138,6 @@ class Chip {
   /// on return, and external mutations made since the last cycle (programs
   /// loaded, words written into channels by tests) are picked up.
   void step();
-
-  /// Execution-engine hook: closes the current cycle after every channel has
-  /// committed. `progress` is the OR of all channels' commit results. The
-  /// chip's own cycle loop calls this; an external engine
-  /// (exec::ParallelRunner) that replicates the phase structure calls it
-  /// exactly once per cycle.
-  void finish_cycle(bool progress) {
-    if (progress) last_progress_cycle_ = engine_.now;
-    if (profiler_ != nullptr) profile_tick();
-    ++engine_.now;
-    for (EngineState::Lane& lane : engine_.lanes) lane.now = engine_.now;
-  }
-
-  /// Execution-engine hook: closes a K-cycle batched quantum (see
-  /// exec::ParallelRunner and DESIGN.md "Batched-quantum execution").
-  /// Advances the clock by `cycles`, re-synchronizes every worker lane
-  /// clock, and records the exact last cycle at which any lane saw a word
-  /// move — so watchdog stall attribution stays cycle-accurate even though
-  /// no global rendezvous happened inside the quantum.
-  void finish_quantum(common::Cycle cycles, bool progress,
-                      common::Cycle progress_cycle) {
-    if (progress) last_progress_cycle_ = progress_cycle;
-    engine_.now += cycles;
-    for (EngineState::Lane& lane : engine_.lanes) lane.now = engine_.now;
-    if (profiler_ != nullptr) profile_tick();
-  }
 
   /// Attaches (or detaches, with nullptr) an engine profiler (see
   /// common/profiler.h). Hot paths gate on the pointer, so a chip with no
@@ -258,7 +214,7 @@ class Chip {
   [[nodiscard]] Snapshot snapshot() const;
   /// Rewinds the chip to `s`. Any parked agent is returned to the runnable
   /// set first, so the restored state is revalidated from scratch; valid
-  /// under both engines and any worker count.
+  /// under both engines.
   void restore(const Snapshot& s);
 
   /// FNV-1a digest of the architectural state (cycle, channels, switch
@@ -283,8 +239,6 @@ class Chip {
   [[nodiscard]] std::string check_engine_invariants() const;
 
  private:
-  friend class exec::ParallelRunner;
-
   /// Agents are addressed as 2*tile (switch) and 2*tile+1 (processor).
   struct Park {
     common::Cycle counted_through = 0;  // last cycle counted in `cause`
@@ -309,29 +263,16 @@ class Chip {
   /// One serial cycle of the sparse engine (no entry revalidation, no exit
   /// settling — run()/run_until()/step() wrap it with those).
   void step_cycle();
-  /// Phase C for tiles [begin, end): dense or flag-gated sparse stepping
-  /// with parking. Shared by the serial loop and ParallelRunner stripes.
-  void step_agents(int begin, int end, bool dense);
-  /// Commits lane `lane`'s dirty channels; queues reader wakes onto the same
-  /// lane. Returns true when any word moved.
-  bool commit_lane(std::size_t lane);
-  /// Stats pass over all_channels_[begin, end); engine-gated on
-  /// engine_.stats_channels.
-  void sample_stats_range(std::size_t begin, std::size_t end);
-  /// Applies every lane's queued wakes (end of cycle, before finish_cycle).
+  /// Tile stepping: dense, or flag-gated sparse stepping with parking.
+  void step_agents(bool dense);
+  /// Commits the dirty channels and queues reader wakes. Returns true when
+  /// any word moved.
+  bool commit_dirty();
+  /// Applies the queued wakes (end of cycle, before the clock advances).
   void apply_wakes();
-  /// Applies one lane's queued wakes with credit counted through `upto`.
-  /// Inside a batched quantum each worker drains its own lane at every
-  /// local cycle (wakes never cross lanes mid-quantum: the engine only
-  /// grants K > 1 when boundary wake slots are provably unused).
-  void apply_wakes_lane(std::size_t lane, common::Cycle upto);
 
   /// Whether a blocked agent may park on `chan` and rely on a wake event.
   [[nodiscard]] static bool may_park_on(const Channel* chan, AgentState cause);
-
-  /// finish_cycle's profiling tail (flight-recorder due check), out of line
-  /// so the inline fast path stays a single null test.
-  void profile_tick();
 
   void park_agent(std::int32_t aid, AgentState cause, Channel* chan);
   void wake_agent(std::int32_t aid, common::Cycle counted_through);
@@ -367,10 +308,7 @@ class Chip {
   // run_flags_[tile]: bit 0 = switch runnable, bit 1 = processor runnable.
   std::vector<std::uint8_t> run_flags_;
   std::vector<Park> parks_;  // indexed by agent id, valid while parked
-  // Atomic because parallel workers park agents concurrently during the
-  // stepping phase; relaxed ordering suffices (it is only ever compared
-  // against zero from phase-separated code).
-  std::atomic<int> parked_count_{0};
+  int parked_count_ = 0;
   bool force_dense_ = false;
 };
 

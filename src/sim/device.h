@@ -12,15 +12,6 @@ class Device {
  public:
   virtual ~Device() = default;
   virtual void step(Chip& chip) = 0;
-
-  /// Home tile for batched-quantum execution, or -1 (the default). Returning
-  /// a tile index declares that step() touches only this device's own state
-  /// plus edge channels whose on-chip endpoint is that tile, so the parallel
-  /// engine may step the device on the worker owning that tile at every
-  /// local cycle of a multi-cycle quantum. Devices that share state across
-  /// tiles (e.g. line cards drawing packets from one TrafficGen) must keep
-  /// the default: any -1 device clamps the engine to cycle granularity.
-  [[nodiscard]] virtual int quantum_home_tile() const { return -1; }
 };
 
 }  // namespace raw::sim

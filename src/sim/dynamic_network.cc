@@ -83,11 +83,7 @@ void DynamicNetwork::inject(int tile, int dest_tile,
   auto& q = inject_[static_cast<std::size_t>(tile)];
   q.push(make_dyn_header(tile, dest_tile, static_cast<std::uint32_t>(payload.size())));
   for (const common::Word w : payload) q.push(w);
-  // Ingress tile programs inject concurrently in the parallel engine's
-  // compute phase; a plain add would lose updates and let step()'s
-  // quiescence early-out strand queued words.
-  std::atomic_ref<std::uint64_t>(net_words_).fetch_add(
-      payload.size() + 1, std::memory_order_relaxed);
+  net_words_ += payload.size() + 1;
 }
 
 bool DynamicNetwork::has_eject(int tile) const {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -127,9 +126,7 @@ class DynamicNetwork {
   std::vector<common::RingBuffer<common::Word>> eject_;
   std::uint64_t flits_routed_ = 0;
   std::uint64_t messages_delivered_ = 0;
-  // Added to through std::atomic_ref by concurrent inject() calls.
-  alignas(std::atomic_ref<std::uint64_t>::required_alignment)
-      std::uint64_t net_words_ = 0;
+  std::uint64_t net_words_ = 0;
 };
 
 }  // namespace raw::sim

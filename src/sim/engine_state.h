@@ -3,15 +3,12 @@
 //
 // A Chip owns one EngineState; every channel on the chip holds a pointer to
 // it. The struct carries the authoritative cycle counter (channels stamp
-// themselves against it to refresh per-cycle state lazily) and one `Lane`
-// per execution-engine worker. A lane collects, for the cycle in flight,
+// themselves against it to refresh per-cycle state lazily) and, for the
+// cycle in flight,
 //   * `dirty`  — channels that staged a write and must commit at cycle end;
 //   * `wakes`  — parked agents to return to the runnable set at cycle end.
-// Each channel has exactly one writer agent per cycle and each worker owns a
-// disjoint set of agents, so a channel lands in at most one lane per cycle
-// and lanes never race. `t_engine_lane` names the lane of the executing
-// thread: 0 everywhere except inside exec::ParallelRunner workers, which set
-// it to their worker id for the duration of a run.
+// Each channel has exactly one writer agent per cycle, so a channel lands on
+// the dirty list at most once per cycle.
 #pragma once
 
 #include <cstdint>
@@ -24,28 +21,13 @@ namespace raw::sim {
 class Channel;
 
 struct EngineState {
-  struct alignas(64) Lane {
-    std::vector<Channel*> dirty;
-    std::vector<std::int32_t> wakes;
-    /// Lane-local cycle clock. Outside a batched quantum every lane clock
-    /// equals `now`; inside one, each exec::ParallelRunner worker advances
-    /// its own lane clock through the K local cycles of the quantum so that
-    /// channel epoch stamping (`Channel::touch`) and park credit accounting
-    /// see the worker's true local time. Worker 0 re-synchronizes all lanes
-    /// to `now` at every quantum edge (and Chip::finish_cycle does the same
-    /// for the serial engine).
-    common::Cycle now = 0;
-  };
-
   /// The chip's cycle counter (Chip::cycle() returns this field).
   common::Cycle now = 0;
   /// Channels with per-cycle stats sampling enabled; the engine runs the
   /// explicit stats pass only while this is nonzero.
   int stats_channels = 0;
-  std::vector<Lane> lanes{1};
+  std::vector<Channel*> dirty;
+  std::vector<std::int32_t> wakes;
 };
-
-/// Lane index of the executing thread (0 outside the parallel engine).
-extern thread_local int t_engine_lane;
 
 }  // namespace raw::sim

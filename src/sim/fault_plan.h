@@ -96,21 +96,6 @@ class FaultPlan {
     return next_freeze_ < freeze_at_.size() && freeze_at_[next_freeze_] <= now;
   }
 
-  /// Cycle of the first event not yet fired, or kNoEvent when the schedule
-  /// is exhausted. The batched-quantum engine clamps its lookahead to end
-  /// before this cycle so every fault still fires under cycle-granular
-  /// stepping, exactly as it would serially.
-  static constexpr common::Cycle kNoEvent = ~common::Cycle{0};
-  [[nodiscard]] common::Cycle next_event_cycle() const {
-    return next_ < events_.size() ? events_[next_].at : kNoEvent;
-  }
-
-  /// Cycle count of active stall/freeze/overrun windows still open (the
-  /// engine also refuses lookahead while any window is in force).
-  [[nodiscard]] bool windows_active() const {
-    return !freezes_.empty() || !overruns_.empty();
-  }
-
   /// Tiles inside a *permanent* freeze window right now, sorted and
   /// deduplicated — the recovery controller's dead-tile set.
   [[nodiscard]] std::vector<int> permanently_frozen_tiles() const;

@@ -30,10 +30,15 @@ class FakeClock {
   void advance(std::uint64_t ns) { g_fake_now += ns; }
 };
 
+/// Charges `ns` of fake time to `phase` through one scope.
+void spend(Profiler& prof, FakeClock& clock, ProfPhase phase, std::uint64_t ns) {
+  ProfScope scope(&prof, phase);
+  clock.advance(ns);
+}
+
 TEST(ProfilerTest, ScopesAccumulateExclusiveTime) {
   FakeClock clock;
-  Profiler prof(1);
-  Profiler::bind_worker(0);
+  Profiler prof;
   {
     ProfScope outer(&prof, ProfPhase::kCompute);
     clock.advance(100);
@@ -59,47 +64,20 @@ TEST(ProfilerTest, NullProfilerScopeIsInert) {
   // path": the scope holds no profiler.
 }
 
-TEST(ProfilerTest, BarrierWaitFeedsPhaseAndHistogram) {
-  Profiler prof(2);
-  prof.record_barrier_wait(0, 1000);
-  prof.record_barrier_wait(0, 3000);
-  prof.record_barrier_wait(1, 500);
-  EXPECT_EQ(prof.phase_total(ProfPhase::kBarrierWait).ns, 4500u);
-  EXPECT_EQ(prof.phase_total(ProfPhase::kBarrierWait).calls, 3u);
-  EXPECT_EQ(prof.worker(0).barrier_wait_ns.count(), 2u);
-  EXPECT_EQ(prof.worker(1).barrier_wait_ns.count(), 1u);
-}
-
-TEST(ProfilerTest, CoverageAndBarrierShareAgainstWallClock) {
+TEST(ProfilerTest, CoverageAgainstWallClock) {
   FakeClock clock;
-  Profiler prof(1);
-  Profiler::bind_worker(0);
+  Profiler prof;
   prof.start();
-  {
-    ProfScope scope(&prof, ProfPhase::kCompute);
-    clock.advance(600);
-  }
-  prof.record_barrier_wait(0, 300);
-  clock.advance(400);
+  spend(prof, clock, ProfPhase::kCompute, 600);
+  spend(prof, clock, ProfPhase::kChannelCommit, 300);
+  clock.advance(100);
   prof.stop();
   EXPECT_EQ(prof.wall_ns(), 1000u);
   EXPECT_DOUBLE_EQ(prof.coverage(), 0.9);
-  EXPECT_DOUBLE_EQ(prof.barrier_wait_share(), 0.3);
-}
-
-TEST(ProfilerTest, EnsureWorkersPreservesCollectedData) {
-  Profiler prof(1);
-  prof.record_barrier_wait(0, 1234);
-  const Profiler::Worker* w0 = &prof.worker(0);
-  prof.ensure_workers(4);
-  EXPECT_EQ(prof.workers(), 4);
-  // Slots never move (workers hold references mid-run) and keep their data.
-  EXPECT_EQ(&prof.worker(0), w0);
-  EXPECT_EQ(prof.phase_total(ProfPhase::kBarrierWait).ns, 1234u);
 }
 
 TEST(ProfilerTest, FlightRingWrapsKeepingMostRecent) {
-  Profiler prof(1);
+  Profiler prof;
   prof.enable_flight(/*capacity=*/4, /*interval=*/100);
   EXPECT_TRUE(prof.flight_enabled());
   EXPECT_FALSE(prof.flight_due(99));
@@ -118,7 +96,7 @@ TEST(ProfilerTest, FlightRingWrapsKeepingMostRecent) {
 }
 
 TEST(ProfilerTest, StallSnapshotDoesNotAdvanceSchedule) {
-  Profiler prof(1);
+  Profiler prof;
   prof.enable_flight(/*capacity=*/4, /*interval=*/100);
   prof.flight_snap(50, /*on_stall=*/true);
   // The forced snapshot recorded, but the periodic one at 100 is still due.
@@ -130,9 +108,10 @@ TEST(ProfilerTest, StallSnapshotDoesNotAdvanceSchedule) {
 }
 
 TEST(ProfilerTest, FlightJsonlOneSchemaTaggedObjectPerLine) {
-  Profiler prof(1);
+  FakeClock clock;
+  Profiler prof;
   prof.enable_flight(/*capacity=*/8, /*interval=*/10);
-  prof.record_barrier_wait(0, 42);
+  spend(prof, clock, ProfPhase::kParkWake, 42);
   prof.flight_snap(10);
   prof.flight_snap(20, /*on_stall=*/true);
   const std::string jsonl = prof.flight_jsonl();
@@ -146,19 +125,19 @@ TEST(ProfilerTest, FlightJsonlOneSchemaTaggedObjectPerLine) {
   }
   EXPECT_EQ(lines, 2);
   EXPECT_NE(jsonl.find("\"on_stall\":true"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"barrier_wait\":{\"ns\":42,\"calls\":1}"),
+  EXPECT_NE(jsonl.find("\"park_wake\":{\"ns\":42,\"calls\":1}"),
             std::string::npos);
 }
 
 TEST(ProfilerTest, ExportMetricsPublishesLintCleanNames) {
-  Profiler prof(2);
-  prof.record_barrier_wait(0, 100);
+  FakeClock clock;
+  Profiler prof;
+  spend(prof, clock, ProfPhase::kSerialSection, 100);
   prof.count_dense_sweep();
   MetricRegistry reg;
   prof.export_metrics(reg);
-  EXPECT_EQ(reg.counter_value("profile/workers"), 2u);
-  EXPECT_EQ(reg.counter_value("profile/worker0/phase/barrier_wait/ns"), 100u);
-  EXPECT_EQ(reg.counter_value("profile/worker0/phase/barrier_wait/calls"), 1u);
+  EXPECT_EQ(reg.counter_value("profile/phase/serial_section/ns"), 100u);
+  EXPECT_EQ(reg.counter_value("profile/phase/serial_section/calls"), 1u);
   EXPECT_EQ(reg.counter_value("profile/engine/dense_sweeps"), 1u);
   for (const auto& s : reg.snapshot()) {
     for (const char c : s.name) {
@@ -170,29 +149,31 @@ TEST(ProfilerTest, ExportMetricsPublishesLintCleanNames) {
 }
 
 TEST(ProfilerTest, SpeedscopeJsonSharesFramesAcrossProfiles) {
-  Profiler prof(2);
-  prof.record_barrier_wait(0, 100);
-  prof.record_barrier_wait(1, 200);
-  const std::string json =
-      speedscope_json({{"bench/t2", &prof}});
+  FakeClock clock;
+  Profiler a;
+  Profiler b;
+  spend(a, clock, ProfPhase::kCompute, 100);
+  spend(b, clock, ProfPhase::kStats, 200);
+  const std::string json = speedscope_json({{"bench/a", &a}, {"bench/b", &b}});
   EXPECT_NE(json.find("speedscope.app/file-format-schema.json"),
             std::string::npos);
-  // Six shared frames, one per phase.
+  // Shared frames, one per phase.
   for (int p = 0; p < kNumProfPhases; ++p) {
     const std::string frame = std::string("{\"name\":\"") +
                               prof_phase_name(static_cast<ProfPhase>(p)) +
                               "\"}";
     EXPECT_NE(json.find(frame), std::string::npos) << frame;
   }
-  // One sampled profile per worker.
-  EXPECT_NE(json.find("\"name\":\"bench/t2/worker0\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"bench/t2/worker1\""), std::string::npos);
+  // One sampled profile per run.
+  EXPECT_NE(json.find("\"name\":\"bench/a\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"bench/b\""), std::string::npos);
 }
 
 TEST(ProfilerTest, MergedChromeJsonCarriesEngineTrack) {
-  Profiler prof(1);
+  FakeClock clock;
+  Profiler prof;
   prof.enable_flight(/*capacity=*/4, /*interval=*/100);
-  prof.record_barrier_wait(0, 1000);
+  spend(prof, clock, ProfPhase::kCompute, 1000);
   prof.flight_snap(100);
   prof.flight_snap(150, /*on_stall=*/true);
   const std::string json = merged_chrome_json(nullptr, &prof);

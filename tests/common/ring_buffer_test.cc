@@ -1,7 +1,5 @@
 #include "common/ring_buffer.h"
 
-#include <string>
-
 #include <gtest/gtest.h>
 
 namespace raw::common {
@@ -60,62 +58,6 @@ TEST(RingBufferTest, ClearResets) {
   EXPECT_TRUE(rb.empty());
   rb.push(7);
   EXPECT_EQ(rb.pop(), 7);
-}
-
-TEST(RingBufferTest, PushNMatchesSequentialPushes) {
-  RingBuffer<int> rb(8);
-  const int batch[5] = {1, 2, 3, 4, 5};
-  rb.push_n(batch, 5);
-  EXPECT_EQ(rb.size(), 5u);
-  for (int i = 1; i <= 5; ++i) EXPECT_EQ(rb.pop(), i);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBufferTest, PushNZeroIsNoop) {
-  RingBuffer<int> rb(2);
-  rb.push(9);
-  rb.push_n(nullptr, 0);
-  EXPECT_EQ(rb.size(), 1u);
-  EXPECT_EQ(rb.pop(), 9);
-}
-
-// Bulk pushes landing across the wrap point must split into two memcpy
-// segments; interleave with pops so every tail offset is exercised.
-TEST(RingBufferTest, PushNWrapsAcrossTheSeam) {
-  RingBuffer<int> rb(5);
-  int next = 0, expect = 0;
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = rb.free_space() < 3 ? rb.free_space() : 3;
-    int batch[3];
-    for (std::size_t i = 0; i < n; ++i) batch[i] = next++;
-    rb.push_n(batch, n);
-    while (rb.size() > 1) EXPECT_EQ(rb.pop(), expect++);
-  }
-  while (!rb.empty()) EXPECT_EQ(rb.pop(), expect++);
-  EXPECT_EQ(expect, next);
-}
-
-// Non-trivially-copyable element types take the per-element fallback and
-// must behave identically.
-TEST(RingBufferTest, PushNNonTrivialFallback) {
-  RingBuffer<std::string> rb(3);
-  const std::string batch[2] = {"alpha", "bravo"};
-  rb.push_n(batch, 2);
-  rb.push("charlie");
-  EXPECT_EQ(rb.pop(), "alpha");
-  const std::string more[2] = {"delta", "echo"};
-  rb.push_n(more, 1);
-  EXPECT_EQ(rb.pop(), "bravo");
-  EXPECT_EQ(rb.pop(), "charlie");
-  EXPECT_EQ(rb.pop(), "delta");
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBufferDeathTest, PushNPastCapacityAborts) {
-  RingBuffer<int> rb(2);
-  rb.push(1);
-  const int batch[2] = {2, 3};
-  EXPECT_DEATH(rb.push_n(batch, 2), "bulk push past ring buffer capacity");
 }
 
 TEST(RingBufferDeathTest, PushFullAborts) {

@@ -1,14 +1,18 @@
-// Serial-vs-parallel differential tests through the full router stack.
+// Execution differential tests through the full router stack.
 //
-// The engine's contract is bit-identical simulation at any worker count, so
-// these tests run identical router configurations under 1/2/4/8 workers and
-// compare every externally observable total: packet accounting, ledger
-// disposition, static-network word counts, the final cycle, and (separately)
-// the packet tracer's event stream including ring-buffer eviction. The fault
-// differential goes through the chaos harness so flips, stalls, freezes, and
-// overruns — plus the watchdog's run_until drain paths — are all covered.
+// A chip always steps serially, but the same chip may be stepped on any host
+// thread: ClusterRunner's workers each step their own chips. These tests
+// compare every externally observable total — packet accounting, ledger
+// disposition, static-network word counts, the final cycle, and
+// (separately) the packet tracer's event stream including ring-buffer
+// eviction — between runs that must agree exactly: both values
+// RouterConfig::threads still accepts (0 and 1), the dense reference engine,
+// and runs stepped on a second host thread. The fault differential goes
+// through the chaos harness so flips, stalls, freezes, and overruns — plus
+// the watchdog's run_until drain paths — are all covered.
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +26,14 @@
 
 namespace raw::router {
 namespace {
+
+/// Runs `fn` to completion on a fresh host thread and returns its result.
+template <typename Fn>
+auto on_other_thread(Fn fn) {
+  decltype(fn()) result{};
+  std::thread([&] { result = fn(); }).join();
+  return result;
+}
 
 struct RouterTotals {
   std::uint64_t offered = 0;
@@ -63,12 +75,12 @@ net::TrafficConfig make_traffic(net::DestPattern pattern) {
 }
 
 RouterTotals run_router(net::DestPattern pattern, std::uint64_t seed,
-                        int threads, common::Cycle cycles) {
+                        int threads, bool force_dense, common::Cycle cycles) {
   RouterConfig cfg;
   cfg.threads = threads;
   RawRouter router(cfg, net::RouteTable::simple4(), make_traffic(pattern),
                    seed);
-  EXPECT_EQ(router.threads(), threads);
+  router.chip().set_force_dense(force_dense);
   (void)router.run(cycles);
   RouterTotals t;
   t.offered = router.offered_packets();
@@ -89,21 +101,24 @@ class ExecRouterDifferential
     : public ::testing::TestWithParam<std::tuple<net::DestPattern,
                                                  std::uint64_t>> {};
 
+// Both accepted RouterConfig::threads values, sparse and dense, must agree
+// with the default serial sparse run.
 TEST_P(ExecRouterDifferential, TotalsIdenticalAcrossThreadCounts) {
   const auto [pattern, seed] = GetParam();
   constexpr common::Cycle kCycles = 2500;
-  const RouterTotals serial = run_router(pattern, seed, 1, kCycles);
+  const RouterTotals serial = run_router(pattern, seed, 1, false, kCycles);
   EXPECT_GT(serial.delivered, 0u);
-  for (const int t : {2, 4, 8}) {
-    const RouterTotals par = run_router(pattern, seed, t, kCycles);
-    EXPECT_EQ(par, serial) << "threads=" << t << "\n  serial: "
-                           << describe(serial) << "\nparallel: "
-                           << describe(par);
+  for (const int t : {0, 1}) {
+    for (const bool dense : {false, true}) {
+      const RouterTotals other = run_router(pattern, seed, t, dense, kCycles);
+      EXPECT_EQ(other, serial)
+          << "threads=" << t << (dense ? " dense" : " sparse")
+          << "\n  serial: " << describe(serial)
+          << "\n   other: " << describe(other);
+    }
   }
 }
 
-// Instantiation name keeps the Exec prefix so `ctest -R '^Exec'` (the TSan
-// CI job's selection) picks these up.
 INSTANTIATE_TEST_SUITE_P(
     ExecPatternsAndSeeds, ExecRouterDifferential,
     ::testing::Combine(::testing::Values(net::DestPattern::kUniform,
@@ -125,11 +140,12 @@ struct ChaosTotals {
   std::uint64_t resyncs = 0;
   std::uint64_t watchdog_trips = 0;
   std::uint64_t faults_injected = 0;
+  std::uint64_t digest = 0;
 
   bool operator==(const ChaosTotals&) const = default;
 };
 
-ChaosTotals run_chaos_at(const char* mix_str, std::uint64_t seed, int threads,
+ChaosTotals run_chaos_at(const char* mix_str, std::uint64_t seed,
                          common::Cycle cycles) {
   ChaosSpec spec;
   ChaosMix mix;
@@ -137,7 +153,6 @@ ChaosTotals run_chaos_at(const char* mix_str, std::uint64_t seed, int threads,
   spec.seed = seed;
   spec.mix = mix;
   spec.run_cycles = cycles;
-  spec.threads = threads;
   const ChaosResult r = run_chaos(spec);
   ChaosTotals t;
   t.pass = r.pass;
@@ -152,36 +167,32 @@ ChaosTotals run_chaos_at(const char* mix_str, std::uint64_t seed, int threads,
   t.resyncs = r.resyncs;
   t.watchdog_trips = r.watchdog_trips;
   t.faults_injected = r.faults_injected;
+  t.digest = r.digest;
   return t;
 }
 
-// Faults exercise the engine's serial fault phase, the mutex-protected
-// ingress ledger drops, frozen-tile skipping, and the watchdog's
-// run_until-driven drain — all under the full transient mix.
+// Faults exercise the serial fault phase, the mutex-protected ingress
+// ledger drops, frozen-tile skipping, and the watchdog's run_until-driven
+// drain — all under the full transient mix, on two host threads.
 TEST(ExecChaosDifferential, FullTransientMixIdenticalAcrossThreads) {
   constexpr const char* kMix = "flip+stall+freeze+overrun";
   constexpr common::Cycle kCycles = 6000;
-  const ChaosTotals serial = run_chaos_at(kMix, 3, 1, kCycles);
-  EXPECT_GT(serial.faults_injected, 0u);
-  for (const int t : {2, 4}) {
-    EXPECT_EQ(run_chaos_at(kMix, 3, t, kCycles), serial) << "threads=" << t;
-  }
+  const ChaosTotals here = run_chaos_at(kMix, 3, kCycles);
+  EXPECT_GT(here.faults_injected, 0u);
+  EXPECT_EQ(on_other_thread([&] { return run_chaos_at(kMix, 3, kCycles); }),
+            here);
 }
 
 TEST(ExecChaosDifferential, FlipStallMixIdenticalAcrossThreads) {
   constexpr common::Cycle kCycles = 6000;
-  const ChaosTotals serial = run_chaos_at("flip+stall", 5, 1, kCycles);
-  for (const int t : {2, 8}) {
-    EXPECT_EQ(run_chaos_at("flip+stall", 5, t, kCycles), serial)
-        << "threads=" << t;
-  }
+  const ChaosTotals here = run_chaos_at("flip+stall", 5, kCycles);
+  EXPECT_EQ(
+      on_other_thread([&] { return run_chaos_at("flip+stall", 5, kCycles); }),
+      here);
 }
 
-std::vector<common::PacketTracer::Record> run_traced(int threads,
-                                                     std::size_t budget) {
-  RouterConfig cfg;
-  cfg.threads = threads;
-  RawRouter router(cfg, net::RouteTable::simple4(),
+std::vector<common::PacketTracer::Record> run_traced(std::size_t budget) {
+  RawRouter router(RouterConfig{}, net::RouteTable::simple4(),
                    make_traffic(net::DestPattern::kUniform), 17);
   common::PacketTracer tracer;
   router.set_tracer(&tracer);
@@ -191,21 +202,19 @@ std::vector<common::PacketTracer::Record> run_traced(int threads,
 }
 
 // The tracer's ring buffer must hold the exact same event sequence —
-// including which events eviction discarded — at any worker count. The
-// small budget forces heavy eviction so shard-merge ordering is load-bearing.
+// including which events eviction discarded — whichever host thread steps
+// the chip. The small budget forces heavy eviction.
 TEST(ExecTracerDifferential, EventStreamIdenticalAcrossThreads) {
-  const auto serial = run_traced(1, 512);
-  ASSERT_FALSE(serial.empty());
-  for (const int t : {2, 4}) {
-    const auto par = run_traced(t, 512);
-    ASSERT_EQ(par.size(), serial.size()) << "threads=" << t;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(par[i].uid, serial[i].uid) << "threads=" << t << " i=" << i;
-      ASSERT_EQ(par[i].cycle, serial[i].cycle) << "i=" << i;
-      ASSERT_EQ(par[i].event, serial[i].event) << "i=" << i;
-      ASSERT_EQ(par[i].track, serial[i].track) << "i=" << i;
-      ASSERT_EQ(par[i].arg, serial[i].arg) << "i=" << i;
-    }
+  const auto here = run_traced(512);
+  ASSERT_FALSE(here.empty());
+  const auto other = on_other_thread([] { return run_traced(512); });
+  ASSERT_EQ(other.size(), here.size());
+  for (std::size_t i = 0; i < here.size(); ++i) {
+    ASSERT_EQ(other[i].uid, here[i].uid) << "i=" << i;
+    ASSERT_EQ(other[i].cycle, here[i].cycle) << "i=" << i;
+    ASSERT_EQ(other[i].event, here[i].event) << "i=" << i;
+    ASSERT_EQ(other[i].track, here[i].track) << "i=" << i;
+    ASSERT_EQ(other[i].arg, here[i].arg) << "i=" << i;
   }
 }
 

@@ -2,8 +2,8 @@
 //
 // Chip::set_force_dense(true) turns the engine back into the classic
 // step-everything-every-cycle loop, which serves as the reference: every
-// test here runs the same workload once densely and once sparsely (serial
-// and at several worker counts) and requires exact agreement on packet
+// test here runs the same workload once densely and once sparsely and
+// requires exact agreement on packet
 // totals, per-agent busy/blocked/idle counters, per-channel word and stats
 // counters (compared through the full exported metrics JSON), StreamMesh
 // digests, and the packet tracer's event stream. A second group exercises
@@ -17,7 +17,6 @@
 
 #include "common/metrics.h"
 #include "common/trace_event.h"
-#include "exec/parallel_runner.h"
 #include "exec/stream_mesh.h"
 #include "net/route_table.h"
 #include "net/traffic.h"
@@ -49,7 +48,8 @@ struct RouterRun {
   bool operator==(const RouterRun&) const = default;
 };
 
-RouterRun run_router(bool force_dense, int threads, common::Cycle cycles) {
+RouterRun run_router(bool force_dense, common::Cycle cycles,
+                     int threads = 1) {
   router::RouterConfig cfg;
   cfg.threads = threads;
   router::RawRouter router(cfg, net::RouteTable::simple4(), fig7_traffic(), 11);
@@ -68,40 +68,37 @@ RouterRun run_router(bool force_dense, int threads, common::Cycle cycles) {
   return r;
 }
 
-// The workhorse: full router over Figure 7-1 style traffic, dense serial as
-// the reference, sparse serial and sparse 2/4/8 workers against it. The
-// metrics JSON covers every per-tile busy/blocked/idle counter and every
-// per-channel words/occupancy/backpressure counter in one comparison.
+// The workhorse: full router over Figure 7-1 style traffic, dense as the
+// reference, sparse against it. The metrics JSON covers every per-tile
+// busy/blocked/idle counter and every per-channel words/occupancy/
+// backpressure counter in one comparison. Both values RouterConfig::threads
+// accepts (0 and 1) step the chip serially and must match the reference.
 TEST(ExecSparseDifferential, RouterMatchesDenseAtAllWorkerCounts) {
   constexpr common::Cycle kCycles = 2500;
-  const RouterRun dense = run_router(true, 1, kCycles);
+  const RouterRun dense = run_router(true, kCycles);
   EXPECT_GT(dense.delivered, 0u);
-  const RouterRun sparse = run_router(false, 1, kCycles);
-  EXPECT_EQ(sparse, dense);
-  for (const int t : {2, 4, 8}) {
-    EXPECT_EQ(run_router(false, t, kCycles), dense) << "threads=" << t;
+  for (const int threads : {0, 1}) {
+    EXPECT_EQ(run_router(false, kCycles, threads), dense)
+        << "threads=" << threads;
   }
 }
 
 // StreamMesh saturates every link, so sparsity wins nothing — but it must
 // also change nothing, down to the digest over every sink hash.
 TEST(ExecSparseDifferential, StreamMeshDigestAndMetricsMatchDense) {
-  const auto run = [](bool force_dense, int threads) {
+  const auto run = [](bool force_dense) {
     StreamMeshConfig cfg;
     cfg.shape = sim::GridShape{4, 4};
     cfg.proc_work = 3;
     StreamMesh mesh(cfg);
     mesh.chip().set_force_dense(force_dense);
     mesh.chip().enable_channel_stats(true);
-    ParallelRunner runner(mesh.chip(), threads);
-    runner.run(4000);
+    mesh.chip().run(4000);
     common::MetricRegistry reg;
     mesh.chip().export_metrics(reg, "chip");
     return std::pair<std::uint64_t, std::string>{mesh.digest(), reg.to_json()};
   };
-  const auto dense = run(true, 1);
-  EXPECT_EQ(run(false, 1), dense);
-  EXPECT_EQ(run(false, 4), dense);
+  EXPECT_EQ(run(false), run(true));
 }
 
 // The packet tracer does not force dense stepping (unlike the utilization
@@ -267,9 +264,8 @@ TEST(ExecSparseDifferential, FaultsInIdleRegionsMatchDense) {
     events.push_back(stall);
   }
 
-  const auto run_one = [&events](bool force_dense, int threads) {
+  const auto run_one = [&events](bool force_dense) {
     router::RouterConfig cfg;
-    cfg.threads = threads;
     net::TrafficConfig t = fig7_traffic();
     t.load = 0.1;
     router::RawRouter router(cfg, net::RouteTable::simple4(), t, 12);
@@ -291,10 +287,9 @@ TEST(ExecSparseDifferential, FaultsInIdleRegionsMatchDense) {
     return r;
   };
 
-  const RouterRun dense = run_one(true, 1);
+  const RouterRun dense = run_one(true);
   EXPECT_GT(dense.delivered, 0u);
-  EXPECT_EQ(run_one(false, 1), dense);
-  EXPECT_EQ(run_one(false, 2), dense);
+  EXPECT_EQ(run_one(false), dense);
 }
 
 }  // namespace

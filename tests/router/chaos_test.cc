@@ -69,10 +69,25 @@ TEST(RouterConfigTest, RejectsReplayBufferShorterThanLinkFifo) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+// A chip steps serially: threads and max_lookahead accept only 0 or 1.
 TEST(RouterConfigTest, RejectsNegativeThreads) {
   RouterConfig cfg;
   cfg.threads = -1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(RouterConfigTest, RejectsThreadsOrLookaheadOtherThanSerial) {
+  {
+    RouterConfig cfg;
+    cfg.threads = 2;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  }
+  RouterConfig cfg;
+  cfg.max_lookahead = 8;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.max_lookahead = 1;
+  cfg.threads = 1;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(RouterConfigTest, RejectsZeroWatchdogInterval) {

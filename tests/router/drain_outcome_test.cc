@@ -1,7 +1,6 @@
 // Every DrainOutcome path, exercised under the (default) sparse engine at
-// 1/2/4/8 workers. The engines promise bit-identical execution, so each
-// crafted scenario must produce the *same* outcome at every worker count —
-// the parameterization is itself a determinism check.
+// both values RouterConfig::threads accepts (0 and 1, each a serial chip).
+// Each crafted scenario must produce the same outcome at both.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -122,8 +121,7 @@ TEST_P(DrainOutcomeTest, CorruptedUidQuiescesWithLoss) {
                 ledger.in_flight.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, DrainOutcomeTest,
-                         ::testing::Values(1, 2, 4, 8));
+INSTANTIATE_TEST_SUITE_P(Workers, DrainOutcomeTest, ::testing::Values(0, 1));
 
 }  // namespace
 }  // namespace raw::router

@@ -50,7 +50,7 @@ TEST(MetricLintTest, EveryExportedNameIsWellFormedAndUnique) {
   sim::FaultPlan plan = make_fault_plan(spec, router);
   router.set_fault_plan(&plan);
 
-  common::Profiler prof(2);
+  common::Profiler prof;
   prof.enable_flight(/*capacity=*/8, /*interval=*/1000);
   router.set_profiler(&prof);
 

@@ -1,6 +1,6 @@
 // Record / replay / minimize tests (router/repro.h): JSON round-trips, the
-// replay path is digest-stable across engines and worker counts, and ddmin
-// shrinks a mixed fault schedule to the one event that matters.
+// replay path is digest-stable across engines and across bundle formats,
+// and ddmin shrinks a mixed fault schedule to the one event that matters.
 #include "router/repro.h"
 
 #include <gtest/gtest.h>
@@ -30,7 +30,6 @@ ChaosRepro sample_repro() {
   repro.spec.faults_per_kind = 3;
   repro.spec.bytes = 512;
   repro.spec.load = 0.75;
-  repro.spec.threads = 2;
   repro.spec.reliable_links = true;
   repro.spec.recovery = true;
   repro.spec.force_dense = true;
@@ -87,7 +86,6 @@ TEST(ReproJsonTest, RoundTrip) {
   EXPECT_EQ(parsed.spec.faults_per_kind, original.spec.faults_per_kind);
   EXPECT_EQ(parsed.spec.bytes, original.spec.bytes);
   EXPECT_DOUBLE_EQ(parsed.spec.load, original.spec.load);
-  EXPECT_EQ(parsed.spec.threads, original.spec.threads);
   EXPECT_EQ(parsed.spec.reliable_links, original.spec.reliable_links);
   EXPECT_EQ(parsed.spec.recovery, original.spec.recovery);
   EXPECT_EQ(parsed.spec.force_dense, original.spec.force_dense);
@@ -209,10 +207,32 @@ TEST(ReproJsonTest, SignatureToStringNamesTheShape) {
             "frozen_tile=6");
 }
 
+// A chip bundle in the older format, which carries "threads": 2 in its
+// spec; the reader skips the key. Its digest was recorded by a 2-worker
+// run, and a serial replay must reproduce it.
+constexpr const char* kBundleWithThreads = R"({
+  "version": 2,
+  "spec": {"seed": 23, "mix": "flip+stall", "run_cycles": 6000, "drain_cycles": 400000, "faults_per_kind": 6, "bytes": 256, "load": 0.90000000000000002, "threads": 2, "reliable_links": false, "recovery": false, "force_dense": false, "traffic_profile": "", "inject_invariant_failure_at": 0, "endurance": {"enabled": false, "invariant_cadence": 16384, "checkpoint_interval": 524288, "checkpoint_ring": 4, "checkpoint_grace": 4096}},
+  "signature": {"pass": true, "category": "", "outcome": "drained", "stalled_in_run": false, "degraded": false, "stall_tile": -1},
+  "digest": "0xfbd18d5c621be2fb",
+  "failure": {"detail": "", "cycle": 0},
+  "soak": {"epoch": -1, "start_cycle": 0},
+  "anchors": [
+  ],
+  "events": [
+    {"kind": "bit_flip", "at": 785, "duration": 1, "permanent": false, "channel": "net1.tile11.E.in", "tile": -1, "port": -1, "bit": 15, "factor": 4},
+    {"kind": "bit_flip", "at": 1175, "duration": 1, "permanent": false, "channel": "net1.tile7.E.in", "tile": -1, "port": -1, "bit": 17, "factor": 4},
+    {"kind": "link_stall", "at": 2706, "duration": 24, "permanent": false, "channel": "net2.tile15.S.out", "tile": -1, "port": -1, "bit": 0, "factor": 4},
+    {"kind": "link_stall", "at": 2413, "duration": 124, "permanent": false, "channel": "net1.tile12.N.out", "tile": -1, "port": -1, "bit": 0, "factor": 4}
+  ]
+}
+)";
+
 TEST(ReproReplayTest, DigestStableAcrossEnginesAndThreads) {
   // The record/replay contract: the same (spec, events) pair reproduces the
-  // same state digest under the sparse engine, the dense reference engine,
-  // and a multi-worker run.
+  // same state digest under the sparse engine and the dense reference
+  // engine — for a freshly generated schedule and for a bundle recorded in
+  // the older format by a run with "threads": 2.
   ChaosSpec spec;
   spec.seed = 23;
   spec.mix = ChaosMix{.bitflips = true, .stalls = true};
@@ -220,22 +240,30 @@ TEST(ReproReplayTest, DigestStableAcrossEnginesAndThreads) {
 
   RawRouter scratch(RouterConfig{}, net::RouteTable::simple4(),
                     traffic(), spec.seed);
-  const std::vector<sim::FaultEvent> events =
-      make_fault_plan(spec, scratch).events();
+  ChaosRepro fresh;
+  fresh.spec = spec;
+  fresh.events = make_fault_plan(spec, scratch).events();
+  fresh.digest = run_chaos_events(spec, fresh.events).digest;
 
-  const ChaosResult sparse = run_chaos_events(spec, events);
-  ChaosSpec dense_spec = spec;
-  dense_spec.force_dense = true;
-  const ChaosResult dense = run_chaos_events(dense_spec, events);
-  ChaosSpec mt_spec = spec;
-  mt_spec.threads = 2;
-  const ChaosResult mt = run_chaos_events(mt_spec, events);
+  ChaosRepro old_format;
+  std::string error;
+  ASSERT_TRUE(from_json(kBundleWithThreads, &old_format, &error)) << error;
+  ASSERT_EQ(old_format.events.size(), 4u);
 
-  EXPECT_EQ(sparse.digest, dense.digest);
-  EXPECT_EQ(sparse.digest, mt.digest);
-  EXPECT_EQ(signature_of(sparse), signature_of(dense));
-  EXPECT_EQ(signature_of(sparse), signature_of(mt));
-  EXPECT_GT(sparse.delivered, 0u);
+  for (const ChaosRepro* bundle : {&fresh, &old_format}) {
+    for (const bool dense : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (bundle == &fresh ? "fresh" : "old format") << " "
+                   << (dense ? "dense" : "sparse"));
+      ChaosSpec s = bundle->spec;
+      s.force_dense = dense;
+      const ChaosResult r = run_chaos_events(s, bundle->events);
+      EXPECT_EQ(r.digest, bundle->digest);
+      EXPECT_GT(r.delivered, 0u);
+    }
+  }
+  EXPECT_EQ(signature_of(run_chaos_events(old_format.spec, old_format.events)),
+            old_format.signature);
 }
 
 TEST(ReproMinimizeTest, FlipPermafreezeShrinksToTheFreeze) {

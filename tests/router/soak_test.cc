@@ -3,7 +3,7 @@
 // links+recovery, and the acceptance property — an injected invariant
 // failure produces a bundle whose replay from the nearest checkpoint
 // reproduces the identical state-digest trajectory as replay from zero,
-// under both engines and more than one worker count.
+// under both engines.
 #include "router/soak.h"
 
 #include <gtest/gtest.h>
@@ -89,6 +89,16 @@ TEST(EpochSpecTest, SeedsDifferPerEpochButAreStable) {
   EXPECT_TRUE(e1.mix.any());
 }
 
+// An epoch's chip steps serially: SoakSpec::threads accepts only 0 or 1.
+TEST(EpochSpecTest, RejectsThreadsOtherThanSerial) {
+  SoakSpec spec = small_spec();
+  spec.threads = 4;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  EXPECT_THROW((void)epoch_spec(spec, 0), std::invalid_argument);
+  spec.threads = 1;
+  EXPECT_NO_THROW(spec.validate());
+}
+
 TEST(EpochSpecTest, InjectedFailureLandsOnlyInItsEpoch) {
   SoakSpec spec = small_spec();
   spec.inject_invariant_failure_at = spec.epoch_cycles + 1000;  // epoch 1
@@ -111,9 +121,8 @@ TEST(SoakTest, SmallGreenSoakPasses) {
   EXPECT_NE(json.find("\"pass\": true"), std::string::npos);
 }
 
-void expect_injected_replay_roundtrip(int threads, bool force_dense) {
+void expect_injected_replay_roundtrip(bool force_dense) {
   SoakSpec spec = small_spec();
-  spec.threads = threads;
   spec.force_dense = force_dense;
   // Offset chosen so the failing sweep (57344, the next cadence multiple)
   // does not coincide with a checkpoint due — the anchor lands strictly
@@ -123,7 +132,7 @@ void expect_injected_replay_roundtrip(int threads, bool force_dense) {
   EXPECT_FALSE(rep.pass);
   EXPECT_EQ(rep.epochs_run, 2);
   ASSERT_TRUE(rep.replay.attempted)
-      << "threads=" << threads << " dense=" << force_dense
+      << "dense=" << force_dense
       << " failure=" << rep.failure;
   EXPECT_TRUE(rep.replay.ok) << rep.replay.detail;
   EXPECT_GT(rep.replay.anchor_cycle, 0u);
@@ -131,15 +140,11 @@ void expect_injected_replay_roundtrip(int threads, bool force_dense) {
 }
 
 TEST(SoakTest, InjectedFailureReplayMatchesSparseSerial) {
-  expect_injected_replay_roundtrip(/*threads=*/0, /*force_dense=*/false);
-}
-
-TEST(SoakTest, InjectedFailureReplayMatchesSparseTwoWorkers) {
-  expect_injected_replay_roundtrip(/*threads=*/2, /*force_dense=*/false);
+  expect_injected_replay_roundtrip(/*force_dense=*/false);
 }
 
 TEST(SoakTest, InjectedFailureReplayMatchesDense) {
-  expect_injected_replay_roundtrip(/*threads=*/0, /*force_dense=*/true);
+  expect_injected_replay_roundtrip(/*force_dense=*/true);
 }
 
 // A failure that lands before the first checkpoint is due anchors at the

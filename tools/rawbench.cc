@@ -1,32 +1,23 @@
-// Unified benchmark runner for the execution engine.
+// Unified benchmark runner for the serial cycle engine.
 //
-// Runs a named suite of simulator workloads at each requested engine thread
-// count and emits a machine-readable JSON report (schema "rawbench/v1") for
-// perf-regression tracking: simulated cycles/second, wall time, speedup
-// against the serial engine, and a determinism digest that must agree
-// across thread counts (the run fails otherwise — the benchmark doubles as
-// an end-to-end check of the engine's bit-identical guarantee).
+// Runs a named suite of simulator workloads and emits a machine-readable
+// JSON report (schema "rawbench/v3") for perf-regression tracking. Every
+// row runs its case kRepeats times and reports the median simulated
+// cycles/second with the interquartile range, plus a determinism digest
+// that must agree across the repeats (the run fails otherwise — the
+// benchmark doubles as an end-to-end check that a run is reproducible).
 //
-//   ./rawbench [--suite smoke|scaling|fig7|chaos] [--threads 1,2,4]
-//              [--lookahead 0,1,8] [--cycles N] [--out FILE]
-//              [--min-speedup X] [--baseline FILE] [--tolerance F]
+//   ./rawbench [--suite smoke|scaling|fig7|chaos] [--cycles N] [--out FILE]
+//              [--baseline FILE] [--tolerance F]
 //              [--profile] [--speedscope FILE]
 //
-// --lookahead sweeps the engine's batched-quantum cap (see
-// exec::ParallelRunner::set_max_lookahead): 0 = auto (engine default), 1 =
-// cycle-granular (the pre-batching pipeline), N = cap at N. Multi-threaded
-// rows run once per value; the serial baseline runs once (the serial engine
-// has no quanta). Digests must agree across the whole sweep — lookahead is
-// a perf knob, never a semantics knob.
-//
 // --profile embeds an engine-profile object into every result row (see
-// common/profiler.h): per-phase wall-time attribution (compute, channel
-// commit, park/wake, barrier wait, serial sections, stats), sparse-engine
-// efficiency counters, the fraction of measured wall time the phases account
-// for, and — explicitly, for every multi-threaded row — the barrier-wait
-// share. This is how a 0.06x speedup row explains itself. --speedscope
-// additionally writes all profiled rows as one speedscope-compatible JSON
-// file (one sampled profile per row per worker; https://www.speedscope.app).
+// common/profiler.h), accumulated over the row's repeats: per-phase
+// wall-time attribution (compute, channel commit, park/wake, serial
+// sections, stats), sparse-engine efficiency counters, and the fraction of
+// measured wall time the phases account for. --speedscope additionally
+// writes all profiled rows as one speedscope-compatible JSON file (one
+// sampled profile per row; https://www.speedscope.app).
 //
 // Suites:
 //   smoke    router (full + sparse load) + small StreamMesh + idle mesh,
@@ -35,18 +26,10 @@
 //   fig7     the Figure 7-1 router workload at 64 B and 1,024 B
 //   chaos    two seeded fault-mix soak runs through the full router
 //
-// threads=1 is always run first (and added if absent from --threads): it is
-// the explicit serial baseline every speedup is computed against, and the
-// row every regression comparison keys on.
-//
-// --min-speedup X   exit nonzero if any multi-thread row's speedup over the
-//                   serial baseline falls below X (default 0: informational
-//                   only). Rows flagged oversubscribed (threads beyond the
-//                   host's hardware concurrency) are exempt: their speedup
-//                   measures scheduler contention, not the engine.
-// --baseline FILE   compare each (name, threads) row's cycles/second against
-//                   a previous rawbench JSON report; exit nonzero if any row
-//                   is slower than (1 - tolerance) x baseline.
+// --baseline FILE   compare each row's median cycles/second against the row
+//                   of the same name in a previous rawbench JSON report;
+//                   exit nonzero if any row is slower than
+//                   (1 - tolerance) x baseline.
 // --tolerance F     fractional slowdown allowed by --baseline (default 0.40,
 //                   loose enough for shared CI runners).
 #include <algorithm>
@@ -62,7 +45,6 @@
 #include <vector>
 
 #include "common/profiler.h"
-#include "exec/parallel_runner.h"
 #include "exec/stream_mesh.h"
 #include "router/chaos.h"
 #include "router/raw_router.h"
@@ -73,33 +55,43 @@ namespace {
 using raw::common::Cycle;
 using raw::common::Profiler;
 
+/// Runs per row. One run of a smoke case lasts ~10 ms, so a single sample
+/// is at the mercy of the scheduler; the median of five is not.
+constexpr int kRepeats = 5;
+
 struct RunOutput {
   Cycle cycles = 0;        // simulated cycles
-  std::uint64_t digest = 0;  // must agree across thread counts
+  std::uint64_t digest = 0;  // must agree across repeats
 };
 
 struct Case {
   std::string name;
   /// `prof` is null unless --profile; cases attach it to their engine and
   /// bracket the run with prof->start()/stop() (construction excluded), so
-  /// coverage is judged against the simulated region only. `lookahead` is
-  /// the batched-quantum cap (0 = engine auto).
-  std::function<RunOutput(int threads, Cycle lookahead, Profiler* prof)> run;
+  /// coverage is judged against the simulated region only.
+  std::function<RunOutput(Profiler* prof)> run;
 };
 
 struct Row {
   std::string name;
-  int threads = 1;
-  Cycle lookahead = 0;  // configured cap: 0 = auto
   Cycle cycles = 0;
-  double wall_seconds = 0.0;
-  double cycles_per_sec = 0.0;
-  double speedup = 1.0;
+  double wall_seconds = 0.0;    // median over the repeats
+  double cycles_per_sec = 0.0;  // median over the repeats
+  double cycles_per_sec_q1 = 0.0;
+  double cycles_per_sec_q3 = 0.0;
   std::uint64_t digest = 0;
   bool deterministic = true;
-  bool oversubscribed = false;
   std::unique_ptr<Profiler> prof;  // set only under --profile
 };
+
+/// Linear-interpolated quantile of an ascending-sorted sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
 
 std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -114,10 +106,8 @@ Case router_case(std::string name, raw::net::DestPattern pattern,
                  raw::common::ByteCount bytes, Cycle cycles,
                  double load = 1.0) {
   return Case{
-      std::move(name), [=](int threads, Cycle lookahead, Profiler* prof) {
+      std::move(name), [=](Profiler* prof) {
         raw::router::RouterConfig cfg;
-        cfg.threads = threads;
-        cfg.max_lookahead = lookahead;
         raw::net::TrafficConfig t;
         t.num_ports = 4;
         t.pattern = pattern;
@@ -145,18 +135,16 @@ Case router_case(std::string name, raw::net::DestPattern pattern,
 
 Case mesh_case(std::string name, int dim, Cycle cycles, Cycle proc_work) {
   return Case{
-      std::move(name), [=](int threads, Cycle lookahead, Profiler* prof) {
+      std::move(name), [=](Profiler* prof) {
         raw::exec::StreamMeshConfig cfg;
         cfg.shape = raw::sim::GridShape{dim, dim};
         cfg.proc_work = proc_work;
         raw::exec::StreamMesh mesh(cfg);
-        raw::exec::ParallelRunner runner(mesh.chip(), threads);
-        runner.set_max_lookahead(lookahead);
         if (prof != nullptr) {
-          runner.set_profiler(prof);
+          mesh.chip().set_profiler(prof);
           prof->start();
         }
-        runner.run(cycles);
+        mesh.chip().run(cycles);
         if (prof != nullptr) prof->stop();
         return RunOutput{mesh.chip().cycle(), mesh.digest()};
       }};
@@ -168,18 +156,16 @@ Case mesh_case(std::string name, int dim, Cycle cycles, Cycle proc_work) {
 // park/credit path must keep exactly equal to cycles x tiles.
 Case idle_mesh_case(std::string name, int dim, Cycle cycles) {
   return Case{
-      std::move(name), [=](int threads, Cycle lookahead, Profiler* prof) {
+      std::move(name), [=](Profiler* prof) {
         raw::sim::ChipConfig cfg;
         cfg.shape = raw::sim::GridShape{dim, dim};
         cfg.with_dynamic_network = false;
         raw::sim::Chip chip(cfg);
-        raw::exec::ParallelRunner runner(chip, threads);
-        runner.set_max_lookahead(lookahead);
         if (prof != nullptr) {
-          runner.set_profiler(prof);
+          chip.set_profiler(prof);
           prof->start();
         }
-        runner.run(cycles);
+        chip.run(cycles);
         if (prof != nullptr) prof->stop();
         std::uint64_t idle = 0;
         for (int t = 0; t < chip.num_tiles(); ++t) {
@@ -196,8 +182,7 @@ Case idle_mesh_case(std::string name, int dim, Cycle cycles) {
 Case chaos_case(std::string name, const char* mix_str, std::uint64_t seed,
                 Cycle cycles) {
   return Case{
-      std::move(name), [=](int threads, Cycle lookahead, Profiler* prof) {
-        (void)lookahead;  // chaos runs are fault-saturated: always K=1
+      std::move(name), [=](Profiler* prof) {
         raw::router::ChaosSpec spec;
         raw::router::ChaosMix mix;
         if (!raw::router::parse_mix(mix_str, &mix)) std::abort();
@@ -205,7 +190,6 @@ Case chaos_case(std::string name, const char* mix_str, std::uint64_t seed,
         spec.mix = mix;
         spec.run_cycles = cycles;
         spec.drain_cycles = 50 * cycles;
-        spec.threads = threads;
         spec.profiler = prof;  // the harness brackets run+drain itself
         const raw::router::ChaosResult r = raw::router::run_chaos(spec);
         std::uint64_t d = kFnvBasis;
@@ -258,9 +242,6 @@ std::vector<Case> make_suite(const std::string& suite, Cycle cycles_override) {
 // schema, one result object per line — a full JSON parser is not needed).
 struct BaselineRow {
   std::string name;
-  int threads = 1;
-  Cycle lookahead = 0;  // absent in pre-sweep baselines -> 0 (auto)
-  bool oversubscribed = false;
   double cycles_per_sec = 0.0;
 };
 
@@ -274,21 +255,13 @@ std::vector<BaselineRow> load_baseline(const char* path) {
   char line[1024];
   while (std::fgets(line, sizeof line, f) != nullptr) {
     const char* np = std::strstr(line, "\"name\": \"");
-    const char* tp = std::strstr(line, "\"threads\": ");
     const char* cp = std::strstr(line, "\"cycles_per_sec\": ");
-    if (np == nullptr || tp == nullptr || cp == nullptr) continue;
+    if (np == nullptr || cp == nullptr) continue;
     np += std::strlen("\"name\": \"");
     const char* ne = std::strchr(np, '"');
     if (ne == nullptr) continue;
     BaselineRow r;
     r.name.assign(np, ne);
-    r.threads = static_cast<int>(
-        std::strtol(tp + std::strlen("\"threads\": "), nullptr, 10));
-    if (const char* lp = std::strstr(line, "\"lookahead\": ")) {
-      r.lookahead = std::strtoull(lp + std::strlen("\"lookahead\": "),
-                                  nullptr, 10);
-    }
-    r.oversubscribed = std::strstr(line, "\"oversubscribed\": true") != nullptr;
     r.cycles_per_sec =
         std::strtod(cp + std::strlen("\"cycles_per_sec\": "), nullptr);
     rows.push_back(std::move(r));
@@ -302,8 +275,8 @@ std::vector<BaselineRow> load_baseline(const char* path) {
 }
 
 // 1-minute load average at startup, or -1 when the platform cannot say. A
-// loaded (or 1-core) host silently poisons every speedup number, so the
-// report records the evidence.
+// loaded host silently poisons every cycles/second figure, so the report
+// records the evidence.
 double host_load_avg() {
 #if defined(__linux__) || defined(__APPLE__)
   double loads[1] = {-1.0};
@@ -312,14 +285,12 @@ double host_load_avg() {
   return -1.0;
 }
 
-// The per-row "profile" JSON object: aggregated per-phase attribution,
-// sparse-engine counters, coverage (phase sum over workers x wall), and the
-// explicit barrier-wait share every multi-threaded row must report.
+// The per-row "profile" JSON object: per-phase attribution, sparse-engine
+// counters, and coverage (phase sum over wall).
 std::string profile_json(const Profiler& prof) {
   char buf[256];
   std::string out = "{";
-  std::snprintf(buf, sizeof buf, "\"workers\": %d, \"wall_ns\": %" PRIu64 ", ",
-                prof.workers(), prof.wall_ns());
+  std::snprintf(buf, sizeof buf, "\"wall_ns\": %" PRIu64 ", ", prof.wall_ns());
   out += buf;
   out += "\"phases\": {";
   for (int p = 0; p < raw::common::kNumProfPhases; ++p) {
@@ -331,69 +302,17 @@ std::string profile_json(const Profiler& prof) {
                   t.ns, t.calls);
     out += buf;
   }
-  std::snprintf(buf, sizeof buf,
-                "}, \"coverage\": %.4f, \"barrier_wait_share\": %.4f, ",
-                prof.coverage(), prof.barrier_wait_share());
+  std::snprintf(buf, sizeof buf, "}, \"coverage\": %.4f, ", prof.coverage());
   out += buf;
   std::snprintf(buf, sizeof buf,
                 "\"parks\": %" PRIu64 ", \"wakes\": %" PRIu64
                 ", \"commit_batches\": %" PRIu64 ", \"dirty_channels\": %" PRIu64
                 ", \"dense_sweeps\": %" PRIu64 ", \"sparse_cycles\": %" PRIu64
-                ", ",
+                "}",
                 prof.parks(), prof.wakes(), prof.commit_batches(),
                 prof.dirty_channels(), prof.dense_sweeps(),
                 prof.sparse_cycles());
   out += buf;
-  // Batched-quantum amortization: quanta = engine iterations (each a full
-  // barrier pipeline), quantum_cycles = simulated cycles they covered, so
-  // effective_quantum = cycles per barrier rendezvous (1.0 = no batching).
-  const std::uint64_t quanta = prof.quanta();
-  std::snprintf(buf, sizeof buf,
-                "\"quanta\": %" PRIu64 ", \"quantum_cycles\": %" PRIu64
-                ", \"max_quantum\": %" PRIu64 ", \"effective_quantum\": %.2f}",
-                quanta, prof.quantum_cycles(), prof.max_quantum(),
-                quanta > 0 ? static_cast<double>(prof.quantum_cycles()) /
-                                 static_cast<double>(quanta)
-                           : 1.0);
-  out += buf;
-  return out;
-}
-
-std::vector<int> parse_threads(const char* s) {
-  std::vector<int> out;
-  while (*s != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || v < 1) {
-      std::fprintf(stderr, "bad --threads list\n");
-      std::exit(2);
-    }
-    out.push_back(static_cast<int>(v));
-    s = *end == ',' ? end + 1 : end;
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--threads list is empty\n");
-    std::exit(2);
-  }
-  return out;
-}
-
-std::vector<Cycle> parse_lookaheads(const char* s) {
-  std::vector<Cycle> out;
-  while (*s != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || v < 0) {
-      std::fprintf(stderr, "bad --lookahead list\n");
-      std::exit(2);
-    }
-    out.push_back(static_cast<Cycle>(v));
-    s = *end == ',' ? end + 1 : end;
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--lookahead list is empty\n");
-    std::exit(2);
-  }
   return out;
 }
 
@@ -401,28 +320,19 @@ std::vector<Cycle> parse_lookaheads(const char* s) {
 
 int main(int argc, char** argv) {
   std::string suite = "smoke";
-  std::vector<int> threads = {1, 2, 4};
-  std::vector<Cycle> lookaheads = {0};  // auto
   Cycle cycles_override = 0;
   const char* out_path = "BENCH_engine.json";
   const char* baseline_path = nullptr;
   const char* speedscope_path = nullptr;
   bool profile = false;
-  double min_speedup = 0.0;
   double tolerance = 0.40;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--suite") && i + 1 < argc) {
       suite = argv[++i];
-    } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads = parse_threads(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--lookahead") && i + 1 < argc) {
-      lookaheads = parse_lookaheads(argv[++i]);
     } else if (!std::strcmp(argv[i], "--cycles") && i + 1 < argc) {
       cycles_override = std::strtoull(argv[++i], nullptr, 10);
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--min-speedup") && i + 1 < argc) {
-      min_speedup = std::strtod(argv[++i], nullptr);
     } else if (!std::strcmp(argv[i], "--baseline") && i + 1 < argc) {
       baseline_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--tolerance") && i + 1 < argc) {
@@ -435,116 +345,62 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: rawbench [--suite smoke|scaling|fig7|chaos] "
-                   "[--threads 1,2,4] [--lookahead 0,1,8] [--cycles N] "
-                   "[--out FILE] [--min-speedup X] [--baseline FILE] "
+                   "[--cycles N] [--out FILE] [--baseline FILE] "
                    "[--tolerance F] [--profile] [--speedscope FILE]\n");
       return 2;
     }
   }
 
-  // The serial engine is the reference for both the determinism digest and
-  // every speedup/regression figure, so t=1 always runs, and runs first.
-  if (std::find(threads.begin(), threads.end(), 1) == threads.end()) {
-    threads.insert(threads.begin(), 1);
-  } else {
-    std::stable_partition(threads.begin(), threads.end(),
-                          [](int t) { return t == 1; });
-  }
-
   const unsigned hw = std::thread::hardware_concurrency();
   const double load_avg = host_load_avg();
-  std::printf("rawbench: suite '%s', threads {", suite.c_str());
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    std::printf("%s%d", i > 0 ? "," : "", threads[i]);
-  }
-  std::printf("}, host concurrency %u, load avg %.2f%s\n\n", hw, load_avg,
+  std::printf("rawbench: suite '%s', %d repeats per row, host concurrency %u, "
+              "load avg %.2f%s\n\n",
+              suite.c_str(), kRepeats, hw, load_avg,
               profile ? ", profiling on" : "");
-
-  const unsigned max_threads =
-      static_cast<unsigned>(*std::max_element(threads.begin(), threads.end()));
-  if (hw > 0 && max_threads > hw) {
-    std::fprintf(stderr,
-                 "rawbench: WARNING: thread counts up to %u exceed this "
-                 "host's %u hardware threads — every oversubscribed row's "
-                 "speedup measures scheduler contention, not the engine; "
-                 "those rows are flagged \"oversubscribed\" in the report\n",
-                 max_threads, hw);
-  }
 
   const std::vector<Case> cases = make_suite(suite, cycles_override);
   std::vector<Row> rows;
   bool all_deterministic = true;
 
   for (const Case& cs : cases) {
-    double serial_wall = 0.0;
-    std::uint64_t ref_digest = 0;
-    bool have_ref = false;
-    for (const int t : threads) {
-      // The serial engine has no quanta, so t=1 runs only the first sweep
-      // value; it is the one baseline every (t, K) row compares against.
-      const std::size_t sweep = t == 1 ? 1 : lookaheads.size();
-      for (std::size_t li = 0; li < sweep; ++li) {
-        const Cycle la = lookaheads[li];
-        Row row;
-        row.name = cs.name;
-        row.threads = t;
-        row.lookahead = la;
-        row.oversubscribed = hw > 0 && static_cast<unsigned>(t) > hw;
-        if (profile) row.prof = std::make_unique<Profiler>(t);
-
-        const auto t0 = std::chrono::steady_clock::now();
-        const RunOutput out = cs.run(t, la, row.prof.get());
-        const auto t1 = std::chrono::steady_clock::now();
-
+    Row row;
+    row.name = cs.name;
+    if (profile) row.prof = std::make_unique<Profiler>();
+    std::vector<double> walls;
+    std::vector<double> rates;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const RunOutput out = cs.run(row.prof.get());
+      const auto t1 = std::chrono::steady_clock::now();
+      const double wall = std::chrono::duration<double>(t1 - t0).count();
+      walls.push_back(wall);
+      rates.push_back(static_cast<double>(out.cycles) / wall);
+      if (rep == 0) {
         row.cycles = out.cycles;
-        row.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-        row.cycles_per_sec =
-            static_cast<double>(out.cycles) / row.wall_seconds;
         row.digest = out.digest;
-        if (!have_ref) {
-          ref_digest = out.digest;
-          have_ref = true;
-        }
-        row.deterministic = out.digest == ref_digest;
-        all_deterministic &= row.deterministic;
-        if (t == 1) serial_wall = row.wall_seconds;
-        row.speedup = serial_wall > 0.0 ? serial_wall / row.wall_seconds : 1.0;
-        char kbuf[24];
-        if (la == 0) {
-          std::snprintf(kbuf, sizeof kbuf, "K=auto");
-        } else {
-          std::snprintf(kbuf, sizeof kbuf, "K=%" PRIu64,
-                        static_cast<std::uint64_t>(la));
-        }
-        std::printf("  %-24s t=%d %-7s %9" PRIu64 " cycles  %8.0f cyc/s  "
-                    "speedup %.2fx  digest %016" PRIx64 "%s%s\n",
-                    cs.name.c_str(), t, kbuf,
-                    static_cast<std::uint64_t>(row.cycles),
-                    row.cycles_per_sec, row.speedup, row.digest,
-                    row.oversubscribed ? "  [oversubscribed]" : "",
-                    row.deterministic ? "" : "  <-- MISMATCH");
-        if (row.prof != nullptr) {
-          const std::uint64_t quanta = row.prof->quanta();
-          const double eff =
-              quanta > 0 ? static_cast<double>(row.prof->quantum_cycles()) /
-                               static_cast<double>(quanta)
-                         : 1.0;
-          std::printf("    %-22s coverage %3.0f%%  barrier wait %3.0f%%  "
-                      "parks %" PRIu64 "  wakes %" PRIu64
-                      "  dense sweeps %" PRIu64 "  eff quantum %.2f\n",
-                      "profile:", row.prof->coverage() * 100.0,
-                      row.prof->barrier_wait_share() * 100.0, row.prof->parks(),
-                      row.prof->wakes(), row.prof->dense_sweeps(), eff);
-        }
-        if (row.oversubscribed) {
-          std::fprintf(stderr,
-                       "rawbench: WARNING: %s t=%d oversubscribed (host has %u "
-                       "hardware threads) — speedup not meaningful\n",
-                       cs.name.c_str(), t, hw);
-        }
-        rows.push_back(std::move(row));
       }
+      row.deterministic &= out.digest == row.digest;
     }
+    all_deterministic &= row.deterministic;
+    std::sort(walls.begin(), walls.end());
+    std::sort(rates.begin(), rates.end());
+    row.wall_seconds = quantile(walls, 0.5);
+    row.cycles_per_sec = quantile(rates, 0.5);
+    row.cycles_per_sec_q1 = quantile(rates, 0.25);
+    row.cycles_per_sec_q3 = quantile(rates, 0.75);
+    std::printf("  %-24s %9" PRIu64 " cycles  %10.0f cyc/s (IQR %.0f-%.0f)  "
+                "digest %016" PRIx64 "%s\n",
+                cs.name.c_str(), static_cast<std::uint64_t>(row.cycles),
+                row.cycles_per_sec, row.cycles_per_sec_q1,
+                row.cycles_per_sec_q3, row.digest,
+                row.deterministic ? "" : "  <-- MISMATCH");
+    if (row.prof != nullptr) {
+      std::printf("    %-22s coverage %3.0f%%  parks %" PRIu64 "  wakes %" PRIu64
+                  "  dense sweeps %" PRIu64 "\n",
+                  "profile:", row.prof->coverage() * 100.0, row.prof->parks(),
+                  row.prof->wakes(), row.prof->dense_sweeps());
+    }
+    rows.push_back(std::move(row));
   }
 
   std::FILE* f = std::fopen(out_path, "w");
@@ -552,32 +408,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
   }
-  std::fprintf(f, "{\n  \"schema\": \"rawbench/v2\",\n  \"suite\": \"%s\",\n",
+  std::fprintf(f, "{\n  \"schema\": \"rawbench/v3\",\n  \"suite\": \"%s\",\n",
                suite.c_str());
   std::fprintf(f,
                "  \"host\": {\"hardware_concurrency\": %u, "
                "\"load_avg_1m\": %.2f},\n",
                hw, load_avg);
-  std::fprintf(f, "  \"threads\": [");
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    std::fprintf(f, "%s%d", i > 0 ? ", " : "", threads[i]);
-  }
-  std::fprintf(f, "],\n  \"deterministic\": %s,\n  \"results\": [\n",
-               all_deterministic ? "true" : "false");
+  std::fprintf(f, "  \"repeats\": %d,\n  \"deterministic\": %s,\n",
+               kRepeats, all_deterministic ? "true" : "false");
+  std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"threads\": %d, \"lookahead\": %" PRIu64
-                 ", \"cycles\": %" PRIu64
+                 "    {\"name\": \"%s\", \"cycles\": %" PRIu64
                  ", \"wall_seconds\": %.6f, \"cycles_per_sec\": %.1f, "
-                 "\"speedup_vs_serial\": %.3f, \"digest\": \"%016" PRIx64
-                 "\", \"deterministic\": %s, \"oversubscribed\": %s",
-                 r.name.c_str(), r.threads,
-                 static_cast<std::uint64_t>(r.lookahead),
-                 static_cast<std::uint64_t>(r.cycles), r.wall_seconds,
-                 r.cycles_per_sec, r.speedup, r.digest,
-                 r.deterministic ? "true" : "false",
-                 r.oversubscribed ? "true" : "false");
+                 "\"cycles_per_sec_q1\": %.1f, \"cycles_per_sec_q3\": %.1f, "
+                 "\"digest\": \"%016" PRIx64 "\", \"deterministic\": %s",
+                 r.name.c_str(), static_cast<std::uint64_t>(r.cycles),
+                 r.wall_seconds, r.cycles_per_sec, r.cycles_per_sec_q1,
+                 r.cycles_per_sec_q3, r.digest,
+                 r.deterministic ? "true" : "false");
     if (r.prof != nullptr) {
       std::fprintf(f, ", \"profile\": %s", profile_json(*r.prof).c_str());
     }
@@ -591,10 +441,7 @@ int main(int argc, char** argv) {
   if (speedscope_path != nullptr) {
     std::vector<raw::common::ProfiledRun> pruns;
     for (const Row& r : rows) {
-      if (r.prof == nullptr) continue;
-      std::string label = r.name + "/t" + std::to_string(r.threads);
-      if (r.lookahead != 0) label += "/K" + std::to_string(r.lookahead);
-      pruns.push_back({std::move(label), r.prof.get()});
+      if (r.prof != nullptr) pruns.push_back({r.name, r.prof.get()});
     }
     std::FILE* sf = std::fopen(speedscope_path, "w");
     if (sf == nullptr) {
@@ -607,39 +454,18 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (%zu profiles)\n", speedscope_path, pruns.size());
   }
 
-  bool speedup_ok = true;
-  if (min_speedup > 0.0) {
-    for (const Row& r : rows) {
-      if (r.threads <= 1 || r.speedup >= min_speedup) continue;
-      if (r.oversubscribed) {
-        std::fprintf(stderr,
-                     "min-speedup: skipping %s t=%d (oversubscribed: host has "
-                     "%u hardware threads) — speedup %.2fx not assessed\n",
-                     r.name.c_str(), r.threads, hw, r.speedup);
-        continue;
-      }
-      std::fprintf(stderr,
-                   "min-speedup violation: %s t=%d speedup %.2fx < %.2fx\n",
-                   r.name.c_str(), r.threads, r.speedup, min_speedup);
-      speedup_ok = false;
-    }
-  }
-
   bool baseline_ok = true;
   if (baseline_path != nullptr) {
     const std::vector<BaselineRow> base = load_baseline(baseline_path);
     for (const Row& r : rows) {
       for (const BaselineRow& b : base) {
-        if (b.name != r.name || b.threads != r.threads ||
-            b.lookahead != r.lookahead) {
-          continue;
-        }
+        if (b.name != r.name) continue;
         const double floor = b.cycles_per_sec * (1.0 - tolerance);
         if (r.cycles_per_sec < floor) {
           std::fprintf(stderr,
-                       "perf regression: %s t=%d %.0f cyc/s < %.0f "
+                       "perf regression: %s median %.0f cyc/s < %.0f "
                        "(baseline %.0f, tolerance %.0f%%)\n",
-                       r.name.c_str(), r.threads, r.cycles_per_sec, floor,
+                       r.name.c_str(), r.cycles_per_sec, floor,
                        b.cycles_per_sec, tolerance * 100.0);
           baseline_ok = false;
         }
@@ -652,5 +478,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  return (all_deterministic && speedup_ok && baseline_ok) ? 0 : 1;
+  return (all_deterministic && baseline_ok) ? 0 : 1;
 }

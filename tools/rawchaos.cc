@@ -66,7 +66,7 @@ struct Args {
   const char* mix = nullptr; // run a single mix, e.g. "flip+stall"
   bool permanent = false;
   bool verbose = false;
-  int threads = 0;  // execution-engine workers (0: RAWSIM_THREADS)
+  int threads = 0;  // cluster thread-per-chip workers (0: RAWSIM_THREADS)
   bool links = false;        // reliable links: CRC + NACK/retransmit
   bool recovery = false;     // fault-adaptive crossbar reconfiguration
   bool force_dense = false;  // dense reference engine (differential runs)
@@ -84,8 +84,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: rawchaos [--seeds N] [--cycles N] [--seed S]\n"
                "                [--mix flip+stall+freeze+overrun] [--permanent]\n"
-               "                [--links] [--recovery] [--force-dense]\n"
-               "                [--threads T] [-v]\n"
+               "                [--links] [--recovery] [--force-dense] [-v]\n"
                "                [--record FILE] [--flight-dir DIR]\n"
                "       rawchaos --replay FILE\n"
                "       rawchaos --minimize FILE [--out FILE]\n"
@@ -139,6 +138,10 @@ Args parse(int argc, char** argv) {
       usage();
       std::exit(2);
     }
+  }
+  if (a.threads != 0 && !a.cluster) {
+    std::fprintf(stderr, "--threads needs --cluster (a chip steps serially)\n");
+    std::exit(2);
   }
   return a;
 }
@@ -491,7 +494,6 @@ int main(int argc, char** argv) {
       spec.seed = seed;
       spec.mix = mix;
       spec.run_cycles = args.cycles;
-      spec.threads = args.threads;
       spec.reliable_links = args.links;
       spec.recovery = args.recovery;
       spec.force_dense = args.force_dense;

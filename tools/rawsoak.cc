@@ -37,7 +37,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: rawsoak [--cycles N] [--epoch N] [--drain N] [--seed S]\n"
-      "               [--threads T] [--no-links] [--no-recovery]\n"
+      "               [--no-links] [--no-recovery]\n"
       "               [--force-dense] [--cadence N] [--checkpoint-interval N]\n"
       "               [--ring K] [--grace N] [--time-box SECONDS]\n"
       "               [--inject-failure-at CYCLE] [--no-verify-replay]\n"
@@ -155,6 +155,7 @@ int main(int argc, char** argv) {
   bool cluster = false;
   int cluster_epochs = 8;
   int cluster_chips = 4;
+  int cluster_threads = 0;  // thread-per-chip workers (0: RAWSIM_THREADS)
   for (int i = 1; i < argc; ++i) {
     const auto arg = [&](const char* name) {
       return !std::strcmp(argv[i], name) && i + 1 < argc;
@@ -168,7 +169,7 @@ int main(int argc, char** argv) {
     } else if (arg("--seed")) {
       spec.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg("--threads")) {
-      spec.threads = std::atoi(argv[++i]);
+      cluster_threads = std::atoi(argv[++i]);
     } else if (!std::strcmp(argv[i], "--no-links")) {
       spec.reliable_links = false;
     } else if (!std::strcmp(argv[i], "--no-recovery")) {
@@ -209,6 +210,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (cluster_threads != 0 && !cluster) {
+    std::fprintf(stderr, "--threads needs --cluster (a chip steps serially)\n");
+    return 2;
+  }
   if (cluster) {
     // The router soak's epoch default (millions of cycles) is too long for
     // a per-epoch fresh cluster; use a cluster-sized default unless --epoch
@@ -218,7 +223,7 @@ int main(int argc, char** argv) {
             ? 20000
             : spec.epoch_cycles;
     return run_cluster_soak(cluster_epochs, cluster_chips, spec.seed,
-                            spec.threads, cluster_epoch_cycles,
+                            cluster_threads, cluster_epoch_cycles,
                             spec.time_box_seconds,
                             spec.bundle_dir.empty() ? nullptr
                                                     : spec.bundle_dir.c_str());

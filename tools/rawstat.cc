@@ -54,8 +54,7 @@ struct Args {
   std::size_t trace_budget = 1 << 16;
   const char* chaos = nullptr;  // fault mix, e.g. "flip+stall"
   std::uint64_t chaos_seed = 1;
-  int threads = 0;  // execution-engine workers (0: RAWSIM_THREADS)
-  Cycle lookahead = 0;  // batched-quantum cap (0: RAWSIM_LOOKAHEAD/auto)
+  int threads = 0;  // cluster thread-per-chip workers (0: RAWSIM_THREADS)
   bool links = false;     // reliable-link layer (CRC + NACK/retransmit)
   bool recovery = false;  // fault-adaptive crossbar reconfiguration
   bool profile = false;   // engine profiler + live attribution panel
@@ -100,11 +99,8 @@ void usage() {
       "  --remote F        cluster mode: fraction of traffic whose\n"
       "                    destination is on another chip (default 0.5)\n"
       "  --channel-stats   sample per-channel occupancy/backpressure\n"
-      "  --threads T       execution-engine worker threads (default: \n"
+      "  --threads T       cluster mode: thread-per-chip workers (default:\n"
       "                    RAWSIM_THREADS, else serial; results identical)\n"
-      "  --lookahead K     batched-quantum lookahead cap (0: RAWSIM_LOOKAHEAD,\n"
-      "                    else engine default; 1: cycle-granular; results\n"
-      "                    identical at every value)\n"
       "  --no-refresh      append dashboard frames instead of redrawing\n");
 }
 
@@ -167,14 +163,6 @@ Args parse(int argc, char** argv) {
       a.channel_stats = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
       a.threads = std::atoi(next("--threads"));
-    } else if (!std::strcmp(argv[i], "--lookahead")) {
-      const char* v = next("--lookahead");
-      char* end = nullptr;
-      a.lookahead = std::strtoull(v, &end, 10);
-      if (v[0] == '-' || end == v || *end != '\0') {
-        std::fprintf(stderr, "bad --lookahead '%s'\n", v);
-        std::exit(2);
-      }
     } else if (!std::strcmp(argv[i], "--no-refresh")) {
       a.no_refresh = true;
     } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
@@ -185,6 +173,10 @@ Args parse(int argc, char** argv) {
       usage();
       std::exit(2);
     }
+  }
+  if (a.threads != 0 && a.cluster_chips == 0) {
+    std::fprintf(stderr, "--threads needs --cluster (a chip steps serially)\n");
+    std::exit(2);
   }
   if (a.interval == 0) a.interval = a.cycles / 10 > 0 ? a.cycles / 10 : a.cycles;
   return a;
@@ -315,20 +307,13 @@ void print_recovery_panel(const MetricRegistry& reg,
 }
 
 /// The engine-profile panel (--profile): per-phase wall-clock attribution
-/// aggregated across workers, plus the sparse-efficiency counters. Reads the
-/// Profiler directly — relaxed per-worker accumulators are safe to aggregate
-/// between run chunks.
+/// plus the sparse-efficiency counters, read between run chunks.
 void print_profile_panel(const raw::common::Profiler& prof) {
   using raw::common::ProfPhase;
   const std::uint64_t wall = prof.wall_ns();
-  const double denom =
-      wall > 0 ? static_cast<double>(wall) * prof.workers() : 1.0;
-  std::printf(
-      "\nengine: %d worker%s, %.1f ms profiled wall, coverage %.1f%%, "
-      "barrier wait %.1f%%\n",
-      prof.workers(), prof.workers() == 1 ? "" : "s",
-      static_cast<double>(wall) / 1e6, 100.0 * prof.coverage(),
-      100.0 * prof.barrier_wait_share());
+  const double denom = wall > 0 ? static_cast<double>(wall) : 1.0;
+  std::printf("\nengine: %.1f ms profiled wall, coverage %.1f%%\n",
+              static_cast<double>(wall) / 1e6, 100.0 * prof.coverage());
   std::printf("  phases:");
   for (int p = 0; p < raw::common::kNumProfPhases; ++p) {
     const auto t = prof.phase_total(static_cast<ProfPhase>(p));
@@ -351,21 +336,6 @@ void print_profile_panel(const raw::common::Profiler& prof) {
       static_cast<unsigned long long>(prof.dense_sweeps()),
       static_cast<unsigned long long>(prof.sparse_cycles()),
       static_cast<unsigned long long>(prof.flight_recorded()));
-  // Batched-quantum amortization: how many simulated cycles each barrier
-  // rendezvous covers on average (1.00 = cycle-granular, no batching).
-  const std::uint64_t quanta = prof.quanta();
-  if (quanta > 0) {
-    std::printf(
-        "  quanta: %llu quanta / %llu cycles, effective quantum %.2f "
-        "(max %llu) — barrier cost amortized %.1fx\n",
-        static_cast<unsigned long long>(quanta),
-        static_cast<unsigned long long>(prof.quantum_cycles()),
-        static_cast<double>(prof.quantum_cycles()) /
-            static_cast<double>(quanta),
-        static_cast<unsigned long long>(prof.max_quantum()),
-        static_cast<double>(prof.quantum_cycles()) /
-            static_cast<double>(quanta));
-  }
 }
 
 /// The cluster dashboard (--cluster N): aggregate throughput plus the three
@@ -533,8 +503,6 @@ int main(int argc, char** argv) {
   raw::router::RouterConfig cfg;
   cfg.runtime.quantum_max_words = args.quantum;
   cfg.channel_stats = args.channel_stats;
-  cfg.threads = args.threads;
-  cfg.max_lookahead = args.lookahead;
   cfg.link.enabled = args.links;
   cfg.recovery.enabled = args.recovery;
 
@@ -556,7 +524,7 @@ int main(int argc, char** argv) {
 
   // One flight snapshot per dashboard interval, so the merged Chrome trace's
   // engine counter track lines up with the refresh cadence.
-  raw::common::Profiler profiler(std::max(1, router.threads()));
+  raw::common::Profiler profiler;
   if (args.profile) {
     profiler.enable_flight(/*capacity=*/512, /*interval=*/args.interval);
     router.set_profiler(&profiler);
