@@ -12,9 +12,7 @@
 // --cluster sweeps the *inter-chip* fault mixes (cluster/chaos.h) instead:
 // seeds x 8 mixes against a multi-chip fabric with reliable trunks and
 // fail-over armed, every recovery invariant checked; --threads sets its
-// thread-per-chip worker count. With --repro-dir,
-// every failing combination writes a replayable JSON bundle there
-// (rawchaos --cluster --replay).
+// thread-per-chip worker count.
 //
 // --links/--recovery run the whole sweep with the self-healing layers on
 // (reliable links + fault-adaptive reconfiguration). With --invariants,
@@ -22,8 +20,9 @@
 // (sim/invariants.h) at a cadence of cycles/8, so the ledger/credit-book
 // identities are swept *during* each run, not just at drain exit; the
 // rollup gains sweep and checkpoint columns. With --repro-dir, the
-// first failing combination is delta-debugged down to a minimal fault
-// schedule and written there as a replayable JSON repro (rawchaos --replay).
+// first failing combination (chip or cluster) is delta-debugged down to a
+// minimal fault schedule and written there as a replayable JSON repro
+// (rawchaos --replay).
 // With --flight-dir, every combination runs with the engine flight recorder
 // armed (common/profiler.h) and any run that fails an invariant or exits
 // without a clean drain dumps its recent engine history there as
@@ -39,11 +38,14 @@
 #include <vector>
 
 #include "cluster/chaos.h"
+#include "common/json.h"
 #include "common/profiler.h"
 #include "router/chaos.h"
 #include "router/repro.h"
 
 namespace {
+
+using raw::common::json::write_file;
 
 struct Args {
   int seeds = 16;
@@ -90,7 +92,7 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-/// Rebuilds the spec a sweep combination ran under (chaos_sweep semantics).
+/// Rebuilds the spec a sweep combination ran under (sweep semantics).
 raw::router::ChaosSpec spec_for(const Args& args,
                                 const raw::router::ChaosResult& r) {
   raw::router::ChaosSpec spec;
@@ -102,63 +104,44 @@ raw::router::ChaosSpec spec_for(const Args& args,
   return spec;
 }
 
-/// Minimizes the first failing combination's fault schedule and writes it as
-/// a replayable repro JSON under `dir`. Returns false on I/O failure.
-bool write_minimized_repro(const Args& args, const raw::router::ChaosResult& r,
-                           const char* dir) {
-  const raw::router::ChaosSpec spec = spec_for(args, r);
-
-  // The sweep derived its schedule from the seed; rebuild the same events
-  // explicitly so the minimizer (and the written repro) can replay them.
-  raw::net::TrafficConfig traffic;
-  traffic.num_ports = 4;
-  traffic.pattern = raw::net::DestPattern::kUniform;
-  traffic.size = raw::net::SizeDist::kFixed;
-  traffic.fixed_bytes = spec.bytes;
-  traffic.load = spec.load;
-  raw::router::RawRouter scratch(raw::router::RouterConfig{},
-                                 raw::net::RouteTable::simple4(), traffic,
-                                 spec.seed);
-  const std::vector<raw::sim::FaultEvent> events =
-      raw::router::make_fault_plan(spec, scratch).events();
-
-  const raw::router::ChaosSignature target = raw::router::signature_of(r);
-  raw::router::MinimizeStats stats;
-  const std::vector<raw::sim::FaultEvent> minimal =
-      raw::router::minimize_events(spec, events, target, &stats);
-  const raw::router::ChaosResult rerun =
-      raw::router::run_chaos_events(spec, minimal);
-
-  raw::router::ChaosRepro repro;
-  repro.spec = spec;
-  repro.events = minimal;
-  repro.signature = raw::router::signature_of(rerun);
-  repro.digest = rerun.digest;
-
-  const std::string path = std::string(dir) + "/" + r.mix + "_seed" +
-                           std::to_string(r.seed) + ".min.json";
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+/// Writes a minimized bundle as `dir/<name>.min.json`. Returns false on I/O
+/// failure.
+bool write_minimized(const char* dir, const std::string& name,
+                     const std::string& json,
+                     const raw::router::MinimizeStats& stats) {
+  const std::string path = std::string(dir) + "/" + name + ".min.json";
+  if (!write_file(path, json)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
-  const std::string json = raw::router::to_json(repro);
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
   std::printf("minimized %zu -> %zu events (%d runs); wrote %s\n",
               stats.original_events, stats.minimized_events, stats.runs,
               path.c_str());
   return true;
 }
 
-/// The chaos_sweep loop with a per-combination flight recorder and/or the
-/// endurance invariant monitor riding along (same mix-major/seed-minor
-/// order and spec as chaos_sweep, so summaries are comparable): any
-/// combination that fails an invariant or exits without a clean drain
-/// dumps its recent engine history into `dir` (when given).
-raw::router::ChaosSweepSummary sweep_local(const Args& args,
-                                           const char* dir) {
-  raw::router::ChaosSweepSummary summary;
+/// Minimizes the first failing combination's fault schedule and writes it as
+/// a replayable repro JSON under `dir`. Returns false on I/O failure.
+bool write_minimized_repro(const Args& args, const raw::router::ChaosResult& r,
+                           const char* dir) {
+  // The sweep derived its schedule from the seed; rebuild the same events
+  // explicitly so the minimizer (and the written repro) can replay them.
+  const raw::router::ChaosSpec spec = spec_for(args, r);
+  raw::router::MinimizeStats stats;
+  const raw::router::ChaosRepro repro = raw::router::minimize_repro(
+      raw::router::make_repro(spec, raw::router::make_fault_events(spec), r),
+      &stats);
+  return write_minimized(dir, r.mix + "_seed" + std::to_string(r.seed),
+                         raw::router::to_json(repro), stats);
+}
+
+/// Sweeps standard_mixes() x seeds (mix-major), optionally with a
+/// per-combination flight recorder and/or the endurance invariant monitor
+/// riding along: under --flight-dir any combination that fails an invariant
+/// or exits without a clean drain dumps its recent engine history there.
+std::vector<raw::router::ChaosResult> sweep(const Args& args) {
+  const char* dir = args.flight_dir;
+  std::vector<raw::router::ChaosResult> results;
   for (const raw::router::ChaosMix& mix : raw::router::standard_mixes()) {
     for (int s = 1; s <= args.seeds; ++s) {
       raw::router::ChaosSpec spec;
@@ -191,13 +174,9 @@ raw::router::ChaosSweepSummary sweep_local(const Args& args,
           (!r.pass || r.outcome != raw::router::DrainOutcome::kDrained)) {
         const std::string path = std::string(dir) + "/" + r.mix + "_seed" +
                                  std::to_string(r.seed) + ".flight.jsonl";
-        FILE* f = std::fopen(path.c_str(), "w");
-        if (f == nullptr) {
+        if (!write_file(path, profiler.flight_jsonl())) {
           std::fprintf(stderr, "cannot write %s\n", path.c_str());
         } else {
-          const std::string jsonl = profiler.flight_jsonl();
-          std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-          std::fclose(f);
           std::printf("flight: %-28s seed %-4llu %llu snapshots (of %llu recorded) -> %s\n",
                       r.mix.c_str(), static_cast<unsigned long long>(r.seed),
                       static_cast<unsigned long long>(profiler.flight().size()),
@@ -205,22 +184,47 @@ raw::router::ChaosSweepSummary sweep_local(const Args& args,
                       path.c_str());
         }
       }
-      ++summary.total;
-      if (r.pass) ++summary.passed;
-      summary.results.push_back(std::move(r));
+      results.push_back(std::move(r));
     }
   }
-  return summary;
+  return results;
+}
+
+/// The cluster twin of write_minimized_repro: rebuilds the spec
+/// cluster_chaos_sweep ran `r` under, minimizes its schedule and writes it.
+bool write_minimized_cluster_repro(const Args& args,
+                                   const raw::cluster::ClusterChaosResult& r,
+                                   const char* dir) {
+  raw::cluster::ClusterChaosSpec spec;
+  spec.seed = r.seed;
+  (void)raw::cluster::parse_cluster_mix(r.mix, &spec.mix);
+  spec.num_chips = args.chips;
+  spec.run_cycles = args.cycles;
+  spec.threads = args.threads;
+  spec.reliable_links = true;
+  spec.failover = true;
+  const std::vector<raw::cluster::ClusterFaultEvent> events =
+      raw::cluster::make_cluster_fault_events(spec);
+  raw::router::MinimizeStats stats;
+  const raw::cluster::ClusterChaosRepro repro = raw::cluster::minimize_repro(
+      raw::cluster::make_repro(spec, events, r), &stats);
+  return write_minimized(dir,
+                         "cluster_" + r.mix + "_seed" + std::to_string(r.seed),
+                         raw::cluster::to_json(repro), stats);
 }
 
 /// Cluster sweep: seeds x the 8 standard inter-chip mixes with reliable
-/// trunks + fail-over armed. Failing combinations each write a replayable
-/// bundle to `repro_dir` (when given).
+/// trunks + fail-over armed (cluster_chaos_sweep). The first failing
+/// combination is minimized and written to --repro-dir, as the chip sweep
+/// does.
 int run_cluster_sweep(const Args& args) {
   std::printf("cluster chaos soak: %d seeds x %zu mixes, %d chips, "
               "%llu cycles per run\n\n",
               args.seeds, raw::cluster::standard_cluster_mixes().size(),
               args.chips, static_cast<unsigned long long>(args.cycles));
+  const raw::cluster::ClusterChaosSweepSummary summary =
+      raw::cluster::cluster_chaos_sweep(args.seeds, args.cycles, args.chips,
+                                        args.threads);
 
   struct MixAgg {
     int runs = 0, passed = 0, degraded = 0;
@@ -228,63 +232,23 @@ int run_cluster_sweep(const Args& args) {
                   written_off = 0, abandoned = 0;
   };
   std::map<std::string, MixAgg> by_mix;
-  int total = 0;
-  int passed = 0;
-  for (const raw::cluster::ClusterChaosMix& mix :
-       raw::cluster::standard_cluster_mixes()) {
-    for (int s = 1; s <= args.seeds; ++s) {
-      raw::cluster::ClusterChaosSpec spec;
-      spec.seed = static_cast<std::uint64_t>(s);
-      spec.mix = mix;
-      spec.num_chips = args.chips;
-      spec.run_cycles = args.cycles;
-      spec.threads = args.threads;
-      spec.reliable_links = true;
-      spec.failover = true;
-      const std::vector<raw::cluster::ClusterFaultEvent> events =
-          raw::cluster::make_cluster_fault_events(spec);
-      const raw::cluster::ClusterChaosResult r =
-          raw::cluster::run_cluster_chaos_events(spec, events);
-      ++total;
-      if (r.pass) ++passed;
-      MixAgg& agg = by_mix[r.mix.empty() ? "clean" : r.mix];
-      ++agg.runs;
-      if (r.pass) ++agg.passed;
-      if (r.degraded) ++agg.degraded;
-      agg.delivered += r.delivered;
-      agg.errors += r.errors;
-      agg.lost += r.lost;
-      agg.retransmits += r.retransmits;
-      agg.written_off += r.written_off_words;
-      agg.abandoned += r.abandoned_packets;
-      if (!r.pass) {
-        std::printf("FAIL %s seed %llu: %s\n",
-                    r.mix.empty() ? "clean" : r.mix.c_str(),
-                    static_cast<unsigned long long>(r.seed),
-                    r.failure.c_str());
-        if (args.repro_dir != nullptr) {
-          raw::cluster::ClusterChaosRepro repro;
-          repro.spec = spec;
-          repro.events = events;
-          repro.pass = r.pass;
-          repro.failure = r.failure;
-          repro.degraded = r.degraded;
-          repro.drained = r.drained;
-          repro.digest = r.digest;
-          const std::string path = std::string(args.repro_dir) + "/cluster_" +
-                                   (r.mix.empty() ? "clean" : r.mix) +
-                                   "_seed" + std::to_string(r.seed) +
-                                   ".repro.json";
-          FILE* f = std::fopen(path.c_str(), "w");
-          if (f == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-          } else {
-            const std::string json = raw::cluster::to_json(repro);
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-            std::printf("  bundle: %s\n", path.c_str());
-          }
-        }
+  bool repro_written = false;
+  for (const raw::cluster::ClusterChaosResult& r : summary.results) {
+    MixAgg& agg = by_mix[r.mix];
+    ++agg.runs;
+    if (r.pass) ++agg.passed;
+    if (r.degraded) ++agg.degraded;
+    agg.delivered += r.delivered;
+    agg.errors += r.errors;
+    agg.lost += r.lost;
+    agg.retransmits += r.retransmits;
+    agg.written_off += r.written_off_words;
+    agg.abandoned += r.abandoned_packets;
+    if (!r.pass) {
+      std::printf("FAIL %s seed %llu: %s\n", r.mix.c_str(),
+                  static_cast<unsigned long long>(r.seed), r.failure.c_str());
+      if (args.repro_dir != nullptr && !repro_written) {
+        repro_written = write_minimized_cluster_repro(args, r, args.repro_dir);
       }
     }
   }
@@ -302,8 +266,8 @@ int run_cluster_sweep(const Args& args) {
                 static_cast<unsigned long long>(agg.written_off),
                 static_cast<unsigned long long>(agg.abandoned), agg.degraded);
   }
-  std::printf("\n%d/%d combinations passed\n", passed, total);
-  return passed == total ? 0 : 1;
+  std::printf("\n%d/%d combinations passed\n", summary.passed, summary.total);
+  return summary.all_passed() ? 0 : 1;
 }
 
 }  // namespace
@@ -318,11 +282,7 @@ int main(int argc, char** argv) {
               args.recovery ? ", fault-adaptive recovery" : "",
               args.invariants ? ", invariant monitor" : "");
 
-  const raw::router::ChaosSweepSummary summary =
-      args.flight_dir != nullptr || args.invariants
-          ? sweep_local(args, args.flight_dir)
-          : raw::router::chaos_sweep(args.seeds, args.cycles, args.links,
-                                     args.recovery);
+  const std::vector<raw::router::ChaosResult> results = sweep(args);
 
   // Per-mix rollup.
   struct MixAgg {
@@ -332,10 +292,14 @@ int main(int argc, char** argv) {
                   ckpts = 0;
   };
   std::map<std::string, MixAgg> by_mix;
-  for (const raw::router::ChaosResult& r : summary.results) {
+  int passed = 0;
+  for (const raw::router::ChaosResult& r : results) {
     MixAgg& agg = by_mix[r.mix];
     ++agg.runs;
-    if (r.pass) ++agg.passed;
+    if (r.pass) {
+      ++agg.passed;
+      ++passed;
+    }
     if (r.degraded) ++agg.degraded;
     agg.delivered += r.delivered;
     agg.errors += r.errors;
@@ -370,7 +334,7 @@ int main(int argc, char** argv) {
   }
 
   bool repro_written = false;
-  for (const raw::router::ChaosResult& r : summary.results) {
+  for (const raw::router::ChaosResult& r : results) {
     if (!r.pass) {
       std::printf("\nFAIL %s seed %llu: %s\n", r.mix.c_str(),
                   static_cast<unsigned long long>(r.seed), r.failure.c_str());
@@ -381,6 +345,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n%d/%d combinations passed\n", summary.passed, summary.total);
-  return summary.all_passed() ? 0 : 1;
+  const int total = static_cast<int>(results.size());
+  std::printf("\n%d/%d combinations passed\n", passed, total);
+  return passed == total ? 0 : 1;
 }

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "click/click_router.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "router/analytic.h"
 #include "router/raw_router.h"
@@ -132,14 +133,10 @@ int main(int argc, char** argv) {
   }
 
   if (reg != nullptr) {
-    std::FILE* f = std::fopen(args.metrics_json, "w");
-    if (f == nullptr) {
+    if (!raw::common::json::write_file(args.metrics_json, reg->to_json())) {
       std::fprintf(stderr, "cannot write %s\n", args.metrics_json);
       return 1;
     }
-    const std::string json = reg->to_json();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("\nwrote %zu metrics to %s\n", reg->size(), args.metrics_json);
   }
   return 0;

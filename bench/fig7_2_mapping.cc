@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "router/schedule_compiler.h"
 
@@ -71,14 +72,10 @@ int main(int argc, char** argv) {
         .set(static_cast<std::uint64_t>(eg.program->size()));
     reg.counter("fig7_2/switch_imem_words")
         .set(static_cast<std::uint64_t>(raw::sim::kSwitchImemWords));
-    std::FILE* f = std::fopen(metrics_json, "w");
-    if (f == nullptr) {
+    if (!raw::common::json::write_file(metrics_json, reg.to_json())) {
       std::fprintf(stderr, "cannot write %s\n", metrics_json);
       return 1;
     }
-    const std::string json = reg.to_json();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("\nwrote %zu metrics to %s\n", reg.size(), metrics_json);
   }
   return 0;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "router/raw_router.h"
 
@@ -82,14 +83,10 @@ int main(int argc, char** argv) {
   run_case(1024, csv, reg);
 
   if (reg != nullptr) {
-    std::FILE* f = std::fopen(metrics_json, "w");
-    if (f == nullptr) {
+    if (!raw::common::json::write_file(metrics_json, reg->to_json())) {
       std::fprintf(stderr, "cannot write %s\n", metrics_json);
       return 1;
     }
-    const std::string json = reg->to_json();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("\nwrote %zu metrics to %s\n", reg->size(), metrics_json);
   }
   return 0;

@@ -1,13 +1,11 @@
 #include "cluster/chaos.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 
 #include "cluster/fabric.h"
 #include "cluster/topology.h"
 #include "common/assert.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "sim/invariants.h"
 
@@ -311,41 +309,13 @@ ClusterChaosSweepSummary cluster_chaos_sweep(int num_seeds,
 }
 
 // ---------------------------------------------------------------------------
-// Repro bundles. The schema is small and fixed, so the writer is a handful
-// of append helpers and the reader a minimal recursive-descent pass over
-// exactly what to_json emits (same approach as router/repro.cc).
+// Repro bundles, through the common/json codec.
 
 namespace {
 
-void append_escaped(std::string& s, const std::string& v) {
-  s += '"';
-  for (const char c : v) {
-    switch (c) {
-      case '"': s += "\\\""; break;
-      case '\\': s += "\\\\"; break;
-      case '\n': s += "\\n"; break;
-      case '\t': s += "\\t"; break;
-      case '\r': s += "\\r"; break;
-      default: s += c; break;
-    }
-  }
-  s += '"';
-}
+namespace json = common::json;
 
-void append_double(std::string& s, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  s += buf;
-}
-
-void append_hex64(std::string& s, std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  s += '"';
-  s += buf;
-  s += '"';
-}
+constexpr const char* kClusterSchema = "raw-cluster-chaos-repro/v1";
 
 const char* topology_name(TopologyKind t) {
   switch (t) {
@@ -356,332 +326,138 @@ const char* topology_name(TopologyKind t) {
   return "leaf_spine";
 }
 
-bool topology_from_name(const std::string& s, TopologyKind* out) {
-  if (s == "point_to_point") {
-    *out = TopologyKind::kPointToPoint;
-  } else if (s == "leaf_spine") {
-    *out = TopologyKind::kLeafSpine;
-  } else if (s == "fat_tree") {
-    *out = TopologyKind::kFatTree;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-struct Parser {
-  const std::string& s;
-  std::size_t i = 0;
-  std::string err;
-
-  bool fail(const std::string& what) {
-    if (err.empty()) err = what + " at offset " + std::to_string(i);
-    return false;
-  }
-  void skip_ws() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                            s[i] == '\r' || s[i] == ',')) {
-      ++i;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return fail(std::string("expected '") + c + "'");
-  }
-  bool peek(char c) {
-    skip_ws();
-    return i < s.size() && s[i] == c;
-  }
-
-  bool parse_string(std::string* out) {
-    if (!consume('"')) return false;
-    out->clear();
-    while (i < s.size() && s[i] != '"') {
-      char c = s[i++];
-      if (c == '\\' && i < s.size()) {
-        const char e = s[i++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          default: c = e; break;
-        }
-      }
-      *out += c;
-    }
-    if (i >= s.size()) return fail("unterminated string");
-    ++i;  // closing quote
-    return true;
-  }
-
-  bool parse_number(double* out) {
-    skip_ws();
-    const std::size_t start = i;
-    while (i < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[i])) != 0 ||
-            s[i] == '-' || s[i] == '+' || s[i] == '.' || s[i] == 'e' ||
-            s[i] == 'E')) {
-      ++i;
-    }
-    if (i == start) return fail("expected number");
-    *out = std::strtod(s.c_str() + start, nullptr);
-    return true;
-  }
-
-  bool parse_bool(bool* out) {
-    skip_ws();
-    if (s.compare(i, 4, "true") == 0) {
-      *out = true;
-      i += 4;
-      return true;
-    }
-    if (s.compare(i, 5, "false") == 0) {
-      *out = false;
-      i += 5;
-      return true;
-    }
-    return fail("expected boolean");
-  }
-
-  bool parse_hex64(std::uint64_t* out) {
-    std::string hex;
-    if (!parse_string(&hex)) return false;
-    *out = std::strtoull(hex.c_str(), nullptr, 16);
-    return true;
-  }
-
-  bool skip_value();  // skip any value (unknown keys)
-};
-
-bool Parser::skip_value() {
-  skip_ws();
-  if (i >= s.size()) return fail("unexpected end");
-  if (s[i] == '"') {
-    std::string tmp;
-    return parse_string(&tmp);
-  }
-  if (s[i] == '{' || s[i] == '[') {
-    const char open = s[i];
-    const char close = open == '{' ? '}' : ']';
-    int depth = 0;
-    bool in_string = false;
-    for (; i < s.size(); ++i) {
-      const char c = s[i];
-      if (in_string) {
-        if (c == '\\') {
-          ++i;
-        } else if (c == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (c == '"') in_string = true;
-      if (c == open) ++depth;
-      if (c == close && --depth == 0) {
-        ++i;
-        return true;
-      }
-    }
-    return fail("unterminated value");
-  }
-  double tmp = 0;
-  bool b = false;
-  if (s[i] == 't' || s[i] == 'f') return parse_bool(&b);
-  return parse_number(&tmp);
-}
-
 }  // namespace
 
+ClusterChaosRepro make_repro(const ClusterChaosSpec& spec,
+                             const std::vector<ClusterFaultEvent>& events,
+                             const ClusterChaosResult& r) {
+  ClusterChaosRepro repro;
+  repro.spec = spec;
+  repro.events = events;
+  repro.pass = r.pass;
+  repro.failure = r.failure;
+  repro.degraded = r.degraded;
+  repro.drained = r.drained;
+  repro.digest = r.digest;
+  return repro;
+}
+
 std::string to_json(const ClusterChaosRepro& repro) {
-  std::string j = "{\n  \"schema\": \"raw-cluster-chaos-repro/v1\",\n";
-  j += "  \"spec\": {";
-  j += "\"seed\": " + std::to_string(repro.spec.seed);
-  j += ", \"mix\": ";
-  append_escaped(j, repro.spec.mix.name());
-  j += ", \"num_chips\": " + std::to_string(repro.spec.num_chips);
-  j += ", \"topology\": ";
-  append_escaped(j, topology_name(repro.spec.topology));
-  j += ", \"run_cycles\": " + std::to_string(repro.spec.run_cycles);
-  j += ", \"drain_cycles\": " + std::to_string(repro.spec.drain_cycles);
-  j += ", \"faults_per_kind\": " + std::to_string(repro.spec.faults_per_kind);
-  j += ", \"threads\": " + std::to_string(repro.spec.threads);
-  j += std::string(", \"reliable_links\": ") +
-       (repro.spec.reliable_links ? "true" : "false");
-  j += std::string(", \"failover\": ") +
-       (repro.spec.failover ? "true" : "false");
-  j += ", \"watchdog_interval\": " +
-       std::to_string(repro.spec.watchdog_interval);
-  j += ", \"load\": ";
-  append_double(j, repro.spec.load);
-  j += ", \"bytes\": " + std::to_string(repro.spec.bytes);
-  j += ", \"remote_fraction\": ";
-  append_double(j, repro.spec.remote_fraction);
+  const ClusterChaosSpec& spec = repro.spec;
+  std::string j = "{\n  \"schema\": \"";
+  j += kClusterSchema;
+  j += "\",\n  \"spec\": {\"seed\": ";
+  json::append_value(j, spec.seed);
+  json::append_field(j, "mix", spec.mix.name());
+  json::append_field(j, "num_chips", spec.num_chips);
+  json::append_field(j, "topology", topology_name(spec.topology));
+  json::append_field(j, "run_cycles", spec.run_cycles);
+  json::append_field(j, "drain_cycles", spec.drain_cycles);
+  json::append_field(j, "faults_per_kind", spec.faults_per_kind);
+  json::append_field(j, "threads", spec.threads);
+  json::append_field(j, "reliable_links", spec.reliable_links);
+  json::append_field(j, "failover", spec.failover);
+  json::append_field(j, "watchdog_interval", spec.watchdog_interval);
+  json::append_field(j, "load", spec.load);
+  json::append_field(j, "bytes", spec.bytes);
+  json::append_field(j, "remote_fraction", spec.remote_fraction);
   j += "},\n  \"events\": [";
   for (std::size_t k = 0; k < repro.events.size(); ++k) {
     const ClusterFaultEvent& e = repro.events[k];
-    if (k != 0) j += ",";
-    j += "\n    {\"kind\": ";
-    append_escaped(j, cluster_fault_kind_name(e.kind));
-    j += ", \"at\": " + std::to_string(e.at);
-    j += ", \"duration\": " + std::to_string(e.duration);
-    j += ", \"link\": " + std::to_string(e.link);
-    j += ", \"chip\": " + std::to_string(e.chip);
-    j += ", \"bit\": " + std::to_string(e.bit);
+    j += k == 0 ? "\n    {\"kind\": " : ",\n    {\"kind\": ";
+    json::append_escaped(j, cluster_fault_kind_name(e.kind));
+    json::append_field(j, "at", e.at);
+    json::append_field(j, "duration", e.duration);
+    json::append_field(j, "link", e.link);
+    json::append_field(j, "chip", e.chip);
+    json::append_field(j, "bit", e.bit);
     j += "}";
   }
-  j += "\n  ],\n";
-  j += std::string("  \"pass\": ") + (repro.pass ? "true" : "false") + ",\n";
-  j += "  \"failure\": ";
-  append_escaped(j, repro.failure);
-  j += ",\n";
-  j += std::string("  \"degraded\": ") + (repro.degraded ? "true" : "false") +
-       ",\n";
-  j += std::string("  \"drained\": ") + (repro.drained ? "true" : "false") +
-       ",\n";
-  j += "  \"digest\": ";
-  append_hex64(j, repro.digest);
+  j += "\n  ],\n  \"pass\": ";
+  json::append_value(j, repro.pass);
+  json::append_field(j, "failure", repro.failure, ",\n  ");
+  json::append_field(j, "degraded", repro.degraded, ",\n  ");
+  json::append_field(j, "drained", repro.drained, ",\n  ");
+  j += ",\n  \"digest\": ";
+  json::append_hex64(j, repro.digest);
   j += "\n}\n";
   return j;
 }
 
 bool from_json(const std::string& text, ClusterChaosRepro* out,
                std::string* error) {
-  Parser p{text, 0, {}};
+  json::Parser p{text};
   ClusterChaosRepro r;
-  const auto done = [&](bool ok) {
-    if (!ok && error != nullptr) *error = p.err;
-    if (ok) *out = std::move(r);
+  ClusterChaosSpec& spec = r.spec;
+  bool has_schema = false;
+
+  const auto parse_spec = [&](const std::string& k) {
+    if (k == "mix") {
+      std::string name;
+      return p.parse(&name) &&
+             (parse_cluster_mix(name, &spec.mix) || p.reject("unknown mix"));
+    }
+    if (k == "topology") {
+      return p.parse_enum(&spec.topology,
+                          {TopologyKind::kPointToPoint, TopologyKind::kLeafSpine,
+                           TopologyKind::kFatTree},
+                          topology_name, "unknown topology");
+    }
+    if (k == "seed") return p.parse(&spec.seed);
+    if (k == "num_chips") return p.parse(&spec.num_chips);
+    if (k == "run_cycles") return p.parse(&spec.run_cycles);
+    if (k == "drain_cycles") return p.parse(&spec.drain_cycles);
+    if (k == "faults_per_kind") return p.parse(&spec.faults_per_kind);
+    if (k == "threads") return p.parse(&spec.threads);
+    if (k == "reliable_links") return p.parse(&spec.reliable_links);
+    if (k == "failover") return p.parse(&spec.failover);
+    if (k == "watchdog_interval") return p.parse(&spec.watchdog_interval);
+    if (k == "load") return p.parse(&spec.load);
+    if (k == "bytes") return p.parse(&spec.bytes);
+    if (k == "remote_fraction") return p.parse(&spec.remote_fraction);
+    return p.skip_value();
+  };
+  const auto parse_event = [&] {
+    ClusterFaultEvent e;
+    const bool ok = p.parse_object([&](const std::string& k) {
+      if (k == "kind") {
+        return p.parse_enum(
+            &e.kind,
+            {ClusterFaultKind::kTrunkCorrupt, ClusterFaultKind::kTrunkStall,
+             ClusterFaultKind::kTrunkCut, ClusterFaultKind::kChipFreeze},
+            cluster_fault_kind_name, "unknown fault kind");
+      }
+      if (k == "at") return p.parse(&e.at);
+      if (k == "duration") return p.parse(&e.duration);
+      if (k == "link") return p.parse(&e.link);
+      if (k == "chip") return p.parse(&e.chip);
+      if (k == "bit") return p.parse(&e.bit);
+      return p.skip_value();
+    });
+    r.events.push_back(e);
     return ok;
   };
-  if (!p.consume('{')) return done(false);
-  std::string key;
-  while (!p.peek('}')) {
-    if (!p.parse_string(&key) || !p.consume(':')) return done(false);
-    double num = 0;
-    std::string str;
+
+  bool ok = p.parse_object([&](const std::string& key) {
     if (key == "schema") {
-      if (!p.parse_string(&str)) return done(false);
-      if (str != "raw-cluster-chaos-repro/v1") {
-        p.fail("unknown schema " + str);
-        return done(false);
-      }
-    } else if (key == "spec") {
-      if (!p.consume('{')) return done(false);
-      while (!p.peek('}')) {
-        if (!p.parse_string(&key) || !p.consume(':')) return done(false);
-        if (key == "seed") {
-          if (!p.parse_number(&num)) return done(false);
-          r.spec.seed = static_cast<std::uint64_t>(num);
-        } else if (key == "mix") {
-          if (!p.parse_string(&str)) return done(false);
-          if (!parse_cluster_mix(str, &r.spec.mix)) {
-            p.fail("unknown mix " + str);
-            return done(false);
-          }
-        } else if (key == "num_chips") {
-          if (!p.parse_number(&num)) return done(false);
-          r.spec.num_chips = static_cast<int>(num);
-        } else if (key == "topology") {
-          if (!p.parse_string(&str)) return done(false);
-          if (!topology_from_name(str, &r.spec.topology)) {
-            p.fail("unknown topology " + str);
-            return done(false);
-          }
-        } else if (key == "run_cycles") {
-          if (!p.parse_number(&num)) return done(false);
-          r.spec.run_cycles = static_cast<common::Cycle>(num);
-        } else if (key == "drain_cycles") {
-          if (!p.parse_number(&num)) return done(false);
-          r.spec.drain_cycles = static_cast<common::Cycle>(num);
-        } else if (key == "faults_per_kind") {
-          if (!p.parse_number(&num)) return done(false);
-          r.spec.faults_per_kind = static_cast<int>(num);
-        } else if (key == "threads") {
-          if (!p.parse_number(&num)) return done(false);
-          r.spec.threads = static_cast<int>(num);
-        } else if (key == "reliable_links") {
-          if (!p.parse_bool(&r.spec.reliable_links)) return done(false);
-        } else if (key == "failover") {
-          if (!p.parse_bool(&r.spec.failover)) return done(false);
-        } else if (key == "watchdog_interval") {
-          if (!p.parse_number(&num)) return done(false);
-          r.spec.watchdog_interval = static_cast<common::Cycle>(num);
-        } else if (key == "load") {
-          if (!p.parse_number(&r.spec.load)) return done(false);
-        } else if (key == "bytes") {
-          if (!p.parse_number(&num)) return done(false);
-          r.spec.bytes = static_cast<common::ByteCount>(num);
-        } else if (key == "remote_fraction") {
-          if (!p.parse_number(&r.spec.remote_fraction)) return done(false);
-        } else {
-          if (!p.skip_value()) return done(false);
-        }
-      }
-      if (!p.consume('}')) return done(false);
-    } else if (key == "events") {
-      if (!p.consume('[')) return done(false);
-      while (!p.peek(']')) {
-        if (!p.consume('{')) return done(false);
-        ClusterFaultEvent e;
-        while (!p.peek('}')) {
-          if (!p.parse_string(&key) || !p.consume(':')) return done(false);
-          if (key == "kind") {
-            if (!p.parse_string(&str)) return done(false);
-            if (str == "trunk_corrupt") {
-              e.kind = ClusterFaultKind::kTrunkCorrupt;
-            } else if (str == "trunk_stall") {
-              e.kind = ClusterFaultKind::kTrunkStall;
-            } else if (str == "trunk_cut") {
-              e.kind = ClusterFaultKind::kTrunkCut;
-            } else if (str == "chip_freeze") {
-              e.kind = ClusterFaultKind::kChipFreeze;
-            } else {
-              p.fail("unknown fault kind " + str);
-              return done(false);
-            }
-          } else if (key == "at") {
-            if (!p.parse_number(&num)) return done(false);
-            e.at = static_cast<common::Cycle>(num);
-          } else if (key == "duration") {
-            if (!p.parse_number(&num)) return done(false);
-            e.duration = static_cast<std::uint64_t>(num);
-          } else if (key == "link") {
-            if (!p.parse_number(&num)) return done(false);
-            e.link = static_cast<int>(num);
-          } else if (key == "chip") {
-            if (!p.parse_number(&num)) return done(false);
-            e.chip = static_cast<int>(num);
-          } else if (key == "bit") {
-            if (!p.parse_number(&num)) return done(false);
-            e.bit = static_cast<std::uint32_t>(num);
-          } else {
-            if (!p.skip_value()) return done(false);
-          }
-        }
-        if (!p.consume('}')) return done(false);
-        r.events.push_back(e);
-      }
-      if (!p.consume(']')) return done(false);
-    } else if (key == "pass") {
-      if (!p.parse_bool(&r.pass)) return done(false);
-    } else if (key == "failure") {
-      if (!p.parse_string(&r.failure)) return done(false);
-    } else if (key == "degraded") {
-      if (!p.parse_bool(&r.degraded)) return done(false);
-    } else if (key == "drained") {
-      if (!p.parse_bool(&r.drained)) return done(false);
-    } else if (key == "digest") {
-      if (!p.parse_hex64(&r.digest)) return done(false);
-    } else {
-      if (!p.skip_value()) return done(false);
+      std::string schema;
+      has_schema = true;
+      return p.parse(&schema) &&
+             (schema == kClusterSchema || p.reject("unknown schema " + schema));
     }
-  }
-  if (!p.consume('}')) return done(false);
-  return done(true);
+    if (key == "spec") return p.parse_object(parse_spec);
+    if (key == "events") return p.parse_array(parse_event);
+    if (key == "pass") return p.parse(&r.pass);
+    if (key == "failure") return p.parse(&r.failure);
+    if (key == "degraded") return p.parse(&r.degraded);
+    if (key == "drained") return p.parse(&r.drained);
+    if (key == "digest") return p.parse_hex64(&r.digest);
+    return p.skip_value();
+  });
+  ok = ok && (has_schema || p.reject("missing \"schema\" marker"));
+  if (!p.finish(ok, error)) return false;
+  *out = std::move(r);
+  return true;
 }
 
 ClusterChaosResult replay_cluster_repro(const ClusterChaosRepro& repro,
@@ -701,6 +477,60 @@ ClusterChaosResult replay_cluster_repro(const ClusterChaosRepro& repro,
     if (why != nullptr) *why = mismatch;
   }
   return r;
+}
+
+bool same_outcome(const ClusterChaosRepro& a, const ClusterChaosRepro& b) {
+  return a.pass == b.pass &&
+         router::failure_category(a.failure) ==
+             router::failure_category(b.failure) &&
+         a.degraded == b.degraded && a.drained == b.drained;
+}
+
+ClusterChaosRepro minimize_repro(const ClusterChaosRepro& target,
+                                 router::MinimizeStats* stats) {
+  const auto run = [&target](const std::vector<ClusterFaultEvent>& events) {
+    return make_repro(target.spec, events,
+                      run_cluster_chaos_events(target.spec, events));
+  };
+  return run(router::ddmin(
+      target.events,
+      [&](const std::vector<ClusterFaultEvent>& subset) {
+        return same_outcome(run(subset), target);
+      },
+      stats));
+}
+
+bool parse_repro(const std::string& text, Repro* out, std::string* error) {
+  // Dispatch on the marker the document carries; the typed reader then
+  // validates it.
+  json::Parser p{text};
+  bool chip = false;
+  bool cluster = false;
+  const bool ok = p.parse_object([&](const std::string& key) {
+    chip |= key == "version";
+    cluster |= key == "schema";
+    return p.skip_value();
+  });
+  // ADL picks router::from_json or from_json by the bundle type.
+  const auto read = [&](auto repro) {
+    if (!from_json(text, &repro, error)) return false;
+    *out = std::move(repro);
+    return true;
+  };
+  if (!p.finish(ok, error)) return false;
+  if (cluster) return read(ClusterChaosRepro{});
+  if (chip) return read(router::ChaosRepro{});
+  if (error != nullptr) *error = "no bundle marker (\"version\" or \"schema\")";
+  return false;
+}
+
+bool load_repro(const std::string& path, Repro* out, std::string* error) {
+  std::string text;
+  if (!json::read_file(path, &text)) {
+    if (error != nullptr) *error = "cannot read " + path;
+    return false;
+  }
+  return parse_repro(text, out, error);
 }
 
 }  // namespace raw::cluster

@@ -28,10 +28,12 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cluster/cluster_config.h"
 #include "cluster/cluster_faults.h"
+#include "router/repro.h"
 
 namespace raw::cluster {
 
@@ -147,27 +149,33 @@ ClusterChaosSweepSummary cluster_chaos_sweep(int num_seeds,
                                              int threads = 0);
 
 // ---------------------------------------------------------------------------
-// Repro bundles: record a failing (spec, events) pair as JSON, replay it
-// bit-identically. Cluster schedules are a handful of events, so there is
-// no ddmin here — the bundle is already near-minimal.
+// Repro bundles: record a (spec, events) pair as JSON, replay it
+// bit-identically, and ddmin its schedule — the same codec (common/json) and
+// minimizer (router::ddmin) as chip bundles.
 
 struct ClusterChaosRepro {
   ClusterChaosSpec spec;
   std::vector<ClusterFaultEvent> events;
   bool pass = true;
-  std::string failure;  // failure class recorded at capture
+  std::string failure;  // failure recorded at capture
   bool degraded = false;
   bool drained = false;
   std::uint64_t digest = 0;
 };
 
-/// Serializes a repro as a self-contained JSON document (schema version 1;
-/// the digest is written as a hex string because 64-bit values exceed
-/// JSON's interoperable integer range).
+/// The bundle for a run of `spec` under `events` that produced `r`.
+[[nodiscard]] ClusterChaosRepro make_repro(
+    const ClusterChaosSpec& spec, const std::vector<ClusterFaultEvent>& events,
+    const ClusterChaosResult& r);
+
+/// Serializes a repro as a self-contained JSON document (schema
+/// "raw-cluster-chaos-repro/v1"; the digest is written as a hex string
+/// because 64-bit values exceed JSON's interoperable integer range).
 [[nodiscard]] std::string to_json(const ClusterChaosRepro& repro);
 
-/// Parses a document produced by to_json. On failure returns false and, if
-/// `error` is non-null, stores a one-line description.
+/// Parses a document produced by to_json; a missing or unknown "schema" is
+/// rejected. On failure returns false and, if `error` is non-null, stores a
+/// one-line description.
 bool from_json(const std::string& text, ClusterChaosRepro* out,
                std::string* error = nullptr);
 
@@ -177,5 +185,29 @@ bool from_json(const std::string& text, ClusterChaosRepro* out,
 /// replay pass).
 ClusterChaosResult replay_cluster_repro(const ClusterChaosRepro& repro,
                                         std::string* why = nullptr);
+
+/// True when two bundles record the same outcome: pass, failure category
+/// (the text before ':'), degraded and drained — the cluster analogue of
+/// comparing chip ChaosSignatures.
+[[nodiscard]] bool same_outcome(const ClusterChaosRepro& a,
+                                const ClusterChaosRepro& b);
+
+/// ddmin over `target`'s schedule: the subset's run must reproduce the
+/// outcome `target` records (same_outcome). Returns the bundle of the
+/// minimal schedule's own run (its digest differs from the full schedule's).
+[[nodiscard]] ClusterChaosRepro minimize_repro(
+    const ClusterChaosRepro& target, router::MinimizeStats* stats = nullptr);
+
+/// Either kind of repro bundle. Cluster code is the lowest layer that sees
+/// both, so the one bundle loader lives here.
+using Repro = std::variant<router::ChaosRepro, ClusterChaosRepro>;
+
+/// Loads either bundle, dispatching on the marker the document carries:
+/// "version" (1 or 2) is a chip bundle, "schema" a cluster bundle.
+bool parse_repro(const std::string& text, Repro* out,
+                 std::string* error = nullptr);
+/// parse_repro over a file's contents.
+bool load_repro(const std::string& path, Repro* out,
+                std::string* error = nullptr);
 
 }  // namespace raw::cluster

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.h"
+#include "sim/channel.h"
 
 namespace raw::cluster {
 
@@ -14,20 +15,6 @@ InterChipLink::InterChipLink(const Params& params) : params_(params) {
   RAW_ASSERT_MSG(!params_.reliable || params_.retransmit_limit >= 1,
                  "reliable link needs a retransmit budget");
   tokens_ = params_.throttle_numer;  // the bucket starts full
-}
-
-std::uint8_t InterChipLink::link_crc8(common::Word w, std::uint64_t seq) {
-  std::uint64_t data =
-      (static_cast<std::uint64_t>(seq & 0xffff) << 32) | w;
-  std::uint8_t crc = 0;
-  for (int i = 0; i < 48; ++i) {
-    const std::uint8_t in = static_cast<std::uint8_t>((data >> 47) & 1);
-    data <<= 1;
-    const std::uint8_t top = static_cast<std::uint8_t>((crc >> 7) & 1);
-    crc = static_cast<std::uint8_t>(crc << 1);
-    if (top ^ in) crc ^= 0x07;
-  }
-  return crc;
 }
 
 void InterChipLink::refill(common::Cycle now) {
@@ -65,14 +52,18 @@ void InterChipLink::send(common::Word w, common::Cycle now) {
   // reorders words.
   deliver = std::max(deliver, last_deliver_);
   last_deliver_ = deliver;
-  staging_.push_back(Slot{deliver, w, w, seq, link_crc8(w, seq)});
+  staging_.push_back(
+      Slot{deliver, w, w, seq,
+           sim::link_crc8(w, static_cast<std::uint16_t>(seq))});
   ++sent_this_epoch_;
   ++sent_total_;
 }
 
 bool InterChipLink::front_intact(common::Cycle now) {
   Slot& s = queue_.front();
-  if (link_crc8(s.wire, s.seq) == s.tag) return true;
+  if (sim::link_crc8(s.wire, static_cast<std::uint16_t>(s.seq)) == s.tag) {
+    return true;
+  }
   if (front_retries_ >= params_.retransmit_limit) {
     // Budget exhausted: deliver the corrupt word (recv counts it).
     return true;
@@ -98,7 +89,8 @@ common::Word InterChipLink::recv(common::Cycle now) {
   RAW_ASSERT_MSG(has_word(now), "recv on an empty or not-yet-due link");
   const Slot& s = queue_.front();
   const common::Word w = s.wire;
-  if (params_.reliable && link_crc8(s.wire, s.seq) != s.tag) {
+  if (params_.reliable &&
+      sim::link_crc8(s.wire, static_cast<std::uint16_t>(s.seq)) != s.tag) {
     ++delivered_corrupt_;
   }
   queue_.pop_front();

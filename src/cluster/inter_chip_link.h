@@ -16,7 +16,7 @@
 //
 // Reliable mode mirrors the single-chip sim::LinkGuard protocol at trunk
 // scale: every word carries a sequence number and a CRC-8 tag over
-// (word, seq), and the sender keeps the clean copy (its replay buffer)
+// (word, seq) — sim::link_crc8, the on-chip links' code — and the sender keeps the clean copy (its replay buffer)
 // alongside the wire word. When the receiver's front-of-FIFO check catches
 // a tag mismatch it NACKs: the word is repaired from the replay copy and
 // its delivery slips by retransmit_rtt — one retransmit round trip — up to
@@ -137,17 +137,12 @@ class InterChipLink final : public router::WordTx, public router::WordRx {
   /// returned.
   bool front_intact(common::Cycle now);
 
-  /// CRC-8 (poly 0x07) over the 32-bit word and sequence number — the same
-  /// code the single-chip reliable links use (sim::Channel::link_crc8).
-  [[nodiscard]] static std::uint8_t link_crc8(common::Word w,
-                                              std::uint64_t seq);
-
   struct Slot {
     common::Cycle deliver = 0;
     common::Word word = 0;  // clean copy (the sender's replay buffer)
     common::Word wire = 0;  // what the trunk actually carries
     std::uint64_t seq = 0;
-    std::uint8_t tag = 0;  // link_crc8(word, seq), computed at send
+    std::uint8_t tag = 0;  // sim::link_crc8(word, seq), computed at send
   };
 
   Params params_;

@@ -4,31 +4,10 @@
 #include <cstdio>
 
 #include "common/assert.h"
+#include "common/json.h"
 
 namespace raw::common {
 namespace {
-
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string format_double(double v) {
   char buf[40];
@@ -160,7 +139,9 @@ std::string MetricRegistry::to_json() const {
   for (const Sample& s : snapshot()) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"" + escape_json(s.name) + "\",\"kind\":\"";
+    out += "{\"name\":";
+    json::append_escaped(out, s.name);
+    out += ",\"kind\":\"";
     out += metric_kind_name(s.kind);
     out += '"';
     switch (s.kind) {

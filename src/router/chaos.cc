@@ -407,24 +407,4 @@ bool parse_mix(const std::string& s, ChaosMix* out) {
   return true;
 }
 
-ChaosSweepSummary chaos_sweep(int num_seeds, common::Cycle run_cycles,
-                              bool reliable_links, bool recovery) {
-  ChaosSweepSummary summary;
-  for (const ChaosMix& mix : standard_mixes()) {
-    for (int s = 1; s <= num_seeds; ++s) {
-      ChaosSpec spec;
-      spec.seed = static_cast<std::uint64_t>(s);
-      spec.mix = mix;
-      spec.run_cycles = run_cycles;
-      spec.reliable_links = reliable_links;
-      spec.recovery = recovery;
-      ChaosResult r = run_chaos(spec);
-      ++summary.total;
-      if (r.pass) ++summary.passed;
-      summary.results.push_back(std::move(r));
-    }
-  }
-  return summary;
-}
-
 }  // namespace raw::router

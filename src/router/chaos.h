@@ -178,18 +178,4 @@ std::vector<ChaosMix> standard_mixes();
 /// "permafreeze") into `out`. Returns false on an unknown kind name.
 bool parse_mix(const std::string& s, ChaosMix* out);
 
-struct ChaosSweepSummary {
-  int total = 0;
-  int passed = 0;
-  std::vector<ChaosResult> results;  // every combination, in run order
-  [[nodiscard]] bool all_passed() const { return passed == total; }
-};
-
-/// Sweeps seeds x standard_mixes(): seeds 1..num_seeds against every mix.
-/// `reliable_links` / `recovery` enable the self-healing layers for every
-/// combination (ChaosSpec::reliable_links / ChaosSpec::recovery semantics).
-ChaosSweepSummary chaos_sweep(int num_seeds, common::Cycle run_cycles,
-                              bool reliable_links = false,
-                              bool recovery = false);
-
 }  // namespace raw::router

@@ -6,12 +6,15 @@
 #include <stdexcept>
 
 #include "common/assert.h"
+#include "common/json.h"
 #include "common/profiler.h"
 #include "common/resource.h"
 #include "common/rng.h"
 
 namespace raw::router {
 namespace {
+
+namespace json = common::json;
 
 // common::mix64: the epoch seed derivation. Every epoch's entire behaviour
 // is a pure function of (master seed, epoch index).
@@ -37,44 +40,6 @@ constexpr Rotation kRotation[] = {
     {"permafreeze", "imix", 0.90},
 };
 constexpr std::size_t kRotationSize = sizeof(kRotation) / sizeof(kRotation[0]);
-
-void append_escaped(std::string& s, const std::string& v) {
-  s += '"';
-  for (const char c : v) {
-    switch (c) {
-      case '"': s += "\\\""; break;
-      case '\\': s += "\\\\"; break;
-      case '\n': s += "\\n"; break;
-      case '\t': s += "\\t"; break;
-      case '\r': s += "\\r"; break;
-      default: s += c; break;
-    }
-  }
-  s += '"';
-}
-
-void append_hex64(std::string& s, std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  s += '"';
-  s += buf;
-  s += '"';
-}
-
-void append_double(std::string& s, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  s += buf;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return n == content.size();
-}
 
 }  // namespace
 
@@ -318,15 +283,8 @@ SoakReport run_soak(const SoakSpec& spec) {
     }
 
     // Materialize the seed-derived fault schedule as explicit events so a
-    // failure bundle replays through run_chaos_events directly. The scratch
-    // router only supplies layout/channel names (identical across builds of
-    // the same config).
-    std::vector<sim::FaultEvent> events;
-    {
-      RawRouter scratch(router_config_for(cs), net::RouteTable::simple4(),
-                        traffic_for(cs), cs.seed);
-      events = make_fault_plan(cs, scratch).events();
-    }
+    // failure bundle replays through run_chaos_events directly.
+    const std::vector<sim::FaultEvent> events = make_fault_events(cs);
 
     common::Profiler prof;
     prof.enable_flight(/*capacity=*/256, /*interval=*/8192);
@@ -359,24 +317,14 @@ SoakReport run_soak(const SoakSpec& spec) {
                     "/" + cs.traffic_profile + "): " + fr.failure;
 
       // Emit the replay bundle (always built; written when a dir is given).
-      ChaosRepro bundle;
-      bundle.spec = cs;
-      bundle.spec.monitor = nullptr;
-      bundle.spec.profiler = nullptr;
-      bundle.spec.checkpoint_spill_dir.clear();
-      bundle.events = events;
-      bundle.signature = signature_of(fr);
-      bundle.digest = fr.digest;
-      bundle.anchors = fr.anchors;
-      bundle.failure = fr.invariant_failure;
-      bundle.failure_cycle = fr.invariant_failure_cycle;
+      ChaosRepro bundle = make_repro(cs, events, fr);
       bundle.soak_epoch = e;
       bundle.soak_start_cycle =
           static_cast<common::Cycle>(e) * spec.epoch_cycles;
       if (!spec.bundle_dir.empty()) {
         const std::string path =
             spec.bundle_dir + "/soak_epoch" + std::to_string(e) + ".json";
-        if (write_file(path, to_json(bundle))) {
+        if (json::write_file(path, to_json(bundle))) {
           rep.bundle_path = path;
         } else {
           std::fprintf(stderr, "soak: cannot write replay bundle %s\n",
@@ -386,7 +334,7 @@ SoakReport run_soak(const SoakSpec& spec) {
       if (!spec.flight_dir.empty() && prof.flight_recorded() > 0) {
         const std::string path = spec.flight_dir + "/soak_epoch" +
                                  std::to_string(e) + "_flight.jsonl";
-        if (write_file(path, prof.flight_jsonl())) {
+        if (json::write_file(path, prof.flight_jsonl())) {
           rep.flight_path = path;
         } else {
           std::fprintf(stderr, "soak: cannot write flight dump %s\n",
@@ -419,89 +367,59 @@ SoakReport run_soak(const SoakSpec& spec) {
 
 std::string SoakReport::to_json() const {
   std::string s = "{\n  \"schema\": \"soak/v1\",\n  \"pass\": ";
-  s += pass ? "true" : "false";
-  s += ",\n  \"failure\": ";
-  append_escaped(s, failure);
-  s += ",\n  \"seed\": ";
-  s += std::to_string(seed);
-  s += ",\n  \"epochs_run\": ";
-  s += std::to_string(epochs_run);
-  s += ",\n  \"total_cycles\": ";
-  s += std::to_string(total_cycles);
-  s += ",\n  \"cycles_run\": ";
-  s += std::to_string(cycles_run);
-  s += ",\n  \"time_boxed\": ";
-  s += time_boxed ? "true" : "false";
+  json::append_value(s, pass);
+  json::append_field(s, "failure", failure, ",\n  ");
+  json::append_field(s, "seed", seed, ",\n  ");
+  json::append_field(s, "epochs_run", epochs_run, ",\n  ");
+  json::append_field(s, "total_cycles", total_cycles, ",\n  ");
+  json::append_field(s, "cycles_run", cycles_run, ",\n  ");
+  json::append_field(s, "time_boxed", time_boxed, ",\n  ");
   s += ",\n  \"wall_seconds\": ";
-  append_double(s, wall_seconds);
+  json::append_double(s, wall_seconds, 6);
   s += ",\n  \"totals\": {\"offered\": ";
   s += std::to_string(offered);
-  s += ", \"delivered\": ";
-  s += std::to_string(delivered);
-  s += ", \"faults_injected\": ";
-  s += std::to_string(faults_injected);
-  s += ", \"invariant_sweeps\": ";
-  s += std::to_string(invariant_sweeps);
-  s += ", \"checkpoints_captured\": ";
-  s += std::to_string(checkpoints_captured);
-  s += ", \"checkpoints_skipped\": ";
-  s += std::to_string(checkpoints_skipped);
-  s += ", \"link_retransmits\": ";
-  s += std::to_string(link_retransmits);
-  s += ", \"recoveries\": ";
-  s += std::to_string(recoveries);
+  json::append_field(s, "delivered", delivered);
+  json::append_field(s, "faults_injected", faults_injected);
+  json::append_field(s, "invariant_sweeps", invariant_sweeps);
+  json::append_field(s, "checkpoints_captured", checkpoints_captured);
+  json::append_field(s, "checkpoints_skipped", checkpoints_skipped);
+  json::append_field(s, "link_retransmits", link_retransmits);
+  json::append_field(s, "recoveries", recoveries);
   s += "},\n  \"memory\": {\"rss_first\": ";
   s += std::to_string(rss_first);
-  s += ", \"rss_last\": ";
-  s += std::to_string(rss_last);
-  s += ", \"rss_peak\": ";
-  s += std::to_string(rss_peak);
-  s += ", \"flat\": ";
-  s += mem_flat ? "true" : "false";
+  json::append_field(s, "rss_last", rss_last);
+  json::append_field(s, "rss_peak", rss_peak);
+  json::append_field(s, "flat", mem_flat);
   s += "},\n  \"replay\": {\"attempted\": ";
-  s += replay.attempted ? "true" : "false";
-  s += ", \"ok\": ";
-  s += replay.ok ? "true" : "false";
-  s += ", \"anchor_cycle\": ";
-  s += std::to_string(replay.anchor_cycle);
+  json::append_value(s, replay.attempted);
+  json::append_field(s, "ok", replay.ok);
+  json::append_field(s, "anchor_cycle", replay.anchor_cycle);
   s += ", \"anchored_digest\": ";
-  append_hex64(s, replay.anchored_digest);
+  json::append_hex64(s, replay.anchored_digest);
   s += ", \"from_zero_digest\": ";
-  append_hex64(s, replay.from_zero_digest);
-  s += ", \"detail\": ";
-  append_escaped(s, replay.detail);
+  json::append_hex64(s, replay.from_zero_digest);
+  json::append_field(s, "detail", replay.detail);
   s += "},\n  \"bundle\": ";
-  append_escaped(s, bundle_path);
-  s += ",\n  \"flight\": ";
-  append_escaped(s, flight_path);
+  json::append_escaped(s, bundle_path);
+  json::append_field(s, "flight", flight_path, ",\n  ");
   s += ",\n  \"epochs\": [";
   for (std::size_t n = 0; n < epochs.size(); ++n) {
     const SoakEpochResult& e = epochs[n];
     s += n == 0 ? "\n" : ",\n";
     s += "    {\"epoch\": ";
     s += std::to_string(e.epoch);
-    s += ", \"mix\": ";
-    append_escaped(s, e.mix);
-    s += ", \"profile\": ";
-    append_escaped(s, e.traffic_profile);
-    s += ", \"pass\": ";
-    s += e.chaos.pass ? "true" : "false";
-    s += ", \"outcome\": ";
-    append_escaped(s, drain_outcome_name(e.chaos.outcome));
-    s += ", \"cycles\": ";
-    s += std::to_string(e.chaos.end_cycle);
-    s += ", \"delivered\": ";
-    s += std::to_string(e.chaos.delivered);
-    s += ", \"faults\": ";
-    s += std::to_string(e.chaos.faults_injected);
-    s += ", \"sweeps\": ";
-    s += std::to_string(e.chaos.invariant_sweeps);
-    s += ", \"checkpoints\": ";
-    s += std::to_string(e.chaos.checkpoints_captured);
-    s += ", \"degraded\": ";
-    s += e.chaos.degraded ? "true" : "false";
+    json::append_field(s, "mix", e.mix);
+    json::append_field(s, "profile", e.traffic_profile);
+    json::append_field(s, "pass", e.chaos.pass);
+    json::append_field(s, "outcome", drain_outcome_name(e.chaos.outcome));
+    json::append_field(s, "cycles", e.chaos.end_cycle);
+    json::append_field(s, "delivered", e.chaos.delivered);
+    json::append_field(s, "faults", e.chaos.faults_injected);
+    json::append_field(s, "sweeps", e.chaos.invariant_sweeps);
+    json::append_field(s, "checkpoints", e.chaos.checkpoints_captured);
+    json::append_field(s, "degraded", e.chaos.degraded);
     s += ", \"digest\": ";
-    append_hex64(s, e.chaos.digest);
+    json::append_hex64(s, e.chaos.digest);
     s += "}";
   }
   s += "\n  ]\n}\n";

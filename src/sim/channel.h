@@ -49,6 +49,22 @@ struct LinkProtectionParams {
   std::size_t replay_depth = 8;
 };
 
+/// CRC-8 (polynomial 0x07) over a link word and its 16-bit sequence
+/// number, fed byte-wise from the low byte up. Both reliable link types use
+/// it: the on-chip Channel guard and cluster::InterChipLink trunks.
+[[nodiscard]] inline std::uint8_t link_crc8(common::Word w, std::uint16_t seq) {
+  const std::uint64_t data = (std::uint64_t{seq} << 32) | w;
+  std::uint8_t crc = 0;
+  for (int i = 0; i < 48; i += 8) {
+    crc ^= static_cast<std::uint8_t>(data >> i);
+    for (int b = 0; b < 8; ++b) {
+      crc = static_cast<std::uint8_t>(static_cast<std::uint8_t>(crc << 1) ^
+                                      ((crc & 0x80u) != 0 ? 0x07u : 0x00u));
+    }
+  }
+  return crc;
+}
+
 class Channel {
  public:
   using Word = common::Word;
@@ -356,21 +372,6 @@ class Channel {
     std::uint64_t delivered_corrupt = 0;
     std::uint64_t stall_cycles = 0;
   };
-
-  /// CRC-8 (polynomial 0x07) over the word and its sequence number.
-  [[nodiscard]] static std::uint8_t link_crc8(Word w, std::uint16_t seq) {
-    const std::uint64_t data = (std::uint64_t{seq} << 32) | w;
-    std::uint8_t crc = 0;
-    for (int i = 0; i < 48; i += 8) {
-      crc ^= static_cast<std::uint8_t>(data >> i);
-      for (int b = 0; b < 8; ++b) {
-        crc = static_cast<std::uint8_t>(
-            static_cast<std::uint8_t>(crc << 1) ^
-            ((crc & 0x80u) != 0 ? 0x07u : 0x00u));
-      }
-    }
-    return crc;
-  }
 
   /// Receive-side check of the FIFO front against the sender's replay copy.
   /// On a tag mismatch the word is rewritten from the replay buffer and the

@@ -1,8 +1,10 @@
 // Cluster chaos harness: every standard mix passes with reliable links and
-// fail-over armed, repro bundles round-trip through JSON and replay
-// bit-identically, and the validation rules catch what they claim to.
+// fail-over armed, repro bundles round-trip through JSON, replay
+// bit-identically and minimize, and the validation rules catch what they
+// claim to.
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,60 +82,78 @@ TEST(ClusterChaosTest, RunsAreDeterministicAcrossWorkerCounts) {
 }
 
 TEST(ClusterChaosTest, ReproBundleRoundTripsThroughJson) {
-  ClusterChaosSpec spec = quick_spec(11);
-  spec.mix.stalls = true;
-  spec.mix.freezes = true;
-  ClusterChaosRepro repro;
-  repro.spec = spec;
-  repro.events = make_cluster_fault_events(spec);
-  const ClusterChaosResult r = run_cluster_chaos_events(spec, repro.events);
-  repro.pass = r.pass;
-  repro.failure = r.failure;
-  repro.degraded = r.degraded;
-  repro.drained = r.drained;
-  repro.digest = r.digest;
+  // 2^53 + 1 is not representable as a double: the reader must keep it
+  // exact, or the replay runs a different seed.
+  for (const std::uint64_t seed :
+       {std::uint64_t{11}, std::uint64_t{9007199254740993}}) {
+    SCOPED_TRACE(seed);
+    ClusterChaosSpec spec = quick_spec(seed);
+    spec.mix.stalls = true;
+    spec.mix.freezes = true;
+    const std::vector<ClusterFaultEvent> events =
+        make_cluster_fault_events(spec);
+    const ClusterChaosRepro repro =
+        make_repro(spec, events, run_cluster_chaos_events(spec, events));
 
-  const std::string json = to_json(repro);
-  ClusterChaosRepro parsed;
-  std::string error;
-  ASSERT_TRUE(from_json(json, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.spec.seed, spec.seed);
-  EXPECT_EQ(parsed.spec.mix.name(), spec.mix.name());
-  EXPECT_EQ(parsed.spec.num_chips, spec.num_chips);
-  EXPECT_EQ(parsed.spec.reliable_links, spec.reliable_links);
-  EXPECT_EQ(parsed.spec.failover, spec.failover);
-  ASSERT_EQ(parsed.events.size(), repro.events.size());
-  for (std::size_t i = 0; i < parsed.events.size(); ++i) {
-    EXPECT_EQ(static_cast<int>(parsed.events[i].kind),
-              static_cast<int>(repro.events[i].kind));
-    EXPECT_EQ(parsed.events[i].at, repro.events[i].at);
-    EXPECT_EQ(parsed.events[i].link, repro.events[i].link);
-    EXPECT_EQ(parsed.events[i].chip, repro.events[i].chip);
+    const std::string json = to_json(repro);
+    ClusterChaosRepro parsed;
+    std::string error;
+    ASSERT_TRUE(from_json(json, &parsed, &error)) << error;
+    EXPECT_EQ(parsed.spec.seed, spec.seed);
+    EXPECT_EQ(parsed.spec.mix.name(), spec.mix.name());
+    EXPECT_EQ(parsed.spec.num_chips, spec.num_chips);
+    EXPECT_EQ(parsed.spec.reliable_links, spec.reliable_links);
+    EXPECT_EQ(parsed.spec.failover, spec.failover);
+    ASSERT_EQ(parsed.events.size(), repro.events.size());
+    for (std::size_t i = 0; i < parsed.events.size(); ++i) {
+      EXPECT_EQ(static_cast<int>(parsed.events[i].kind),
+                static_cast<int>(repro.events[i].kind));
+      EXPECT_EQ(parsed.events[i].at, repro.events[i].at);
+      EXPECT_EQ(parsed.events[i].link, repro.events[i].link);
+      EXPECT_EQ(parsed.events[i].chip, repro.events[i].chip);
+    }
+    EXPECT_EQ(parsed.digest, repro.digest);
+    EXPECT_EQ(parsed.degraded, repro.degraded);
+    EXPECT_EQ(to_json(parsed), json);
+
+    // The parsed bundle replays bit-identically.
+    std::string why;
+    const ClusterChaosResult replayed = replay_cluster_repro(parsed, &why);
+    EXPECT_TRUE(why.empty()) << why;
+    EXPECT_EQ(replayed.digest, repro.digest);
   }
-  EXPECT_EQ(parsed.digest, repro.digest);
-  EXPECT_EQ(parsed.degraded, repro.degraded);
-
-  // The parsed bundle replays bit-identically.
-  std::string why;
-  const ClusterChaosResult replayed = replay_cluster_repro(parsed, &why);
-  EXPECT_TRUE(why.empty()) << why;
-  EXPECT_EQ(replayed.digest, repro.digest);
 }
 
 TEST(ClusterChaosTest, ReplayFlagsATamperedDigest) {
   ClusterChaosSpec spec = quick_spec(13);
   spec.mix.corrupts = true;
-  ClusterChaosRepro repro;
-  repro.spec = spec;
-  repro.events = make_cluster_fault_events(spec);
-  const ClusterChaosResult r = run_cluster_chaos_events(spec, repro.events);
-  repro.degraded = r.degraded;
-  repro.drained = r.drained;
-  repro.digest = r.digest ^ 1;  // tamper
-  std::string why;
-  const ClusterChaosResult replayed = replay_cluster_repro(repro, &why);
-  EXPECT_FALSE(replayed.pass);
-  EXPECT_EQ(why, "digest mismatch");
+  const std::vector<ClusterFaultEvent> events = make_cluster_fault_events(spec);
+  const ClusterChaosRepro fresh =
+      make_repro(spec, events, run_cluster_chaos_events(spec, events));
+
+  // A corrupt+cut bundle an earlier build wrote (`rawchaos --cluster --mix
+  // corrupt+cut --seed 3 --record`), read through the one loader.
+  Repro loaded;
+  std::string error;
+  ASSERT_TRUE(load_repro(RAW_TEST_DATA_DIR "/cluster_corrupt_cut_seed3.json",
+                         &loaded, &error))
+      << error;
+  ASSERT_TRUE(std::holds_alternative<ClusterChaosRepro>(loaded));
+  const ClusterChaosRepro& recorded = std::get<ClusterChaosRepro>(loaded);
+  ASSERT_EQ(recorded.events.size(), 5u);
+
+  for (const ClusterChaosRepro* bundle : {&fresh, &recorded}) {
+    SCOPED_TRACE(bundle->spec.mix.name());
+    std::string why;
+    EXPECT_EQ(replay_cluster_repro(*bundle, &why).digest, bundle->digest);
+    EXPECT_TRUE(why.empty()) << why;
+
+    ClusterChaosRepro tampered = *bundle;
+    tampered.digest ^= 1;
+    const ClusterChaosResult replayed = replay_cluster_repro(tampered, &why);
+    EXPECT_FALSE(replayed.pass);
+    EXPECT_EQ(why, "digest mismatch");
+  }
 }
 
 TEST(ClusterChaosTest, FromJsonRejectsGarbage) {
@@ -142,6 +162,37 @@ TEST(ClusterChaosTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(from_json("not json", &out, &error));
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(from_json("{\"schema\": \"wrong/v9\"}", &out, &error));
+  EXPECT_FALSE(from_json("{\"spec\": {}}", &out, &error));
+  EXPECT_EQ(error, "missing \"schema\" marker");
+
+  // The one loader needs a marker to know which reader applies.
+  Repro any;
+  EXPECT_FALSE(parse_repro("{\"spec\": {}}", &any, &error));
+  EXPECT_EQ(error, "no bundle marker (\"version\" or \"schema\")");
+  EXPECT_FALSE(parse_repro("{\"schema\": \"wrong/v9\"}", &any, &error));
+  EXPECT_EQ(error, "unknown schema wrong/v9");
+}
+
+TEST(ClusterChaosTest, MinimizeKeepsTheRecordedOutcome) {
+  // corrupt+cut ends degraded through the cut alone: ddmin drops the
+  // corrupt words (which reliable links repair anyway) and at least one
+  // direction of the cut survives.
+  ClusterChaosSpec spec = quick_spec(3);
+  spec.mix.corrupts = true;
+  spec.mix.cuts = true;
+  const std::vector<ClusterFaultEvent> events = make_cluster_fault_events(spec);
+  const ClusterChaosRepro target =
+      make_repro(spec, events, run_cluster_chaos_events(spec, events));
+  ASSERT_TRUE(target.degraded);
+
+  router::MinimizeStats stats;
+  const ClusterChaosRepro minimal = minimize_repro(target, &stats);
+  EXPECT_EQ(stats.original_events, events.size());
+  EXPECT_LT(minimal.events.size(), events.size());
+  EXPECT_TRUE(same_outcome(minimal, target));
+  for (const ClusterFaultEvent& e : minimal.events) {
+    EXPECT_EQ(e.kind, ClusterFaultKind::kTrunkCut);
+  }
 }
 
 TEST(ClusterChaosTest, BoundedSweepPasses) {

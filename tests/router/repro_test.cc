@@ -3,23 +3,16 @@
 // and ddmin shrinks a mixed fault schedule to the one event that matters.
 #include "router/repro.h"
 
+#include <variant>
+
 #include <gtest/gtest.h>
 
+#include "cluster/chaos.h"
 #include "router/chaos.h"
 #include "sim/fault_plan.h"
 
 namespace raw::router {
 namespace {
-
-net::TrafficConfig traffic() {
-  net::TrafficConfig t;
-  t.num_ports = 4;
-  t.pattern = net::DestPattern::kUniform;
-  t.size = net::SizeDist::kFixed;
-  t.fixed_bytes = 256;
-  t.load = 0.9;
-  return t;
-}
 
 ChaosRepro sample_repro() {
   ChaosRepro repro;
@@ -74,7 +67,9 @@ ChaosRepro sample_repro() {
 }
 
 TEST(ReproJsonTest, RoundTrip) {
-  const ChaosRepro original = sample_repro();
+  ChaosRepro original = sample_repro();
+  // Every escape the writer emits, a \u00XX control character included.
+  original.failure = "quote\" back\\ nl\n tab\t cr\r bell\x07";
   ChaosRepro parsed;
   std::string error;
   ASSERT_TRUE(from_json(to_json(original), &parsed, &error)) << error;
@@ -91,6 +86,7 @@ TEST(ReproJsonTest, RoundTrip) {
   EXPECT_EQ(parsed.spec.force_dense, original.spec.force_dense);
   EXPECT_EQ(parsed.signature, original.signature);
   EXPECT_EQ(parsed.digest, original.digest);
+  EXPECT_EQ(parsed.failure, original.failure);
 
   ASSERT_EQ(parsed.events.size(), original.events.size());
   for (std::size_t i = 0; i < parsed.events.size(); ++i) {
@@ -192,6 +188,11 @@ TEST(ReproJsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(
       from_json("{\"events\": [{\"kind\": \"meteor_strike\"}]}", &out, &error));
   EXPECT_EQ(error, "unknown fault kind");
+  EXPECT_FALSE(from_json("{\"version\": 3, \"events\": []}", &out, &error));
+  EXPECT_EQ(error, "unknown chip bundle version 3");
+  // Integers are read exactly or not at all.
+  EXPECT_FALSE(from_json("{\"spec\": {\"seed\": 1.5}}", &out, &error));
+  EXPECT_FALSE(from_json("{\"spec\": {\"seed\": -1}}", &out, &error));
 }
 
 TEST(ReproJsonTest, SignatureToStringNamesTheShape) {
@@ -231,18 +232,18 @@ constexpr const char* kBundleWithThreads = R"({
 TEST(ReproReplayTest, DigestStableAcrossEnginesAndThreads) {
   // The record/replay contract: the same (spec, events) pair reproduces the
   // same state digest under the sparse engine and the dense reference
-  // engine — for a freshly generated schedule and for a bundle recorded in
-  // the older format by a run with "threads": 2.
+  // engine — for a freshly generated schedule, for a bundle recorded in
+  // the older format by a run with "threads": 2, and for a
+  // flip+permafreeze bundle an earlier build wrote (`rawchaos --mix
+  // flip+permafreeze --seed 7 --record`), read through the one loader.
   ChaosSpec spec;
   spec.seed = 23;
   spec.mix = ChaosMix{.bitflips = true, .stalls = true};
   spec.run_cycles = 12000;
 
-  RawRouter scratch(RouterConfig{}, net::RouteTable::simple4(),
-                    traffic(), spec.seed);
   ChaosRepro fresh;
   fresh.spec = spec;
-  fresh.events = make_fault_plan(spec, scratch).events();
+  fresh.events = make_fault_events(spec);
   fresh.digest = run_chaos_events(spec, fresh.events).digest;
 
   ChaosRepro old_format;
@@ -250,11 +251,19 @@ TEST(ReproReplayTest, DigestStableAcrossEnginesAndThreads) {
   ASSERT_TRUE(from_json(kBundleWithThreads, &old_format, &error)) << error;
   ASSERT_EQ(old_format.events.size(), 4u);
 
-  for (const ChaosRepro* bundle : {&fresh, &old_format}) {
+  cluster::Repro loaded;
+  ASSERT_TRUE(cluster::load_repro(
+      RAW_TEST_DATA_DIR "/chip_flip_permafreeze_seed7.json", &loaded, &error))
+      << error;
+  ASSERT_TRUE(std::holds_alternative<ChaosRepro>(loaded));
+  ChaosRepro& recorded = std::get<ChaosRepro>(loaded);
+  ASSERT_EQ(recorded.events.size(), 7u);
+
+  for (const ChaosRepro* bundle : {&fresh, &old_format, &recorded}) {
     for (const bool dense : {false, true}) {
       SCOPED_TRACE(::testing::Message()
-                   << (bundle == &fresh ? "fresh" : "old format") << " "
-                   << (dense ? "dense" : "sparse"));
+                   << bundle->spec.mix.name() << " seed " << bundle->spec.seed
+                   << " " << (dense ? "dense" : "sparse"));
       ChaosSpec s = bundle->spec;
       s.force_dense = dense;
       const ChaosResult r = run_chaos_events(s, bundle->events);
@@ -262,8 +271,10 @@ TEST(ReproReplayTest, DigestStableAcrossEnginesAndThreads) {
       EXPECT_GT(r.delivered, 0u);
     }
   }
-  EXPECT_EQ(signature_of(run_chaos_events(old_format.spec, old_format.events)),
-            old_format.signature);
+  for (const ChaosRepro* bundle : {&old_format, &recorded}) {
+    EXPECT_EQ(signature_of(run_chaos_events(bundle->spec, bundle->events)),
+              bundle->signature);
+  }
 }
 
 TEST(ReproMinimizeTest, FlipPermafreezeShrinksToTheFreeze) {
@@ -275,10 +286,7 @@ TEST(ReproMinimizeTest, FlipPermafreezeShrinksToTheFreeze) {
   spec.mix = ChaosMix{.bitflips = true, .permanent_freeze = true};
   spec.run_cycles = 10000;
 
-  RawRouter scratch(RouterConfig{}, net::RouteTable::simple4(),
-                    traffic(), spec.seed);
-  const std::vector<sim::FaultEvent> events =
-      make_fault_plan(spec, scratch).events();
+  const std::vector<sim::FaultEvent> events = make_fault_events(spec);
   ASSERT_EQ(events.size(), 7u);
 
   const ChaosSignature target = signature_of(run_chaos_events(spec, events));

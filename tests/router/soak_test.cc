@@ -176,21 +176,8 @@ TEST(SoakTest, FailureBundleSurvivesJsonRoundTrip) {
 
   // Rebuild the bundle the way run_soak writes it, round-trip through JSON,
   // and verify both replay legs again on the parsed copy.
-  ChaosSpec cs = epoch_spec(spec, 0);
-  cs.monitor = nullptr;
-  cs.profiler = nullptr;
-  cs.checkpoint_spill_dir.clear();
-  ChaosRepro bundle;
-  bundle.spec = cs;
-  net::TrafficConfig traffic = traffic_for(cs);
-  RawRouter scratch(router_config_for(cs), net::RouteTable::simple4(),
-                    traffic, cs.seed);
-  bundle.events = make_fault_plan(cs, scratch).events();
-  bundle.signature = signature_of(r);
-  bundle.digest = r.digest;
-  bundle.anchors = r.anchors;
-  bundle.failure = r.invariant_failure;
-  bundle.failure_cycle = r.invariant_failure_cycle;
+  const ChaosSpec cs = epoch_spec(spec, 0);
+  const ChaosRepro bundle = make_repro(cs, make_fault_events(cs), r);
 
   std::string err;
   ChaosRepro parsed;

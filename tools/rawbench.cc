@@ -44,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/profiler.h"
 #include "exec/stream_mesh.h"
 #include "router/chaos.h"
@@ -238,37 +239,36 @@ std::vector<Case> make_suite(const std::string& suite, Cycle cycles_override) {
   std::exit(2);
 }
 
-// Baseline rows from a previous rawbench JSON report (our own writer's
-// schema, one result object per line — a full JSON parser is not needed).
+// Baseline rows from a previous rawbench JSON report.
 struct BaselineRow {
   std::string name;
   double cycles_per_sec = 0.0;
 };
 
 std::vector<BaselineRow> load_baseline(const char* path) {
-  std::FILE* f = std::fopen(path, "r");
-  if (f == nullptr) {
+  std::string text;
+  if (!raw::common::json::read_file(path, &text)) {
     std::fprintf(stderr, "cannot read baseline %s\n", path);
     std::exit(2);
   }
   std::vector<BaselineRow> rows;
-  char line[1024];
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    const char* np = std::strstr(line, "\"name\": \"");
-    const char* cp = std::strstr(line, "\"cycles_per_sec\": ");
-    if (np == nullptr || cp == nullptr) continue;
-    np += std::strlen("\"name\": \"");
-    const char* ne = std::strchr(np, '"');
-    if (ne == nullptr) continue;
-    BaselineRow r;
-    r.name.assign(np, ne);
-    r.cycles_per_sec =
-        std::strtod(cp + std::strlen("\"cycles_per_sec\": "), nullptr);
-    rows.push_back(std::move(r));
-  }
-  std::fclose(f);
-  if (rows.empty()) {
-    std::fprintf(stderr, "baseline %s holds no result rows\n", path);
+  raw::common::json::Parser p(text);
+  const bool ok = p.parse_object([&](const std::string& key) {
+    if (key != "results") return p.skip_value();
+    return p.parse_array([&] {
+      BaselineRow r;
+      const bool row_ok = p.parse_object([&](const std::string& k) {
+        if (k == "name") return p.parse(&r.name);
+        if (k == "cycles_per_sec") return p.parse(&r.cycles_per_sec);
+        return p.skip_value();
+      });
+      rows.push_back(std::move(r));
+      return row_ok;
+    });
+  });
+  if (!ok || rows.empty()) {
+    std::fprintf(stderr, "baseline %s holds no result rows%s%s\n", path,
+                 p.err.empty() ? "" : ": ", p.err.c_str());
     std::exit(2);
   }
   return rows;
@@ -443,14 +443,11 @@ int main(int argc, char** argv) {
     for (const Row& r : rows) {
       if (r.prof != nullptr) pruns.push_back({r.name, r.prof.get()});
     }
-    std::FILE* sf = std::fopen(speedscope_path, "w");
-    if (sf == nullptr) {
+    if (!raw::common::json::write_file(speedscope_path,
+                                       raw::common::speedscope_json(pruns))) {
       std::fprintf(stderr, "cannot write %s\n", speedscope_path);
       return 1;
     }
-    const std::string ss = raw::common::speedscope_json(pruns);
-    std::fwrite(ss.data(), 1, ss.size(), sf);
-    std::fclose(sf);
     std::printf("wrote %s (%zu profiles)\n", speedscope_path, pruns.size());
   }
 

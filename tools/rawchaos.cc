@@ -8,7 +8,7 @@
 //   ./rawchaos --permanent --seed 3           # permanent-freeze detection
 //   ./rawchaos --links --recovery             # self-healing fabric enabled
 //
-// Deterministic replay workflow (router/repro.h):
+// Deterministic replay workflow (router/repro.h, cluster/chaos.h):
 //
 //   ./rawchaos --mix flip+permafreeze --seed 7 --record bug.json
 //   ./rawchaos --replay bug.json              # re-runs, checks sig + digest
@@ -18,6 +18,9 @@
 //                                             # the nearest checkpoint AND
 //                                             # from zero, digests must agree
 //
+// --replay and --minimize read either kind of bundle (chip or cluster; the
+// document's own marker says which), so they need no --cluster.
+//
 // Cluster mode (cluster/chaos.h) injects *inter-chip* faults — trunk word
 // corruption, link flaps, permanent trunk cuts, whole-chip freezes — into a
 // multi-chip fabric with reliable links and fail-over armed:
@@ -25,7 +28,8 @@
 //   ./rawchaos --cluster                      # 8 cluster mixes x 4 seeds
 //   ./rawchaos --cluster --chips 8 --mix corrupt+cut --seed 3 --threads 4
 //   ./rawchaos --cluster --mix freeze --seed 5 --record bug.json
-//   ./rawchaos --cluster --replay bug.json    # digest/status must reproduce
+//   ./rawchaos --replay bug.json              # digest/status must reproduce
+//   ./rawchaos --minimize bug.json            # ddmin the cluster schedule
 //
 // In sweep mode --record captures the first *failing* combination; with a
 // single --mix/--seed combination it always records.
@@ -43,9 +47,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cluster/chaos.h"
+#include "common/json.h"
 #include "common/profiler.h"
 #include "router/chaos.h"
 #include "router/repro.h"
@@ -53,6 +59,11 @@
 
 namespace {
 
+using raw::cluster::ClusterChaosMix;
+using raw::cluster::ClusterChaosRepro;
+using raw::cluster::ClusterChaosResult;
+using raw::cluster::ClusterChaosSpec;
+using raw::common::json::write_file;
 using raw::router::ChaosMix;
 using raw::router::ChaosRepro;
 using raw::router::ChaosResult;
@@ -86,13 +97,12 @@ void usage() {
                "                [--mix flip+stall+freeze+overrun] [--permanent]\n"
                "                [--links] [--recovery] [--force-dense] [-v]\n"
                "                [--record FILE] [--flight-dir DIR]\n"
-               "       rawchaos --replay FILE\n"
-               "       rawchaos --minimize FILE [--out FILE]\n"
-               "       rawchaos --from-checkpoint FILE\n"
                "       rawchaos --cluster [--chips N] [--seeds N] [--seed S]\n"
                "                [--mix corrupt+stall+cut+freeze] [--cycles N]\n"
                "                [--threads T] [--record FILE]\n"
-               "       rawchaos --cluster --replay FILE\n");
+               "       rawchaos --replay FILE          (chip or cluster bundle)\n"
+               "       rawchaos --minimize FILE [--out FILE]\n"
+               "       rawchaos --from-checkpoint FILE\n");
 }
 
 Args parse(int argc, char** argv) {
@@ -143,61 +153,22 @@ Args parse(int argc, char** argv) {
     std::fprintf(stderr, "--threads needs --cluster (a chip steps serially)\n");
     std::exit(2);
   }
+  if (a.cluster && (a.permanent || a.force_dense || a.flight_dir != nullptr)) {
+    std::fprintf(stderr, "--permanent, --force-dense and --flight-dir are "
+                         "chip-only (not with --cluster)\n");
+    std::exit(2);
+  }
   return a;
 }
 
-ChaosMix mix_from_string(const std::string& s) {
-  ChaosMix m;
-  if (!raw::router::parse_mix(s, &m)) {
-    std::fprintf(stderr, "unknown fault mix '%s'\n", s.c_str());
-    std::exit(2);
-  }
-  return m;
-}
-
-bool read_file(const char* path, std::string* out) {
-  FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  std::size_t n = 0;
-  out->clear();
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
-bool write_file(const char* path, const std::string& text) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  return ok;
-}
-
-ChaosRepro load_repro_or_die(const char* path) {
-  std::string text;
-  if (!read_file(path, &text)) {
-    std::fprintf(stderr, "cannot read %s\n", path);
-    std::exit(2);
-  }
-  ChaosRepro repro;
+raw::cluster::Repro load_repro_or_die(const char* path) {
+  raw::cluster::Repro repro;
   std::string error;
-  if (!raw::router::from_json(text, &repro, &error)) {
+  if (!raw::cluster::load_repro(path, &repro, &error)) {
     std::fprintf(stderr, "%s: %s\n", path, error.c_str());
     std::exit(2);
   }
   return repro;
-}
-
-/// The fault schedule run_chaos would derive from this spec's seed, made
-/// explicit so it can be recorded. A scratch router supplies the chip-edge
-/// channel names the plan generator targets.
-std::vector<raw::sim::FaultEvent> events_for(const ChaosSpec& spec) {
-  raw::router::RawRouter scratch(raw::router::router_config_for(spec),
-                                 raw::net::RouteTable::simple4(),
-                                 raw::router::traffic_for(spec), spec.seed);
-  return raw::router::make_fault_plan(spec, scratch).events();
 }
 
 /// True when a combination's exit deserves its flight history on disk: an
@@ -247,92 +218,6 @@ void print_result(const ChaosResult& r, bool verbose) {
   }
 }
 
-int do_replay(const Args& args) {
-  const ChaosRepro repro = load_repro_or_die(args.replay);
-  std::printf("replaying %zu events: recorded %s, digest %016llx\n",
-              repro.events.size(), repro.signature.to_string().c_str(),
-              static_cast<unsigned long long>(repro.digest));
-  const ChaosResult r =
-      raw::router::run_chaos_events(repro.spec, repro.events);
-  print_result(r, args.verbose);
-  const ChaosSignature sig = raw::router::signature_of(r);
-  const bool sig_match = sig == repro.signature;
-  const bool digest_match = r.digest == repro.digest;
-  std::printf("signature: %s (%s)\n", sig.to_string().c_str(),
-              sig_match ? "match" : "MISMATCH");
-  std::printf("digest:    %016llx (%s)\n",
-              static_cast<unsigned long long>(r.digest),
-              digest_match ? "match" : "MISMATCH");
-  return sig_match && digest_match ? 0 : 1;
-}
-
-int do_minimize(const Args& args) {
-  const ChaosRepro repro = load_repro_or_die(args.minimize);
-  std::printf("minimizing %zu events against: %s\n", repro.events.size(),
-              repro.signature.to_string().c_str());
-  raw::router::MinimizeStats stats;
-  const std::vector<raw::sim::FaultEvent> minimal = raw::router::minimize_events(
-      repro.spec, repro.events, repro.signature, &stats);
-
-  // Re-run the minimal schedule so the written repro carries its own digest
-  // (damage counts — and so the digest — may differ from the full schedule
-  // even though the signature is identical).
-  const ChaosResult r = raw::router::run_chaos_events(repro.spec, minimal);
-  ChaosRepro out;
-  out.spec = repro.spec;
-  out.events = minimal;
-  out.signature = raw::router::signature_of(r);
-  out.digest = r.digest;
-
-  const std::string out_path = args.out != nullptr
-                                   ? std::string(args.out)
-                                   : std::string(args.minimize) + ".min.json";
-  if (!write_file(out_path.c_str(), raw::router::to_json(out))) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
-  }
-  std::printf("%zu -> %zu events in %d runs; wrote %s\n", stats.original_events,
-              stats.minimized_events, stats.runs, out_path.c_str());
-  if (out.signature != repro.signature) {
-    std::printf("WARNING: minimal schedule no longer reproduces the recorded "
-                "signature (got %s)\n", out.signature.to_string().c_str());
-    return 1;
-  }
-  return 0;
-}
-
-int do_from_checkpoint(const Args& args) {
-  const ChaosRepro repro = load_repro_or_die(args.from_checkpoint);
-  std::printf("bundle: %zu events, %zu anchors, failure @%llu: %s\n",
-              repro.events.size(), repro.anchors.size(),
-              static_cast<unsigned long long>(repro.failure_cycle),
-              repro.failure.empty() ? "(none)" : repro.failure.c_str());
-  const raw::router::AnchoredReplayResult v =
-      raw::router::verify_bundle_replay(repro);
-  std::printf("anchor cycle:     %llu\n",
-              static_cast<unsigned long long>(v.anchor_cycle));
-  std::printf("anchored digest:  %016llx\n",
-              static_cast<unsigned long long>(v.anchored_digest));
-  std::printf("from-zero digest: %016llx\n",
-              static_cast<unsigned long long>(v.from_zero_digest));
-  std::printf("recorded digest:  %016llx\n",
-              static_cast<unsigned long long>(repro.digest));
-  if (v.ok) {
-    std::printf("anchored replay: MATCH (identical digest trajectory)\n");
-    return 0;
-  }
-  std::printf("anchored replay: MISMATCH — %s\n", v.detail.c_str());
-  return 1;
-}
-
-// ---------------------------------------------------------------------------
-// Cluster mode: inter-chip fault mixes against a multi-chip fabric.
-
-using raw::cluster::ClusterChaosMix;
-using raw::cluster::ClusterChaosRepro;
-using raw::cluster::ClusterChaosResult;
-using raw::cluster::ClusterChaosSpec;
-
 void print_cluster_result(const ClusterChaosResult& r) {
   std::printf("%-28s seed %-4llu %-5s %-10s dlv %-7llu err %-4llu lost %-4llu "
               "faults %llu\n",
@@ -356,50 +241,157 @@ void print_cluster_result(const ClusterChaosResult& r) {
   }
 }
 
-ClusterChaosSpec cluster_spec_from(const Args& args, std::uint64_t seed,
-                                   const ClusterChaosMix& mix) {
-  ClusterChaosSpec spec;
-  spec.seed = seed;
-  spec.mix = mix;
-  spec.num_chips = args.chips;
-  spec.run_cycles = args.cycles;
-  spec.threads = args.threads;
-  // Cluster chaos is about the *recovery* machinery, so reliable links and
-  // fail-over are on by default; --links/--recovery are accepted no-ops.
-  spec.reliable_links = true;
-  spec.failover = true;
-  return spec;
+int do_replay(const Args& args) {
+  const raw::cluster::Repro bundle = load_repro_or_die(args.replay);
+  if (const auto* cluster = std::get_if<ClusterChaosRepro>(&bundle)) {
+    std::printf("replaying %zu cluster events: recorded digest %016llx, %s\n",
+                cluster->events.size(),
+                static_cast<unsigned long long>(cluster->digest),
+                cluster->degraded ? "degraded" : "healthy");
+    std::string why;
+    const ClusterChaosResult r =
+        raw::cluster::replay_cluster_repro(*cluster, &why);
+    print_cluster_result(r);
+    std::printf("digest: %016llx (%s)\n",
+                static_cast<unsigned long long>(r.digest),
+                why.empty() ? "match" : why.c_str());
+    return why.empty() ? 0 : 1;
+  }
+  const ChaosRepro& repro = std::get<ChaosRepro>(bundle);
+  std::printf("replaying %zu events: recorded %s, digest %016llx\n",
+              repro.events.size(), repro.signature.to_string().c_str(),
+              static_cast<unsigned long long>(repro.digest));
+  const ChaosResult r =
+      raw::router::run_chaos_events(repro.spec, repro.events);
+  print_result(r, args.verbose);
+  const ChaosSignature sig = raw::router::signature_of(r);
+  const bool sig_match = sig == repro.signature;
+  const bool digest_match = r.digest == repro.digest;
+  std::printf("signature: %s (%s)\n", sig.to_string().c_str(),
+              sig_match ? "match" : "MISMATCH");
+  std::printf("digest:    %016llx (%s)\n",
+              static_cast<unsigned long long>(r.digest),
+              digest_match ? "match" : "MISMATCH");
+  return sig_match && digest_match ? 0 : 1;
 }
 
-int do_cluster_replay(const Args& args) {
-  std::string text;
-  if (!read_file(args.replay, &text)) {
-    std::fprintf(stderr, "cannot read %s\n", args.replay);
+int do_minimize(const Args& args) {
+  const raw::cluster::Repro bundle = load_repro_or_die(args.minimize);
+  raw::router::MinimizeStats stats;
+  std::string json;
+  bool reproduced = false;
+  if (const auto* cluster = std::get_if<ClusterChaosRepro>(&bundle)) {
+    std::printf("minimizing %zu cluster events against: %s%s\n",
+                cluster->events.size(),
+                cluster->pass ? "pass" : cluster->failure.c_str(),
+                cluster->degraded ? ", degraded" : "");
+    const ClusterChaosRepro out = raw::cluster::minimize_repro(*cluster, &stats);
+    reproduced = raw::cluster::same_outcome(out, *cluster);
+    json = raw::cluster::to_json(out);
+  } else {
+    const ChaosRepro& repro = std::get<ChaosRepro>(bundle);
+    std::printf("minimizing %zu events against: %s\n", repro.events.size(),
+                repro.signature.to_string().c_str());
+    const ChaosRepro out = raw::router::minimize_repro(repro, &stats);
+    reproduced = out.signature == repro.signature;
+    json = raw::router::to_json(out);
+  }
+
+  const std::string out_path = args.out != nullptr
+                                   ? std::string(args.out)
+                                   : std::string(args.minimize) + ".min.json";
+  if (!write_file(out_path, json)) {
+    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 2;
   }
-  ClusterChaosRepro repro;
-  std::string error;
-  if (!raw::cluster::from_json(text, &repro, &error)) {
-    std::fprintf(stderr, "%s: %s\n", args.replay, error.c_str());
+  std::printf("%zu -> %zu events in %d runs; wrote %s\n", stats.original_events,
+              stats.minimized_events, stats.runs, out_path.c_str());
+  if (!reproduced) {
+    std::printf("WARNING: minimal schedule no longer reproduces the recorded "
+                "outcome\n");
+    return 1;
+  }
+  return 0;
+}
+
+int do_from_checkpoint(const Args& args) {
+  const raw::cluster::Repro bundle = load_repro_or_die(args.from_checkpoint);
+  if (std::holds_alternative<ClusterChaosRepro>(bundle)) {
+    std::fprintf(stderr, "%s: cluster bundles carry no checkpoints\n",
+                 args.from_checkpoint);
     return 2;
   }
-  std::printf("replaying %zu cluster events: recorded digest %016llx, %s\n",
-              repro.events.size(),
-              static_cast<unsigned long long>(repro.digest),
-              repro.degraded ? "degraded" : "healthy");
-  std::string why;
-  const ClusterChaosResult r =
-      raw::cluster::replay_cluster_repro(repro, &why);
-  print_cluster_result(r);
-  std::printf("digest: %016llx (%s)\n",
-              static_cast<unsigned long long>(r.digest),
-              why.empty() ? "match" : why.c_str());
-  return why.empty() ? 0 : 1;
+  const ChaosRepro& repro = std::get<ChaosRepro>(bundle);
+  std::printf("bundle: %zu events, %zu anchors, failure @%llu: %s\n",
+              repro.events.size(), repro.anchors.size(),
+              static_cast<unsigned long long>(repro.failure_cycle),
+              repro.failure.empty() ? "(none)" : repro.failure.c_str());
+  const raw::router::AnchoredReplayResult v =
+      raw::router::verify_bundle_replay(repro);
+  std::printf("anchor cycle:     %llu\n",
+              static_cast<unsigned long long>(v.anchor_cycle));
+  std::printf("anchored digest:  %016llx\n",
+              static_cast<unsigned long long>(v.anchored_digest));
+  std::printf("from-zero digest: %016llx\n",
+              static_cast<unsigned long long>(v.from_zero_digest));
+  std::printf("recorded digest:  %016llx\n",
+              static_cast<unsigned long long>(repro.digest));
+  if (v.ok) {
+    std::printf("anchored replay: MATCH (identical digest trajectory)\n");
+    return 0;
+  }
+  std::printf("anchored replay: MISMATCH — %s\n", v.detail.c_str());
+  return 1;
+}
+
+/// One combination's verdict and, when recording, its bundle.
+struct Combination {
+  bool pass = false;
+  std::size_t events = 0;
+  std::string label;   // how the record line names the bundle
+  std::string bundle;  // JSON, built only under --record
+};
+
+/// The sweep both targets share: every mix x seed, mix-major. --record
+/// writes the first failing combination's bundle (with a single --mix/--seed
+/// combination it always records).
+template <typename Mix, typename Run>
+int sweep(const Args& args, const std::vector<Mix>& mixes, Run&& run) {
+  std::vector<std::uint64_t> seeds;
+  if (args.seed != 0) {
+    seeds.push_back(args.seed);
+  } else {
+    for (int s = 1; s <= args.seeds; ++s) {
+      seeds.push_back(static_cast<std::uint64_t>(s));
+    }
+  }
+  const bool single = mixes.size() == 1 && seeds.size() == 1;
+
+  int total = 0;
+  int passed = 0;
+  bool recorded = false;
+  for (const Mix& mix : mixes) {
+    for (const std::uint64_t seed : seeds) {
+      const Combination c = run(mix, seed);
+      ++total;
+      if (c.pass) ++passed;
+      if (args.record != nullptr && !recorded && (single || !c.pass)) {
+        if (!write_file(args.record, c.bundle)) {
+          std::fprintf(stderr, "cannot write %s\n", args.record);
+          return 2;
+        }
+        std::printf("  recorded %zu-event %s to %s\n", c.events,
+                    c.label.c_str(), args.record);
+        recorded = true;
+      }
+    }
+  }
+  std::printf("\n%d/%d %scombinations passed\n", passed, total,
+              args.cluster ? "cluster " : "");
+  return passed == total ? 0 : 1;
 }
 
 int run_cluster(const Args& args) {
-  if (args.replay != nullptr) return do_cluster_replay(args);
-
   std::vector<ClusterChaosMix> mixes;
   if (args.mix != nullptr) {
     ClusterChaosMix m;
@@ -411,140 +403,95 @@ int run_cluster(const Args& args) {
   } else {
     mixes = raw::cluster::standard_cluster_mixes();
   }
-  std::vector<std::uint64_t> seeds;
-  if (args.seed != 0) {
-    seeds.push_back(args.seed);
+  return sweep(args, mixes, [&](const ClusterChaosMix& mix, std::uint64_t seed) {
+    ClusterChaosSpec spec;
+    spec.seed = seed;
+    spec.mix = mix;
+    spec.num_chips = args.chips;
+    spec.run_cycles = args.cycles;
+    spec.threads = args.threads;
+    // Cluster chaos is about the *recovery* machinery, so reliable links and
+    // fail-over are on by default; --links/--recovery are accepted no-ops.
+    spec.reliable_links = true;
+    spec.failover = true;
+    const std::vector<raw::cluster::ClusterFaultEvent> events =
+        raw::cluster::make_cluster_fault_events(spec);
+    const ClusterChaosResult r =
+        raw::cluster::run_cluster_chaos_events(spec, events);
+    print_cluster_result(r);
+    Combination c{r.pass, events.size(), "cluster repro", {}};
+    if (args.record != nullptr) {
+      c.bundle = raw::cluster::to_json(raw::cluster::make_repro(spec, events, r));
+    }
+    return c;
+  });
+}
+
+int run_chip(const Args& args) {
+  std::vector<ChaosMix> mixes;
+  if (args.mix != nullptr) {
+    ChaosMix m;
+    if (!raw::router::parse_mix(args.mix, &m)) {
+      std::fprintf(stderr, "unknown fault mix '%s'\n", args.mix);
+      return 2;
+    }
+    mixes.push_back(m);
+  } else if (args.permanent) {
+    mixes.push_back(ChaosMix{.permanent_freeze = true});
   } else {
-    for (int s = 1; s <= args.seeds; ++s) {
-      seeds.push_back(static_cast<std::uint64_t>(s));
-    }
+    mixes = raw::router::standard_mixes();
   }
-  const bool single = mixes.size() == 1 && seeds.size() == 1;
+  return sweep(args, mixes, [&](const ChaosMix& mix, std::uint64_t seed) {
+    ChaosSpec spec;
+    spec.seed = seed;
+    spec.mix = mix;
+    spec.run_cycles = args.cycles;
+    spec.reliable_links = args.links;
+    spec.recovery = args.recovery;
+    spec.force_dense = args.force_dense;
 
-  int total = 0;
-  int passed = 0;
-  bool recorded = false;
-  for (const ClusterChaosMix& mix : mixes) {
-    for (const std::uint64_t seed : seeds) {
-      const ClusterChaosSpec spec = cluster_spec_from(args, seed, mix);
-      const std::vector<raw::cluster::ClusterFaultEvent> events =
-          raw::cluster::make_cluster_fault_events(spec);
-      const ClusterChaosResult r =
-          raw::cluster::run_cluster_chaos_events(spec, events);
-      ++total;
-      if (r.pass) ++passed;
-      print_cluster_result(r);
-
-      if (args.record != nullptr && !recorded && (single || !r.pass)) {
-        ClusterChaosRepro repro;
-        repro.spec = spec;
-        repro.events = events;
-        repro.pass = r.pass;
-        repro.failure = r.failure;
-        repro.degraded = r.degraded;
-        repro.drained = r.drained;
-        repro.digest = r.digest;
-        if (!write_file(args.record, raw::cluster::to_json(repro))) {
-          std::fprintf(stderr, "cannot write %s\n", args.record);
-          return 2;
-        }
-        std::printf("  recorded %zu-event cluster repro to %s\n",
-                    events.size(), args.record);
-        recorded = true;
-      }
+    // Per-combination flight recorder: ~64 snapshots across the run (the
+    // drain keeps snapping and the ring keeps the most recent history,
+    // which is the part a post-mortem wants).
+    raw::common::Profiler profiler;
+    if (args.flight_dir != nullptr) {
+      profiler.enable_flight(
+          /*capacity=*/64,
+          /*interval=*/std::max<raw::common::Cycle>(1, args.cycles / 64));
+      spec.profiler = &profiler;
     }
-  }
-  std::printf("\n%d/%d cluster combinations passed\n", passed, total);
-  return passed == total ? 0 : 1;
+
+    Combination c;
+    ChaosResult r;
+    if (args.record != nullptr) {
+      // Record mode runs the explicit-schedule path so the events written
+      // to disk are exactly the events that produced the result.
+      const std::vector<raw::sim::FaultEvent> events =
+          raw::router::make_fault_events(spec);
+      r = raw::router::run_chaos_events(spec, events);
+      const ChaosRepro repro = raw::router::make_repro(spec, events, r);
+      c.events = events.size();
+      c.label = "repro (" + repro.signature.to_string() + ")";
+      c.bundle = raw::router::to_json(repro);
+    } else {
+      r = raw::router::run_chaos(spec);
+    }
+    c.pass = r.pass;
+    print_result(r, args.verbose);
+    if (args.flight_dir != nullptr && flight_worthy(r) &&
+        !dump_flight(args.flight_dir, r, profiler)) {
+      std::exit(2);
+    }
+    return c;
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
-  if (args.cluster) return run_cluster(args);
   if (args.replay != nullptr) return do_replay(args);
   if (args.minimize != nullptr) return do_minimize(args);
   if (args.from_checkpoint != nullptr) return do_from_checkpoint(args);
-
-  std::vector<ChaosMix> mixes;
-  if (args.mix != nullptr) {
-    mixes.push_back(mix_from_string(args.mix));
-  } else if (args.permanent) {
-    mixes.push_back(ChaosMix{.permanent_freeze = true});
-  } else {
-    mixes = raw::router::standard_mixes();
-  }
-  std::vector<std::uint64_t> seeds;
-  if (args.seed != 0) {
-    seeds.push_back(args.seed);
-  } else {
-    for (int s = 1; s <= args.seeds; ++s) {
-      seeds.push_back(static_cast<std::uint64_t>(s));
-    }
-  }
-  const bool single = mixes.size() == 1 && seeds.size() == 1;
-
-  int total = 0;
-  int passed = 0;
-  bool recorded = false;
-  for (const ChaosMix& mix : mixes) {
-    for (const std::uint64_t seed : seeds) {
-      ChaosSpec spec;
-      spec.seed = seed;
-      spec.mix = mix;
-      spec.run_cycles = args.cycles;
-      spec.reliable_links = args.links;
-      spec.recovery = args.recovery;
-      spec.force_dense = args.force_dense;
-
-      // Per-combination flight recorder: ~64 snapshots across the run (the
-      // drain keeps snapping and the ring keeps the most recent history,
-      // which is the part a post-mortem wants).
-      raw::common::Profiler profiler;
-      if (args.flight_dir != nullptr) {
-        profiler.enable_flight(
-            /*capacity=*/64,
-            /*interval=*/std::max<raw::common::Cycle>(1, args.cycles / 64));
-        spec.profiler = &profiler;
-      }
-
-      ChaosResult r;
-      std::vector<raw::sim::FaultEvent> events;
-      if (args.record != nullptr) {
-        // Record mode runs the explicit-schedule path so the events written
-        // to disk are exactly the events that produced the result.
-        events = events_for(spec);
-        r = raw::router::run_chaos_events(spec, events);
-      } else {
-        r = raw::router::run_chaos(spec);
-      }
-      ++total;
-      if (r.pass) ++passed;
-      print_result(r, args.verbose);
-      if (args.flight_dir != nullptr && flight_worthy(r)) {
-        if (!dump_flight(args.flight_dir, r, profiler)) return 2;
-      }
-
-      if (args.record != nullptr && !recorded && (single || !r.pass)) {
-        ChaosRepro repro;
-        repro.spec = spec;
-        repro.events = events;
-        repro.signature = raw::router::signature_of(r);
-        repro.digest = r.digest;
-        repro.anchors = r.anchors;
-        repro.failure = r.invariant_failure;
-        repro.failure_cycle = r.invariant_failure_cycle;
-        if (!write_file(args.record, raw::router::to_json(repro))) {
-          std::fprintf(stderr, "cannot write %s\n", args.record);
-          return 2;
-        }
-        std::printf("  recorded %zu-event repro (%s) to %s\n", events.size(),
-                    repro.signature.to_string().c_str(), args.record);
-        recorded = true;
-      }
-    }
-  }
-  std::printf("\n%d/%d combinations passed\n", passed, total);
-  return passed == total ? 0 : 1;
+  return args.cluster ? run_cluster(args) : run_chip(args);
 }

@@ -29,9 +29,12 @@
 #include <vector>
 
 #include "cluster/chaos.h"
+#include "common/json.h"
 #include "router/soak.h"
 
 namespace {
+
+using raw::common::json::write_file;
 
 void usage() {
   std::fprintf(
@@ -46,14 +49,6 @@ void usage() {
       "       rawsoak --cluster [--epochs N] [--chips N] [--seed S]\n"
       "               [--threads T] [--epoch CYCLES] [--time-box SECONDS]\n"
       "               [--bundle-dir DIR]\n");
-}
-
-bool write_file(const char* path, const std::string& text) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  return ok;
 }
 
 /// Cluster soak: rotate the standard inter-chip mixes across epochs, each
@@ -106,17 +101,10 @@ int run_cluster_soak(int epochs, int chips, std::uint64_t seed, int threads,
       std::printf("    -> %s\n", r.failure.c_str());
       pass = false;
       if (bundle_dir != nullptr) {
-        raw::cluster::ClusterChaosRepro repro;
-        repro.spec = spec;
-        repro.events = events;
-        repro.pass = r.pass;
-        repro.failure = r.failure;
-        repro.degraded = r.degraded;
-        repro.drained = r.drained;
-        repro.digest = r.digest;
         const std::string path = std::string(bundle_dir) + "/cluster_epoch" +
                                  std::to_string(e) + ".repro.json";
-        if (write_file(path.c_str(), raw::cluster::to_json(repro))) {
+        if (write_file(path, raw::cluster::to_json(raw::cluster::make_repro(
+                                 spec, events, r)))) {
           std::printf("    bundle: %s\n", path.c_str());
         } else {
           std::fprintf(stderr, "cannot write %s\n", path.c_str());

@@ -26,6 +26,7 @@
 
 #include "cluster/chaos.h"
 #include "cluster/fabric.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/profiler.h"
 #include "common/trace_event.h"
@@ -578,17 +579,14 @@ int main(int argc, char** argv) {
   if (args.csv) std::printf("%s", registry.to_csv().c_str());
 
   if (args.trace_path != nullptr) {
-    FILE* f = std::fopen(args.trace_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", args.trace_path);
-      return 1;
-    }
     const std::string json =
         args.profile
             ? raw::common::merged_chrome_json(&tracer, &profiler)
             : tracer.chrome_json();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    if (!raw::common::json::write_file(args.trace_path, json)) {
+      std::fprintf(stderr, "cannot open %s\n", args.trace_path);
+      return 1;
+    }
     if (!quiet) {
       std::printf("\nwrote %zu trace events (%llu recorded, %llu overwritten) "
                   "to %s%s\n",
