@@ -42,8 +42,11 @@ ClusterConfig cluster_config_for(const ClusterChaosSpec& spec) {
 std::vector<ClusterFaultEvent> make_cluster_fault_events(
     const ClusterChaosSpec& spec) {
   // The schedule targets real geometry, so build the (fault-free) topology
-  // the run will use.
-  const Topology topo = Topology::build(cluster_config_for(spec));
+  // the run will use — after the config passes validate(), which throws
+  // std::invalid_argument on geometry Topology::build cannot wire.
+  const ClusterConfig cfg = cluster_config_for(spec);
+  cfg.validate();
+  const Topology topo = Topology::build(cfg);
   const std::size_t num_links = topo.links.size();
   RAW_ASSERT(num_links >= 2 && num_links % 2 == 0);  // trunks come in pairs
 
@@ -282,30 +285,6 @@ bool parse_cluster_mix(const std::string& s, ClusterChaosMix* out) {
   }
   *out = mix;
   return true;
-}
-
-ClusterChaosSweepSummary cluster_chaos_sweep(int num_seeds,
-                                             common::Cycle run_cycles,
-                                             int num_chips, int threads) {
-  ClusterChaosSweepSummary summary;
-  for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(num_seeds);
-       ++seed) {
-    for (const ClusterChaosMix& mix : standard_cluster_mixes()) {
-      ClusterChaosSpec spec;
-      spec.seed = seed;
-      spec.mix = mix;
-      spec.num_chips = num_chips;
-      spec.threads = threads;
-      spec.run_cycles = run_cycles;
-      spec.reliable_links = true;
-      spec.failover = true;
-      ClusterChaosResult r = run_cluster_chaos(spec);
-      ++summary.total;
-      if (r.pass) ++summary.passed;
-      summary.results.push_back(std::move(r));
-    }
-  }
-  return summary;
 }
 
 // ---------------------------------------------------------------------------

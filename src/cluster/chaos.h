@@ -19,11 +19,11 @@
 //   * the cluster still forwards — end-to-end validated deliveries stay
 //     nonzero.
 //
-// Used by tools/rawchaos --cluster (interactive), tools/rawsoak --cluster
-// (rotating mixes), bench/chaos_soak --cluster (full sweep), and the tier2
-// ctest soak (bounded sweep). Deterministic: the same (spec, events) pair
-// produces the same ClusterChaosResult — and the same cluster digest — at
-// any worker count, which is what makes a recorded repro replayable.
+// Used by tools/rawchaos --cluster (one combination or the seeds x mixes
+// sweep, which the tier2 ctest runs bounded) and tools/rawstat --cluster
+// --chaos. Deterministic: the same (spec, events) pair produces the same
+// ClusterChaosResult — and the same cluster digest — at any worker count,
+// which is what makes a recorded repro replayable.
 #pragma once
 
 #include <cstdint>
@@ -133,20 +133,6 @@ std::vector<ClusterChaosMix> standard_cluster_mixes();
 /// Parses a '+'-separated mix string ("corrupt+stall+cut+freeze") into
 /// `out`. Returns false on an unknown kind name.
 bool parse_cluster_mix(const std::string& s, ClusterChaosMix* out);
-
-struct ClusterChaosSweepSummary {
-  int total = 0;
-  int passed = 0;
-  std::vector<ClusterChaosResult> results;  // every combination, in run order
-  [[nodiscard]] bool all_passed() const { return passed == total; }
-};
-
-/// Sweeps seeds x standard_cluster_mixes(): seeds 1..num_seeds against
-/// every mix, with reliable links + fail-over armed for every combination.
-ClusterChaosSweepSummary cluster_chaos_sweep(int num_seeds,
-                                             common::Cycle run_cycles,
-                                             int num_chips = 4,
-                                             int threads = 0);
 
 // ---------------------------------------------------------------------------
 // Repro bundles: record a (spec, events) pair as JSON, replay it

@@ -70,9 +70,11 @@ sim::FaultPlan make_fault_plan(const ChaosSpec& spec, RawRouter& router,
   sim::Chip& chip = router.chip();
 
   // Faults land while traffic is flowing but well before the run ends, so
-  // transients have time to wash out before the drain.
+  // transients have time to wash out before the drain. The window is never
+  // empty, even for a one-cycle run.
   const common::Cycle lo = spec.run_cycles / 8;
-  const common::Cycle hi = spec.run_cycles * 3 / 4;
+  const common::Cycle hi = std::max<common::Cycle>(lo + 1,
+                                                   3 * spec.run_cycles / 4);
   const auto when = [&] { return lo + rng.below(hi - lo); };
 
   // The eight chip-edge channels (line card <-> chip), the only places line

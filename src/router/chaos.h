@@ -16,8 +16,9 @@
 //   * the router still forwards — delivered packets (which are validated
 //     end-to-end by the output cards) stay nonzero.
 //
-// Used by tools/rawchaos (interactive), bench/chaos_soak (full sweep), and
-// the tier2 ctest soak (bounded sweep).
+// Used by tools/rawchaos (one combination or the seeds x mixes sweep, which
+// the tier2 ctests run bounded), tools/rawsoak (rotating endurance epochs,
+// router/soak.h) and tools/rawstat --chaos.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 // bit-identically and minimize, and the validation rules catch what they
 // claim to.
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <variant>
 #include <vector>
@@ -53,6 +54,16 @@ TEST(ClusterChaosTest, StandardMixesPassWithRecoveryArmed) {
       EXPECT_FALSE(r.degraded) << mix.name();
     }
   }
+}
+
+TEST(ClusterChaosTest, ScheduleRejectsGeometryItCannotWire) {
+  // One chip is not a cluster: the schedule builder validates the config
+  // before it builds the topology, so bad geometry throws instead of
+  // aborting.
+  ClusterChaosSpec spec = quick_spec(1);
+  spec.mix.cuts = true;
+  spec.num_chips = 1;
+  EXPECT_THROW(make_cluster_fault_events(spec), std::invalid_argument);
 }
 
 TEST(ClusterChaosTest, CorruptingMixDoesZeroDamageOnReliableLinks) {
@@ -196,10 +207,18 @@ TEST(ClusterChaosTest, MinimizeKeepsTheRecordedOutcome) {
 }
 
 TEST(ClusterChaosTest, BoundedSweepPasses) {
-  const ClusterChaosSweepSummary summary = cluster_chaos_sweep(
-      /*num_seeds=*/1, /*run_cycles=*/6000, /*num_chips=*/4, /*threads=*/2);
-  EXPECT_TRUE(summary.all_passed());
-  for (const ClusterChaosResult& r : summary.results) {
+  // The shape of a bounded `rawchaos --cluster` sweep: seed 1, 6,000
+  // cycles, 4 chips, 2 workers, default drain, every standard mix.
+  for (const ClusterChaosMix& mix : standard_cluster_mixes()) {
+    ClusterChaosSpec spec;
+    spec.seed = 1;
+    spec.mix = mix;
+    spec.num_chips = 4;
+    spec.threads = 2;
+    spec.run_cycles = 6000;
+    spec.reliable_links = true;
+    spec.failover = true;
+    const ClusterChaosResult r = run_cluster_chaos(spec);
     EXPECT_TRUE(r.pass) << r.mix << " seed " << r.seed << ": " << r.failure;
   }
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "router/raw_router.h"
@@ -213,6 +214,28 @@ TEST(ChaosTest, MixNamesRoundTrip) {
   EXPECT_EQ((ChaosMix{.bitflips = true, .stalls = true}).name(), "flip+stall");
   EXPECT_EQ((ChaosMix{.permanent_freeze = true}).name(), "permafreeze");
   EXPECT_EQ(standard_mixes().size(), 13u);
+}
+
+TEST(ChaosTest, FaultScheduleFitsAnyRunLength) {
+  // Every fault of a flip+stall mix lands in [run/8, 3run/4), and a
+  // one-cycle run still gets its full schedule (in cycle 0) rather than an
+  // empty time window.
+  for (const common::Cycle run : {common::Cycle{16000}, common::Cycle{1}}) {
+    SCOPED_TRACE(run);
+    RawRouter router(RouterConfig{}, net::RouteTable::simple4(), traffic(), 1);
+    ChaosSpec spec;
+    spec.seed = 1;
+    spec.mix.bitflips = true;
+    spec.mix.stalls = true;
+    spec.run_cycles = run;
+    const sim::FaultPlan plan = make_fault_plan(spec, router);
+    EXPECT_EQ(plan.events().size(),
+              static_cast<std::size_t>(2 * spec.faults_per_kind));
+    for (const sim::FaultEvent& e : plan.events()) {
+      EXPECT_GE(e.at, run / 8);
+      EXPECT_LT(e.at, std::max<common::Cycle>(1, 3 * run / 4));
+    }
+  }
 }
 
 TEST(ChaosTest, BitFlipRunConservesAndStillForwards) {

@@ -3,9 +3,9 @@
 // unexplained damage — see router/chaos.h).
 //
 //   ./rawchaos                          # standard mixes x 4 seeds
-//   ./rawchaos --seeds 16 --cycles 40000
+//   ./rawchaos --seeds 16 --cycles 40000      # the full 16 x 13 sweep
 //   ./rawchaos --mix flip+stall --seed 7 -v   # one combination, verbose
-//   ./rawchaos --permanent --seed 3           # permanent-freeze detection
+//   ./rawchaos --mix permafreeze --seed 3     # permanent-freeze detection
 //   ./rawchaos --links --recovery             # self-healing fabric enabled
 //
 // Deterministic replay workflow (router/repro.h, cluster/chaos.h):
@@ -23,7 +23,8 @@
 //
 // Cluster mode (cluster/chaos.h) injects *inter-chip* faults — trunk word
 // corruption, link flaps, permanent trunk cuts, whole-chip freezes — into a
-// multi-chip fabric with reliable links and fail-over armed:
+// multi-chip fabric with reliable links and fail-over always armed (so
+// --links/--recovery are chip-only):
 //
 //   ./rawchaos --cluster                      # 8 cluster mixes x 4 seeds
 //   ./rawchaos --cluster --chips 8 --mix corrupt+cut --seed 3 --threads 4
@@ -32,7 +33,11 @@
 //   ./rawchaos --minimize bug.json            # ddmin the cluster schedule
 //
 // In sweep mode --record captures the first *failing* combination; with a
-// single --mix/--seed combination it always records.
+// single --mix/--seed combination it always records. Sweeping, recording
+// the first failure and shrinking it to a minimal schedule is therefore:
+//
+//   ./rawchaos --seeds 8 --links --recovery --record repro/first.json
+//   ./rawchaos --minimize repro/first.json
 //
 // With --flight-dir DIR every combination runs with the engine flight
 // recorder armed (common/profiler.h): any run that fails an invariant or
@@ -41,11 +46,16 @@
 // "what was the engine doing" evidence. DIR must exist.
 //
 // Exit status is 0 only when every combination passes (or the replay /
-// minimize reproduced the recorded signature).
+// minimize reproduced the recorded signature); 2 on bad usage — a count
+// that is not a positive integer, or a configuration the harness rejects.
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <variant>
 #include <vector>
@@ -75,7 +85,6 @@ struct Args {
   raw::common::Cycle cycles = 40000;
   std::uint64_t seed = 0;    // nonzero: run a single seed
   const char* mix = nullptr; // run a single mix, e.g. "flip+stall"
-  bool permanent = false;
   bool verbose = false;
   int threads = 0;  // cluster thread-per-chip workers (0: RAWSIM_THREADS)
   bool links = false;        // reliable links: CRC + NACK/retransmit
@@ -94,7 +103,7 @@ struct Args {
 void usage() {
   std::fprintf(stderr,
                "usage: rawchaos [--seeds N] [--cycles N] [--seed S]\n"
-               "                [--mix flip+stall+freeze+overrun] [--permanent]\n"
+               "                [--mix flip+stall+freeze+overrun+permafreeze]\n"
                "                [--links] [--recovery] [--force-dense] [-v]\n"
                "                [--record FILE] [--flight-dir DIR]\n"
                "       rawchaos --cluster [--chips N] [--seeds N] [--seed S]\n"
@@ -105,19 +114,33 @@ void usage() {
                "       rawchaos --from-checkpoint FILE\n");
 }
 
+/// Parses a whole decimal count >= 1 that fits in T, or prints the usage
+/// line and exits 2: a typo or a zero must not shrink a sweep to nothing
+/// and pass it.
+template <typename T>
+T positive(const char* s) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*s)) || *end != '\0' ||
+      errno == ERANGE || v < 1 || v > std::numeric_limits<T>::max()) {
+    usage();
+    std::exit(2);
+  }
+  return static_cast<T>(v);
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--seeds") && i + 1 < argc) {
-      a.seeds = std::atoi(argv[++i]);
+      a.seeds = positive<int>(argv[++i]);
     } else if (!std::strcmp(argv[i], "--cycles") && i + 1 < argc) {
-      a.cycles = std::strtoull(argv[++i], nullptr, 10);
+      a.cycles = positive<raw::common::Cycle>(argv[++i]);
     } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      a.seed = std::strtoull(argv[++i], nullptr, 10);
+      a.seed = positive<std::uint64_t>(argv[++i]);
     } else if (!std::strcmp(argv[i], "--mix") && i + 1 < argc) {
       a.mix = argv[++i];
-    } else if (!std::strcmp(argv[i], "--permanent")) {
-      a.permanent = true;
     } else if (!std::strcmp(argv[i], "--links")) {
       a.links = true;
     } else if (!std::strcmp(argv[i], "--recovery")) {
@@ -127,7 +150,7 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--cluster")) {
       a.cluster = true;
     } else if (!std::strcmp(argv[i], "--chips") && i + 1 < argc) {
-      a.chips = std::atoi(argv[++i]);
+      a.chips = positive<int>(argv[++i]);
     } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
       a.threads = std::atoi(argv[++i]);
     } else if (!std::strcmp(argv[i], "--record") && i + 1 < argc) {
@@ -153,9 +176,11 @@ Args parse(int argc, char** argv) {
     std::fprintf(stderr, "--threads needs --cluster (a chip steps serially)\n");
     std::exit(2);
   }
-  if (a.cluster && (a.permanent || a.force_dense || a.flight_dir != nullptr)) {
-    std::fprintf(stderr, "--permanent, --force-dense and --flight-dir are "
-                         "chip-only (not with --cluster)\n");
+  if (a.cluster && (a.links || a.recovery || a.force_dense ||
+                    a.flight_dir != nullptr)) {
+    std::fprintf(stderr, "--links, --recovery, --force-dense and --flight-dir "
+                         "are chip-only (cluster runs always arm reliable "
+                         "links and fail-over)\n");
     std::exit(2);
   }
   return a;
@@ -411,7 +436,7 @@ int run_cluster(const Args& args) {
     spec.run_cycles = args.cycles;
     spec.threads = args.threads;
     // Cluster chaos is about the *recovery* machinery, so reliable links and
-    // fail-over are on by default; --links/--recovery are accepted no-ops.
+    // fail-over are always on.
     spec.reliable_links = true;
     spec.failover = true;
     const std::vector<raw::cluster::ClusterFaultEvent> events =
@@ -436,8 +461,6 @@ int run_chip(const Args& args) {
       return 2;
     }
     mixes.push_back(m);
-  } else if (args.permanent) {
-    mixes.push_back(ChaosMix{.permanent_freeze = true});
   } else {
     mixes = raw::router::standard_mixes();
   }
@@ -490,8 +513,15 @@ int run_chip(const Args& args) {
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
-  if (args.replay != nullptr) return do_replay(args);
-  if (args.minimize != nullptr) return do_minimize(args);
-  if (args.from_checkpoint != nullptr) return do_from_checkpoint(args);
-  return args.cluster ? run_cluster(args) : run_chip(args);
+  try {
+    if (args.replay != nullptr) return do_replay(args);
+    if (args.minimize != nullptr) return do_minimize(args);
+    if (args.from_checkpoint != nullptr) return do_from_checkpoint(args);
+    return args.cluster ? run_cluster(args) : run_chip(args);
+  } catch (const std::invalid_argument& e) {
+    // A configuration validate() rejects (cluster geometry, an unknown
+    // traffic profile): a usage error, not a crash.
+    std::fprintf(stderr, "rawchaos: %s\n", e.what());
+    return 2;
+  }
 }

@@ -10,25 +10,16 @@
 //   ./rawsoak --inject-failure-at 6000000 --bundle-dir .   # self-test:
 //       violation -> bundle -> anchored replay must agree
 //
-// Cluster mode soaks the *multi-chip* fabric instead: each epoch is a fresh
-// cluster under the next of the 8 standard inter-chip mixes (rotating), with
-// reliable links + fail-over armed and every recovery invariant checked. A
-// failing epoch writes a replayable repro bundle to --bundle-dir.
-//
-//   ./rawsoak --cluster --epochs 16 --chips 8 --threads 4
-//   ./rawsoak --cluster --time-box 540 --bundle-dir bundles
+// The multi-chip fabric's fault mixes are swept by rawchaos --cluster.
 //
 // Exit status 0 only when the soak passes (for the self-test shape above:
 // when the injected failure produced a bundle whose anchored replay and
 // from-zero replay both reproduce the recorded digest trajectory).
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
-#include "cluster/chaos.h"
 #include "common/json.h"
 #include "router/soak.h"
 
@@ -45,94 +36,7 @@ void usage() {
       "               [--ring K] [--grace N] [--time-box SECONDS]\n"
       "               [--inject-failure-at CYCLE] [--no-verify-replay]\n"
       "               [--report FILE] [--bundle-dir DIR] [--flight-dir DIR]\n"
-      "               [--checkpoint-dir DIR]\n"
-      "       rawsoak --cluster [--epochs N] [--chips N] [--seed S]\n"
-      "               [--threads T] [--epoch CYCLES] [--time-box SECONDS]\n"
-      "               [--bundle-dir DIR]\n");
-}
-
-/// Cluster soak: rotate the standard inter-chip mixes across epochs, each
-/// epoch a fresh fabric with recovery armed. Stops early on a failed epoch
-/// (after writing its bundle) or when the time box expires.
-int run_cluster_soak(int epochs, int chips, std::uint64_t seed, int threads,
-                     raw::common::Cycle epoch_cycles, double time_box_seconds,
-                     const char* bundle_dir) {
-  const std::vector<raw::cluster::ClusterChaosMix> mixes =
-      raw::cluster::standard_cluster_mixes();
-  std::printf("rawsoak --cluster: %d epochs, %d chips, seed %llu, "
-              "%llu cycles/epoch%s\n",
-              epochs, chips, static_cast<unsigned long long>(seed),
-              static_cast<unsigned long long>(epoch_cycles),
-              time_box_seconds > 0 ? " (time-boxed)" : "");
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t delivered = 0;
-  std::uint64_t faults = 0;
-  std::uint64_t retransmits = 0;
-  int degraded_epochs = 0;
-  int run = 0;
-  bool pass = true;
-  for (int e = 0; e < epochs; ++e) {
-    raw::cluster::ClusterChaosSpec spec;
-    spec.seed = seed + static_cast<std::uint64_t>(e);
-    spec.mix = mixes[static_cast<std::size_t>(e) % mixes.size()];
-    spec.num_chips = chips;
-    spec.run_cycles = epoch_cycles;
-    spec.threads = threads;
-    spec.reliable_links = true;
-    spec.failover = true;
-    const std::vector<raw::cluster::ClusterFaultEvent> events =
-        raw::cluster::make_cluster_fault_events(spec);
-    const raw::cluster::ClusterChaosResult r =
-        raw::cluster::run_cluster_chaos_events(spec, events);
-    ++run;
-    delivered += r.delivered;
-    faults += r.faults_injected;
-    retransmits += r.retransmits;
-    if (r.degraded) ++degraded_epochs;
-    std::printf("  epoch %-4d %-28s %-5s %-10s dlv %-8llu faults %-3llu "
-                "rexmit %llu\n",
-                e, r.mix.empty() ? "clean" : r.mix.c_str(),
-                r.pass ? "PASS" : "FAIL",
-                r.degraded ? "DEGRADED" : "healthy",
-                static_cast<unsigned long long>(r.delivered),
-                static_cast<unsigned long long>(r.faults_injected),
-                static_cast<unsigned long long>(r.retransmits));
-    if (!r.pass) {
-      std::printf("    -> %s\n", r.failure.c_str());
-      pass = false;
-      if (bundle_dir != nullptr) {
-        const std::string path = std::string(bundle_dir) + "/cluster_epoch" +
-                                 std::to_string(e) + ".repro.json";
-        if (write_file(path, raw::cluster::to_json(raw::cluster::make_repro(
-                                 spec, events, r)))) {
-          std::printf("    bundle: %s\n", path.c_str());
-        } else {
-          std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        }
-      }
-      break;
-    }
-    if (time_box_seconds > 0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (elapsed >= time_box_seconds) {
-        std::printf("  time box expired after epoch %d\n", e);
-        break;
-      }
-    }
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  std::printf("cluster soak: %s — %d epochs (%.1fs wall), %llu delivered, "
-              "%llu faults, %llu retransmits, %d degraded epochs\n",
-              pass ? "PASS" : "FAIL", run, wall,
-              static_cast<unsigned long long>(delivered),
-              static_cast<unsigned long long>(faults),
-              static_cast<unsigned long long>(retransmits), degraded_epochs);
-  return pass ? 0 : 1;
+      "               [--checkpoint-dir DIR]\n");
 }
 
 }  // namespace
@@ -140,10 +44,6 @@ int run_cluster_soak(int epochs, int chips, std::uint64_t seed, int threads,
 int main(int argc, char** argv) {
   raw::router::SoakSpec spec;
   const char* report_path = nullptr;
-  bool cluster = false;
-  int cluster_epochs = 8;
-  int cluster_chips = 4;
-  int cluster_threads = 0;  // thread-per-chip workers (0: RAWSIM_THREADS)
   for (int i = 1; i < argc; ++i) {
     const auto arg = [&](const char* name) {
       return !std::strcmp(argv[i], name) && i + 1 < argc;
@@ -156,8 +56,6 @@ int main(int argc, char** argv) {
       spec.drain_cycles = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg("--seed")) {
       spec.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg("--threads")) {
-      cluster_threads = std::atoi(argv[++i]);
     } else if (!std::strcmp(argv[i], "--no-links")) {
       spec.reliable_links = false;
     } else if (!std::strcmp(argv[i], "--no-recovery")) {
@@ -186,35 +84,10 @@ int main(int argc, char** argv) {
       spec.flight_dir = argv[++i];
     } else if (arg("--checkpoint-dir")) {
       spec.checkpoint_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--cluster")) {
-      cluster = true;
-    } else if (arg("--epochs")) {
-      cluster_epochs = std::atoi(argv[++i]);
-    } else if (arg("--chips")) {
-      cluster_chips = std::atoi(argv[++i]);
     } else {
       usage();
       return 2;
     }
-  }
-
-  if (cluster_threads != 0 && !cluster) {
-    std::fprintf(stderr, "--threads needs --cluster (a chip steps serially)\n");
-    return 2;
-  }
-  if (cluster) {
-    // The router soak's epoch default (millions of cycles) is too long for
-    // a per-epoch fresh cluster; use a cluster-sized default unless --epoch
-    // was given explicitly.
-    const raw::common::Cycle cluster_epoch_cycles =
-        spec.epoch_cycles == raw::router::SoakSpec{}.epoch_cycles
-            ? 20000
-            : spec.epoch_cycles;
-    return run_cluster_soak(cluster_epochs, cluster_chips, spec.seed,
-                            cluster_threads, cluster_epoch_cycles,
-                            spec.time_box_seconds,
-                            spec.bundle_dir.empty() ? nullptr
-                                                    : spec.bundle_dir.c_str());
   }
 
   std::printf("rawsoak: %llu cycles in %llu-cycle epochs, seed %llu, "
