@@ -1,6 +1,8 @@
 // Experiment E15 — google-benchmark microbenchmarks of the building blocks:
 // checksum arithmetic, LPM lookups, schedulers, the global rule, and the
 // chip simulator's cycle engine (simulation speed, not modelled speed).
+#include <cstdint>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -12,6 +14,7 @@
 #include "net/small_table.h"
 #include "router/config_space.h"
 #include "router/rule.h"
+#include "sim/channel.h"
 #include "sim/chip.h"
 #include "sim/device.h"
 #include "sim/dynamic_network.h"
@@ -210,6 +213,32 @@ void BM_SwitchStreamStep(benchmark::State& state) {
       static_cast<double>(chip.static_words_transferred());
 }
 BENCHMARK(BM_SwitchStreamStep);
+
+// One detached channel with a writer and a reader every cycle: the per-word
+// cost of the link itself. Arg(0) is a bare channel, Arg(1) one with link
+// protection (the reliable-link codec on every word, no faults).
+void BM_ChannelStream(benchmark::State& state) {
+  raw::sim::Channel ch("stream");
+  if (state.range(0) != 0) ch.enable_link_protection({});
+  raw::common::Word next = 0;
+  std::uint64_t words = 0;
+  constexpr int kCycles = 1000;
+  for (auto _ : state) {
+    for (int c = 0; c < kCycles; ++c) {
+      ch.begin_cycle();
+      if (ch.can_read()) {
+        benchmark::DoNotOptimize(ch.read());
+        ++words;
+      }
+      if (ch.can_write()) ch.write(next++);
+      ch.end_cycle();
+    }
+  }
+  state.counters["ns_per_word"] = benchmark::Counter(
+      static_cast<double>(words),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ChannelStream)->Arg(0)->Arg(1);
 
 void BM_DynNetworkRandomTraffic(benchmark::State& state) {
   raw::sim::DynamicNetwork net(raw::sim::GridShape{4, 4});

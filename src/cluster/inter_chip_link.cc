@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "sim/channel.h"
 
 namespace raw::cluster {
 
@@ -52,28 +51,19 @@ void InterChipLink::send(common::Word w, common::Cycle now) {
   // reorders words.
   deliver = std::max(deliver, last_deliver_);
   last_deliver_ = deliver;
-  staging_.push_back(
-      Slot{deliver, w, w, seq,
-           sim::link_crc8(w, static_cast<std::uint16_t>(seq))});
+  staging_.push_back(Slot{deliver, w, w, seq});
   ++sent_this_epoch_;
   ++sent_total_;
 }
 
 bool InterChipLink::front_intact(common::Cycle now) {
   Slot& s = queue_.front();
-  if (sim::link_crc8(s.wire, static_cast<std::uint16_t>(s.seq)) == s.tag) {
+  if (rx_.accept_front(s.wire, s.word, static_cast<std::uint16_t>(s.seq),
+                       params_.retransmit_limit)) {
     return true;
   }
-  if (front_retries_ >= params_.retransmit_limit) {
-    // Budget exhausted: deliver the corrupt word (recv counts it).
-    return true;
-  }
-  // NACK: repair from the sender's replay copy and slip delivery by one
-  // retransmit round trip. The next check sees a clean word, so this
-  // mutates exactly once per corruption episode.
-  ++front_retries_;
-  ++retransmits_;
-  s.wire = s.word;
+  // NACK: the word was repaired from the sender's replay copy; its
+  // delivery slips by one retransmit round trip.
   s.deliver = now + params_.retransmit_rtt;
   return false;
 }
@@ -89,12 +79,10 @@ common::Word InterChipLink::recv(common::Cycle now) {
   RAW_ASSERT_MSG(has_word(now), "recv on an empty or not-yet-due link");
   const Slot& s = queue_.front();
   const common::Word w = s.wire;
-  if (params_.reliable &&
-      sim::link_crc8(s.wire, static_cast<std::uint16_t>(s.seq)) != s.tag) {
-    ++delivered_corrupt_;
+  if (params_.reliable) {
+    rx_.delivered(s.wire, s.word, static_cast<std::uint16_t>(s.seq));
   }
   queue_.pop_front();
-  front_retries_ = 0;
   ++delivered_total_;
   return w;
 }
@@ -120,7 +108,7 @@ std::uint64_t InterChipLink::write_off_in_flight() {
   const std::uint64_t n = queue_.size() + staging_.size();
   queue_.clear();
   staging_.clear();
-  front_retries_ = 0;
+  rx_.front_retries = 0;
   sent_this_epoch_ = 0;
   occupancy_base_ = 0;
   written_off_total_ += n;

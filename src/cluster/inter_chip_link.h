@@ -14,11 +14,11 @@
 // barrier anyway: the relaxed synchronisation is timing-exact, and the
 // serial and threaded schedules are digest-identical.
 //
-// Reliable mode mirrors the single-chip sim::LinkGuard protocol at trunk
-// scale: every word carries a sequence number and a CRC-8 tag over
-// (word, seq) — sim::link_crc8, the on-chip links' code — and the sender keeps the clean copy (its replay buffer)
-// alongside the wire word. When the receiver's front-of-FIFO check catches
-// a tag mismatch it NACKs: the word is repaired from the replay copy and
+// Reliable mode runs the on-chip links' codec (sim/link_codec.h) at trunk
+// scale: every word carries a sequence number, and the sender keeps the
+// clean copy (its replay buffer) alongside the wire word. When the
+// receiver's front-of-FIFO CRC-8 check (sim::LinkReceiver) catches a
+// damaged word it NACKs: the word is repaired from the replay copy and
 // its delivery slips by retransmit_rtt — one retransmit round trip — up to
 // retransmit_limit times per word, after which the corrupt word is
 // delivered and counted. The repair happens entirely on the receiver's
@@ -41,6 +41,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "router/line_cards.h"
+#include "sim/link_codec.h"
 
 namespace raw::cluster {
 
@@ -114,9 +115,9 @@ class InterChipLink final : public router::WordTx, public router::WordRx {
   [[nodiscard]] std::size_t occupancy() const { return queue_.size(); }
 
   // Reliable-layer counters (zero when the layer is off).
-  [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }
+  [[nodiscard]] std::uint64_t retransmits() const { return rx_.retransmits; }
   [[nodiscard]] std::uint64_t delivered_corrupt() const {
-    return delivered_corrupt_;
+    return rx_.delivered_corrupt;
   }
 
   /// Sequence-book identity (barrier phase): words are numbered 0,1,2,... at
@@ -142,7 +143,6 @@ class InterChipLink final : public router::WordTx, public router::WordRx {
     common::Word word = 0;  // clean copy (the sender's replay buffer)
     common::Word wire = 0;  // what the trunk actually carries
     std::uint64_t seq = 0;
-    std::uint8_t tag = 0;  // sim::link_crc8(word, seq), computed at send
   };
 
   Params params_;
@@ -160,9 +160,7 @@ class InterChipLink final : public router::WordTx, public router::WordRx {
   // Receiver-side state (touched only by the destination chip).
   std::deque<Slot> queue_;
   std::uint64_t delivered_total_ = 0;
-  std::uint32_t front_retries_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t delivered_corrupt_ = 0;
+  sim::LinkReceiver rx_;
 
   // Fault state (written at barriers only; read by both sides).
   common::Cycle stall_until_ = 0;

@@ -9,29 +9,13 @@ CellSwitch::CellSwitch(CellSwitchConfig config, std::unique_ptr<Scheduler> sched
       scheduler_(std::move(scheduler)),
       held_(static_cast<std::size_t>(config.ports), -1),
       per_output_(static_cast<std::size_t>(config.ports), 0),
-      per_input_(static_cast<std::size_t>(config.ports), 0) {
+      per_input_(static_cast<std::size_t>(config.ports), 0),
+      backlog_(static_cast<std::size_t>(config.ports), 0) {
   RAW_ASSERT(config_.ports > 0);
   RAW_ASSERT_MSG(config_.output_queued_ideal || scheduler_ != nullptr,
                  "crossbar switch needs a scheduler");
   const auto n = static_cast<std::size_t>(config_.ports);
   queues_.resize(config_.queueing == QueueingMode::kVoq ? n * n : n);
-}
-
-std::size_t CellSwitch::backlog(int input) const {
-  const auto n = static_cast<std::size_t>(config_.ports);
-  std::size_t cells = 0;
-  if (config_.queueing == QueueingMode::kVoq) {
-    for (std::size_t out = 0; out < n; ++out) {
-      for (const Item& it : queues_[static_cast<std::size_t>(input) * n + out]) {
-        cells += it.cells_left;
-      }
-    }
-  } else {
-    for (const Item& it : queues_[static_cast<std::size_t>(input)]) {
-      cells += it.cells_left;
-    }
-  }
-  return cells;
 }
 
 QueueSnapshot CellSwitch::snapshot() const {
@@ -68,6 +52,7 @@ void CellSwitch::transfer(int input, int output) {
   RAW_ASSERT_MSG(head.dst == output, "matched output disagrees with queued cell");
   RAW_ASSERT(head.cells_left > 0);
   --head.cells_left;
+  --backlog_[static_cast<std::size_t>(input)];
   ++delivered_cells_;
   ++per_output_[static_cast<std::size_t>(output)];
   ++per_input_[static_cast<std::size_t>(input)];
@@ -92,10 +77,11 @@ void CellSwitch::step(const std::vector<std::optional<ArrivingPacket>>& arrivals
     RAW_ASSERT(a.dst >= 0 && a.dst < config_.ports);
     RAW_ASSERT(a.cells > 0);
     offered_cells_ += a.cells;
-    if (backlog(static_cast<int>(i)) + a.cells > config_.queue_capacity_cells) {
+    if (backlog_[i] + a.cells > config_.queue_capacity_cells) {
       dropped_cells_ += a.cells;
       continue;
     }
+    backlog_[i] += a.cells;
     Item item;
     item.dst = a.dst;
     item.cells_left = a.cells;

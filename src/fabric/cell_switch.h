@@ -74,7 +74,9 @@ class CellSwitch {
   [[nodiscard]] const common::RunningStat& delay() const { return delay_; }
 
   /// Total cells currently queued at input i.
-  [[nodiscard]] std::size_t backlog(int input) const;
+  [[nodiscard]] std::size_t backlog(int input) const {
+    return backlog_[static_cast<std::size_t>(input)];
+  }
 
  private:
   struct Item {
@@ -98,6 +100,7 @@ class CellSwitch {
   std::uint64_t dropped_cells_ = 0;
   std::vector<std::uint64_t> per_output_;
   std::vector<std::uint64_t> per_input_;
+  std::vector<std::size_t> backlog_;  // queued cells per input
   common::RunningStat delay_;
 };
 

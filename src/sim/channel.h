@@ -34,36 +34,21 @@
 #include "common/ring_buffer.h"
 #include "common/types.h"
 #include "sim/engine_state.h"
+#include "sim/link_codec.h"
 
 namespace raw::sim {
 
 /// Reliable-link parameters (see DESIGN.md "Recovery model"). When a channel
-/// has link protection enabled, every committed word carries a CRC-8 tag and
-/// a sequence number in a sender-side replay buffer; a corrupted word at the
-/// receiver triggers a NACK + retransmit (modelled as a clean rewrite plus a
-/// round-trip link stall) bounded by `max_retries`.
+/// has link protection enabled, every committed word keeps its clean copy and
+/// a sequence number in a sender-side replay buffer; a word failing its CRC-8
+/// check (sim/link_codec.h) triggers a NACK + retransmit (modelled as a clean
+/// rewrite plus a round-trip link stall) bounded by `max_retries`.
 struct LinkProtectionParams {
   std::uint32_t max_retries = 3;
   common::Cycle retransmit_rtt = 4;
   /// Sender replay-buffer depth in words; must cover the channel FIFO.
   std::size_t replay_depth = 8;
 };
-
-/// CRC-8 (polynomial 0x07) over a link word and its 16-bit sequence
-/// number, fed byte-wise from the low byte up. Both reliable link types use
-/// it: the on-chip Channel guard and cluster::InterChipLink trunks.
-[[nodiscard]] inline std::uint8_t link_crc8(common::Word w, std::uint16_t seq) {
-  const std::uint64_t data = (std::uint64_t{seq} << 32) | w;
-  std::uint8_t crc = 0;
-  for (int i = 0; i < 48; i += 8) {
-    crc ^= static_cast<std::uint8_t>(data >> i);
-    for (int b = 0; b < 8; ++b) {
-      crc = static_cast<std::uint8_t>(static_cast<std::uint8_t>(crc << 1) ^
-                                      ((crc & 0x80u) != 0 ? 0x07u : 0x00u));
-    }
-  }
-  return crc;
-}
 
 class Channel {
  public:
@@ -131,8 +116,8 @@ class Channel {
 
   /// True when a word committed in an earlier cycle is available and this
   /// cycle's read slot is unused. On a link-protected channel this is also
-  /// the receive-side integrity check: a word whose CRC tag no longer
-  /// matches triggers the NACK/retransmit protocol (see front_intact()) and
+  /// the receive-side integrity check: a word that fails its CRC check
+  /// triggers the NACK/retransmit protocol (see front_intact()) and
   /// reads false until the modelled round trip has elapsed.
   [[nodiscard]] bool can_read() const {
     touch();
@@ -145,10 +130,7 @@ class Channel {
     read_this_cycle_ = true;
     if (guard_ != nullptr) {
       const LinkFrame f = guard_->replay.pop();
-      // A word read past an exhausted retransmit budget is delivered
-      // corrupt; the damage surfaces at the consumer's validators.
-      if (link_crc8(buf_.front(), f.seq) != f.tag) ++guard_->delivered_corrupt;
-      guard_->front_retries = 0;
+      guard_->rx.delivered(buf_.front(), f.word, f.seq);
     }
     // This cycle's read frees a slot at the *next* cycle start; a writer
     // parked on the full FIFO becomes runnable then.
@@ -203,11 +185,7 @@ class Channel {
   void write(Word w) {
     RAW_ASSERT_MSG(can_write(), "write to unready channel");
     staged_ = w;
-    if (guard_ != nullptr) {
-      guard_->staged =
-          LinkFrame{w, guard_->next_seq, link_crc8(w, guard_->next_seq)};
-      ++guard_->next_seq;
-    }
+    if (guard_ != nullptr) guard_->staged = LinkFrame{w, guard_->next_seq++};
     if (engine_ != nullptr) engine_->dirty.push_back(this);
   }
 
@@ -223,11 +201,11 @@ class Channel {
   [[nodiscard]] bool link_protected() const { return guard_ != nullptr; }
   /// Words repaired from the sender's replay buffer after a CRC mismatch.
   [[nodiscard]] std::uint64_t link_retransmits() const {
-    return guard_ != nullptr ? guard_->retransmits : 0;
+    return guard_ != nullptr ? guard_->rx.retransmits : 0;
   }
   /// Words read corrupt after the bounded retransmit budget was exhausted.
   [[nodiscard]] std::uint64_t link_delivered_corrupt() const {
-    return guard_ != nullptr ? guard_->delivered_corrupt : 0;
+    return guard_ != nullptr ? guard_->rx.delivered_corrupt : 0;
   }
   /// Cycles this link was held for NACK round trips.
   [[nodiscard]] std::uint64_t link_stall_cycles() const {
@@ -248,7 +226,7 @@ class Channel {
     if (guard_ != nullptr) {
       guard_->replay.clear();
       guard_->staged.reset();
-      guard_->front_retries = 0;
+      guard_->rx.front_retries = 0;
     }
   }
 
@@ -278,13 +256,11 @@ class Channel {
       buf_.push(w);
       // Rebuild the replay mirror treating restored words as clean:
       // snapshots are taken at verified quiescent boundaries.
-      if (guard_ != nullptr) stage_guard_frame_committed(w);
+      if (guard_ != nullptr) guard_->replay.push(LinkFrame{w, guard_->next_seq++});
     }
     staged_ = s.staged;
     if (guard_ != nullptr && s.staged.has_value()) {
-      guard_->staged = LinkFrame{*s.staged, guard_->next_seq,
-                                 link_crc8(*s.staged, guard_->next_seq)};
-      ++guard_->next_seq;
+      guard_->staged = LinkFrame{*s.staged, guard_->next_seq++};
     }
     stall_until_ = s.stall_until;
     words_transferred_ = s.words_transferred;
@@ -349,12 +325,11 @@ class Channel {
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
-  /// One protected word as the sender keeps it: the clean value, its link
-  /// sequence number, and the CRC-8 tag both ends compute over (word, seq).
+  /// One protected word as the sender keeps it: the clean value and its
+  /// link sequence number (its tag is link_crc8(word, seq)).
   struct LinkFrame {
     Word word = 0;
     std::uint16_t seq = 0;
-    std::uint8_t tag = 0;
   };
 
   /// Reliable-link state. `replay` mirrors buf_ word-for-word (pushed on
@@ -367,14 +342,12 @@ class Channel {
     common::RingBuffer<LinkFrame> replay;
     std::optional<LinkFrame> staged;
     std::uint16_t next_seq = 0;
-    std::uint32_t front_retries = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t delivered_corrupt = 0;
+    LinkReceiver rx;
     std::uint64_t stall_cycles = 0;
   };
 
   /// Receive-side check of the FIFO front against the sender's replay copy.
-  /// On a tag mismatch the word is rewritten from the replay buffer and the
+  /// On a CRC mismatch the word is rewritten from the replay buffer and the
   /// link held for one NACK round trip (returns false — not readable yet);
   /// past the bounded retry budget the corrupt word is released as-is.
   /// Const because it runs inside can_read(); the repair mutates only
@@ -383,21 +356,12 @@ class Channel {
   [[nodiscard]] bool front_intact() const {
     LinkGuard& g = *guard_;
     const LinkFrame& f = g.replay.front();
-    if (link_crc8(buf_.front(), f.seq) == f.tag) return true;
-    if (g.front_retries >= g.params.max_retries) return true;  // give up
-    ++g.front_retries;
-    ++g.retransmits;
+    if (g.rx.accept_front(buf_.front(), f.word, f.seq, g.params.max_retries)) {
+      return true;
+    }
     g.stall_cycles += g.params.retransmit_rtt;
-    buf_.front() = f.word;
     stall_until_ = std::max(stall_until_, now() + g.params.retransmit_rtt);
     return false;
-  }
-
-  /// Rebuilds one committed word's replay frame (snapshot restore).
-  void stage_guard_frame_committed(Word w) {
-    guard_->replay.push(LinkFrame{w, guard_->next_seq,
-                                  link_crc8(w, guard_->next_seq)});
-    ++guard_->next_seq;
   }
 
   /// Satellite fix (sparse engine x faults): a fault that mutates this

@@ -236,6 +236,22 @@ TEST(InterChipLinkTest, ReliableLinkGivesUpAfterRetransmitBudget) {
   EXPECT_EQ(link.delivered_corrupt(), 1u);
 }
 
+TEST(InterChipLinkTest, UndetectableCorruptionIsDeliveredUncounted) {
+  // Bits 0, 1, 7 and 15 together leave the CRC-8 (poly 0x07, zero init,
+  // hence linear) unchanged for any word and seq: the receiver cannot see
+  // this damage, so the word is delivered on time, corrupt and uncounted.
+  InterChipLink link(reliable_params(8));
+  link.send(0xdeadbeef, 0);
+  link.commit_epoch();
+  for (const std::uint32_t bit : {0u, 1u, 7u, 15u}) {
+    ASSERT_TRUE(link.corrupt_front(bit));
+  }
+  ASSERT_TRUE(link.has_word(8));
+  EXPECT_EQ(link.recv(8), 0xdeadbeefu ^ 0x8083u);
+  EXPECT_EQ(link.retransmits(), 0u);
+  EXPECT_EQ(link.delivered_corrupt(), 0u);
+}
+
 TEST(InterChipLinkTest, StallBlocksBothSidesThenRecovers) {
   InterChipLink link(params(4));
   link.send(7, 0);

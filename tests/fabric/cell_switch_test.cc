@@ -116,6 +116,44 @@ TEST(CellSwitchTest, DropsWhenQueueFull) {
   EXPECT_LE(sw.backlog(1), 2u);
 }
 
+TEST(CellSwitchTest, BacklogIsQueuedCellsPerInput) {
+  // Multi-cell packets under overload, both queueing modes: input i's
+  // backlog is the cells it accepted minus the cells it sent, and an
+  // arrival is accepted exactly when it fits under the capacity.
+  for (const QueueingMode mode : {QueueingMode::kVoq, QueueingMode::kFifo}) {
+    CellSwitchConfig cfg;
+    cfg.ports = 4;
+    cfg.queueing = mode;
+    cfg.queue_capacity_cells = 40;
+    std::unique_ptr<Scheduler> sched;
+    if (mode == QueueingMode::kVoq) {
+      sched = std::make_unique<IslipScheduler>(4);
+    } else {
+      sched = std::make_unique<FifoHolScheduler>(4);
+    }
+    CellSwitch sw(cfg, std::move(sched));
+    common::Rng rng(5);
+    std::vector<std::uint64_t> accepted(4, 0);
+    std::uint64_t offered = 0;
+    auto arrivals = no_arrivals(4);
+    for (int s = 0; s < 2000; ++s) {
+      for (std::size_t i = 0; i < 4; ++i) {
+        const int in = static_cast<int>(i);
+        const std::uint64_t queued = accepted[i] - sw.delivered_from_input(in);
+        ASSERT_EQ(sw.backlog(in), queued) << "slot " << s << " input " << i;
+        const auto cells = static_cast<std::uint32_t>(1 + rng.below(4));
+        arrivals[i] = ArrivingPacket{static_cast<int>(rng.below(4)), cells};
+        offered += cells;
+        if (queued + cells <= cfg.queue_capacity_cells) accepted[i] += cells;
+      }
+      sw.step(arrivals);
+    }
+    EXPECT_GT(sw.dropped_cells(), 0u);
+    EXPECT_EQ(sw.dropped_cells(),
+              offered - (accepted[0] + accepted[1] + accepted[2] + accepted[3]));
+  }
+}
+
 TEST(CellSwitchTest, PermutationTrafficIsConflictFree) {
   auto sw = make_voq_islip();
   auto arrivals = no_arrivals(4);

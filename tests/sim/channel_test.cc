@@ -192,6 +192,28 @@ TEST(ChannelLinkTest, BoundedRetriesEventuallyDeliverCorrupt) {
   ch.end_cycle();
 }
 
+TEST(ChannelLinkTest, UndetectableCorruptionIsDeliveredUncounted) {
+  // Bits 0, 1, 7 and 15 together leave the CRC-8 (poly 0x07, zero init,
+  // hence linear) unchanged for any word and seq: the receiver cannot see
+  // this damage, so it reads the word at once, corrupt and uncounted.
+  Channel ch("c");
+  ch.enable_link_protection({.max_retries = 3, .retransmit_rtt = 2,
+                             .replay_depth = 8});
+  ch.begin_cycle();
+  ch.write(0xABCD);
+  ch.end_cycle();
+
+  ch.begin_cycle();
+  for (const std::uint32_t bit : {0u, 1u, 7u, 15u}) {
+    ASSERT_TRUE(ch.fault_flip(bit));
+  }
+  ASSERT_TRUE(ch.can_read());
+  EXPECT_EQ(ch.read(), 0xABCDu ^ 0x8083u);
+  EXPECT_EQ(ch.link_retransmits(), 0u);
+  EXPECT_EQ(ch.link_delivered_corrupt(), 0u);
+  ch.end_cycle();
+}
+
 TEST(ChannelLinkTest, CleanTrafficCostsNothing) {
   // With no corruption the protected channel behaves exactly like a bare
   // one: same words, same timing, zero protocol counters.
