@@ -137,7 +137,7 @@ struct ChaosResult {
   std::uint64_t checkpoints_skipped = 0;
   /// Checkpoint ring contents at exit, oldest first.
   std::vector<ReplayAnchor> anchors;
-  /// Chip cycle at exit (a checkpoint slide can carry it past run+drain).
+  /// Chip cycle at exit.
   common::Cycle end_cycle = 0;
 };
 

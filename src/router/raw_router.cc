@@ -21,10 +21,10 @@ void RouterConfig::validate() const {
         "RouterConfig.line_card_queue_words must be positive: a zero-capacity "
         "card queue drops every packet before it reaches the chip");
   }
-  if (watchdog.enabled && watchdog.check_interval == 0) {
+  if (watchdog.check_interval == 0) {
     throw std::invalid_argument(
-        "RouterConfig.watchdog.check_interval must be positive when the "
-        "watchdog is enabled");
+        "RouterConfig.watchdog.check_interval must be positive: the run loop "
+        "checks the watchdog every check_interval cycles");
   }
   if (threads < 0 || threads > 1) {
     throw std::invalid_argument(
@@ -70,11 +70,6 @@ void RouterConfig::validate() const {
       throw std::invalid_argument(
           "RouterConfig.endurance.checkpoint_ring must be positive: with no "
           "retained checkpoints a failure bundle has no replay anchor");
-    }
-    if (!watchdog.enabled) {
-      throw std::invalid_argument(
-          "RouterConfig.endurance requires the watchdog: the invariant "
-          "sweeps assume the tighter liveness net underneath them");
     }
     if (endurance.invariant_cadence < watchdog.check_interval) {
       throw std::invalid_argument(
@@ -158,6 +153,7 @@ RawRouter::RawRouter(RouterConfig config, net::RouteTable table,
   }
 
   if (config_.channel_stats) chip_->enable_channel_stats();
+  next_watchdog_ = config_.watchdog.check_interval;
 }
 
 void RawRouter::set_tracer(common::PacketTracer* tracer) {
@@ -382,21 +378,6 @@ void RawRouter::check_conservation() const {
                  "delivered + invalid + ingress_drops + lost + in_flight");
 }
 
-RunStatus RawRouter::run(common::Cycle cycles) {
-  if (monitor_ != nullptr) return run_endurance(cycles);
-  const WatchdogConfig& wd = config_.watchdog;
-  if (!wd.enabled) {
-    chip_->run(cycles);
-    return RunStatus::kOk;
-  }
-  const common::Cycle deadline = chip_->cycle() + cycles;
-  while (chip_->cycle() < deadline) {
-    chip_->run(std::min(wd.check_interval, deadline - chip_->cycle()));
-    if (check_watchdog()) return RunStatus::kStalled;
-  }
-  return degraded_ ? RunStatus::kDegraded : RunStatus::kOk;
-}
-
 void RawRouter::arm_endurance(sim::InvariantMonitor* monitor) {
   RAW_ASSERT_MSG(config_.endurance.enabled,
                  "arm_endurance needs config.endurance.enabled");
@@ -404,13 +385,9 @@ void RawRouter::arm_endurance(sim::InvariantMonitor* monitor) {
   RAW_ASSERT_MSG(monitor_ == nullptr, "endurance already armed");
   monitor_ = monitor;
   ring_ = std::make_unique<sim::CheckpointRing>(config_.endurance.checkpoint_ring);
-  // Absolute next-due cycles. Everything the endurance loop schedules is an
-  // absolute cycle count, so run(x) followed by run(y) walks exactly the
-  // trajectory of run(x + y) — anchored replay runs to a checkpoint cycle,
-  // verifies the digest, and continues.
-  next_watchdog_ = chip_->cycle() + config_.watchdog.check_interval;
   next_invariant_ = chip_->cycle() + config_.endurance.invariant_cadence;
-  next_checkpoint_ = chip_->cycle() + config_.endurance.checkpoint_interval;
+  checkpoint_due_ = chip_->cycle() + config_.endurance.checkpoint_interval;
+  next_checkpoint_ = checkpoint_due_;
   register_standard_invariants(*monitor);
 }
 
@@ -480,7 +457,6 @@ void RawRouter::register_standard_invariants(sim::InvariantMonitor& monitor) {
   // itself has failed. Mirrors check_watchdog's recovery grace.
   monitor.add_check("router/watchdog_liveness", [this]() -> std::string {
     const WatchdogConfig& wd = config_.watchdog;
-    if (!wd.enabled) return "";
     const common::Cycle now = chip_->cycle();
     const common::Cycle slack = wd.no_progress_bound + 2 * wd.check_interval;
     if (work_pending() && now - chip_->last_progress_cycle() > slack &&
@@ -502,27 +478,16 @@ bool RawRouter::sweep_invariants() {
   return true;
 }
 
-void RawRouter::capture_checkpoint() {
+bool RawRouter::capture_checkpoint() {
   // Chip::snapshot needs the dynamic network quiet (an RPC word split across
-  // a snapshot/restore boundary has no home). Slide the capture point
-  // forward a cycle at a time until it is, bounded by the grace window; the
-  // slide itself is deterministic, so a replay slides identically and the
-  // anchor cycle means the same state in both runs.
+  // a snapshot/restore boundary has no home).
   const sim::DynamicNetwork* dyn = chip_->dynamic_network();
-  common::Cycle slid = 0;
-  while (dyn != nullptr && dyn->words_in_flight() != 0 &&
-         slid < config_.endurance.checkpoint_grace) {
-    chip_->run(1);
-    ++slid;
-  }
-  if (dyn != nullptr && dyn->words_in_flight() != 0) {
-    ++checkpoints_skipped_;
-    return;
-  }
+  if (dyn != nullptr && dyn->words_in_flight() != 0) return false;
   ring_->capture(*chip_, state_digest());
+  return true;
 }
 
-RunStatus RawRouter::run_endurance(common::Cycle cycles) {
+RunStatus RawRouter::run(common::Cycle cycles) {
   const WatchdogConfig& wd = config_.watchdog;
   const EnduranceConfig& en = config_.endurance;
   const common::Cycle deadline = chip_->cycle() + cycles;
@@ -530,26 +495,30 @@ RunStatus RawRouter::run_endurance(common::Cycle cycles) {
     const common::Cycle next = std::min(
         {deadline, next_watchdog_, next_invariant_, next_checkpoint_});
     if (next > chip_->cycle()) chip_->run(next - chip_->cycle());
+    const common::Cycle now = chip_->cycle();
     // Process every due stream before re-checking the deadline, so a stream
     // due exactly at the deadline still fires — run(anchor_cycle) must end
     // with the anchor checkpoint captured. Catch-up loops keep the next-due
-    // cycles strictly in the future even after a checkpoint slide.
-    if (chip_->cycle() >= next_watchdog_) {
-      while (next_watchdog_ <= chip_->cycle()) {
-        next_watchdog_ += wd.check_interval;
-      }
+    // cycles strictly in the future after a drain, which keeps its own
+    // schedule.
+    if (now >= next_watchdog_) {
+      while (next_watchdog_ <= now) next_watchdog_ += wd.check_interval;
       if (check_watchdog()) return RunStatus::kStalled;
     }
-    if (chip_->cycle() >= next_checkpoint_) {
-      capture_checkpoint();
-      while (next_checkpoint_ <= chip_->cycle()) {
-        next_checkpoint_ += en.checkpoint_interval;
+    if (now >= next_checkpoint_) {
+      const bool captured = capture_checkpoint();
+      if (captured || now - checkpoint_due_ >= en.checkpoint_grace) {
+        if (!captured) ++checkpoints_skipped_;
+        while (checkpoint_due_ <= now) {
+          checkpoint_due_ += en.checkpoint_interval;
+        }
+        next_checkpoint_ = checkpoint_due_;
+      } else {
+        next_checkpoint_ = now + 1;  // network busy: retry next cycle
       }
     }
-    if (chip_->cycle() >= next_invariant_) {
-      while (next_invariant_ <= chip_->cycle()) {
-        next_invariant_ += en.invariant_cadence;
-      }
+    if (now >= next_invariant_) {
+      while (next_invariant_ <= now) next_invariant_ += en.invariant_cadence;
       if (sweep_invariants()) return RunStatus::kInvariantViolation;
     }
   }
@@ -565,29 +534,20 @@ bool RawRouter::drain(common::Cycle max_cycles) {
     return ledger_.in_flight.empty();
   };
 
+  // Forward progress cannot signal quiescence here — the quantum ring
+  // circulates empty headers forever — so the drain watches the ledger
+  // instead: once the inputs are empty and the in-flight set has not shrunk
+  // for the no-progress bound, whatever remains is lost (eaten by an
+  // injected fault) and is written off so the accounting still closes. The
+  // watchdog chunks count from the start of the drain.
   const WatchdogConfig& wd = config_.watchdog;
-  if (!wd.enabled) {
-    const bool ok = chip_->run_until(all_drained, max_cycles);
-    drain_outcome_ = ok ? (degraded_ ? DrainOutcome::kDrainedDegraded
-                                     : DrainOutcome::kDrained)
-                        : DrainOutcome::kTimeout;
-    if (!ok) flight_mark();
-    check_conservation();
-    return ok;
-  }
-
-  // Watchdog path. Forward progress cannot signal quiescence here — the
-  // quantum ring circulates empty headers forever — so the drain watches the
-  // ledger instead: once the inputs are empty and the in-flight set has not
-  // shrunk for the no-progress bound, whatever remains is lost (eaten by an
-  // injected fault) and is written off so the accounting still closes.
   const common::Cycle deadline = chip_->cycle() + max_cycles;
   std::size_t last_in_flight = ledger_.in_flight.size();
   common::Cycle last_shrink = chip_->cycle();
   while (true) {
     const common::Cycle remaining = deadline - chip_->cycle();
     common::Cycle chunk = std::min(wd.check_interval, remaining);
-    if (monitor_ != nullptr && next_invariant_ > chip_->cycle()) {
+    if (next_invariant_ > chip_->cycle()) {
       chunk = std::min(chunk, next_invariant_ - chip_->cycle());
     }
     if (chip_->run_until(all_drained, chunk)) {
@@ -611,7 +571,7 @@ bool RawRouter::drain(common::Cycle max_cycles) {
       check_conservation();
       return false;
     }
-    if (monitor_ != nullptr && chip_->cycle() >= next_invariant_) {
+    if (chip_->cycle() >= next_invariant_) {
       while (next_invariant_ <= chip_->cycle()) {
         next_invariant_ += config_.endurance.invariant_cadence;
       }

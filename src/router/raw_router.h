@@ -41,9 +41,8 @@ struct LinkProtectionConfig {
 
 /// Endurance-run instrumentation (soak tier): periodic invariant sweeps and
 /// a ring of warm snapshots for anchored failure replay. Off by default and
-/// inert until RawRouter::arm_endurance() attaches a monitor — the legacy
-/// run()/drain() paths are untouched when disarmed, so default outputs stay
-/// byte-identical.
+/// inert until RawRouter::arm_endurance() attaches a monitor: until then the
+/// invariant and checkpoint streams of the run loop are never due.
 struct EnduranceConfig {
   bool enabled = false;
   /// Cycles between invariant sweeps. Must be >= the watchdog check
@@ -54,11 +53,11 @@ struct EnduranceConfig {
   common::Cycle checkpoint_interval = 1u << 19;
   /// Checkpoints kept (last K); a failure bundle anchors at the nearest one.
   std::size_t checkpoint_ring = 4;
-  /// A capture needs the dynamic network quiet (Chip::snapshot requirement),
-  /// so the capture point slides forward cycle-by-cycle up to this many
-  /// cycles; if the network never goes quiet the capture is skipped (and
-  /// counted), never forced. The slide is part of the deterministic
-  /// schedule: replays slide identically.
+  /// A capture needs the dynamic network quiet (Chip::snapshot requirement).
+  /// While it is busy the run loop retries the capture on the next cycle, up
+  /// to this many cycles past the due cycle; then the capture is skipped (and
+  /// counted), never forced. Retries never step the chip themselves, so the
+  /// other streams keep their cycles and replays retry identically.
   common::Cycle checkpoint_grace = 4096;
 };
 
@@ -73,9 +72,9 @@ struct RouterConfig {
   /// Sample per-channel FIFO occupancy/backpressure every cycle (small
   /// constant cost per channel; off for throughput benches).
   bool channel_stats = false;
-  /// Progress watchdog (see router/watchdog.h). Enabled by default; the
-  /// checks run every `check_interval` cycles and read only counters, so
-  /// cycle-exact behaviour is unchanged.
+  /// Progress watchdog (see router/watchdog.h). Always on: run() checks at
+  /// absolute multiples of `check_interval` and the checks read only
+  /// counters, so cycle-exact behaviour is unchanged.
   WatchdogConfig watchdog;
   /// Kept only for the benchmark harness, which sets it; must be 0 or 1.
   int threads = 0;
@@ -91,9 +90,9 @@ struct RouterConfig {
 
   /// Rejects configurations that would misbehave deep inside the fabric
   /// (edge FIFOs too small to hold an IP header, a zero-capacity line-card
-  /// queue, a reliable-link layer that cannot cover its own FIFOs, threads
-  /// or max_lookahead other than 0 or 1). Throws std::invalid_argument with
-  /// a message naming the field.
+  /// queue, a zero watchdog interval, a reliable-link layer that cannot
+  /// cover its own FIFOs, threads or max_lookahead other than 0 or 1).
+  /// Throws std::invalid_argument with a message naming the field.
   void validate() const;
 };
 
@@ -126,7 +125,11 @@ class RawRouter {
   RawRouter(RouterConfig config, net::RouteTable table,
             net::TrafficConfig traffic, std::uint64_t seed);
 
-  /// Runs the router for `cycles` chip cycles. With the watchdog enabled the
+  /// Runs the router for `cycles` chip cycles, stepping the chip between the
+  /// due cycles of three event streams: watchdog checks, checkpoint captures
+  /// and invariant sweeps (the last two only once arm_endurance() is
+  /// called). Every due cycle is absolute, so run(x); run(y) walks exactly
+  /// the trajectory of run(x + y), and a run never passes its deadline. The
   /// run stops early (returning kStalled) if the fabric wedges; the partial
   /// cycle count is visible via chip().cycle().
   RunStatus run(common::Cycle cycles);
@@ -152,10 +155,11 @@ class RawRouter {
   /// Arms the endurance layer: registers the router's standard invariants
   /// (packet conservation, link seq/CRC accounting, watchdog liveness, the
   /// chip's park/wake credit books and cycle accounting) on `monitor`,
-  /// creates the checkpoint ring, and switches run()/drain() onto the
-  /// sweeping loop. Requires config.endurance.enabled (call
-  /// RouterConfig::validate() first). `monitor` is not owned and must
-  /// outlive the router; arm at most once, before the first run().
+  /// creates the checkpoint ring, and schedules the invariant and checkpoint
+  /// streams of run() (and the sweeps of drain()). Requires
+  /// config.endurance.enabled (call RouterConfig::validate() first).
+  /// `monitor` is not owned and must outlive the router; arm at most once,
+  /// before the first run().
   void arm_endurance(sim::InvariantMonitor* monitor);
   [[nodiscard]] sim::InvariantMonitor* invariant_monitor() const {
     return monitor_;
@@ -260,20 +264,14 @@ class RawRouter {
   [[nodiscard]] bool work_pending() const;
   /// Runs the watchdog checks; returns true on a hard (no-progress) trip.
   bool check_watchdog();
-  /// The endurance run loop: chunks the chip run at the next due watchdog /
-  /// checkpoint / invariant event (all scheduled as absolute cycles, so
-  /// run(x); run(y) is bit-identical to run(x + y) — the property anchored
-  /// replay depends on).
-  RunStatus run_endurance(common::Cycle cycles);
   /// Registers the router-level checks on the armed monitor.
   void register_standard_invariants(sim::InvariantMonitor& monitor);
   /// One monitor sweep at the current cycle; records and returns true on a
   /// violation (also forcing a flight-recorder mark).
   bool sweep_invariants();
-  /// Captures a checkpoint into the ring, sliding the capture point forward
-  /// (bounded by endurance.checkpoint_grace) until the dynamic network is
-  /// quiet; skips (and counts) if it never is.
-  void capture_checkpoint();
+  /// Captures a checkpoint into the ring at the current cycle; returns false
+  /// ("not yet") while the dynamic network is busy.
+  bool capture_checkpoint();
   /// Attempts a fault-adaptive reconfiguration after a confirmed no-progress
   /// stall. Returns true when the fabric was rebuilt (the trip is absorbed);
   /// false when recovery is disabled, no tile is permanently frozen, or the
@@ -316,10 +314,15 @@ class RawRouter {
   sim::InvariantMonitor* monitor_ = nullptr;  // not owned
   std::unique_ptr<sim::CheckpointRing> ring_;
   std::optional<sim::InvariantViolation> invariant_violation_;
-  // Absolute next-due cycles for the endurance loop's three event streams.
+  // Absolute next-due cycles of run()'s three event streams. The invariant
+  // and checkpoint streams are never due until arm_endurance(); a busy
+  // network defers a capture (next_checkpoint_) past its due cycle
+  // (checkpoint_due_) by at most endurance.checkpoint_grace.
+  static constexpr common::Cycle kNever = ~common::Cycle{0};
   common::Cycle next_watchdog_ = 0;
-  common::Cycle next_invariant_ = 0;
-  common::Cycle next_checkpoint_ = 0;
+  common::Cycle next_invariant_ = kNever;
+  common::Cycle next_checkpoint_ = kNever;
+  common::Cycle checkpoint_due_ = kNever;
   std::uint64_t checkpoints_skipped_ = 0;
 };
 

@@ -139,10 +139,10 @@ AnchoredReplayResult replay_from_checkpoint(const ChaosRepro& bundle) {
   for (const sim::FaultEvent& e : bundle.events) plan.add(e);
   router.set_fault_plan(&plan);
 
-  // Leg 1: run to the anchor. The endurance loop schedules everything as
+  // Leg 1: run to the anchor. The run loop schedules everything as
   // absolute cycles, so run(anchor); run(rest) walks the identical
-  // trajectory of the original single run — including the checkpoint
-  // capture slides — and lands exactly on the anchor's capture cycle.
+  // trajectory of the original single run — including captures deferred by
+  // a busy network — and lands exactly on the anchor's capture cycle.
   if (anchor != nullptr) {
     const RunStatus rs1 = router.run(anchor->cycle);
     if (rs1 == RunStatus::kStalled || rs1 == RunStatus::kInvariantViolation) {

@@ -29,15 +29,15 @@ namespace raw::router {
 class Layout;
 
 struct WatchdogConfig {
-  bool enabled = true;
   /// Trip when no word crosses any channel for this many cycles while work
   /// is queued. Must exceed the longest legitimate quiet spell; the idle
   /// ring's period is tens of cycles, so 20k is ~3 orders of margin.
   common::Cycle no_progress_bound = 20000;
   /// Flag a port whose grant counter stalls for this long with input queued.
   common::Cycle starvation_bound = 120000;
-  /// Cycles between watchdog checks; bounds detection latency and keeps the
-  /// per-cycle hot path untouched.
+  /// Cycles between watchdog checks, which fall at absolute multiples of it;
+  /// bounds detection latency and keeps the per-cycle hot path untouched.
+  /// Must be positive.
   common::Cycle check_interval = 2048;
 };
 

@@ -115,8 +115,8 @@ struct Checkpoint {
 };
 
 /// Keeps the most recent `capacity` checkpoints. Capture requires the
-/// dynamic network quiet (Chip::snapshot's contract) — the owner slides the
-/// capture point deterministically until it is.
+/// dynamic network quiet (Chip::snapshot's contract) — the owner defers the
+/// capture deterministically until it is.
 class CheckpointRing {
  public:
   explicit CheckpointRing(std::size_t capacity);

@@ -92,10 +92,13 @@ TEST(RouterConfigTest, RejectsThreadsOrLookaheadOtherThanSerial) {
 }
 
 TEST(RouterConfigTest, RejectsZeroWatchdogInterval) {
+  // The watchdog is always on, so a zero interval is always rejected.
   RouterConfig cfg;
   cfg.watchdog.check_interval = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.watchdog.enabled = false;  // interval is then unused
+  EXPECT_THROW(RawRouter(cfg, net::RouteTable::simple4(), traffic(), 1),
+               std::invalid_argument);
+  cfg.watchdog.check_interval = 1;
   EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -130,8 +133,10 @@ TEST(DrainEdgeCaseTest, DrainTwiceIsIdempotent) {
 }
 
 TEST(DrainEdgeCaseTest, DrainWithoutWatchdogStillDrains) {
+  // A check interval longer than the whole run and drain: no watchdog check
+  // ever falls due, and the drain runs as one chunk.
   RouterConfig cfg;
-  cfg.watchdog.enabled = false;
+  cfg.watchdog.check_interval = common::Cycle{1} << 40;
   RawRouter router(cfg, net::RouteTable::simple4(), traffic(0.5), 4);
   router.run(10000);
   EXPECT_TRUE(router.drain(300000));
@@ -149,17 +154,35 @@ TEST(WatchdogTest, CleanRunNeverTrips) {
 }
 
 TEST(WatchdogTest, ChunkedRunMatchesUnwatchedRun) {
-  // The watchdog chunks run() into check_interval slices; the checks read
-  // only counters, so the simulation must be cycle-exact either way.
-  const auto run_once = [](bool watchdog) {
+  // Watchdog checks fall at absolute multiples of check_interval, so
+  // run(x); run(y) walks exactly the trajectory of run(x + y). The
+  // permanent freeze makes the check cycles matter: recovery reconfigures
+  // the fabric at the first check that sees the wedge, whatever the chunks.
+  constexpr common::Cycle kCycles = 200000;
+  const auto run_in_chunks = [&](common::Cycle chunk) {
     RouterConfig cfg;
-    cfg.watchdog.enabled = watchdog;
+    cfg.link.enabled = true;
+    cfg.recovery.enabled = true;
     RawRouter router(cfg, net::RouteTable::simple4(), traffic(), 6);
-    router.run(30000);
-    return std::make_tuple(router.delivered_packets(), router.delivered_bytes(),
-                           router.chip().static_words_transferred());
+    sim::FaultPlan plan;
+    sim::FaultEvent e;
+    e.kind = sim::FaultKind::kTileFreeze;
+    e.at = 3000;
+    e.permanent = true;
+    e.tile = 6;
+    plan.add(std::move(e));
+    router.set_fault_plan(&plan);
+    for (common::Cycle done = 0; done < kCycles; done += chunk) {
+      EXPECT_NE(router.run(std::min(chunk, kCycles - done)),
+                RunStatus::kStalled);
+    }
+    EXPECT_EQ(router.chip().cycle(), kCycles);
+    EXPECT_TRUE(router.degraded());
+    return std::make_pair(router.state_digest(), router.delivered_packets());
   };
-  EXPECT_EQ(run_once(true), run_once(false));
+  const auto whole = run_in_chunks(kCycles);
+  EXPECT_EQ(run_in_chunks(7777), whole);
+  EXPECT_EQ(run_in_chunks(20000), whole);
 }
 
 TEST(WatchdogTest, PermanentFreezeDetectedWithCoordinateAndCause) {

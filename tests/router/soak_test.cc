@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "router/chaos.h"
 #include "router/raw_router.h"
@@ -51,8 +52,9 @@ TEST(EnduranceConfigTest, CadenceBelowWatchdogIntervalRejected) {
 }
 
 TEST(EnduranceConfigTest, RequiresWatchdog) {
+  // The watchdog is always on; endurance still needs it to check at all.
   RouterConfig cfg = endurance_config();
-  cfg.watchdog.enabled = false;
+  cfg.watchdog.check_interval = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
@@ -119,6 +121,29 @@ TEST(SoakTest, SmallGreenSoakPasses) {
   const std::string json = rep.to_json();
   EXPECT_NE(json.find("\"soak/v1\""), std::string::npos);
   EXPECT_NE(json.find("\"pass\": true"), std::string::npos);
+}
+
+TEST(SoakTest, CheckpointIntervalDoesNotChangeEpochDigests) {
+  // Checkpoints are pure observation: a capture deferred by a busy network
+  // never steps the chip, so every epoch of the rotation (slot 7 is the
+  // permafreeze epoch, where recovery makes watchdog cycles matter) ends in
+  // the same state at any checkpoint interval.
+  SoakSpec spec;
+  spec.seed = 1;
+  spec.epoch_cycles = 50000;
+  ASSERT_TRUE(spec.reliable_links);
+  ASSERT_TRUE(spec.recovery);
+  for (std::int64_t slot = 0; slot < 8; ++slot) {
+    std::vector<std::uint64_t> digests;
+    for (const common::Cycle interval : {16384u, 32768u, 65536u}) {
+      spec.checkpoint_interval = interval;
+      const ChaosResult r = run_chaos(epoch_spec(spec, slot));
+      EXPECT_TRUE(r.pass) << "slot " << slot << ": " << r.failure;
+      digests.push_back(r.digest);
+    }
+    EXPECT_EQ(digests[1], digests[0]) << "slot " << slot;
+    EXPECT_EQ(digests[2], digests[0]) << "slot " << slot;
+  }
 }
 
 void expect_injected_replay_roundtrip(bool force_dense) {

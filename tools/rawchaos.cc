@@ -47,14 +47,12 @@
 //
 // Exit status is 0 only when every combination passes (or the replay /
 // minimize reproduced the recorded signature); 2 on bad usage — a count
-// that is not a positive integer, or a configuration the harness rejects.
+// flag that is not a whole number in range (tools/count_flag.h), or a
+// configuration the harness rejects.
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -63,6 +61,7 @@
 #include "cluster/chaos.h"
 #include "common/json.h"
 #include "common/profiler.h"
+#include "count_flag.h"
 #include "router/chaos.h"
 #include "router/repro.h"
 #include "router/soak.h"
@@ -79,6 +78,8 @@ using raw::router::ChaosRepro;
 using raw::router::ChaosResult;
 using raw::router::ChaosSignature;
 using raw::router::ChaosSpec;
+using raw::tools::non_negative;
+using raw::tools::positive;
 
 struct Args {
   int seeds = 4;
@@ -114,31 +115,15 @@ void usage() {
                "       rawchaos --from-checkpoint FILE\n");
 }
 
-/// Parses a whole decimal count >= 1 that fits in T, or prints the usage
-/// line and exits 2: a typo or a zero must not shrink a sweep to nothing
-/// and pass it.
-template <typename T>
-T positive(const char* s) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(*s)) || *end != '\0' ||
-      errno == ERANGE || v < 1 || v > std::numeric_limits<T>::max()) {
-    usage();
-    std::exit(2);
-  }
-  return static_cast<T>(v);
-}
-
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--seeds") && i + 1 < argc) {
-      a.seeds = positive<int>(argv[++i]);
+      a.seeds = positive<int>("--seeds", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--cycles") && i + 1 < argc) {
-      a.cycles = positive<raw::common::Cycle>(argv[++i]);
+      a.cycles = positive<raw::common::Cycle>("--cycles", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      a.seed = positive<std::uint64_t>(argv[++i]);
+      a.seed = positive<std::uint64_t>("--seed", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--mix") && i + 1 < argc) {
       a.mix = argv[++i];
     } else if (!std::strcmp(argv[i], "--links")) {
@@ -150,9 +135,9 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--cluster")) {
       a.cluster = true;
     } else if (!std::strcmp(argv[i], "--chips") && i + 1 < argc) {
-      a.chips = positive<int>(argv[++i]);
+      a.chips = positive<int>("--chips", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      a.threads = std::atoi(argv[++i]);
+      a.threads = non_negative<int>("--threads", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--record") && i + 1 < argc) {
       a.record = argv[++i];
     } else if (!std::strcmp(argv[i], "--replay") && i + 1 < argc) {

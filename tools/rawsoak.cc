@@ -14,18 +14,24 @@
 //
 // Exit status 0 only when the soak passes (for the self-test shape above:
 // when the injected failure produced a bundle whose anchored replay and
-// from-zero replay both reproduce the recorded digest trajectory).
+// from-zero replay both reproduce the recorded digest trajectory); 2 on bad
+// usage — a count flag that is not a whole number in range
+// (tools/count_flag.h), or a configuration the router rejects.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "common/json.h"
+#include "count_flag.h"
 #include "router/soak.h"
 
 namespace {
 
 using raw::common::json::write_file;
+using raw::tools::non_negative;
+using raw::tools::positive;
 
 void usage() {
   std::fprintf(
@@ -48,14 +54,23 @@ int main(int argc, char** argv) {
     const auto arg = [&](const char* name) {
       return !std::strcmp(argv[i], name) && i + 1 < argc;
     };
+    // Count flags, parsed into the field's own type (or usage + exit 2).
+    const auto at_least_one = [&]<typename T>(T* field) {
+      const char* flag = argv[i];
+      *field = positive<T>(flag, argv[++i], usage);
+    };
+    const auto zero_or_more = [&]<typename T>(T* field) {
+      const char* flag = argv[i];
+      *field = non_negative<T>(flag, argv[++i], usage);
+    };
     if (arg("--cycles")) {
-      spec.total_cycles = std::strtoull(argv[++i], nullptr, 10);
+      at_least_one(&spec.total_cycles);
     } else if (arg("--epoch")) {
-      spec.epoch_cycles = std::strtoull(argv[++i], nullptr, 10);
+      at_least_one(&spec.epoch_cycles);
     } else if (arg("--drain")) {
-      spec.drain_cycles = std::strtoull(argv[++i], nullptr, 10);
+      zero_or_more(&spec.drain_cycles);
     } else if (arg("--seed")) {
-      spec.seed = std::strtoull(argv[++i], nullptr, 10);
+      zero_or_more(&spec.seed);
     } else if (!std::strcmp(argv[i], "--no-links")) {
       spec.reliable_links = false;
     } else if (!std::strcmp(argv[i], "--no-recovery")) {
@@ -63,17 +78,17 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--force-dense")) {
       spec.force_dense = true;
     } else if (arg("--cadence")) {
-      spec.invariant_cadence = std::strtoull(argv[++i], nullptr, 10);
+      at_least_one(&spec.invariant_cadence);
     } else if (arg("--checkpoint-interval")) {
-      spec.checkpoint_interval = std::strtoull(argv[++i], nullptr, 10);
+      at_least_one(&spec.checkpoint_interval);
     } else if (arg("--ring")) {
-      spec.checkpoint_ring = std::strtoull(argv[++i], nullptr, 10);
+      at_least_one(&spec.checkpoint_ring);
     } else if (arg("--grace")) {
-      spec.checkpoint_grace = std::strtoull(argv[++i], nullptr, 10);
+      zero_or_more(&spec.checkpoint_grace);
     } else if (arg("--time-box")) {
       spec.time_box_seconds = std::atof(argv[++i]);
     } else if (arg("--inject-failure-at")) {
-      spec.inject_invariant_failure_at = std::strtoull(argv[++i], nullptr, 10);
+      zero_or_more(&spec.inject_invariant_failure_at);
     } else if (!std::strcmp(argv[i], "--no-verify-replay")) {
       spec.verify_failure_replay = false;
     } else if (arg("--report")) {
@@ -99,7 +114,15 @@ int main(int argc, char** argv) {
               spec.recovery ? "on" : "off",
               spec.time_box_seconds > 0 ? " (time-boxed)" : "");
 
-  const raw::router::SoakReport rep = raw::router::run_soak(spec);
+  raw::router::SoakReport rep;
+  try {
+    rep = raw::router::run_soak(spec);
+  } catch (const std::invalid_argument& e) {
+    // A configuration validate() rejects (say, an invariant cadence below
+    // the watchdog interval): a usage error, not a crash.
+    std::fprintf(stderr, "rawsoak: %s\n", e.what());
+    return 2;
+  }
 
   for (const raw::router::SoakEpochResult& e : rep.epochs) {
     std::printf("  epoch %-4lld %-28s %-12s %-5s %-18s dlv %-8llu "

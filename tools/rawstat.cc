@@ -30,6 +30,7 @@
 #include "common/metrics.h"
 #include "common/profiler.h"
 #include "common/trace_event.h"
+#include "count_flag.h"
 #include "router/chaos.h"
 #include "router/raw_router.h"
 #include "sim/fault_plan.h"
@@ -38,6 +39,8 @@ namespace {
 
 using raw::common::Cycle;
 using raw::common::MetricRegistry;
+using raw::tools::non_negative;
+using raw::tools::positive;
 
 struct Args {
   Cycle cycles = 200000;
@@ -116,11 +119,12 @@ Args parse(int argc, char** argv) {
       return argv[++i];
     };
     if (!std::strcmp(argv[i], "--cycles")) {
-      a.cycles = std::strtoull(next("--cycles"), nullptr, 10);
+      a.cycles = positive<Cycle>("--cycles", next("--cycles"), usage);
     } else if (!std::strcmp(argv[i], "--interval")) {
-      a.interval = std::strtoull(next("--interval"), nullptr, 10);
+      a.interval = non_negative<Cycle>("--interval", next("--interval"), usage);
     } else if (!std::strcmp(argv[i], "--bytes")) {
-      a.bytes = std::strtoull(next("--bytes"), nullptr, 10);
+      a.bytes = positive<raw::common::ByteCount>("--bytes", next("--bytes"),
+                                                 usage);
     } else if (!std::strcmp(argv[i], "--load")) {
       a.load = std::strtod(next("--load"), nullptr);
     } else if (!std::strcmp(argv[i], "--pattern")) {
@@ -134,10 +138,10 @@ Args parse(int argc, char** argv) {
         std::exit(2);
       }
     } else if (!std::strcmp(argv[i], "--quantum")) {
-      a.quantum = static_cast<std::uint32_t>(
-          std::strtoul(next("--quantum"), nullptr, 10));
+      a.quantum =
+          positive<std::uint32_t>("--quantum", next("--quantum"), usage);
     } else if (!std::strcmp(argv[i], "--seed")) {
-      a.seed = std::strtoull(next("--seed"), nullptr, 10);
+      a.seed = non_negative<std::uint64_t>("--seed", next("--seed"), usage);
     } else if (!std::strcmp(argv[i], "--json")) {
       a.json = true;
     } else if (!std::strcmp(argv[i], "--csv")) {
@@ -145,11 +149,13 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--trace")) {
       a.trace_path = next("--trace");
     } else if (!std::strcmp(argv[i], "--trace-budget")) {
-      a.trace_budget = std::strtoull(next("--trace-budget"), nullptr, 10);
+      a.trace_budget = positive<std::size_t>("--trace-budget",
+                                             next("--trace-budget"), usage);
     } else if (!std::strcmp(argv[i], "--chaos")) {
       a.chaos = next("--chaos");
     } else if (!std::strcmp(argv[i], "--chaos-seed")) {
-      a.chaos_seed = std::strtoull(next("--chaos-seed"), nullptr, 10);
+      a.chaos_seed = non_negative<std::uint64_t>("--chaos-seed",
+                                                 next("--chaos-seed"), usage);
     } else if (!std::strcmp(argv[i], "--links")) {
       a.links = true;
     } else if (!std::strcmp(argv[i], "--recovery")) {
@@ -157,13 +163,13 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--profile")) {
       a.profile = true;
     } else if (!std::strcmp(argv[i], "--cluster")) {
-      a.cluster_chips = std::atoi(next("--cluster"));
+      a.cluster_chips = positive<int>("--cluster", next("--cluster"), usage);
     } else if (!std::strcmp(argv[i], "--remote")) {
       a.cluster_remote = std::strtod(next("--remote"), nullptr);
     } else if (!std::strcmp(argv[i], "--channel-stats")) {
       a.channel_stats = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
-      a.threads = std::atoi(next("--threads"));
+      a.threads = non_negative<int>("--threads", next("--threads"), usage);
     } else if (!std::strcmp(argv[i], "--no-refresh")) {
       a.no_refresh = true;
     } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
