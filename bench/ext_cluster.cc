@@ -89,6 +89,7 @@ struct RunResult {
   double wall_secs = 0.0;
   int hosts = 0;
   std::size_t links = 0;
+  int workers = 1;  // after the fabric clamps the request to the chip count
   bool drained = false;
 };
 
@@ -109,6 +110,7 @@ RunResult run_config(const ClusterConfig& cfg, const Options& opt) {
   r.wall_secs = std::chrono::duration<double>(t1 - t0).count();
   r.hosts = fabric.num_hosts();
   r.links = fabric.num_links();
+  r.workers = fabric.workers();
   r.drained = drained;
   return r;
 }
@@ -228,9 +230,10 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(opt.link_latency), opt.throttle_numer,
       opt.throttle_denom, opt.remote_fraction, opt.load,
       static_cast<std::uint64_t>(opt.bytes), opt.seed);
+  const unsigned cores = std::thread::hardware_concurrency();
   std::printf("host machine: %u hardware thread(s) — speedups need as many "
               "cores as workers\n\n",
-              std::thread::hardware_concurrency());
+              cores);
 
   if (!opt.fault_trunks.empty()) {
     std::printf("degradation curve: first k trunk pairs cut at cycle %" PRIu64
@@ -273,10 +276,17 @@ int main(int argc, char** argv) {
       const bool match = par.digest == serial.digest;
       all_match = all_match && match;
       all_drained = all_drained && par.drained;
-      std::printf("%6s | %6s | %6s | %10s | %9s | workers=%d: %s, speedup %.2fx\n",
-                  "", "", "", "", "", w,
+      // A speedup is evidence only when every worker that ran had a core.
+      const std::string ran =
+          par.workers != w ? " (ran " + std::to_string(par.workers) + ")" : "";
+      const bool oversubscribed =
+          cores != 0 && static_cast<unsigned>(par.workers) > cores;
+      std::printf("%6s | %6s | %6s | %10s | %9s | workers=%d%s: %s, speedup "
+                  "%.2fx%s\n",
+                  "", "", "", "", "", w, ran.c_str(),
                   match ? "digest ok" : "DIGEST MISMATCH",
-                  serial.wall_secs / par.wall_secs);
+                  serial.wall_secs / par.wall_secs,
+                  oversubscribed ? "  oversubscribed: not evidence" : "");
     }
   }
 

@@ -47,13 +47,6 @@ ClusterFabric::ClusterFabric(ClusterConfig config, std::uint64_t seed)
   chip_dead_.assign(static_cast<std::size_t>(num_chips()), false);
   watchdog_chip_cycle_.assign(static_cast<std::size_t>(num_chips()), 0);
 
-  for (int p = 0; p < router::kNumPorts; ++p) {
-    const auto pi = static_cast<std::size_t>(p);
-    crossbar_[pi] = compiler_.compile_crossbar(p);
-    ingress_[pi] = compiler_.compile_ingress(p);
-    egress_[pi] = compiler_.compile_egress(p);
-  }
-
   inputs_.resize(topo_.hosts.size());
   outputs_.resize(topo_.hosts.size());
   for (int c = 0; c < num_chips(); ++c) {
@@ -84,39 +77,14 @@ void ClusterFabric::build_chip(int c) {
   }
   node->forwarding = net::SmallTable::build(node->table.trie());
 
-  sim::ChipConfig chip_cfg;
-  chip_cfg.shape = sim::GridShape{4, 4};
-  chip_cfg.with_dynamic_network = true;  // lookup RPC path
-  chip_cfg.link_fifo_depth = config_.link_fifo_depth;
-  node->chip = std::make_unique<sim::Chip>(chip_cfg);
-
-  node->core.chip = node->chip.get();
-  node->core.layout = &layout_;
   node->core.table = &node->table;
   node->core.forwarding = &node->forwarding;
   node->core.config = config_.runtime;
   node->core.ledger = &ledger_;
-
   // The full single-chip router mapping on every node, regardless of port
   // roles: an idle ingress just circulates EMPTY headers.
-  for (int p = 0; p < router::kNumPorts; ++p) {
-    const router::PortTiles tiles = layout_.port(p);
-    const auto pi = static_cast<std::size_t>(p);
-    const router::CrossbarSchedule& cb = crossbar_[pi];
-    const router::IngressSchedule& in = ingress_[pi];
-    const router::EgressSchedule& eg = egress_[pi];
-    node->chip->tile(tiles.crossbar).switch_proc().load(cb.program);
-    node->chip->tile(tiles.ingress).switch_proc().load(in.program);
-    node->chip->tile(tiles.egress).switch_proc().load(eg.program);
-    node->chip->tile(tiles.ingress)
-        .set_program(router::make_ingress_program(node->core, p, in));
-    node->chip->tile(tiles.lookup)
-        .set_program(router::make_lookup_program(node->core, p));
-    node->chip->tile(tiles.crossbar)
-        .set_program(router::make_crossbar_program(node->core, p, cb));
-    node->chip->tile(tiles.egress)
-        .set_program(router::make_egress_program(node->core, p, eg));
-  }
+  node->chip = router::build_router_chip(node->core, layout_, schedules_,
+                                         config_.link_fifo_depth);
 
   node->traffic = std::make_unique<net::TrafficGen>(config_.traffic,
                                                     chip_seed(seed_, c));
@@ -139,11 +107,13 @@ void ClusterFabric::build_cards(int c) {
     if (role == PortRole::kHost) {
       const int h = topo_.host_at(c, p);
       RAW_ASSERT(h >= 0);
-      auto in = std::make_unique<ClusterInputCard>(
-          in_port.to_chip, h, node.traffic.get(), &ledger_,
+      std::uint64_t* next_uid = &node.next_uid[static_cast<std::size_t>(p)];
+      *next_uid = make_host_uid(h, 1);
+      auto in = std::make_unique<router::InputLineCard>(
+          in_port.to_chip, h, node.traffic.get(), &ledger_, next_uid,
           config_.line_card_queue_words);
-      auto out = std::make_unique<ClusterOutputCard>(out_port.from_chip, h,
-                                                     &ledger_, &topo_.hops);
+      auto out = std::make_unique<router::OutputLineCard>(
+          out_port.from_chip, h, &ledger_, &topo_.hops);
       node.chip->add_device(in.get());
       node.chip->add_device(out.get());
       inputs_[static_cast<std::size_t>(h)] = std::move(in);
@@ -274,7 +244,7 @@ void ClusterFabric::fail_over(std::vector<int> new_dead_chips,
   // Dead chips' host inputs stop offering; their queued packets are lost.
   for (std::size_t h = 0; h < topo_.hosts.size(); ++h) {
     if (chip_dead_[static_cast<std::size_t>(topo_.hosts[h].chip)]) {
-      report.abandoned_packets += inputs_[h]->abandon();
+      report.abandoned_packets += inputs_[h]->flush_and_stop();
     }
   }
   written_off_words_ += report.written_off_words;
@@ -368,7 +338,7 @@ bool ClusterFabric::drain(common::Cycle max_cycles) {
       // wedged — fail (and a healthy run only reaches here inputs-idle).
       if (status_ == ClusterStatus::kDegraded) {
         for (auto& in : inputs_) {
-          if (!in->idle()) abandoned_packets_ += in->abandon();
+          if (!in->idle()) abandoned_packets_ += in->flush_and_stop();
         }
       }
       ledger_.erased_lost += ledger_.in_flight.size();

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cards.h"
 #include "cluster/cluster_config.h"
 #include "cluster/cluster_faults.h"
 #include "cluster/inter_chip_link.h"
@@ -44,6 +43,14 @@ class InvariantMonitor;
 }
 
 namespace raw::cluster {
+
+/// Per-host-card uid space: 22 bits of sequence under 10 bits of host id.
+/// Each host card counts from make_host_uid(host, 1) on its own counter, so
+/// chips stepping on different threads never share one and the uids do not
+/// depend on the schedule.
+inline constexpr std::uint64_t make_host_uid(int host_id, std::uint64_t seq) {
+  return (static_cast<std::uint64_t>(host_id) << 22) | seq;
+}
 
 /// Run health: a fabric is degraded once a confirmed permanent failure (a
 /// trunk cut or a chip death) has triggered a fail-over reroute. Degraded
@@ -137,10 +144,10 @@ class ClusterFabric {
   [[nodiscard]] const InterChipLink& link(std::size_t i) const {
     return *links_[i];
   }
-  [[nodiscard]] const ClusterInputCard& input(int host) const {
+  [[nodiscard]] const router::InputLineCard& input(int host) const {
     return *inputs_[static_cast<std::size_t>(host)];
   }
-  [[nodiscard]] const ClusterOutputCard& output(int host) const {
+  [[nodiscard]] const router::OutputLineCard& output(int host) const {
     return *outputs_[static_cast<std::size_t>(host)];
   }
   [[nodiscard]] const router::PacketLedger& ledger() const { return ledger_; }
@@ -187,13 +194,16 @@ class ClusterFabric {
  private:
   /// One cluster node: chip + its routing state + its seeded traffic.
   /// Heap-allocated so RouterCore (captured by reference in the tile
-  /// programs) and the tables keep stable addresses.
+  /// programs), the tables and the uid counters keep stable addresses.
   struct ChipNode {
     std::unique_ptr<sim::Chip> chip;
     net::RouteTable table;
     net::SmallTable forwarding;
     router::RouterCore core;
     std::unique_ptr<net::TrafficGen> traffic;
+    /// Uid counter of the host card on each port (unused on trunk ports);
+    /// only this chip's thread advances them.
+    std::array<std::uint64_t, router::kNumPorts> next_uid{};
   };
 
   void build_chip(int c);
@@ -218,17 +228,15 @@ class ClusterFabric {
   std::uint64_t seed_;
   Topology topo_;
   router::Layout layout_;
-  router::ScheduleCompiler compiler_{layout_};
-  // Per-port switch schedules, compiled once: they depend only on the port
-  // and the layout, so every chip loads the same shared programs.
-  std::array<router::CrossbarSchedule, router::kNumPorts> crossbar_;
-  std::array<router::IngressSchedule, router::kNumPorts> ingress_;
-  std::array<router::EgressSchedule, router::kNumPorts> egress_;
+  // Compiled once: every chip loads the same shared switch programs.
+  router::PortSchedules schedules_ =
+      router::compile_port_schedules(router::ScheduleCompiler(layout_));
   router::PacketLedger ledger_;
   std::vector<std::unique_ptr<ChipNode>> nodes_;
   std::vector<std::unique_ptr<InterChipLink>> links_;  // parallel to topo_.links
-  std::vector<std::unique_ptr<ClusterInputCard>> inputs_;    // by host id
-  std::vector<std::unique_ptr<ClusterOutputCard>> outputs_;  // by host id
+  // Host line cards, by host id.
+  std::vector<std::unique_ptr<router::InputLineCard>> inputs_;
+  std::vector<std::unique_ptr<router::OutputLineCard>> outputs_;
   std::vector<std::unique_ptr<router::TrunkEgressCard>> trunk_egress_;
   std::vector<std::unique_ptr<router::TrunkIngressCard>> trunk_ingress_;
   std::unique_ptr<exec::ClusterRunner> runner_;

@@ -34,19 +34,22 @@ int src_port_of(const net::Ipv4Header& hdr) {
 
 InputLineCard::InputLineCard(sim::Channel* to_chip, int port,
                              net::TrafficGen* traffic, PacketLedger* ledger,
+                             std::uint64_t* next_uid,
                              std::size_t queue_capacity_words)
     : to_chip_(to_chip),
       port_(port),
       traffic_(traffic),
       ledger_(ledger),
+      next_uid_(next_uid),
       queue_capacity_words_(queue_capacity_words) {
-  RAW_ASSERT(to_chip_ != nullptr && traffic_ != nullptr && ledger_ != nullptr);
+  RAW_ASSERT(to_chip_ != nullptr && traffic_ != nullptr && ledger_ != nullptr &&
+             next_uid_ != nullptr);
 }
 
 void InputLineCard::generate(sim::Chip& chip) {
   while (!stopped_ && chip.cycle() >= next_arrival_) {
     const net::PacketDesc desc = traffic_->next(port_);
-    const std::uint64_t uid = ledger_->next_uid++;
+    const std::uint64_t uid = (*next_uid_)++;
     const common::ByteCount bytes = std::max<common::ByteCount>(desc.bytes, 20);
     const auto words = common::words_for_bytes(bytes);
     // Line spacing: the wire carries this packet for `words` cycles, then
@@ -63,7 +66,7 @@ void InputLineCard::generate(sim::Chip& chip) {
       continue;
     }
     const net::Packet p = make_test_packet(uid, port_, desc.dst_port, bytes);
-    ledger_->in_flight.emplace(
+    ledger_->insert(
         uid, PacketLedger::Entry{chip.cycle(), port_, desc.dst_port, bytes});
     for (const common::Word w : net::packet_to_words(p)) queue_.push_back(w);
     queued_packets_.emplace_back(uid, static_cast<std::uint32_t>(words));
@@ -104,17 +107,16 @@ std::uint64_t InputLineCard::drop_partial_front() {
   queue_.erase(queue_.begin(), queue_.begin() + remaining);
   queued_packets_.pop_front();
   front_words_sent_ = 0;
-  if (ledger_->in_flight.erase(uid) > 0) ++ledger_->erased_lost;
+  (void)ledger_->write_off(uid);
   return 1;
 }
 
 std::uint64_t InputLineCard::flush_and_stop() {
   std::uint64_t written_off = 0;
   for (const auto& [uid, words] : queued_packets_) {
-    if (ledger_->in_flight.erase(uid) > 0) {
-      ++ledger_->erased_lost;
-      ++written_off;
-    }
+    // A partially-streamed front's words died in the fabric; the rest never
+    // left the card. Either way the packet is lost.
+    if (ledger_->write_off(uid)) ++written_off;
   }
   queue_.clear();
   queued_packets_.clear();
@@ -171,9 +173,14 @@ void FrameAssembler::reset() {
 }
 
 OutputLineCard::OutputLineCard(sim::Channel* from_chip, int port,
-                               PacketLedger* ledger)
-    : from_chip_(from_chip), port_(port), ledger_(ledger) {
-  RAW_ASSERT(from_chip_ != nullptr && ledger_ != nullptr);
+                               PacketLedger* ledger,
+                               const std::vector<std::vector<int>>* hops)
+    : from_chip_(from_chip),
+      port_(port),
+      ledger_(ledger),
+      hops_(hops),
+      per_source_(hops != nullptr ? hops->size() : 0, 0) {
+  RAW_ASSERT(from_chip_ != nullptr && ledger_ != nullptr && hops_ != nullptr);
 }
 
 void OutputLineCard::step(sim::Chip& chip) {
@@ -187,24 +194,37 @@ void OutputLineCard::finish_packet(sim::Chip& chip) {
   bool ok = net::checksum_ok(p.header);
   const std::uint64_t uid = uid_of(p.header);
   const int src = src_port_of(p.header);
-  const auto it = ledger_->in_flight.find(uid);
-  if (it == ledger_->in_flight.end() || src < 0 || src >= 4) {
-    // No in-flight entry: a corrupted uid field, or the surviving fragment
-    // of a frame whose original was already written off. The packet itself
-    // was accounted for when its entry was erased, so this counts as frame
-    // damage, not a second packet loss.
+  std::optional<PacketLedger::Entry> taken;
+  if (src < 0 || static_cast<std::size_t>(src) >= per_source_.size() ||
+      !(taken = ledger_->take(uid))) {
+    // A source outside the hop matrix, or no in-flight entry: a corrupted
+    // header, or the surviving fragment of a frame whose original was
+    // already written off. The packet itself was accounted for when its
+    // entry was erased, so this counts as frame damage, not a second packet
+    // loss.
     ++unmatched_frames_;
     return;
   }
-  const PacketLedger::Entry entry = it->second;
-  ledger_->in_flight.erase(it);
+  const PacketLedger::Entry entry = *taken;
 
-  // End-to-end validation: right output port, TTL decremented exactly once,
-  // payload untouched.
+  // End-to-end validation: right output port, payload untouched, and the
+  // TTL decremented exactly once per chip on the path. The hop count
+  // indexes by the ledger entry's source (always in range; a corrupted src
+  // byte fails the header comparison below instead).
   if (entry.dst_port != port_ || entry.bytes != p.size_bytes()) ok = false;
   const net::Packet expected =
       make_test_packet(uid, entry.src_port, entry.dst_port, entry.bytes);
-  if (p.header.ttl + 1 != expected.header.ttl) ok = false;
+  const int decremented = expected.header.ttl - p.header.ttl;
+  if (degraded_max_hops_ == 0) {
+    const int hops = (*hops_)[static_cast<std::size_t>(entry.src_port)]
+                             [static_cast<std::size_t>(port_)];
+    if (decremented != hops) ok = false;
+  } else if (decremented < 1 || decremented > degraded_max_hops_) {
+    // After a reroute the as-built hop matrix no longer predicts the path
+    // length (and in-flight packets may have taken the old path): accept
+    // any plausible decrement count.
+    ok = false;
+  }
   if (p.payload != expected.payload) ok = false;
   if (p.header.src != expected.header.src || p.header.dst != expected.header.dst) {
     ok = false;
@@ -212,10 +232,10 @@ void OutputLineCard::finish_packet(sim::Chip& chip) {
 
   if (!ok) {
     ++dropped_invalid_;
-    ++ledger_->erased_invalid;
+    ledger_->credit_invalid();
     return;
   }
-  ++ledger_->erased_delivered;
+  ledger_->credit_delivered();
   ++delivered_packets_;
   delivered_bytes_ += p.size_bytes();
   ++per_source_[static_cast<std::size_t>(src)];

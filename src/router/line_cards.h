@@ -14,7 +14,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/stats.h"
@@ -29,6 +31,14 @@ namespace raw::router {
 
 /// Shared bookkeeping between input and output cards (simulation-side only;
 /// nothing here is visible to the modelled hardware).
+///
+/// Every per-packet change goes through one mutex-guarded API: the line
+/// cards insert, take, credit and write off entries, and the ingress tile
+/// programs erase the ones they drop. A cluster shares one ledger across
+/// chips that step on different threads, and the final state is
+/// independent of the interleaving: distinct uids touch distinct map entries
+/// and the outcome counters are commutative sums. Bulk write-offs at drain
+/// time run single-threaded and touch the fields directly.
 struct PacketLedger {
   struct Entry {
     common::Cycle created = 0;
@@ -37,7 +47,6 @@ struct PacketLedger {
     common::ByteCount bytes = 0;
   };
   std::unordered_map<std::uint64_t, Entry> in_flight;
-  std::uint64_t next_uid = 1;
   /// Optional packet-lifecycle tracer shared by the line cards and the tile
   /// programs (null or disabled: no events, no cost).
   common::PacketTracer* tracer = nullptr;
@@ -47,72 +56,62 @@ struct PacketLedger {
   /// instant
   ///   offered == dropped_at_card + erased_delivered + erased_invalid
   ///            + erased_ingress + erased_lost + in_flight.size()
-  /// (RawRouter asserts this at drain).
+  /// (RawRouter and ClusterFabric assert this at drain).
   std::uint64_t erased_delivered = 0;  // validated at an output card
   std::uint64_t erased_invalid = 0;    // reached an output card, failed validation
   std::uint64_t erased_ingress = 0;    // dropped by an ingress tile (ttl/route/malformed)
-  std::uint64_t erased_lost = 0;       // written off when a drain quiesced short
+  std::uint64_t erased_lost = 0;       // written off (drain quiesced short, recovery)
 
   [[nodiscard]] std::uint64_t erased_total() const {
     return erased_delivered + erased_invalid + erased_ingress + erased_lost;
   }
 
-  /// Records an ingress drop (ttl expiry, no route, malformed header). Tile
-  /// programs call this, and cluster chips share one ledger while stepping
-  /// on different threads, so it takes a mutex. Distinct uids erase
-  /// distinct map entries, so the final ledger state is independent of the
-  /// order in which concurrent drops land. Returns whether the uid was
-  /// present.
-  bool erase_in_flight_ingress(std::uint64_t uid) {
-    const std::lock_guard<std::mutex> lock(ingress_mutex);
-    const bool present = in_flight.erase(uid) > 0;
-    if (present) ++erased_ingress;
-    return present;
-  }
-
-  // Cluster fabrics share one ledger across chips whose host cards may step
-  // on different threads (thread-per-chip mode), so every mutation from a
-  // cluster card goes through these locked variants. The final ledger state
-  // is independent of thread interleaving: distinct uids touch distinct map
-  // entries and the outcome counters are commutative sums.
-
-  void insert_in_flight_locked(std::uint64_t uid, const Entry& e) {
-    const std::lock_guard<std::mutex> lock(ingress_mutex);
+  /// A packet entered an input card's queue.
+  void insert(std::uint64_t uid, const Entry& e) {
+    const std::lock_guard<std::mutex> lock(mutex);
     in_flight.emplace(uid, e);
   }
 
-  /// Erases `uid` and copies its entry to `out` (when non-null). The caller
-  /// must follow up with exactly one credit_* call — validation of the
+  /// Erases `uid` and returns its entry (nothing when absent). The caller
+  /// follows up with exactly one credit_* call: validation of the
   /// reassembled frame decides delivered vs invalid only after the entry is
-  /// taken. Returns whether the uid was present.
-  bool take_in_flight_locked(std::uint64_t uid, Entry* out) {
-    const std::lock_guard<std::mutex> lock(ingress_mutex);
+  /// taken.
+  std::optional<Entry> take(std::uint64_t uid) {
+    const std::lock_guard<std::mutex> lock(mutex);
     const auto it = in_flight.find(uid);
-    if (it == in_flight.end()) return false;
-    if (out != nullptr) *out = it->second;
+    if (it == in_flight.end()) return std::nullopt;
+    const Entry e = it->second;
     in_flight.erase(it);
-    return true;
+    return e;
   }
 
-  void credit_delivered_locked() {
-    const std::lock_guard<std::mutex> lock(ingress_mutex);
+  void credit_delivered() {
+    const std::lock_guard<std::mutex> lock(mutex);
     ++erased_delivered;
   }
-  void credit_invalid_locked() {
-    const std::lock_guard<std::mutex> lock(ingress_mutex);
+  void credit_invalid() {
+    const std::lock_guard<std::mutex> lock(mutex);
     ++erased_invalid;
   }
-  void credit_lost_locked(std::uint64_t n) {
-    const std::lock_guard<std::mutex> lock(ingress_mutex);
-    erased_lost += n;
+
+  /// Writes `uid` off as lost. Returns whether the uid was present.
+  bool write_off(std::uint64_t uid) { return erase_as(uid, erased_lost); }
+
+  /// Records an ingress drop (ttl expiry, no route, malformed header).
+  /// Returns whether the uid was present.
+  bool erase_ingress(std::uint64_t uid) {
+    return erase_as(uid, erased_ingress);
   }
 
-  [[nodiscard]] std::size_t in_flight_size_locked() {
-    const std::lock_guard<std::mutex> lock(ingress_mutex);
-    return in_flight.size();
-  }
+  std::mutex mutex;
 
-  std::mutex ingress_mutex;
+ private:
+  bool erase_as(std::uint64_t uid, std::uint64_t& outcome) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    const bool present = in_flight.erase(uid) > 0;
+    if (present) ++outcome;
+    return present;
+  }
 };
 
 /// Trace-track ids: chip events use the tile index directly; line-card
@@ -132,8 +131,7 @@ int src_port_of(const net::Ipv4Header& hdr);
 /// locks onto a plausible IPv4 header, and — after a torn or corrupted frame
 /// — slides forward one word at a time until framing lines up again, so one
 /// bad frame costs one resync episode instead of desynchronising every
-/// subsequent packet. Shared by OutputLineCard and the cluster host egress
-/// card.
+/// subsequent packet.
 class FrameAssembler {
  public:
   /// Feeds one word; returns true when a complete frame is buffered
@@ -180,10 +178,16 @@ class WordRx {
   [[nodiscard]] virtual common::Word recv(common::Cycle now) = 0;
 };
 
+/// A host line feeding one chip-edge port. `port` is both the card's
+/// source id (packets carry src = 10.(128+port).x.x) and its port index
+/// into `traffic`: a chip port on RawRouter, a global host id in a cluster.
+/// Every arrival takes `uid = (*next_uid)++`, dropped or not; RawRouter's
+/// four cards share one counter, and each cluster host card owns one.
 class InputLineCard : public sim::Device {
  public:
   InputLineCard(sim::Channel* to_chip, int port, net::TrafficGen* traffic,
-                PacketLedger* ledger, std::size_t queue_capacity_words);
+                PacketLedger* ledger, std::uint64_t* next_uid,
+                std::size_t queue_capacity_words);
 
   void step(sim::Chip& chip) override;
 
@@ -201,9 +205,10 @@ class InputLineCard : public sim::Device {
   /// The ledger entry is written off as lost. Whole queued packets stay
   /// deliverable. Returns the number of packets written off (0 or 1).
   std::uint64_t drop_partial_front();
-  /// Recovery surgery (dead ingress tile): writes off every queued packet as
-  /// lost, clears the queue, and stops the arrival process. Returns the
-  /// number of packets written off.
+  /// Recovery surgery (dead ingress tile, or a cluster chip confirmed dead):
+  /// writes off every queued packet — fully queued or partially streamed
+  /// into the chip — as lost, clears the queue, and stops the arrival
+  /// process. Returns the number of packets written off.
   std::uint64_t flush_and_stop();
   /// Appends the uids of every fully-queued packet (call after
   /// drop_partial_front) — the in-flight entries a fabric reset must keep.
@@ -216,6 +221,7 @@ class InputLineCard : public sim::Device {
   int port_;
   net::TrafficGen* traffic_;
   PacketLedger* ledger_;
+  std::uint64_t* next_uid_;
   std::size_t queue_capacity_words_;
   std::deque<common::Word> queue_;
   // Packet boundaries of `queue_`, for head-of-queue lifecycle events:
@@ -230,11 +236,24 @@ class InputLineCard : public sim::Device {
   std::uint64_t dropped_packets_ = 0;
 };
 
+/// A host line drained from one chip-edge port. `hops` is the source-by-
+/// destination hop matrix (not owned; RawRouter's is all ones): the TTL
+/// check expects exactly hops[src][port] decrements, one per chip on the
+/// path.
 class OutputLineCard : public sim::Device {
  public:
-  OutputLineCard(sim::Channel* from_chip, int port, PacketLedger* ledger);
+  OutputLineCard(sim::Channel* from_chip, int port, PacketLedger* ledger,
+                 const std::vector<std::vector<int>>* hops);
 
   void step(sim::Chip& chip) override;
+
+  /// Degraded-mode validation (after a cluster fail-over reroute): surviving
+  /// paths may be longer or shorter than the as-built hop matrix, so the TTL
+  /// check relaxes from "exactly hops[src][port] decrements" to "between 1
+  /// and `max_ttl_decrements`" — payload, addressing and size stay exact.
+  void set_degraded(int max_ttl_decrements) {
+    degraded_max_hops_ = max_ttl_decrements;
+  }
 
   [[nodiscard]] std::uint64_t delivered_packets() const { return delivered_packets_; }
   [[nodiscard]] common::ByteCount delivered_bytes() const { return delivered_bytes_; }
@@ -275,10 +294,12 @@ class OutputLineCard : public sim::Device {
   sim::Channel* from_chip_;
   int port_;
   PacketLedger* ledger_;
+  const std::vector<std::vector<int>>* hops_;
+  int degraded_max_hops_ = 0;  // 0 = healthy, exact hop validation
   FrameAssembler assembler_;
   std::uint64_t delivered_packets_ = 0;
   common::ByteCount delivered_bytes_ = 0;
-  std::array<std::uint64_t, 4> per_source_{};
+  std::vector<std::uint64_t> per_source_;  // one slot per hops_ row
   std::uint64_t dropped_invalid_ = 0;
   std::uint64_t unmatched_frames_ = 0;
   common::RunningStat latency_;

@@ -105,49 +105,31 @@ RawRouter::RawRouter(RouterConfig config, net::RouteTable table,
   RAW_ASSERT_MSG(traffic.num_ports == kNumPorts, "router has four ports");
   config_.validate();
 
-  sim::ChipConfig chip_cfg;
-  chip_cfg.shape = sim::GridShape{4, 4};
-  chip_cfg.with_dynamic_network = true;  // lookup RPC path
-  chip_cfg.link_fifo_depth = config_.link_fifo_depth;
-  chip_ = std::make_unique<sim::Chip>(chip_cfg);
+  core_.table = &table_;
+  core_.forwarding = &forwarding_;
+  core_.config = config_.runtime;
+  core_.ledger = &ledger_;
+  chip_ = build_router_chip(core_, layout_, compile_port_schedules(compiler_),
+                            config_.link_fifo_depth);
   if (config_.link.enabled) {
     chip_->enable_link_protection(sim::LinkProtectionParams{
         config_.link.max_retries, config_.link.retransmit_rtt,
         config_.link.replay_depth});
   }
 
-  core_.chip = chip_.get();
-  core_.layout = &layout_;
-  core_.table = &table_;
-  core_.forwarding = &forwarding_;
-  core_.config = config_.runtime;
-  core_.ledger = &ledger_;
-
+  // Every packet crosses this one chip: one TTL decrement from any source.
+  static const std::vector<std::vector<int>> kOneHop(
+      kNumPorts, std::vector<int>(kNumPorts, 1));
   for (int p = 0; p < kNumPorts; ++p) {
     const PortTiles tiles = layout_.port(p);
     const PortEdges edges = layout_.edges(p);
-
-    // Switch programs (compile-time schedules).
-    const CrossbarSchedule cb = compiler_.compile_crossbar(p);
-    const IngressSchedule in = compiler_.compile_ingress(p);
-    const EgressSchedule eg = compiler_.compile_egress(p);
-    chip_->tile(tiles.crossbar).switch_proc().load(cb.program);
-    chip_->tile(tiles.ingress).switch_proc().load(in.program);
-    chip_->tile(tiles.egress).switch_proc().load(eg.program);
-
-    // Tile-processor programs.
-    chip_->tile(tiles.ingress).set_program(make_ingress_program(core_, p, in));
-    chip_->tile(tiles.lookup).set_program(make_lookup_program(core_, p));
-    chip_->tile(tiles.crossbar).set_program(make_crossbar_program(core_, p, cb));
-    chip_->tile(tiles.egress).set_program(make_egress_program(core_, p, eg));
-
-    // Line cards.
     const sim::IoPort in_port = chip_->io_port(0, tiles.ingress, edges.ingress_edge);
     const sim::IoPort out_port = chip_->io_port(0, tiles.egress, edges.egress_edge);
     inputs_[static_cast<std::size_t>(p)] = std::make_unique<InputLineCard>(
-        in_port.to_chip, p, &traffic_, &ledger_, config_.line_card_queue_words);
-    outputs_[static_cast<std::size_t>(p)] =
-        std::make_unique<OutputLineCard>(out_port.from_chip, p, &ledger_);
+        in_port.to_chip, p, &traffic_, &ledger_, &next_uid_,
+        config_.line_card_queue_words);
+    outputs_[static_cast<std::size_t>(p)] = std::make_unique<OutputLineCard>(
+        out_port.from_chip, p, &ledger_, &kOneHop);
     chip_->add_device(inputs_[static_cast<std::size_t>(p)].get());
     chip_->add_device(outputs_[static_cast<std::size_t>(p)].get());
   }

@@ -292,6 +292,7 @@ class RawRouter {
   RouterCore core_;
   net::TrafficGen traffic_;
   PacketLedger ledger_;
+  std::uint64_t next_uid_ = 1;  // shared by the four input cards
   std::array<std::unique_ptr<InputLineCard>, kNumPorts> inputs_;
   std::array<std::unique_ptr<OutputLineCard>, kNumPorts> outputs_;
   std::optional<StallReport> stall_report_;

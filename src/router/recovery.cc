@@ -74,7 +74,7 @@ TileTask degraded_ingress_body(RouterCore& core, int port,
       if (aligned) {
         ++ctr.malformed_drops;
         if (core.ledger != nullptr) {
-          (void)core.ledger->erase_in_flight_ingress(uid_of(hdr));
+          (void)core.ledger->erase_ingress(uid_of(hdr));
         }
       } else {
         ++ctr.resync_slides;
@@ -138,7 +138,7 @@ TileTask degraded_ingress_body(RouterCore& core, int port,
       // Validated header, trusted length: consume and discard the payload
       // still arriving, and release the ledger entry.
       if (core.ledger != nullptr) {
-        (void)core.ledger->erase_in_flight_ingress(uid_of(hdr));
+        (void)core.ledger->erase_ingress(uid_of(hdr));
       }
       for (std::uint32_t i = 0; i < payload_words; ++i) {
         (void)co_await read(csti);
@@ -332,9 +332,7 @@ RecoveryReport reconfigure_degraded(
     if (!std::binary_search(keep.begin(), keep.end(), uid)) doomed.push_back(uid);
   }
   for (const std::uint64_t uid : doomed) {
-    ledger.in_flight.erase(uid);
-    ++ledger.erased_lost;
-    ++report.written_off;
+    if (ledger.write_off(uid)) ++report.written_off;
   }
 
   // 5. Install the degraded fabric on the surviving port tiles.

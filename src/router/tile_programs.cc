@@ -132,7 +132,7 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
           if (core.ledger != nullptr) {
             // Best effort: the uid field may itself be corrupt, in which
             // case the entry is written off as lost at drain instead.
-            (void)core.ledger->erase_in_flight_ingress(uid_of(hdr));
+            (void)core.ledger->erase_ingress(uid_of(hdr));
           }
         } else {
           ++ctr.resync_slides;
@@ -190,7 +190,7 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
         // discard the payload still on the line, and release the ledger
         // entry (the packet will never reach an output card).
         if (core.ledger != nullptr) {
-          (void)core.ledger->erase_in_flight_ingress(uid_of(hdr));
+          (void)core.ledger->erase_ingress(uid_of(hdr));
         }
         if (payload_words > 0) {
           RAW_CMD(csto, s.ingest_header, payload_words);
@@ -435,23 +435,43 @@ TileTask egress_body(RouterCore& core, int port, EgressSchedule s) {
 
 }  // namespace
 
-TileTask make_ingress_program(RouterCore& core, int port,
-                              const IngressSchedule& schedule) {
-  return ingress_body(core, port, schedule);
+PortSchedules compile_port_schedules(const ScheduleCompiler& compiler) {
+  PortSchedules s;
+  for (int p = 0; p < kNumPorts; ++p) {
+    const auto pi = static_cast<std::size_t>(p);
+    s.crossbar[pi] = compiler.compile_crossbar(p);
+    s.ingress[pi] = compiler.compile_ingress(p);
+    s.egress[pi] = compiler.compile_egress(p);
+  }
+  return s;
 }
 
-TileTask make_lookup_program(RouterCore& core, int port) {
-  return lookup_body(core, port);
-}
-
-TileTask make_crossbar_program(RouterCore& core, int port,
-                               const CrossbarSchedule& schedule) {
-  return crossbar_body(core, port, schedule);
-}
-
-TileTask make_egress_program(RouterCore& core, int port,
-                             const EgressSchedule& schedule) {
-  return egress_body(core, port, schedule);
+std::unique_ptr<sim::Chip> build_router_chip(RouterCore& core,
+                                             const Layout& layout,
+                                             const PortSchedules& schedules,
+                                             std::size_t link_fifo_depth) {
+  sim::ChipConfig chip_cfg;
+  chip_cfg.shape = sim::GridShape{4, 4};
+  chip_cfg.with_dynamic_network = true;
+  chip_cfg.link_fifo_depth = link_fifo_depth;
+  auto chip = std::make_unique<sim::Chip>(chip_cfg);
+  core.chip = chip.get();
+  core.layout = &layout;
+  for (int p = 0; p < kNumPorts; ++p) {
+    const PortTiles tiles = layout.port(p);
+    const auto pi = static_cast<std::size_t>(p);
+    const CrossbarSchedule& cb = schedules.crossbar[pi];
+    const IngressSchedule& in = schedules.ingress[pi];
+    const EgressSchedule& eg = schedules.egress[pi];
+    chip->tile(tiles.crossbar).switch_proc().load(cb.program);
+    chip->tile(tiles.ingress).switch_proc().load(in.program);
+    chip->tile(tiles.egress).switch_proc().load(eg.program);
+    chip->tile(tiles.ingress).set_program(ingress_body(core, p, in));
+    chip->tile(tiles.lookup).set_program(lookup_body(core, p));
+    chip->tile(tiles.crossbar).set_program(crossbar_body(core, p, cb));
+    chip->tile(tiles.egress).set_program(egress_body(core, p, eg));
+  }
+  return chip;
 }
 
 }  // namespace raw::router

@@ -1,7 +1,7 @@
 // Behavioural tile-processor programs of the Raw Router (§4.2, §6.5).
 //
-// Each factory returns a coroutine to install on one tile; the companion
-// switch programs come from the ScheduleCompiler. The run-time protocol per
+// build_router_chip installs one coroutine per tile; the companion switch
+// programs come from the ScheduleCompiler. The run-time protocol per
 // routing quantum is:
 //
 //   ingress:   sends one local header (possibly EMPTY) to its crossbar tile,
@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "common/trace_event.h"
 #include "common/types.h"
@@ -100,12 +101,24 @@ struct RouterCore {
   PacketLedger* ledger = nullptr;
 };
 
-sim::TileTask make_ingress_program(RouterCore& core, int port,
-                                   const IngressSchedule& schedule);
-sim::TileTask make_lookup_program(RouterCore& core, int port);
-sim::TileTask make_crossbar_program(RouterCore& core, int port,
-                                    const CrossbarSchedule& schedule);
-sim::TileTask make_egress_program(RouterCore& core, int port,
-                                  const EgressSchedule& schedule);
+/// The compiled switch schedules of the four ports. They depend only on the
+/// layout, so one set serves every chip built on it.
+struct PortSchedules {
+  std::array<CrossbarSchedule, kNumPorts> crossbar;
+  std::array<IngressSchedule, kNumPorts> ingress;
+  std::array<EgressSchedule, kNumPorts> egress;
+};
+
+PortSchedules compile_port_schedules(const ScheduleCompiler& compiler);
+
+/// Builds one router chip: a 4x4 grid with the dynamic network (the lookup
+/// RPC path) and edge FIFOs of `link_fifo_depth` words. Points `core.chip`
+/// and `core.layout` at it, then loads every port's three switch schedules
+/// and four tile programs. The caller fills in the rest of `core` (tables,
+/// runtime config, ledger) beforehand and attaches the line cards after.
+std::unique_ptr<sim::Chip> build_router_chip(RouterCore& core,
+                                             const Layout& layout,
+                                             const PortSchedules& schedules,
+                                             std::size_t link_fifo_depth);
 
 }  // namespace raw::router

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <deque>
+#include <set>
+
+#include "cluster/fabric.h"
 #include "sim/chip.h"
 
 namespace raw::router {
@@ -23,13 +28,58 @@ TEST(TestPacketTest, DeterministicPerUid) {
   EXPECT_EQ(a.payload, b.payload);
 }
 
+/// Row 1 of the mesh passes every word west to east, so what enters tile
+/// 4's west edge leaves tile 7's east edge untouched (no TTL decrement).
+void wire_loopback_row(sim::Chip& chip) {
+  std::string error;
+  for (int tile : {4, 5, 6, 7}) {
+    sim::SwitchProgram p = sim::assemble("loop: jump loop | W>E", &error);
+    ASSERT_TRUE(error.empty());
+    chip.tile(tile).switch_proc().load(
+        std::make_shared<const sim::SwitchProgram>(std::move(p)));
+  }
+}
+
 class LineCardTest : public ::testing::Test {
  protected:
   LineCardTest() : chip_(sim::ChipConfig{}) {}
 
   sim::Chip chip_;
   PacketLedger ledger_;
+  std::uint64_t next_uid_ = 1;
+  std::vector<std::vector<int>> one_hop_ =
+      std::vector<std::vector<int>>(4, std::vector<int>(4, 1));
 };
+
+/// Streams prepared words into a chip-edge channel, one per cycle.
+class WordFeeder : public sim::Device {
+ public:
+  explicit WordFeeder(sim::Channel* to_chip) : to_chip_(to_chip) {}
+  void push(const net::Packet& p) {
+    for (const common::Word w : net::packet_to_words(p)) words_.push_back(w);
+  }
+  void step(sim::Chip& /*chip*/) override {
+    if (!words_.empty() && to_chip_->can_write()) {
+      to_chip_->write(words_.front());
+      words_.pop_front();
+    }
+  }
+
+ private:
+  sim::Channel* to_chip_;
+  std::deque<common::Word> words_;
+};
+
+/// A test packet from `src` to port 0 as it leaves a path of `decrements`
+/// chips, with its ledger entry in place.
+net::Packet arrived_packet(PacketLedger& ledger, std::uint64_t uid, int src,
+                           int decrements) {
+  net::Packet p = make_test_packet(uid, src, 0, 64);
+  ledger.insert(uid, PacketLedger::Entry{0, src, 0, 64});
+  p.header.ttl = static_cast<std::uint8_t>(p.header.ttl - decrements);
+  net::finalize_checksum(p.header);
+  return p;
+}
 
 TEST_F(LineCardTest, InputCardPacesArrivalsAtLineRate) {
   net::TrafficConfig t;
@@ -39,7 +89,7 @@ TEST_F(LineCardTest, InputCardPacesArrivalsAtLineRate) {
   t.load = 1.0;
   net::TrafficGen gen(t, 1);
   const sim::IoPort port = chip_.io_port(0, 4, sim::Dir::kWest);
-  InputLineCard card(port.to_chip, 0, &gen, &ledger_, 1 << 16);
+  InputLineCard card(port.to_chip, 0, &gen, &ledger_, &next_uid_, 1 << 16);
   chip_.add_device(&card);
 
   // Nothing drains the channel, so the card backs up after the FIFO fills,
@@ -55,7 +105,8 @@ TEST_F(LineCardTest, InputCardDropsWhenQueueFull) {
   t.fixed_bytes = 1024;
   net::TrafficGen gen(t, 2);
   const sim::IoPort port = chip_.io_port(0, 4, sim::Dir::kWest);
-  InputLineCard card(port.to_chip, 0, &gen, &ledger_, /*capacity=*/512);
+  InputLineCard card(port.to_chip, 0, &gen, &ledger_, &next_uid_,
+                     /*capacity=*/512);
   chip_.add_device(&card);
   chip_.run(20000);  // nothing drains: the 512-word queue overflows
   EXPECT_GT(card.dropped_packets(), 0u);
@@ -68,7 +119,7 @@ TEST_F(LineCardTest, StopHaltsGeneration) {
   t.num_ports = 4;
   net::TrafficGen gen(t, 3);
   const sim::IoPort port = chip_.io_port(0, 4, sim::Dir::kWest);
-  InputLineCard card(port.to_chip, 0, &gen, &ledger_, 1 << 16);
+  InputLineCard card(port.to_chip, 0, &gen, &ledger_, &next_uid_, 1 << 16);
   chip_.add_device(&card);
   chip_.run(100);
   card.stop();
@@ -90,23 +141,149 @@ TEST_F(LineCardTest, LoopbackDeliveryValidates) {
   t.fixed_bytes = 64;
   t.load = 0.5;
   net::TrafficGen gen(t, 4);
-  std::string error;
-  for (int tile : {4, 5, 6, 7}) {
-    sim::SwitchProgram p = sim::assemble("loop: jump loop | W>E", &error);
-    ASSERT_TRUE(error.empty());
-    chip_.tile(tile).switch_proc().load(
-        std::make_shared<const sim::SwitchProgram>(std::move(p)));
-  }
+  wire_loopback_row(chip_);
   InputLineCard in(chip_.io_port(0, 4, sim::Dir::kWest).to_chip, 0, &gen,
-                   &ledger_, 1 << 16);
+                   &ledger_, &next_uid_, 1 << 16);
   OutputLineCard out(chip_.io_port(0, 7, sim::Dir::kEast).from_chip, 0,
-                     &ledger_);
+                     &ledger_, &one_hop_);
   chip_.add_device(&in);
   chip_.add_device(&out);
   chip_.run(10000);
   // Packets arrive intact but with an un-decremented TTL: all "errors".
   EXPECT_EQ(out.delivered_packets(), 0u);
   EXPECT_GT(out.errors(), 0u);
+}
+
+TEST_F(LineCardTest, TtlCheckExpectsTheHopMatrixEntry) {
+  // The same once-decremented frame validates when the matrix says one hop
+  // and fails when it says two.
+  for (const int hops : {1, 2}) {
+    sim::Chip chip{sim::ChipConfig{}};
+    wire_loopback_row(chip);
+    std::vector<std::vector<int>> matrix = one_hop_;
+    matrix[1][0] = hops;
+    PacketLedger ledger;
+    WordFeeder feeder(chip.io_port(0, 4, sim::Dir::kWest).to_chip);
+    OutputLineCard out(chip.io_port(0, 7, sim::Dir::kEast).from_chip, 0,
+                       &ledger, &matrix);
+    feeder.push(arrived_packet(ledger, 9, /*src=*/1, /*decrements=*/1));
+    chip.add_device(&feeder);
+    chip.add_device(&out);
+    chip.run(200);
+    EXPECT_EQ(out.delivered_packets(), hops == 1 ? 1u : 0u) << "hops " << hops;
+    EXPECT_EQ(out.dropped_invalid(), hops == 1 ? 0u : 1u) << "hops " << hops;
+    EXPECT_EQ(out.delivered_from(1), out.delivered_packets());
+    EXPECT_TRUE(ledger.in_flight.empty());
+  }
+}
+
+TEST_F(LineCardTest, DegradedTtlCheckAcceptsOneToMaxDecrements) {
+  wire_loopback_row(chip_);
+  WordFeeder feeder(chip_.io_port(0, 4, sim::Dir::kWest).to_chip);
+  OutputLineCard out(chip_.io_port(0, 7, sim::Dir::kEast).from_chip, 0,
+                     &ledger_, &one_hop_);
+  out.set_degraded(3);
+  for (int d = 0; d <= 4; ++d) {
+    feeder.push(arrived_packet(ledger_, static_cast<std::uint64_t>(10 + d),
+                               /*src=*/2, d));
+  }
+  chip_.add_device(&feeder);
+  chip_.add_device(&out);
+  chip_.run(500);
+  // 1, 2 and 3 decrements pass; 0 and 4 fall outside the range.
+  EXPECT_EQ(out.delivered_packets(), 3u);
+  EXPECT_EQ(out.dropped_invalid(), 2u);
+  EXPECT_EQ(ledger_.erased_delivered, 3u);
+  EXPECT_EQ(ledger_.erased_invalid, 2u);
+  EXPECT_TRUE(ledger_.in_flight.empty());
+}
+
+/// Runs two input cards on ports `a` and `b` of an 8-port generator with
+/// the given uid counters and returns the ledger's in-flight uids by card.
+std::array<std::set<std::uint64_t>, 2> uids_by_card(std::uint64_t* uid_a,
+                                                    std::uint64_t* uid_b) {
+  sim::Chip chip{sim::ChipConfig{}};
+  PacketLedger ledger;
+  net::TrafficConfig t;
+  t.num_ports = 8;
+  t.fixed_bytes = 64;
+  t.load = 1.0;
+  net::TrafficGen gen(t, 5);
+  InputLineCard a(chip.io_port(0, 4, sim::Dir::kWest).to_chip, 3, &gen,
+                  &ledger, uid_a, 1 << 16);
+  InputLineCard b(chip.io_port(0, 8, sim::Dir::kWest).to_chip, 5, &gen,
+                  &ledger, uid_b, 1 << 16);
+  chip.add_device(&a);
+  chip.add_device(&b);
+  chip.run(160);
+  std::array<std::set<std::uint64_t>, 2> out;
+  for (const auto& [uid, entry] : ledger.in_flight) {
+    out[entry.src_port == 3 ? 0 : 1].insert(uid);
+  }
+  EXPECT_EQ(out[0].size(), a.offered_packets());
+  EXPECT_EQ(out[1].size(), b.offered_packets());
+  return out;
+}
+
+TEST_F(LineCardTest, HostCountersEmitHostTaggedUids) {
+  std::uint64_t uid3 = cluster::make_host_uid(3, 1);
+  std::uint64_t uid5 = cluster::make_host_uid(5, 1);
+  const auto uids = uids_by_card(&uid3, &uid5);
+  for (const int c : {0, 1}) {
+    const std::uint64_t host = c == 0 ? 3 : 5;
+    ASSERT_FALSE(uids[static_cast<std::size_t>(c)].empty());
+    std::uint64_t seq = 1;
+    for (const std::uint64_t uid : uids[static_cast<std::size_t>(c)]) {
+      EXPECT_EQ(uid, host << 22 | seq++);
+    }
+  }
+}
+
+TEST_F(LineCardTest, SharedCounterInterleavesUids) {
+  const auto uids = uids_by_card(&next_uid_, &next_uid_);
+  ASSERT_FALSE(uids[0].empty());
+  ASSERT_FALSE(uids[1].empty());
+  // Together the cards use 1..N with no gap or repeat, and neither card's
+  // uids form one block: arrivals alternate between them.
+  std::set<std::uint64_t> all = uids[0];
+  all.insert(uids[1].begin(), uids[1].end());
+  EXPECT_EQ(all.size(), uids[0].size() + uids[1].size());
+  EXPECT_EQ(*all.begin(), 1u);
+  EXPECT_EQ(*all.rbegin(), all.size());
+  EXPECT_EQ(next_uid_, all.size() + 1);
+  EXPECT_LT(*uids[0].begin(), *uids[1].rbegin());
+  EXPECT_LT(*uids[1].begin(), *uids[0].rbegin());
+}
+
+TEST_F(LineCardTest, FlushAndStopWritesOffQueuedPackets) {
+  net::TrafficConfig t;
+  t.num_ports = 4;
+  t.fixed_bytes = 64;
+  t.load = 1.0;
+  net::TrafficGen gen(t, 6);
+  InputLineCard card(chip_.io_port(0, 4, sim::Dir::kWest).to_chip, 0, &gen,
+                     &ledger_, &next_uid_, 1 << 16);
+  chip_.add_device(&card);
+  chip_.run(800);  // nothing drains: most packets wait in the card queue
+  const std::size_t queued_and_sent = ledger_.in_flight.size();
+  std::vector<std::uint64_t> queued;  // the partly sent front included
+  card.collect_queued_uids(queued);
+  ASSERT_GT(queued.size(), 1u);
+  const std::uint64_t written_off = card.flush_and_stop();
+  EXPECT_EQ(written_off, queued.size());
+  for (const std::uint64_t uid : queued) {
+    EXPECT_EQ(ledger_.in_flight.count(uid), 0u);
+  }
+  EXPECT_TRUE(card.idle());
+  EXPECT_EQ(ledger_.erased_lost, written_off);
+  // Only the packets that fully left the card stay in flight.
+  EXPECT_EQ(ledger_.in_flight.size() + written_off, queued_and_sent);
+  const auto offered = card.offered_packets();
+  chip_.run(800);
+  EXPECT_EQ(card.offered_packets(), offered);
+  EXPECT_EQ(card.offered_packets(), card.dropped_packets() +
+                                        ledger_.erased_total() +
+                                        ledger_.in_flight.size());
 }
 
 }  // namespace

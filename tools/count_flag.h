@@ -1,15 +1,17 @@
-// Whole-number count flags for the rawchaos, rawsoak and rawstat CLIs. A
-// value that is not a plain decimal number (a typo, a sign, a "0x" prefix,
-// trailing junk), that overflows the field, or that is below the flag's
-// floor names the flag, prints the tool's usage and exits 2: a bad count
-// must neither shrink a run to nothing and pass nor abort deep inside the
-// simulator.
+// Checked numeric flags for the rawchaos, rawsoak and rawstat CLIs: whole
+// counts and real values with a range. A value that is not a plain decimal
+// number (a typo, a "0x" prefix, trailing junk), that overflows the field,
+// or that falls outside the flag's range names the flag, prints the tool's
+// usage and exits 2: a bad value must neither shrink a run to nothing and
+// pass nor abort deep inside the simulator.
 #pragma once
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace raw::tools {
@@ -43,6 +45,32 @@ T positive(const char* flag, const char* value, void (*usage)()) {
 template <typename T>
 T non_negative(const char* flag, const char* value, void (*usage)()) {
   return count_flag<T>(flag, value, 0, usage);
+}
+
+/// Parses `value` of `flag` as a decimal real in [min, max] — in (min, max]
+/// when `min_open` — or reports it, calls `usage` and exits 2. An infinite
+/// `max` leaves the range open above.
+inline double real_flag(const char* flag, const char* value, double min,
+                        bool min_open, double max, void (*usage)()) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value, &end);
+  const bool plain =
+      *value != '\0' &&
+      std::strspn(value, "0123456789.eE+-") == std::strlen(value);
+  if (!plain || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v < min || (min_open && v == min) || v > max) {
+    if (std::isinf(max)) {
+      std::fprintf(stderr, "%s needs a number %s %g; got '%s'\n", flag,
+                   min_open ? ">" : ">=", min, value);
+    } else {
+      std::fprintf(stderr, "%s needs a number in %c%g, %g]; got '%s'\n", flag,
+                   min_open ? '(' : '[', min, max, value);
+    }
+    usage();
+    std::exit(2);
+  }
+  return v;
 }
 
 }  // namespace raw::tools

@@ -15,11 +15,13 @@
 // Exit status 0 only when the soak passes (for the self-test shape above:
 // when the injected failure produced a bundle whose anchored replay and
 // from-zero replay both reproduce the recorded digest trajectory); 2 on bad
-// usage — a count flag that is not a whole number in range
-// (tools/count_flag.h), or a configuration the router rejects.
+// usage — a count flag that is not a whole number in range, a --time-box
+// that is not a number >= 0 (tools/count_flag.h), or a configuration the
+// router rejects.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -32,6 +34,7 @@ namespace {
 using raw::common::json::write_file;
 using raw::tools::non_negative;
 using raw::tools::positive;
+using raw::tools::real_flag;
 
 void usage() {
   std::fprintf(
@@ -86,7 +89,9 @@ int main(int argc, char** argv) {
     } else if (arg("--grace")) {
       zero_or_more(&spec.checkpoint_grace);
     } else if (arg("--time-box")) {
-      spec.time_box_seconds = std::atof(argv[++i]);
+      spec.time_box_seconds =
+          real_flag("--time-box", argv[++i], 0.0, /*min_open=*/false,
+                    std::numeric_limits<double>::infinity(), usage);
     } else if (arg("--inject-failure-at")) {
       zero_or_more(&spec.inject_invariant_failure_at);
     } else if (!std::strcmp(argv[i], "--no-verify-replay")) {

@@ -41,6 +41,7 @@ using raw::common::Cycle;
 using raw::common::MetricRegistry;
 using raw::tools::non_negative;
 using raw::tools::positive;
+using raw::tools::real_flag;
 
 struct Args {
   Cycle cycles = 200000;
@@ -72,7 +73,7 @@ void usage() {
       "  --cycles N        chip cycles to run (default 200000)\n"
       "  --interval N      dashboard refresh interval in cycles (default cycles/10)\n"
       "  --bytes B         fixed packet size in bytes (default 256)\n"
-      "  --load L          offered load in [0,1] (default 1.0)\n"
+      "  --load L          offered load in (0,1] (default 1.0)\n"
       "  --pattern P       uniform | permutation (default uniform)\n"
       "  --quantum W       max words per routing quantum (default 256)\n"
       "  --seed S          traffic RNG seed (default 1)\n"
@@ -126,7 +127,8 @@ Args parse(int argc, char** argv) {
       a.bytes = positive<raw::common::ByteCount>("--bytes", next("--bytes"),
                                                  usage);
     } else if (!std::strcmp(argv[i], "--load")) {
-      a.load = std::strtod(next("--load"), nullptr);
+      a.load = real_flag("--load", next("--load"), 0.0, /*min_open=*/true,
+                         1.0, usage);
     } else if (!std::strcmp(argv[i], "--pattern")) {
       const char* p = next("--pattern");
       if (!std::strcmp(p, "uniform")) {
@@ -165,7 +167,8 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--cluster")) {
       a.cluster_chips = positive<int>("--cluster", next("--cluster"), usage);
     } else if (!std::strcmp(argv[i], "--remote")) {
-      a.cluster_remote = std::strtod(next("--remote"), nullptr);
+      a.cluster_remote = real_flag("--remote", next("--remote"), 0.0,
+                                   /*min_open=*/false, 1.0, usage);
     } else if (!std::strcmp(argv[i], "--channel-stats")) {
       a.channel_stats = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
