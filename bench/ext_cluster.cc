@@ -10,7 +10,10 @@
 //
 //   ./ext_cluster [--chips "2 4 8 16"] [--cycles N] [--workers "2 4 8"]
 //                 [--latency L] [--throttle N/D] [--remote F] [--load F]
-//                 [--serial-only]
+//                 [--bytes B] [--seed S] [--serial-only]
+//
+// A flag value that is not a number in range prints usage and exits 2
+// (tools/count_flag.h), as does a fabric the cluster config rejects.
 //
 // With --faults "0 1 2 ..." the sweep becomes a throughput-degradation
 // curve instead: for each chip count and each k in the list, the first k
@@ -23,19 +26,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cluster/cluster_faults.h"
 #include "cluster/fabric.h"
 #include "cluster/topology.h"
+#include "count_flag.h"
 
 namespace {
 
 using raw::cluster::ClusterConfig;
 using raw::cluster::ClusterFabric;
 using raw::cluster::TopologyKind;
+using raw::tools::count_list;
+using raw::tools::non_negative;
+using raw::tools::positive;
+using raw::tools::real_flag;
 
 struct Options {
   std::vector<int> chips{2, 4, 8, 16};
@@ -52,17 +60,13 @@ struct Options {
   std::vector<int> fault_trunks;  // --faults: cut-k degradation curve
 };
 
-std::vector<int> parse_list(const char* s) {
-  std::vector<int> out;
-  for (const char* p = s; *p != '\0';) {
-    char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p) break;
-    out.push_back(static_cast<int>(v));
-    p = end;
-    while (*p == ' ' || *p == ',') ++p;
-  }
-  return out;
+void usage() {
+  std::fprintf(stderr,
+               "usage: ext_cluster [--chips \"2 4 8 16\"] [--cycles N]\n"
+               "                   [--workers \"2 4 8\"] [--latency L]\n"
+               "                   [--throttle N/D] [--remote F] [--load F]\n"
+               "                   [--bytes B] [--seed S] [--serial-only]\n"
+               "                   [--faults \"0 1 2\"]\n");
 }
 
 ClusterConfig make_config(const Options& opt, int chips, int threads) {
@@ -130,11 +134,8 @@ ClusterConfig make_fault_config(const Options& opt, int chips, int threads,
   const raw::common::Cycle at = opt.cycles / 3;
   for (int t = 0; t < cut_trunks; ++t) {
     for (int dir = 0; dir < 2; ++dir) {
-      raw::cluster::ClusterFaultEvent cut;
-      cut.kind = raw::cluster::ClusterFaultKind::kTrunkCut;
-      cut.at = at;
-      cut.link = 2 * t + dir;
-      cfg.faults.push_back(cut);
+      cfg.faults.push_back({.kind = raw::sim::FaultKind::kLinkStall,
+                            .at = at, .permanent = true, .link = 2 * t + dir});
     }
   }
   return cfg;
@@ -185,43 +186,51 @@ bool run_degradation_curve(const Options& opt) {
   return all_match;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--chips") && i + 1 < argc) {
-      opt.chips = parse_list(argv[++i]);
+      opt.chips = count_list<int>("--chips", argv[++i], 2, usage);
     } else if (!std::strcmp(argv[i], "--workers") && i + 1 < argc) {
-      opt.workers = parse_list(argv[++i]);
+      opt.workers = count_list<int>("--workers", argv[++i], 1, usage);
     } else if (!std::strcmp(argv[i], "--cycles") && i + 1 < argc) {
-      opt.cycles = std::strtoull(argv[++i], nullptr, 10);
+      opt.cycles = positive<raw::common::Cycle>("--cycles", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--latency") && i + 1 < argc) {
-      opt.link_latency = std::strtoull(argv[++i], nullptr, 10);
+      opt.link_latency =
+          positive<raw::common::Cycle>("--latency", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--throttle") && i + 1 < argc) {
-      const char* v = argv[++i];
-      char* slash = nullptr;
-      opt.throttle_numer = std::strtoull(v, &slash, 10);
+      const std::string v = argv[++i];
+      const std::size_t slash = v.find('/');
+      opt.throttle_numer = positive<std::uint64_t>(
+          "--throttle", v.substr(0, slash).c_str(), usage);
       opt.throttle_denom =
-          (slash != nullptr && *slash == '/') ? std::strtoull(slash + 1, nullptr, 10) : 1;
+          slash == std::string::npos
+              ? 1
+              : positive<std::uint64_t>("--throttle",
+                                        v.substr(slash + 1).c_str(), usage);
     } else if (!std::strcmp(argv[i], "--remote") && i + 1 < argc) {
-      opt.remote_fraction = std::atof(argv[++i]);
+      opt.remote_fraction = real_flag("--remote", argv[++i], 0.0, false, 1.0,
+                                      usage);
     } else if (!std::strcmp(argv[i], "--load") && i + 1 < argc) {
-      opt.load = std::atof(argv[++i]);
+      opt.load = real_flag("--load", argv[++i], 0.0, true, 1.0, usage);
     } else if (!std::strcmp(argv[i], "--bytes") && i + 1 < argc) {
-      opt.bytes = std::strtoull(argv[++i], nullptr, 10);
+      opt.bytes = positive<raw::common::ByteCount>("--bytes", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
+      opt.seed = non_negative<std::uint64_t>("--seed", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--serial-only")) {
       opt.serial_only = true;
     } else if (!std::strcmp(argv[i], "--faults") && i + 1 < argc) {
-      opt.fault_trunks = parse_list(argv[++i]);
+      opt.fault_trunks = count_list<int>("--faults", argv[++i], 0, usage);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-      return 2;
+      usage();
+      std::exit(2);
     }
   }
+  return opt;
+}
 
+int run(const Options& opt) {
   std::printf(
       "E17: leaf-spine cluster sweep (%" PRIu64
       " cycles, link latency %" PRIu64 ", throttle %" PRIu64 "/%" PRIu64
@@ -308,4 +317,17 @@ int main(int argc, char** argv) {
   }
   std::printf("\nPASS\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Options opt = parse(argc, argv);
+  try {
+    return run(opt);
+  } catch (const std::invalid_argument& e) {
+    // A fabric the cluster config rejects (e.g. more chips than it wires).
+    std::fprintf(stderr, "ext_cluster: %s\n", e.what());
+    return 2;
+  }
 }

@@ -39,7 +39,7 @@ ClusterConfig cluster_config_for(const ClusterChaosSpec& spec) {
   return cfg;
 }
 
-std::vector<ClusterFaultEvent> make_cluster_fault_events(
+std::vector<sim::FaultEvent> make_cluster_fault_events(
     const ClusterChaosSpec& spec) {
   // The schedule targets real geometry, so build the (fault-free) topology
   // the run will use — after the config passes validate(), which throws
@@ -51,7 +51,7 @@ std::vector<ClusterFaultEvent> make_cluster_fault_events(
   RAW_ASSERT(num_links >= 2 && num_links % 2 == 0);  // trunks come in pairs
 
   common::Rng rng(spec.seed * 0x9e3779b97f4a7c15ULL + 0x0c1f);
-  std::vector<ClusterFaultEvent> events;
+  std::vector<sim::FaultEvent> events;
   // Faults land in the middle half of the run: late enough that traffic is
   // flowing, early enough that recovery has room to prove itself (and a
   // permanent fault leaves at least one watchdog interval before drain).
@@ -60,25 +60,17 @@ std::vector<ClusterFaultEvent> make_cluster_fault_events(
                                                    3 * spec.run_cycles / 4);
   const auto when = [&] { return lo + rng.below(hi - lo); };
 
-  if (spec.mix.corrupts) {
-    for (int i = 0; i < spec.faults_per_kind; ++i) {
-      ClusterFaultEvent e;
-      e.kind = ClusterFaultKind::kTrunkCorrupt;
-      e.at = when();
-      e.link = static_cast<int>(rng.below(num_links));
-      e.bit = static_cast<std::uint32_t>(rng.below(32));
-      events.push_back(e);
-    }
+  // Each event's fields draw from the rng in the order they are listed.
+  using sim::FaultKind;
+  for (int i = 0; spec.mix.corrupts && i < spec.faults_per_kind; ++i) {
+    events.push_back({.kind = FaultKind::kBitFlip, .at = when(),
+                      .link = static_cast<int>(rng.below(num_links)),
+                      .bit = static_cast<std::uint32_t>(rng.below(32))});
   }
-  if (spec.mix.stalls) {
-    for (int i = 0; i < spec.faults_per_kind; ++i) {
-      ClusterFaultEvent e;
-      e.kind = ClusterFaultKind::kTrunkStall;
-      e.at = when();
-      e.link = static_cast<int>(rng.below(num_links));
-      e.duration = 64 + rng.below(449);  // 64..512 cycles
-      events.push_back(e);
-    }
+  for (int i = 0; spec.mix.stalls && i < spec.faults_per_kind; ++i) {
+    events.push_back({.kind = FaultKind::kLinkStall, .at = when(),
+                      .link = static_cast<int>(rng.below(num_links)),
+                      .duration = 64 + rng.below(449)});  // 64..512 cycles
   }
   if (spec.mix.cuts) {
     // One trunk-pair cut per run: a fiber cut takes both directions of one
@@ -87,11 +79,9 @@ std::vector<ClusterFaultEvent> make_cluster_fault_events(
     const std::uint64_t trunk = rng.below(num_links / 2);
     const common::Cycle at = when();
     for (int dir = 0; dir < 2; ++dir) {
-      ClusterFaultEvent e;
-      e.kind = ClusterFaultKind::kTrunkCut;
-      e.at = at;
-      e.link = static_cast<int>(2 * trunk + static_cast<std::uint64_t>(dir));
-      events.push_back(e);
+      events.push_back({.kind = FaultKind::kLinkStall, .at = at,
+                        .permanent = true,
+                        .link = static_cast<int>(2 * trunk) + dir});
     }
   }
   if (spec.mix.freezes) {
@@ -107,11 +97,9 @@ std::vector<ClusterFaultEvent> make_cluster_fault_events(
       if (has_host[static_cast<std::size_t>(c)] != 0) candidates.push_back(c);
     }
     if (candidates.size() >= 2) {
-      ClusterFaultEvent e;
-      e.kind = ClusterFaultKind::kChipFreeze;
-      e.at = when();
-      e.chip = candidates[rng.below(candidates.size())];
-      events.push_back(e);
+      events.push_back({.kind = FaultKind::kTileFreeze, .at = when(),
+                        .permanent = true,
+                        .chip = candidates[rng.below(candidates.size())]});
     }
   }
   return events;
@@ -123,15 +111,14 @@ ClusterChaosResult run_cluster_chaos(const ClusterChaosSpec& spec) {
 
 ClusterChaosResult run_cluster_chaos_events(
     const ClusterChaosSpec& spec,
-    const std::vector<ClusterFaultEvent>& events) {
+    const std::vector<sim::FaultEvent>& events) {
   // Expectations come from the events themselves, so a hand-edited or
   // replayed schedule is judged by the same rules as a generated one.
   bool corrupting = false;
   bool permanent = false;
-  for (const ClusterFaultEvent& e : events) {
-    corrupting |= e.kind == ClusterFaultKind::kTrunkCorrupt;
-    permanent |= e.kind == ClusterFaultKind::kTrunkCut ||
-                 e.kind == ClusterFaultKind::kChipFreeze;
+  for (const sim::FaultEvent& e : events) {
+    corrupting |= e.kind == sim::FaultKind::kBitFlip;
+    permanent |= e.permanent;
   }
 
   ClusterConfig cfg = cluster_config_for(spec);
@@ -218,7 +205,7 @@ ClusterChaosResult run_cluster_chaos_events(
            " lost " + std::to_string(r.lost) + " delivered_corrupt " +
            std::to_string(r.delivered_corrupt));
     }
-    if (fabric.fault_plan().corrupt_applied() > 0 && r.retransmits == 0) {
+    if (fabric.fault_plan().bit_flips_applied() > 0 && r.retransmits == 0) {
       fail("corrupt words applied but no retransmits recorded");
     }
   }
@@ -262,11 +249,9 @@ std::vector<ClusterChaosMix> standard_cluster_mixes() {
 bool parse_cluster_mix(const std::string& s, ClusterChaosMix* out) {
   ClusterChaosMix mix;
   if (s != "clean") {
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      const std::size_t next = s.find('+', pos);
-      const std::string kind =
-          s.substr(pos, next == std::string::npos ? next : next - pos);
+    std::vector<std::string> kinds;
+    if (!router::split_mix(s, &kinds)) return false;
+    for (const std::string& kind : kinds) {
       if (kind == "corrupt") {
         mix.corrupts = true;
       } else if (kind == "stall") {
@@ -278,10 +263,7 @@ bool parse_cluster_mix(const std::string& s, ClusterChaosMix* out) {
       } else {
         return false;
       }
-      if (next == std::string::npos) break;
-      pos = next + 1;
     }
-    if (!mix.any()) return false;
   }
   *out = mix;
   return true;
@@ -294,7 +276,8 @@ namespace {
 
 namespace json = common::json;
 
-constexpr const char* kClusterSchema = "raw-cluster-chaos-repro/v1";
+constexpr const char* kClusterSchema = "raw-cluster-chaos-repro/v2";
+constexpr const char* kClusterSchemaV1 = "raw-cluster-chaos-repro/v1";
 
 const char* topology_name(TopologyKind t) {
   switch (t) {
@@ -308,7 +291,7 @@ const char* topology_name(TopologyKind t) {
 }  // namespace
 
 ClusterChaosRepro make_repro(const ClusterChaosSpec& spec,
-                             const std::vector<ClusterFaultEvent>& events,
+                             const std::vector<sim::FaultEvent>& events,
                              const ClusterChaosResult& r) {
   ClusterChaosRepro repro;
   repro.spec = spec;
@@ -342,15 +325,8 @@ std::string to_json(const ClusterChaosRepro& repro) {
   json::append_field(j, "remote_fraction", spec.remote_fraction);
   j += "},\n  \"events\": [";
   for (std::size_t k = 0; k < repro.events.size(); ++k) {
-    const ClusterFaultEvent& e = repro.events[k];
-    j += k == 0 ? "\n    {\"kind\": " : ",\n    {\"kind\": ";
-    json::append_escaped(j, cluster_fault_kind_name(e.kind));
-    json::append_field(j, "at", e.at);
-    json::append_field(j, "duration", e.duration);
-    json::append_field(j, "link", e.link);
-    json::append_field(j, "chip", e.chip);
-    json::append_field(j, "bit", e.bit);
-    j += "}";
+    j += k == 0 ? "\n    " : ",\n    ";
+    sim::append_fault_event(j, repro.events[k]);
   }
   j += "\n  ],\n  \"pass\": ";
   json::append_value(j, repro.pass);
@@ -396,36 +372,20 @@ bool from_json(const std::string& text, ClusterChaosRepro* out,
     if (k == "remote_fraction") return p.parse(&spec.remote_fraction);
     return p.skip_value();
   };
-  const auto parse_event = [&] {
-    ClusterFaultEvent e;
-    const bool ok = p.parse_object([&](const std::string& k) {
-      if (k == "kind") {
-        return p.parse_enum(
-            &e.kind,
-            {ClusterFaultKind::kTrunkCorrupt, ClusterFaultKind::kTrunkStall,
-             ClusterFaultKind::kTrunkCut, ClusterFaultKind::kChipFreeze},
-            cluster_fault_kind_name, "unknown fault kind");
-      }
-      if (k == "at") return p.parse(&e.at);
-      if (k == "duration") return p.parse(&e.duration);
-      if (k == "link") return p.parse(&e.link);
-      if (k == "chip") return p.parse(&e.chip);
-      if (k == "bit") return p.parse(&e.bit);
-      return p.skip_value();
-    });
-    r.events.push_back(e);
-    return ok;
-  };
 
   bool ok = p.parse_object([&](const std::string& key) {
     if (key == "schema") {
       std::string schema;
       has_schema = true;
       return p.parse(&schema) &&
-             (schema == kClusterSchema || p.reject("unknown schema " + schema));
+             (schema == kClusterSchema || schema == kClusterSchemaV1 ||
+              p.reject("unknown schema " + schema));
     }
     if (key == "spec") return p.parse_object(parse_spec);
-    if (key == "events") return p.parse_array(parse_event);
+    if (key == "events") {
+      return p.parse_array(
+          [&] { return sim::parse_fault_event(p, &r.events.emplace_back()); });
+    }
     if (key == "pass") return p.parse(&r.pass);
     if (key == "failure") return p.parse(&r.failure);
     if (key == "degraded") return p.parse(&r.degraded);
@@ -467,13 +427,13 @@ bool same_outcome(const ClusterChaosRepro& a, const ClusterChaosRepro& b) {
 
 ClusterChaosRepro minimize_repro(const ClusterChaosRepro& target,
                                  router::MinimizeStats* stats) {
-  const auto run = [&target](const std::vector<ClusterFaultEvent>& events) {
+  const auto run = [&target](const std::vector<sim::FaultEvent>& events) {
     return make_repro(target.spec, events,
                       run_cluster_chaos_events(target.spec, events));
   };
   return run(router::ddmin(
       target.events,
-      [&](const std::vector<ClusterFaultEvent>& subset) {
+      [&](const std::vector<sim::FaultEvent>& subset) {
         return same_outcome(run(subset), target);
       },
       stats));

@@ -1,10 +1,10 @@
 // Cluster chaos harness: seeded inter-chip fault mixes driven through a
 // whole ClusterFabric with the recovery invariants checked afterwards.
 //
-// Each (seed, mix) combination builds a ClusterFaultPlan from the mix's
-// fault kinds, runs the cluster under grouped uniform traffic with the
-// cluster invariant checks swept between run segments, drains, and
-// verifies:
+// Each (seed, mix) combination builds a link and chip fault schedule
+// (sim::FaultEvent) from the mix's fault kinds, runs the cluster under
+// grouped uniform traffic with the cluster invariant checks swept between
+// run segments, drains, and verifies:
 //
 //   * packet conservation with write-off accounting — every offered packet
 //     ends as delivered, dropped at a card, invalid, ingress-dropped,
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "cluster/cluster_config.h"
-#include "cluster/cluster_faults.h"
 #include "router/repro.h"
 
 namespace raw::cluster {
@@ -44,9 +43,6 @@ struct ClusterChaosMix {
   bool cuts = false;      // permanent trunk-pair cuts
   bool freezes = false;   // permanent whole-chip death
 
-  /// Only bit flips corrupt words; everything else perturbs timing or
-  /// connectivity.
-  [[nodiscard]] bool corrupting() const { return corrupts; }
   /// Permanent faults make a degraded finish the expected outcome.
   [[nodiscard]] bool permanent() const { return cuts || freezes; }
   [[nodiscard]] bool any() const {
@@ -112,7 +108,7 @@ ClusterConfig cluster_config_for(const ClusterChaosSpec& spec);
 /// directions of one trunk at the same barrier (a fiber cut takes the
 /// pair); freeze events kill one host-bearing chip, leaving at least one
 /// other host-bearing chip alive so the fabric keeps forwarding.
-std::vector<ClusterFaultEvent> make_cluster_fault_events(
+std::vector<sim::FaultEvent> make_cluster_fault_events(
     const ClusterChaosSpec& spec);
 
 /// Runs one (seed, mix) combination and checks every invariant.
@@ -120,28 +116,30 @@ ClusterChaosResult run_cluster_chaos(const ClusterChaosSpec& spec);
 
 /// Runs `spec`'s cluster under an *explicit* fault schedule instead of the
 /// seed-derived one — the replay path. Validation derives its expectations
-/// from the events themselves (any kTrunkCorrupt => corrupting, any
-/// kTrunkCut/kChipFreeze => permanent); spec.mix is used only for
+/// from the events themselves (any bit flip => corrupting, any permanent
+/// event, a cut or a chip freeze => permanent); spec.mix is used only for
 /// labelling.
 ClusterChaosResult run_cluster_chaos_events(
-    const ClusterChaosSpec& spec, const std::vector<ClusterFaultEvent>& events);
+    const ClusterChaosSpec& spec, const std::vector<sim::FaultEvent>& events);
 
 /// The 8 standard cluster mixes: each kind alone, corrupt+stall,
 /// corrupt+cut, stall+freeze, everything, and the clean-fabric control.
 std::vector<ClusterChaosMix> standard_cluster_mixes();
 
 /// Parses a '+'-separated mix string ("corrupt+stall+cut+freeze") into
-/// `out`. Returns false on an unknown kind name.
+/// `out` (split by router::split_mix). Returns false on an unknown kind
+/// name or an empty token.
 bool parse_cluster_mix(const std::string& s, ClusterChaosMix* out);
 
 // ---------------------------------------------------------------------------
 // Repro bundles: record a (spec, events) pair as JSON, replay it
-// bit-identically, and ddmin its schedule — the same codec (common/json) and
-// minimizer (router::ddmin) as chip bundles.
+// bit-identically, and ddmin its schedule — the same codec (common/json),
+// event codec (sim::append_fault_event) and minimizer (router::ddmin) as
+// chip bundles.
 
 struct ClusterChaosRepro {
   ClusterChaosSpec spec;
-  std::vector<ClusterFaultEvent> events;
+  std::vector<sim::FaultEvent> events;
   bool pass = true;
   std::string failure;  // failure recorded at capture
   bool degraded = false;
@@ -151,17 +149,20 @@ struct ClusterChaosRepro {
 
 /// The bundle for a run of `spec` under `events` that produced `r`.
 [[nodiscard]] ClusterChaosRepro make_repro(
-    const ClusterChaosSpec& spec, const std::vector<ClusterFaultEvent>& events,
+    const ClusterChaosSpec& spec, const std::vector<sim::FaultEvent>& events,
     const ClusterChaosResult& r);
 
 /// Serializes a repro as a self-contained JSON document (schema
-/// "raw-cluster-chaos-repro/v1"; the digest is written as a hex string
-/// because 64-bit values exceed JSON's interoperable integer range).
+/// "raw-cluster-chaos-repro/v2", whose events are sim::FaultEvent objects;
+/// the digest is written as a hex string because 64-bit values exceed
+/// JSON's interoperable integer range).
 [[nodiscard]] std::string to_json(const ClusterChaosRepro& repro);
 
-/// Parses a document produced by to_json; a missing or unknown "schema" is
-/// rejected. On failure returns false and, if `error` is non-null, stores a
-/// one-line description.
+/// Parses a document produced by to_json, or a v1 document (whose events
+/// spell link and chip kinds trunk_corrupt, trunk_stall, trunk_cut and
+/// chip_freeze); a missing or unknown "schema" is rejected. On failure
+/// returns false and, if `error` is non-null, stores a one-line
+/// description.
 bool from_json(const std::string& text, ClusterChaosRepro* out,
                std::string* error = nullptr);
 

@@ -102,13 +102,10 @@ void ClusterConfig::validate() const {
         "and a zero interval never samples at all");
   }
   if (!faults.empty()) {
-    // Range-check the fault targets against the topology this config
-    // actually builds (every earlier check has passed, so the build is
-    // well-defined). A plan that silently targets nothing would report a
-    // vacuous chaos pass.
+    // Check the fault targets against the topology this config actually
+    // builds (every earlier check has passed, so the build is well-defined).
     const Topology topo = Topology::build(*this);
-    ClusterFaultPlan plan(faults);
-    plan.bind(topo.links.size(), num_chips);  // throws std::invalid_argument
+    sim::FaultPlan(faults).bind(topo.links.size(), num_chips);
   }
 }
 

@@ -8,11 +8,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/cluster_faults.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "net/traffic.h"
 #include "router/tile_programs.h"
+#include "sim/fault_plan.h"
 
 namespace raw::cluster {
 
@@ -74,9 +74,9 @@ struct ClusterConfig {
   /// be positive when failover is on (detection latency is one interval).
   common::Cycle watchdog_interval = 512;
 
-  /// Scheduled inter-chip faults, applied at epoch barriers (empty = none,
-  /// zero cost). Targets are range-checked by validate().
-  std::vector<ClusterFaultEvent> faults;
+  /// Scheduled link and chip faults, applied at epoch barriers (empty =
+  /// none, zero cost). Targets are checked by validate().
+  std::vector<sim::FaultEvent> faults;
 
   /// Per-chip settings, mirroring RouterConfig.
   std::size_t link_fifo_depth = 8;
@@ -91,9 +91,9 @@ struct ClusterConfig {
   /// Rejects nonsensical knobs (zero chips, zero link latency, a throttle
   /// that exceeds line rate, an epoch longer than the lookahead window, a
   /// malformed fat-tree, a zero retransmit budget on reliable links, a zero
-  /// watchdog interval with fail-over armed, a fault event targeting a link
-  /// or chip outside the topology). Throws std::invalid_argument naming the
-  /// field.
+  /// watchdog interval with fail-over armed, a fault event whose target is
+  /// not a link or chip of the topology). Throws std::invalid_argument
+  /// naming the field or the event.
   void validate() const;
 };
 

@@ -41,7 +41,7 @@ ClusterFabric::ClusterFabric(ClusterConfig config, std::uint64_t seed)
     links_.push_back(std::make_unique<InterChipLink>(p));
   }
 
-  plan_ = ClusterFaultPlan(config_.faults);
+  plan_ = sim::FaultPlan(config_.faults);
   plan_.bind(topo_.links.size(), num_chips());
   link_dead_.assign(topo_.links.size(), false);
   chip_dead_.assign(static_cast<std::size_t>(num_chips()), false);
@@ -152,37 +152,26 @@ void ClusterFabric::barrier_maintenance() {
   // Single-threaded barrier tail: every worker is parked, links are
   // committed, and cycles_run_ names this barrier — the only place fault
   // and fail-over state may change, which is what keeps any fault schedule
-  // digest-identical at every worker count.
-  apply_due_faults();
+  // digest-identical at every worker count. bind() admitted only link
+  // flips and stalls (a permanent one is a cut) and chip freezes.
+  plan_.fire_due(cycles_run_, [this](const sim::FaultEvent& e) {
+    if (e.chip >= 0) {
+      runner_->set_chip_active(static_cast<std::size_t>(e.chip), false);
+      return true;
+    }
+    InterChipLink& link = *links_[static_cast<std::size_t>(e.link)];
+    if (e.kind == sim::FaultKind::kBitFlip) return link.corrupt_front(e.bit);
+    if (e.permanent) {
+      link.cut();
+    } else {
+      link.stall_until(cycles_run_ + e.duration);
+    }
+    return true;
+  });
   if (config_.failover &&
       cycles_run_ - last_watchdog_ >= config_.watchdog_interval) {
     watchdog_sample();
     last_watchdog_ = cycles_run_;
-  }
-}
-
-void ClusterFabric::apply_due_faults() {
-  if (plan_.empty()) return;
-  for (const ClusterFaultEvent* e : plan_.take_due(cycles_run_)) {
-    switch (e->kind) {
-      case ClusterFaultKind::kTrunkCorrupt:
-        plan_.count_corrupt(
-            links_[static_cast<std::size_t>(e->link)]->corrupt_front(e->bit));
-        break;
-      case ClusterFaultKind::kTrunkStall:
-        links_[static_cast<std::size_t>(e->link)]->stall_until(cycles_run_ +
-                                                               e->duration);
-        plan_.count_stall();
-        break;
-      case ClusterFaultKind::kTrunkCut:
-        links_[static_cast<std::size_t>(e->link)]->cut();
-        plan_.count_cut();
-        break;
-      case ClusterFaultKind::kChipFreeze:
-        runner_->set_chip_active(static_cast<std::size_t>(e->chip), false);
-        plan_.count_freeze();
-        break;
-    }
   }
 }
 
@@ -548,8 +537,8 @@ std::uint64_t ClusterFabric::cluster_digest() const {
       mix(l->written_off_total());
     }
     mix(plan_.fired());
-    mix(plan_.corrupt_applied());
-    mix(plan_.corrupt_missed());
+    mix(plan_.bit_flips_applied());
+    mix(plan_.bit_flips_missed());
     mix(plan_.link_stalls());
     mix(plan_.link_cuts());
     mix(plan_.chip_freezes());

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "cluster/cluster_config.h"
-#include "cluster/cluster_faults.h"
 #include "cluster/inter_chip_link.h"
 #include "cluster/topology.h"
 #include "common/histogram.h"
@@ -37,6 +36,7 @@
 #include "router/schedule_compiler.h"
 #include "router/tile_programs.h"
 #include "sim/chip.h"
+#include "sim/fault_plan.h"
 
 namespace raw::sim {
 class InvariantMonitor;
@@ -93,7 +93,7 @@ class ClusterFabric {
   [[nodiscard]] bool degraded() const {
     return status_ == ClusterStatus::kDegraded;
   }
-  [[nodiscard]] const ClusterFaultPlan& fault_plan() const { return plan_; }
+  [[nodiscard]] const sim::FaultPlan& fault_plan() const { return plan_; }
   [[nodiscard]] const std::vector<bool>& dead_links() const {
     return link_dead_;
   }
@@ -213,7 +213,6 @@ class ClusterFabric {
   /// Barrier tail (single-threaded, after commit_links and the cycle
   /// bookkeeping): fires due fault events, then samples the watchdog.
   void barrier_maintenance();
-  void apply_due_faults();
   /// Watchdog sample: a cut link reports loss of signal; a chip that made
   /// no cycle progress over a full interval is confirmed dead.
   void watchdog_sample();
@@ -245,7 +244,7 @@ class ClusterFabric {
   bool drained_ = true;
 
   // Fault injection + fail-over state (all barrier-phase only).
-  ClusterFaultPlan plan_;
+  sim::FaultPlan plan_;
   ClusterStatus status_ = ClusterStatus::kHealthy;
   std::vector<bool> link_dead_;
   std::vector<bool> chip_dead_;

@@ -26,8 +26,8 @@
 // execution unchanged.
 //
 // Fault hooks (corrupt_front / stall_until / cut / write_off_in_flight) are
-// barrier-phase only: cluster::ClusterFaultPlan and the fail-over
-// controller call them between epochs, which keeps every schedule
+// barrier-phase only: ClusterFabric fires its sim::FaultPlan events and
+// runs the fail-over controller between epochs, which keeps every schedule
 // digest-identical at any worker count. The word conservation identity is
 //   sent_total == delivered_total + in_flight_words + written_off_total
 // at every barrier (written_off_total stays 0 until a fail-over writes a
@@ -83,7 +83,7 @@ class InterChipLink final : public router::WordTx, public router::WordRx {
   /// delivery queue and refreshes the sender's occupancy view.
   void commit_epoch();
 
-  // Fault hooks — barrier phase only (see cluster/cluster_faults.h).
+  // Fault hooks — barrier phase only (see ClusterFabric::barrier_maintenance).
 
   /// Flips `bit` (mod 32) of the wire word nearest the reader. Returns
   /// false when the link has no committed word to corrupt.

@@ -63,8 +63,7 @@ std::string ChaosMix::name() const {
   return s;
 }
 
-sim::FaultPlan make_fault_plan(const ChaosSpec& spec, RawRouter& router,
-                               int* permanent_tile) {
+sim::FaultPlan make_fault_plan(const ChaosSpec& spec, RawRouter& router) {
   common::Rng rng(spec.seed * 0x9e3779b97f4a7c15ULL + 1);
   sim::FaultPlan plan;
   sim::Chip& chip = router.chip();
@@ -95,55 +94,32 @@ sim::FaultPlan make_fault_plan(const ChaosSpec& spec, RawRouter& router,
     if (ch->name().rfind("net", 0) == 0) links.push_back(ch->name());
   }
 
-  if (spec.mix.bitflips) {
-    for (int i = 0; i < spec.faults_per_kind; ++i) {
-      sim::FaultEvent e;
-      e.kind = sim::FaultKind::kBitFlip;
-      e.at = when();
-      e.channel = edges[rng.below(edges.size())];
-      e.bit = static_cast<std::uint32_t>(rng.below(32));
-      plan.add(std::move(e));
-    }
+  // Each event's fields draw from the rng in the order they are listed.
+  using sim::FaultKind;
+  for (int i = 0; spec.mix.bitflips && i < spec.faults_per_kind; ++i) {
+    plan.add({.kind = FaultKind::kBitFlip, .at = when(),
+              .channel = edges[rng.below(edges.size())],
+              .bit = static_cast<std::uint32_t>(rng.below(32))});
   }
-  if (spec.mix.stalls) {
-    for (int i = 0; i < spec.faults_per_kind; ++i) {
-      sim::FaultEvent e;
-      e.kind = sim::FaultKind::kLinkStall;
-      e.at = when();
-      e.channel = links[rng.below(links.size())];
-      e.duration = 16 + rng.below(241);  // 16..256 cycles
-      plan.add(std::move(e));
-    }
+  for (int i = 0; spec.mix.stalls && i < spec.faults_per_kind; ++i) {
+    plan.add({.kind = FaultKind::kLinkStall, .at = when(),
+              .channel = links[rng.below(links.size())],
+              .duration = 16 + rng.below(241)});  // 16..256 cycles
   }
-  if (spec.mix.freezes) {
-    for (int i = 0; i < spec.faults_per_kind; ++i) {
-      sim::FaultEvent e;
-      e.kind = sim::FaultKind::kTileFreeze;
-      e.at = when();
-      e.tile = static_cast<int>(rng.below(16));
-      e.duration = 64 + rng.below(449);  // 64..512 cycles
-      plan.add(std::move(e));
-    }
+  for (int i = 0; spec.mix.freezes && i < spec.faults_per_kind; ++i) {
+    plan.add({.kind = FaultKind::kTileFreeze, .at = when(),
+              .tile = static_cast<int>(rng.below(16)),
+              .duration = 64 + rng.below(449)});  // 64..512 cycles
   }
-  if (spec.mix.overruns) {
-    for (int i = 0; i < spec.faults_per_kind; ++i) {
-      sim::FaultEvent e;
-      e.kind = sim::FaultKind::kOverrun;
-      e.at = when();
-      e.port = static_cast<int>(rng.below(kNumPorts));
-      e.duration = 2000 + rng.below(6001);  // 2k..8k cycles
-      e.factor = 4;
-      plan.add(std::move(e));
-    }
+  for (int i = 0; spec.mix.overruns && i < spec.faults_per_kind; ++i) {
+    plan.add({.kind = FaultKind::kOverrun, .at = when(),
+              .port = static_cast<int>(rng.below(kNumPorts)),
+              .duration = 2000 + rng.below(6001),  // 2k..8k cycles
+              .factor = 4});
   }
   if (spec.mix.permanent_freeze) {
-    sim::FaultEvent e;
-    e.kind = sim::FaultKind::kTileFreeze;
-    e.at = spec.run_cycles / 2;
-    e.tile = static_cast<int>(rng.below(16));
-    e.permanent = true;
-    if (permanent_tile != nullptr) *permanent_tile = e.tile;
-    plan.add(std::move(e));
+    plan.add({.kind = FaultKind::kTileFreeze, .at = spec.run_cycles / 2,
+              .permanent = true, .tile = static_cast<int>(rng.below(16))});
   }
   return plan;
 }
@@ -180,12 +156,8 @@ ChaosResult run_impl(const ChaosSpec& spec,
     router.arm_endurance(monitor);
   }
 
-  sim::FaultPlan plan;
-  if (events != nullptr) {
-    for (const sim::FaultEvent& e : *events) plan.add(e);
-  } else {
-    plan = make_fault_plan(spec, router);
-  }
+  sim::FaultPlan plan = events != nullptr ? sim::FaultPlan(*events)
+                                           : make_fault_plan(spec, router);
   router.set_fault_plan(&plan);
 
   // Facts the expectations key on, derived from the actual schedule.
@@ -384,26 +356,33 @@ std::vector<ChaosMix> standard_mixes() {
   };
 }
 
+bool split_mix(const std::string& s, std::vector<std::string>* kinds) {
+  kinds->clear();
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t end = std::min(s.find('+', pos), s.size());
+    if (end == pos) return false;  // "", "flip+", "+stall", "flip++stall"
+    kinds->push_back(s.substr(pos, end - pos));
+    if (end == s.size()) return true;
+    pos = end + 1;
+  }
+}
+
 bool parse_mix(const std::string& s, ChaosMix* out) {
   ChaosMix m;
   // ChaosMix::name() spells the empty mix "clean" (a soak epoch with no
   // faults); accept it and the empty string as the no-fault mix.
-  if (s.empty() || s == "clean") {
-    *out = m;
-    return true;
-  }
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t end = s.find('+', pos);
-    if (end == std::string::npos) end = s.size();
-    const std::string part = s.substr(pos, end - pos);
-    if (part == "flip") m.bitflips = true;
-    else if (part == "stall") m.stalls = true;
-    else if (part == "freeze") m.freezes = true;
-    else if (part == "overrun") m.overruns = true;
-    else if (part == "permafreeze") m.permanent_freeze = true;
-    else return false;
-    pos = end + 1;
+  if (!s.empty() && s != "clean") {
+    std::vector<std::string> kinds;
+    if (!split_mix(s, &kinds)) return false;
+    for (const std::string& kind : kinds) {
+      if (kind == "flip") m.bitflips = true;
+      else if (kind == "stall") m.stalls = true;
+      else if (kind == "freeze") m.freezes = true;
+      else if (kind == "overrun") m.overruns = true;
+      else if (kind == "permafreeze") m.permanent_freeze = true;
+      else return false;
+    }
   }
   *out = m;
   return true;

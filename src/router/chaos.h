@@ -38,8 +38,6 @@ struct ChaosMix {
   bool overruns = false;
   bool permanent_freeze = false;
 
-  /// Only bit flips corrupt words; everything else just perturbs timing.
-  [[nodiscard]] bool corrupting() const { return bitflips; }
   [[nodiscard]] bool any() const {
     return bitflips || stalls || freezes || overruns || permanent_freeze;
   }
@@ -154,10 +152,8 @@ net::TrafficConfig traffic_for(const ChaosSpec& spec);
 /// Builds the seeded fault schedule for `spec` against `router`'s chip.
 /// Bit flips target only the chip-edge (line-card) channels — on-chip
 /// control words are the schedule compiler's domain and a flip there models
-/// a different fault class than line noise. When the mix includes a
-/// permanent freeze, `permanent_tile` (if non-null) receives the tile index.
-sim::FaultPlan make_fault_plan(const ChaosSpec& spec, RawRouter& router,
-                               int* permanent_tile = nullptr);
+/// a different fault class than line noise.
+sim::FaultPlan make_fault_plan(const ChaosSpec& spec, RawRouter& router);
 
 /// Runs one (seed, mix) combination and checks every invariant.
 ChaosResult run_chaos(const ChaosSpec& spec);
@@ -175,8 +171,14 @@ ChaosResult run_chaos_events(const ChaosSpec& spec,
 /// everything transient, and the two permanent-freeze variants.
 std::vector<ChaosMix> standard_mixes();
 
+/// Splits a '+'-separated mix string into its kind names — the one
+/// splitter of the chip and cluster mix parsers. Returns false when any
+/// token is empty ("", "flip+", "+stall", "flip++stall").
+bool split_mix(const std::string& s, std::vector<std::string>* kinds);
+
 /// Parses a '+'-separated mix string ("flip+stall+freeze+overrun",
-/// "permafreeze") into `out`. Returns false on an unknown kind name.
+/// "permafreeze") into `out`; "" and "clean" are the no-fault mix. Returns
+/// false on an unknown kind name or an empty token.
 bool parse_mix(const std::string& s, ChaosMix* out);
 
 }  // namespace raw::router

@@ -257,7 +257,7 @@ void RawRouter::set_fault_plan(sim::FaultPlan* plan) {
   if (plan != nullptr && ledger_.tracer != nullptr) {
     plan->set_tracer(ledger_.tracer);
   }
-  chip_->set_fault_plan(plan);
+  chip_->set_fault_plan(plan, kNumPorts);
 }
 
 bool RawRouter::work_pending() const {

@@ -201,6 +201,8 @@ class RawRouter {
 
   /// Attaches a fault-injection plan to the chip (see sim::FaultPlan) and
   /// points it at the router's tracer if one is set. Call before run().
+  /// Throws std::invalid_argument when an event targets a channel, tile or
+  /// port the router does not have.
   void set_fault_plan(sim::FaultPlan* plan);
 
   /// Simulation-side packet accounting shared by the line cards.

@@ -115,18 +115,8 @@ std::string to_json(const ChaosRepro& repro) {
   }
   s += "\n  ],\n  \"events\": [";
   for (std::size_t n = 0; n < repro.events.size(); ++n) {
-    const sim::FaultEvent& e = repro.events[n];
-    s += n == 0 ? "\n    {\"kind\": " : ",\n    {\"kind\": ";
-    json::append_escaped(s, sim::fault_kind_name(e.kind));
-    json::append_field(s, "at", e.at);
-    json::append_field(s, "duration", e.duration);
-    json::append_field(s, "permanent", e.permanent);
-    json::append_field(s, "channel", e.channel);
-    json::append_field(s, "tile", e.tile);
-    json::append_field(s, "port", e.port);
-    json::append_field(s, "bit", e.bit);
-    json::append_field(s, "factor", e.factor);
-    s += "}";
+    s += n == 0 ? "\n    " : ",\n    ";
+    sim::append_fault_event(s, repro.events[n]);
   }
   s += "\n  ]\n}\n";
   return s;
@@ -197,29 +187,6 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
     repro.anchors.push_back(a);
     return ok;
   };
-  const auto parse_event = [&] {
-    sim::FaultEvent e;
-    const bool ok = p.parse_object([&](const std::string& k) {
-      if (k == "kind") {
-        return p.parse_enum(&e.kind,
-                            {sim::FaultKind::kBitFlip, sim::FaultKind::kLinkStall,
-                             sim::FaultKind::kTileFreeze, sim::FaultKind::kOverrun},
-                            sim::fault_kind_name, "unknown fault kind");
-      }
-      if (k == "at") return p.parse(&e.at);
-      if (k == "duration") return p.parse(&e.duration);
-      if (k == "permanent") return p.parse(&e.permanent);
-      if (k == "channel") return p.parse(&e.channel);
-      if (k == "tile") return p.parse(&e.tile);
-      if (k == "port") return p.parse(&e.port);
-      if (k == "bit") return p.parse(&e.bit);
-      if (k == "factor") return p.parse(&e.factor);
-      return p.skip_value();
-    });
-    repro.events.push_back(std::move(e));
-    return ok;
-  };
-
   const bool ok = p.parse_object([&](const std::string& key) {
     if (key == "version") {
       int version = 0;
@@ -246,7 +213,10 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
       });
     }
     if (key == "anchors") return p.parse_array(parse_anchor);
-    if (key == "events") return p.parse_array(parse_event);
+    if (key == "events") {
+      return p.parse_array(
+          [&] { return sim::parse_fault_event(p, &repro.events.emplace_back()); });
+    }
     return p.skip_value();
   });
   if (!p.finish(ok, error)) return false;

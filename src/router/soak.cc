@@ -135,8 +135,7 @@ AnchoredReplayResult replay_from_checkpoint(const ChaosRepro& bundle) {
     });
   }
   router.arm_endurance(&monitor);
-  sim::FaultPlan plan;
-  for (const sim::FaultEvent& e : bundle.events) plan.add(e);
+  sim::FaultPlan plan(bundle.events);
   router.set_fault_plan(&plan);
 
   // Leg 1: run to the anchor. The run loop schedules everything as

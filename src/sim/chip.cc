@@ -127,12 +127,12 @@ void Chip::add_device(Device* device) {
   devices_.push_back(device);
 }
 
-void Chip::set_fault_plan(FaultPlan* plan) {
+void Chip::set_fault_plan(FaultPlan* plan, int num_ports) {
+  if (plan != nullptr) plan->bind(*this, num_ports);
   // Entering (or leaving) fault mode switches the stepping density; start
   // from a fully runnable set either way.
   wake_all_parked();
   faults_ = plan;
-  if (faults_ != nullptr) faults_->bind(*this);
 }
 
 void Chip::set_force_dense(bool on) {

@@ -78,14 +78,17 @@ class Chip {
   [[nodiscard]] Trace& trace() { return trace_; }
 
   /// Attaches (or detaches, with nullptr) a fault-injection plan. The plan
-  /// is bound immediately (channel names resolved) and then stepped every
-  /// cycle before devices run. The chip does not own it. A chip with a plan
-  /// attached steps sparsely except around tile-freeze windows (the only
-  /// fault the sparse path cannot honour — a frozen tile must be *skipped*,
-  /// which the park lists know nothing about; flips and stalls instead wake
-  /// the mutated channel's parked agents). Behaviour is bit-identical to a
-  /// planless chip once the plan is empty.
-  void set_fault_plan(FaultPlan* plan);
+  /// is bound immediately (targets checked, channel names resolved; a bad
+  /// target throws std::invalid_argument and leaves the chip planless) and
+  /// then stepped every cycle before devices run. `num_ports` is how many
+  /// line-card ports the chip's devices serve, the range an overrun may
+  /// target; a bare chip serves none. The chip does not own the plan. A
+  /// chip with a plan attached steps sparsely except around tile-freeze
+  /// windows (the only fault the sparse path cannot honour — a frozen tile
+  /// must be *skipped*, which the park lists know nothing about; flips and
+  /// stalls instead wake the mutated channel's parked agents). Behaviour is
+  /// bit-identical to a planless chip once the plan is empty.
+  void set_fault_plan(FaultPlan* plan, int num_ports = 0);
   [[nodiscard]] FaultPlan* fault_plan() const { return faults_; }
 
   /// Forces dense stepping (no parking, every agent stepped every cycle)

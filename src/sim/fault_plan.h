@@ -1,26 +1,30 @@
-// Seeded, cycle-scheduled fault model pluggable into a Chip.
+// Seeded, cycle-scheduled fault model for one chip or a cluster fabric: a
+// sorted list of events, each firing at a scheduled cycle against one
+// target — a channel, tile or line-card port of a chip, or an inter-chip
+// link or whole chip of a fabric.
 //
-// A FaultPlan is a sorted list of fault events, each firing at a scheduled
-// cycle against a named target (a channel, a tile, or a line-card port):
-//
-//   * kBitFlip   — XOR one bit of the word nearest the reader of a channel
-//                  (models a single-event upset on a wire or FIFO cell);
-//   * kLinkStall — take a channel down for N cycles (transient open: no
-//                  reads, no writes, occupancy frozen);
+//   * kBitFlip    — XOR one bit of the word nearest the reader of a channel
+//                   or link (a single-event upset on a wire or FIFO cell);
+//   * kLinkStall  — take a channel or link down for N cycles (transient
+//                   open: no reads, no writes, occupancy frozen); a
+//                   permanent link stall is a trunk cut;
 //   * kTileFreeze — stop stepping a tile's processor and switch for a
-//                  window, or permanently (models a hung or fenced tile);
-//   * kOverrun   — multiply a line card's arrival rate by `factor` for a
-//                  window (models an upstream burst overrunning the card).
+//                   window, or permanently (a hung or fenced tile); a chip
+//                   freeze is always permanent (chip death);
+//   * kOverrun    — multiply a line card's arrival rate by `factor` for a
+//                   window (an upstream burst overrunning the card).
 //
-// The plan is bound to a chip once (resolving channel names to pointers) and
-// then stepped by Chip::step() after channels begin the cycle and before
-// devices run, so a 1-cycle stall is in force for exactly the cycle it is
-// scheduled on. A chip with no plan attached pays one null-pointer test per
-// cycle and behaves bit-identically to a faultless build.
-//
-// Everything the plan does is counted (exported under `faults/...`) and
-// optionally emitted to a PacketTracer on track kFaultTrack, so a chaos run
-// can always reconcile observed damage against injected damage.
+// Binding a plan to a chip or a fabric checks every target against that
+// geometry: a missing target, or one of the other tier, throws
+// std::invalid_argument naming the event, since a plan that silently
+// targets nothing would report a vacuous chaos pass. A chip steps its plan
+// after channels begin the cycle and before devices run, so a 1-cycle
+// stall covers exactly its cycle, and a planless chip pays one null test
+// per cycle. A fabric fires due events only at epoch barriers (see
+// cluster/fabric.h), so a schedule acts the same at any worker count.
+// Everything fired is counted (`faults/...`, `cluster/faults/...`) and a
+// chip plan can trace it on kFaultTrack, so observed damage can be
+// reconciled against injected damage.
 #pragma once
 
 #include <cstdint>
@@ -31,17 +35,16 @@
 #include "common/trace_event.h"
 #include "common/types.h"
 
+namespace raw::common::json {
+struct Parser;
+}
+
 namespace raw::sim {
 
 class Chip;
 class Channel;
 
-enum class FaultKind : std::uint8_t {
-  kBitFlip = 0,
-  kLinkStall = 1,
-  kTileFreeze = 2,
-  kOverrun = 3,
-};
+enum class FaultKind : std::uint8_t { kBitFlip, kLinkStall, kTileFreeze, kOverrun };
 
 const char* fault_kind_name(FaultKind k);
 
@@ -49,37 +52,73 @@ const char* fault_kind_name(FaultKind k);
 /// and 200+port; tiles use their index).
 inline constexpr int kFaultTrack = 300;
 
+/// One scheduled fault. Exactly one target is set: `channel` (non-empty),
+/// or one of `tile`, `port`, `link`, `chip` (non-negative).
 struct FaultEvent {
   FaultKind kind = FaultKind::kBitFlip;
-  common::Cycle at = 0;        // cycle the fault fires
+  common::Cycle at = 0;        // cycle the fault fires (a fabric rounds it
+                               // up to the next epoch barrier)
+  bool permanent = false;      // link stall (a cut) or freeze: never ends
+  std::string channel{};       // chip: flip/stall target channel name
+  int tile = -1;               // chip: freeze target tile
+  int port = -1;               // chip: overrun target line-card port
+  int link = -1;               // fabric: flip/stall target link index
+  int chip = -1;               // fabric: freeze target chip (permanent)
   std::uint64_t duration = 1;  // stall/freeze/overrun window, in cycles
-  bool permanent = false;      // kTileFreeze only: never thaws
-  std::string channel;         // kBitFlip / kLinkStall: target channel name
-  int tile = -1;               // kTileFreeze: target tile index
-  int port = -1;               // kOverrun: target line-card port
   std::uint32_t bit = 0;       // kBitFlip: bit position (mod 32)
   std::uint32_t factor = 4;    // kOverrun: arrival-rate multiplier
+
+  friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
+
+/// Appends `e` as one JSON object: the event writer of both bundle formats.
+void append_fault_event(std::string& s, const FaultEvent& e);
+
+/// Reads one event object. Besides the names fault_kind_name gives, the
+/// kind may carry an older cluster bundle's spelling (trunk_corrupt,
+/// trunk_stall, trunk_cut, chip_freeze), which maps to a link or chip event.
+bool parse_fault_event(common::json::Parser& p, FaultEvent* e);
 
 class FaultPlan {
  public:
+  FaultPlan() = default;
+  explicit FaultPlan(std::vector<FaultEvent> events)
+      : events_(std::move(events)) {}
+
   void add(FaultEvent e) { events_.push_back(std::move(e)); }
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
+  [[nodiscard]] bool empty() const { return events_.empty(); }
   [[nodiscard]] const std::vector<FaultEvent>& events() const { return events_; }
 
-  /// True when any scheduled event freezes a tile forever — a watchdog trip
-  /// is then an expected outcome rather than a bug.
+  /// True when any scheduled event never ends (a permanent freeze, a cut):
+  /// a watchdog trip or a degraded finish is then an expected outcome
+  /// rather than a bug.
   [[nodiscard]] bool has_permanent_fault() const;
 
-  /// Resolves channel names against `chip` and sorts the schedule. Must be
-  /// called (by Chip::set_fault_plan) before the first step(). Unknown
-  /// channel names are a hard error: a chaos plan that silently targets
-  /// nothing would report a vacuous pass.
-  void bind(Chip& chip);
+  /// Binds the plan to `chip`, whose devices serve line-card ports
+  /// 0..num_ports-1: checks every target, resolves channel names and sorts
+  /// the schedule. Called by Chip::set_fault_plan before the first step().
+  void bind(Chip& chip, int num_ports);
+
+  /// Binds the plan to a fabric of `num_links` unidirectional links and
+  /// `num_chips` chips: checks every target and sorts the schedule.
+  void bind(std::size_t num_links, int num_chips);
 
   /// Fires every event scheduled at the chip's current cycle. Called by
   /// Chip::step() after channels begin the cycle and before devices run.
   void step(Chip& chip);
+
+  /// Fires every unfired event scheduled at or before `now`, in schedule
+  /// order: `apply(e)` performs the event and returns whether it hit live
+  /// state (only a bit flip on an empty channel or link can miss), and the
+  /// plan counts the outcome. A fabric calls this at each epoch barrier.
+  template <typename Apply>
+  void fire_due(common::Cycle now, Apply&& apply) {
+    while (next_ < events_.size() && events_[next_].at <= now) {
+      const FaultEvent& e = events_[next_++];
+      ++fired_;
+      count(e, apply(e));
+    }
+  }
 
   /// True while `tile` is inside an injected freeze window.
   [[nodiscard]] bool tile_frozen(int tile) const;
@@ -104,20 +143,24 @@ class FaultPlan {
   /// overrun window is active).
   [[nodiscard]] std::uint32_t overrun_factor(int port, common::Cycle now) const;
 
-  /// Optional fault-event tracing (one instant event per fired fault).
+  /// Optional fault-event tracing on a chip (one instant event per fired
+  /// fault).
   void set_tracer(common::PacketTracer* tracer);
 
   /// Counters of what actually happened, for reconciliation.
+  [[nodiscard]] std::uint64_t fired() const { return fired_; }
   [[nodiscard]] std::uint64_t bit_flips_applied() const { return bit_flips_applied_; }
   [[nodiscard]] std::uint64_t bit_flips_missed() const { return bit_flips_missed_; }
   [[nodiscard]] std::uint64_t link_stalls() const { return link_stalls_; }
+  [[nodiscard]] std::uint64_t link_cuts() const { return link_cuts_; }
   [[nodiscard]] std::uint64_t tile_freezes() const { return tile_freezes_; }
+  [[nodiscard]] std::uint64_t chip_freezes() const { return chip_freezes_; }
   [[nodiscard]] std::uint64_t frozen_tile_cycles() const { return frozen_tile_cycles_; }
   [[nodiscard]] std::uint64_t overrun_bursts() const { return overrun_bursts_; }
-  [[nodiscard]] std::uint64_t fired() const { return fired_; }
 
   /// Publishes `<prefix>/{injected,bit_flips,bit_flips_missed,link_stalls,
-  /// tile_freezes,frozen_tile_cycles,overrun_bursts}`.
+  /// link_cuts,tile_freezes,chip_freezes,frozen_tile_cycles,overrun_bursts}`
+  /// (`injected` counts fired events).
   void export_metrics(common::MetricRegistry& registry,
                       const std::string& prefix = "faults") const;
 
@@ -133,28 +176,34 @@ class FaultPlan {
     std::uint32_t factor = 1;
   };
 
-  void fire(Chip& chip, const FaultEvent& e);
+  /// Checks every target against the bound geometry (`chip` null for a
+  /// fabric), then sorts the schedule and rewinds the cursors.
+  void check_and_sort(const Chip* chip, int num_ports, std::size_t num_links,
+                      int num_chips);
+  bool fire(Chip& chip, const FaultEvent& e);
+  void count(const FaultEvent& e, bool hit);
 
   std::vector<FaultEvent> events_;
   std::vector<Channel*> targets_;  // parallel to events_ (null for non-channel)
   std::size_t next_ = 0;           // first unfired event after bind()
-  // Sorted fire cycles of every kTileFreeze event, with a cursor advanced by
+  // Sorted fire cycles of every tile freeze, with a cursor advanced by
   // step(): requires_dense() answers in O(1) without scanning the schedule.
   std::vector<common::Cycle> freeze_at_;
   std::size_t next_freeze_ = 0;
   bool bound_ = false;
-  common::Cycle now_ = 0;          // cycle of the most recent step()
   std::vector<FreezeWindow> freezes_;
   std::vector<OverrunWindow> overruns_;
   common::PacketTracer* tracer_ = nullptr;
 
+  std::uint64_t fired_ = 0;
   std::uint64_t bit_flips_applied_ = 0;
   std::uint64_t bit_flips_missed_ = 0;
   std::uint64_t link_stalls_ = 0;
+  std::uint64_t link_cuts_ = 0;
   std::uint64_t tile_freezes_ = 0;
+  std::uint64_t chip_freezes_ = 0;
   std::uint64_t frozen_tile_cycles_ = 0;
   std::uint64_t overrun_bursts_ = 0;
-  std::uint64_t fired_ = 0;
 };
 
 }  // namespace raw::sim

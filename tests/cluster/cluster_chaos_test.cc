@@ -35,6 +35,10 @@ TEST(ClusterChaosTest, MixNamesRoundTripThroughParse) {
   ClusterChaosMix out;
   EXPECT_FALSE(parse_cluster_mix("meteor", &out));
   EXPECT_FALSE(parse_cluster_mix("", &out));
+  // Empty tokens are rejected wherever they sit.
+  for (const char* bad : {"corrupt+", "+stall", "corrupt++cut", "+"}) {
+    EXPECT_FALSE(parse_cluster_mix(bad, &out)) << bad;
+  }
 }
 
 TEST(ClusterChaosTest, StandardMixesPassWithRecoveryArmed) {
@@ -101,7 +105,7 @@ TEST(ClusterChaosTest, ReproBundleRoundTripsThroughJson) {
     ClusterChaosSpec spec = quick_spec(seed);
     spec.mix.stalls = true;
     spec.mix.freezes = true;
-    const std::vector<ClusterFaultEvent> events =
+    const std::vector<sim::FaultEvent> events =
         make_cluster_fault_events(spec);
     const ClusterChaosRepro repro =
         make_repro(spec, events, run_cluster_chaos_events(spec, events));
@@ -138,7 +142,7 @@ TEST(ClusterChaosTest, ReproBundleRoundTripsThroughJson) {
 TEST(ClusterChaosTest, ReplayFlagsATamperedDigest) {
   ClusterChaosSpec spec = quick_spec(13);
   spec.mix.corrupts = true;
-  const std::vector<ClusterFaultEvent> events = make_cluster_fault_events(spec);
+  const std::vector<sim::FaultEvent> events = make_cluster_fault_events(spec);
   const ClusterChaosRepro fresh =
       make_repro(spec, events, run_cluster_chaos_events(spec, events));
 
@@ -152,6 +156,16 @@ TEST(ClusterChaosTest, ReplayFlagsATamperedDigest) {
   ASSERT_TRUE(std::holds_alternative<ClusterChaosRepro>(loaded));
   const ClusterChaosRepro& recorded = std::get<ClusterChaosRepro>(loaded);
   ASSERT_EQ(recorded.events.size(), 5u);
+  // Its v1 kind names load as link events: three trunk_corrupt flips, then
+  // a trunk_cut of both directions of trunk 0 (permanent link stalls).
+  for (std::size_t i = 0; i < recorded.events.size(); ++i) {
+    const sim::FaultEvent& e = recorded.events[i];
+    EXPECT_EQ(e.kind, i < 3 ? sim::FaultKind::kBitFlip
+                            : sim::FaultKind::kLinkStall);
+    EXPECT_EQ(e.permanent, i >= 3);
+    EXPECT_GE(e.link, 0);
+    EXPECT_EQ(e.chip, -1);
+  }
 
   for (const ClusterChaosRepro* bundle : {&fresh, &recorded}) {
     SCOPED_TRACE(bundle->spec.mix.name());
@@ -164,6 +178,29 @@ TEST(ClusterChaosTest, ReplayFlagsATamperedDigest) {
     const ClusterChaosResult replayed = replay_cluster_repro(tampered, &why);
     EXPECT_FALSE(replayed.pass);
     EXPECT_EQ(why, "digest mismatch");
+  }
+}
+
+TEST(ClusterChaosTest, BadLinkOrChipTargetsThrowInsteadOfAborting) {
+  // The checked-in bundle with one target pushed out of its 4-chip,
+  // 6-link fabric: the replay is rejected with std::invalid_argument
+  // (rawchaos reports it and exits 2).
+  Repro loaded;
+  std::string error;
+  ASSERT_TRUE(load_repro(RAW_TEST_DATA_DIR "/cluster_corrupt_cut_seed3.json",
+                         &loaded, &error))
+      << error;
+  const ClusterChaosRepro& bundle = std::get<ClusterChaosRepro>(loaded);
+  std::vector<sim::FaultEvent> bad_link = bundle.events;
+  bad_link[0].link = 6;
+  std::vector<sim::FaultEvent> bad_chip = bundle.events;
+  bad_chip[3] = sim::FaultEvent{};
+  bad_chip[3].kind = sim::FaultKind::kTileFreeze;
+  bad_chip[3].permanent = true;
+  bad_chip[3].chip = 4;
+  for (const auto* events : {&bad_link, &bad_chip}) {
+    EXPECT_THROW((void)run_cluster_chaos_events(bundle.spec, *events),
+                 std::invalid_argument);
   }
 }
 
@@ -191,7 +228,7 @@ TEST(ClusterChaosTest, MinimizeKeepsTheRecordedOutcome) {
   ClusterChaosSpec spec = quick_spec(3);
   spec.mix.corrupts = true;
   spec.mix.cuts = true;
-  const std::vector<ClusterFaultEvent> events = make_cluster_fault_events(spec);
+  const std::vector<sim::FaultEvent> events = make_cluster_fault_events(spec);
   const ClusterChaosRepro target =
       make_repro(spec, events, run_cluster_chaos_events(spec, events));
   ASSERT_TRUE(target.degraded);
@@ -201,8 +238,9 @@ TEST(ClusterChaosTest, MinimizeKeepsTheRecordedOutcome) {
   EXPECT_EQ(stats.original_events, events.size());
   EXPECT_LT(minimal.events.size(), events.size());
   EXPECT_TRUE(same_outcome(minimal, target));
-  for (const ClusterFaultEvent& e : minimal.events) {
-    EXPECT_EQ(e.kind, ClusterFaultKind::kTrunkCut);
+  for (const sim::FaultEvent& e : minimal.events) {
+    EXPECT_EQ(e.kind, sim::FaultKind::kLinkStall);  // a cut
+    EXPECT_TRUE(e.permanent);
   }
 }
 

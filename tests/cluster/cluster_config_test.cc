@@ -158,8 +158,9 @@ TEST(ClusterConfigTest, RejectsZeroWatchdogIntervalWithFailover) {
 TEST(ClusterConfigTest, RejectsFaultEventsOutsideTheTopology) {
   // A 4-chip leaf-spine has 3 trunks = 6 unidirectional links (0..5).
   ClusterConfig cfg = valid_config();
-  ClusterFaultEvent e;
-  e.kind = ClusterFaultKind::kTrunkCut;
+  sim::FaultEvent e;  // a trunk cut
+  e.kind = sim::FaultKind::kLinkStall;
+  e.permanent = true;
   e.link = 6;
   cfg.faults = {e};
   expect_throws_mentioning(cfg, "link");
@@ -171,8 +172,9 @@ TEST(ClusterConfigTest, RejectsFaultEventsOutsideTheTopology) {
   EXPECT_NO_THROW(cfg.validate());
 
   cfg = valid_config();
-  ClusterFaultEvent f;
-  f.kind = ClusterFaultKind::kChipFreeze;
+  sim::FaultEvent f;  // a chip death
+  f.kind = sim::FaultKind::kTileFreeze;
+  f.permanent = true;
   f.chip = 4;
   cfg.faults = {f};
   expect_throws_mentioning(cfg, "chip");
@@ -181,12 +183,27 @@ TEST(ClusterConfigTest, RejectsFaultEventsOutsideTheTopology) {
   EXPECT_NO_THROW(cfg.validate());
 
   cfg = valid_config();
-  ClusterFaultEvent s;
-  s.kind = ClusterFaultKind::kTrunkStall;
+  sim::FaultEvent s;
+  s.kind = sim::FaultKind::kLinkStall;
   s.link = 0;
   s.duration = 0;
   cfg.faults = {s};
   expect_throws_mentioning(cfg, "duration");
+
+  // A chip's targets (channel, tile, port) are not a fabric's.
+  sim::FaultEvent flip_channel;
+  flip_channel.channel = "net0.tile4.W.in";
+  sim::FaultEvent freeze_tile;
+  freeze_tile.kind = sim::FaultKind::kTileFreeze;
+  freeze_tile.tile = 5;
+  sim::FaultEvent overrun_port;
+  overrun_port.kind = sim::FaultKind::kOverrun;
+  overrun_port.port = 0;
+  for (const sim::FaultEvent& c : {flip_channel, freeze_tile, overrun_port}) {
+    cfg = valid_config();
+    cfg.faults = {c};
+    expect_throws_mentioning(cfg, "bound to a fabric");
+  }
 }
 
 }  // namespace

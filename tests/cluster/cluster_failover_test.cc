@@ -37,11 +37,12 @@ ClusterConfig failover_cluster(TopologyKind kind, int chips, int threads) {
 
 /// Both unidirectional links of trunk `t` (the builder wires the two
 /// directions consecutively).
-std::vector<ClusterFaultEvent> cut_trunk(int trunk, common::Cycle at) {
-  std::vector<ClusterFaultEvent> events;
+std::vector<sim::FaultEvent> cut_trunk(int trunk, common::Cycle at) {
+  std::vector<sim::FaultEvent> events;
   for (int dir = 0; dir < 2; ++dir) {
-    ClusterFaultEvent e;
-    e.kind = ClusterFaultKind::kTrunkCut;
+    sim::FaultEvent e;
+    e.kind = sim::FaultKind::kLinkStall;
+    e.permanent = true;
     e.at = at;
     e.link = 2 * trunk + dir;
     events.push_back(e);
@@ -49,9 +50,10 @@ std::vector<ClusterFaultEvent> cut_trunk(int trunk, common::Cycle at) {
   return events;
 }
 
-ClusterFaultEvent freeze_chip(int chip, common::Cycle at) {
-  ClusterFaultEvent e;
-  e.kind = ClusterFaultKind::kChipFreeze;
+sim::FaultEvent freeze_chip(int chip, common::Cycle at) {
+  sim::FaultEvent e;
+  e.kind = sim::FaultKind::kTileFreeze;
+  e.permanent = true;
   e.at = at;
   e.chip = chip;
   return e;

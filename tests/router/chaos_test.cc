@@ -237,6 +237,18 @@ TEST(ChaosTest, MixNamesRoundTrip) {
   EXPECT_EQ((ChaosMix{.bitflips = true, .stalls = true}).name(), "flip+stall");
   EXPECT_EQ((ChaosMix{.permanent_freeze = true}).name(), "permafreeze");
   EXPECT_EQ(standard_mixes().size(), 13u);
+  for (const ChaosMix& mix : standard_mixes()) {
+    ChaosMix parsed;
+    ASSERT_TRUE(parse_mix(mix.name(), &parsed)) << mix.name();
+    EXPECT_EQ(parsed.name(), mix.name());
+  }
+  ChaosMix out;
+  EXPECT_TRUE(parse_mix("", &out));  // the no-fault mix, like "clean"
+  EXPECT_EQ(out.name(), "clean");
+  // Unknown kinds and empty tokens are rejected wherever they sit.
+  for (const char* bad : {"meteor", "flip+", "+stall", "flip++stall", "+"}) {
+    EXPECT_FALSE(parse_mix(bad, &out)) << bad;
+  }
 }
 
 TEST(ChaosTest, FaultScheduleFitsAnyRunLength) {

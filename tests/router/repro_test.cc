@@ -3,6 +3,7 @@
 // and ddmin shrinks a mixed fault schedule to the one event that matters.
 #include "router/repro.h"
 
+#include <stdexcept>
 #include <variant>
 
 #include <gtest/gtest.h>
@@ -274,6 +275,34 @@ TEST(ReproReplayTest, DigestStableAcrossEnginesAndThreads) {
   for (const ChaosRepro* bundle : {&old_format, &recorded}) {
     EXPECT_EQ(signature_of(run_chaos_events(bundle->spec, bundle->events)),
               bundle->signature);
+  }
+}
+
+TEST(ReproReplayTest, BadChipTargetsThrowInsteadOfAborting) {
+  // A bundle whose event names a channel, tile or port the router does not
+  // have is rejected with std::invalid_argument before the run starts
+  // (rawchaos reports it and exits 2) — never an assert, never a run that
+  // silently targets nothing.
+  cluster::Repro loaded;
+  std::string error;
+  ASSERT_TRUE(cluster::load_repro(
+      RAW_TEST_DATA_DIR "/chip_flip_permafreeze_seed7.json", &loaded, &error))
+      << error;
+  const ChaosRepro& bundle = std::get<ChaosRepro>(loaded);
+  ASSERT_EQ(bundle.events[0].kind, sim::FaultKind::kBitFlip);
+  ASSERT_EQ(bundle.events[6].kind, sim::FaultKind::kTileFreeze);
+
+  std::vector<sim::FaultEvent> unknown_channel = bundle.events;
+  unknown_channel[0].channel = "net1.tile99.N.out";
+  std::vector<sim::FaultEvent> off_grid_tile = bundle.events;
+  off_grid_tile[6].tile = 16;
+  std::vector<sim::FaultEvent> missing_port = bundle.events;
+  missing_port[0] = sim::FaultEvent{};
+  missing_port[0].kind = sim::FaultKind::kOverrun;
+  missing_port[0].port = kNumPorts;
+  for (const auto* events : {&unknown_channel, &off_grid_tile, &missing_port}) {
+    EXPECT_THROW((void)run_chaos_events(bundle.spec, *events),
+                 std::invalid_argument);
   }
 }
 

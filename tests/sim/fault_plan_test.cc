@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/trace_event.h"
 #include "sim/chip.h"
@@ -246,7 +248,7 @@ TEST(FaultPlanTest, OverrunFactorWindows) {
   FaultPlan plan;
   plan.add(overrun(10, 2, 20, 4));
   Chip chip;
-  chip.set_fault_plan(&plan);
+  chip.set_fault_plan(&plan, /*num_ports=*/4);
   chip.run(5);
   EXPECT_EQ(plan.overrun_factor(2, chip.cycle()), 1u);  // not yet fired
   chip.run(10);
@@ -299,11 +301,232 @@ TEST(FaultPlanTest, PermanentFreezeForcesDenseForever) {
   EXPECT_EQ(plan.permanently_frozen_tiles(), std::vector<int>{5});
 }
 
-TEST(FaultPlanDeathTest, UnknownChannelNameAborts) {
+/// The std::invalid_argument message binding `plan` to `chip` throws, or ""
+/// when it binds.
+std::string chip_bind_error(FaultPlan plan, int num_ports = 4) {
+  Chip chip;
+  try {
+    chip.set_fault_plan(&plan, num_ports);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(chip.fault_plan(), nullptr);  // a bad plan is never attached
+    return e.what();
+  }
+  chip.set_fault_plan(nullptr);
+  return "";
+}
+
+std::string fabric_bind_error(FaultPlan plan, std::size_t links = 6,
+                              int chips = 4) {
+  try {
+    plan.bind(links, chips);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+FaultEvent on_link(FaultKind kind, int link, bool permanent = false) {
+  FaultEvent e;
+  e.kind = kind;
+  e.at = 7;
+  e.link = link;
+  e.permanent = permanent;
+  return e;
+}
+
+FaultEvent chip_freeze(int chip) {
+  FaultEvent e;
+  e.kind = FaultKind::kTileFreeze;
+  e.at = 9;
+  e.chip = chip;
+  e.permanent = true;
+  return e;
+}
+
+TEST(FaultPlanTest, UnknownChannelNameThrows) {
   FaultPlan plan;
   plan.add(flip(1, "no.such.channel"));
-  Chip chip;
-  EXPECT_DEATH(chip.set_fault_plan(&plan), "unknown channel");
+  const std::string why = chip_bind_error(plan);
+  EXPECT_NE(why.find("unknown channel 'no.such.channel'"), std::string::npos)
+      << why;
+  EXPECT_NE(why.find("fault event 0 (bit_flip at cycle 1)"), std::string::npos)
+      << why;
+}
+
+TEST(FaultPlanTest, ChipBindChecksEveryTarget) {
+  const std::string edge = Chip().io_port(0, 4, Dir::kWest).to_chip->name();
+  const auto error_of = [](FaultEvent e, int ports = 4) {
+    return chip_bind_error(FaultPlan({std::move(e)}), ports);
+  };
+  // Valid chip targets bind.
+  EXPECT_EQ(error_of(flip(1, edge)), "");
+  EXPECT_EQ(error_of(stall(1, edge, 8)), "");
+  EXPECT_EQ(error_of(freeze(1, 15, 8)), "");
+  EXPECT_EQ(error_of(freeze(1, 0, 1, /*permanent=*/true)), "");
+  EXPECT_EQ(error_of(overrun(1, 3, 8, 4)), "");
+
+  // Out of range: a tile off the grid, a port the router does not have.
+  EXPECT_NE(error_of(freeze(1, 16, 8)).find("tiles 0..15"), std::string::npos);
+  EXPECT_NE(error_of(overrun(1, 4, 8, 4)).find("ports 0..3"), std::string::npos);
+  EXPECT_NE(error_of(overrun(1, 0, 8, 4), /*ports=*/0).find("no ports"),
+            std::string::npos);
+  // The other tier's targets.
+  for (const FaultEvent& e :
+       {on_link(FaultKind::kBitFlip, 0), on_link(FaultKind::kLinkStall, 0),
+        on_link(FaultKind::kLinkStall, 0, /*permanent=*/true), chip_freeze(0)}) {
+    EXPECT_NE(error_of(e).find("bound to one chip"), std::string::npos)
+        << fault_kind_name(e.kind);
+  }
+  // Malformed events: no target, two targets, a target the kind does not
+  // take, a permanent window only a link or a freeze can have, a zero-cycle
+  // transient stall.
+  FaultEvent none;
+  EXPECT_NE(error_of(none).find("exactly one target"), std::string::npos);
+  FaultEvent two = flip(1, edge);
+  two.tile = 3;
+  EXPECT_NE(error_of(two).find("exactly one target"), std::string::npos);
+  FaultEvent flip_tile;
+  flip_tile.tile = 3;
+  EXPECT_NE(error_of(flip_tile).find("cannot target a tile"), std::string::npos);
+  FaultEvent freeze_channel = flip(1, edge);
+  freeze_channel.kind = FaultKind::kTileFreeze;
+  EXPECT_NE(error_of(freeze_channel).find("cannot target a channel"),
+            std::string::npos);
+  FaultEvent overrun_tile = freeze(1, 3, 8);
+  overrun_tile.kind = FaultKind::kOverrun;
+  EXPECT_NE(error_of(overrun_tile).find("cannot target a tile"),
+            std::string::npos);
+  FaultEvent forever = stall(1, edge, 8);
+  forever.permanent = true;
+  EXPECT_NE(error_of(forever).find("cannot be permanent"), std::string::npos);
+  EXPECT_NE(error_of(stall(1, edge, 0)).find("zero-cycle"), std::string::npos);
+}
+
+TEST(FaultPlanTest, FabricBindChecksEveryTarget) {
+  // A fabric of 6 unidirectional links and 4 chips.
+  const auto error_of = [](FaultEvent e) {
+    return fabric_bind_error(FaultPlan({std::move(e)}));
+  };
+  EXPECT_EQ(error_of(on_link(FaultKind::kBitFlip, 5)), "");
+  EXPECT_EQ(error_of(on_link(FaultKind::kLinkStall, 0)), "");
+  EXPECT_EQ(error_of(on_link(FaultKind::kLinkStall, 0, /*permanent=*/true)), "");
+  EXPECT_EQ(error_of(chip_freeze(3)), "");
+
+  EXPECT_NE(error_of(on_link(FaultKind::kBitFlip, 6)).find("links 0..5"),
+            std::string::npos);
+  EXPECT_NE(error_of(chip_freeze(4)).find("chips 0..3"), std::string::npos);
+  // The chip tier's targets.
+  for (const FaultEvent& e : {flip(1, "net0.tile4.W.in"), freeze(1, 5, 8),
+                              overrun(1, 0, 8, 4)}) {
+    EXPECT_NE(error_of(e).find("bound to a fabric"), std::string::npos)
+        << fault_kind_name(e.kind);
+  }
+  FaultEvent mortal = chip_freeze(1);
+  mortal.permanent = false;
+  EXPECT_NE(error_of(mortal).find("always permanent"), std::string::npos);
+  FaultEvent blink = on_link(FaultKind::kLinkStall, 2);
+  blink.duration = 0;
+  EXPECT_NE(error_of(blink).find("zero-cycle duration"), std::string::npos);
+  FaultEvent overrun_link = on_link(FaultKind::kOverrun, 2);
+  EXPECT_NE(error_of(overrun_link).find("cannot target a link"),
+            std::string::npos);
+}
+
+TEST(FaultPlanTest, FireDueCountsEveryFabricOutcome) {
+  // The fabric path: due events come out in schedule order at a barrier,
+  // the caller applies them, and the plan counts what happened.
+  FaultPlan plan({chip_freeze(2), on_link(FaultKind::kBitFlip, 0),
+                  on_link(FaultKind::kBitFlip, 1),
+                  on_link(FaultKind::kLinkStall, 2),
+                  on_link(FaultKind::kLinkStall, 3, /*permanent=*/true)});
+  plan.add(on_link(FaultKind::kLinkStall, 4));
+  FaultEvent late = on_link(FaultKind::kBitFlip, 4);
+  late.at = 100;
+  plan.add(late);
+  EXPECT_TRUE(plan.has_permanent_fault());
+  plan.bind(6, 4);
+
+  std::vector<int> applied_links;
+  plan.fire_due(16, [&](const FaultEvent& e) {
+    applied_links.push_back(e.link);
+    return e.link != 1;  // link 1 carried no word to corrupt
+  });
+  EXPECT_EQ(applied_links, (std::vector<int>{0, 1, 2, 3, 4, -1}));
+  plan.fire_due(32, [](const FaultEvent&) { return true; });  // none due
+  EXPECT_EQ(plan.fired(), 6u);
+  plan.fire_due(100, [](const FaultEvent&) { return true; });
+
+  common::MetricRegistry reg;
+  plan.export_metrics(reg, "cluster/faults");
+  EXPECT_EQ(reg.counter_value("cluster/faults/injected"), 7u);
+  EXPECT_EQ(reg.counter_value("cluster/faults/bit_flips"), 2u);
+  EXPECT_EQ(reg.counter_value("cluster/faults/bit_flips_missed"), 1u);
+  EXPECT_EQ(reg.counter_value("cluster/faults/link_stalls"), 2u);
+  EXPECT_EQ(reg.counter_value("cluster/faults/link_cuts"), 1u);
+  EXPECT_EQ(reg.counter_value("cluster/faults/chip_freezes"), 1u);
+  EXPECT_EQ(reg.counter_value("cluster/faults/tile_freezes"), 0u);
+}
+
+TEST(FaultPlanTest, EventCodecRoundTripsEveryKindAndTarget) {
+  FaultEvent permanent_tile = freeze(30, 6, 1, /*permanent=*/true);
+  FaultEvent flip_link = on_link(FaultKind::kBitFlip, 4);
+  flip_link.bit = 13;
+  FaultEvent stall_link = on_link(FaultKind::kLinkStall, 1);
+  stall_link.duration = 300;
+  const std::vector<FaultEvent> events = {
+      flip(20, "net1.tile2.N.out", 31),
+      stall(21, "net0.tile4.W.in", 40),
+      freeze(22, 5, 50),
+      permanent_tile,
+      overrun(23, 2, 2000, 8),
+      flip_link,
+      stall_link,
+      on_link(FaultKind::kLinkStall, 0, /*permanent=*/true),
+      chip_freeze(3),
+  };
+  for (const FaultEvent& e : events) {
+    std::string text;
+    append_fault_event(text, e);
+    common::json::Parser p{text};
+    FaultEvent parsed;
+    std::string error;
+    ASSERT_TRUE(p.finish(parse_fault_event(p, &parsed), &error)) << error;
+    EXPECT_EQ(parsed, e) << text;
+  }
+}
+
+TEST(FaultPlanTest, ReaderMapsClusterV1KindNames) {
+  // Cluster bundles of schema v1 spelled link and chip events apart.
+  const auto read = [](const std::string& text) {
+    common::json::Parser p{text};
+    FaultEvent e;
+    EXPECT_TRUE(parse_fault_event(p, &e)) << p.err;
+    return e;
+  };
+  FaultEvent e = read(R"({"kind": "trunk_corrupt", "at": 11, "duration": 1,
+                          "link": 4, "chip": -1, "bit": 13})");
+  EXPECT_EQ(e.kind, FaultKind::kBitFlip);
+  EXPECT_EQ(e.link, 4);
+  EXPECT_EQ(e.bit, 13u);
+  EXPECT_FALSE(e.permanent);
+  e = read(R"({"kind": "trunk_stall", "at": 11, "duration": 90, "link": 2})");
+  EXPECT_EQ(e.kind, FaultKind::kLinkStall);
+  EXPECT_EQ(e.duration, 90u);
+  EXPECT_FALSE(e.permanent);
+  e = read(R"({"kind": "trunk_cut", "at": 29, "duration": 1, "link": 1})");
+  EXPECT_EQ(e.kind, FaultKind::kLinkStall);
+  EXPECT_EQ(e.link, 1);
+  EXPECT_TRUE(e.permanent);
+  e = read(R"({"kind": "chip_freeze", "at": 40, "link": -1, "chip": 2})");
+  EXPECT_EQ(e.kind, FaultKind::kTileFreeze);
+  EXPECT_EQ(e.chip, 2);
+  EXPECT_TRUE(e.permanent);
+  EXPECT_EQ(fabric_bind_error(FaultPlan({e})), "");
+
+  common::json::Parser p{R"({"kind": "meteor", "at": 1})"};
+  FaultEvent bad;
+  EXPECT_FALSE(parse_fault_event(p, &bad));
+  EXPECT_EQ(p.err, "unknown fault kind");
 }
 
 TEST(FaultPlanTest, EmptyPlanIsByteIdenticalToNoPlan) {

@@ -1,5 +1,6 @@
-// Checked numeric flags for the rawchaos, rawsoak and rawstat CLIs: whole
-// counts and real values with a range. A value that is not a plain decimal
+// Checked numeric flags for the rawchaos, rawsoak and rawstat CLIs and the
+// ext_cluster bench: whole counts, lists of them, and real values with a
+// range. A value that is not a plain decimal
 // number (a typo, a "0x" prefix, trailing junk), that overflows the field,
 // or that falls outside the flag's range names the flag, prints the tool's
 // usage and exits 2: a bad value must neither shrink a run to nothing and
@@ -13,6 +14,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 namespace raw::tools {
 
@@ -45,6 +48,32 @@ T positive(const char* flag, const char* value, void (*usage)()) {
 template <typename T>
 T non_negative(const char* flag, const char* value, void (*usage)()) {
   return count_flag<T>(flag, value, 0, usage);
+}
+
+/// Parses `value` of `flag` as a list of counts >= `min` separated by
+/// spaces or commas ("2 4 8", "2,4"), or reports it, calls `usage` and
+/// exits 2. An empty list is an error too: it would run nothing and pass.
+template <typename T>
+std::vector<T> count_list(const char* flag, const char* value,
+                          unsigned long long min, void (*usage)()) {
+  std::vector<T> out;
+  std::string token;
+  for (const char* p = value;; ++p) {
+    if (*p != ' ' && *p != ',' && *p != '\0') {
+      token += *p;
+      continue;
+    }
+    if (!token.empty()) out.push_back(count_flag<T>(flag, token.c_str(), min, usage));
+    token.clear();
+    if (*p == '\0') break;
+  }
+  if (out.empty()) {
+    std::fprintf(stderr, "%s needs at least one whole number >= %llu; got "
+                         "'%s'\n", flag, min, value);
+    usage();
+    std::exit(2);
+  }
+  return out;
 }
 
 /// Parses `value` of `flag` as a decimal real in [min, max] — in (min, max]

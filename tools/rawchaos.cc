@@ -47,8 +47,9 @@
 //
 // Exit status is 0 only when every combination passes (or the replay /
 // minimize reproduced the recorded signature); 2 on bad usage — a count
-// flag that is not a whole number in range (tools/count_flag.h), or a
-// configuration the harness rejects.
+// flag that is not a whole number in range (tools/count_flag.h), a
+// configuration the harness rejects, or a bundle whose fault event targets
+// something the chip or fabric does not have.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -424,7 +425,7 @@ int run_cluster(const Args& args) {
     // fail-over are always on.
     spec.reliable_links = true;
     spec.failover = true;
-    const std::vector<raw::cluster::ClusterFaultEvent> events =
+    const std::vector<raw::sim::FaultEvent> events =
         raw::cluster::make_cluster_fault_events(spec);
     const ClusterChaosResult r =
         raw::cluster::run_cluster_chaos_events(spec, events);
@@ -505,7 +506,8 @@ int main(int argc, char** argv) {
     return args.cluster ? run_cluster(args) : run_chip(args);
   } catch (const std::invalid_argument& e) {
     // A configuration validate() rejects (cluster geometry, an unknown
-    // traffic profile): a usage error, not a crash.
+    // traffic profile) or a fault target the chip or fabric does not have:
+    // a usage error, not a crash.
     std::fprintf(stderr, "rawchaos: %s\n", e.what());
     return 2;
   }

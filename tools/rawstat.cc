@@ -436,7 +436,7 @@ void print_cluster_dashboard(const Args& args, const MetricRegistry& reg,
                     : "healthy",
                 c("cluster/recovered/retransmits"),
                 c("cluster/recovered/delivered_corrupt"),
-                c("cluster/faults/fired"));
+                c("cluster/faults/injected"));
     if (fabric.failover_generation() > 0) {
       std::printf("  reroute gen %llu: %llu dead links, %llu dead chips, "
                   "%llu unreachable hosts, %llu words written off, "
