@@ -12,7 +12,9 @@
 #include "net/packet.h"
 #include "net/route_table.h"
 #include "net/small_table.h"
+#include "net/traffic.h"
 #include "router/config_space.h"
+#include "router/raw_router.h"
 #include "router/rule.h"
 #include "sim/channel.h"
 #include "sim/chip.h"
@@ -213,6 +215,37 @@ void BM_SwitchStreamStep(benchmark::State& state) {
       static_cast<double>(chip.static_words_transferred());
 }
 BENCHMARK(BM_SwitchStreamStep);
+
+// The sparse router's cycle, the layer BM_SwitchStreamStep is one part of:
+// one RawRouter at load 1.0 with 64 B packets to uniform destinations
+// (Arg 64, per-packet work and crossbar denials) or 1,024 B packets to
+// permutation destinations (Arg 1024, word streaming). One iteration runs
+// 20,000 cycles; ns_per_cycle divides wall time by the simulated cycles.
+void BM_RouterCycle(benchmark::State& state) {
+  const auto bytes = static_cast<raw::common::ByteCount>(state.range(0));
+  raw::net::TrafficConfig traffic;
+  traffic.num_ports = 4;
+  traffic.pattern = bytes >= 1024 ? raw::net::DestPattern::kPermutation
+                                  : raw::net::DestPattern::kUniform;
+  traffic.fixed_bytes = bytes;
+  traffic.load = 1.0;
+  raw::router::RawRouter router(raw::router::RouterConfig{},
+                                raw::net::RouteTable::simple4(), traffic, 1);
+  constexpr raw::common::Cycle kCycles = 20000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(router.run(kCycles));
+  }
+  state.counters["ns_per_cycle"] = benchmark::Counter(
+      static_cast<double>(kCycles) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["delivered"] =
+      static_cast<double>(router.delivered_packets());
+}
+BENCHMARK(BM_RouterCycle)
+    ->ArgName("bytes")
+    ->Arg(64)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 // One detached channel with a writer and a reader every cycle: the per-word
 // cost of the link itself. Arg(0) is a bare channel, Arg(1) one with link

@@ -427,6 +427,11 @@ bool same_outcome(const ClusterChaosRepro& a, const ClusterChaosRepro& b) {
 
 ClusterChaosRepro minimize_repro(const ClusterChaosRepro& target,
                                  router::MinimizeStats* stats) {
+  // Check the whole schedule before ddmin splits it, so a bad fault target
+  // is reported by its index in the bundle, as a replay reports it.
+  ClusterConfig full = cluster_config_for(target.spec);
+  full.faults = target.events;
+  full.validate();
   const auto run = [&target](const std::vector<sim::FaultEvent>& events) {
     return make_repro(target.spec, events,
                       run_cluster_chaos_events(target.spec, events));

@@ -227,6 +227,13 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
 std::vector<sim::FaultEvent> minimize_events(
     const ChaosSpec& spec, const std::vector<sim::FaultEvent>& events,
     const ChaosSignature& target, MinimizeStats* stats) {
+  // Bind the whole schedule before ddmin splits it, so a bad fault target
+  // is reported by its index in `events`, as a replay reports it, not by
+  // its index in the first subset ddmin runs.
+  sim::FaultPlan full(events);
+  RawRouter scratch(router_config_for(spec), net::RouteTable::simple4(),
+                    traffic_for(spec), spec.seed);
+  scratch.set_fault_plan(&full);
   return ddmin(
       events,
       [&](const std::vector<sim::FaultEvent>& subset) {

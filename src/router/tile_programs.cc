@@ -18,6 +18,8 @@ using sim::TileTask;
 using sim::task::delay;
 using sim::task::mem_delay;
 using sim::task::read;
+using sim::task::until_eject;
+using sim::task::until_words;
 using sim::task::write;
 
 constexpr Word kNoRoute = 0xffffffffu;
@@ -77,7 +79,7 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
       // Let the line deliver everything already committed to the switch —
       // this cannot outlast the body transfer itself (same words) — so the
       // next-header decision is made at body-end time, not quantum-start.
-      while (edge->words_transferred() < commanded) co_await delay(1);
+      co_await until_words(*edge, commanded);
       // Grace window: a back-to-back packet's first word lands within a
       // couple of cycles of the previous tail; only a truly idle line makes
       // us advertise an empty input.
@@ -88,9 +90,7 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
       if (edge->words_transferred() > commanded) {
         // A new packet has started arriving; its header completes within a
         // few cycles (the line card sends packets contiguously).
-        while (edge->words_transferred() < commanded + net::Ipv4Header::kWords) {
-          co_await delay(1);
-        }
+        co_await until_words(*edge, commanded + net::Ipv4Header::kWords);
       }
       if (edge->words_transferred() >= commanded + net::Ipv4Header::kWords) {
         // A full IP header is waiting on the line: ingest it.
@@ -170,9 +170,9 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
         const std::array<Word, 1> req{hdr.dst};
         while (!dyn->can_inject(tiles.ingress, 1)) co_await delay(1);
         dyn->inject(tiles.ingress, tiles.lookup, req);
-        while (!dyn->has_eject(tiles.ingress)) co_await delay(1);
+        co_await until_eject(*dyn, tiles.ingress);
         (void)dyn->pop_eject(tiles.ingress);  // reply header word
-        while (!dyn->has_eject(tiles.ingress)) co_await delay(1);
+        co_await until_eject(*dyn, tiles.ingress);
         out_port = dyn->pop_eject(tiles.ingress);
         if (tracing) {
           core.tracer->record(trace_uid, chip.cycle(),
@@ -260,13 +260,10 @@ TileTask lookup_body(RouterCore& core, int port) {
   PortCounters& ctr = core.counters[static_cast<std::size_t>(port)];
 
   for (;;) {
-    if (!dyn->has_eject(tiles.lookup)) {
-      co_await delay(1);
-      continue;
-    }
+    co_await until_eject(*dyn, tiles.lookup);
     const Word header = dyn->pop_eject(tiles.lookup);
     const int reply_to = sim::dyn_header_src(header);
-    while (!dyn->has_eject(tiles.lookup)) co_await delay(1);
+    co_await until_eject(*dyn, tiles.lookup);
     const Word addr = dyn->pop_eject(tiles.lookup);
 
     // Consult the compiled small forwarding table and charge one cache-line

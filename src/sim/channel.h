@@ -101,6 +101,12 @@ class Channel {
     }
     staged_.reset();
     ++words_transferred_;
+    if (engine_ != nullptr) {
+      // The committed word is readable next cycle: a parked reader wakes,
+      // and so does a count waiter whose target this word reaches.
+      engine_->wake(wait_reader_);
+      if (words_transferred_ >= wait_count_target_) engine_->wake(wait_count_);
+    }
     return true;
   }
 
@@ -127,6 +133,13 @@ class Channel {
 
   [[nodiscard]] Word read() {
     RAW_ASSERT_MSG(can_read(), "read from unready channel");
+    return read_ready();
+  }
+
+  /// read() for a caller that has just seen can_read() hold this cycle (the
+  /// switch's fire phase): skips the second check, which on a protected link
+  /// would re-run the replay comparison.
+  [[nodiscard]] Word read_ready() {
     read_this_cycle_ = true;
     if (guard_ != nullptr) {
       const LinkFrame f = guard_->replay.pop();
@@ -134,10 +147,7 @@ class Channel {
     }
     // This cycle's read frees a slot at the *next* cycle start; a writer
     // parked on the full FIFO becomes runnable then.
-    if (wait_writer_ >= 0 && engine_ != nullptr) {
-      engine_->wakes.push_back(wait_writer_);
-      wait_writer_ = -1;
-    }
+    if (engine_ != nullptr) engine_->wake(wait_writer_);
     return buf_.pop();
   }
 
@@ -184,6 +194,11 @@ class Channel {
 
   void write(Word w) {
     RAW_ASSERT_MSG(can_write(), "write to unready channel");
+    write_ready(w);
+  }
+
+  /// write() for a caller that has just seen can_write() hold this cycle.
+  void write_ready(Word w) {
     staged_ = w;
     if (guard_ != nullptr) guard_->staged = LinkFrame{w, guard_->next_seq++};
     if (engine_ != nullptr) engine_->dirty.push_back(this);
@@ -281,23 +296,20 @@ class Channel {
     mix(words_transferred_);
   }
 
-  /// Wake-list slots: the (unique) reader or writer agent parked on this
-  /// channel, -1 when none. Managed by the chip's sparse stepper; the commit
-  /// path consumes wait_reader, read() consumes wait_writer.
-  void set_wait_reader(std::int32_t agent) { wait_reader_ = agent; }
-  void set_wait_writer(std::int32_t agent) { wait_writer_ = agent; }
-  [[nodiscard]] std::int32_t wait_reader() const { return wait_reader_; }
-  [[nodiscard]] std::int32_t wait_writer() const { return wait_writer_; }
-  [[nodiscard]] std::int32_t take_wait_reader() {
-    const std::int32_t a = wait_reader_;
-    wait_reader_ = -1;
-    return a;
+  /// Wake slots (see EngineState): the one reader agent parked on an empty
+  /// FIFO, the one writer agent parked on a full one, and the one agent
+  /// parked until words_transferred() reaches a target; -1 when empty.
+  /// Registered and cleared by the chip's sparse stepper; commit() fires the
+  /// reader and (on reaching its target) count slots, read() the writer
+  /// slot, and a fault mutation the reader and writer slots.
+  [[nodiscard]] std::int32_t& reader_slot() { return wait_reader_; }
+  [[nodiscard]] std::int32_t& writer_slot() { return wait_writer_; }
+  /// Arms the count slot for `target` transferred words and returns it.
+  [[nodiscard]] std::int32_t& count_slot(std::uint64_t target) {
+    wait_count_target_ = target;
+    return wait_count_;
   }
-  /// Drops any reference to `agent` from both wait slots (unpark path).
-  void clear_wait(std::int32_t agent) {
-    if (wait_reader_ == agent) wait_reader_ = -1;
-    if (wait_writer_ == agent) wait_writer_ = -1;
-  }
+  [[nodiscard]] std::int32_t& count_slot() { return wait_count_; }
 
   [[nodiscard]] std::size_t occupancy() const { return buf_.size(); }
   [[nodiscard]] std::size_t capacity() const { return buf_.capacity(); }
@@ -364,20 +376,13 @@ class Channel {
     return false;
   }
 
-  /// Satellite fix (sparse engine x faults): a fault that mutates this
-  /// channel returns any agent parked on it to the runnable set, so the
-  /// mutation is re-observed this cycle exactly as under dense stepping.
+  /// A fault that mutates this channel returns any agent parked on it to
+  /// the runnable set, so the mutation is re-observed this cycle exactly as
+  /// under dense stepping.
   void fault_wake() {
     if (engine_ == nullptr) return;
-    std::vector<std::int32_t>& wakes = engine_->wakes;
-    if (wait_reader_ >= 0) {
-      wakes.push_back(wait_reader_);
-      wait_reader_ = -1;
-    }
-    if (wait_writer_ >= 0) {
-      wakes.push_back(wait_writer_);
-      wait_writer_ = -1;
-    }
+    engine_->wake(wait_reader_);
+    engine_->wake(wait_writer_);
   }
 
   /// Current cycle: the engine clock in attached mode, the local
@@ -418,6 +423,8 @@ class Channel {
   mutable common::Cycle stall_until_ = 0;
   std::int32_t wait_reader_ = -1;  // parked reader agent, engine-managed
   std::int32_t wait_writer_ = -1;  // parked writer agent, engine-managed
+  std::int32_t wait_count_ = -1;   // agent parked on a transfer count
+  std::uint64_t wait_count_target_ = 0;
   std::unique_ptr<LinkGuard> guard_;  // null = link protection off (default)
   std::optional<Word> staged_;
   std::uint64_t words_transferred_ = 0;

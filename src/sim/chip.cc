@@ -1,5 +1,8 @@
 #include "sim/chip.h"
 
+#include <string>
+#include <utility>
+
 #include "common/assert.h"
 #include "common/profiler.h"
 #include "sim/fault_plan.h"
@@ -53,6 +56,7 @@ Chip::Chip(ChipConfig config) : config_(config) {
 
   if (config_.with_dynamic_network) {
     dyn_ = std::make_unique<DynamicNetwork>(shape);
+    dyn_->attach(&engine_);
   }
 
   // Cache the full channel list for the cycle engine.
@@ -178,7 +182,7 @@ void Chip::step_agents(bool dense) {
   }
 
   // Sparse path: step only runnable agents; park the ones that cannot make
-  // progress until a channel event wakes them. Agents blocked on a
+  // progress until an event wakes them. Agents blocked on a
   // fault-stalled link stay runnable (the stall expires by time, not by a
   // channel event), and a fault that mutates a channel with parked agents
   // wakes them (Channel::fault_wake), so flips and stalls are exact here;
@@ -195,22 +199,34 @@ void Chip::step_agents(bool dense) {
         } else {
           Channel* ch =
               const_cast<Channel*>(tl.switch_proc().last_block_channel());
-          if (may_park_on(ch, s)) park_agent(2 * t, s, ch);
+          if (may_park_on(ch, s)) park_agent(2 * t, s, &channel_slot(*ch, s));
         }
       }
     }
     if ((f & 2u) != 0) {
       const AgentState s = tl.step_proc();
-      if (s == AgentState::kBlockedRecv || s == AgentState::kBlockedSend) {
+      if (s == AgentState::kBusy) {
+        // A program polling for an event (TileTask::event_slot) is busy
+        // every cycle until the event fires its slot; anything else busy
+        // keeps running.
+        if (std::int32_t* slot = tl.proc_event_slot()) {
+          park_agent(2 * t + 1, s, slot);
+        }
+      } else if (s == AgentState::kBlockedRecv ||
+                 s == AgentState::kBlockedSend) {
         Channel* ch = tl.proc_blocked_channel();
-        if (may_park_on(ch, s)) park_agent(2 * t + 1, s, ch);
+        if (may_park_on(ch, s)) park_agent(2 * t + 1, s, &channel_slot(*ch, s));
       } else if (s == AgentState::kIdle) {
         park_agent(2 * t + 1, s, nullptr);
       }
-      // kBusy keeps running; kBlockedMem must keep stepping to burn down
-      // its modelled memory-stall cycles.
+      // kBlockedMem must keep stepping to burn down its modelled
+      // memory-stall cycles.
     }
   }
+}
+
+std::int32_t& Chip::channel_slot(Channel& ch, AgentState cause) {
+  return cause == AgentState::kBlockedRecv ? ch.reader_slot() : ch.writer_slot();
 }
 
 bool Chip::may_park_on(const Channel* ch, AgentState cause) {
@@ -233,12 +249,8 @@ bool Chip::commit_dirty() {
   if (profiler_ != nullptr) profiler_->count_commit(engine_.dirty.size());
   bool progress = false;
   for (Channel* ch : engine_.dirty) {
-    if (ch->commit()) {
-      progress = true;
-      // The committed word is readable next cycle; a parked reader wakes.
-      const std::int32_t r = ch->take_wait_reader();
-      if (r >= 0) engine_.wakes.push_back(r);
-    }
+    // commit() also fires the channel's reader and count wake slots.
+    if (ch->commit()) progress = true;
   }
   engine_.dirty.clear();
   return progress;
@@ -249,19 +261,14 @@ void Chip::apply_wakes() {
   engine_.wakes.clear();
 }
 
-void Chip::park_agent(std::int32_t aid, AgentState cause, Channel* chan) {
+void Chip::park_agent(std::int32_t aid, AgentState cause, std::int32_t* slot) {
   Park& p = parks_[static_cast<std::size_t>(aid)];
   p.counted_through = engine_.now;  // this cycle was stepped and counted
   p.cause = cause;
-  p.chan = chan;
-  if (chan != nullptr) {
-    if (cause == AgentState::kBlockedRecv) {
-      RAW_ASSERT_MSG(chan->wait_reader() < 0, "channel has two parked readers");
-      chan->set_wait_reader(aid);
-    } else {
-      RAW_ASSERT_MSG(chan->wait_writer() < 0, "channel has two parked writers");
-      chan->set_wait_writer(aid);
-    }
+  p.slot = slot;
+  if (slot != nullptr) {
+    RAW_ASSERT_MSG(*slot < 0, "wake slot already holds a parked agent");
+    *slot = aid;
   }
   run_flags_[static_cast<std::size_t>(aid >> 1)] &=
       static_cast<std::uint8_t>(~(1u << (aid & 1)));
@@ -275,8 +282,13 @@ void Chip::credit_agent(std::int32_t aid, Park& park, common::Cycle upto) {
   park.counted_through = upto;
   Tile& tl = *tiles_[static_cast<std::size_t>(aid >> 1)];
   if ((aid & 1) != 0) {
-    // Processor: blocked states accrue proc_blocked; idle accrues nothing.
-    if (park.cause != AgentState::kIdle) tl.credit_proc_blocked(n);
+    // Processor: an event wait accrues proc_busy (it replaces a delay(1)
+    // polling loop), blocked states proc_blocked, idle nothing.
+    if (park.cause == AgentState::kBusy) {
+      tl.credit_proc_busy(n);
+    } else if (park.cause != AgentState::kIdle) {
+      tl.credit_proc_blocked(n);
+    }
   } else {
     tl.switch_proc().credit_parked(park.cause, n);
   }
@@ -285,7 +297,7 @@ void Chip::credit_agent(std::int32_t aid, Park& park, common::Cycle upto) {
 void Chip::wake_agent(std::int32_t aid, common::Cycle counted_through) {
   Park& p = parks_[static_cast<std::size_t>(aid)];
   credit_agent(aid, p, counted_through);
-  p.chan = nullptr;
+  p.slot = nullptr;  // the event emptied the slot when it fired
   run_flags_[static_cast<std::size_t>(aid >> 1)] |=
       static_cast<std::uint8_t>(1u << (aid & 1));
   --parked_count_;
@@ -318,9 +330,9 @@ void Chip::wake_all_parked() {
       const std::int32_t aid = 2 * t + a;
       Park& p = parks_[static_cast<std::size_t>(aid)];
       credit_agent(aid, p, upto);
-      if (p.chan != nullptr) {
-        p.chan->clear_wait(aid);
-        p.chan = nullptr;
+      if (p.slot != nullptr) {
+        if (*p.slot == aid) *p.slot = -1;
+        p.slot = nullptr;
       }
     }
     f = 3;
@@ -347,18 +359,16 @@ std::string Chip::check_engine_invariants() const {
                std::to_string(p.counted_through) + ", cycle " +
                std::to_string(engine_.now) + ")";
       }
-      if (p.chan != nullptr) {
-        const std::int32_t slot = p.cause == AgentState::kBlockedRecv
-                                      ? p.chan->wait_reader()
-                                      : p.chan->wait_writer();
-        if (slot != aid) {
-          return "agent " + std::to_string(aid) + " parked on channel " +
-                 p.chan->name() + " but its wake slot holds " +
-                 std::to_string(slot) + " (a wake event would never arrive)";
+      if (p.slot != nullptr) {
+        if (*p.slot != aid) {
+          return "agent " + std::to_string(aid) +
+                 " parked on a wake slot that holds " + std::to_string(*p.slot) +
+                 " (a wake event would never arrive)";
         }
       } else if (p.cause != AgentState::kIdle) {
-        return "agent " + std::to_string(aid) +
-               " parked blocked with no wake channel";
+        return "agent " + std::to_string(aid) + " parked " +
+               (p.cause == AgentState::kBusy ? "busy" : "blocked") +
+               " with no wake slot";
       }
     }
   }
@@ -367,27 +377,36 @@ std::string Chip::check_engine_invariants() const {
            std::to_string(cleared) + " agents with cleared run flags";
   }
   // Reverse direction: a wake slot must point at an agent that is actually
-  // parked on this channel with a matching cause, or the wake it eventually
-  // fires would corrupt another agent's accounting.
-  for (const Channel* ch : all_channels_) {
-    for (const bool reader : {true, false}) {
-      const std::int32_t aid = reader ? ch->wait_reader() : ch->wait_writer();
-      if (aid < 0) continue;
-      if (aid >= 2 * n) {
-        return "channel " + ch->name() + " wake slot holds bogus agent " +
-               std::to_string(aid);
-      }
-      const std::uint8_t f = run_flags_[static_cast<std::size_t>(aid >> 1)];
-      if ((f & (1u << (aid & 1))) != 0) {
+  // parked in it with a matching cause, or the wake it eventually fires
+  // would corrupt another agent's accounting.
+  const auto stale = [&](const std::int32_t& slot,
+                         AgentState cause) -> const char* {
+    const std::int32_t aid = slot;
+    if (aid < 0) return nullptr;
+    if (aid >= 2 * n) return " (bogus agent)";
+    if ((run_flags_[static_cast<std::size_t>(aid >> 1)] & (1u << (aid & 1))) != 0) {
+      return " which is not parked";
+    }
+    const Park& p = parks_[static_cast<std::size_t>(aid)];
+    if (p.slot != &slot || p.cause != cause) return " whose park record disagrees";
+    return nullptr;
+  };
+  for (Channel* ch : all_channels_) {
+    for (const auto& [slot, cause] :
+         {std::pair{&ch->reader_slot(), AgentState::kBlockedRecv},
+          std::pair{&ch->writer_slot(), AgentState::kBlockedSend},
+          std::pair{&ch->count_slot(), AgentState::kBusy}}) {
+      if (const char* why = stale(*slot, cause)) {
         return "channel " + ch->name() + " wake slot holds agent " +
-               std::to_string(aid) + " which is not parked";
+               std::to_string(*slot) + why;
       }
-      const Park& p = parks_[static_cast<std::size_t>(aid)];
-      if (p.chan != ch ||
-          (reader != (p.cause == AgentState::kBlockedRecv))) {
-        return "channel " + ch->name() + " wake slot holds agent " +
-               std::to_string(aid) + " whose park record disagrees";
-      }
+    }
+  }
+  for (int t = 0; dyn_ != nullptr && t < n; ++t) {
+    const std::int32_t& slot = dyn_->eject_slot(t);
+    if (const char* why = stale(slot, AgentState::kBusy)) {
+      return "tile " + std::to_string(t) + " eject port wake slot holds agent " +
+             std::to_string(slot) + why;
     }
   }
   return "";

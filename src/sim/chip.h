@@ -6,8 +6,9 @@
 // and refresh lazily on first touch, staged writes self-register on a dirty
 // list so commit walks only channels that moved, agents blocked on a channel
 // park on that channel's wake slot and are skipped until a commit or read
-// wakes them, and idle agents (halted switch, finished program) leave the
-// runnable set entirely. Results are bit-identical to the dense engine —
+// wakes them, tile programs polling for an event (a dynamic-network eject,
+// a channel transfer count) park on that event's wake slot, and idle agents
+// (halted switch, finished program) leave the runnable set entirely. Results are bit-identical to the dense engine —
 // including every per-cycle counter, which parked agents receive as a
 // catch-up credit when they wake or when accounting is settled.
 #pragma once
@@ -226,17 +227,19 @@ class Chip {
   [[nodiscard]] std::uint64_t state_digest() const;
 
   /// Recovery hook (fault-adaptive reconfiguration): returns every parked
-  /// agent to the runnable set and clears channel wake slots so tiles can
-  /// be reprogrammed mid-run.
+  /// agent to the runnable set and clears its wake slot so tiles can be
+  /// reprogrammed mid-run.
   void prepare_reconfigure() { wake_all_parked(); }
 
   /// Endurance self-check of the sparse engine's park/wake credit books
   /// (see sim::InvariantMonitor). Read-only up to settling the catch-up
   /// accounting, which is bit-neutral. Verifies that the parked count
   /// matches the cleared run flags, every parked agent's credit is settled
-  /// through the last completed cycle with its wake slot registered on the
-  /// blocking channel, and every channel wake slot points back at a parked
-  /// agent with a matching cause. Returns "" when the books balance, else a
+  /// through the last completed cycle with its id in the wake slot it
+  /// registered in, and every wake slot — channel reader, writer and count
+  /// slots, dynamic-network eject slots — points back at a parked agent
+  /// whose park record names that slot and a matching cause (blocked-recv,
+  /// blocked-send, busy). Returns "" when the books balance, else a
   /// one-line description of the first imbalance. Call only between cycles
   /// (no run in flight).
   [[nodiscard]] std::string check_engine_invariants() const;
@@ -245,8 +248,9 @@ class Chip {
   /// Agents are addressed as 2*tile (switch) and 2*tile+1 (processor).
   struct Park {
     common::Cycle counted_through = 0;  // last cycle counted in `cause`
+    // kBusy: a processor parked in an event wait, credited busy cycles.
     AgentState cause = AgentState::kIdle;
-    Channel* chan = nullptr;  // wake channel (null for idle parks)
+    std::int32_t* slot = nullptr;  // wake slot registered in (null if idle)
   };
 
   [[nodiscard]] Channel* out_link(int net, int tile, Dir dir) const;
@@ -276,8 +280,12 @@ class Chip {
 
   /// Whether a blocked agent may park on `chan` and rely on a wake event.
   [[nodiscard]] static bool may_park_on(const Channel* chan, AgentState cause);
+  /// The wake slot of `ch` an agent blocked in `cause` parks in.
+  [[nodiscard]] static std::int32_t& channel_slot(Channel& ch, AgentState cause);
 
-  void park_agent(std::int32_t aid, AgentState cause, Channel* chan);
+  /// Parks an agent; `slot` is the wake slot it registers in (null for an
+  /// idle park, which only run-entry revalidation ends).
+  void park_agent(std::int32_t aid, AgentState cause, std::int32_t* slot);
   void wake_agent(std::int32_t aid, common::Cycle counted_through);
   void credit_agent(std::int32_t aid, Park& park, common::Cycle upto);
   /// Credits all parked agents through the last completed cycle without

@@ -25,7 +25,8 @@ DynamicNetwork::DynamicNetwork(GridShape shape, std::size_t endpoint_queue_words
       routers_(static_cast<std::size_t>(shape.num_tiles())),
       links_(routers_.size()),
       in_(routers_.size()),
-      route_(routers_.size() * routers_.size()) {
+      route_(routers_.size() * routers_.size()),
+      eject_wait_(routers_.size(), -1) {
   for (int t = 0; t < shape_.num_tiles(); ++t) {
     const TileCoord c = shape_.coord(t);
     for (const Dir d : kMeshDirs) {
@@ -172,6 +173,7 @@ void DynamicNetwork::step() {
       if (eject) {
         eject_[t].push(word);
         --net_words_;
+        if (engine_ != nullptr) engine_->wake(eject_wait_[t]);
       } else {
         out->write(word);
       }

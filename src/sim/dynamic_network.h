@@ -25,6 +25,7 @@
 #include "common/types.h"
 #include "sim/channel.h"
 #include "sim/coords.h"
+#include "sim/engine_state.h"
 
 namespace raw::sim {
 
@@ -45,6 +46,10 @@ class DynamicNetwork {
 
   [[nodiscard]] GridShape shape() const { return shape_; }
 
+  /// Binds the network to a chip's engine state (as Chip does for its
+  /// channels), so a word ejected at a tile fires that tile's eject slot.
+  void attach(EngineState* engine) { engine_ = engine; }
+
   /// Injection from a tile processor. The whole message must fit in the
   /// tile's inject queue at once (the hardware blocks the processor
   /// otherwise; callers poll can_inject and retry next cycle). A destination
@@ -60,6 +65,13 @@ class DynamicNetwork {
   /// look at the i-th of them (for whole-message readiness checks).
   [[nodiscard]] std::size_t eject_size(int tile) const;
   [[nodiscard]] common::Word peek_eject(int tile, std::size_t i) const;
+
+  /// Wake slot (see EngineState) of the one agent parked until a word is
+  /// queued at `tile`'s eject port; step() fires it when it ejects a word
+  /// there. Registered and cleared by the chip's sparse stepper.
+  [[nodiscard]] std::int32_t& eject_slot(int tile) {
+    return eject_wait_[static_cast<std::size_t>(tile)];
+  }
 
   /// Advances all routers by one cycle. The chip calls this inside its own
   /// channel begin/end phases; standalone users call step() directly.
@@ -124,6 +136,8 @@ class DynamicNetwork {
   std::vector<std::uint8_t> route_;
   std::vector<common::RingBuffer<common::Word>> inject_;
   std::vector<common::RingBuffer<common::Word>> eject_;
+  std::vector<std::int32_t> eject_wait_;  // per-tile eject slot, -1 = empty
+  EngineState* engine_ = nullptr;
   std::uint64_t flits_routed_ = 0;
   std::uint64_t messages_delivered_ = 0;
   std::uint64_t net_words_ = 0;

@@ -110,7 +110,8 @@ class SwitchProgram {
   [[nodiscard]] const std::vector<SwitchInstr>& instrs() const { return instrs_; }
   [[nodiscard]] std::size_t size() const { return instrs_.size(); }
   [[nodiscard]] const SwitchInstr& at(std::size_t pc) const { return instrs_[pc]; }
-  [[nodiscard]] const Decoded& decoded(std::size_t pc) const { return decoded_[pc]; }
+  /// The decoded instructions, size() of them.
+  [[nodiscard]] const Decoded* decoded_code() const { return decoded_.data(); }
 
   /// Validation: program fits in switch imem, branch targets are in range,
   /// register indices are valid, and within each instruction no destination

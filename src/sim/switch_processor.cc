@@ -6,6 +6,8 @@ namespace raw::sim {
 
 void SwitchProcessor::load(std::shared_ptr<const SwitchProgram> program) {
   program_ = std::move(program);
+  code_ = program_ != nullptr ? program_->decoded_code() : nullptr;
+  code_size_ = program_ != nullptr ? program_->size() : 0;
   reset();
 }
 
@@ -23,15 +25,19 @@ void SwitchProcessor::reset() {
 
 AgentState SwitchProcessor::step() {
   last_block_channel_ = nullptr;
-  if (program_ == nullptr || halted_ || pc_ >= program_->size()) {
+  if (halted_ || pc_ >= code_size_) {  // code_size_ is 0 with no program
     halted_ = true;
     ++idle_;
     return last_state_ = AgentState::kIdle;
   }
-  const SwitchProgram::Decoded& ins = program_->decoded(pc_);
+  const SwitchProgram::Decoded& ins = code_[pc_];
 
   // Readiness check: every distinct source needs an available word, in
   // (net, dir) order; every destination needs write space, in move order.
+  // The channels that pass are kept, so the fire phase below neither looks
+  // them up nor checks them again.
+  std::array<Channel*, kNumSwitchPorts> src_ch{};
+  std::array<Channel*, kNumSwitchPorts> dst_ch{};
   for (std::size_t k = 0; k < ins.num_src; ++k) {
     Channel* ch = ports_.in[ins.src[k]];
     RAW_ASSERT_MSG(ch != nullptr, "switch route from unconnected port");
@@ -40,6 +46,7 @@ AgentState SwitchProcessor::step() {
       last_block_channel_ = ch;
       return last_state_ = AgentState::kBlockedRecv;
     }
+    src_ch[k] = ch;
   }
   for (std::size_t k = 0; k < ins.num_dst; ++k) {
     Channel* ch = ports_.out[ins.dst[k]];
@@ -49,15 +56,18 @@ AgentState SwitchProcessor::step() {
       last_block_channel_ = ch;
       return last_state_ = AgentState::kBlockedSend;
     }
+    dst_ch[k] = ch;
   }
 
-  // Fire: read each distinct source once, then fan out.
+  // Fire: read each distinct source once, then fan out. Sources and
+  // destinations are distinct channels, so no read or write here changes
+  // another's readiness.
   std::array<common::Word, kNumSwitchPorts> src_value{};
   for (std::size_t k = 0; k < ins.num_src; ++k) {
-    src_value[k] = ports_.in[ins.src[k]]->read();
+    src_value[k] = src_ch[k]->read_ready();
   }
   for (std::size_t k = 0; k < ins.num_dst; ++k) {
-    ports_.out[ins.dst[k]]->write(src_value[ins.feed[k]]);
+    dst_ch[k]->write_ready(src_value[ins.feed[k]]);
   }
 
   // Control component.
@@ -89,7 +99,7 @@ AgentState SwitchProcessor::step() {
       break;
     case CtrlOp::kJr:
       next_pc = regs_[ins.reg];
-      RAW_ASSERT_MSG(next_pc < program_->size(), "jr target out of range");
+      RAW_ASSERT_MSG(next_pc < code_size_, "jr target out of range");
       break;
     case CtrlOp::kBnezd:
       regs_[ins.reg] -= 1;

@@ -101,6 +101,10 @@ class SwitchProcessor {
  private:
   Ports ports_{};
   std::shared_ptr<const SwitchProgram> program_;
+  // program_'s decoded instructions and their count (0 with no program),
+  // cached by load() for the per-cycle fetch.
+  const SwitchProgram::Decoded* code_ = nullptr;
+  std::size_t code_size_ = 0;
   std::size_t pc_ = 0;
   bool halted_ = false;
   std::array<common::Word, kNumSwitchRegs> regs_{};

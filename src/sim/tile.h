@@ -63,9 +63,17 @@ class Tile {
     return task_.blocked_channel();
   }
 
+  /// Wake slot of the event the tile program polls for, if it is in an
+  /// until_eject/until_words wait (see TileTask::event_slot).
+  [[nodiscard]] std::int32_t* proc_event_slot() const {
+    return task_.event_slot();
+  }
+
   /// Sparse-engine catch-up: credits `n` cycles the processor spent parked
-  /// in a blocked state without being stepped (see Chip's wake lists).
+  /// without being stepped (see Chip's wake lists) — blocked on a channel,
+  /// or busy polling in an event wait.
   void credit_proc_blocked(std::uint64_t n) { proc_blocked_ += n; }
+  void credit_proc_busy(std::uint64_t n) { proc_busy_ += n; }
 
   [[nodiscard]] std::uint64_t proc_cycles_busy() const { return proc_busy_; }
   [[nodiscard]] std::uint64_t proc_cycles_blocked() const { return proc_blocked_; }

@@ -10,7 +10,16 @@
 //   * `co_await delay(n)` charges n cycles of straight-line computation;
 //   * `co_await mem_delay(n)` charges n cycles attributed to the memory
 //     system (cache misses), so the per-tile utilization trace (Figure 7-3)
-//     can distinguish compute from memory stalls.
+//     can distinguish compute from memory stalls;
+//   * `co_await until_eject(dyn, t)` waits until the dynamic network holds
+//     a word at tile t's eject port, and `co_await until_words(ch, n)` until
+//     `ch.words_transferred() >= n`. Each costs exactly what the polling
+//     loop `while (!cond) co_await delay(1);` costs: the condition is tested
+//     at once (free when it already holds) and then once per cycle, every
+//     waiting cycle counts as busy, and the program continues on the first
+//     cycle the test passes. TileTask::step tests the condition without
+//     resuming the coroutine, and the sparse engine parks the processor on
+//     the event's wake slot (EngineState) instead of stepping it at all.
 //
 // Plain C++ between two awaits is free; all modelled work must be expressed
 // through awaits. Costs for the router programs come from the paper's stated
@@ -26,6 +35,7 @@
 #include "common/assert.h"
 #include "common/types.h"
 #include "sim/channel.h"
+#include "sim/dynamic_network.h"
 #include "sim/switch_processor.h"  // AgentState
 
 namespace raw::sim {
@@ -38,12 +48,17 @@ class TileTask {
     kWrite,     // blocked on chan write
     kDelay,     // burning compute cycles
     kMemDelay,  // burning memory-stall cycles
+    kEject,     // polling for a word at a dynamic-network eject port
+    kWords,     // polling for a channel's transfer count to reach a target
     kDone,      // returned
   };
 
   struct promise_type {
     Wait wait = Wait::kStart;
-    Channel* chan = nullptr;
+    Channel* chan = nullptr;         // kRead, kWrite, kWords
+    DynamicNetwork* dyn = nullptr;   // kEject
+    int eject_tile = 0;              // kEject
+    std::uint64_t words_target = 0;  // kWords
     common::Word write_value = 0;
     common::Word read_value = 0;
     common::Cycle delay_left = 0;
@@ -87,6 +102,20 @@ class TileTask {
     return (p.wait == Wait::kRead || p.wait == Wait::kWrite) ? p.chan : nullptr;
   }
 
+  /// Wake slot for the event a kEject/kWords wait polls for (a count slot
+  /// armed with its target), else null. The sparse engine parks a processor
+  /// that stepped busy in such a wait here: no other agent's step can make
+  /// the condition true before the event fires the slot.
+  [[nodiscard]] std::int32_t* event_slot() const {
+    if (!handle_) return nullptr;
+    const promise_type& p = handle_.promise();
+    switch (p.wait) {
+      case Wait::kEject: return &p.dyn->eject_slot(p.eject_tile);
+      case Wait::kWords: return &p.chan->count_slot(p.words_target);
+      default: return nullptr;
+    }
+  }
+
   /// Advances the program by one cycle; returns what the processor did.
   AgentState step() {
     if (done()) return AgentState::kIdle;
@@ -117,6 +146,14 @@ class TileTask {
           return AgentState::kBusy;
         }
         return AgentState::kBlockedSend;
+      case Wait::kEject:
+      case Wait::kWords: {
+        const bool ready = p.wait == Wait::kEject
+                               ? p.dyn->has_eject(p.eject_tile)
+                               : p.chan->words_transferred() >= p.words_target;
+        if (ready) resume();
+        return AgentState::kBusy;
+      }
       case Wait::kDone:
         return AgentState::kIdle;
     }
@@ -187,11 +224,47 @@ struct [[nodiscard]] DelayAwait {
   void await_resume() const noexcept {}
 };
 
+/// co_await until_eject(dyn, t): until a word waits at tile t's eject port.
+struct [[nodiscard]] EjectAwait {
+  DynamicNetwork& dyn;
+  int tile;
+
+  bool await_ready() const { return dyn.has_eject(tile); }
+  void await_suspend(TileTask::Handle h) {
+    TileTask::promise_type& p = h.promise();
+    p.wait = TileTask::Wait::kEject;
+    p.dyn = &dyn;
+    p.eject_tile = tile;
+  }
+  void await_resume() const noexcept {}
+};
+
+/// co_await until_words(ch, n): until ch.words_transferred() >= n.
+struct [[nodiscard]] WordsAwait {
+  Channel& chan;
+  std::uint64_t target;
+
+  bool await_ready() const { return chan.words_transferred() >= target; }
+  void await_suspend(TileTask::Handle h) {
+    TileTask::promise_type& p = h.promise();
+    p.wait = TileTask::Wait::kWords;
+    p.chan = &chan;
+    p.words_target = target;
+  }
+  void await_resume() const noexcept {}
+};
+
 inline ReadAwait read(Channel& ch) { return ReadAwait{ch}; }
 inline WriteAwait write(Channel& ch, common::Word w) { return WriteAwait{ch, w}; }
 inline DelayAwait delay(common::Cycle n) { return DelayAwait{n}; }
 inline DelayAwait mem_delay(common::Cycle n) {
   return DelayAwait{n, TileTask::Wait::kMemDelay};
+}
+inline EjectAwait until_eject(DynamicNetwork& dyn, int tile) {
+  return EjectAwait{dyn, tile};
+}
+inline WordsAwait until_words(Channel& ch, std::uint64_t n) {
+  return WordsAwait{ch, n};
 }
 
 }  // namespace task

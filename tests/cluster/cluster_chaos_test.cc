@@ -204,6 +204,31 @@ TEST(ClusterChaosTest, BadLinkOrChipTargetsThrowInsteadOfAborting) {
   }
 }
 
+TEST(ClusterChaosTest, MinimizeNamesABadTargetByItsBundleIndex) {
+  // ddmin's first subsets are events 0-2 and 3-4; the bad link in event 4
+  // (the second subset's event 1) must be named as event 4, as a replay of
+  // the whole bundle names it.
+  Repro loaded;
+  std::string error;
+  ASSERT_TRUE(load_repro(RAW_TEST_DATA_DIR "/cluster_corrupt_cut_seed3.json",
+                         &loaded, &error))
+      << error;
+  ClusterChaosRepro bundle = std::get<ClusterChaosRepro>(loaded);
+  bundle.events[4].link = 6;
+  const auto message_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  const std::string replayed = message_of(
+      [&] { (void)run_cluster_chaos_events(bundle.spec, bundle.events); });
+  EXPECT_EQ(replayed.rfind("fault event 4 ", 0), 0u) << replayed;
+  EXPECT_EQ(message_of([&] { (void)minimize_repro(bundle); }), replayed);
+}
+
 TEST(ClusterChaosTest, FromJsonRejectsGarbage) {
   ClusterChaosRepro out;
   std::string error;

@@ -8,19 +8,26 @@
 // counters (compared through the full exported metrics JSON), StreamMesh
 // digests, and the packet tracer's event stream. A second group exercises
 // the park/wake machinery directly: idle parking, in-run wakes through
-// channel commits, and run-boundary revalidation of external mutations.
+// channel commits, event waits (until_eject/until_words) parked on their
+// wake slots, run-boundary revalidation of external mutations, and the
+// engine invariants' view of stale wake slots.
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/profiler.h"
 #include "common/trace_event.h"
 #include "exec/stream_mesh.h"
 #include "net/route_table.h"
 #include "net/traffic.h"
+#include "router/chaos.h"
 #include "router/raw_router.h"
+#include "router/repro.h"
 #include "sim/chip.h"
 #include "sim/fault_plan.h"
 #include "sim/tile_task.h"
@@ -43,10 +50,25 @@ struct RouterRun {
   std::uint64_t errors = 0;
   std::uint64_t static_words = 0;
   std::uint64_t cycle = 0;
+  std::uint64_t digest = 0;
   std::string metrics_json;
 
   bool operator==(const RouterRun&) const = default;
 };
+
+RouterRun capture(router::RawRouter& router) {
+  RouterRun r;
+  r.offered = router.offered_packets();
+  r.delivered = router.delivered_packets();
+  r.errors = router.errors();
+  r.static_words = router.chip().static_words_transferred();
+  r.cycle = router.chip().cycle();
+  r.digest = router.state_digest();
+  common::MetricRegistry reg;
+  router.chip().export_metrics(reg, "chip");
+  r.metrics_json = reg.to_json();
+  return r;
+}
 
 RouterRun run_router(bool force_dense, common::Cycle cycles,
                      int threads = 1) {
@@ -56,16 +78,17 @@ RouterRun run_router(bool force_dense, common::Cycle cycles,
   router.chip().set_force_dense(force_dense);
   router.chip().enable_channel_stats(true);
   (void)router.run(cycles);
-  RouterRun r;
-  r.offered = router.offered_packets();
-  r.delivered = router.delivered_packets();
-  r.errors = router.errors();
-  r.static_words = router.chip().static_words_transferred();
-  r.cycle = router.chip().cycle();
-  common::MetricRegistry reg;
-  router.chip().export_metrics(reg, "chip");
-  r.metrics_json = reg.to_json();
-  return r;
+  return capture(router);
+}
+
+net::TrafficConfig fixed_traffic(common::ByteCount bytes,
+                                 net::DestPattern pattern, double load) {
+  net::TrafficConfig t;
+  t.num_ports = 4;
+  t.pattern = pattern;
+  t.fixed_bytes = bytes;
+  t.load = load;
+  return t;
 }
 
 // The workhorse: full router over Figure 7-1 style traffic, dense as the
@@ -275,21 +298,267 @@ TEST(ExecSparseDifferential, FaultsInIdleRegionsMatchDense) {
     router.chip().set_force_dense(force_dense);
     router.chip().enable_channel_stats(true);
     (void)router.run(2500);
-    RouterRun r;
-    r.offered = router.offered_packets();
-    r.delivered = router.delivered_packets();
-    r.errors = router.errors();
-    r.static_words = router.chip().static_words_transferred();
-    r.cycle = router.chip().cycle();
-    common::MetricRegistry reg;
-    router.chip().export_metrics(reg, "chip");
-    r.metrics_json = reg.to_json();
-    return r;
+    return capture(router);
   };
 
   const RouterRun dense = run_one(true);
   EXPECT_GT(dense.delivered, 0u);
   EXPECT_EQ(run_one(false), dense);
+}
+
+// Event waits: ingress tiles park in until_words for line words and in
+// until_eject for lookup replies, lookup tiles in until_eject for requests.
+// Each workload leans on a different wait — 64 B uniform on per-packet
+// lookups, 1,024 B permutation on the line-word waits, load 0.2 on idle
+// lookup tiles — and each must match the dense engine in every per-tile
+// busy/blocked counter.
+TEST(ExecSparseDifferential, EventWaitsMatchDenseAcrossWorkloads) {
+  struct Case {
+    const char* name;
+    common::ByteCount bytes;
+    net::DestPattern pattern;
+    double load;
+  };
+  for (const Case& c : {Case{"64B uniform", 64, net::DestPattern::kUniform, 1.0},
+                        Case{"1024B permutation", 1024,
+                             net::DestPattern::kPermutation, 1.0},
+                        Case{"64B uniform load 0.2", 64,
+                             net::DestPattern::kUniform, 0.2}}) {
+    SCOPED_TRACE(c.name);
+    const auto run_one = [&c](bool force_dense) {
+      router::RawRouter router(router::RouterConfig{},
+                               net::RouteTable::simple4(),
+                               fixed_traffic(c.bytes, c.pattern, c.load), 5);
+      router.chip().set_force_dense(force_dense);
+      router.chip().enable_channel_stats(true);
+      (void)router.run(6000);
+      EXPECT_EQ(router.chip().check_engine_invariants(), "");
+      return capture(router);
+    };
+    const RouterRun dense = run_one(true);
+    EXPECT_GT(dense.delivered, 0u);
+    EXPECT_EQ(run_one(false), dense);
+  }
+}
+
+// Chaos with reliable links and recovery through a permanent freeze: the
+// recovery reprograms every tile while lookup and ingress programs sit
+// parked in event waits, so their wake slots must be cleared and the new
+// programs' waits registered afresh — exactly as dense stepping sees it.
+TEST(ExecSparseDifferential, EventWaitsSurviveRecoveryThroughPermafreeze) {
+  router::ChaosSpec spec;
+  spec.seed = 1;
+  spec.mix = router::ChaosMix{.bitflips = true, .permanent_freeze = true};
+  spec.run_cycles = 12000;
+  spec.reliable_links = true;
+  spec.recovery = true;
+  const std::vector<sim::FaultEvent> events = router::make_fault_events(spec);
+  const auto run_one = [&](bool force_dense) {
+    router::RawRouter router(router::router_config_for(spec),
+                             net::RouteTable::simple4(),
+                             router::traffic_for(spec), spec.seed);
+    sim::FaultPlan plan(events);
+    router.set_fault_plan(&plan);
+    router.chip().set_force_dense(force_dense);
+    (void)router.run(spec.run_cycles);
+    (void)router.drain(20000);
+    EXPECT_EQ(router.chip().check_engine_invariants(), "");
+    EXPECT_TRUE(router.degraded());
+    return capture(router);
+  };
+  const RouterRun dense = run_one(true);
+  EXPECT_GT(dense.delivered, 0u);
+  EXPECT_EQ(run_one(false), dense);
+}
+
+// Run-boundary revalidation with processors parked in event waits: a
+// boundary wakes every parked agent and the next run re-parks it, which
+// must change nothing — run(x); run(y) equals run(x + y).
+TEST(ExecSparsePark, ChunkedRunsMatchOneRunWithLookupsParked) {
+  const auto make = [] {
+    return std::make_unique<router::RawRouter>(
+        router::RouterConfig{}, net::RouteTable::simple4(),
+        fixed_traffic(64, net::DestPattern::kUniform, 0.2), 9);
+  };
+  auto whole = make();
+  (void)whole->run(5000);
+
+  auto chunked = make();
+  (void)chunked->run(2000);
+  // At load 0.2 the lookup tiles spend most cycles parked on their eject
+  // port; at least one of them must be parked across this boundary.
+  sim::DynamicNetwork& dyn = *chunked->chip().dynamic_network();
+  int parked_lookups = 0;
+  for (int p = 0; p < router::kNumPorts; ++p) {
+    const int t = chunked->layout().port(p).lookup;
+    if (dyn.eject_slot(t) == 2 * t + 1) ++parked_lookups;
+  }
+  EXPECT_GT(parked_lookups, 0);
+  EXPECT_EQ(chunked->chip().check_engine_invariants(), "");
+  (void)chunked->run(3000);
+
+  EXPECT_EQ(capture(*chunked), capture(*whole));
+}
+
+// The two event awaits against the polling loops they replace, on a bare
+// chip: the waiter must continue on the same cycle with the same busy and
+// blocked counts under both engines, and the sparse engine must hold it
+// parked (not stepped) for the whole wait with clean engine invariants.
+enum class Wait { kPoll, kAwait };
+
+struct WaitOutcome {
+  common::Cycle woke = 0;
+  std::uint64_t busy = 0;
+  std::uint64_t blocked = 0;
+  bool operator==(const WaitOutcome&) const = default;
+};
+
+sim::TileTask words_waiter(sim::Channel& ch, Wait how, common::Cycle* woke,
+                           const sim::Chip& chip) {
+  co_await sim::task::delay(3);
+  if (how == Wait::kPoll) {
+    while (ch.words_transferred() < 2) co_await sim::task::delay(1);
+  } else {
+    co_await sim::task::until_words(ch, 2);
+  }
+  *woke = chip.cycle();
+  co_await sim::task::delay(2);
+}
+
+sim::TileTask eject_waiter(sim::DynamicNetwork& dyn, int tile, Wait how,
+                           common::Cycle* woke, const sim::Chip& chip) {
+  co_await sim::task::delay(3);
+  if (how == Wait::kPoll) {
+    while (!dyn.has_eject(tile)) co_await sim::task::delay(1);
+  } else {
+    co_await sim::task::until_eject(dyn, tile);
+  }
+  *woke = chip.cycle();
+  (void)dyn.pop_eject(tile);
+  co_await sim::task::delay(2);
+}
+
+sim::TileTask two_writes(sim::Channel& ch, common::Cycle gap) {
+  co_await sim::task::delay(gap);
+  co_await sim::task::write(ch, 1);
+  co_await sim::task::delay(gap);
+  co_await sim::task::write(ch, 2);
+}
+
+sim::TileTask delayed_inject(sim::DynamicNetwork& dyn, int from, int to,
+                             common::Cycle lead) {
+  co_await sim::task::delay(lead);
+  const std::array<common::Word, 1> payload{42};
+  dyn.inject(from, to, payload);
+}
+
+TEST(ExecSparsePark, EventAwaitsMatchPollingLoopsAndStayParked) {
+  constexpr int kWaiter = 3;  // tile of the waiting processor (agent 7)
+  for (const bool eject : {false, true}) {
+    SCOPED_TRACE(eject ? "until_eject" : "until_words");
+    const auto run_one = [eject](Wait how, bool force_dense) {
+      sim::ChipConfig cfg;
+      cfg.shape = sim::GridShape{2, 2};
+      cfg.with_dynamic_network = eject;
+      sim::Chip chip(cfg);
+      chip.set_force_dense(force_dense);
+      common::Profiler prof;
+      chip.set_profiler(&prof);
+      common::Cycle woke = 0;
+      // The producer writes into the waiter's csti (its switch is
+      // unprogrammed, and the waiter never reads it), or injects a
+      // one-word message to the waiter's tile.
+      sim::Channel& pipe = chip.tile(kWaiter).csti(0);
+      if (eject) {
+        chip.tile(0).set_program(
+            delayed_inject(*chip.dynamic_network(), 0, kWaiter, 40));
+        chip.tile(kWaiter).set_program(eject_waiter(
+            *chip.dynamic_network(), kWaiter, how, &woke, chip));
+      } else {
+        chip.tile(0).set_program(two_writes(pipe, 20));
+        chip.tile(kWaiter).set_program(words_waiter(pipe, how, &woke, chip));
+      }
+      // Sample the engine between cycles: while the waiter waits, every
+      // agent but the producer's processor is parked, the waiter included.
+      common::Cycle parked_checks = 0;
+      (void)chip.run_until(
+          [&] {
+            const common::Cycle now = chip.cycle();
+            if (how == Wait::kAwait && !force_dense && now >= 6 && now < 30) {
+              EXPECT_EQ(prof.parks() - prof.wakes(), 2u * 4u - 1u)
+                  << "cycle " << now;
+              EXPECT_EQ(chip.check_engine_invariants(), "") << "cycle " << now;
+              ++parked_checks;
+            }
+            return false;
+          },
+          80);
+      EXPECT_EQ(chip.check_engine_invariants(), "");
+      if (how == Wait::kAwait && !force_dense) {
+        EXPECT_EQ(parked_checks, 24u);
+      }
+      return WaitOutcome{woke, chip.tile(kWaiter).proc_cycles_busy(),
+                         chip.tile(kWaiter).proc_cycles_blocked()};
+    };
+    const WaitOutcome reference = run_one(Wait::kPoll, true);
+    EXPECT_GT(reference.woke, 30u);
+    EXPECT_LT(reference.woke, 70u);
+    EXPECT_EQ(run_one(Wait::kPoll, false), reference);
+    EXPECT_EQ(run_one(Wait::kAwait, true), reference);
+    EXPECT_EQ(run_one(Wait::kAwait, false), reference);
+  }
+}
+
+// The reverse direction of check_engine_invariants over the new slots: a
+// count or eject slot naming an agent that is not parked there — a stale
+// registration whose wake would corrupt that agent's accounting — is
+// reported with the slot's owner.
+TEST(ExecSparsePark, InvariantsReportStaleEventSlots) {
+  sim::ChipConfig cfg;
+  cfg.shape = sim::GridShape{2, 2};
+  sim::Chip chip(cfg);
+  EXPECT_EQ(chip.check_engine_invariants(), "");
+
+  // Nothing is parked on a fresh chip.
+  chip.tile(1).csti(0).count_slot(7) = 3;
+  EXPECT_NE(chip.check_engine_invariants().find(
+                "channel tile1.csti wake slot holds agent 3 which is not parked"),
+            std::string::npos)
+      << chip.check_engine_invariants();
+  chip.tile(1).csti(0).count_slot() = -1;
+  EXPECT_EQ(chip.check_engine_invariants(), "");
+
+  // After a run every agent of the unprogrammed chip is parked idle, with
+  // no slot: an eject slot naming one disagrees with its park record.
+  chip.run(10);
+  EXPECT_EQ(chip.check_engine_invariants(), "");
+  chip.dynamic_network()->eject_slot(2) = 5;
+  EXPECT_NE(chip.check_engine_invariants().find(
+                "tile 2 eject port wake slot holds agent 5 whose park record "
+                "disagrees"),
+            std::string::npos)
+      << chip.check_engine_invariants();
+  chip.dynamic_network()->eject_slot(2) = 99;
+  EXPECT_NE(chip.check_engine_invariants().find("(bogus agent)"),
+            std::string::npos)
+      << chip.check_engine_invariants();
+  chip.dynamic_network()->eject_slot(2) = -1;
+  EXPECT_EQ(chip.check_engine_invariants(), "");
+
+  // Forward direction: a processor parked in until_words whose count slot
+  // was emptied behind its back would never be woken.
+  common::Cycle woke = 0;
+  sim::Channel& pipe = chip.tile(3).csti(0);
+  chip.tile(3).set_program(words_waiter(pipe, Wait::kAwait, &woke, chip));
+  chip.run(10);
+  ASSERT_EQ(pipe.count_slot(), 7);
+  EXPECT_EQ(chip.check_engine_invariants(), "");
+  pipe.count_slot() = -1;
+  EXPECT_EQ(chip.check_engine_invariants(),
+            "agent 7 parked on a wake slot that holds -1 (a wake event would "
+            "never arrive)");
+  pipe.count_slot() = 7;
+  EXPECT_EQ(chip.check_engine_invariants(), "");
 }
 
 }  // namespace

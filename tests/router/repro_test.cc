@@ -306,6 +306,35 @@ TEST(ReproReplayTest, BadChipTargetsThrowInsteadOfAborting) {
   }
 }
 
+TEST(ReproMinimizeTest, BadTargetIsNamedByItsBundleIndex) {
+  // ddmin's first subset is events 0-3 and its second 4-6, where event 6 is
+  // the subset's event 2; the error must still name event 6, as a replay
+  // of the whole bundle does.
+  cluster::Repro loaded;
+  std::string error;
+  ASSERT_TRUE(cluster::load_repro(
+      RAW_TEST_DATA_DIR "/chip_flip_permafreeze_seed7.json", &loaded, &error))
+      << error;
+  ChaosRepro bundle = std::get<ChaosRepro>(loaded);
+  bundle.events[6].tile = 16;
+  const auto message_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  const std::string replayed = message_of(
+      [&] { (void)run_chaos_events(bundle.spec, bundle.events); });
+  const std::string minimized = message_of([&] {
+    (void)minimize_events(bundle.spec, bundle.events, bundle.signature);
+  });
+  EXPECT_EQ(replayed.rfind("fault event 6 ", 0), 0u) << replayed;
+  EXPECT_EQ(minimized, replayed);
+  EXPECT_EQ(message_of([&] { (void)minimize_repro(bundle); }), replayed);
+}
+
 TEST(ReproMinimizeTest, FlipPermafreezeShrinksToTheFreeze) {
   // flip+permafreeze schedules six bit flips plus one permanent freeze; the
   // freeze alone reproduces the stall signature, so ddmin must land at one
