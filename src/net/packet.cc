@@ -6,20 +6,32 @@
 
 namespace raw::net {
 
-Packet make_packet(std::uint64_t uid, Addr src, Addr dst,
-                   common::ByteCount total_bytes) {
+Ipv4Header make_header(Addr src, Addr dst, common::ByteCount total_bytes,
+                       std::uint16_t identification) {
   RAW_ASSERT_MSG(total_bytes >= Ipv4Header::kBytes, "packet smaller than IP header");
   RAW_ASSERT_MSG(total_bytes <= 0xffff, "packet exceeds IPv4 total_length");
+  Ipv4Header h;
+  h.src = src;
+  h.dst = dst;
+  h.total_length = static_cast<std::uint16_t>(total_bytes);
+  h.identification = identification;
+  finalize_checksum(h);
+  return h;
+}
+
+Packet make_packet(std::uint64_t uid, Addr src, Addr dst,
+                   common::ByteCount total_bytes) {
+  return make_packet(uid, make_header(src, dst, total_bytes,
+                                      static_cast<std::uint16_t>(uid & 0xffff)));
+}
+
+Packet make_packet(std::uint64_t uid, const Ipv4Header& header) {
   Packet p;
   p.uid = uid;
-  p.header.src = src;
-  p.header.dst = dst;
-  p.header.total_length = static_cast<std::uint16_t>(total_bytes);
-  p.header.identification = static_cast<std::uint16_t>(uid & 0xffff);
-  finalize_checksum(p.header);
-  p.payload.resize(total_bytes - Ipv4Header::kBytes);
+  p.header = header;
+  p.payload.resize(header.total_length - Ipv4Header::kBytes);
   for (std::size_t i = 0; i < p.payload.size(); ++i) {
-    p.payload[i] = static_cast<std::uint8_t>((uid * 131 + i * 7) & 0xff);
+    p.payload[i] = payload_byte(uid, i);
   }
   return p;
 }

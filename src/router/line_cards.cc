@@ -7,8 +7,8 @@
 
 namespace raw::router {
 
-net::Packet make_test_packet(std::uint64_t uid, int src_port, int dst_port,
-                             common::ByteCount bytes) {
+net::Ipv4Header make_test_header(std::uint64_t uid, int src_port, int dst_port,
+                                 common::ByteCount bytes) {
   const net::Addr src = net::make_addr(
       10, static_cast<std::uint8_t>(128 + src_port),
       static_cast<std::uint8_t>(uid >> 8 & 0xff), static_cast<std::uint8_t>(uid & 0xff));
@@ -16,9 +16,14 @@ net::Packet make_test_packet(std::uint64_t uid, int src_port, int dst_port,
       net::make_addr(10, static_cast<std::uint8_t>(dst_port),
                      static_cast<std::uint8_t>(uid >> 3 & 0xff),
                      static_cast<std::uint8_t>(uid * 7 & 0xff));
-  net::Packet p = net::make_packet(uid, src, dst, bytes);
-  p.header.identification = static_cast<std::uint16_t>(uid >> 16 & 0xffff);
-  net::finalize_checksum(p.header);
+  return net::make_header(src, dst, bytes,
+                          static_cast<std::uint16_t>(uid >> 16 & 0xffff));
+}
+
+net::Packet make_test_packet(std::uint64_t uid, int src_port, int dst_port,
+                             common::ByteCount bytes) {
+  net::Packet p =
+      net::make_packet(uid, make_test_header(uid, src_port, dst_port, bytes));
   p.input_port = src_port;
   p.output_port = dst_port;
   return p;
@@ -61,15 +66,17 @@ void InputLineCard::generate(sim::Chip& chip) {
     next_arrival_ = chip.cycle() + (desc.gap_cycles + words) / factor;
     ++offered_packets_;
     offered_bytes_ += bytes;
-    if (queue_.size() + words > queue_capacity_words_) {
+    if (queued_words_ + words > queue_capacity_words_) {
       ++dropped_packets_;  // external drop (§4.4)
       continue;
     }
-    const net::Packet p = make_test_packet(uid, port_, desc.dst_port, bytes);
     ledger_->insert(
         uid, PacketLedger::Entry{chip.cycle(), port_, desc.dst_port, bytes});
-    for (const common::Word w : net::packet_to_words(p)) queue_.push_back(w);
-    queued_packets_.emplace_back(uid, static_cast<std::uint32_t>(words));
+    queue_.push_back(Queued{
+        uid, static_cast<std::uint32_t>(words),
+        static_cast<std::uint32_t>(bytes - net::Ipv4Header::kBytes),
+        net::serialize(make_test_header(uid, port_, desc.dst_port, bytes))});
+    queued_words_ += words;
     if (ledger_->tracer != nullptr && ledger_->tracer->enabled()) {
       ledger_->tracer->record(uid, chip.cycle(), common::PacketEvent::kArrival,
                               input_card_track(port_),
@@ -80,32 +87,37 @@ void InputLineCard::generate(sim::Chip& chip) {
 
 void InputLineCard::step(sim::Chip& chip) {
   generate(chip);
-  if (!queue_.empty() && to_chip_->can_write()) {
-    if (front_words_sent_ == 0 && ledger_->tracer != nullptr &&
-        ledger_->tracer->enabled() && !queued_packets_.empty()) {
-      ledger_->tracer->record(queued_packets_.front().first, chip.cycle(),
-                              common::PacketEvent::kHeadOfQueue,
-                              input_card_track(port_));
-    }
-    to_chip_->write(queue_.front());
+  if (queue_.empty() || !to_chip_->can_write()) return;
+  const Queued& front = queue_.front();
+  if (front_words_sent_ == 0 && ledger_->tracer != nullptr &&
+      ledger_->tracer->enabled()) {
+    ledger_->tracer->record(front.uid, chip.cycle(),
+                            common::PacketEvent::kHeadOfQueue,
+                            input_card_track(port_));
+  }
+  // The words of make_test_packet(...) through packet_to_words, computed as
+  // they leave the card.
+  to_chip_->write(front_words_sent_ < net::Ipv4Header::kWords
+                      ? front.header[front_words_sent_]
+                      : net::payload_word(
+                            front.uid,
+                            front_words_sent_ - net::Ipv4Header::kWords,
+                            front.payload_bytes));
+  --queued_words_;
+  if (++front_words_sent_ == front.words) {
     queue_.pop_front();
-    if (!queued_packets_.empty() &&
-        ++front_words_sent_ >= queued_packets_.front().second) {
-      queued_packets_.pop_front();
-      front_words_sent_ = 0;
-    }
+    front_words_sent_ = 0;
   }
 }
 
 std::uint64_t InputLineCard::drop_partial_front() {
-  if (front_words_sent_ == 0 || queued_packets_.empty()) return 0;
-  const auto [uid, total_words] = queued_packets_.front();
-  RAW_ASSERT_MSG(total_words > front_words_sent_,
+  if (front_words_sent_ == 0) return 0;
+  const Queued& front = queue_.front();
+  RAW_ASSERT_MSG(front.words > front_words_sent_,
                  "fully-sent packet still tracked as queue front");
-  const std::uint32_t remaining = total_words - front_words_sent_;
-  RAW_ASSERT_MSG(queue_.size() >= remaining, "queue shorter than front packet");
-  queue_.erase(queue_.begin(), queue_.begin() + remaining);
-  queued_packets_.pop_front();
+  queued_words_ -= front.words - front_words_sent_;
+  const std::uint64_t uid = front.uid;
+  queue_.pop_front();
   front_words_sent_ = 0;
   (void)ledger_->write_off(uid);
   return 1;
@@ -113,63 +125,20 @@ std::uint64_t InputLineCard::drop_partial_front() {
 
 std::uint64_t InputLineCard::flush_and_stop() {
   std::uint64_t written_off = 0;
-  for (const auto& [uid, words] : queued_packets_) {
+  for (const Queued& q : queue_) {
     // A partially-streamed front's words died in the fabric; the rest never
     // left the card. Either way the packet is lost.
-    if (ledger_->write_off(uid)) ++written_off;
+    if (ledger_->write_off(q.uid)) ++written_off;
   }
   queue_.clear();
-  queued_packets_.clear();
+  queued_words_ = 0;
   front_words_sent_ = 0;
   stopped_ = true;
   return written_off;
 }
 
 void InputLineCard::collect_queued_uids(std::vector<std::uint64_t>& out) const {
-  for (const auto& [uid, words] : queued_packets_) out.push_back(uid);
-}
-
-bool FrameAssembler::push(common::Word w) {
-  current_.push_back(w);
-  if (expected_words_ == 0) {
-    // Not locked onto a frame: once a full header's worth of words has
-    // accumulated, judge the candidate at the front of the buffer. A
-    // corrupted stream (bit flip in the length or checksum words) fails the
-    // check; the assembler then slides forward one word at a time until a
-    // plausible header lines up again, so one torn frame costs one resync
-    // episode instead of desynchronising every subsequent packet.
-    while (current_.size() >= net::Ipv4Header::kWords) {
-      const auto hdr = net::parse(
-          std::span<const common::Word, net::Ipv4Header::kWords>(
-              current_.data(), net::Ipv4Header::kWords));
-      if (hdr.version == 4 && hdr.ihl == 5 &&
-          hdr.total_length >= net::Ipv4Header::kBytes && net::checksum_ok(hdr)) {
-        expected_words_ = common::words_for_bytes(hdr.total_length);
-        in_resync_ = false;
-        break;
-      }
-      if (!in_resync_) {
-        in_resync_ = true;
-        ++resyncs_;
-      }
-      ++resync_words_;
-      current_.erase(current_.begin());
-    }
-  }
-  return expected_words_ != 0 && current_.size() >= expected_words_;
-}
-
-std::vector<common::Word> FrameAssembler::take() {
-  std::vector<common::Word> out = std::move(current_);
-  current_.clear();
-  expected_words_ = 0;
-  return out;
-}
-
-void FrameAssembler::reset() {
-  current_.clear();
-  expected_words_ = 0;
-  in_resync_ = false;
+  for (const Queued& q : queue_) out.push_back(q.uid);
 }
 
 OutputLineCard::OutputLineCard(sim::Channel* from_chip, int port,
@@ -185,15 +154,64 @@ OutputLineCard::OutputLineCard(sim::Channel* from_chip, int port,
 
 void OutputLineCard::step(sim::Chip& chip) {
   if (!from_chip_->can_read()) return;
-  if (assembler_.push(from_chip_->read())) finish_packet(chip);
+  const common::Word w = from_chip_->read();
+  if (!locked_) {
+    seek_header(w);
+  } else {
+    // Check the payload word against the expected one as it arrives; the
+    // zero pad of a partly filled last word is not payload and is ignored.
+    const std::size_t j = payload_words_seen_++;
+    const std::size_t payload_bytes =
+        header_.total_length - net::Ipv4Header::kBytes;
+    if ((w & net::payload_word_mask(j, payload_bytes)) !=
+        net::payload_word(frame_uid_, j, payload_bytes)) {
+      payload_ok_ = false;
+    }
+  }
+  if (locked_ &&
+      net::Ipv4Header::kWords + payload_words_seen_ == frame_words_) {
+    finish_packet(chip);
+  }
+}
+
+void OutputLineCard::seek_header(common::Word w) {
+  window_[window_words_++] = w;
+  if (window_words_ < net::Ipv4Header::kWords) return;
+  const net::Ipv4Header hdr = net::parse(window_);
+  if (hdr.version == 4 && hdr.ihl == 5 &&
+      hdr.total_length >= net::Ipv4Header::kBytes && net::checksum_ok(hdr)) {
+    locked_ = true;
+    in_resync_ = false;
+    header_ = hdr;
+    frame_uid_ = uid_of(hdr);
+    frame_words_ = common::words_for_bytes(hdr.total_length);
+    payload_words_seen_ = 0;
+    payload_ok_ = true;
+    window_words_ = 0;
+    return;
+  }
+  // Not a plausible header (a bit flip in the length or checksum words, or
+  // the tail of a torn frame): drop the oldest word and try the next one.
+  if (!in_resync_) {
+    in_resync_ = true;
+    ++resyncs_;
+  }
+  ++resync_words_;
+  std::copy(window_.begin() + 1, window_.end(), window_.begin());
+  --window_words_;
+}
+
+void OutputLineCard::reset_framing() {
+  window_words_ = 0;
+  locked_ = false;
+  in_resync_ = false;
 }
 
 void OutputLineCard::finish_packet(sim::Chip& chip) {
-  net::Packet p = net::packet_from_words(assembler_.take());
-
-  bool ok = net::checksum_ok(p.header);
-  const std::uint64_t uid = uid_of(p.header);
-  const int src = src_port_of(p.header);
+  locked_ = false;
+  // The header passed its checksum when the card locked onto it.
+  const std::uint64_t uid = frame_uid_;
+  const int src = src_port_of(header_);
   std::optional<PacketLedger::Entry> taken;
   if (src < 0 || static_cast<std::size_t>(src) >= per_source_.size() ||
       !(taken = ledger_->take(uid))) {
@@ -211,10 +229,11 @@ void OutputLineCard::finish_packet(sim::Chip& chip) {
   // TTL decremented exactly once per chip on the path. The hop count
   // indexes by the ledger entry's source (always in range; a corrupted src
   // byte fails the header comparison below instead).
-  if (entry.dst_port != port_ || entry.bytes != p.size_bytes()) ok = false;
-  const net::Packet expected =
-      make_test_packet(uid, entry.src_port, entry.dst_port, entry.bytes);
-  const int decremented = expected.header.ttl - p.header.ttl;
+  bool ok = payload_ok_;
+  if (entry.dst_port != port_ || entry.bytes != header_.total_length) ok = false;
+  const net::Ipv4Header expected =
+      make_test_header(uid, entry.src_port, entry.dst_port, entry.bytes);
+  const int decremented = expected.ttl - header_.ttl;
   if (degraded_max_hops_ == 0) {
     const int hops = (*hops_)[static_cast<std::size_t>(entry.src_port)]
                              [static_cast<std::size_t>(port_)];
@@ -225,10 +244,7 @@ void OutputLineCard::finish_packet(sim::Chip& chip) {
     // any plausible decrement count.
     ok = false;
   }
-  if (p.payload != expected.payload) ok = false;
-  if (p.header.src != expected.header.src || p.header.dst != expected.header.dst) {
-    ok = false;
-  }
+  if (header_.src != expected.src || header_.dst != expected.dst) ok = false;
 
   if (!ok) {
     ++dropped_invalid_;
@@ -237,7 +253,7 @@ void OutputLineCard::finish_packet(sim::Chip& chip) {
   }
   ledger_->credit_delivered();
   ++delivered_packets_;
-  delivered_bytes_ += p.size_bytes();
+  delivered_bytes_ += header_.total_length;
   ++per_source_[static_cast<std::size_t>(src)];
   const double latency = static_cast<double>(chip.cycle() - entry.created);
   latency_.add(latency);
@@ -245,7 +261,7 @@ void OutputLineCard::finish_packet(sim::Chip& chip) {
   if (ledger_->tracer != nullptr && ledger_->tracer->enabled()) {
     ledger_->tracer->record(uid, chip.cycle(), common::PacketEvent::kExitChip,
                             output_card_track(port_),
-                            static_cast<std::uint32_t>(p.size_bytes()));
+                            static_cast<std::uint32_t>(header_.total_length));
   }
 }
 

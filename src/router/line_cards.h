@@ -4,11 +4,13 @@
 // buffers packets in its (external, §4.4) queue, streaming words into the
 // chip at line rate; overflow is dropped at the card, exactly as the thesis
 // assumes ("dropping ... occurring externally to the Raw chip"). The output
-// card reframes the word stream back into packets, validates them
-// end-to-end (checksum, TTL decrement, payload integrity, correct output
-// port) and records throughput and latency.
+// card frames the word stream into packets and validates each end-to-end
+// (checksum, TTL decrement, payload integrity, correct output port) as its
+// words arrive, and records throughput and latency. Both cards work on
+// words: neither builds a net::Packet.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -122,40 +124,15 @@ constexpr int output_card_track(int port) { return 200 + port; }
 /// Packs the simulator uid into the IPv4 source address + identification so
 /// the output card can find the ledger entry: src = 10.(128+port).x.x with
 /// the uid's low 16 bits, identification = uid bits [31:16].
+net::Ipv4Header make_test_header(std::uint64_t uid, int src_port, int dst_port,
+                                 common::ByteCount bytes);
+/// The whole test packet: make_test_header plus uid's payload. The line
+/// cards stream and check the same words without building one; this is the
+/// reference their tests compare against.
 net::Packet make_test_packet(std::uint64_t uid, int src_port, int dst_port,
                              common::ByteCount bytes);
 std::uint64_t uid_of(const net::Ipv4Header& hdr);
 int src_port_of(const net::Ipv4Header& hdr);
-
-/// Reframes a chip-edge word stream back into packets: accumulates words,
-/// locks onto a plausible IPv4 header, and — after a torn or corrupted frame
-/// — slides forward one word at a time until framing lines up again, so one
-/// bad frame costs one resync episode instead of desynchronising every
-/// subsequent packet.
-class FrameAssembler {
- public:
-  /// Feeds one word; returns true when a complete frame is buffered
-  /// (consume it with take()).
-  bool push(common::Word w);
-  /// The completed frame's words (valid only right after push() returned
-  /// true).
-  [[nodiscard]] std::vector<common::Word> take();
-  /// Drops any partially-reassembled frame and realigns on the next header
-  /// word (recovery surgery after a fabric reset).
-  void reset();
-
-  /// Resynchronisation episodes (framing lost mid-stream).
-  [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
-  /// Words discarded while realigning.
-  [[nodiscard]] std::uint64_t resync_words() const { return resync_words_; }
-
- private:
-  std::vector<common::Word> current_;
-  std::size_t expected_words_ = 0;  // 0 = not locked onto a frame yet
-  bool in_resync_ = false;
-  std::uint64_t resyncs_ = 0;
-  std::uint64_t resync_words_ = 0;
-};
 
 /// Abstract word endpoints at the chip boundary. A trunk card moves at most
 /// one word per cycle between a chip-edge channel and one of these; the
@@ -215,6 +192,14 @@ class InputLineCard : public sim::Device {
   void collect_queued_uids(std::vector<std::uint64_t>& out) const;
 
  private:
+  /// One accepted packet: everything needed to compute any of its words.
+  struct Queued {
+    std::uint64_t uid;
+    std::uint32_t words;
+    std::uint32_t payload_bytes;
+    std::array<common::Word, net::Ipv4Header::kWords> header;
+  };
+
   void generate(sim::Chip& chip);
 
   sim::Channel* to_chip_;
@@ -223,11 +208,8 @@ class InputLineCard : public sim::Device {
   PacketLedger* ledger_;
   std::uint64_t* next_uid_;
   std::size_t queue_capacity_words_;
-  std::deque<common::Word> queue_;
-  // Packet boundaries of `queue_`, for head-of-queue lifecycle events:
-  // (uid, total words), oldest first, with the words of the front packet
-  // already written to the chip.
-  std::deque<std::pair<std::uint64_t, std::uint32_t>> queued_packets_;
+  std::deque<Queued> queue_;  // oldest first
+  std::size_t queued_words_ = 0;  // words of `queue_` not yet written
   std::uint32_t front_words_sent_ = 0;
   common::Cycle next_arrival_ = 0;
   bool stopped_ = false;
@@ -272,23 +254,26 @@ class OutputLineCard : public sim::Device {
   [[nodiscard]] std::uint64_t unmatched_frames() const { return unmatched_frames_; }
   /// Resynchronisation episodes: the card lost framing mid-stream and slid
   /// forward to the next plausible header.
-  [[nodiscard]] std::uint64_t resyncs() const { return assembler_.resyncs(); }
+  [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
   /// Words discarded while realigning.
-  [[nodiscard]] std::uint64_t resync_words() const {
-    return assembler_.resync_words();
-  }
+  [[nodiscard]] std::uint64_t resync_words() const { return resync_words_; }
   [[nodiscard]] const common::RunningStat& latency() const { return latency_; }
   /// End-to-end latency distribution (cycles), for p50/p95/p99 reporting.
   [[nodiscard]] const common::Histogram& latency_histogram() const {
     return latency_hist_;
   }
 
-  /// Recovery surgery: drops any partially-reassembled frame and realigns
-  /// on the next header word — the words already buffered were severed from
+  /// Recovery surgery: drops any partially-received frame and realigns on
+  /// the next header word — the words already received were severed from
   /// their tail by the fabric reset.
-  void reset_framing() { assembler_.reset(); }
+  void reset_framing();
 
  private:
+  /// Unlocked: slides a header window over the stream until it holds a
+  /// plausible IPv4 header. After a torn or corrupted frame it moves one
+  /// word at a time, so one bad frame costs one resync episode instead of
+  /// desynchronising every later packet.
+  void seek_header(common::Word w);
   void finish_packet(sim::Chip& chip);
 
   sim::Channel* from_chip_;
@@ -296,7 +281,18 @@ class OutputLineCard : public sim::Device {
   PacketLedger* ledger_;
   const std::vector<std::vector<int>>* hops_;
   int degraded_max_hops_ = 0;  // 0 = healthy, exact hop validation
-  FrameAssembler assembler_;
+  // Framing: the header window while unlocked, then the locked frame.
+  std::array<common::Word, net::Ipv4Header::kWords> window_{};
+  std::size_t window_words_ = 0;
+  bool locked_ = false;
+  bool in_resync_ = false;
+  net::Ipv4Header header_;  // the locked frame's header
+  std::uint64_t frame_uid_ = 0;
+  std::size_t frame_words_ = 0;     // the locked frame's total word count
+  std::size_t payload_words_seen_ = 0;
+  bool payload_ok_ = true;  // every payload word so far matched frame_uid_'s
+  std::uint64_t resyncs_ = 0;
+  std::uint64_t resync_words_ = 0;
   std::uint64_t delivered_packets_ = 0;
   common::ByteCount delivered_bytes_ = 0;
   std::vector<std::uint64_t> per_source_;  // one slot per hops_ row

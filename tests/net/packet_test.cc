@@ -56,6 +56,30 @@ TEST(PacketTest, AllPaperSizesRoundTrip) {
   }
 }
 
+TEST(PacketTest, PayloadWordsMatchTheByteLoop) {
+  // payload_word is what the line cards stream and check; it must equal
+  // packet_to_words's packing of the payload bytes, zero pad included.
+  for (const std::uint64_t uid : {0ull, 1ull, 37ull, 255ull, 0x12345ull}) {
+    for (const common::ByteCount size : {20u, 21u, 22u, 23u, 24u, 67u, 1500u}) {
+      const Packet p = make_packet(uid, 1, 2, size);
+      const auto words = packet_to_words(p);
+      for (std::size_t j = 0; j + Ipv4Header::kWords < words.size(); ++j) {
+        EXPECT_EQ(payload_word(uid, j, p.payload.size()),
+                  words[Ipv4Header::kWords + j])
+            << "uid " << uid << " size " << size << " word " << j;
+      }
+    }
+  }
+}
+
+TEST(PacketTest, PayloadWordMaskCoversOnlyPayloadBytes) {
+  EXPECT_EQ(payload_word_mask(0, 4), 0xffffffffu);
+  EXPECT_EQ(payload_word_mask(1, 5), 0xff000000u);
+  EXPECT_EQ(payload_word_mask(1, 6), 0xffff0000u);
+  EXPECT_EQ(payload_word_mask(1, 7), 0xffffff00u);
+  EXPECT_EQ(payload_word_mask(1, 8), 0xffffffffu);
+}
+
 TEST(PacketDeathTest, TooSmallAborts) {
   EXPECT_DEATH((void)make_packet(1, 1, 2, 19), "smaller than IP header");
 }

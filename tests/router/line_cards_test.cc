@@ -4,7 +4,9 @@
 
 #include <array>
 #include <deque>
+#include <ostream>
 #include <set>
+#include <vector>
 
 #include "cluster/fabric.h"
 #include "sim/chip.h"
@@ -55,9 +57,10 @@ class LineCardTest : public ::testing::Test {
 class WordFeeder : public sim::Device {
  public:
   explicit WordFeeder(sim::Channel* to_chip) : to_chip_(to_chip) {}
-  void push(const net::Packet& p) {
-    for (const common::Word w : net::packet_to_words(p)) words_.push_back(w);
+  void push(const std::vector<common::Word>& words) {
+    words_.insert(words_.end(), words.begin(), words.end());
   }
+  void push(const net::Packet& p) { push(net::packet_to_words(p)); }
   void step(sim::Chip& /*chip*/) override {
     if (!words_.empty() && to_chip_->can_write()) {
       to_chip_->write(words_.front());
@@ -70,12 +73,26 @@ class WordFeeder : public sim::Device {
   std::deque<common::Word> words_;
 };
 
-/// A test packet from `src` to port 0 as it leaves a path of `decrements`
-/// chips, with its ledger entry in place.
+/// Collects every word a chip-edge channel carries, one per cycle.
+class WordSink : public sim::Device {
+ public:
+  explicit WordSink(sim::Channel* ch) : ch_(ch) {}
+  void step(sim::Chip& /*chip*/) override {
+    if (ch_->can_read()) words.push_back(ch_->read());
+  }
+  std::vector<common::Word> words;
+
+ private:
+  sim::Channel* ch_;
+};
+
+/// A test packet from `src` to port `dst` as it leaves a path of
+/// `decrements` chips, with its ledger entry in place.
 net::Packet arrived_packet(PacketLedger& ledger, std::uint64_t uid, int src,
-                           int decrements) {
-  net::Packet p = make_test_packet(uid, src, 0, 64);
-  ledger.insert(uid, PacketLedger::Entry{0, src, 0, 64});
+                           int decrements, int dst = 0,
+                           common::ByteCount bytes = 64) {
+  net::Packet p = make_test_packet(uid, src, dst, bytes);
+  ledger.insert(uid, PacketLedger::Entry{0, src, dst, bytes});
   p.header.ttl = static_cast<std::uint8_t>(p.header.ttl - decrements);
   net::finalize_checksum(p.header);
   return p;
@@ -275,6 +292,10 @@ TEST_F(LineCardTest, FlushAndStopWritesOffQueuedPackets) {
     EXPECT_EQ(ledger_.in_flight.count(uid), 0u);
   }
   EXPECT_TRUE(card.idle());
+  EXPECT_EQ(card.drop_partial_front(), 0u);  // nothing partly sent is left
+  std::vector<std::uint64_t> after;
+  card.collect_queued_uids(after);
+  EXPECT_TRUE(after.empty());
   EXPECT_EQ(ledger_.erased_lost, written_off);
   // Only the packets that fully left the card stay in flight.
   EXPECT_EQ(ledger_.in_flight.size() + written_off, queued_and_sent);
@@ -284,6 +305,198 @@ TEST_F(LineCardTest, FlushAndStopWritesOffQueuedPackets) {
   EXPECT_EQ(card.offered_packets(), card.dropped_packets() +
                                         ledger_.erased_total() +
                                         ledger_.in_flight.size());
+}
+
+TEST_F(LineCardTest, InputCardStreamsTheReferenceWords) {
+  // The card computes each word as it leaves; the words must be exactly
+  // the reference packet's, pad included, at every tail length.
+  for (const std::uint64_t uid :
+       {std::uint64_t{1}, (std::uint64_t{1} << 16) + 3,
+        cluster::make_host_uid(31, 7)}) {
+    for (const common::ByteCount bytes :
+         {20u, 21u, 22u, 23u, 24u, 63u, 64u, 1023u, 1024u, 1500u}) {
+      sim::Chip chip{sim::ChipConfig{}};
+      PacketLedger ledger;
+      net::TrafficConfig t;
+      t.num_ports = 4;
+      t.fixed_bytes = bytes;
+      net::TrafficGen gen(t, 7);
+      std::uint64_t next_uid = uid;
+      const sim::IoPort port = chip.io_port(0, 4, sim::Dir::kWest);
+      InputLineCard card(port.to_chip, 2, &gen, &ledger, &next_uid, 1 << 16);
+      WordSink sink(port.to_chip);
+      chip.add_device(&card);
+      chip.add_device(&sink);
+      chip.run(1);
+      card.stop();  // exactly one packet
+      chip.run(common::words_for_bytes(bytes) + 8);
+      ASSERT_EQ(ledger.in_flight.count(uid), 1u);
+      const int dst = ledger.in_flight.at(uid).dst_port;
+      EXPECT_EQ(sink.words,
+                net::packet_to_words(make_test_packet(uid, 2, dst, bytes)))
+          << "uid " << uid << " bytes " << bytes;
+      EXPECT_TRUE(card.idle());
+    }
+  }
+}
+
+/// Output-card counters after one run over `frames`.
+struct Verdict {
+  std::uint64_t delivered = 0;
+  std::uint64_t invalid = 0;
+  std::uint64_t unmatched = 0;
+  std::uint64_t resyncs = 0;
+  std::uint64_t resync_words = 0;
+  std::size_t in_flight = 0;
+  friend bool operator==(const Verdict&, const Verdict&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Verdict& v) {
+  return os << "{delivered " << v.delivered << ", invalid " << v.invalid
+            << ", unmatched " << v.unmatched << ", resyncs " << v.resyncs
+            << ", resync_words " << v.resync_words << ", in_flight "
+            << v.in_flight << "}";
+}
+
+/// Feeds `frames` through the loopback row into a port-0 output card with a
+/// one-hop matrix.
+Verdict output_verdict(PacketLedger& ledger,
+                       const std::vector<std::vector<common::Word>>& frames) {
+  sim::Chip chip{sim::ChipConfig{}};
+  wire_loopback_row(chip);
+  const std::vector<std::vector<int>> one_hop(4, std::vector<int>(4, 1));
+  WordFeeder feeder(chip.io_port(0, 4, sim::Dir::kWest).to_chip);
+  OutputLineCard out(chip.io_port(0, 7, sim::Dir::kEast).from_chip, 0,
+                     &ledger, &one_hop);
+  for (const auto& f : frames) feeder.push(f);
+  chip.add_device(&feeder);
+  chip.add_device(&out);
+  chip.run(1000);
+  return Verdict{out.delivered_packets(), out.dropped_invalid(),
+                 out.unmatched_frames(), out.resyncs(), out.resync_words(),
+                 ledger.in_flight.size()};
+}
+
+std::vector<common::Word> arrived_words(PacketLedger& ledger, std::uint64_t uid,
+                                        int src, int decrements, int dst = 0,
+                                        common::ByteCount bytes = 64) {
+  return net::packet_to_words(
+      arrived_packet(ledger, uid, src, decrements, dst, bytes));
+}
+
+TEST(OutputLineCardVerdictTest, CleanFrameIsDelivered) {
+  PacketLedger ledger;
+  EXPECT_EQ(output_verdict(ledger, {arrived_words(ledger, 1, 1, 1)}),
+            (Verdict{1, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(ledger.erased_delivered, 1u);
+}
+
+TEST(OutputLineCardVerdictTest, PayloadBitFlipIsInvalid) {
+  PacketLedger ledger;
+  auto words = arrived_words(ledger, 1, 1, 1);
+  words[9] ^= 0x10;
+  EXPECT_EQ(output_verdict(ledger, {words}), (Verdict{0, 1, 0, 0, 0, 0}));
+  EXPECT_EQ(ledger.erased_invalid, 1u);
+}
+
+TEST(OutputLineCardVerdictTest, FlipInLastWordPadIsDelivered) {
+  // 67 bytes: the last word holds three payload bytes and one pad byte.
+  PacketLedger ledger;
+  auto words = arrived_words(ledger, 1, 1, 1, 0, 67);
+  ASSERT_EQ(words.size(), 17u);
+  words.back() ^= 0x01;
+  EXPECT_EQ(output_verdict(ledger, {words}), (Verdict{1, 0, 0, 0, 0, 0}));
+  // A flip one byte higher lands in the payload.
+  PacketLedger ledger2;
+  auto words2 = arrived_words(ledger2, 1, 1, 1, 0, 67);
+  words2.back() ^= 0x0100;
+  EXPECT_EQ(output_verdict(ledger2, {words2}), (Verdict{0, 1, 0, 0, 0, 0}));
+}
+
+TEST(OutputLineCardVerdictTest, TtlOffByOneIsInvalid) {
+  PacketLedger ledger;
+  EXPECT_EQ(output_verdict(ledger, {arrived_words(ledger, 1, 1, 2)}),
+            (Verdict{0, 1, 0, 0, 0, 0}));
+}
+
+TEST(OutputLineCardVerdictTest, WrongOutputPortIsInvalid) {
+  PacketLedger ledger;
+  EXPECT_EQ(output_verdict(ledger, {arrived_words(ledger, 1, 1, 1, /*dst=*/2)}),
+            (Verdict{0, 1, 0, 0, 0, 0}));
+}
+
+TEST(OutputLineCardVerdictTest, RewrittenUidIsUnmatched) {
+  // A header whose uid bits changed but whose checksum was fixed up frames
+  // cleanly and matches no ledger entry.
+  PacketLedger ledger;
+  net::Packet p = arrived_packet(ledger, 1, 1, 1);
+  p.header.src ^= 0x40;
+  net::finalize_checksum(p.header);
+  EXPECT_EQ(output_verdict(ledger, {net::packet_to_words(p)}),
+            (Verdict{0, 0, 1, 0, 0, 1}));
+}
+
+TEST(OutputLineCardVerdictTest, CorruptedHeaderResyncsOntoTheNextFrame) {
+  // A length bit flip fails the checksum: the card slides over the torn
+  // frame word by word and locks onto the clean frame behind it.
+  PacketLedger ledger;
+  auto torn = arrived_words(ledger, 1, 1, 1);
+  torn[0] ^= 0x1;
+  EXPECT_EQ(output_verdict(ledger, {torn, arrived_words(ledger, 2, 1, 1)}),
+            (Verdict{1, 0, 0, 1, 16, 1}));
+  EXPECT_EQ(ledger.in_flight.count(1), 1u);
+}
+
+/// An input card at load 1.0 with 64 B packets (16 words, one arrival
+/// every 16 cycles) and nothing draining the chip: the channel FIFO takes
+/// the front packet's first few words and the rest wait in the card.
+struct StalledInput {
+  explicit StalledInput(std::size_t capacity_words)
+      : gen(config(), 6),
+        card(chip.io_port(0, 4, sim::Dir::kWest).to_chip, 0, &gen, &ledger,
+             &next_uid, capacity_words) {
+    chip.add_device(&card);
+  }
+  static net::TrafficConfig config() {
+    net::TrafficConfig t;
+    t.num_ports = 4;
+    t.fixed_bytes = 64;
+    t.load = 1.0;
+    return t;
+  }
+  /// Packets the card accepted into its queue.
+  [[nodiscard]] std::uint64_t accepted() const {
+    return card.offered_packets() - card.dropped_packets();
+  }
+
+  sim::Chip chip{sim::ChipConfig{}};
+  PacketLedger ledger;
+  std::uint64_t next_uid = 1;
+  net::TrafficGen gen;
+  InputLineCard card;
+};
+
+TEST(InputLineCardDropRuleTest, DropPartialFrontFreesExactlyTheUnsentWords) {
+  // 64 words hold four packets, the front one partly sent. Dropping the
+  // front leaves exactly 48 words queued: a fifth packet fits in 64 words
+  // but not in 63.
+  for (const std::size_t capacity : {64u, 63u}) {
+    StalledInput in(capacity);
+    in.chip.run(200);
+    ASSERT_EQ(in.accepted(), 4u) << capacity;
+    ASSERT_GT(in.card.dropped_packets(), 0u);
+    EXPECT_EQ(in.card.drop_partial_front(), 1u);
+    EXPECT_EQ(in.card.drop_partial_front(), 0u);  // the new front is unsent
+    EXPECT_EQ(in.ledger.erased_lost, 1u);
+    std::vector<std::uint64_t> queued;
+    in.card.collect_queued_uids(queued);
+    EXPECT_EQ(queued, (std::vector<std::uint64_t>{2, 3, 4}));
+    in.chip.run(200);
+    EXPECT_EQ(in.accepted(), capacity == 64 ? 5u : 4u) << capacity;
+    EXPECT_EQ(in.card.offered_packets(),
+              in.card.dropped_packets() + in.ledger.erased_total() +
+                  in.ledger.in_flight.size());
+  }
 }
 
 }  // namespace
