@@ -44,6 +44,7 @@ using raw::tools::count_list;
 using raw::tools::non_negative;
 using raw::tools::positive;
 using raw::tools::real_flag;
+using raw::tools::unknown_flag;
 
 struct Options {
   std::vector<int> chips{2, 4, 8, 16};
@@ -222,9 +223,7 @@ Options parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--faults") && i + 1 < argc) {
       opt.fault_trunks = count_list<int>("--faults", argv[++i], 0, usage);
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-      usage();
-      std::exit(2);
+      unknown_flag(argv[i], usage);
     }
   }
   return opt;

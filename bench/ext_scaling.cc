@@ -7,20 +7,17 @@
 // configuration-space growth the compile-time scheduler must minimize and
 // the wall time of that enumeration (rings above 8 are still infeasible).
 //
-// A second section runs the cycle-accurate mesh itself at growing grid
-// sizes (the StreamMesh streaming workload), so scaling of the *simulator*
-// — not just the rule — is measured too:
+//   ./ext_scaling
 //
-//   ./ext_scaling [--mesh-cycles N]
+// It takes no flags: any argument prints usage and exits 2.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
-#include "exec/stream_mesh.h"
 #include "router/config_space.h"
+
+#include "count_flag.h"
 
 namespace {
 
@@ -56,39 +53,12 @@ double run(int ring, bool uniform, int quanta, std::uint64_t seed) {
   return static_cast<double>(grants) / (static_cast<double>(ring) * quanta);
 }
 
-/// Cycle-accurate mesh scaling: simulated cycles/second of the StreamMesh
-/// workload at each grid size.
-void run_mesh_section(raw::common::Cycle cycles) {
-  std::printf("\nmesh-level scaling (StreamMesh, %llu cycles):\n\n",
-              static_cast<unsigned long long>(cycles));
-  std::printf("%8s | %12s | %14s | %12s\n", "grid", "words", "cycles/sec",
-              "wall ms");
-  for (const int dim : {4, 8, 12}) {
-    raw::exec::StreamMeshConfig cfg;
-    cfg.shape = raw::sim::GridShape{dim, dim};
-    cfg.proc_work = 4;
-    raw::exec::StreamMesh mesh(cfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    mesh.chip().run(cycles);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    char grid[16];
-    std::snprintf(grid, sizeof grid, "%dx%d", dim, dim);
-    std::printf("%8s | %12llu | %14.0f | %12.1f\n", grid,
-                static_cast<unsigned long long>(mesh.words_delivered()),
-                static_cast<double>(cycles) / secs, 1e3 * secs);
-  }
-}
+void usage() { std::fprintf(stderr, "usage: ext_scaling\n"); }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  raw::common::Cycle mesh_cycles = 20000;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--mesh-cycles") && i + 1 < argc) {
-      mesh_cycles = std::strtoull(argv[++i], nullptr, 10);
-    }
-  }
+  if (argc > 1) raw::tools::unknown_flag(argv[1], usage);
   constexpr int kQuanta = 20000;
   std::printf("Section 8.5: Rotating Crossbar scalability across ring sizes\n\n");
   std::printf("%6s | %12s | %12s | %16s | %14s | %10s\n", "ports",
@@ -120,7 +90,5 @@ int main(int argc, char** argv) {
       "grant rate falls with ring size as output contention and longer arcs\n"
       "bind — the thesis's motivation for building big routers out of\n"
       "multiple 4-port crossbars rather than one large ring.\n");
-
-  run_mesh_section(mesh_cycles);
   return 0;
 }

@@ -3,11 +3,12 @@
 // (uniform-random destinations), for 64..1,024-byte packets.
 //
 //   ./fig7_1_throughput [--cycles N] [--quantum W] [--seed S]
+//                       [--metrics-json FILE]
 //
 // Prints the same rows the thesis plots, alongside the paper's reported
-// numbers and the closed-form analytic model's prediction.
+// numbers and the closed-form analytic model's prediction. A bad value or
+// an unknown flag prints usage and exits 2 (tools/count_flag.h).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -17,10 +18,15 @@
 #include "router/analytic.h"
 #include "router/raw_router.h"
 
+#include "count_flag.h"
+
 namespace {
 
 using raw::common::ByteCount;
 using raw::common::Cycle;
+using raw::tools::non_negative;
+using raw::tools::positive;
+using raw::tools::unknown_flag;
 
 struct Args {
   Cycle cycles = 200000;
@@ -29,17 +35,25 @@ struct Args {
   const char* metrics_json = nullptr;
 };
 
+void usage() {
+  std::fprintf(stderr,
+               "usage: fig7_1_throughput [--cycles N] [--quantum W] [--seed S]\n"
+               "                         [--metrics-json FILE]\n");
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--cycles") && i + 1 < argc) {
-      a.cycles = std::strtoull(argv[++i], nullptr, 10);
+      a.cycles = positive<Cycle>("--cycles", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--quantum") && i + 1 < argc) {
-      a.quantum = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      a.quantum = positive<std::uint32_t>("--quantum", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      a.seed = std::strtoull(argv[++i], nullptr, 10);
+      a.seed = non_negative<std::uint64_t>("--seed", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
       a.metrics_json = argv[++i];
+    } else {
+      unknown_flag(argv[i], usage);
     }
   }
   return a;

@@ -1,5 +1,7 @@
 // Experiment E3 — Figure 7-2: mapping of router functional elements to Raw
 // tile numbers, plus the compiled switch-program footprint per tile class.
+//
+//   ./fig7_2_mapping [--metrics-json FILE]
 #include <cstdio>
 #include <cstring>
 
@@ -7,12 +9,24 @@
 #include "common/metrics.h"
 #include "router/schedule_compiler.h"
 
+#include "count_flag.h"
+
+namespace {
+
+void usage() {
+  std::fprintf(stderr, "usage: fig7_2_mapping [--metrics-json FILE]\n");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace raw::router;
   const char* metrics_json = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
       metrics_json = argv[++i];
+    } else {
+      raw::tools::unknown_flag(argv[i], usage);
     }
   }
   const Layout layout;

@@ -5,14 +5,17 @@
 // ingress tiles (4, 7, 8, 11) spend most of the window blocked by the
 // crossbar, while at 1,024 bytes the fabric approaches the static-network
 // streaming limit.
+//
+//   ./fig7_3_utilization [--csv] [--metrics-json FILE]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/json.h"
 #include "common/metrics.h"
 #include "router/raw_router.h"
+
+#include "count_flag.h"
 
 namespace {
 
@@ -62,6 +65,11 @@ void run_case(raw::common::ByteCount bytes, bool csv,
   }
 }
 
+void usage() {
+  std::fprintf(stderr,
+               "usage: fig7_3_utilization [--csv] [--metrics-json FILE]\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -72,6 +80,8 @@ int main(int argc, char** argv) {
       csv = true;
     } else if (!std::strcmp(argv[i], "--metrics-json") && i + 1 < argc) {
       metrics_json = argv[++i];
+    } else {
+      raw::tools::unknown_flag(argv[i], usage);
     }
   }
   raw::common::MetricRegistry registry;

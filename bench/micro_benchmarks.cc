@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "exec/stream_mesh.h"
 #include "fabric/scheduler.h"
 #include "net/ipv4.h"
 #include "net/packet.h"
@@ -148,23 +147,6 @@ void BM_ChipIdleCycleNoDyn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ChipIdleCycleNoDyn);
-
-void BM_StreamMeshCycle(benchmark::State& state) {
-  raw::exec::StreamMeshConfig cfg;
-  const int dim = static_cast<int>(state.range(0));
-  cfg.shape = raw::sim::GridShape{dim, dim};
-  cfg.proc_work = 4;
-  raw::exec::StreamMesh mesh(cfg);
-  for (auto _ : state) {
-    mesh.chip().step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["words"] = static_cast<double>(mesh.words_delivered());
-}
-BENCHMARK(BM_StreamMeshCycle)
-    ->ArgName("dim")
-    ->Arg(4)
-    ->Arg(8);
 
 // Feeds one chip-edge input and drains one chip-edge output every cycle.
 class EdgePump : public raw::sim::Device {

@@ -34,7 +34,6 @@ class FromDevice : public Element {
 
   /// Harness-side: offer one received packet.
   void deposit(net::Packet p) { rx_.push_back(std::move(p)); }
-  [[nodiscard]] bool has_work() const { return !rx_.empty(); }
 
   /// Runs one scheduler pass: take a packet off the DMA ring and push it.
   /// Returns false if the ring was empty.

@@ -8,10 +8,6 @@
 
 namespace raw::cluster {
 
-const char* cluster_status_name(ClusterStatus s) {
-  return s == ClusterStatus::kHealthy ? "healthy" : "degraded";
-}
-
 ClusterFabric::ClusterFabric(ClusterConfig config, std::uint64_t seed)
     : config_(std::move(config)), seed_(seed) {
   config_.validate();

@@ -58,8 +58,6 @@ inline constexpr std::uint64_t make_host_uid(int host_id, std::uint64_t seq) {
 /// offs keep the conservation identity exact.
 enum class ClusterStatus : std::uint8_t { kHealthy = 0, kDegraded = 1 };
 
-const char* cluster_status_name(ClusterStatus s);
-
 /// One fail-over episode, recorded at the barrier that confirmed it.
 struct FailoverReport {
   common::Cycle cycle = 0;           // barrier cycle of the reroute

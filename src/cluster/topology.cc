@@ -133,15 +133,6 @@ int Topology::link_from(int chip, int port) const {
   return -1;
 }
 
-int Topology::link_into(int chip, int port) const {
-  for (std::size_t l = 0; l < links.size(); ++l) {
-    if (links[l].dst_chip == chip && links[l].dst_port == port) {
-      return static_cast<int>(l);
-    }
-  }
-  return -1;
-}
-
 int Topology::reverse_link(int l) const {
   const LinkPlan& f = links[static_cast<std::size_t>(l)];
   return link_from(f.dst_chip, f.dst_port);

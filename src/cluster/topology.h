@@ -57,8 +57,6 @@ struct Topology {
   [[nodiscard]] int host_at(int chip, int port) const;
   /// index into `links` of the plan leaving (chip, port), or -1.
   [[nodiscard]] int link_from(int chip, int port) const;
-  /// index into `links` of the plan arriving at (chip, port), or -1.
-  [[nodiscard]] int link_into(int chip, int port) const;
   /// The reverse direction of unidirectional link `l` (same trunk), or -1.
   [[nodiscard]] int reverse_link(int l) const;
 

@@ -63,12 +63,6 @@ const MetricRegistry::Gauge* MetricRegistry::find_gauge(
   return it != gauges_.end() ? &it->second : nullptr;
 }
 
-const MetricRegistry::HistogramMetric* MetricRegistry::find_histogram(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it != histograms_.end() ? &it->second : nullptr;
-}
-
 std::uint64_t MetricRegistry::counter_value(const std::string& name) const {
   const Counter* c = find_counter(name);
   return c != nullptr ? c->value() : 0;

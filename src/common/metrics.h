@@ -78,7 +78,6 @@ class MetricRegistry {
 
   [[nodiscard]] const Counter* find_counter(const std::string& name) const;
   [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
-  [[nodiscard]] const HistogramMetric* find_histogram(const std::string& name) const;
 
   /// Counter value (0 if absent), gauge value (0.0 if absent) — convenience
   /// for dashboards reading back published metrics.

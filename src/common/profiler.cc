@@ -176,55 +176,6 @@ void Profiler::export_metrics(MetricRegistry& registry,
   registry.counter(prefix + "/engine/flight_snapshots").set(flight_recorded_);
 }
 
-std::string speedscope_json(const std::vector<ProfiledRun>& runs) {
-  std::string out =
-      "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\","
-      "\"shared\":{\"frames\":[";
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    if (p > 0) out += ',';
-    out += "{\"name\":\"";
-    out += prof_phase_name(static_cast<ProfPhase>(p));
-    out += "\"}";
-  }
-  out += "]},\"profiles\":[";
-
-  char buf[128];
-  bool first_profile = true;
-  for (const ProfiledRun& run : runs) {
-    if (run.prof == nullptr) continue;
-    std::string samples;
-    std::string weights;
-    std::uint64_t total = 0;
-    for (int p = 0; p < kNumProfPhases; ++p) {
-      const std::uint64_t ns = run.prof->phase_total(static_cast<ProfPhase>(p)).ns;
-      if (ns == 0) continue;
-      if (!samples.empty()) {
-        samples += ',';
-        weights += ',';
-      }
-      std::snprintf(buf, sizeof buf, "[%d]", p);
-      samples += buf;
-      std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(ns));
-      weights += buf;
-      total += ns;
-    }
-    if (!first_profile) out += ',';
-    first_profile = false;
-    std::snprintf(buf, sizeof buf,
-                  "{\"type\":\"sampled\",\"unit\":\"nanoseconds\","
-                  "\"name\":\"%s\",\"startValue\":0,"
-                  "\"endValue\":%llu,\"samples\":[",
-                  run.name.c_str(), static_cast<unsigned long long>(total));
-    out += buf;
-    out += samples;
-    out += "],\"weights\":[";
-    out += weights;
-    out += "]}";
-  }
-  out += "]}";
-  return out;
-}
-
 std::string merged_chrome_json(const PacketTracer* tracer, const Profiler* prof,
                                double clock_hz) {
   const double us_per_cycle = 1e6 / clock_hz;

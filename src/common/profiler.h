@@ -213,17 +213,6 @@ class ProfScope {
   static thread_local ProfScope* t_open_;
 };
 
-/// A profiled run for the multi-run exporters below.
-struct ProfiledRun {
-  std::string name;
-  const Profiler* prof = nullptr;
-};
-
-/// speedscope file-format JSON (https://www.speedscope.app): one "sampled"
-/// profile per run, frames shared across all profiles — load the file and
-/// flip between runs to see where each one's time went.
-[[nodiscard]] std::string speedscope_json(const std::vector<ProfiledRun>& runs);
-
 /// Chrome trace_event JSON merging the packet-lifecycle tracks from `tracer`
 /// (may be null) with the engine-profile tracks derived from `prof`'s flight
 /// snapshots (may be null): per-interval phase-time counter series plus an

@@ -1,8 +1,5 @@
 #include "common/stats.h"
 
-#include <cmath>
-#include <cstdio>
-
 namespace raw::common {
 
 void RunningStat::add(double x) {
@@ -20,8 +17,6 @@ double RunningStat::variance() const {
   return m2_ / static_cast<double>(n_ - 1);
 }
 
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 double jain_fairness(const double* throughputs, std::size_t n) {
   if (n == 0) return 1.0;
   double sum = 0.0;
@@ -32,12 +27,6 @@ double jain_fairness(const double* throughputs, std::size_t n) {
   }
   if (sum_sq == 0.0) return 1.0;
   return sum * sum / (static_cast<double>(n) * sum_sq);
-}
-
-std::string format_gbps(double gbps) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2f Gbps", gbps);
-  return buf;
 }
 
 }  // namespace raw::common

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 
 #include "common/types.h"
 
@@ -17,7 +16,6 @@ class RunningStat {
   [[nodiscard]] std::uint64_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
   [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
@@ -66,8 +64,5 @@ class RateMeter {
 /// Jain's fairness index over per-flow throughputs: (Σx)² / (n·Σx²).
 /// 1.0 means perfectly fair; 1/n means one flow starves the rest.
 double jain_fairness(const double* throughputs, std::size_t n);
-
-/// Human-readable engineering formatting, e.g. "26.9 Gbps".
-std::string format_gbps(double gbps);
 
 }  // namespace raw::common

@@ -29,8 +29,6 @@ void PacketTracer::enable(std::size_t event_budget) {
   recorded_ = 0;
 }
 
-void PacketTracer::disable() { enabled_ = false; }
-
 void PacketTracer::push(const Record& r) {
   ++recorded_;
   if (ring_.size() < budget_) {

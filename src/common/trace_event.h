@@ -48,7 +48,6 @@ class PacketTracer {
 
   /// Starts recording with a ring buffer of `event_budget` events.
   void enable(std::size_t event_budget);
-  void disable();
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   void record(std::uint64_t uid, Cycle cycle, PacketEvent event, int track,

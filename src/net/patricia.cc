@@ -9,7 +9,7 @@ struct PatriciaTrie::Node {
   std::optional<std::uint32_t> value;
 };
 
-PatriciaTrie::PatriciaTrie() : root_(std::make_unique<Node>()), nodes_(1) {}
+PatriciaTrie::PatriciaTrie() : root_(std::make_unique<Node>()) {}
 PatriciaTrie::~PatriciaTrie() = default;
 PatriciaTrie::PatriciaTrie(PatriciaTrie&&) noexcept = default;
 PatriciaTrie& PatriciaTrie::operator=(PatriciaTrie&&) noexcept = default;
@@ -25,10 +25,7 @@ void PatriciaTrie::insert(Addr prefix, int len, std::uint32_t value) {
   Node* n = root_.get();
   for (int d = 0; d < len; ++d) {
     const int b = bit_at(prefix, d);
-    if (n->child[b] == nullptr) {
-      n->child[b] = std::make_unique<Node>();
-      ++nodes_;
-    }
+    if (n->child[b] == nullptr) n->child[b] = std::make_unique<Node>();
     n = n->child[b].get();
   }
   if (!n->value.has_value()) ++size_;

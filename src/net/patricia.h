@@ -47,13 +47,11 @@ class PatriciaTrie {
   [[nodiscard]] bool has_longer_prefix(Addr prefix, int len) const;
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t node_count() const { return nodes_; }
 
  private:
   struct Node;
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;
-  std::size_t nodes_ = 0;
 };
 
 }  // namespace raw::net

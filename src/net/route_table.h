@@ -21,11 +21,6 @@ class RouteTable {
   /// was added; nullopt means "no route" (drop).
   [[nodiscard]] std::optional<int> lookup(Addr dst) const;
 
-  /// Lookup with the trie-depth information the memory model charges for.
-  [[nodiscard]] std::optional<PatriciaTrie::Result> lookup_detail(Addr dst) const {
-    return trie_.lookup(dst);
-  }
-
   [[nodiscard]] std::size_t num_routes() const { return trie_.size(); }
 
   /// Underlying trie (for compiling SmallTable snapshots).

@@ -36,7 +36,6 @@ class SmallTable {
   [[nodiscard]] std::optional<Result> lookup(Addr addr) const;
 
   /// Size accounting for the cache-residency argument.
-  [[nodiscard]] std::size_t level1_entries() const { return level1_.size(); }
   [[nodiscard]] std::size_t level2_chunks() const { return level2_.size(); }
   [[nodiscard]] std::size_t level3_chunks() const { return level3_.size(); }
   [[nodiscard]] std::size_t total_bytes() const;

@@ -161,9 +161,6 @@ class RawRouter {
   /// `monitor` is not owned and must outlive the router; arm at most once,
   /// before the first run().
   void arm_endurance(sim::InvariantMonitor* monitor);
-  [[nodiscard]] sim::InvariantMonitor* invariant_monitor() const {
-    return monitor_;
-  }
   /// Checkpoint ring (nullptr until arm_endurance()).
   [[nodiscard]] const sim::CheckpointRing* checkpoint_ring() const {
     return ring_.get();

@@ -213,7 +213,6 @@ class Channel {
                    "replay buffer must cover the link FIFO");
     guard_ = std::make_unique<LinkGuard>(params);
   }
-  [[nodiscard]] bool link_protected() const { return guard_ != nullptr; }
   /// Words repaired from the sender's replay buffer after a CRC mismatch.
   [[nodiscard]] std::uint64_t link_retransmits() const {
     return guard_ != nullptr ? guard_->rx.retransmits : 0;
@@ -326,7 +325,6 @@ class Channel {
     stats_enabled_ = on;
     if (engine_ != nullptr) engine_->stats_channels += on ? 1 : -1;
   }
-  [[nodiscard]] bool stats_enabled() const { return stats_enabled_; }
   /// Cycles sampled since stats were enabled.
   [[nodiscard]] std::uint64_t stats_cycles() const { return stats_cycles_; }
   /// Sum of end-of-cycle occupancies; divide by stats_cycles() for the mean.

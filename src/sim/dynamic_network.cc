@@ -99,10 +99,6 @@ std::size_t DynamicNetwork::eject_size(int tile) const {
   return eject_[static_cast<std::size_t>(tile)].size();
 }
 
-common::Word DynamicNetwork::peek_eject(int tile, std::size_t i) const {
-  return eject_[static_cast<std::size_t>(tile)].peek(i);
-}
-
 void DynamicNetwork::step() {
   // Quiescence early-out: with nothing in flight no input port has a head
   // flit, so every arbitration below would fail without side effects (the

@@ -61,10 +61,9 @@ class DynamicNetwork {
   [[nodiscard]] bool has_eject(int tile) const;
   [[nodiscard]] common::Word pop_eject(int tile);
 
-  /// Words currently queued at a tile's eject port, and a non-consuming
-  /// look at the i-th of them (for whole-message readiness checks).
+  /// Words currently queued at a tile's eject port (for whole-message
+  /// readiness checks).
   [[nodiscard]] std::size_t eject_size(int tile) const;
-  [[nodiscard]] common::Word peek_eject(int tile, std::size_t i) const;
 
   /// Wake slot (see EngineState) of the one agent parked until a word is
   /// queued at `tile`'s eject port; step() fires it when it ejects a word

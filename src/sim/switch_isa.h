@@ -130,7 +130,6 @@ class SwitchProgramBuilder {
   /// Appends an instruction; returns its index.
   std::size_t emit(SwitchInstr instr);
   std::size_t emit_route(std::vector<Move> moves);
-  std::size_t emit_nop() { return emit({}); }
   std::size_t emit_halt();
 
   /// Defines `label` at the next instruction index.

@@ -57,7 +57,6 @@ class SwitchProcessor {
   [[nodiscard]] std::size_t pc() const { return pc_; }
   [[nodiscard]] bool halted() const { return halted_; }
   [[nodiscard]] common::Word reg(std::uint8_t r) const { return regs_[r]; }
-  void set_reg(std::uint8_t r, common::Word v) { regs_[r] = v; }
 
   /// Snapshot restore (Chip::restore): overwrites the architectural state —
   /// PC, halt flag, registers — leaving the cumulative cycle counters alone.

@@ -43,8 +43,6 @@ class Tile {
   [[nodiscard]] const SwitchProcessor& switch_proc() const { return switch_; }
 
   void set_program(TileTask task) { task_ = std::move(task); }
-  [[nodiscard]] bool programmed() const { return task_.valid(); }
-  [[nodiscard]] bool program_done() const { return !task_.valid() || task_.done(); }
 
   AgentState step_proc() {
     const AgentState s = task_.valid() ? task_.step() : AgentState::kIdle;

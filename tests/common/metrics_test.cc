@@ -146,7 +146,8 @@ TEST(MetricsTest, JsonRoundTripsSnapshot) {
 
   const std::string json = reg.to_json();
   // Schema "metrics/v2": the envelope carries a version tag so downstream
-  // consumers (CI artifact tooling, rawbench baselines) can detect drift.
+  // consumers (CI artifact tooling, bench --metrics-json dumps) can detect
+  // drift.
   EXPECT_EQ(json.rfind("{\"schema\":\"metrics/v2\",\"metrics\":[", 0), 0u);
   EXPECT_EQ(json.substr(json.size() - 2), "]}");
 

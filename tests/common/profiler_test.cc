@@ -148,27 +148,6 @@ TEST(ProfilerTest, ExportMetricsPublishesLintCleanNames) {
   }
 }
 
-TEST(ProfilerTest, SpeedscopeJsonSharesFramesAcrossProfiles) {
-  FakeClock clock;
-  Profiler a;
-  Profiler b;
-  spend(a, clock, ProfPhase::kCompute, 100);
-  spend(b, clock, ProfPhase::kStats, 200);
-  const std::string json = speedscope_json({{"bench/a", &a}, {"bench/b", &b}});
-  EXPECT_NE(json.find("speedscope.app/file-format-schema.json"),
-            std::string::npos);
-  // Shared frames, one per phase.
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    const std::string frame = std::string("{\"name\":\"") +
-                              prof_phase_name(static_cast<ProfPhase>(p)) +
-                              "\"}";
-    EXPECT_NE(json.find(frame), std::string::npos) << frame;
-  }
-  // One sampled profile per run.
-  EXPECT_NE(json.find("\"name\":\"bench/a\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"bench/b\""), std::string::npos);
-}
-
 TEST(ProfilerTest, MergedChromeJsonCarriesEngineTrack) {
   FakeClock clock;
   Profiler prof;

@@ -22,7 +22,6 @@
 #include "common/metrics.h"
 #include "common/profiler.h"
 #include "common/trace_event.h"
-#include "exec/stream_mesh.h"
 #include "net/route_table.h"
 #include "net/traffic.h"
 #include "router/chaos.h"
@@ -31,6 +30,7 @@
 #include "sim/chip.h"
 #include "sim/fault_plan.h"
 #include "sim/tile_task.h"
+#include "stream_mesh.h"
 
 namespace raw::exec {
 namespace {
@@ -110,10 +110,7 @@ TEST(ExecSparseDifferential, RouterMatchesDenseAtAllWorkerCounts) {
 // also change nothing, down to the digest over every sink hash.
 TEST(ExecSparseDifferential, StreamMeshDigestAndMetricsMatchDense) {
   const auto run = [](bool force_dense) {
-    StreamMeshConfig cfg;
-    cfg.shape = sim::GridShape{4, 4};
-    cfg.proc_work = 3;
-    StreamMesh mesh(cfg);
+    StreamMesh mesh(sim::GridShape{4, 4}, /*proc_work=*/3);
     mesh.chip().set_force_dense(force_dense);
     mesh.chip().enable_channel_stats(true);
     mesh.chip().run(4000);

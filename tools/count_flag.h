@@ -1,10 +1,11 @@
-// Checked numeric flags for the rawchaos, rawsoak and rawstat CLIs and the
-// ext_cluster bench: whole counts, lists of them, and real values with a
-// range. A value that is not a plain decimal
-// number (a typo, a "0x" prefix, trailing junk), that overflows the field,
-// or that falls outside the flag's range names the flag, prints the tool's
-// usage and exits 2: a bad value must neither shrink a run to nothing and
-// pass nor abort deep inside the simulator.
+// Checked flags for the rawchaos, rawsoak and rawstat CLIs and the benches:
+// whole counts, lists of them, real values with a range, and arguments the
+// program does not take. A value that is not a plain decimal number (a
+// typo, a "0x" prefix, trailing junk), that overflows the field, or that
+// falls outside the flag's range names the flag, prints the program's usage
+// and exits 2, as does an unknown or misspelled flag: a bad argument must
+// neither shrink a run to nothing (or silently run the default) and pass
+// nor abort deep inside the simulator.
 #pragma once
 
 #include <cctype>
@@ -18,6 +19,14 @@
 #include <vector>
 
 namespace raw::tools {
+
+/// Reports an argument the program does not take (an unknown flag, or a
+/// flag missing its value), calls `usage` and exits 2.
+[[noreturn]] inline void unknown_flag(const char* arg, void (*usage)()) {
+  std::fprintf(stderr, "unknown option: %s\n", arg);
+  usage();
+  std::exit(2);
+}
 
 /// Parses `value` of `flag` as a decimal count in [min, max of T], or
 /// reports it, calls `usage` and exits 2.

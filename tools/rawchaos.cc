@@ -81,6 +81,7 @@ using raw::router::ChaosSignature;
 using raw::router::ChaosSpec;
 using raw::tools::non_negative;
 using raw::tools::positive;
+using raw::tools::unknown_flag;
 
 struct Args {
   int seeds = 4;
@@ -154,8 +155,7 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "-v") || !std::strcmp(argv[i], "--verbose")) {
       a.verbose = true;
     } else {
-      usage();
-      std::exit(2);
+      unknown_flag(argv[i], usage);
     }
   }
   if (a.threads != 0 && !a.cluster) {

@@ -35,6 +35,7 @@ using raw::common::json::write_file;
 using raw::tools::non_negative;
 using raw::tools::positive;
 using raw::tools::real_flag;
+using raw::tools::unknown_flag;
 
 void usage() {
   std::fprintf(
@@ -105,8 +106,7 @@ int main(int argc, char** argv) {
     } else if (arg("--checkpoint-dir")) {
       spec.checkpoint_dir = argv[++i];
     } else {
-      usage();
-      return 2;
+      unknown_flag(argv[i], usage);
     }
   }
 

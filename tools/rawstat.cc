@@ -42,6 +42,7 @@ using raw::common::MetricRegistry;
 using raw::tools::non_negative;
 using raw::tools::positive;
 using raw::tools::real_flag;
+using raw::tools::unknown_flag;
 
 struct Args {
   Cycle cycles = 200000;
@@ -179,9 +180,7 @@ Args parse(int argc, char** argv) {
       usage();
       std::exit(0);
     } else {
-      std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-      usage();
-      std::exit(2);
+      unknown_flag(argv[i], usage);
     }
   }
   if (a.threads != 0 && a.cluster_chips == 0) {
