@@ -231,11 +231,7 @@ ChaosResult run_impl(const ChaosSpec& spec,
   }
   if (const sim::CheckpointRing* ring = router.checkpoint_ring()) {
     r.checkpoints_captured = ring->captured();
-    r.checkpoints_skipped = router.checkpoints_skipped();
-    for (const sim::Checkpoint* c : ring->entries()) {
-      r.anchors.push_back(
-          ReplayAnchor{c->cycle, c->chip_digest, c->owner_digest});
-    }
+    r.anchors = ring->entries();
   }
 
   const auto fail = [&r](std::string why) {
@@ -249,12 +245,6 @@ ChaosResult run_impl(const ChaosSpec& spec,
   if (!r.invariant_failure.empty()) {
     fail("invariant violated @" + std::to_string(r.invariant_failure_cycle) +
          ": " + r.invariant_failure);
-    if (!spec.checkpoint_spill_dir.empty() &&
-        router.checkpoint_ring() != nullptr) {
-      std::string spill_err;
-      (void)router.checkpoint_ring()->spill_all(spec.checkpoint_spill_dir,
-                                                "chaos_", &spill_err);
-    }
     r.pass = false;
     return r;
   }

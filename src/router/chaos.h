@@ -79,21 +79,10 @@ struct ChaosSpec {
   EnduranceConfig endurance;
   sim::InvariantMonitor* monitor = nullptr;
   /// Soak self-test: when nonzero, registers an always-failing check armed
-  /// at this chip cycle, proving the violation -> bundle -> anchored-replay
-  /// path end to end. Serialized in repro bundles (the replay must fail at
-  /// the same cycle).
+  /// at this chip cycle, proving the violation -> bundle -> replay path end
+  /// to end. Serialized in repro bundles (the replay must fail at the same
+  /// cycle).
   common::Cycle inject_invariant_failure_at = 0;
-  /// When non-empty and the run fails with endurance armed, the checkpoint
-  /// ring is spilled to this directory (not serialized).
-  std::string checkpoint_spill_dir;
-};
-
-/// A checkpoint the failure bundle can anchor a replay at: the capture
-/// cycle plus the chip and router digests the replay must reproduce there.
-struct ReplayAnchor {
-  common::Cycle cycle = 0;
-  std::uint64_t chip_digest = 0;
-  std::uint64_t router_digest = 0;
 };
 
 struct ChaosResult {
@@ -132,15 +121,14 @@ struct ChaosResult {
   bool invariant_deterministic = true;
   std::uint64_t invariant_sweeps = 0;
   std::uint64_t checkpoints_captured = 0;
-  std::uint64_t checkpoints_skipped = 0;
-  /// Checkpoint ring contents at exit, oldest first.
-  std::vector<ReplayAnchor> anchors;
+  /// Checkpoint ring contents at exit, oldest first: the anchors a replay
+  /// of this run must reproduce.
+  std::vector<sim::Checkpoint> anchors;
   /// Chip cycle at exit.
   common::Cycle end_cycle = 0;
 };
 
-/// The RouterConfig a chaos/soak run builds from `spec` — exported so
-/// anchored replay (router/soak.h) reconstructs the identical router.
+/// The RouterConfig a chaos/soak run builds from `spec`.
 RouterConfig router_config_for(const ChaosSpec& spec);
 
 /// The TrafficConfig for spec's named profile (empty = legacy uniform

@@ -368,8 +368,7 @@ void RawRouter::arm_endurance(sim::InvariantMonitor* monitor) {
   monitor_ = monitor;
   ring_ = std::make_unique<sim::CheckpointRing>(config_.endurance.checkpoint_ring);
   next_invariant_ = chip_->cycle() + config_.endurance.invariant_cadence;
-  checkpoint_due_ = chip_->cycle() + config_.endurance.checkpoint_interval;
-  next_checkpoint_ = checkpoint_due_;
+  next_checkpoint_ = chip_->cycle() + config_.endurance.checkpoint_interval;
   register_standard_invariants(*monitor);
 }
 
@@ -460,15 +459,6 @@ bool RawRouter::sweep_invariants() {
   return true;
 }
 
-bool RawRouter::capture_checkpoint() {
-  // Chip::snapshot needs the dynamic network quiet (an RPC word split across
-  // a snapshot/restore boundary has no home).
-  const sim::DynamicNetwork* dyn = chip_->dynamic_network();
-  if (dyn != nullptr && dyn->words_in_flight() != 0) return false;
-  ring_->capture(*chip_, state_digest());
-  return true;
-}
-
 RunStatus RawRouter::run(common::Cycle cycles) {
   const WatchdogConfig& wd = config_.watchdog;
   const EnduranceConfig& en = config_.endurance;
@@ -479,25 +469,17 @@ RunStatus RawRouter::run(common::Cycle cycles) {
     if (next > chip_->cycle()) chip_->run(next - chip_->cycle());
     const common::Cycle now = chip_->cycle();
     // Process every due stream before re-checking the deadline, so a stream
-    // due exactly at the deadline still fires — run(anchor_cycle) must end
-    // with the anchor checkpoint captured. Catch-up loops keep the next-due
-    // cycles strictly in the future after a drain, which keeps its own
-    // schedule.
+    // due exactly at the deadline still fires: run(x); run(y) captures the
+    // checkpoint due at cycle x just as run(x + y) does. Catch-up loops keep
+    // the next-due cycles strictly in the future after a drain, which keeps
+    // its own schedule.
     if (now >= next_watchdog_) {
       while (next_watchdog_ <= now) next_watchdog_ += wd.check_interval;
       if (check_watchdog()) return RunStatus::kStalled;
     }
     if (now >= next_checkpoint_) {
-      const bool captured = capture_checkpoint();
-      if (captured || now - checkpoint_due_ >= en.checkpoint_grace) {
-        if (!captured) ++checkpoints_skipped_;
-        while (checkpoint_due_ <= now) {
-          checkpoint_due_ += en.checkpoint_interval;
-        }
-        next_checkpoint_ = checkpoint_due_;
-      } else {
-        next_checkpoint_ = now + 1;  // network busy: retry next cycle
-      }
+      while (next_checkpoint_ <= now) next_checkpoint_ += en.checkpoint_interval;
+      ring_->capture(*chip_, state_digest());
     }
     if (now >= next_invariant_) {
       while (next_invariant_ <= now) next_invariant_ += en.invariant_cadence;

@@ -40,7 +40,8 @@ struct LinkProtectionConfig {
 };
 
 /// Endurance-run instrumentation (soak tier): periodic invariant sweeps and
-/// a ring of warm snapshots for anchored failure replay. Off by default and
+/// a ring of checkpoint digests that a failure replay must reproduce. Off by
+/// default and
 /// inert until RawRouter::arm_endurance() attaches a monitor: until then the
 /// invariant and checkpoint streams of the run loop are never due.
 struct EnduranceConfig {
@@ -49,16 +50,11 @@ struct EnduranceConfig {
   /// interval (the watchdog is the cheaper, tighter liveness net; sweeping
   /// more often than it just re-reads unchanged counters).
   common::Cycle invariant_cadence = 16384;
-  /// Cycles between checkpoint captures into the ring.
+  /// Cycles between checkpoint captures into the ring: run() captures at
+  /// every multiple of this interval.
   common::Cycle checkpoint_interval = 1u << 19;
-  /// Checkpoints kept (last K); a failure bundle anchors at the nearest one.
+  /// Checkpoints kept (last K); a failure bundle records all of them.
   std::size_t checkpoint_ring = 4;
-  /// A capture needs the dynamic network quiet (Chip::snapshot requirement).
-  /// While it is busy the run loop retries the capture on the next cycle, up
-  /// to this many cycles past the due cycle; then the capture is skipped (and
-  /// counted), never forced. Retries never step the chip themselves, so the
-  /// other streams keep their cycles and replays retry identically.
-  common::Cycle checkpoint_grace = 4096;
 };
 
 struct RouterConfig {
@@ -170,12 +166,6 @@ class RawRouter {
   invariant_violation() const {
     return invariant_violation_;
   }
-  /// Captures skipped because the dynamic network stayed busy past the
-  /// checkpoint grace window.
-  [[nodiscard]] std::uint64_t checkpoints_skipped() const {
-    return checkpoints_skipped_;
-  }
-
   /// True once a recovery reconfigured the fabric around dead tiles.
   [[nodiscard]] bool degraded() const { return degraded_; }
   /// Successful reconfigurations so far.
@@ -268,9 +258,6 @@ class RawRouter {
   /// One monitor sweep at the current cycle; records and returns true on a
   /// violation (also forcing a flight-recorder mark).
   bool sweep_invariants();
-  /// Captures a checkpoint into the ring at the current cycle; returns false
-  /// ("not yet") while the dynamic network is busy.
-  bool capture_checkpoint();
   /// Attempts a fault-adaptive reconfiguration after a confirmed no-progress
   /// stall. Returns true when the fabric was rebuilt (the trip is absorbed);
   /// false when recovery is disabled, no tile is permanently frozen, or the
@@ -315,15 +302,11 @@ class RawRouter {
   std::unique_ptr<sim::CheckpointRing> ring_;
   std::optional<sim::InvariantViolation> invariant_violation_;
   // Absolute next-due cycles of run()'s three event streams. The invariant
-  // and checkpoint streams are never due until arm_endurance(); a busy
-  // network defers a capture (next_checkpoint_) past its due cycle
-  // (checkpoint_due_) by at most endurance.checkpoint_grace.
+  // and checkpoint streams are never due until arm_endurance().
   static constexpr common::Cycle kNever = ~common::Cycle{0};
   common::Cycle next_watchdog_ = 0;
   common::Cycle next_invariant_ = kNever;
   common::Cycle next_checkpoint_ = kNever;
-  common::Cycle checkpoint_due_ = kNever;
-  std::uint64_t checkpoints_skipped_ = 0;
 };
 
 }  // namespace raw::router

@@ -53,7 +53,6 @@ ChaosRepro make_repro(const ChaosSpec& spec,
   repro.spec = spec;
   repro.spec.monitor = nullptr;
   repro.spec.profiler = nullptr;
-  repro.spec.checkpoint_spill_dir.clear();
   repro.events = events;
   repro.signature = signature_of(r);
   repro.digest = r.digest;
@@ -86,7 +85,6 @@ std::string to_json(const ChaosRepro& repro) {
   json::append_field(s, "invariant_cadence", end.invariant_cadence);
   json::append_field(s, "checkpoint_interval", end.checkpoint_interval);
   json::append_field(s, "checkpoint_ring", end.checkpoint_ring);
-  json::append_field(s, "checkpoint_grace", end.checkpoint_grace);
   s += "}},\n  \"signature\": {\"pass\": ";
   json::append_value(s, sig.pass);
   json::append_field(s, "category", sig.category);
@@ -104,13 +102,13 @@ std::string to_json(const ChaosRepro& repro) {
   json::append_field(s, "start_cycle", repro.soak_start_cycle);
   s += "},\n  \"anchors\": [";
   for (std::size_t n = 0; n < repro.anchors.size(); ++n) {
-    const ReplayAnchor& a = repro.anchors[n];
+    const sim::Checkpoint& a = repro.anchors[n];
     s += n == 0 ? "\n    {\"cycle\": " : ",\n    {\"cycle\": ";
     json::append_value(s, a.cycle);
     s += ", \"chip_digest\": ";
     json::append_hex64(s, a.chip_digest);
     s += ", \"router_digest\": ";
-    json::append_hex64(s, a.router_digest);
+    json::append_hex64(s, a.owner_digest);
     s += "}";
   }
   s += "\n  ],\n  \"events\": [";
@@ -154,8 +152,7 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
         if (ek == "invariant_cadence") return p.parse(&end.invariant_cadence);
         if (ek == "checkpoint_interval") return p.parse(&end.checkpoint_interval);
         if (ek == "checkpoint_ring") return p.parse(&end.checkpoint_ring);
-        if (ek == "checkpoint_grace") return p.parse(&end.checkpoint_grace);
-        return p.skip_value();
+        return p.skip_value();  // older bundles' capture-grace key too
       });
     }
     return p.skip_value();  // "threads" in older bundles, and future fields
@@ -177,11 +174,11 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
     return p.skip_value();
   };
   const auto parse_anchor = [&] {
-    ReplayAnchor a;
+    sim::Checkpoint a;
     const bool ok = p.parse_object([&](const std::string& k) {
       if (k == "cycle") return p.parse(&a.cycle);
       if (k == "chip_digest") return p.parse_hex64(&a.chip_digest);
-      if (k == "router_digest") return p.parse_hex64(&a.router_digest);
+      if (k == "router_digest") return p.parse_hex64(&a.owner_digest);
       return p.skip_value();
     });
     repro.anchors.push_back(a);
@@ -222,6 +219,46 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
   if (!p.finish(ok, error)) return false;
   *out = std::move(repro);
   return true;
+}
+
+ChaosResult replay_repro(const ChaosRepro& repro, std::string* why) {
+  ChaosResult r = run_chaos_events(repro.spec, repro.events);
+  // Digests as the bundle spells them, so a mismatch can be found in it.
+  const auto hex = [](std::uint64_t v) {
+    std::string s;
+    json::append_hex64(s, v);
+    return s;
+  };
+  std::string mismatch;
+  const ChaosSignature sig = signature_of(r);
+  if (sig != repro.signature) {
+    mismatch = "signature mismatch: replayed " + sig.to_string() +
+               ", bundle has " + repro.signature.to_string();
+  } else if (r.digest != repro.digest) {
+    mismatch = "digest mismatch: replayed " + hex(r.digest) +
+               ", bundle has " + hex(repro.digest);
+  } else if (r.invariant_failure_cycle != repro.failure_cycle) {
+    mismatch = "invariant failure at cycle " +
+               std::to_string(r.invariant_failure_cycle) + ", bundle has " +
+               std::to_string(repro.failure_cycle);
+  } else if (r.anchors.size() != repro.anchors.size()) {
+    mismatch = "replay captured " + std::to_string(r.anchors.size()) +
+               " anchors, bundle has " + std::to_string(repro.anchors.size());
+  } else {
+    for (std::size_t i = 0; i < r.anchors.size(); ++i) {
+      const sim::Checkpoint& got = r.anchors[i];
+      const sim::Checkpoint& want = repro.anchors[i];
+      if (got == want) continue;
+      mismatch = "anchor " + std::to_string(i) + " mismatch: replayed cycle " +
+                 std::to_string(got.cycle) + " chip " + hex(got.chip_digest) +
+                 " router " + hex(got.owner_digest) + ", bundle has cycle " +
+                 std::to_string(want.cycle) + " chip " +
+                 hex(want.chip_digest) + " router " + hex(want.owner_digest);
+      break;
+    }
+  }
+  if (why != nullptr) *why = mismatch;
+  return r;
 }
 
 std::vector<sim::FaultEvent> minimize_events(

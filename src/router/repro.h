@@ -59,8 +59,8 @@ struct ChaosRepro {
   ChaosSignature signature;
   std::uint64_t digest = 0;
   /// Checkpoint anchors (oldest first): replay must reproduce each
-  /// (cycle -> chip/router digest) pair on its way to the failure.
-  std::vector<ReplayAnchor> anchors;
+  /// (cycle -> chip/router digest) triple on its way to the failure.
+  std::vector<sim::Checkpoint> anchors;
   /// The invariant failure this bundle pins ("" when the run failed some
   /// other way or passed), and the chip cycle it fired at.
   std::string failure;
@@ -78,7 +78,7 @@ struct ChaosRepro {
     const ChaosSpec& spec);
 
 /// The bundle for a run of `spec` under `events` that produced `r`. The
-/// spec's run-local attachments (monitor, profiler, spill dir) are dropped.
+/// spec's run-local attachments (monitor, profiler) are dropped.
 [[nodiscard]] ChaosRepro make_repro(const ChaosSpec& spec,
                                     const std::vector<sim::FaultEvent>& events,
                                     const ChaosResult& r);
@@ -93,6 +93,13 @@ struct ChaosRepro {
 /// if `error` is non-null, stores a one-line description.
 bool from_json(const std::string& text, ChaosRepro* out,
                std::string* error = nullptr);
+
+/// Replays a recorded bundle once and verifies the run reproduces its
+/// signature, final state digest, invariant-failure cycle and every
+/// checkpoint anchor (cycle, chip digest, router digest). `why` (if
+/// non-null) is left empty on a match and otherwise names the first thing
+/// that differed. Returns the replay's own result.
+ChaosResult replay_repro(const ChaosRepro& repro, std::string* why = nullptr);
 
 struct MinimizeStats {
   std::size_t original_events = 0;

@@ -79,7 +79,6 @@ ChaosSpec epoch_spec(const SoakSpec& spec, std::int64_t epoch) {
   c.endurance.invariant_cadence = spec.invariant_cadence;
   c.endurance.checkpoint_interval = spec.checkpoint_interval;
   c.endurance.checkpoint_ring = spec.checkpoint_ring;
-  c.endurance.checkpoint_grace = spec.checkpoint_grace;
   // The injected failure lands in exactly one epoch; translate the
   // soak-absolute cycle to this epoch's chip clock (clamped away from 0,
   // which means "off").
@@ -92,150 +91,6 @@ ChaosSpec epoch_spec(const SoakSpec& spec, std::int64_t epoch) {
         std::max<common::Cycle>(1, spec.inject_invariant_failure_at - start);
   }
   return c;
-}
-
-AnchoredReplayResult replay_from_checkpoint(const ChaosRepro& bundle) {
-  AnchoredReplayResult v;
-  v.attempted = true;
-
-  const ReplayAnchor* anchor = nullptr;
-  for (const ReplayAnchor& a : bundle.anchors) {
-    if (a.cycle <= bundle.failure_cycle &&
-        (anchor == nullptr || a.cycle > anchor->cycle)) {
-      anchor = &a;
-    }
-  }
-  // A failure before the first checkpoint is due anchors at the epoch
-  // start: a freshly constructed router *is* the cycle-0 checkpoint (an
-  // epoch is fully reconstructible from its seed), so the anchored leg
-  // simply begins at zero.
-  v.anchor_cycle = anchor != nullptr ? anchor->cycle : 0;
-
-  ChaosSpec spec = bundle.spec;
-  spec.monitor = nullptr;
-  spec.profiler = nullptr;
-  spec.checkpoint_spill_dir.clear();
-  if (!spec.endurance.enabled) {
-    v.detail = "bundle spec has endurance disabled: nothing to anchor";
-    return v;
-  }
-
-  // Reconstruct the epoch's router exactly as run_chaos_events would.
-  RawRouter router(router_config_for(spec), net::RouteTable::simple4(),
-                   traffic_for(spec), spec.seed);
-  if (spec.force_dense) router.chip().set_force_dense(true);
-  sim::InvariantMonitor monitor;
-  if (spec.inject_invariant_failure_at > 0) {
-    const common::Cycle at = spec.inject_invariant_failure_at;
-    sim::Chip* chip = &router.chip();
-    monitor.add_check("soak/injected_failure", [chip, at]() -> std::string {
-      if (chip->cycle() < at) return "";
-      return "injected invariant failure (soak self-test) armed at cycle " +
-             std::to_string(at);
-    });
-  }
-  router.arm_endurance(&monitor);
-  sim::FaultPlan plan(bundle.events);
-  router.set_fault_plan(&plan);
-
-  // Leg 1: run to the anchor. The run loop schedules everything as
-  // absolute cycles, so run(anchor); run(rest) walks the identical
-  // trajectory of the original single run — including captures deferred by
-  // a busy network — and lands exactly on the anchor's capture cycle.
-  if (anchor != nullptr) {
-    const RunStatus rs1 = router.run(anchor->cycle);
-    if (rs1 == RunStatus::kStalled || rs1 == RunStatus::kInvariantViolation) {
-      v.detail = "replay failed before reaching the anchor (cycle " +
-                 std::to_string(router.chip().cycle()) + ")";
-      return v;
-    }
-    if (router.chip().cycle() != anchor->cycle) {
-      v.detail = "replay landed at cycle " +
-                 std::to_string(router.chip().cycle()) + ", anchor is at " +
-                 std::to_string(anchor->cycle);
-      return v;
-    }
-    if (router.chip().state_digest() != anchor->chip_digest ||
-        router.state_digest() != anchor->router_digest) {
-      v.detail = "digest mismatch at the anchor (cycle " +
-                 std::to_string(anchor->cycle) + "): divergent trajectory";
-      return v;
-    }
-  }
-
-  // Leg 2: continue to the failure (or the end of the epoch).
-  RunStatus rs2 = RunStatus::kOk;
-  if (spec.run_cycles > router.chip().cycle()) {
-    rs2 = router.run(spec.run_cycles - router.chip().cycle());
-  }
-  if (rs2 != RunStatus::kStalled && rs2 != RunStatus::kInvariantViolation) {
-    (void)router.drain(spec.drain_cycles);
-  }
-  v.anchored_digest = router.state_digest();
-
-  if (!bundle.failure.empty()) {
-    if (!router.invariant_violation().has_value()) {
-      v.detail = "replay did not reproduce the invariant violation";
-      return v;
-    }
-    const sim::InvariantViolation& viol = *router.invariant_violation();
-    if (viol.cycle != bundle.failure_cycle) {
-      v.detail = "violation fired at cycle " + std::to_string(viol.cycle) +
-                 ", bundle recorded " + std::to_string(bundle.failure_cycle);
-      return v;
-    }
-  }
-  if (v.anchored_digest != bundle.digest) {
-    v.detail = "final state digest mismatch (anchored replay diverged after "
-               "the anchor)";
-    return v;
-  }
-  // The regenerated ring must reproduce the bundle's anchor trajectory.
-  if (const sim::CheckpointRing* ring = router.checkpoint_ring()) {
-    const std::vector<const sim::Checkpoint*> entries = ring->entries();
-    if (entries.size() != bundle.anchors.size()) {
-      v.detail = "replay captured " + std::to_string(entries.size()) +
-                 " checkpoints, bundle has " +
-                 std::to_string(bundle.anchors.size());
-      return v;
-    }
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i]->cycle != bundle.anchors[i].cycle ||
-          entries[i]->chip_digest != bundle.anchors[i].chip_digest ||
-          entries[i]->owner_digest != bundle.anchors[i].router_digest) {
-        v.detail = "checkpoint anchor " + std::to_string(i) +
-                   " does not match the bundle";
-        return v;
-      }
-    }
-  }
-  v.ok = true;
-  return v;
-}
-
-AnchoredReplayResult verify_bundle_replay(const ChaosRepro& bundle) {
-  AnchoredReplayResult v = replay_from_checkpoint(bundle);
-
-  ChaosSpec zero_spec = bundle.spec;
-  zero_spec.monitor = nullptr;
-  zero_spec.profiler = nullptr;
-  zero_spec.checkpoint_spill_dir.clear();
-  const ChaosResult z = run_chaos_events(zero_spec, bundle.events);
-  v.from_zero_digest = z.digest;
-
-  if (!v.ok) return v;
-  if (z.digest != bundle.digest) {
-    v.ok = false;
-    v.detail = "from-zero replay digest does not match the bundle";
-  } else if (!bundle.failure.empty() &&
-             z.invariant_failure_cycle != bundle.failure_cycle) {
-    v.ok = false;
-    v.detail = "from-zero replay violation cycle " +
-               std::to_string(z.invariant_failure_cycle) +
-               " does not match the bundle's " +
-               std::to_string(bundle.failure_cycle);
-  }
-  return v;
 }
 
 SoakReport run_soak(const SoakSpec& spec) {
@@ -277,9 +132,6 @@ SoakReport run_soak(const SoakSpec& spec) {
         },
         /*deterministic=*/false);
     cs.monitor = &monitor;
-    if (!spec.checkpoint_dir.empty()) {
-      cs.checkpoint_spill_dir = spec.checkpoint_dir;
-    }
 
     // Materialize the seed-derived fault schedule as explicit events so a
     // failure bundle replays through run_chaos_events directly.
@@ -298,7 +150,6 @@ SoakReport run_soak(const SoakSpec& spec) {
     rep.faults_injected += r.faults_injected;
     rep.invariant_sweeps += r.invariant_sweeps;
     rep.checkpoints_captured += r.checkpoints_captured;
-    rep.checkpoints_skipped += r.checkpoints_skipped;
     rep.link_retransmits += r.link_retransmits;
     if (r.degraded) ++rep.recoveries;
 
@@ -342,10 +193,11 @@ SoakReport run_soak(const SoakSpec& spec) {
       }
 
       // The acceptance gate: a deterministic invariant failure must replay
-      // identically from its nearest anchor and from zero.
-      if (spec.verify_failure_replay && !fr.invariant_failure.empty() &&
-          fr.invariant_deterministic) {
-        rep.replay = verify_bundle_replay(bundle);
+      // to the same anchors, failure cycle and digest.
+      if (!fr.invariant_failure.empty() && fr.invariant_deterministic) {
+        rep.replay.attempted = true;
+        (void)replay_repro(bundle, &rep.replay.detail);
+        rep.replay.ok = rep.replay.detail.empty();
       }
       break;
     }
@@ -381,7 +233,6 @@ std::string SoakReport::to_json() const {
   json::append_field(s, "faults_injected", faults_injected);
   json::append_field(s, "invariant_sweeps", invariant_sweeps);
   json::append_field(s, "checkpoints_captured", checkpoints_captured);
-  json::append_field(s, "checkpoints_skipped", checkpoints_skipped);
   json::append_field(s, "link_retransmits", link_retransmits);
   json::append_field(s, "recoveries", recoveries);
   s += "},\n  \"memory\": {\"rss_first\": ";
@@ -392,11 +243,6 @@ std::string SoakReport::to_json() const {
   s += "},\n  \"replay\": {\"attempted\": ";
   json::append_value(s, replay.attempted);
   json::append_field(s, "ok", replay.ok);
-  json::append_field(s, "anchor_cycle", replay.anchor_cycle);
-  s += ", \"anchored_digest\": ";
-  json::append_hex64(s, replay.anchored_digest);
-  s += ", \"from_zero_digest\": ";
-  json::append_hex64(s, replay.from_zero_digest);
   json::append_field(s, "detail", replay.detail);
   s += "},\n  \"bundle\": ";
   json::append_escaped(s, bundle_path);

@@ -3,14 +3,13 @@
 // traffic profile with the invariant monitor armed.
 //
 // Why epochs: tile programs are C++20 coroutines, whose frames cannot be
-// serialized, so a mid-run warm-start checkpoint of the full simulator is
-// not feasible (see DESIGN.md "Endurance & invariants"). Instead the soak is
-// structured so that every epoch boundary *is* a warm-startable checkpoint
-// (a fresh router with an epoch-derived seed), and within an epoch the
-// checkpoint ring provides digest anchors: a failure bundle pins the failing
-// epoch and replays it alone — from zero, or anchored at the nearest
-// checkpoint — reproducing the identical state-digest trajectory under
-// either engine. Replay cost is one epoch, not the whole soak.
+// serialized, so the simulator cannot be restored mid-run (see DESIGN.md
+// "Endurance & invariants"). Instead every epoch boundary is a fresh router
+// with an epoch-derived seed, and within an epoch the checkpoint ring
+// records digest anchors: a failure bundle pins the failing epoch, and
+// router::replay_repro re-runs that epoch alone from zero, reproducing every
+// anchor and the final digest under either engine. Replay cost is one
+// epoch, not the whole soak.
 //
 // The memory-flatness sentinel (common::MemTrend over /proc RSS) is shared
 // across epochs and registered as a *non-deterministic* check: it reports
@@ -43,28 +42,22 @@ struct SoakSpec {
   common::Cycle invariant_cadence = 16384;
   common::Cycle checkpoint_interval = 1u << 19;
   std::size_t checkpoint_ring = 4;
-  common::Cycle checkpoint_grace = 4096;
   /// Memory-flatness slack: recent-window mean RSS may exceed the first
   /// window's by this many bytes plus this fraction.
   std::uint64_t mem_slack_bytes = 64ull << 20;
   double mem_slack_fraction = 0.10;
   /// Soak self-test: soak-absolute cycle at which an always-failing check
   /// arms inside the owning epoch (0 = off). Proves the violation ->
-  /// bundle -> anchored-replay path end to end.
+  /// bundle -> replay path end to end.
   common::Cycle inject_invariant_failure_at = 0;
-  /// Artifact directories ("" = don't write): failure repro bundles, flight
-  /// recorder dumps, spilled checkpoint snapshots.
+  /// Artifact directories ("" = don't write): failure repro bundles and
+  /// flight recorder dumps.
   std::string bundle_dir;
   std::string flight_dir;
-  std::string checkpoint_dir;
   /// Wall-clock budget in seconds (0 = none): the soak stops at the next
   /// epoch boundary once exceeded and reports time_boxed. CI's tier-3
   /// nightly uses this to stay inside its slot.
   double time_box_seconds = 0.0;
-  /// On a failure with a deterministic invariant violation, immediately
-  /// verify the bundle: anchored replay and from-zero replay must agree
-  /// with each other and with the recorded digests.
-  bool verify_failure_replay = true;
 
   /// Throws std::invalid_argument when `threads` is not 0 or 1 (an epoch's
   /// chip steps serially). epoch_spec() calls this.
@@ -77,17 +70,6 @@ struct SoakEpochResult {
   std::string mix;
   std::string traffic_profile;
   ChaosResult chaos;
-};
-
-/// Result of replaying a failure bundle from its nearest checkpoint anchor
-/// (and, when driven by run_soak / rawchaos, comparing against from-zero).
-struct AnchoredReplayResult {
-  bool attempted = false;
-  bool ok = false;
-  std::string detail;  // why it failed; "" when ok
-  common::Cycle anchor_cycle = 0;
-  std::uint64_t anchored_digest = 0;
-  std::uint64_t from_zero_digest = 0;
 };
 
 struct SoakReport {
@@ -104,7 +86,6 @@ struct SoakReport {
   std::uint64_t faults_injected = 0;
   std::uint64_t invariant_sweeps = 0;
   std::uint64_t checkpoints_captured = 0;
-  std::uint64_t checkpoints_skipped = 0;
   std::uint64_t link_retransmits = 0;
   std::uint64_t recoveries = 0;  // epochs that ended degraded
   std::uint64_t rss_first = 0;
@@ -113,7 +94,13 @@ struct SoakReport {
   bool mem_flat = true;
   std::string bundle_path;  // failure artifacts actually written
   std::string flight_path;
-  AnchoredReplayResult replay;
+  /// On a deterministic invariant failure, run_soak replays the failing
+  /// epoch's bundle (replay_repro) before it returns.
+  struct Replay {
+    bool attempted = false;
+    bool ok = false;
+    std::string detail;  // what differed; "" when ok
+  } replay;
   std::vector<SoakEpochResult> epochs;
 
   /// Serializes as a self-contained "soak/v1" JSON document.
@@ -130,17 +117,5 @@ struct SoakReport {
 /// the RSS sentinel); everything the pass/fail verdict and any bundle rests
 /// on is seed-derived.
 SoakReport run_soak(const SoakSpec& spec);
-
-/// Replays `bundle` anchored at the nearest checkpoint at or before its
-/// failure cycle: reconstructs the identical router, runs to the anchor,
-/// verifies the chip and router digests there, continues to the failure,
-/// and verifies the violation cycle, the final state digest, and the
-/// regenerated checkpoint anchors all match the bundle. Does not run the
-/// from-zero leg — callers compare against run_chaos_events themselves.
-AnchoredReplayResult replay_from_checkpoint(const ChaosRepro& bundle);
-
-/// Anchored replay + from-zero replay, cross-checked (the acceptance gate:
-/// both legs must reproduce the bundle's digest and failure cycle).
-AnchoredReplayResult verify_bundle_replay(const ChaosRepro& bundle);
 
 }  // namespace raw::router

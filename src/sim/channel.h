@@ -29,7 +29,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/ring_buffer.h"
 #include "common/types.h"
@@ -242,42 +241,6 @@ class Channel {
       guard_->staged.reset();
       guard_->rx.front_retries = 0;
     }
-  }
-
-  /// Point-in-time functional state, for Chip snapshot/restore. Valid at a
-  /// cycle boundary.
-  struct State {
-    std::vector<Word> words;
-    std::optional<Word> staged;
-    common::Cycle stall_until = 0;
-    std::uint64_t words_transferred = 0;
-  };
-
-  [[nodiscard]] State save_state() const {
-    touch();
-    State s;
-    s.words.reserve(buf_.size());
-    for (std::size_t i = 0; i < buf_.size(); ++i) s.words.push_back(buf_.peek(i));
-    s.staged = staged_;
-    s.stall_until = stall_until_;
-    s.words_transferred = words_transferred_;
-    return s;
-  }
-
-  void restore_state(const State& s) {
-    reset_contents();
-    for (const Word w : s.words) {
-      buf_.push(w);
-      // Rebuild the replay mirror treating restored words as clean:
-      // snapshots are taken at verified quiescent boundaries.
-      if (guard_ != nullptr) guard_->replay.push(LinkFrame{w, guard_->next_seq++});
-    }
-    staged_ = s.staged;
-    if (guard_ != nullptr && s.staged.has_value()) {
-      guard_->staged = LinkFrame{*s.staged, guard_->next_seq++};
-    }
-    stall_until_ = s.stall_until;
-    words_transferred_ = s.words_transferred;
   }
 
   /// Folds the functional state into an FNV-1a accumulator (engine-equality

@@ -555,46 +555,6 @@ std::uint64_t Chip::link_stall_cycles() const {
   return total;
 }
 
-Chip::Snapshot Chip::snapshot() const {
-  RAW_ASSERT_MSG(dyn_ == nullptr || dyn_->words_in_flight() == 0,
-                 "chip snapshot requires a quiet dynamic network");
-  Snapshot s;
-  s.cycle = engine_.now;
-  s.last_progress = last_progress_cycle_;
-  s.channels.reserve(all_channels_.size());
-  for (const Channel* ch : all_channels_) s.channels.push_back(ch->save_state());
-  s.switches.reserve(tiles_.size());
-  for (const auto& t : tiles_) {
-    const SwitchProcessor& sw = t->switch_proc();
-    Snapshot::SwitchState st;
-    st.pc = sw.pc();
-    st.halted = sw.halted();
-    for (int r = 0; r < kNumSwitchRegs; ++r) {
-      st.regs[static_cast<std::size_t>(r)] = sw.reg(static_cast<std::uint8_t>(r));
-    }
-    s.switches.push_back(st);
-  }
-  return s;
-}
-
-void Chip::restore(const Snapshot& s) {
-  RAW_ASSERT_MSG(s.channels.size() == all_channels_.size() &&
-                     s.switches.size() == tiles_.size(),
-                 "snapshot shape does not match this chip");
-  // Everything becomes runnable and revalidates against the restored state;
-  // parking decisions never change results, so both engines replay alike.
-  wake_all_parked();
-  engine_.now = s.cycle;
-  last_progress_cycle_ = s.last_progress;
-  for (std::size_t i = 0; i < all_channels_.size(); ++i) {
-    all_channels_[i]->restore_state(s.channels[i]);
-  }
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    const Snapshot::SwitchState& st = s.switches[i];
-    tiles_[i]->switch_proc().restore_state(st.pc, st.halted, st.regs);
-  }
-}
-
 std::uint64_t Chip::state_digest() const {
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
   const auto mix = [&h](std::uint64_t v) {

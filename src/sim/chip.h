@@ -196,34 +196,12 @@ class Chip {
   [[nodiscard]] std::uint64_t link_delivered_corrupt() const;
   [[nodiscard]] std::uint64_t link_stall_cycles() const;
 
-  /// Point-in-time architectural state: cycle, every channel's contents,
-  /// every switch's PC/halt/registers. Tile processor coroutines are NOT
-  /// captured — restore() rewinds the data plane, and replay equality is
-  /// checked by re-executing deterministically and comparing state_digest()
-  /// (see DESIGN.md "Recovery model" for the invariants).
-  struct Snapshot {
-    struct SwitchState {
-      std::size_t pc = 0;
-      bool halted = false;
-      std::array<common::Word, kNumSwitchRegs> regs{};
-    };
-    common::Cycle cycle = 0;
-    common::Cycle last_progress = 0;
-    std::vector<Channel::State> channels;  // parallel to all_channels()
-    std::vector<SwitchState> switches;
-  };
-
-  /// Captures a snapshot. Must be taken at a cycle boundary with the
-  /// dynamic network quiet (no in-flight worms) — asserted.
-  [[nodiscard]] Snapshot snapshot() const;
-  /// Rewinds the chip to `s`. Any parked agent is returned to the runnable
-  /// set first, so the restored state is revalidated from scratch; valid
-  /// under both engines.
-  void restore(const Snapshot& s);
-
   /// FNV-1a digest of the architectural state (cycle, channels, switch
   /// PCs/registers, dynamic-network counters). Equal digests after equal
-  /// runs is the engine-equivalence and replay-equality check.
+  /// runs is the engine-equivalence and replay-equality check. There is no
+  /// restore: tile-processor coroutines cannot be captured, so a replay
+  /// re-executes from the seed and compares digests (DESIGN.md "Recovery
+  /// model").
   [[nodiscard]] std::uint64_t state_digest() const;
 
   /// Recovery hook (fault-adaptive reconfiguration): returns every parked

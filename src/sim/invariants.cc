@@ -1,7 +1,6 @@
 #include "sim/invariants.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -152,82 +151,10 @@ CheckpointRing::CheckpointRing(std::size_t capacity)
 
 const Checkpoint& CheckpointRing::capture(const Chip& chip,
                                           std::uint64_t owner_digest) {
-  Checkpoint cp;
-  cp.cycle = chip.cycle();
-  cp.snapshot = chip.snapshot();
-  cp.chip_digest = chip.state_digest();
-  cp.owner_digest = owner_digest;
   if (ring_.size() == capacity_) ring_.erase(ring_.begin());
-  ring_.push_back(std::move(cp));
+  ring_.push_back(Checkpoint{chip.cycle(), chip.state_digest(), owner_digest});
   ++captured_;
   return ring_.back();
-}
-
-std::vector<const Checkpoint*> CheckpointRing::entries() const {
-  std::vector<const Checkpoint*> out;
-  out.reserve(ring_.size());
-  for (const Checkpoint& cp : ring_) out.push_back(&cp);
-  return out;
-}
-
-const Checkpoint* CheckpointRing::nearest_at_or_before(
-    common::Cycle cycle) const {
-  const Checkpoint* best = nullptr;
-  for (const Checkpoint& cp : ring_) {
-    if (cp.cycle <= cycle) best = &cp;
-  }
-  return best;
-}
-
-const Checkpoint* CheckpointRing::latest() const {
-  return ring_.empty() ? nullptr : &ring_.back();
-}
-
-std::size_t CheckpointRing::spill_all(const std::string& dir,
-                                      const std::string& prefix,
-                                      std::string* error) const {
-  std::size_t written = 0;
-  for (const Checkpoint& cp : ring_) {
-    const std::string path = dir + "/" + prefix + "ckpt_" +
-                             std::to_string(cp.cycle) + ".snap";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      if (error != nullptr) *error = "cannot write " + path;
-      return written;
-    }
-    std::fprintf(f,
-                 "raw-checkpoint v1\ncycle %llu\nlast_progress %llu\n"
-                 "chip_digest 0x%016llx\nowner_digest 0x%016llx\n",
-                 static_cast<unsigned long long>(cp.snapshot.cycle),
-                 static_cast<unsigned long long>(cp.snapshot.last_progress),
-                 static_cast<unsigned long long>(cp.chip_digest),
-                 static_cast<unsigned long long>(cp.owner_digest));
-    for (std::size_t c = 0; c < cp.snapshot.channels.size(); ++c) {
-      const Channel::State& st = cp.snapshot.channels[c];
-      std::fprintf(f, "channel %zu transferred %llu stall %llu staged %s words",
-                   c, static_cast<unsigned long long>(st.words_transferred),
-                   static_cast<unsigned long long>(st.stall_until),
-                   st.staged.has_value()
-                       ? std::to_string(*st.staged).c_str()
-                       : "-");
-      for (const common::Word w : st.words) {
-        std::fprintf(f, " %08x", static_cast<unsigned>(w));
-      }
-      std::fprintf(f, "\n");
-    }
-    for (std::size_t t = 0; t < cp.snapshot.switches.size(); ++t) {
-      const Chip::Snapshot::SwitchState& sw = cp.snapshot.switches[t];
-      std::fprintf(f, "switch %zu pc %zu halted %d regs", t, sw.pc,
-                   sw.halted ? 1 : 0);
-      for (const common::Word r : sw.regs) {
-        std::fprintf(f, " %08x", static_cast<unsigned>(r));
-      }
-      std::fprintf(f, "\n");
-    }
-    std::fclose(f);
-    ++written;
-  }
-  return written;
 }
 
 }  // namespace raw::sim

@@ -1,5 +1,5 @@
-// Endurance invariants: continuous in-run verification plus a checkpoint
-// ring for anchored failure replay.
+// Endurance invariants: continuous in-run verification plus a ring of
+// checkpoint digests that anchor a failure replay.
 //
 // A drain-exit check proves a run *ended* consistent; a multi-billion-cycle
 // soak needs the books balanced *while* the run is in flight, so corruption
@@ -9,14 +9,11 @@
 // its park/wake credit books, the soak driver adds a memory sentinel) and
 // sweeps them at a configurable cadence from the run loop.
 //
-// CheckpointRing keeps the last K Chip::snapshot captures with both the
-// chip-level and owner-level digests. Tile-program coroutine frames are not
-// serializable (see DESIGN.md "Endurance & invariants"), so these snapshots
-// are digest anchors: a failure bundle records their (cycle, digest) pairs
-// and replay re-executes deterministically, verifying the identical digest
-// trajectory through every anchor up to the failure cycle. The snapshots
-// themselves support in-process restore (architectural diffing at an anchor)
-// and optional spill-to-disk for post-mortem inspection.
+// CheckpointRing keeps the last K (cycle, chip digest, owner digest)
+// triples. Tile-program coroutine frames cannot be captured, so nothing is
+// restored from a checkpoint: a failure bundle records the triples and a
+// replay re-executes deterministically from the seed, reproducing every one
+// of them on its way to the failure (router::replay_repro).
 #pragma once
 
 #include <cstdint>
@@ -105,41 +102,26 @@ class InvariantMonitor {
   std::uint64_t checks_run_ = 0;
 };
 
-/// One checkpoint-ring entry: the architectural snapshot plus the digests
-/// replay must reproduce at `cycle`.
+/// One checkpoint: a cycle and the digests a replay must reproduce there.
 struct Checkpoint {
   common::Cycle cycle = 0;
   std::uint64_t chip_digest = 0;   // Chip::state_digest at capture
-  std::uint64_t owner_digest = 0;  // owner-supplied (e.g. RawRouter digest)
-  Chip::Snapshot snapshot;
+  std::uint64_t owner_digest = 0;  // owner-supplied (RawRouter::state_digest)
+
+  friend bool operator==(const Checkpoint&, const Checkpoint&) = default;
 };
 
-/// Keeps the most recent `capacity` checkpoints. Capture requires the
-/// dynamic network quiet (Chip::snapshot's contract) — the owner defers the
-/// capture deterministically until it is.
+/// Keeps the most recent `capacity` checkpoints.
 class CheckpointRing {
  public:
   explicit CheckpointRing(std::size_t capacity);
 
   const Checkpoint& capture(const Chip& chip, std::uint64_t owner_digest);
 
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t size() const { return ring_.size(); }
-  /// Lifetime captures (>= size(): old entries fall off the ring).
+  /// Lifetime captures (>= entries().size(): old entries fall off the ring).
   [[nodiscard]] std::uint64_t captured() const { return captured_; }
-
   /// Entries oldest-first.
-  [[nodiscard]] std::vector<const Checkpoint*> entries() const;
-  /// Most recent checkpoint at or before `cycle` (nullptr when none).
-  [[nodiscard]] const Checkpoint* nearest_at_or_before(common::Cycle cycle) const;
-  [[nodiscard]] const Checkpoint* latest() const;
-
-  /// Spills every held snapshot under `dir` as
-  /// `<prefix>ckpt_<cycle>.snap` (one text record per channel/switch —
-  /// post-mortem inspection, not a warm-start format). Returns the number
-  /// of files written; 0 with `error` set on I/O failure.
-  std::size_t spill_all(const std::string& dir, const std::string& prefix,
-                        std::string* error = nullptr) const;
+  [[nodiscard]] const std::vector<Checkpoint>& entries() const { return ring_; }
 
  private:
   std::size_t capacity_;

@@ -58,17 +58,6 @@ class SwitchProcessor {
   [[nodiscard]] bool halted() const { return halted_; }
   [[nodiscard]] common::Word reg(std::uint8_t r) const { return regs_[r]; }
 
-  /// Snapshot restore (Chip::restore): overwrites the architectural state —
-  /// PC, halt flag, registers — leaving the cumulative cycle counters alone.
-  void restore_state(std::size_t pc, bool halted,
-                     const std::array<common::Word, kNumSwitchRegs>& regs) {
-    pc_ = pc;
-    halted_ = halted;
-    regs_ = regs;
-    last_state_ = AgentState::kIdle;
-    last_block_channel_ = nullptr;
-  }
-
   /// What the last step() returned, and — when it blocked — the channel it
   /// blocked on. Consumed by the progress watchdog to explain stalls.
   [[nodiscard]] AgentState last_state() const { return last_state_; }

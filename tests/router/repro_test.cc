@@ -4,6 +4,7 @@
 #include "router/repro.h"
 
 #include <stdexcept>
+#include <string>
 #include <variant>
 
 #include <gtest/gtest.h>
@@ -119,7 +120,6 @@ TEST(ReproJsonTest, RoundTripV2EnduranceFields) {
   original.spec.endurance.invariant_cadence = 4096;
   original.spec.endurance.checkpoint_interval = 65536;
   original.spec.endurance.checkpoint_ring = 3;
-  original.spec.endurance.checkpoint_grace = 512;
   original.failure = "router/conservation: off by 1";
   original.failure_cycle = 98304;
   original.soak_epoch = 7;
@@ -138,20 +138,11 @@ TEST(ReproJsonTest, RoundTripV2EnduranceFields) {
   EXPECT_EQ(parsed.spec.endurance.invariant_cadence, 4096u);
   EXPECT_EQ(parsed.spec.endurance.checkpoint_interval, 65536u);
   EXPECT_EQ(parsed.spec.endurance.checkpoint_ring, 3u);
-  EXPECT_EQ(parsed.spec.endurance.checkpoint_grace, 512u);
   EXPECT_EQ(parsed.failure, original.failure);
   EXPECT_EQ(parsed.failure_cycle, original.failure_cycle);
   EXPECT_EQ(parsed.soak_epoch, 7);
   EXPECT_EQ(parsed.soak_start_cycle, 28'000'000u);
-  ASSERT_EQ(parsed.anchors.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(parsed.anchors[i].cycle, original.anchors[i].cycle) << i;
-    EXPECT_EQ(parsed.anchors[i].chip_digest, original.anchors[i].chip_digest)
-        << i;
-    EXPECT_EQ(parsed.anchors[i].router_digest,
-              original.anchors[i].router_digest)
-        << i;
-  }
+  EXPECT_EQ(parsed.anchors, original.anchors);
 }
 
 TEST(ReproJsonTest, V1DocumentWithoutV2FieldsStillParses) {
@@ -209,9 +200,10 @@ TEST(ReproJsonTest, SignatureToStringNamesTheShape) {
             "frozen_tile=6");
 }
 
-// A chip bundle in the older format, which carries "threads": 2 in its
-// spec; the reader skips the key. Its digest was recorded by a 2-worker
-// run, and a serial replay must reproduce it.
+// A chip bundle in an older format: its spec carries "threads": 2 and its
+// endurance block a capture-deferral key later builds dropped; the reader
+// skips both. Its digest was recorded by a 2-worker run, and a serial
+// replay must reproduce it.
 constexpr const char* kBundleWithThreads = R"({
   "version": 2,
   "spec": {"seed": 23, "mix": "flip+stall", "run_cycles": 6000, "drain_cycles": 400000, "faults_per_kind": 6, "bytes": 256, "load": 0.90000000000000002, "threads": 2, "reliable_links": false, "recovery": false, "force_dense": false, "traffic_profile": "", "inject_invariant_failure_at": 0, "endurance": {"enabled": false, "invariant_cadence": 16384, "checkpoint_interval": 524288, "checkpoint_ring": 4, "checkpoint_grace": 4096}},
@@ -273,8 +265,9 @@ TEST(ReproReplayTest, DigestStableAcrossEnginesAndThreads) {
     }
   }
   for (const ChaosRepro* bundle : {&old_format, &recorded}) {
-    EXPECT_EQ(signature_of(run_chaos_events(bundle->spec, bundle->events)),
-              bundle->signature);
+    std::string why;
+    (void)replay_repro(*bundle, &why);
+    EXPECT_EQ(why, "");
   }
 }
 

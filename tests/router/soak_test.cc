@@ -1,14 +1,14 @@
 // Endurance soak tests (router/soak.h): config validation for the soak
 // knobs, epoch derivation determinism, a small green soak under chaos with
 // links+recovery, and the acceptance property — an injected invariant
-// failure produces a bundle whose replay from the nearest checkpoint
-// reproduces the identical state-digest trajectory as replay from zero,
-// under both engines.
+// failure produces a bundle whose replay reproduces the failure cycle, every
+// checkpoint anchor and the final digest, under both engines.
 #include "router/soak.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "router/chaos.h"
@@ -124,10 +124,10 @@ TEST(SoakTest, SmallGreenSoakPasses) {
 }
 
 TEST(SoakTest, CheckpointIntervalDoesNotChangeEpochDigests) {
-  // Checkpoints are pure observation: a capture deferred by a busy network
-  // never steps the chip, so every epoch of the rotation (slot 7 is the
-  // permafreeze epoch, where recovery makes watchdog cycles matter) ends in
-  // the same state at any checkpoint interval.
+  // Checkpoints are pure observation: a capture only reads digests, so
+  // every epoch of the rotation (slot 7 is the permafreeze epoch, where
+  // recovery makes watchdog cycles matter) ends in the same state at any
+  // checkpoint interval.
   SoakSpec spec;
   spec.seed = 1;
   spec.epoch_cycles = 50000;
@@ -146,35 +146,44 @@ TEST(SoakTest, CheckpointIntervalDoesNotChangeEpochDigests) {
   }
 }
 
-void expect_injected_replay_roundtrip(bool force_dense) {
+// Injects a failure `offset` cycles into epoch 1 of small_spec(). It fires
+// at `failing_sweep`, the first invariant sweep (cadence 8192) at or after
+// the offset, and the bundle's last anchor is the checkpoint (interval
+// 32768) at or before that sweep.
+void expect_injected_replay_roundtrip(bool force_dense, common::Cycle offset,
+                                      common::Cycle failing_sweep) {
   SoakSpec spec = small_spec();
   spec.force_dense = force_dense;
-  // Offset chosen so the failing sweep (57344, the next cadence multiple)
-  // does not coincide with a checkpoint due — the anchor lands strictly
-  // before the failure.
-  spec.inject_invariant_failure_at = spec.epoch_cycles + 50000;  // epoch 1
+  spec.inject_invariant_failure_at = spec.epoch_cycles + offset;
   const SoakReport rep = run_soak(spec);
   EXPECT_FALSE(rep.pass);
-  EXPECT_EQ(rep.epochs_run, 2);
+  ASSERT_EQ(rep.epochs_run, 2);
   ASSERT_TRUE(rep.replay.attempted)
-      << "dense=" << force_dense
-      << " failure=" << rep.failure;
+      << "dense=" << force_dense << " failure=" << rep.failure;
   EXPECT_TRUE(rep.replay.ok) << rep.replay.detail;
-  EXPECT_GT(rep.replay.anchor_cycle, 0u);
-  EXPECT_EQ(rep.replay.anchored_digest, rep.replay.from_zero_digest);
+  const ChaosResult& r = rep.epochs.back().chaos;
+  EXPECT_EQ(r.invariant_failure_cycle, failing_sweep);
+  ASSERT_FALSE(r.anchors.empty());
+  EXPECT_EQ(r.anchors.back().cycle,
+            failing_sweep - failing_sweep % spec.checkpoint_interval);
 }
 
+// The failing sweep 57344 falls between the checkpoints at 32768 and 65536;
+// 65536 is itself a checkpoint cycle, so the last anchor is captured at the
+// very cycle the failure stops the run.
 TEST(SoakTest, InjectedFailureReplayMatchesSparseSerial) {
-  expect_injected_replay_roundtrip(/*force_dense=*/false);
+  expect_injected_replay_roundtrip(/*force_dense=*/false, 50000, 57344);
+  expect_injected_replay_roundtrip(/*force_dense=*/false, 60000, 65536);
 }
 
 TEST(SoakTest, InjectedFailureReplayMatchesDense) {
-  expect_injected_replay_roundtrip(/*force_dense=*/true);
+  expect_injected_replay_roundtrip(/*force_dense=*/true, 50000, 57344);
+  expect_injected_replay_roundtrip(/*force_dense=*/true, 60000, 65536);
 }
 
-// A failure that lands before the first checkpoint is due anchors at the
-// epoch start: cycle 0 is the implicit checkpoint (the epoch is fully
-// reconstructible from its seed), so the bundle still replays.
+// A failure that lands before the first checkpoint is due leaves the bundle
+// without anchors: the replay from the epoch's seed still has the failure
+// cycle and the final digest to reproduce.
 TEST(SoakTest, FailureBeforeFirstCheckpointAnchorsAtEpochStart) {
   SoakSpec spec = small_spec();
   spec.inject_invariant_failure_at = 20000;  // < checkpoint_interval 32768
@@ -182,8 +191,43 @@ TEST(SoakTest, FailureBeforeFirstCheckpointAnchorsAtEpochStart) {
   EXPECT_FALSE(rep.pass);
   ASSERT_TRUE(rep.replay.attempted) << rep.failure;
   EXPECT_TRUE(rep.replay.ok) << rep.replay.detail;
-  EXPECT_EQ(rep.replay.anchor_cycle, 0u);
-  EXPECT_EQ(rep.replay.anchored_digest, rep.replay.from_zero_digest);
+  EXPECT_TRUE(rep.epochs.back().chaos.anchors.empty());
+}
+
+// The failing epoch's bundle as run_soak writes it.
+ChaosRepro failing_epoch_bundle(const SoakSpec& spec, const SoakReport& rep) {
+  const ChaosSpec cs = epoch_spec(spec, rep.epochs_run - 1);
+  return make_repro(cs, make_fault_events(cs), rep.epochs.back().chaos);
+}
+
+// A bundle whose anchors were tampered with must not replay as a match,
+// even though its signature, failure cycle and final digest still do.
+TEST(SoakTest, ReplayReportsAnEditedAnchor) {
+  SoakSpec spec = small_spec();
+  spec.inject_invariant_failure_at = 100000;  // epoch 0, after 3 anchors
+  const SoakReport rep = run_soak(spec);
+  ASSERT_FALSE(rep.pass);
+  const ChaosRepro bundle = failing_epoch_bundle(spec, rep);
+  ASSERT_EQ(bundle.anchors.size(), 3u);
+
+  std::string why;
+  (void)replay_repro(bundle, &why);
+  EXPECT_EQ(why, "");
+
+  ChaosRepro edited_chip = bundle;
+  edited_chip.anchors[1].chip_digest ^= 1;
+  (void)replay_repro(edited_chip, &why);
+  EXPECT_NE(why.find("anchor 1 mismatch"), std::string::npos) << why;
+
+  ChaosRepro edited_router = bundle;
+  edited_router.anchors[2].owner_digest ^= 1;
+  (void)replay_repro(edited_router, &why);
+  EXPECT_NE(why.find("anchor 2 mismatch"), std::string::npos) << why;
+
+  ChaosRepro dropped = bundle;
+  dropped.anchors.pop_back();
+  (void)replay_repro(dropped, &why);
+  EXPECT_NE(why.find("3 anchors, bundle has 2"), std::string::npos) << why;
 }
 
 // The stop-violation and its cycle are part of the run result, and the
@@ -200,16 +244,15 @@ TEST(SoakTest, FailureBundleSurvivesJsonRoundTrip) {
   EXPECT_GT(r.invariant_failure_cycle, 0u);
 
   // Rebuild the bundle the way run_soak writes it, round-trip through JSON,
-  // and verify both replay legs again on the parsed copy.
-  const ChaosSpec cs = epoch_spec(spec, 0);
-  const ChaosRepro bundle = make_repro(cs, make_fault_events(cs), r);
-
+  // and replay the parsed copy.
+  const ChaosRepro bundle = failing_epoch_bundle(spec, rep);
   std::string err;
   ChaosRepro parsed;
   ASSERT_TRUE(from_json(to_json(bundle), &parsed, &err)) << err;
-  const AnchoredReplayResult v = verify_bundle_replay(parsed);
-  ASSERT_TRUE(v.attempted);
-  EXPECT_TRUE(v.ok) << v.detail;
+  EXPECT_EQ(parsed.anchors, bundle.anchors);
+  std::string why;
+  (void)replay_repro(parsed, &why);
+  EXPECT_EQ(why, "");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Chip snapshot/restore/digest tests (checkpoint-based replay): a restored
-// chip re-executes the exact same future, under either engine.
+// Chip state-digest tests: the digest a checkpoint records is the same under
+// either engine at the same cycle, and it separates different states.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -50,9 +50,7 @@ class SinkDevice : public Device {
 };
 
 // Streams 16 words across row 1 (tiles 4..7). The source finishes emitting
-// by cycle 16, so a snapshot taken later captures the *entire* live state in
-// the channels and switches — devices are memoryless from then on, which is
-// the snapshot contract (the data plane rewinds; agents re-execute).
+// by cycle 16; the words are still crossing the row for a while after.
 struct RowStream {
   explicit RowStream(bool force_dense = false) {
     for (int t : {4, 5, 6, 7}) {
@@ -73,58 +71,18 @@ struct RowStream {
   std::unique_ptr<SinkDevice> sink;
 };
 
-TEST(SnapshotTest, RestoreRewindsToTheCapturedCycle) {
-  RowStream s;
-  s.chip.run(18);
-  const Chip::Snapshot snap = s.chip.snapshot();
-  const std::uint64_t digest_at_snap = s.chip.state_digest();
-  EXPECT_EQ(snap.cycle, 18u);
-
-  s.chip.run(22);
-  const std::uint64_t digest_at_end = s.chip.state_digest();
-  ASSERT_NE(digest_at_end, digest_at_snap);  // something actually moved
-
-  s.chip.restore(snap);
-  EXPECT_EQ(s.chip.cycle(), 18u);
-  EXPECT_EQ(s.chip.state_digest(), digest_at_snap);
-}
-
-TEST(SnapshotTest, RestoredChipReplaysTheSameFuture) {
-  RowStream s;
-  s.chip.run(18);
-  const Chip::Snapshot snap = s.chip.snapshot();
-  const std::size_t at_snap = s.sink->received().size();
-
-  s.chip.run(22);
-  const std::uint64_t digest_first = s.chip.state_digest();
-  const std::vector<common::Word> received_first = s.sink->received();
-  ASSERT_EQ(received_first.size(), 16u);  // everything arrived
-
-  s.chip.restore(snap);
-  s.chip.run(22);
-  EXPECT_EQ(s.chip.state_digest(), digest_first);
-  // The sink records the replayed tail again, identically.
-  const std::vector<common::Word>& twice = s.sink->received();
-  ASSERT_EQ(twice.size(), 16u + (16u - at_snap));
-  for (std::size_t i = at_snap; i < 16u; ++i) {
-    EXPECT_EQ(twice[16u + (i - at_snap)], received_first[i]) << i;
-  }
-}
-
 TEST(SnapshotTest, SnapshotAndDigestAgreeAcrossEngines) {
   RowStream sparse(false);
   RowStream dense(true);
-  sparse.chip.run(18);
-  dense.chip.run(18);
-  EXPECT_EQ(sparse.chip.state_digest(), dense.chip.state_digest());
-
-  // A snapshot captured under one engine restores into the other: the state
-  // is purely architectural.
-  const Chip::Snapshot snap = sparse.chip.snapshot();
-  dense.chip.restore(snap);
-  sparse.chip.run(22);
-  dense.chip.run(22);
-  EXPECT_EQ(sparse.chip.state_digest(), dense.chip.state_digest());
+  // Digests agree at mid-stream cycles, where words sit in the channels (a
+  // checkpoint is captured whenever it is due), and after the stream ends.
+  for (const common::Cycle chunk : {5u, 13u, 7u, 15u}) {
+    sparse.chip.run(chunk);
+    dense.chip.run(chunk);
+    ASSERT_EQ(sparse.chip.state_digest(), dense.chip.state_digest())
+        << "cycle " << sparse.chip.cycle();
+  }
+  ASSERT_EQ(sparse.sink->received().size(), 16u);  // everything arrived
   EXPECT_EQ(sparse.sink->received(), dense.sink->received());
 }
 

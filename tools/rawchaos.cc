@@ -13,10 +13,9 @@
 //   ./rawchaos --mix flip+permafreeze --seed 7 --record bug.json
 //   ./rawchaos --replay bug.json              # re-runs, checks sig + digest
 //   ./rawchaos --minimize bug.json --out min.json   # ddmin the schedule
-//   ./rawchaos --from-checkpoint soak.json    # anchored replay of a soak
-//                                             # failure bundle: replay from
-//                                             # the nearest checkpoint AND
-//                                             # from zero, digests must agree
+//
+// A soak failure bundle (rawsoak --bundle-dir) replays the same way:
+// --replay also checks the failure cycle and every checkpoint anchor.
 //
 // --replay and --minimize read either kind of bundle (chip or cluster; the
 // document's own marker says which), so they need no --cluster.
@@ -65,7 +64,6 @@
 #include "count_flag.h"
 #include "router/chaos.h"
 #include "router/repro.h"
-#include "router/soak.h"
 
 namespace {
 
@@ -77,7 +75,6 @@ using raw::common::json::write_file;
 using raw::router::ChaosMix;
 using raw::router::ChaosRepro;
 using raw::router::ChaosResult;
-using raw::router::ChaosSignature;
 using raw::router::ChaosSpec;
 using raw::tools::non_negative;
 using raw::tools::positive;
@@ -98,7 +95,6 @@ struct Args {
   const char* record = nullptr;    // write a replayable repro JSON here
   const char* replay = nullptr;    // re-run a recorded repro
   const char* minimize = nullptr;  // ddmin a recorded repro
-  const char* from_checkpoint = nullptr;  // anchored replay of a bundle
   const char* out = nullptr;       // minimized-repro output path
   const char* flight_dir = nullptr;  // flight-recorder dumps for bad exits
 };
@@ -113,8 +109,7 @@ void usage() {
                "                [--mix corrupt+stall+cut+freeze] [--cycles N]\n"
                "                [--threads T] [--record FILE]\n"
                "       rawchaos --replay FILE          (chip or cluster bundle)\n"
-               "       rawchaos --minimize FILE [--out FILE]\n"
-               "       rawchaos --from-checkpoint FILE\n");
+               "       rawchaos --minimize FILE [--out FILE]\n");
 }
 
 Args parse(int argc, char** argv) {
@@ -146,8 +141,6 @@ Args parse(int argc, char** argv) {
       a.replay = argv[++i];
     } else if (!std::strcmp(argv[i], "--minimize") && i + 1 < argc) {
       a.minimize = argv[++i];
-    } else if (!std::strcmp(argv[i], "--from-checkpoint") && i + 1 < argc) {
-      a.from_checkpoint = argv[++i];
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       a.out = argv[++i];
     } else if (!std::strcmp(argv[i], "--flight-dir") && i + 1 < argc) {
@@ -269,21 +262,20 @@ int do_replay(const Args& args) {
     return why.empty() ? 0 : 1;
   }
   const ChaosRepro& repro = std::get<ChaosRepro>(bundle);
-  std::printf("replaying %zu events: recorded %s, digest %016llx\n",
+  std::printf("replaying %zu events: recorded %s, digest %016llx, "
+              "%zu anchors\n",
               repro.events.size(), repro.signature.to_string().c_str(),
-              static_cast<unsigned long long>(repro.digest));
-  const ChaosResult r =
-      raw::router::run_chaos_events(repro.spec, repro.events);
+              static_cast<unsigned long long>(repro.digest),
+              repro.anchors.size());
+  std::string why;
+  const ChaosResult r = raw::router::replay_repro(repro, &why);
   print_result(r, args.verbose);
-  const ChaosSignature sig = raw::router::signature_of(r);
-  const bool sig_match = sig == repro.signature;
-  const bool digest_match = r.digest == repro.digest;
-  std::printf("signature: %s (%s)\n", sig.to_string().c_str(),
-              sig_match ? "match" : "MISMATCH");
-  std::printf("digest:    %016llx (%s)\n",
-              static_cast<unsigned long long>(r.digest),
-              digest_match ? "match" : "MISMATCH");
-  return sig_match && digest_match ? 0 : 1;
+  std::printf("signature: %s\n",
+              raw::router::signature_of(r).to_string().c_str());
+  std::printf("digest:    %016llx\n", static_cast<unsigned long long>(r.digest));
+  std::printf("replay:    %s%s\n", why.empty() ? "match" : "MISMATCH: ",
+              why.c_str());
+  return why.empty() ? 0 : 1;
 }
 
 int do_minimize(const Args& args) {
@@ -323,36 +315,6 @@ int do_minimize(const Args& args) {
     return 1;
   }
   return 0;
-}
-
-int do_from_checkpoint(const Args& args) {
-  const raw::cluster::Repro bundle = load_repro_or_die(args.from_checkpoint);
-  if (std::holds_alternative<ClusterChaosRepro>(bundle)) {
-    std::fprintf(stderr, "%s: cluster bundles carry no checkpoints\n",
-                 args.from_checkpoint);
-    return 2;
-  }
-  const ChaosRepro& repro = std::get<ChaosRepro>(bundle);
-  std::printf("bundle: %zu events, %zu anchors, failure @%llu: %s\n",
-              repro.events.size(), repro.anchors.size(),
-              static_cast<unsigned long long>(repro.failure_cycle),
-              repro.failure.empty() ? "(none)" : repro.failure.c_str());
-  const raw::router::AnchoredReplayResult v =
-      raw::router::verify_bundle_replay(repro);
-  std::printf("anchor cycle:     %llu\n",
-              static_cast<unsigned long long>(v.anchor_cycle));
-  std::printf("anchored digest:  %016llx\n",
-              static_cast<unsigned long long>(v.anchored_digest));
-  std::printf("from-zero digest: %016llx\n",
-              static_cast<unsigned long long>(v.from_zero_digest));
-  std::printf("recorded digest:  %016llx\n",
-              static_cast<unsigned long long>(repro.digest));
-  if (v.ok) {
-    std::printf("anchored replay: MATCH (identical digest trajectory)\n");
-    return 0;
-  }
-  std::printf("anchored replay: MISMATCH — %s\n", v.detail.c_str());
-  return 1;
 }
 
 /// One combination's verdict and, when recording, its bundle.
@@ -502,7 +464,6 @@ int main(int argc, char** argv) {
   try {
     if (args.replay != nullptr) return do_replay(args);
     if (args.minimize != nullptr) return do_minimize(args);
-    if (args.from_checkpoint != nullptr) return do_from_checkpoint(args);
     return args.cluster ? run_cluster(args) : run_chip(args);
   } catch (const std::invalid_argument& e) {
     // A configuration validate() rejects (cluster geometry, an unknown

@@ -1,20 +1,20 @@
 // Endurance soak CLI (router/soak.h): billions of cycles as a deterministic
 // sequence of epochs, each a fresh router under a rotating chaos mix and
-// traffic profile with the invariant monitor armed, checkpoint ring
-// capturing replay anchors, and the RSS flatness sentinel watching for
+// traffic profile with the invariant monitor armed, the checkpoint ring
+// recording digest anchors, and the RSS flatness sentinel watching for
 // leaks.
 //
 //   ./rawsoak                                  # 1e9 cycles, links+recovery
 //   ./rawsoak --cycles 4000000000 --seed 7
 //   ./rawsoak --time-box 540 --report soak.json      # CI nightly shape
 //   ./rawsoak --inject-failure-at 6000000 --bundle-dir .   # self-test:
-//       violation -> bundle -> anchored replay must agree
+//       violation -> bundle -> replay must reproduce it
 //
 // The multi-chip fabric's fault mixes are swept by rawchaos --cluster.
 //
 // Exit status 0 only when the soak passes (for the self-test shape above:
-// when the injected failure produced a bundle whose anchored replay and
-// from-zero replay both reproduce the recorded digest trajectory); 2 on bad
+// when the injected failure produced a bundle whose replay reproduces the
+// failure cycle, every checkpoint anchor and the final digest); 2 on bad
 // usage — a count flag that is not a whole number in range, a --time-box
 // that is not a number >= 0 (tools/count_flag.h), or a configuration the
 // router rejects.
@@ -43,10 +43,9 @@ void usage() {
       "usage: rawsoak [--cycles N] [--epoch N] [--drain N] [--seed S]\n"
       "               [--no-links] [--no-recovery]\n"
       "               [--force-dense] [--cadence N] [--checkpoint-interval N]\n"
-      "               [--ring K] [--grace N] [--time-box SECONDS]\n"
-      "               [--inject-failure-at CYCLE] [--no-verify-replay]\n"
-      "               [--report FILE] [--bundle-dir DIR] [--flight-dir DIR]\n"
-      "               [--checkpoint-dir DIR]\n");
+      "               [--ring K] [--time-box SECONDS]\n"
+      "               [--inject-failure-at CYCLE]\n"
+      "               [--report FILE] [--bundle-dir DIR] [--flight-dir DIR]\n");
 }
 
 }  // namespace
@@ -87,24 +86,18 @@ int main(int argc, char** argv) {
       at_least_one(&spec.checkpoint_interval);
     } else if (arg("--ring")) {
       at_least_one(&spec.checkpoint_ring);
-    } else if (arg("--grace")) {
-      zero_or_more(&spec.checkpoint_grace);
     } else if (arg("--time-box")) {
       spec.time_box_seconds =
           real_flag("--time-box", argv[++i], 0.0, /*min_open=*/false,
                     std::numeric_limits<double>::infinity(), usage);
     } else if (arg("--inject-failure-at")) {
       zero_or_more(&spec.inject_invariant_failure_at);
-    } else if (!std::strcmp(argv[i], "--no-verify-replay")) {
-      spec.verify_failure_replay = false;
     } else if (arg("--report")) {
       report_path = argv[++i];
     } else if (arg("--bundle-dir")) {
       spec.bundle_dir = argv[++i];
     } else if (arg("--flight-dir")) {
       spec.flight_dir = argv[++i];
-    } else if (arg("--checkpoint-dir")) {
-      spec.checkpoint_dir = argv[++i];
     } else {
       unknown_flag(argv[i], usage);
     }
@@ -163,14 +156,8 @@ int main(int argc, char** argv) {
     std::printf("  flight: %s\n", rep.flight_path.c_str());
   }
   if (rep.replay.attempted) {
-    std::printf("  anchored replay: %s (anchor @%llu, digest %016llx, "
-                "from-zero %016llx)%s%s\n",
-                rep.replay.ok ? "MATCH" : "MISMATCH",
-                static_cast<unsigned long long>(rep.replay.anchor_cycle),
-                static_cast<unsigned long long>(rep.replay.anchored_digest),
-                static_cast<unsigned long long>(rep.replay.from_zero_digest),
-                rep.replay.ok ? "" : " — ",
-                rep.replay.ok ? "" : rep.replay.detail.c_str());
+    std::printf("  replay: %s%s\n", rep.replay.ok ? "MATCH" : "MISMATCH — ",
+                rep.replay.detail.c_str());
   }
 
   if (report_path != nullptr && !write_file(report_path, rep.to_json())) {
@@ -179,7 +166,7 @@ int main(int argc, char** argv) {
   }
 
   // Self-test shape: an injected failure is *supposed* to fail the soak —
-  // success means the bundle's anchored replay reproduced it exactly.
+  // success means the bundle's replay reproduced it exactly.
   if (spec.inject_invariant_failure_at > 0) {
     const bool injected_ok =
         !rep.pass && rep.replay.attempted && rep.replay.ok;

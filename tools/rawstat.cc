@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 
@@ -503,12 +504,7 @@ int run_cluster(const Args& args) {
   return fabric.errors() != 0 ? 1 : 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
-  if (args.cluster_chips > 0) return run_cluster(args);
-
+int run_router(const Args& args) {
   raw::router::RouterConfig cfg;
   cfg.runtime.quantum_max_words = args.quantum;
   cfg.channel_stats = args.channel_stats;
@@ -609,4 +605,18 @@ int main(int argc, char** argv) {
   // Validation errors are the interesting output of a chaos run, not a tool
   // failure; without fault injection they mean the router misbehaved.
   return (args.chaos == nullptr && router.errors() != 0) ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Args args = parse(argc, argv);
+  try {
+    return args.cluster_chips > 0 ? run_cluster(args) : run_router(args);
+  } catch (const std::invalid_argument& e) {
+    // A configuration validate() rejects (a cluster size the fabric cannot
+    // build): a usage error, not a crash.
+    std::fprintf(stderr, "rawstat: %s\n", e.what());
+    return 2;
+  }
 }
