@@ -105,11 +105,11 @@ std::vector<sim::FaultEvent> make_cluster_fault_events(
   return events;
 }
 
-ClusterChaosResult run_cluster_chaos(const ClusterChaosSpec& spec) {
-  return run_cluster_chaos_events(spec, make_cluster_fault_events(spec));
+router::ChaosResult run_cluster_chaos(const ClusterChaosSpec& spec) {
+  return run_chaos_events(spec, make_cluster_fault_events(spec));
 }
 
-ClusterChaosResult run_cluster_chaos_events(
+router::ChaosResult run_chaos_events(
     const ClusterChaosSpec& spec,
     const std::vector<sim::FaultEvent>& events) {
   // Expectations come from the events themselves, so a hand-edited or
@@ -128,10 +128,6 @@ ClusterChaosResult run_cluster_chaos_events(
   sim::InvariantMonitor monitor;
   fabric.register_invariants(monitor);
 
-  ClusterChaosResult r;
-  r.seed = spec.seed;
-  r.mix = spec.mix.name();
-
   // Run in watchdog-interval segments with an invariant sweep between each,
   // so a broken book is caught near where it broke.
   const common::Cycle segment =
@@ -143,27 +139,38 @@ ClusterChaosResult run_cluster_chaos_events(
     remaining -= step;
     monitor.sweep(fabric.cycle());
   }
-  r.drained = fabric.drain(spec.drain_cycles);
+  const bool drained = fabric.drain(spec.drain_cycles);
+  // The final sweep checks conservation and the link word and sequence
+  // books on the drained state.
   monitor.sweep(fabric.cycle());
 
-  r.degraded = fabric.degraded();
+  router::ChaosResult r;
+  r.seed = spec.seed;
+  r.mix = spec.mix.name();
+  r.outcome = fabric.drain_outcome();
   r.offered = fabric.offered_packets();
   r.delivered = fabric.delivered_packets();
   r.dropped_card = fabric.dropped_at_card();
+  r.ingress_drops = fabric.ledger().erased_ingress;
   r.errors = fabric.errors();
   r.lost = fabric.lost_packets();
+  r.malformed = fabric.malformed_drops();
+  r.resyncs = fabric.resyncs();
   r.faults_injected = fabric.fault_plan().fired();
-  r.retransmits = fabric.total_retransmits();
-  r.delivered_corrupt = fabric.total_delivered_corrupt();
+  r.degraded = fabric.degraded();
+  r.schedule_generation = fabric.failover_generation();
+  r.link_retransmits = fabric.total_retransmits();
+  r.link_delivered_corrupt = fabric.total_delivered_corrupt();
   r.written_off_words = fabric.written_off_words();
   r.abandoned_packets = fabric.abandoned_packets();
-  r.failover_generation = fabric.failover_generation();
   r.unreachable_hosts = fabric.unreachable_hosts().size();
+  r.digest = fabric.cluster_digest();
+  r.invariant_sweeps = monitor.sweeps();
+  r.end_cycle = fabric.cycle();
   if (!monitor.ok()) {
     const sim::InvariantViolation& v = monitor.violations().front();
     r.invariant_failure = v.name + ": " + v.detail;
   }
-  r.digest = fabric.cluster_digest();
 
   // ---- Invariant checks, most fundamental first. -------------------------
   const auto fail = [&r](std::string why) {
@@ -173,26 +180,6 @@ ClusterChaosResult run_cluster_chaos_events(
   if (!r.invariant_failure.empty()) {
     fail("invariant monitor: " + r.invariant_failure);
   }
-  // Conservation: ClusterFabric::drain already asserted the packet books;
-  // re-derive them here so a failure is reported, not aborted.
-  const std::uint64_t accounted = r.dropped_card +
-                                  fabric.ledger().erased_total() +
-                                  fabric.ledger().in_flight.size();
-  if (r.offered != accounted) {
-    fail("conservation: offered " + std::to_string(r.offered) +
-         " != accounted " + std::to_string(accounted));
-  }
-  for (std::size_t l = 0; l < fabric.num_links(); ++l) {
-    const InterChipLink& lk = fabric.link(l);
-    if (lk.sent_total() !=
-        lk.delivered_total() + lk.in_flight_words() + lk.written_off_total()) {
-      fail("link books: link " + std::to_string(l) +
-           " sent != delivered + in_flight + written_off");
-    }
-    if (!lk.seq_books_ok()) {
-      fail("link seq books: link " + std::to_string(l));
-    }
-  }
   if (!events.empty() && r.faults_injected != events.size()) {
     fail("fault plan fired " + std::to_string(r.faults_injected) + " of " +
          std::to_string(events.size()) + " events");
@@ -200,12 +187,13 @@ ClusterChaosResult run_cluster_chaos_events(
   if (corrupting && spec.reliable_links && !permanent) {
     // The whole point of the reliable layer: corrupt words become
     // retransmits with zero damage.
-    if (r.errors != 0 || r.lost != 0 || r.delivered_corrupt != 0) {
+    if (r.errors != 0 || r.lost != 0 || r.link_delivered_corrupt != 0) {
       fail("reliable links leaked damage: errors " + std::to_string(r.errors) +
            " lost " + std::to_string(r.lost) + " delivered_corrupt " +
-           std::to_string(r.delivered_corrupt));
+           std::to_string(r.link_delivered_corrupt));
     }
-    if (fabric.fault_plan().bit_flips_applied() > 0 && r.retransmits == 0) {
+    if (fabric.fault_plan().bit_flips_applied() > 0 &&
+        r.link_retransmits == 0) {
       fail("corrupt words applied but no retransmits recorded");
     }
   }
@@ -216,13 +204,13 @@ ClusterChaosResult run_cluster_chaos_events(
       fail("timing-only mix did damage: errors " + std::to_string(r.errors) +
            " lost " + std::to_string(r.lost));
     }
-    if (!r.drained) fail("timing-only mix failed to drain");
+    if (!drained) fail("timing-only mix failed to drain");
     if (r.degraded) fail("timing-only mix ended degraded");
   }
   if (permanent && spec.failover) {
     if (!r.degraded) fail("permanent fault but the run never went degraded");
-    if (r.failover_generation < 1) fail("permanent fault but no reroute");
-    if (!r.drained) {
+    if (r.schedule_generation < 1) fail("permanent fault but no reroute");
+    if (!drained) {
       fail("degraded run did not drain cleanly (losses unexplained)");
     }
   }
@@ -232,18 +220,25 @@ ClusterChaosResult run_cluster_chaos_events(
   return r;
 }
 
+void check_schedule(const ClusterChaosSpec& spec,
+                    const std::vector<sim::FaultEvent>& events) {
+  ClusterConfig cfg = cluster_config_for(spec);
+  cfg.faults = events;
+  cfg.validate();
+}
+
 std::vector<ClusterChaosMix> standard_cluster_mixes() {
-  std::vector<ClusterChaosMix> mixes;
-  ClusterChaosMix m;
-  mixes.push_back(m);  // clean control
-  m = {}; m.corrupts = true; mixes.push_back(m);
-  m = {}; m.stalls = true; mixes.push_back(m);
-  m = {}; m.cuts = true; mixes.push_back(m);
-  m = {}; m.freezes = true; mixes.push_back(m);
-  m = {}; m.corrupts = true; m.stalls = true; mixes.push_back(m);
-  m = {}; m.corrupts = true; m.cuts = true; mixes.push_back(m);
-  m = {}; m.stalls = true; m.freezes = true; mixes.push_back(m);
-  return mixes;
+  using M = ClusterChaosMix;
+  return {
+      M{},  // clean control
+      M{.corrupts = true},
+      M{.stalls = true},
+      M{.cuts = true},
+      M{.freezes = true},
+      M{.corrupts = true, .stalls = true},
+      M{.corrupts = true, .cuts = true},
+      M{.stalls = true, .freezes = true},
+  };
 }
 
 bool parse_cluster_mix(const std::string& s, ClusterChaosMix* out) {
@@ -252,17 +247,11 @@ bool parse_cluster_mix(const std::string& s, ClusterChaosMix* out) {
     std::vector<std::string> kinds;
     if (!router::split_mix(s, &kinds)) return false;
     for (const std::string& kind : kinds) {
-      if (kind == "corrupt") {
-        mix.corrupts = true;
-      } else if (kind == "stall") {
-        mix.stalls = true;
-      } else if (kind == "cut") {
-        mix.cuts = true;
-      } else if (kind == "freeze") {
-        mix.freezes = true;
-      } else {
-        return false;
-      }
+      if (kind == "corrupt") mix.corrupts = true;
+      else if (kind == "stall") mix.stalls = true;
+      else if (kind == "cut") mix.cuts = true;
+      else if (kind == "freeze") mix.freezes = true;
+      else return false;
     }
   }
   *out = mix;
@@ -276,7 +265,8 @@ namespace {
 
 namespace json = common::json;
 
-constexpr const char* kClusterSchema = "raw-cluster-chaos-repro/v2";
+constexpr const char* kClusterSchema = "raw-cluster-chaos-repro/v3";
+constexpr const char* kClusterSchemaV2 = "raw-cluster-chaos-repro/v2";
 constexpr const char* kClusterSchemaV1 = "raw-cluster-chaos-repro/v1";
 
 const char* topology_name(TopologyKind t) {
@@ -289,20 +279,6 @@ const char* topology_name(TopologyKind t) {
 }
 
 }  // namespace
-
-ClusterChaosRepro make_repro(const ClusterChaosSpec& spec,
-                             const std::vector<sim::FaultEvent>& events,
-                             const ClusterChaosResult& r) {
-  ClusterChaosRepro repro;
-  repro.spec = spec;
-  repro.events = events;
-  repro.pass = r.pass;
-  repro.failure = r.failure;
-  repro.degraded = r.degraded;
-  repro.drained = r.drained;
-  repro.digest = r.digest;
-  return repro;
-}
 
 std::string to_json(const ClusterChaosRepro& repro) {
   const ClusterChaosSpec& spec = repro.spec;
@@ -328,11 +304,8 @@ std::string to_json(const ClusterChaosRepro& repro) {
     j += k == 0 ? "\n    " : ",\n    ";
     sim::append_fault_event(j, repro.events[k]);
   }
-  j += "\n  ],\n  \"pass\": ";
-  json::append_value(j, repro.pass);
-  json::append_field(j, "failure", repro.failure, ",\n  ");
-  json::append_field(j, "degraded", repro.degraded, ",\n  ");
-  json::append_field(j, "drained", repro.drained, ",\n  ");
+  j += "\n  ],\n  \"signature\": ";
+  router::append_signature(j, repro.signature);
   j += ",\n  \"digest\": ";
   json::append_hex64(j, repro.digest);
   j += "\n}\n";
@@ -344,7 +317,12 @@ bool from_json(const std::string& text, ClusterChaosRepro* out,
   json::Parser p{text};
   ClusterChaosRepro r;
   ClusterChaosSpec& spec = r.spec;
-  bool has_schema = false;
+  std::string schema;
+  // v1 and v2 record the outcome as four keys instead of a signature.
+  bool pass = true;
+  std::string failure;
+  bool degraded = false;
+  bool drained = false;
 
   const auto parse_spec = [&](const std::string& k) {
     if (k == "mix") {
@@ -375,10 +353,9 @@ bool from_json(const std::string& text, ClusterChaosRepro* out,
 
   bool ok = p.parse_object([&](const std::string& key) {
     if (key == "schema") {
-      std::string schema;
-      has_schema = true;
       return p.parse(&schema) &&
-             (schema == kClusterSchema || schema == kClusterSchemaV1 ||
+             (schema == kClusterSchema || schema == kClusterSchemaV2 ||
+              schema == kClusterSchemaV1 ||
               p.reject("unknown schema " + schema));
     }
     if (key == "spec") return p.parse_object(parse_spec);
@@ -386,62 +363,27 @@ bool from_json(const std::string& text, ClusterChaosRepro* out,
       return p.parse_array(
           [&] { return sim::parse_fault_event(p, &r.events.emplace_back()); });
     }
-    if (key == "pass") return p.parse(&r.pass);
-    if (key == "failure") return p.parse(&r.failure);
-    if (key == "degraded") return p.parse(&r.degraded);
-    if (key == "drained") return p.parse(&r.drained);
+    if (key == "signature") return router::parse_signature(p, &r.signature);
+    if (key == "pass") return p.parse(&pass);
+    if (key == "failure") return p.parse(&failure);
+    if (key == "degraded") return p.parse(&degraded);
+    if (key == "drained") return p.parse(&drained);
     if (key == "digest") return p.parse_hex64(&r.digest);
     return p.skip_value();
   });
-  ok = ok && (has_schema || p.reject("missing \"schema\" marker"));
+  ok = ok && (!schema.empty() || p.reject("missing \"schema\" marker"));
   if (!p.finish(ok, error)) return false;
+  if (schema != kClusterSchema) {
+    using router::DrainOutcome;
+    r.signature = {.pass = pass,
+                   .category = router::failure_category(failure),
+                   .outcome = !drained ? DrainOutcome::kLossQuiesced
+                              : degraded ? DrainOutcome::kDrainedDegraded
+                                         : DrainOutcome::kDrained,
+                   .degraded = degraded};
+  }
   *out = std::move(r);
   return true;
-}
-
-ClusterChaosResult replay_cluster_repro(const ClusterChaosRepro& repro,
-                                        std::string* why) {
-  ClusterChaosResult r = run_cluster_chaos_events(repro.spec, repro.events);
-  std::string mismatch;
-  if (r.digest != repro.digest) {
-    mismatch = "digest mismatch";
-  } else if (r.degraded != repro.degraded) {
-    mismatch = "degraded-status mismatch";
-  } else if (r.drained != repro.drained) {
-    mismatch = "drain-outcome mismatch";
-  }
-  if (!mismatch.empty()) {
-    r.pass = false;
-    if (r.failure.empty()) r.failure = "replay: " + mismatch;
-    if (why != nullptr) *why = mismatch;
-  }
-  return r;
-}
-
-bool same_outcome(const ClusterChaosRepro& a, const ClusterChaosRepro& b) {
-  return a.pass == b.pass &&
-         router::failure_category(a.failure) ==
-             router::failure_category(b.failure) &&
-         a.degraded == b.degraded && a.drained == b.drained;
-}
-
-ClusterChaosRepro minimize_repro(const ClusterChaosRepro& target,
-                                 router::MinimizeStats* stats) {
-  // Check the whole schedule before ddmin splits it, so a bad fault target
-  // is reported by its index in the bundle, as a replay reports it.
-  ClusterConfig full = cluster_config_for(target.spec);
-  full.faults = target.events;
-  full.validate();
-  const auto run = [&target](const std::vector<sim::FaultEvent>& events) {
-    return make_repro(target.spec, events,
-                      run_cluster_chaos_events(target.spec, events));
-  };
-  return run(router::ddmin(
-      target.events,
-      [&](const std::vector<sim::FaultEvent>& subset) {
-        return same_outcome(run(subset), target);
-      },
-      stats));
 }
 
 bool parse_repro(const std::string& text, Repro* out, std::string* error) {

@@ -266,7 +266,7 @@ void ClusterFabric::fail_over(std::vector<int> new_dead_chips,
   report.unreachable_hosts = unreachable_hosts_;
   failover_reports_.push_back(std::move(report));
   ++failover_generation_;
-  status_ = ClusterStatus::kDegraded;
+  degraded_ = true;
 }
 
 void ClusterFabric::run(common::Cycle cycles) {
@@ -307,13 +307,15 @@ bool ClusterFabric::drain(common::Cycle max_cycles) {
     const std::size_t in_flight = ledger_.in_flight.size();
     if (in_flight == 0 && inputs_idle()) {
       drained_ = true;
+      drain_outcome_ = degraded_ ? router::DrainOutcome::kDrainedDegraded
+                                 : router::DrainOutcome::kDrained;
       check_conservation();
       return true;
     }
     if (in_flight != last_in_flight) {
       last_in_flight = in_flight;
       last_shrink = elapsed;
-    } else if ((inputs_idle() || status_ == ClusterStatus::kDegraded) &&
+    } else if ((inputs_idle() || degraded_) &&
                elapsed - last_shrink >= stall_bound) {
       // In a degraded run the residue is explained by the confirmed
       // failure: frames wedged behind a cut trunk or inside a dead chip,
@@ -321,31 +323,31 @@ bool ClusterFabric::drain(common::Cycle max_cycles) {
       // unblock. Writing all of it off closes the books and the quiesce is
       // a clean exit. In a healthy run the same residue means something is
       // wedged — fail (and a healthy run only reaches here inputs-idle).
-      if (status_ == ClusterStatus::kDegraded) {
+      if (degraded_) {
         for (auto& in : inputs_) {
           if (!in->idle()) abandoned_packets_ += in->flush_and_stop();
         }
       }
       ledger_.erased_lost += ledger_.in_flight.size();
       ledger_.in_flight.clear();
-      drained_ = (status_ == ClusterStatus::kDegraded);
+      drained_ = degraded_;
+      drain_outcome_ = drained_ ? router::DrainOutcome::kDrainedDegraded
+                                : router::DrainOutcome::kLossQuiesced;
       check_conservation();
       return drained_;
     }
   }
   drained_ = false;
+  drain_outcome_ = router::DrainOutcome::kTimeout;
   check_conservation();
   return false;
 }
 
 void ClusterFabric::check_conservation() const {
-  const std::uint64_t offered = offered_packets();
-  const std::uint64_t accounted =
-      dropped_at_card() + ledger_.erased_total() + ledger_.in_flight.size();
-  RAW_ASSERT_MSG(offered == accounted,
-                 "cluster packet conservation violated: offered != "
-                 "dropped_at_card + delivered + invalid + ingress_drops + "
-                 "lost + in_flight");
+  const std::string broken =
+      ledger_.conservation(offered_packets(), dropped_at_card());
+  RAW_ASSERT_MSG(broken.empty(),
+                 ("cluster packet conservation violated: " + broken).c_str());
 }
 
 std::uint64_t ClusterFabric::total_retransmits() const {
@@ -391,16 +393,7 @@ void ClusterFabric::register_invariants(sim::InvariantMonitor& monitor) {
   monitor.add_check(
       "cluster/conservation",
       [this]() -> std::string {
-        const std::uint64_t offered = offered_packets();
-        const std::uint64_t accounted = dropped_at_card() +
-                                        ledger_.erased_total() +
-                                        ledger_.in_flight.size();
-        if (offered != accounted) {
-          return "offered " + std::to_string(offered) + " != accounted " +
-                 std::to_string(accounted) +
-                 " (dropped + erased + in_flight)";
-        }
-        return {};
+        return ledger_.conservation(offered_packets(), dropped_at_card());
       },
       /*deterministic=*/true);
   monitor.add_check(
@@ -457,6 +450,22 @@ common::ByteCount ClusterFabric::delivered_bytes() const {
 std::uint64_t ClusterFabric::errors() const {
   std::uint64_t n = 0;
   for (const auto& out : outputs_) n += out->errors();
+  return n;
+}
+
+std::uint64_t ClusterFabric::resyncs() const {
+  std::uint64_t n = 0;
+  for (const auto& out : outputs_) n += out->resyncs();
+  return n;
+}
+
+std::uint64_t ClusterFabric::malformed_drops() const {
+  std::uint64_t n = 0;
+  for (const auto& node : nodes_) {
+    for (const router::PortCounters& ctr : node->core.counters) {
+      n += ctr.malformed_drops;
+    }
+  }
   return n;
 }
 
@@ -538,7 +547,7 @@ std::uint64_t ClusterFabric::cluster_digest() const {
     mix(plan_.link_stalls());
     mix(plan_.link_cuts());
     mix(plan_.chip_freezes());
-    mix(static_cast<std::uint64_t>(status_));
+    mix(degraded_ ? 1 : 0);
     mix(static_cast<std::uint64_t>(failover_generation_));
     mix(written_off_words_);
     mix(abandoned_packets_);
@@ -642,8 +651,7 @@ void ClusterFabric::export_metrics(common::MetricRegistry& registry,
   registry.counter(prefix + "/recovered/retransmits").set(total_retransmits());
   registry.counter(prefix + "/recovered/delivered_corrupt")
       .set(total_delivered_corrupt());
-  registry.counter(prefix + "/status")
-      .set(static_cast<std::uint64_t>(status_));
+  registry.counter(prefix + "/status").set(degraded_ ? 1 : 0);
   registry.counter(prefix + "/failover/generation")
       .set(static_cast<std::uint64_t>(failover_generation_));
   registry.counter(prefix + "/failover/dead_links")

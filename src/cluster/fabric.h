@@ -33,6 +33,7 @@
 #include "net/traffic.h"
 #include "router/layout.h"
 #include "router/line_cards.h"
+#include "router/raw_router.h"
 #include "router/schedule_compiler.h"
 #include "router/tile_programs.h"
 #include "sim/chip.h"
@@ -51,12 +52,6 @@ namespace raw::cluster {
 inline constexpr std::uint64_t make_host_uid(int host_id, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(host_id) << 22) | seq;
 }
-
-/// Run health: a fabric is degraded once a confirmed permanent failure (a
-/// trunk cut or a chip death) has triggered a fail-over reroute. Degraded
-/// is a live state, not an exit: surviving chips keep forwarding, and write
-/// offs keep the conservation identity exact.
-enum class ClusterStatus : std::uint8_t { kHealthy = 0, kDegraded = 1 };
 
 /// One fail-over episode, recorded at the barrier that confirmed it.
 struct FailoverReport {
@@ -82,15 +77,21 @@ class ClusterFabric {
   /// written off as lost), or `max_cycles` elapse (false). In a degraded
   /// run the write-off quiesce is a *clean* exit (true): the losses are
   /// explained by the confirmed failure and the books still close. Packet
-  /// conservation is asserted on every exit path.
+  /// conservation is asserted on every exit path, and drain_outcome() names
+  /// the exit: kDrained (kDrainedDegraded on a degraded fabric, write-off
+  /// exit included), kLossQuiesced or kTimeout.
   [[nodiscard]] bool drain(common::Cycle max_cycles);
   [[nodiscard]] bool drained() const { return drained_; }
-
-  // Fault-tolerance observability.
-  [[nodiscard]] ClusterStatus status() const { return status_; }
-  [[nodiscard]] bool degraded() const {
-    return status_ == ClusterStatus::kDegraded;
+  [[nodiscard]] router::DrainOutcome drain_outcome() const {
+    return drain_outcome_;
   }
+
+  // Fault-tolerance observability. A fabric is degraded once a confirmed
+  // permanent failure (a trunk cut or a chip death) has triggered a
+  // fail-over reroute. Degraded is a live state, not an exit: surviving
+  // chips keep forwarding, and write-offs keep the conservation identity
+  // exact.
+  [[nodiscard]] bool degraded() const { return degraded_; }
   [[nodiscard]] const sim::FaultPlan& fault_plan() const { return plan_; }
   [[nodiscard]] const std::vector<bool>& dead_links() const {
     return link_dead_;
@@ -159,6 +160,9 @@ class ClusterFabric {
   [[nodiscard]] std::uint64_t delivered_packets() const;
   [[nodiscard]] common::ByteCount delivered_bytes() const;
   [[nodiscard]] std::uint64_t errors() const;
+  [[nodiscard]] std::uint64_t resyncs() const;
+  /// Ingress integrity-check drops, across every chip's ports.
+  [[nodiscard]] std::uint64_t malformed_drops() const;
   [[nodiscard]] std::uint64_t lost_packets() const {
     return ledger_.erased_lost;
   }
@@ -240,10 +244,11 @@ class ClusterFabric {
   common::Cycle epoch_ = 0;
   common::Cycle cycles_run_ = 0;
   bool drained_ = true;
+  router::DrainOutcome drain_outcome_ = router::DrainOutcome::kDrained;
 
   // Fault injection + fail-over state (all barrier-phase only).
   sim::FaultPlan plan_;
-  ClusterStatus status_ = ClusterStatus::kHealthy;
+  bool degraded_ = false;
   std::vector<bool> link_dead_;
   std::vector<bool> chip_dead_;
   std::vector<int> unreachable_hosts_;

@@ -113,6 +113,94 @@ void build_fat_tree(Builder& b, int k) {
   }
 }
 
+/// Shortest-path routes over the fabric minus the `link_dead` links, the
+/// `chip_dead` chips and every link touching a dead chip: all-pairs BFS
+/// distances (-1 for a severed pair, so a partition is a reportable state,
+/// not an error) and, from every surviving chip, the next hop toward every
+/// host: the host port at home, elsewhere a shortest-path trunk port,
+/// destination-hashed over the equal-cost candidates (deterministic ECMP).
+struct Routes {
+  std::vector<std::vector<int>> dist;  // [chip][chip]
+  Topology::RerouteResult result;
+};
+
+Routes route(const Topology& t, const std::vector<bool>& link_dead,
+             const std::vector<bool>& chip_dead) {
+  const auto n = static_cast<std::size_t>(t.num_chips);
+
+  // Survivor adjacency, port-sorted so the equal-cost candidate order, and
+  // therefore the ECMP hash pick, is stable.
+  std::vector<std::vector<std::pair<int, int>>> adj(n);  // (port, neighbor)
+  for (std::size_t l = 0; l < t.links.size(); ++l) {
+    const LinkPlan& p = t.links[l];
+    if (link_dead[l]) continue;
+    if (chip_dead[static_cast<std::size_t>(p.src_chip)] ||
+        chip_dead[static_cast<std::size_t>(p.dst_chip)]) {
+      continue;
+    }
+    adj[static_cast<std::size_t>(p.src_chip)].emplace_back(p.src_port,
+                                                           p.dst_chip);
+  }
+  for (auto& a : adj) std::sort(a.begin(), a.end());
+
+  Routes rt;
+  std::vector<std::vector<int>>& dist = rt.dist;
+  dist.assign(n, std::vector<int>(n, -1));
+  for (std::size_t s = 0; s < n; ++s) {
+    if (chip_dead[s]) continue;
+    dist[s][s] = 0;
+    std::queue<int> q;
+    q.push(static_cast<int>(s));
+    while (!q.empty()) {
+      const int c = q.front();
+      q.pop();
+      for (const auto& [port, nb] : adj[static_cast<std::size_t>(c)]) {
+        if (dist[s][static_cast<std::size_t>(nb)] == -1) {
+          dist[s][static_cast<std::size_t>(nb)] =
+              dist[s][static_cast<std::size_t>(c)] + 1;
+          q.push(nb);
+        }
+      }
+    }
+  }
+
+  const std::size_t num_hosts = t.hosts.size();
+  rt.result.next_hop.assign(n, std::vector<int>(num_hosts, -1));
+  std::vector<bool> unreachable(num_hosts, false);
+  for (std::size_t c = 0; c < n; ++c) {
+    if (chip_dead[c]) continue;
+    for (std::size_t h = 0; h < num_hosts; ++h) {
+      const auto home = static_cast<std::size_t>(t.hosts[h].chip);
+      if (chip_dead[home]) {
+        unreachable[h] = true;
+        continue;
+      }
+      if (home == c) {
+        rt.result.next_hop[c][h] = t.hosts[h].port;
+        continue;
+      }
+      if (dist[c][home] == -1) {
+        unreachable[h] = true;  // severed by a partition, from this chip
+        continue;
+      }
+      std::vector<int> candidates;
+      for (const auto& [port, nb] : adj[c]) {
+        if (dist[static_cast<std::size_t>(nb)][home] == dist[c][home] - 1) {
+          candidates.push_back(port);
+        }
+      }
+      RAW_ASSERT_MSG(!candidates.empty(), "reachable host without a trunk");
+      rt.result.next_hop[c][h] = candidates[h % candidates.size()];
+    }
+  }
+  for (std::size_t h = 0; h < num_hosts; ++h) {
+    if (unreachable[h]) {
+      rt.result.unreachable_hosts.push_back(static_cast<int>(h));
+    }
+  }
+  return rt;
+}
+
 }  // namespace
 
 int Topology::host_at(int chip, int port) const {
@@ -154,67 +242,24 @@ Topology Topology::build(const ClusterConfig& cfg) {
   b.assign_hosts();
   Topology t = std::move(b.t);
 
-  // Chip adjacency (port-sorted, so equal-cost candidate order is stable)
-  // and all-pairs BFS distances.
   const auto n = static_cast<std::size_t>(t.num_chips);
-  std::vector<std::vector<std::pair<int, int>>> adj(n);  // (port, neighbor)
-  for (const LinkPlan& l : t.links) {
-    adj[static_cast<std::size_t>(l.src_chip)].emplace_back(l.src_port,
-                                                           l.dst_chip);
-  }
-  for (auto& a : adj) std::sort(a.begin(), a.end());
-
-  std::vector<std::vector<int>> dist(n, std::vector<int>(n, -1));
-  for (std::size_t s = 0; s < n; ++s) {
-    dist[s][s] = 0;
-    std::queue<int> q;
-    q.push(static_cast<int>(s));
-    while (!q.empty()) {
-      const int c = q.front();
-      q.pop();
-      for (const auto& [port, nb] : adj[static_cast<std::size_t>(c)]) {
-        if (dist[s][static_cast<std::size_t>(nb)] == -1) {
-          dist[s][static_cast<std::size_t>(nb)] =
-              dist[s][static_cast<std::size_t>(c)] + 1;
-          q.push(nb);
-        }
-      }
-    }
-    for (std::size_t d = 0; d < n; ++d) {
-      RAW_ASSERT_MSG(dist[s][d] >= 0, "cluster topology is not connected");
+  Routes rt = route(t, std::vector<bool>(t.links.size(), false),
+                    std::vector<bool>(n, false));
+  for (const std::vector<int>& row : rt.dist) {
+    for (const int d : row) {
+      RAW_ASSERT_MSG(d >= 0, "cluster topology is not connected");
     }
   }
-
-  // Next hops: the host port at home; elsewhere a shortest-path trunk port,
-  // destination-hashed over the equal-cost candidates (deterministic ECMP).
-  const std::size_t num_hosts = t.hosts.size();
-  t.next_hop.assign(n, std::vector<int>(num_hosts, -1));
-  for (std::size_t c = 0; c < n; ++c) {
-    for (std::size_t h = 0; h < num_hosts; ++h) {
-      const auto home = static_cast<std::size_t>(t.hosts[h].chip);
-      if (home == c) {
-        t.next_hop[c][h] = t.hosts[h].port;
-        continue;
-      }
-      std::vector<int> candidates;
-      for (const auto& [port, nb] : adj[c]) {
-        if (dist[static_cast<std::size_t>(nb)][home] == dist[c][home] - 1) {
-          candidates.push_back(port);
-        }
-      }
-      RAW_ASSERT_MSG(!candidates.empty(), "no shortest-path trunk candidate");
-      t.next_hop[c][h] =
-          candidates[h % candidates.size()];
-    }
-  }
+  t.next_hop = std::move(rt.result.next_hop);
 
   // Hop matrix: every chip on the path (dist + 1, ECMP paths are all
   // shortest) decrements TTL exactly once.
+  const std::size_t num_hosts = t.hosts.size();
   t.hops.assign(num_hosts, std::vector<int>(num_hosts, 0));
   for (std::size_t a = 0; a < num_hosts; ++a) {
     for (std::size_t d = 0; d < num_hosts; ++d) {
-      t.hops[a][d] = dist[static_cast<std::size_t>(t.hosts[a].chip)]
-                         [static_cast<std::size_t>(t.hosts[d].chip)] +
+      t.hops[a][d] = rt.dist[static_cast<std::size_t>(t.hosts[a].chip)]
+                            [static_cast<std::size_t>(t.hosts[d].chip)] +
                      1;
     }
   }
@@ -227,78 +272,7 @@ Topology::RerouteResult Topology::reroute(
   RAW_ASSERT_MSG(link_dead.size() == links.size() &&
                      chip_dead.size() == static_cast<std::size_t>(num_chips),
                  "reroute mask sizes must match the topology");
-  const auto n = static_cast<std::size_t>(num_chips);
-
-  // Survivor adjacency, port-sorted like build() so the equal-cost
-  // candidate order — and therefore the ECMP hash pick — is stable.
-  std::vector<std::vector<std::pair<int, int>>> adj(n);  // (port, neighbor)
-  for (std::size_t l = 0; l < links.size(); ++l) {
-    const LinkPlan& p = links[l];
-    if (link_dead[l]) continue;
-    if (chip_dead[static_cast<std::size_t>(p.src_chip)] ||
-        chip_dead[static_cast<std::size_t>(p.dst_chip)]) {
-      continue;
-    }
-    adj[static_cast<std::size_t>(p.src_chip)].emplace_back(p.src_port,
-                                                           p.dst_chip);
-  }
-  for (auto& a : adj) std::sort(a.begin(), a.end());
-
-  // BFS distances over the survivor fabric; -1 marks severed pairs instead
-  // of asserting connectivity — a partition is a reportable degraded state.
-  std::vector<std::vector<int>> dist(n, std::vector<int>(n, -1));
-  for (std::size_t s = 0; s < n; ++s) {
-    if (chip_dead[s]) continue;
-    dist[s][s] = 0;
-    std::queue<int> q;
-    q.push(static_cast<int>(s));
-    while (!q.empty()) {
-      const int c = q.front();
-      q.pop();
-      for (const auto& [port, nb] : adj[static_cast<std::size_t>(c)]) {
-        if (dist[s][static_cast<std::size_t>(nb)] == -1) {
-          dist[s][static_cast<std::size_t>(nb)] =
-              dist[s][static_cast<std::size_t>(c)] + 1;
-          q.push(nb);
-        }
-      }
-    }
-  }
-
-  RerouteResult r;
-  const std::size_t num_hosts = hosts.size();
-  r.next_hop.assign(n, std::vector<int>(num_hosts, -1));
-  std::vector<bool> unreachable(num_hosts, false);
-  for (std::size_t c = 0; c < n; ++c) {
-    if (chip_dead[c]) continue;
-    for (std::size_t h = 0; h < num_hosts; ++h) {
-      const auto home = static_cast<std::size_t>(hosts[h].chip);
-      if (chip_dead[home]) {
-        unreachable[h] = true;
-        continue;
-      }
-      if (home == c) {
-        r.next_hop[c][h] = hosts[h].port;
-        continue;
-      }
-      if (dist[c][home] == -1) {
-        unreachable[h] = true;  // severed by a partition, from this chip
-        continue;
-      }
-      std::vector<int> candidates;
-      for (const auto& [port, nb] : adj[c]) {
-        if (dist[static_cast<std::size_t>(nb)][home] == dist[c][home] - 1) {
-          candidates.push_back(port);
-        }
-      }
-      RAW_ASSERT_MSG(!candidates.empty(), "reachable host without a trunk");
-      r.next_hop[c][h] = candidates[h % candidates.size()];
-    }
-  }
-  for (std::size_t h = 0; h < num_hosts; ++h) {
-    if (unreachable[h]) r.unreachable_hosts.push_back(static_cast<int>(h));
-  }
-  return r;
+  return route(*this, link_dead, chip_dead).result;
 }
 
 }  // namespace raw::cluster

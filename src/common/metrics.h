@@ -1,5 +1,5 @@
-// Chip-wide metric registry: named counters, gauges, and percentile
-// histograms with hierarchical slash-separated names
+// Chip-wide metric registry: named counters and gauges with hierarchical
+// slash-separated names
 // ("router/port0/ingress/drops"), plus JSON and CSV exporters.
 //
 // The registry is pull-model: simulation hot paths keep their own plain
@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
-#include "common/stats.h"
 
 namespace raw::common {
 
@@ -44,40 +42,11 @@ class MetricRegistry {
     double value_ = 0.0;
   };
 
-  /// Distribution: a linear-bucket Histogram for quantiles plus a
-  /// RunningStat for exact count/mean/min/max.
-  class HistogramMetric {
-   public:
-    HistogramMetric(double bucket_width, std::size_t num_buckets)
-        : hist_(bucket_width, num_buckets) {}
-
-    void add(double x) {
-      hist_.add(x);
-      stat_.add(x);
-    }
-
-    [[nodiscard]] std::uint64_t count() const { return stat_.count(); }
-    [[nodiscard]] double mean() const { return stat_.mean(); }
-    [[nodiscard]] double min() const { return stat_.min(); }
-    [[nodiscard]] double max() const { return stat_.max(); }
-    [[nodiscard]] double quantile(double q) const { return hist_.quantile(q); }
-    [[nodiscard]] const Histogram& histogram() const { return hist_; }
-
-   private:
-    Histogram hist_;
-    RunningStat stat_;
-  };
-
   /// Finds or creates the metric. References stay valid for the registry's
   /// lifetime. Registering the same name with a different kind is a hard
   /// error.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  HistogramMetric& histogram(const std::string& name, double bucket_width = 16.0,
-                             std::size_t num_buckets = 1024);
-
-  [[nodiscard]] const Counter* find_counter(const std::string& name) const;
-  [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
 
   /// Counter value (0 if absent), gauge value (0.0 if absent) — convenience
   /// for dashboards reading back published metrics.
@@ -85,24 +54,18 @@ class MetricRegistry {
   [[nodiscard]] double gauge_value(const std::string& name) const;
 
   [[nodiscard]] std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
+    return counters_.size() + gauges_.size();
   }
 
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kGauge };
 
-  /// One exported metric. Counters fill `value`; gauges fill `value`;
-  /// histograms fill the distribution fields.
+  /// One exported metric. Both kinds fill `value`; a counter also fills
+  /// `count`, its exact integer value.
   struct Sample {
     std::string name;
     Kind kind = Kind::kCounter;
     double value = 0.0;
     std::uint64_t count = 0;
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
   };
 
   /// All metrics, sorted by name (deterministic export order).
@@ -115,12 +78,12 @@ class MetricRegistry {
 
   /// Header row then one row per metric:
   /// name,kind,value,count,mean,min,max,p50,p95,p99
+  /// (the distribution columns stay in the header but are always empty).
   [[nodiscard]] std::string to_csv() const;
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
-  std::map<std::string, HistogramMetric> histograms_;
 };
 
 const char* metric_kind_name(MetricRegistry::Kind kind);

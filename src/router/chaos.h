@@ -4,9 +4,8 @@
 // Each (seed, mix) combination builds a FaultPlan from the mix's fault
 // kinds, runs the router under uniform traffic, drains, and verifies:
 //
-//   * packet conservation — every offered packet is accounted for as
-//     delivered, dropped at a card, dropped at an ingress, invalid at an
-//     output card, lost (written off at drain), or still in flight;
+//   * packet conservation — PacketLedger::conservation() holds at exit,
+//     stalled runs included;
 //   * no silent hang — the run either completes, quiesces with explained
 //     losses, or stops with a StallReport; a watchdog trip is a pass only
 //     when the mix injected a permanent tile freeze, and the report must
@@ -15,6 +14,10 @@
 //     and losses appear only under corrupting (bit-flip) mixes;
 //   * the router still forwards — delivered packets (which are validated
 //     end-to-end by the output cards) stay nonzero.
+//
+// ChaosResult is the one chaos record: the cluster harness (cluster/chaos.h)
+// reports its runs in it too, so one bundle layer (router/repro.h) and one
+// printer serve both targets. Fields a target does not have stay zero.
 //
 // Used by tools/rawchaos (one combination or the seeds x mixes sweep, which
 // the tier2 ctests run bounded), tools/rawsoak (rotating endurance epochs,
@@ -106,14 +109,21 @@ struct ChaosResult {
   /// First tile a StallReport blames as frozen (-1 when none): the
   /// replay/minimizer signature needs the *where*, not just the *that*.
   int stall_tile = -1;
-  /// Fault-adaptive recovery observability.
+  /// Fault-adaptive recovery observability (on a cluster, the fail-over
+  /// reroute generation).
   bool degraded = false;
   int schedule_generation = 0;
   /// Reliable-link counters (zero when the layer is disabled).
   std::uint64_t link_retransmits = 0;
   std::uint64_t link_delivered_corrupt = 0;
-  /// RawRouter::state_digest() at exit: the record/replay and
-  /// engine-equivalence fingerprint.
+  /// Cluster fail-over write-offs (always zero on a chip): trunk words
+  /// written off, dead-chip input packets abandoned, and hosts some alive
+  /// chip can no longer reach.
+  std::uint64_t written_off_words = 0;
+  std::uint64_t abandoned_packets = 0;
+  std::uint64_t unreachable_hosts = 0;
+  /// RawRouter::state_digest() (ClusterFabric::cluster_digest()) at exit:
+  /// the record/replay and engine-equivalence fingerprint.
   std::uint64_t digest = 0;
   /// Endurance observability (all zero/empty unless endurance was enabled).
   std::string invariant_failure;  // "name: detail" of the violation, if any

@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -54,11 +55,8 @@ struct PacketLedger {
   common::PacketTracer* tracer = nullptr;
 
   /// Where erased entries went, for packet-conservation accounting. Every
-  /// erase from `in_flight` increments exactly one of these, so at any
-  /// instant
-  ///   offered == dropped_at_card + erased_delivered + erased_invalid
-  ///            + erased_ingress + erased_lost + in_flight.size()
-  /// (RawRouter and ClusterFabric assert this at drain).
+  /// erase from `in_flight` increments exactly one of these (see
+  /// conservation()).
   std::uint64_t erased_delivered = 0;  // validated at an output card
   std::uint64_t erased_invalid = 0;    // reached an output card, failed validation
   std::uint64_t erased_ingress = 0;    // dropped by an ingress tile (ttl/route/malformed)
@@ -66,6 +64,21 @@ struct PacketLedger {
 
   [[nodiscard]] std::uint64_t erased_total() const {
     return erased_delivered + erased_invalid + erased_ingress + erased_lost;
+  }
+
+  /// Packet conservation, stated once: every offered packet was dropped at
+  /// a card, erased, or is still in flight. Returns "" when
+  ///   offered == dropped_at_card + erased_total() + in_flight.size()
+  /// holds, else a one-line detail. Drain asserts, the conservation
+  /// invariants and the chip chaos harness all check it here.
+  [[nodiscard]] std::string conservation(std::uint64_t offered,
+                                         std::uint64_t dropped_at_card) const {
+    const std::uint64_t erased = erased_total();
+    if (offered == dropped_at_card + erased + in_flight.size()) return "";
+    return "offered " + std::to_string(offered) + " != dropped_at_card " +
+           std::to_string(dropped_at_card) + " + erased " +
+           std::to_string(erased) + " + in_flight " +
+           std::to_string(in_flight.size());
   }
 
   /// A packet entered an input card's queue.

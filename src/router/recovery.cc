@@ -18,9 +18,8 @@ using sim::TileTask;
 using sim::task::delay;
 using sim::task::mem_delay;
 using sim::task::read;
+using sim::task::until_eject;
 using sim::task::write;
-
-constexpr Word kNoRoute = 0xffffffffu;
 
 // Degraded switch programs are one-instruction forward loops: a kJump back to
 // itself carrying a single route. The move fires on every cycle where the
@@ -59,7 +58,7 @@ TileTask degraded_ingress_body(RouterCore& core, int port,
   RAW_ASSERT_MSG(dyn != nullptr, "degraded fabric needs the dynamic network");
   PortCounters& ctr = core.counters[static_cast<std::size_t>(port)];
 
-  std::array<Word, net::Ipv4Header::kWords> win{};
+  HeaderWords win{};
   std::size_t held = 0;
   bool aligned = true;  // false while hunting for a header after corruption
   std::vector<Word> pkt;
@@ -67,27 +66,13 @@ TileTask degraded_ingress_body(RouterCore& core, int port,
   for (;;) {
     while (held < net::Ipv4Header::kWords) win[held++] = co_await read(csti);
 
-    net::Ipv4Header hdr = net::parse(win);
-    if (hdr.version != 4 || hdr.ihl != 5 ||
-        hdr.total_length < net::Ipv4Header::kBytes || !net::checksum_ok(hdr)) {
-      co_await delay(core.config.header_proc_cost);  // checksum verify
-      if (aligned) {
-        ++ctr.malformed_drops;
-        if (core.ledger != nullptr) {
-          (void)core.ledger->erase_ingress(uid_of(hdr));
-        }
-      } else {
-        ++ctr.resync_slides;
-      }
-      aligned = false;
-      for (std::size_t i = 1; i < win.size(); ++i) win[i - 1] = win[i];
-      held = net::Ipv4Header::kWords - 1;
-      continue;
-    }
-    aligned = true;
-    held = 0;
-
     co_await delay(core.config.header_proc_cost);  // checksum verify + TTL
+    const std::optional<net::Ipv4Header> judged =
+        judge_header(core, port, win, aligned, win, held);
+    aligned = judged.has_value();
+    if (!aligned) continue;
+    held = 0;
+    net::Ipv4Header hdr = *judged;
     ++ctr.packets_in;
     const bool tracing = core.tracer != nullptr && core.tracer->enabled();
     const std::uint64_t trace_uid = tracing ? uid_of(hdr) : 0;
@@ -189,10 +174,7 @@ TileTask degraded_egress_body(RouterCore& core, int port) {
   std::size_t buffered_words = 0;
 
   for (;;) {
-    if (!dyn->has_eject(tiles.egress)) {
-      co_await delay(1);
-      continue;
-    }
+    co_await until_eject(*dyn, tiles.egress);
     const Word header = dyn->pop_eject(tiles.egress);
     const int src_tile = sim::dyn_header_src(header);
     const std::uint32_t len = sim::dyn_header_len(header);
@@ -204,7 +186,7 @@ TileTask degraded_egress_body(RouterCore& core, int port) {
                    "degraded egress: chunk from a non-ingress tile");
     auto& buf = reassembly[static_cast<std::size_t>(src_port)];
     for (std::uint32_t i = 0; i < len; ++i) {
-      while (!dyn->has_eject(tiles.egress)) co_await delay(1);
+      co_await until_eject(*dyn, tiles.egress);
       buf.push_back(dyn->pop_eject(tiles.egress));
       co_await delay(1);  // store into dmem
       ++buffered_words;

@@ -1,5 +1,7 @@
 #include "router/repro.h"
 
+#include <algorithm>
+
 #include "common/json.h"
 
 namespace raw::router {
@@ -29,14 +31,12 @@ std::string failure_category(const std::string& failure) {
 }
 
 ChaosSignature signature_of(const ChaosResult& r) {
-  ChaosSignature s;
-  s.pass = r.pass;
-  s.category = failure_category(r.failure);
-  s.outcome = r.outcome;
-  s.stalled_in_run = r.stalled_in_run;
-  s.degraded = r.degraded;
-  s.stall_tile = r.stall_tile;
-  return s;
+  return {.pass = r.pass,
+          .category = failure_category(r.failure),
+          .outcome = r.outcome,
+          .stalled_in_run = r.stalled_in_run,
+          .degraded = r.degraded,
+          .stall_tile = r.stall_tile};
 }
 
 std::vector<sim::FaultEvent> make_fault_events(const ChaosSpec& spec) {
@@ -46,26 +46,47 @@ std::vector<sim::FaultEvent> make_fault_events(const ChaosSpec& spec) {
   return make_fault_plan(spec, scratch).events();
 }
 
-ChaosRepro make_repro(const ChaosSpec& spec,
-                      const std::vector<sim::FaultEvent>& events,
-                      const ChaosResult& r) {
-  ChaosRepro repro;
-  repro.spec = spec;
-  repro.spec.monitor = nullptr;
-  repro.spec.profiler = nullptr;
-  repro.events = events;
-  repro.signature = signature_of(r);
-  repro.digest = r.digest;
-  repro.anchors = r.anchors;
-  repro.failure = r.invariant_failure;
-  repro.failure_cycle = r.invariant_failure_cycle;
-  return repro;
+void check_schedule(const ChaosSpec& spec,
+                    const std::vector<sim::FaultEvent>& events) {
+  sim::FaultPlan full(events);
+  RawRouter scratch(router_config_for(spec), net::RouteTable::simple4(),
+                    traffic_for(spec), spec.seed);
+  scratch.set_fault_plan(&full);
+}
+
+void append_signature(std::string& s, const ChaosSignature& sig) {
+  s += "{\"pass\": ";
+  json::append_value(s, sig.pass);
+  json::append_field(s, "category", sig.category);
+  json::append_field(s, "outcome", drain_outcome_name(sig.outcome));
+  json::append_field(s, "stalled_in_run", sig.stalled_in_run);
+  json::append_field(s, "degraded", sig.degraded);
+  json::append_field(s, "stall_tile", sig.stall_tile);
+  s += "}";
+}
+
+bool parse_signature(json::Parser& p, ChaosSignature* sig) {
+  return p.parse_object([&](const std::string& k) {
+    if (k == "outcome") {
+      return p.parse_enum(
+          &sig->outcome,
+          {DrainOutcome::kDrained, DrainOutcome::kLossQuiesced,
+           DrainOutcome::kStalled, DrainOutcome::kTimeout,
+           DrainOutcome::kDrainedDegraded, DrainOutcome::kInvariantViolation},
+          drain_outcome_name, "unknown outcome name");
+    }
+    if (k == "pass") return p.parse(&sig->pass);
+    if (k == "category") return p.parse(&sig->category);
+    if (k == "stalled_in_run") return p.parse(&sig->stalled_in_run);
+    if (k == "degraded") return p.parse(&sig->degraded);
+    if (k == "stall_tile") return p.parse(&sig->stall_tile);
+    return p.skip_value();
+  });
 }
 
 std::string to_json(const ChaosRepro& repro) {
   const ChaosSpec& spec = repro.spec;
   const EnduranceConfig& end = spec.endurance;
-  const ChaosSignature& sig = repro.signature;
   std::string s = "{\n  \"version\": 2,\n  \"spec\": {\"seed\": ";
   json::append_value(s, spec.seed);
   json::append_field(s, "mix", spec.mix.name());
@@ -85,14 +106,9 @@ std::string to_json(const ChaosRepro& repro) {
   json::append_field(s, "invariant_cadence", end.invariant_cadence);
   json::append_field(s, "checkpoint_interval", end.checkpoint_interval);
   json::append_field(s, "checkpoint_ring", end.checkpoint_ring);
-  s += "}},\n  \"signature\": {\"pass\": ";
-  json::append_value(s, sig.pass);
-  json::append_field(s, "category", sig.category);
-  json::append_field(s, "outcome", drain_outcome_name(sig.outcome));
-  json::append_field(s, "stalled_in_run", sig.stalled_in_run);
-  json::append_field(s, "degraded", sig.degraded);
-  json::append_field(s, "stall_tile", sig.stall_tile);
-  s += "},\n  \"digest\": ";
+  s += "}},\n  \"signature\": ";
+  append_signature(s, repro.signature);
+  s += ",\n  \"digest\": ";
   json::append_hex64(s, repro.digest);
   s += ",\n  \"failure\": {\"detail\": ";
   json::append_escaped(s, repro.failure);
@@ -124,7 +140,6 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
   json::Parser p{text};
   ChaosRepro repro;
   ChaosSpec& spec = repro.spec;
-  ChaosSignature& sig = repro.signature;
 
   const auto parse_spec = [&](const std::string& k) {
     if (k == "mix") {
@@ -157,22 +172,6 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
     }
     return p.skip_value();  // "threads" in older bundles, and future fields
   };
-  const auto parse_signature = [&](const std::string& k) {
-    if (k == "outcome") {
-      return p.parse_enum(
-          &sig.outcome,
-          {DrainOutcome::kDrained, DrainOutcome::kLossQuiesced,
-           DrainOutcome::kStalled, DrainOutcome::kTimeout,
-           DrainOutcome::kDrainedDegraded, DrainOutcome::kInvariantViolation},
-          drain_outcome_name, "unknown outcome name");
-    }
-    if (k == "pass") return p.parse(&sig.pass);
-    if (k == "category") return p.parse(&sig.category);
-    if (k == "stalled_in_run") return p.parse(&sig.stalled_in_run);
-    if (k == "degraded") return p.parse(&sig.degraded);
-    if (k == "stall_tile") return p.parse(&sig.stall_tile);
-    return p.skip_value();
-  };
   const auto parse_anchor = [&] {
     sim::Checkpoint a;
     const bool ok = p.parse_object([&](const std::string& k) {
@@ -193,7 +192,7 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
                        std::to_string(version)));
     }
     if (key == "spec") return p.parse_object(parse_spec);
-    if (key == "signature") return p.parse_object(parse_signature);
+    if (key == "signature") return parse_signature(p, &repro.signature);
     if (key == "digest") return p.parse_hex64(&repro.digest);
     if (key == "failure") {
       return p.parse_object([&](const std::string& k) {
@@ -221,69 +220,109 @@ bool from_json(const std::string& text, ChaosRepro* out, std::string* error) {
   return true;
 }
 
-ChaosResult replay_repro(const ChaosRepro& repro, std::string* why) {
-  ChaosResult r = run_chaos_events(repro.spec, repro.events);
+std::string replay_mismatch(const ChaosResult& r, const ReproRecord& want) {
   // Digests as the bundle spells them, so a mismatch can be found in it.
   const auto hex = [](std::uint64_t v) {
     std::string s;
     json::append_hex64(s, v);
     return s;
   };
-  std::string mismatch;
   const ChaosSignature sig = signature_of(r);
-  if (sig != repro.signature) {
-    mismatch = "signature mismatch: replayed " + sig.to_string() +
-               ", bundle has " + repro.signature.to_string();
-  } else if (r.digest != repro.digest) {
-    mismatch = "digest mismatch: replayed " + hex(r.digest) +
-               ", bundle has " + hex(repro.digest);
-  } else if (r.invariant_failure_cycle != repro.failure_cycle) {
-    mismatch = "invariant failure at cycle " +
-               std::to_string(r.invariant_failure_cycle) + ", bundle has " +
-               std::to_string(repro.failure_cycle);
-  } else if (r.anchors.size() != repro.anchors.size()) {
-    mismatch = "replay captured " + std::to_string(r.anchors.size()) +
-               " anchors, bundle has " + std::to_string(repro.anchors.size());
-  } else {
-    for (std::size_t i = 0; i < r.anchors.size(); ++i) {
-      const sim::Checkpoint& got = r.anchors[i];
-      const sim::Checkpoint& want = repro.anchors[i];
-      if (got == want) continue;
-      mismatch = "anchor " + std::to_string(i) + " mismatch: replayed cycle " +
-                 std::to_string(got.cycle) + " chip " + hex(got.chip_digest) +
-                 " router " + hex(got.owner_digest) + ", bundle has cycle " +
-                 std::to_string(want.cycle) + " chip " +
-                 hex(want.chip_digest) + " router " + hex(want.owner_digest);
-      break;
+  if (sig != want.signature) {
+    return "signature mismatch: replayed " + sig.to_string() +
+           ", bundle has " + want.signature.to_string();
+  }
+  if (r.digest != want.digest) {
+    return "digest mismatch: replayed " + hex(r.digest) + ", bundle has " +
+           hex(want.digest);
+  }
+  if (r.invariant_failure_cycle != want.failure_cycle) {
+    return "invariant failure at cycle " +
+           std::to_string(r.invariant_failure_cycle) + ", bundle has " +
+           std::to_string(want.failure_cycle);
+  }
+  if (r.anchors.size() != want.anchors.size()) {
+    return "replay captured " + std::to_string(r.anchors.size()) +
+           " anchors, bundle has " + std::to_string(want.anchors.size());
+  }
+  for (std::size_t i = 0; i < r.anchors.size(); ++i) {
+    const sim::Checkpoint& got = r.anchors[i];
+    const sim::Checkpoint& a = want.anchors[i];
+    if (got == a) continue;
+    return "anchor " + std::to_string(i) + " mismatch: replayed cycle " +
+           std::to_string(got.cycle) + " chip " + hex(got.chip_digest) +
+           " router " + hex(got.owner_digest) + ", bundle has cycle " +
+           std::to_string(a.cycle) + " chip " + hex(a.chip_digest) +
+           " router " + hex(a.owner_digest);
+  }
+  return "";
+}
+
+std::vector<sim::FaultEvent> ddmin(
+    const std::vector<sim::FaultEvent>& events,
+    const std::function<bool(const std::vector<sim::FaultEvent>&)>& reproduces,
+    MinimizeStats* stats) {
+  using Events = std::vector<sim::FaultEvent>;
+  MinimizeStats local;
+  MinimizeStats& st = stats != nullptr ? *stats : local;
+  st.original_events = events.size();
+  st.runs = 0;
+  const auto test = [&](const Events& subset) {
+    ++st.runs;
+    return reproduces(subset);
+  };
+
+  // Split into n chunks, try each chunk alone, then each complement; on a
+  // reduction restart with finer or coarser granularity, stop when chunks
+  // are single events and nothing reduces.
+  Events current = events;
+  std::size_t n = 2;
+  while (current.size() >= 2) {
+    const std::size_t sz = current.size();
+    n = std::min(n, sz);
+    const std::size_t base = sz / n;
+    const std::size_t rem = sz % n;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;  // [begin, end)
+    for (std::size_t k = 0, pos = 0; k < n; ++k) {
+      const std::size_t len = base + (k < rem ? 1 : 0);
+      chunks.emplace_back(pos, pos + len);
+      pos += len;
+    }
+    const auto slice = [&current](std::size_t b, std::size_t e) {
+      return Events(current.begin() + static_cast<std::ptrdiff_t>(b),
+                    current.begin() + static_cast<std::ptrdiff_t>(e));
+    };
+
+    bool reduced = false;
+    for (const auto& [b, e] : chunks) {
+      Events subset = slice(b, e);
+      if (test(subset)) {
+        current = std::move(subset);
+        n = 2;
+        reduced = true;
+        break;
+      }
+    }
+    if (!reduced && n > 2) {
+      for (const auto& [b, e] : chunks) {
+        Events complement = slice(0, b);
+        Events tail = slice(e, sz);
+        complement.insert(complement.end(), tail.begin(), tail.end());
+        if (test(complement)) {
+          current = std::move(complement);
+          n = std::max<std::size_t>(n - 1, 2);
+          reduced = true;
+          break;
+        }
+      }
+    }
+    if (!reduced) {
+      if (n >= sz) break;
+      n = std::min(sz, n * 2);
     }
   }
-  if (why != nullptr) *why = mismatch;
-  return r;
-}
-
-std::vector<sim::FaultEvent> minimize_events(
-    const ChaosSpec& spec, const std::vector<sim::FaultEvent>& events,
-    const ChaosSignature& target, MinimizeStats* stats) {
-  // Bind the whole schedule before ddmin splits it, so a bad fault target
-  // is reported by its index in `events`, as a replay reports it, not by
-  // its index in the first subset ddmin runs.
-  sim::FaultPlan full(events);
-  RawRouter scratch(router_config_for(spec), net::RouteTable::simple4(),
-                    traffic_for(spec), spec.seed);
-  scratch.set_fault_plan(&full);
-  return ddmin(
-      events,
-      [&](const std::vector<sim::FaultEvent>& subset) {
-        return signature_of(run_chaos_events(spec, subset)) == target;
-      },
-      stats);
-}
-
-ChaosRepro minimize_repro(const ChaosRepro& target, MinimizeStats* stats) {
-  const std::vector<sim::FaultEvent> minimal =
-      minimize_events(target.spec, target.events, target.signature, stats);
-  return make_repro(target.spec, minimal,
-                    run_chaos_events(target.spec, minimal));
+  st.minimized_events = current.size();
+  return current;
 }
 
 }  // namespace raw::router

@@ -1,8 +1,17 @@
-// Deterministic chaos replay: record a run's fault schedule and outcome
-// signature as JSON, replay it bit-identically, and delta-debug (ddmin) the
-// schedule down to a minimal event subset that reproduces the same
-// signature. The JSON codec is common/json; ddmin below is the one
-// minimizer, which cluster schedules (cluster/chaos.h) share.
+// Deterministic chaos replay, one layer for chip and cluster bundles:
+// record a run's fault schedule and outcome signature as JSON, replay it
+// bit-identically, and delta-debug (ddmin) the schedule down to a minimal
+// event subset that reproduces the same signature.
+//
+// Both chaos targets report a ChaosResult, so one bundle type (Repro<Spec>)
+// and one make_repro, replay_repro and minimize_repro serve both. Each
+// target supplies, found by argument-dependent lookup on its spec type,
+// run_chaos_events(spec, events) (the run under an explicit schedule),
+// check_schedule(spec, events) (throws std::invalid_argument naming the
+// first event that targets something the chip or fabric does not have) and
+// its to_json / from_json codec, which writes the shared signature object.
+// The chip's are here and in router/chaos.h, the cluster's in
+// cluster/chaos.h.
 //
 // The signature deliberately captures only the *shape* of the outcome (did
 // it pass, which invariant broke, how the run ended, which tile got the
@@ -10,20 +19,24 @@
 // the same tile the same way is the same bug, even if dropping the
 // bit-flip events changed how many packets were mangled along the way.
 //
-// Everything here is deterministic: run_chaos_events drives a fully seeded
-// router, so the same (spec, events) pair produces the same ChaosResult —
-// and the same RawRouter::state_digest() — under either engine. That is
-// what makes a recorded repro replayable and a minimization trustworthy.
+// Everything here is deterministic: the same (spec, events) pair produces
+// the same ChaosResult and digest under either engine and at any cluster
+// worker count. That is what makes a recorded repro replayable and a
+// minimization trustworthy.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "router/chaos.h"
 #include "sim/fault_plan.h"
+
+namespace raw::common::json {
+struct Parser;
+}
 
 namespace raw::router {
 
@@ -49,13 +62,16 @@ struct ChaosSignature {
 
 [[nodiscard]] ChaosSignature signature_of(const ChaosResult& r);
 
-/// A replayable chaos repro: the spec, the explicit fault schedule, and the
-/// signature + state digest the run produced. Schema v2 adds the endurance
-/// bundle fields (checkpoint anchors, the invariant failure, soak context);
-/// they stay empty/zero for v1 documents and for runs without endurance.
-struct ChaosRepro {
-  ChaosSpec spec;
-  std::vector<sim::FaultEvent> events;
+/// The signature object both bundle codecs write.
+void append_signature(std::string& s, const ChaosSignature& sig);
+/// Reads the object append_signature writes.
+bool parse_signature(common::json::Parser& p, ChaosSignature* sig);
+
+/// What a bundle records besides its spec and schedule: the outcome a
+/// replay must reproduce, and where the bundle came from. The anchors,
+/// invariant failure and soak context stay empty/zero on a cluster bundle
+/// and on a chip run without endurance.
+struct ReproRecord {
   ChaosSignature signature;
   std::uint64_t digest = 0;
   /// Checkpoint anchors (oldest first): replay must reproduce each
@@ -72,16 +88,48 @@ struct ChaosRepro {
   common::Cycle soak_start_cycle = 0;
 };
 
+/// A replayable chaos repro: the spec, the explicit fault schedule, and the
+/// record of what the run produced.
+template <typename Spec>
+struct Repro : ReproRecord {
+  Spec spec;
+  std::vector<sim::FaultEvent> events;
+};
+
+/// A chip bundle. Schema version 2 added the endurance fields (anchors, the
+/// invariant failure, soak context).
+using ChaosRepro = Repro<ChaosSpec>;
+
 /// The explicit fault schedule run_chaos derives from `spec`'s seed, so a
 /// run can be recorded (and replayed) event for event.
 [[nodiscard]] std::vector<sim::FaultEvent> make_fault_events(
     const ChaosSpec& spec);
 
-/// The bundle for a run of `spec` under `events` that produced `r`. The
+/// Throws std::invalid_argument naming the first event of `events` that
+/// `spec`'s chip does not have: binds the whole schedule to a router.
+void check_schedule(const ChaosSpec& spec,
+                    const std::vector<sim::FaultEvent>& events);
+
+/// The bundle for a run of `spec` under `events` that produced `r`. A chip
 /// spec's run-local attachments (monitor, profiler) are dropped.
-[[nodiscard]] ChaosRepro make_repro(const ChaosSpec& spec,
-                                    const std::vector<sim::FaultEvent>& events,
-                                    const ChaosResult& r);
+template <typename Spec>
+[[nodiscard]] Repro<Spec> make_repro(const Spec& spec,
+                                     const std::vector<sim::FaultEvent>& events,
+                                     const ChaosResult& r) {
+  Repro<Spec> repro;
+  repro.signature = signature_of(r);
+  repro.digest = r.digest;
+  repro.anchors = r.anchors;
+  repro.failure = r.invariant_failure;
+  repro.failure_cycle = r.invariant_failure_cycle;
+  repro.spec = spec;
+  if constexpr (requires { repro.spec.monitor; }) {
+    repro.spec.monitor = nullptr;
+    repro.spec.profiler = nullptr;
+  }
+  repro.events = events;
+  return repro;
+}
 
 /// Serializes a repro as a self-contained JSON document (schema version 2;
 /// digests are written as hex strings because 64-bit values exceed JSON's
@@ -94,12 +142,23 @@ struct ChaosRepro {
 bool from_json(const std::string& text, ChaosRepro* out,
                std::string* error = nullptr);
 
+/// The first way `replayed` differs from `recorded` (its signature, final
+/// digest, invariant-failure cycle, then each checkpoint anchor), or "" when
+/// the replay reproduced the record.
+[[nodiscard]] std::string replay_mismatch(const ChaosResult& replayed,
+                                          const ReproRecord& recorded);
+
 /// Replays a recorded bundle once and verifies the run reproduces its
-/// signature, final state digest, invariant-failure cycle and every
-/// checkpoint anchor (cycle, chip digest, router digest). `why` (if
-/// non-null) is left empty on a match and otherwise names the first thing
-/// that differed. Returns the replay's own result.
-ChaosResult replay_repro(const ChaosRepro& repro, std::string* why = nullptr);
+/// record (replay_mismatch). `why` (if non-null) is left empty on a match
+/// and otherwise names the first thing that differed. Returns the replay's
+/// own result.
+template <typename Spec>
+ChaosResult replay_repro(const Repro<Spec>& repro, std::string* why = nullptr) {
+  ChaosResult r = run_chaos_events(repro.spec, repro.events);
+  std::string mismatch = replay_mismatch(r, repro);
+  if (why != nullptr) *why = std::move(mismatch);
+  return r;
+}
 
 struct MinimizeStats {
   std::size_t original_events = 0;
@@ -108,87 +167,42 @@ struct MinimizeStats {
   int runs = 0;
 };
 
-/// Classic ddmin (Zeller & Hildebrandt) over any fault-event type: returns a
-/// subset of `events` (1-minimal w.r.t. ddmin chunking) for which
-/// `reproduces(subset)` holds — `events` itself if no smaller reproducer
-/// exists. Deterministic when `reproduces` is.
-template <typename Event, typename Reproduces>
-[[nodiscard]] std::vector<Event> ddmin(const std::vector<Event>& events,
-                                       Reproduces&& reproduces,
-                                       MinimizeStats* stats = nullptr) {
-  MinimizeStats local;
-  MinimizeStats& st = stats != nullptr ? *stats : local;
-  st.original_events = events.size();
-  st.runs = 0;
-  const auto test = [&](const std::vector<Event>& subset) {
-    ++st.runs;
-    return reproduces(subset);
-  };
+/// Classic ddmin (Zeller & Hildebrandt): returns a subset of `events`
+/// (1-minimal w.r.t. ddmin chunking) for which `reproduces(subset)` holds,
+/// `events` itself if no smaller reproducer exists. Deterministic when
+/// `reproduces` is.
+[[nodiscard]] std::vector<sim::FaultEvent> ddmin(
+    const std::vector<sim::FaultEvent>& events,
+    const std::function<bool(const std::vector<sim::FaultEvent>&)>& reproduces,
+    MinimizeStats* stats = nullptr);
 
-  // Split into n chunks, try each chunk alone, then each complement; on a
-  // reduction restart with finer or coarser granularity, stop when chunks
-  // are single events and nothing reduces.
-  std::vector<Event> current = events;
-  std::size_t n = 2;
-  while (current.size() >= 2) {
-    const std::size_t sz = current.size();
-    n = std::min(n, sz);
-    const std::size_t base = sz / n;
-    const std::size_t rem = sz % n;
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;  // [begin, end)
-    for (std::size_t k = 0, pos = 0; k < n; ++k) {
-      const std::size_t len = base + (k < rem ? 1 : 0);
-      chunks.emplace_back(pos, pos + len);
-      pos += len;
-    }
-    const auto slice = [&current](std::size_t b, std::size_t e) {
-      return std::vector<Event>(
-          current.begin() + static_cast<std::ptrdiff_t>(b),
-          current.begin() + static_cast<std::ptrdiff_t>(e));
-    };
-
-    bool reduced = false;
-    for (const auto& [b, e] : chunks) {
-      std::vector<Event> subset = slice(b, e);
-      if (test(subset)) {
-        current = std::move(subset);
-        n = 2;
-        reduced = true;
-        break;
-      }
-    }
-    if (!reduced && n > 2) {
-      for (const auto& [b, e] : chunks) {
-        std::vector<Event> complement = slice(0, b);
-        std::vector<Event> tail = slice(e, sz);
-        complement.insert(complement.end(), tail.begin(), tail.end());
-        if (test(complement)) {
-          current = std::move(complement);
-          n = std::max<std::size_t>(n - 1, 2);
-          reduced = true;
-          break;
-        }
-      }
-    }
-    if (!reduced) {
-      if (n >= sz) break;
-      n = std::min(sz, n * 2);
-    }
-  }
-  st.minimized_events = current.size();
-  return current;
-}
-
-/// ddmin over a chip schedule: the subset's replay under `spec` must
-/// reproduce `target`.
+/// ddmin over a schedule: the subset's run under `spec` must reproduce
+/// `target`. The whole schedule is checked first (check_schedule), so a bad
+/// fault target is reported by its index in `events`, as a replay reports
+/// it, not by its index in the first subset ddmin runs.
+template <typename Spec>
 [[nodiscard]] std::vector<sim::FaultEvent> minimize_events(
-    const ChaosSpec& spec, const std::vector<sim::FaultEvent>& events,
-    const ChaosSignature& target, MinimizeStats* stats = nullptr);
+    const Spec& spec, const std::vector<sim::FaultEvent>& events,
+    const ChaosSignature& target, MinimizeStats* stats = nullptr) {
+  check_schedule(spec, events);
+  return ddmin(
+      events,
+      [&](const std::vector<sim::FaultEvent>& subset) {
+        return signature_of(run_chaos_events(spec, subset)) == target;
+      },
+      stats);
+}
 
 /// minimize_events over `target`'s schedule and signature, re-run so the
 /// returned bundle carries the minimal schedule's own digest (damage counts,
 /// and so the digest, may differ from the full schedule's).
-[[nodiscard]] ChaosRepro minimize_repro(const ChaosRepro& target,
-                                        MinimizeStats* stats = nullptr);
+template <typename Spec>
+[[nodiscard]] Repro<Spec> minimize_repro(const Repro<Spec>& target,
+                                         MinimizeStats* stats = nullptr) {
+  const std::vector<sim::FaultEvent> minimal =
+      minimize_events(target.spec, target.events, target.signature, stats);
+  return make_repro(target.spec, minimal,
+                    run_chaos_events(target.spec, minimal));
+}
 
 }  // namespace raw::router

@@ -22,8 +22,6 @@ using sim::task::until_eject;
 using sim::task::until_words;
 using sim::task::write;
 
-constexpr Word kNoRoute = 0xffffffffu;
-
 // Sends a (block address, word count) command to the tile's switch.
 #define RAW_CMD(csto_, addr_, count_)             \
   do {                                            \
@@ -67,13 +65,13 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
   // a time until a checksum-valid header lines up again. Words are only
   // ingested when already at the edge, so realignment never blocks the
   // switch (and with it the quantum ring) on a word that may never come.
-  std::array<Word, net::Ipv4Header::kWords> win{};
+  HeaderWords win{};
   std::size_t held = 0;
 
   for (;;) {
     bool have_candidate = false;
     bool aligned = false;  // candidate came from a trusted packet boundary
-    std::array<Word, net::Ipv4Header::kWords> raw{};
+    HeaderWords raw{};
 
     if (!pkt.active && held == 0) {
       // Let the line deliver everything already committed to the switch —
@@ -118,33 +116,11 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
     }
 
     if (have_candidate) {
-      net::Ipv4Header hdr = net::parse(raw);
-      // Structural sanity first (checksum_ok cannot even be computed over a
-      // header claiming options), then the checksum.
-      if (hdr.version != 4 || hdr.ihl != 5 ||
-          hdr.total_length < net::Ipv4Header::kBytes || !net::checksum_ok(hdr)) {
-        // Integrity check failed before the packet touched the fabric. The
-        // claimed length is untrustworthy, so drop exactly one word and
-        // hunt for the next header instead of consuming by length.
-        co_await delay(core.config.header_proc_cost);  // checksum verify
-        if (aligned) {
-          ++ctr.malformed_drops;
-          if (core.ledger != nullptr) {
-            // Best effort: the uid field may itself be corrupt, in which
-            // case the entry is written off as lost at drain instead.
-            (void)core.ledger->erase_ingress(uid_of(hdr));
-          }
-        } else {
-          ++ctr.resync_slides;
-        }
-        for (std::size_t i = 1; i < net::Ipv4Header::kWords; ++i) {
-          win[i - 1] = raw[i];
-        }
-        held = net::Ipv4Header::kWords - 1;
-        continue;
-      }
-
       co_await delay(core.config.header_proc_cost);  // checksum verify + TTL
+      const std::optional<net::Ipv4Header> judged =
+          judge_header(core, port, raw, aligned, win, held);
+      if (!judged.has_value()) continue;
+      net::Ipv4Header hdr = *judged;
       ++ctr.packets_in;
       const bool tracing = core.tracer != nullptr && core.tracer->enabled();
       const std::uint64_t trace_uid = tracing ? uid_of(hdr) : 0;
@@ -431,6 +407,27 @@ TileTask egress_body(RouterCore& core, int port, EgressSchedule s) {
 #undef RAW_CMD
 
 }  // namespace
+
+std::optional<net::Ipv4Header> judge_header(RouterCore& core, int port,
+                                            const HeaderWords& words,
+                                            bool aligned, HeaderWords& win,
+                                            std::size_t& held) {
+  const net::Ipv4Header hdr = net::parse(words);
+  if (hdr.version == 4 && hdr.ihl == 5 &&
+      hdr.total_length >= net::Ipv4Header::kBytes && net::checksum_ok(hdr)) {
+    return hdr;
+  }
+  PortCounters& ctr = core.counters[static_cast<std::size_t>(port)];
+  if (aligned) {
+    ++ctr.malformed_drops;
+    if (core.ledger != nullptr) (void)core.ledger->erase_ingress(uid_of(hdr));
+  } else {
+    ++ctr.resync_slides;
+  }
+  for (std::size_t i = 1; i < words.size(); ++i) win[i - 1] = words[i];
+  held = net::Ipv4Header::kWords - 1;
+  return std::nullopt;
+}
 
 PortSchedules compile_port_schedules(const ScheduleCompiler& compiler) {
   PortSchedules s;

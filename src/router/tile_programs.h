@@ -25,9 +25,11 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "common/trace_event.h"
 #include "common/types.h"
+#include "net/ipv4.h"
 #include "net/route_table.h"
 #include "net/small_table.h"
 #include "router/layout.h"
@@ -110,6 +112,23 @@ struct PortSchedules {
 };
 
 PortSchedules compile_port_schedules(const ScheduleCompiler& compiler);
+
+/// Output port of a lookup that found no route.
+inline constexpr common::Word kNoRoute = 0xffffffffu;
+
+using HeaderWords = std::array<common::Word, net::Ipv4Header::kWords>;
+
+/// The header judge of the normal and the degraded ingress (the caller
+/// charges header_proc_cost first): returns the header when `words` passes
+/// the structural check and the checksum. Otherwise the claimed length is
+/// untrustworthy: a candidate from a trusted packet boundary (`aligned`)
+/// counts a malformed drop and erases its uid's ledger entry (best effort),
+/// any other a resync slide, and the window slides one word (`win`, which
+/// may be `words` itself, gets words[1..]; `held` becomes kWords - 1).
+std::optional<net::Ipv4Header> judge_header(RouterCore& core, int port,
+                                            const HeaderWords& words,
+                                            bool aligned, HeaderWords& win,
+                                            std::size_t& held);
 
 /// Builds one router chip: a 4x4 grid with the dynamic network (the lookup
 /// RPC path) and edge FIFOs of `link_fifo_depth` words. Points `core.chip`

@@ -45,7 +45,7 @@ TEST(ClusterChaosTest, StandardMixesPassWithRecoveryArmed) {
   for (const ClusterChaosMix& mix : standard_cluster_mixes()) {
     ClusterChaosSpec spec = quick_spec(3);
     spec.mix = mix;
-    const ClusterChaosResult r = run_cluster_chaos(spec);
+    const router::ChaosResult r = run_cluster_chaos(spec);
     EXPECT_TRUE(r.pass) << mix.name() << ": " << r.failure;
     EXPECT_GT(r.delivered, 0u) << mix.name();
     if (mix.any()) {
@@ -53,7 +53,7 @@ TEST(ClusterChaosTest, StandardMixesPassWithRecoveryArmed) {
     }
     if (mix.permanent()) {
       EXPECT_TRUE(r.degraded) << mix.name();
-      EXPECT_GE(r.failover_generation, 1) << mix.name();
+      EXPECT_GE(r.schedule_generation, 1) << mix.name();
     } else {
       EXPECT_FALSE(r.degraded) << mix.name();
     }
@@ -74,11 +74,11 @@ TEST(ClusterChaosTest, CorruptingMixDoesZeroDamageOnReliableLinks) {
   ClusterChaosSpec spec = quick_spec(5);
   spec.mix.corrupts = true;
   spec.faults_per_kind = 6;
-  const ClusterChaosResult r = run_cluster_chaos(spec);
+  const router::ChaosResult r = run_cluster_chaos(spec);
   EXPECT_TRUE(r.pass) << r.failure;
   EXPECT_EQ(r.errors, 0u);
   EXPECT_EQ(r.lost, 0u);
-  EXPECT_EQ(r.delivered_corrupt, 0u);
+  EXPECT_EQ(r.link_delivered_corrupt, 0u);
 }
 
 TEST(ClusterChaosTest, RunsAreDeterministicAcrossWorkerCounts) {
@@ -86,10 +86,10 @@ TEST(ClusterChaosTest, RunsAreDeterministicAcrossWorkerCounts) {
   spec.mix.corrupts = true;
   spec.mix.cuts = true;
   spec.threads = 1;
-  const ClusterChaosResult serial = run_cluster_chaos(spec);
+  const router::ChaosResult serial = run_cluster_chaos(spec);
   for (const int workers : {2, 4}) {
     spec.threads = workers;
-    const ClusterChaosResult r = run_cluster_chaos(spec);
+    const router::ChaosResult r = run_cluster_chaos(spec);
     EXPECT_EQ(r.digest, serial.digest) << workers << " workers";
     EXPECT_EQ(r.delivered, serial.delivered) << workers << " workers";
     EXPECT_EQ(r.degraded, serial.degraded) << workers << " workers";
@@ -108,7 +108,7 @@ TEST(ClusterChaosTest, ReproBundleRoundTripsThroughJson) {
     const std::vector<sim::FaultEvent> events =
         make_cluster_fault_events(spec);
     const ClusterChaosRepro repro =
-        make_repro(spec, events, run_cluster_chaos_events(spec, events));
+        make_repro(spec, events, run_chaos_events(spec, events));
 
     const std::string json = to_json(repro);
     ClusterChaosRepro parsed;
@@ -128,12 +128,16 @@ TEST(ClusterChaosTest, ReproBundleRoundTripsThroughJson) {
       EXPECT_EQ(parsed.events[i].chip, repro.events[i].chip);
     }
     EXPECT_EQ(parsed.digest, repro.digest);
-    EXPECT_EQ(parsed.degraded, repro.degraded);
+    EXPECT_EQ(parsed.signature, repro.signature);
+    // A v3 document, which re-serializes byte for byte.
+    EXPECT_NE(json.find("\"schema\": \"raw-cluster-chaos-repro/v3\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"signature\": {\"pass\": "), std::string::npos);
     EXPECT_EQ(to_json(parsed), json);
 
     // The parsed bundle replays bit-identically.
     std::string why;
-    const ClusterChaosResult replayed = replay_cluster_repro(parsed, &why);
+    const router::ChaosResult replayed = replay_repro(parsed, &why);
     EXPECT_TRUE(why.empty()) << why;
     EXPECT_EQ(replayed.digest, repro.digest);
   }
@@ -144,7 +148,7 @@ TEST(ClusterChaosTest, ReplayFlagsATamperedDigest) {
   spec.mix.corrupts = true;
   const std::vector<sim::FaultEvent> events = make_cluster_fault_events(spec);
   const ClusterChaosRepro fresh =
-      make_repro(spec, events, run_cluster_chaos_events(spec, events));
+      make_repro(spec, events, run_chaos_events(spec, events));
 
   // A corrupt+cut bundle an earlier build wrote (`rawchaos --cluster --mix
   // corrupt+cut --seed 3 --record`), read through the one loader.
@@ -156,6 +160,11 @@ TEST(ClusterChaosTest, ReplayFlagsATamperedDigest) {
   ASSERT_TRUE(std::holds_alternative<ClusterChaosRepro>(loaded));
   const ClusterChaosRepro& recorded = std::get<ClusterChaosRepro>(loaded);
   ASSERT_EQ(recorded.events.size(), 5u);
+  // Its v1 outcome keys (pass, degraded, drained) load as a signature.
+  EXPECT_TRUE(recorded.signature.pass);
+  EXPECT_TRUE(recorded.signature.degraded);
+  EXPECT_EQ(recorded.signature.outcome,
+            router::DrainOutcome::kDrainedDegraded);
   // Its v1 kind names load as link events: three trunk_corrupt flips, then
   // a trunk_cut of both directions of trunk 0 (permanent link stalls).
   for (std::size_t i = 0; i < recorded.events.size(); ++i) {
@@ -170,14 +179,13 @@ TEST(ClusterChaosTest, ReplayFlagsATamperedDigest) {
   for (const ClusterChaosRepro* bundle : {&fresh, &recorded}) {
     SCOPED_TRACE(bundle->spec.mix.name());
     std::string why;
-    EXPECT_EQ(replay_cluster_repro(*bundle, &why).digest, bundle->digest);
+    EXPECT_EQ(replay_repro(*bundle, &why).digest, bundle->digest);
     EXPECT_TRUE(why.empty()) << why;
 
     ClusterChaosRepro tampered = *bundle;
     tampered.digest ^= 1;
-    const ClusterChaosResult replayed = replay_cluster_repro(tampered, &why);
-    EXPECT_FALSE(replayed.pass);
-    EXPECT_EQ(why, "digest mismatch");
+    (void)replay_repro(tampered, &why);
+    EXPECT_EQ(why.rfind("digest mismatch: replayed ", 0), 0u) << why;
   }
 }
 
@@ -199,7 +207,7 @@ TEST(ClusterChaosTest, BadLinkOrChipTargetsThrowInsteadOfAborting) {
   bad_chip[3].permanent = true;
   bad_chip[3].chip = 4;
   for (const auto* events : {&bad_link, &bad_chip}) {
-    EXPECT_THROW((void)run_cluster_chaos_events(bundle.spec, *events),
+    EXPECT_THROW((void)run_chaos_events(bundle.spec, *events),
                  std::invalid_argument);
   }
 }
@@ -224,7 +232,7 @@ TEST(ClusterChaosTest, MinimizeNamesABadTargetByItsBundleIndex) {
     return "no exception";
   };
   const std::string replayed = message_of(
-      [&] { (void)run_cluster_chaos_events(bundle.spec, bundle.events); });
+      [&] { (void)run_chaos_events(bundle.spec, bundle.events); });
   EXPECT_EQ(replayed.rfind("fault event 4 ", 0), 0u) << replayed;
   EXPECT_EQ(message_of([&] { (void)minimize_repro(bundle); }), replayed);
 }
@@ -255,14 +263,14 @@ TEST(ClusterChaosTest, MinimizeKeepsTheRecordedOutcome) {
   spec.mix.cuts = true;
   const std::vector<sim::FaultEvent> events = make_cluster_fault_events(spec);
   const ClusterChaosRepro target =
-      make_repro(spec, events, run_cluster_chaos_events(spec, events));
-  ASSERT_TRUE(target.degraded);
+      make_repro(spec, events, run_chaos_events(spec, events));
+  ASSERT_TRUE(target.signature.degraded);
 
   router::MinimizeStats stats;
   const ClusterChaosRepro minimal = minimize_repro(target, &stats);
   EXPECT_EQ(stats.original_events, events.size());
   EXPECT_LT(minimal.events.size(), events.size());
-  EXPECT_TRUE(same_outcome(minimal, target));
+  EXPECT_EQ(minimal.signature, target.signature);
   for (const sim::FaultEvent& e : minimal.events) {
     EXPECT_EQ(e.kind, sim::FaultKind::kLinkStall);  // a cut
     EXPECT_TRUE(e.permanent);
@@ -281,7 +289,7 @@ TEST(ClusterChaosTest, BoundedSweepPasses) {
     spec.run_cycles = 6000;
     spec.reliable_links = true;
     spec.failover = true;
-    const ClusterChaosResult r = run_cluster_chaos(spec);
+    const router::ChaosResult r = run_cluster_chaos(spec);
     EXPECT_TRUE(r.pass) << r.mix << " seed " << r.seed << ": " << r.failure;
   }
 }

@@ -123,6 +123,46 @@ TEST(ClusterFabricTest, WorkerCountClampsToChips) {
   EXPECT_EQ(fabric.workers(), 2);
 }
 
+TEST(ClusterFabricTest, DrainOutcomeNamesHowTheDrainEnded) {
+  using router::DrainOutcome;
+  // A clean leaf-spine fabric drains completely.
+  {
+    ClusterFabric fabric(small_cluster(TopologyKind::kLeafSpine, 4, 1), 7);
+    fabric.run(4000);
+    EXPECT_TRUE(fabric.drain(200000));
+    EXPECT_EQ(fabric.drain_outcome(), DrainOutcome::kDrained);
+  }
+  // Corrupt words on reliable trunks, then a trunk cut with fail-over: the
+  // degraded fabric's drain is a clean exit.
+  {
+    ClusterConfig cfg = small_cluster(TopologyKind::kLeafSpine, 4, 1);
+    cfg.reliable_links = true;
+    cfg.failover = true;
+    cfg.watchdog_interval = 256;
+    cfg.faults.push_back({.kind = sim::FaultKind::kBitFlip, .at = 1000,
+                          .link = 4, .bit = 3});
+    for (int dir = 0; dir < 2; ++dir) {
+      cfg.faults.push_back({.kind = sim::FaultKind::kLinkStall, .at = 3000,
+                            .permanent = true, .link = dir});
+    }
+    ClusterFabric fabric(cfg, 5);
+    fabric.run(9000);
+    ASSERT_TRUE(fabric.degraded());
+    EXPECT_TRUE(fabric.drain(400000));
+    EXPECT_EQ(fabric.drain_outcome(), DrainOutcome::kDrainedDegraded);
+  }
+  // A drain given too few cycles to empty the fabric runs out of time.
+  {
+    ClusterConfig cfg = small_cluster(TopologyKind::kLeafSpine, 4, 1);
+    cfg.traffic.load = 1.0;
+    ClusterFabric fabric(cfg, 7);
+    fabric.run(4000);
+    EXPECT_FALSE(fabric.drain(fabric.epoch_cycles()));
+    EXPECT_EQ(fabric.drain_outcome(), DrainOutcome::kTimeout);
+    EXPECT_FALSE(fabric.drained());
+  }
+}
+
 TEST(ClusterFabricTest, MetricsExportIsWellFormed) {
   ClusterFabric fabric(small_cluster(TopologyKind::kLeafSpine, 4, 1), 5);
   fabric.run(2000);

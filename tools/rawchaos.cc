@@ -1,48 +1,35 @@
-// Chaos harness CLI: run the router under seeded fault mixes and check the
-// self-protection invariants (packet conservation, no silent hang, no
-// unexplained damage — see router/chaos.h).
+// Chaos harness CLI: run the router, or with --cluster a multi-chip fabric,
+// under seeded fault mixes and check the self-protection invariants (see
+// router/chaos.h and cluster/chaos.h). Both targets print the same result
+// line and record, replay and minimize the same way (router/repro.h).
 //
 //   ./rawchaos                          # standard mixes x 4 seeds
 //   ./rawchaos --seeds 16 --cycles 40000      # the full 16 x 13 sweep
 //   ./rawchaos --mix flip+stall --seed 7 -v   # one combination, verbose
-//   ./rawchaos --mix permafreeze --seed 3     # permanent-freeze detection
 //   ./rawchaos --links --recovery             # self-healing fabric enabled
+//   ./rawchaos --cluster --chips 8 --mix corrupt+cut --seed 3 --threads 4
 //
-// Deterministic replay workflow (router/repro.h, cluster/chaos.h):
+// Cluster mode injects *inter-chip* faults (trunk word corruption, link
+// flaps, permanent trunk cuts, whole-chip freezes) with reliable links and
+// fail-over always armed, so --links/--recovery are chip-only.
+//
+// Deterministic replay workflow, for either target:
 //
 //   ./rawchaos --mix flip+permafreeze --seed 7 --record bug.json
-//   ./rawchaos --replay bug.json              # re-runs, checks sig + digest
+//   ./rawchaos --replay bug.json              # checks signature + digest
 //   ./rawchaos --minimize bug.json --out min.json   # ddmin the schedule
 //
-// A soak failure bundle (rawsoak --bundle-dir) replays the same way:
-// --replay also checks the failure cycle and every checkpoint anchor.
+// --replay and --minimize read either kind of bundle (the document's own
+// marker says which, so they need no --cluster), and a soak failure bundle
+// (rawsoak --bundle-dir) too: --replay also checks the failure cycle and
+// every checkpoint anchor. In sweep mode --record captures the first
+// *failing* combination; with a single --mix/--seed combination it always
+// records.
 //
-// --replay and --minimize read either kind of bundle (chip or cluster; the
-// document's own marker says which), so they need no --cluster.
-//
-// Cluster mode (cluster/chaos.h) injects *inter-chip* faults — trunk word
-// corruption, link flaps, permanent trunk cuts, whole-chip freezes — into a
-// multi-chip fabric with reliable links and fail-over always armed (so
-// --links/--recovery are chip-only):
-//
-//   ./rawchaos --cluster                      # 8 cluster mixes x 4 seeds
-//   ./rawchaos --cluster --chips 8 --mix corrupt+cut --seed 3 --threads 4
-//   ./rawchaos --cluster --mix freeze --seed 5 --record bug.json
-//   ./rawchaos --replay bug.json              # digest/status must reproduce
-//   ./rawchaos --minimize bug.json            # ddmin the cluster schedule
-//
-// In sweep mode --record captures the first *failing* combination; with a
-// single --mix/--seed combination it always records. Sweeping, recording
-// the first failure and shrinking it to a minimal schedule is therefore:
-//
-//   ./rawchaos --seeds 8 --links --recovery --record repro/first.json
-//   ./rawchaos --minimize repro/first.json
-//
-// With --flight-dir DIR every combination runs with the engine flight
+// With --flight-dir DIR every chip combination runs with the engine flight
 // recorder armed (common/profiler.h): any run that fails an invariant or
 // exits without a clean drain writes its recent performance history to
-// DIR/<mix>_seed<S>.flight.jsonl, so a wedged or lossy run carries its own
-// "what was the engine doing" evidence. DIR must exist.
+// DIR/<mix>_seed<S>.flight.jsonl. DIR must exist.
 //
 // Exit status is 0 only when every combination passes (or the replay /
 // minimize reproduced the recorded signature); 2 on bad usage — a count
@@ -68,14 +55,12 @@
 namespace {
 
 using raw::cluster::ClusterChaosMix;
-using raw::cluster::ClusterChaosRepro;
-using raw::cluster::ClusterChaosResult;
 using raw::cluster::ClusterChaosSpec;
 using raw::common::json::write_file;
 using raw::router::ChaosMix;
-using raw::router::ChaosRepro;
 using raw::router::ChaosResult;
 using raw::router::ChaosSpec;
+using raw::sim::FaultEvent;
 using raw::tools::non_negative;
 using raw::tools::positive;
 using raw::tools::unknown_flag;
@@ -197,6 +182,8 @@ bool dump_flight(const char* dir, const ChaosResult& r,
   return true;
 }
 
+/// One line per combination, whichever target ran it, plus its failure, its
+/// recovery counters and (verbose) its stall report.
 void print_result(const ChaosResult& r, bool verbose) {
   std::printf("%-28s seed %-4llu %-5s %-14s dlv %-7llu err %-4llu lost %-4llu "
               "mal %-3llu rsync %-3llu faults %llu\n",
@@ -212,93 +199,59 @@ void print_result(const ChaosResult& r, bool verbose) {
   if (!r.pass) std::printf("  -> %s\n", r.failure.c_str());
   if (r.degraded || r.link_retransmits > 0 || r.link_delivered_corrupt > 0) {
     std::printf("  recovery: %s (schedule gen %d), link retransmits %llu, "
-                "delivered corrupt %llu\n",
+                "delivered corrupt %llu",
                 r.degraded ? "DEGRADED" : "full fabric", r.schedule_generation,
                 static_cast<unsigned long long>(r.link_retransmits),
                 static_cast<unsigned long long>(r.link_delivered_corrupt));
+    // Cluster fail-over write-offs (a chip has none).
+    if (r.written_off_words + r.abandoned_packets + r.unreachable_hosts > 0) {
+      std::printf(", %llu words written off, %llu packets abandoned, "
+                  "%llu hosts unreachable",
+                  static_cast<unsigned long long>(r.written_off_words),
+                  static_cast<unsigned long long>(r.abandoned_packets),
+                  static_cast<unsigned long long>(r.unreachable_hosts));
+    }
+    std::printf("\n");
   }
   if (verbose && !r.stall_summary.empty()) {
     std::printf("  %s\n", r.stall_summary.c_str());
   }
 }
 
-void print_cluster_result(const ClusterChaosResult& r) {
-  std::printf("%-28s seed %-4llu %-5s %-10s dlv %-7llu err %-4llu lost %-4llu "
-              "faults %llu\n",
-              r.mix.empty() ? "clean" : r.mix.c_str(),
-              static_cast<unsigned long long>(r.seed),
-              r.pass ? "PASS" : "FAIL", r.degraded ? "DEGRADED" : "healthy",
-              static_cast<unsigned long long>(r.delivered),
-              static_cast<unsigned long long>(r.errors),
-              static_cast<unsigned long long>(r.lost),
-              static_cast<unsigned long long>(r.faults_injected));
-  if (!r.pass) std::printf("  -> %s\n", r.failure.c_str());
-  if (r.retransmits > 0 || r.failover_generation > 0) {
-    std::printf("  recovery: %llu retransmits, reroute gen %d, "
-                "%llu words written off, %llu packets abandoned, "
-                "%llu hosts unreachable\n",
-                static_cast<unsigned long long>(r.retransmits),
-                r.failover_generation,
-                static_cast<unsigned long long>(r.written_off_words),
-                static_cast<unsigned long long>(r.abandoned_packets),
-                static_cast<unsigned long long>(r.unreachable_hosts));
-  }
-}
-
 int do_replay(const Args& args) {
-  const raw::cluster::Repro bundle = load_repro_or_die(args.replay);
-  if (const auto* cluster = std::get_if<ClusterChaosRepro>(&bundle)) {
-    std::printf("replaying %zu cluster events: recorded digest %016llx, %s\n",
-                cluster->events.size(),
-                static_cast<unsigned long long>(cluster->digest),
-                cluster->degraded ? "degraded" : "healthy");
-    std::string why;
-    const ClusterChaosResult r =
-        raw::cluster::replay_cluster_repro(*cluster, &why);
-    print_cluster_result(r);
-    std::printf("digest: %016llx (%s)\n",
-                static_cast<unsigned long long>(r.digest),
-                why.empty() ? "match" : why.c_str());
-    return why.empty() ? 0 : 1;
-  }
-  const ChaosRepro& repro = std::get<ChaosRepro>(bundle);
-  std::printf("replaying %zu events: recorded %s, digest %016llx, "
-              "%zu anchors\n",
-              repro.events.size(), repro.signature.to_string().c_str(),
-              static_cast<unsigned long long>(repro.digest),
-              repro.anchors.size());
-  std::string why;
-  const ChaosResult r = raw::router::replay_repro(repro, &why);
-  print_result(r, args.verbose);
-  std::printf("signature: %s\n",
-              raw::router::signature_of(r).to_string().c_str());
-  std::printf("digest:    %016llx\n", static_cast<unsigned long long>(r.digest));
-  std::printf("replay:    %s%s\n", why.empty() ? "match" : "MISMATCH: ",
-              why.c_str());
-  return why.empty() ? 0 : 1;
+  return std::visit(
+      [&](const auto& repro) {
+        std::printf("replaying %zu events: recorded %s, digest %016llx, "
+                    "%zu anchors\n",
+                    repro.events.size(), repro.signature.to_string().c_str(),
+                    static_cast<unsigned long long>(repro.digest),
+                    repro.anchors.size());
+        std::string why;
+        const ChaosResult r = raw::router::replay_repro(repro, &why);
+        print_result(r, args.verbose);
+        std::printf("signature: %s\n",
+                    raw::router::signature_of(r).to_string().c_str());
+        std::printf("digest:    %016llx\n",
+                    static_cast<unsigned long long>(r.digest));
+        std::printf("replay:    %s%s\n", why.empty() ? "match" : "MISMATCH: ",
+                    why.c_str());
+        return why.empty() ? 0 : 1;
+      },
+      load_repro_or_die(args.replay));
 }
 
 int do_minimize(const Args& args) {
-  const raw::cluster::Repro bundle = load_repro_or_die(args.minimize);
   raw::router::MinimizeStats stats;
-  std::string json;
   bool reproduced = false;
-  if (const auto* cluster = std::get_if<ClusterChaosRepro>(&bundle)) {
-    std::printf("minimizing %zu cluster events against: %s%s\n",
-                cluster->events.size(),
-                cluster->pass ? "pass" : cluster->failure.c_str(),
-                cluster->degraded ? ", degraded" : "");
-    const ClusterChaosRepro out = raw::cluster::minimize_repro(*cluster, &stats);
-    reproduced = raw::cluster::same_outcome(out, *cluster);
-    json = raw::cluster::to_json(out);
-  } else {
-    const ChaosRepro& repro = std::get<ChaosRepro>(bundle);
-    std::printf("minimizing %zu events against: %s\n", repro.events.size(),
-                repro.signature.to_string().c_str());
-    const ChaosRepro out = raw::router::minimize_repro(repro, &stats);
-    reproduced = out.signature == repro.signature;
-    json = raw::router::to_json(out);
-  }
+  const std::string json = std::visit(
+      [&](const auto& repro) {
+        std::printf("minimizing %zu events against: %s\n", repro.events.size(),
+                    repro.signature.to_string().c_str());
+        const auto out = raw::router::minimize_repro(repro, &stats);
+        reproduced = out.signature == repro.signature;
+        return to_json(out);
+      },
+      load_repro_or_die(args.minimize));
 
   const std::string out_path = args.out != nullptr
                                    ? std::string(args.out)
@@ -324,6 +277,22 @@ struct Combination {
   std::string label;   // how the record line names the bundle
   std::string bundle;  // JSON, built only under --record
 };
+
+/// Prints `r` and, under --record, builds the bundle of `spec` run under
+/// `events` (chip or cluster: to_json is found by the spec's namespace).
+template <typename Spec>
+Combination combination(const Args& args, const Spec& spec,
+                        const std::vector<FaultEvent>& events,
+                        const ChaosResult& r) {
+  print_result(r, args.verbose);
+  Combination c{r.pass, events.size(), {}, {}};
+  if (args.record != nullptr) {
+    const auto repro = raw::router::make_repro(spec, events, r);
+    c.label = "repro (" + repro.signature.to_string() + ")";
+    c.bundle = to_json(repro);
+  }
+  return c;
+}
 
 /// The sweep both targets share: every mix x seed, mix-major. --record
 /// writes the first failing combination's bundle (with a single --mix/--seed
@@ -364,18 +333,26 @@ int sweep(const Args& args, const std::vector<Mix>& mixes, Run&& run) {
   return passed == total ? 0 : 1;
 }
 
-int run_cluster(const Args& args) {
-  std::vector<ClusterChaosMix> mixes;
-  if (args.mix != nullptr) {
-    ClusterChaosMix m;
-    if (!raw::cluster::parse_cluster_mix(args.mix, &m)) {
-      std::fprintf(stderr, "unknown cluster fault mix '%s'\n", args.mix);
-      return 2;
-    }
-    mixes.push_back(m);
-  } else {
-    mixes = raw::cluster::standard_cluster_mixes();
+/// The mixes to sweep: the --mix one, else every standard mix. An unknown
+/// mix is a usage error (exit 2).
+template <typename Mix>
+std::vector<Mix> mixes_to_run(const Args& args,
+                              bool (*parse)(const std::string&, Mix*),
+                              std::vector<Mix> standard) {
+  if (args.mix == nullptr) return standard;
+  Mix m;
+  if (!parse(args.mix, &m)) {
+    std::fprintf(stderr, "unknown %sfault mix '%s'\n",
+                 args.cluster ? "cluster " : "", args.mix);
+    std::exit(2);
   }
+  return {m};
+}
+
+int run_cluster(const Args& args) {
+  const std::vector<ClusterChaosMix> mixes =
+      mixes_to_run(args, raw::cluster::parse_cluster_mix,
+                   raw::cluster::standard_cluster_mixes());
   return sweep(args, mixes, [&](const ClusterChaosMix& mix, std::uint64_t seed) {
     ClusterChaosSpec spec;
     spec.seed = seed;
@@ -387,31 +364,16 @@ int run_cluster(const Args& args) {
     // fail-over are always on.
     spec.reliable_links = true;
     spec.failover = true;
-    const std::vector<raw::sim::FaultEvent> events =
+    const std::vector<FaultEvent> events =
         raw::cluster::make_cluster_fault_events(spec);
-    const ClusterChaosResult r =
-        raw::cluster::run_cluster_chaos_events(spec, events);
-    print_cluster_result(r);
-    Combination c{r.pass, events.size(), "cluster repro", {}};
-    if (args.record != nullptr) {
-      c.bundle = raw::cluster::to_json(raw::cluster::make_repro(spec, events, r));
-    }
-    return c;
+    return combination(args, spec, events,
+                       raw::cluster::run_chaos_events(spec, events));
   });
 }
 
 int run_chip(const Args& args) {
-  std::vector<ChaosMix> mixes;
-  if (args.mix != nullptr) {
-    ChaosMix m;
-    if (!raw::router::parse_mix(args.mix, &m)) {
-      std::fprintf(stderr, "unknown fault mix '%s'\n", args.mix);
-      return 2;
-    }
-    mixes.push_back(m);
-  } else {
-    mixes = raw::router::standard_mixes();
-  }
+  const std::vector<ChaosMix> mixes = mixes_to_run(
+      args, raw::router::parse_mix, raw::router::standard_mixes());
   return sweep(args, mixes, [&](const ChaosMix& mix, std::uint64_t seed) {
     ChaosSpec spec;
     spec.seed = seed;
@@ -432,23 +394,14 @@ int run_chip(const Args& args) {
       spec.profiler = &profiler;
     }
 
-    Combination c;
-    ChaosResult r;
-    if (args.record != nullptr) {
-      // Record mode runs the explicit-schedule path so the events written
-      // to disk are exactly the events that produced the result.
-      const std::vector<raw::sim::FaultEvent> events =
-          raw::router::make_fault_events(spec);
-      r = raw::router::run_chaos_events(spec, events);
-      const ChaosRepro repro = raw::router::make_repro(spec, events, r);
-      c.events = events.size();
-      c.label = "repro (" + repro.signature.to_string() + ")";
-      c.bundle = raw::router::to_json(repro);
-    } else {
-      r = raw::router::run_chaos(spec);
-    }
-    c.pass = r.pass;
-    print_result(r, args.verbose);
+    // Record mode runs the explicit-schedule path so the events written to
+    // disk are exactly the events that produced the result.
+    std::vector<FaultEvent> events;
+    if (args.record != nullptr) events = raw::router::make_fault_events(spec);
+    const ChaosResult r = args.record != nullptr
+                              ? raw::router::run_chaos_events(spec, events)
+                              : raw::router::run_chaos(spec);
+    const Combination c = combination(args, spec, events, r);
     if (args.flight_dir != nullptr && flight_worthy(r) &&
         !dump_flight(args.flight_dir, r, profiler)) {
       std::exit(2);

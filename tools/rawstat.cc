@@ -69,8 +69,9 @@ struct Args {
   double cluster_remote = 0.5;  // fraction of traffic crossing chips
 };
 
-void usage() {
-  std::printf(
+void print_usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "usage: rawstat [options]\n"
       "  --cycles N        chip cycles to run (default 200000)\n"
       "  --interval N      dashboard refresh interval in cycles (default cycles/10)\n"
@@ -110,6 +111,10 @@ void usage() {
       "                    RAWSIM_THREADS, else serial; results identical)\n"
       "  --no-refresh      append dashboard frames instead of redrawing\n");
 }
+
+/// A usage error's usage text goes to stderr, so a --json/--csv reader of
+/// stdout never mistakes it for a document; --help prints it on stdout.
+void usage() { print_usage(stderr); }
 
 Args parse(int argc, char** argv) {
   Args a;
@@ -178,7 +183,7 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--no-refresh")) {
       a.no_refresh = true;
     } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      usage();
+      print_usage(stdout);
       std::exit(0);
     } else {
       unknown_flag(argv[i], usage);
@@ -431,9 +436,7 @@ void print_cluster_dashboard(const Args& args, const MetricRegistry& reg,
   if (recovery_armed) {
     std::printf("\nrecovery: %s  retransmits %llu  delivered-corrupt %llu  "
                 "faults fired %llu\n",
-                fabric.status() == raw::cluster::ClusterStatus::kDegraded
-                    ? "DEGRADED"
-                    : "healthy",
+                fabric.degraded() ? "DEGRADED" : "healthy",
                 c("cluster/recovered/retransmits"),
                 c("cluster/recovered/delivered_corrupt"),
                 c("cluster/faults/injected"));
