@@ -131,22 +131,11 @@ BENCHMARK(BM_ConfigSpaceEnumeration);
 void BM_ChipIdleCycle(benchmark::State& state) {
   raw::sim::Chip chip;
   for (auto _ : state) {
-    chip.step();
+    chip.run(1);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ChipIdleCycle);
-
-void BM_ChipIdleCycleNoDyn(benchmark::State& state) {
-  raw::sim::ChipConfig cfg;
-  cfg.with_dynamic_network = false;
-  raw::sim::Chip chip(cfg);
-  for (auto _ : state) {
-    chip.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ChipIdleCycleNoDyn);
 
 // Feeds one chip-edge input and drains one chip-edge output every cycle.
 class EdgePump : public raw::sim::Device {
@@ -171,7 +160,6 @@ class EdgePump : public raw::sim::Device {
 void BM_SwitchStreamStep(benchmark::State& state) {
   raw::sim::ChipConfig cfg;
   cfg.shape = raw::sim::GridShape{1, 2};
-  cfg.with_dynamic_network = false;
   raw::sim::Chip chip(cfg);
   std::string error;
   const auto program = std::make_shared<const raw::sim::SwitchProgram>(
@@ -240,7 +228,6 @@ void BM_LineCardLoopback(benchmark::State& state) {
   const auto bytes = static_cast<raw::common::ByteCount>(state.range(0));
   raw::sim::ChipConfig cfg;
   cfg.shape = raw::sim::GridShape{1, 1};
-  cfg.with_dynamic_network = false;
   raw::sim::Chip chip(cfg);
   raw::net::TrafficConfig traffic;
   traffic.num_ports = 1;
@@ -270,24 +257,26 @@ void BM_LineCardLoopback(benchmark::State& state) {
 }
 BENCHMARK(BM_LineCardLoopback)->ArgName("bytes")->Arg(64)->Arg(1024);
 
-// One detached channel with a writer and a reader every cycle: the per-word
-// cost of the link itself. Arg(0) is a bare channel, Arg(1) one with link
-// protection (the reliable-link codec on every word, no faults).
+// One channel on a bare engine clock with a writer and a reader every cycle:
+// the per-word cost of the link itself, its dirty-list commit included.
+// Arg(0) is a bare channel, Arg(1) one with link protection (the
+// reliable-link codec on every word, no faults).
 void BM_ChannelStream(benchmark::State& state) {
-  raw::sim::Channel ch("stream");
+  raw::sim::EngineState engine;
+  raw::sim::Channel ch(engine, "stream");
   if (state.range(0) != 0) ch.enable_link_protection({});
   raw::common::Word next = 0;
   std::uint64_t words = 0;
   constexpr int kCycles = 1000;
   for (auto _ : state) {
     for (int c = 0; c < kCycles; ++c) {
-      ch.begin_cycle();
       if (ch.can_read()) {
         benchmark::DoNotOptimize(ch.read());
         ++words;
       }
       if (ch.can_write()) ch.write(next++);
-      ch.end_cycle();
+      (void)engine.commit_dirty();
+      ++engine.now;
     }
   }
   state.counters["ns_per_word"] = benchmark::Counter(
@@ -296,8 +285,11 @@ void BM_ChannelStream(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelStream)->Arg(0)->Arg(1);
 
+// A 4x4 dynamic network on a bare engine clock under random 4-word
+// messages: one iteration is one cycle (route, commit, eject).
 void BM_DynNetworkRandomTraffic(benchmark::State& state) {
-  raw::sim::DynamicNetwork net(raw::sim::GridShape{4, 4});
+  raw::sim::EngineState engine;
+  raw::sim::DynamicNetwork net(engine, raw::sim::GridShape{4, 4});
   Rng rng(9);
   const std::array<raw::common::Word, 4> payload{1, 2, 3, 4};
   for (auto _ : state) {
@@ -305,7 +297,9 @@ void BM_DynNetworkRandomTraffic(benchmark::State& state) {
     if (net.can_inject(src, 4)) {
       net.inject(src, static_cast<int>(rng.below(16)), payload);
     }
-    net.step_standalone();
+    net.step();
+    (void)engine.commit_dirty();
+    ++engine.now;
     for (int t = 0; t < 16; ++t) {
       while (net.has_eject(t)) benchmark::DoNotOptimize(net.pop_eject(t));
     }

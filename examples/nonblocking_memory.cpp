@@ -36,7 +36,7 @@ constexpr int kWorkerTile = 12;
 // occupancy, a + miss latency): an isolated load sees the full latency,
 // back-to-back loads pipeline at the occupancy rate.
 TileTask dram(Chip& chip) {
-  DynamicNetwork& dyn = *chip.dynamic_network();
+  DynamicNetwork& dyn = chip.dynamic_network();
   const raw::sim::MemoryModel model;
   struct Request {
     int from;
@@ -73,7 +73,7 @@ TileTask dram(Chip& chip) {
 }
 
 TileTask worker(Chip& chip, bool non_blocking, Cycle* finished) {
-  DynamicNetwork& dyn = *chip.dynamic_network();
+  DynamicNetwork& dyn = chip.dynamic_network();
   Word sent = 0;
   Word got = 0;
   while (got < kLookups) {

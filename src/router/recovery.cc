@@ -54,8 +54,7 @@ TileTask degraded_ingress_body(RouterCore& core, int port,
   sim::Chip& chip = *core.chip;
   const PortTiles tiles = core.layout->port(port);
   sim::Channel& csti = chip.tile(tiles.ingress).csti(0);
-  sim::DynamicNetwork* dyn = chip.dynamic_network();
-  RAW_ASSERT_MSG(dyn != nullptr, "degraded fabric needs the dynamic network");
+  sim::DynamicNetwork& dyn = chip.dynamic_network();
   PortCounters& ctr = core.counters[static_cast<std::size_t>(port)];
 
   HeaderWords win{};
@@ -143,8 +142,8 @@ TileTask degraded_ingress_body(RouterCore& core, int port,
     while (sent < pkt.size()) {
       const auto chunk = static_cast<std::uint32_t>(std::min<std::size_t>(
           sim::kMaxDynPayloadWords, pkt.size() - sent));
-      while (!dyn->can_inject(tiles.ingress, chunk)) co_await delay(1);
-      dyn->inject(tiles.ingress, dest_tile,
+      while (!dyn.can_inject(tiles.ingress, chunk)) co_await delay(1);
+      dyn.inject(tiles.ingress, dest_tile,
                   std::span<const Word>(pkt.data() + sent, chunk));
       ++ctr.fragments;
       sent += chunk;
@@ -166,16 +165,15 @@ TileTask degraded_egress_body(RouterCore& core, int port) {
   sim::Chip& chip = *core.chip;
   const PortTiles tiles = core.layout->port(port);
   sim::Channel& csto = chip.tile(tiles.egress).csto(0);
-  sim::DynamicNetwork* dyn = chip.dynamic_network();
-  RAW_ASSERT_MSG(dyn != nullptr, "degraded fabric needs the dynamic network");
+  sim::DynamicNetwork& dyn = chip.dynamic_network();
   PortCounters& ctr = core.counters[static_cast<std::size_t>(port)];
 
   std::array<std::vector<Word>, kNumPorts> reassembly;
   std::size_t buffered_words = 0;
 
   for (;;) {
-    co_await until_eject(*dyn, tiles.egress);
-    const Word header = dyn->pop_eject(tiles.egress);
+    co_await until_eject(dyn, tiles.egress);
+    const Word header = dyn.pop_eject(tiles.egress);
     const int src_tile = sim::dyn_header_src(header);
     const std::uint32_t len = sim::dyn_header_len(header);
     int src_port = -1;
@@ -186,8 +184,8 @@ TileTask degraded_egress_body(RouterCore& core, int port) {
                    "degraded egress: chunk from a non-ingress tile");
     auto& buf = reassembly[static_cast<std::size_t>(src_port)];
     for (std::uint32_t i = 0; i < len; ++i) {
-      co_await until_eject(*dyn, tiles.egress);
-      buf.push_back(dyn->pop_eject(tiles.egress));
+      co_await until_eject(dyn, tiles.egress);
+      buf.push_back(dyn.pop_eject(tiles.egress));
       co_await delay(1);  // store into dmem
       ++buffered_words;
     }
@@ -291,7 +289,7 @@ RecoveryReport reconfigure_degraded(
   // tile FIFOs) and the dynamic network. The words lost here are accounted
   // for by the ledger write-off below.
   for (sim::Channel* ch : chip.all_channels()) ch->reset_contents();
-  if (chip.dynamic_network() != nullptr) (void)chip.dynamic_network()->reset();
+  (void)chip.dynamic_network().reset();
 
   // 4. Line-card surgery. Live input ports drop only their torn front packet
   // (its head died in the fabric); dead ones flush entirely and stop

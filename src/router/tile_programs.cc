@@ -38,8 +38,7 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
   sim::Channel* edge = chip.io_port(0, tiles.ingress,
                                     core.layout->edges(port).ingress_edge)
                            .to_chip;
-  sim::DynamicNetwork* dyn = chip.dynamic_network();
-  RAW_ASSERT_MSG(dyn != nullptr, "router needs the dynamic network for lookups");
+  sim::DynamicNetwork& dyn = chip.dynamic_network();
   PortCounters& ctr = core.counters[static_cast<std::size_t>(port)];
 
   struct Pending {
@@ -144,12 +143,12 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
       if (!drop) {
         // Route lookup RPC to the Lookup Processor over the dynamic network.
         const std::array<Word, 1> req{hdr.dst};
-        while (!dyn->can_inject(tiles.ingress, 1)) co_await delay(1);
-        dyn->inject(tiles.ingress, tiles.lookup, req);
-        co_await until_eject(*dyn, tiles.ingress);
-        (void)dyn->pop_eject(tiles.ingress);  // reply header word
-        co_await until_eject(*dyn, tiles.ingress);
-        out_port = dyn->pop_eject(tiles.ingress);
+        while (!dyn.can_inject(tiles.ingress, 1)) co_await delay(1);
+        dyn.inject(tiles.ingress, tiles.lookup, req);
+        co_await until_eject(dyn, tiles.ingress);
+        (void)dyn.pop_eject(tiles.ingress);  // reply header word
+        co_await until_eject(dyn, tiles.ingress);
+        out_port = dyn.pop_eject(tiles.ingress);
         if (tracing) {
           core.tracer->record(trace_uid, chip.cycle(),
                               common::PacketEvent::kLookupDone, tiles.lookup,
@@ -232,15 +231,15 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
 TileTask lookup_body(RouterCore& core, int port) {
   sim::Chip& chip = *core.chip;
   const PortTiles tiles = core.layout->port(port);
-  sim::DynamicNetwork* dyn = chip.dynamic_network();
+  sim::DynamicNetwork& dyn = chip.dynamic_network();
   PortCounters& ctr = core.counters[static_cast<std::size_t>(port)];
 
   for (;;) {
-    co_await until_eject(*dyn, tiles.lookup);
-    const Word header = dyn->pop_eject(tiles.lookup);
+    co_await until_eject(dyn, tiles.lookup);
+    const Word header = dyn.pop_eject(tiles.lookup);
     const int reply_to = sim::dyn_header_src(header);
-    co_await until_eject(*dyn, tiles.lookup);
-    const Word addr = dyn->pop_eject(tiles.lookup);
+    co_await until_eject(dyn, tiles.lookup);
+    const Word addr = dyn.pop_eject(tiles.lookup);
 
     // Consult the compiled small forwarding table and charge one cache-line
     // touch per table access it reports (at most three, §8.2 / Degermark).
@@ -254,8 +253,8 @@ TileTask lookup_body(RouterCore& core, int port) {
 
     const std::array<Word, 1> reply{
         result.has_value() ? static_cast<Word>(result->value) : kNoRoute};
-    while (!dyn->can_inject(tiles.lookup, 1)) co_await delay(1);
-    dyn->inject(tiles.lookup, reply_to, reply);
+    while (!dyn.can_inject(tiles.lookup, 1)) co_await delay(1);
+    dyn.inject(tiles.lookup, reply_to, reply);
   }
 }
 
@@ -446,7 +445,6 @@ std::unique_ptr<sim::Chip> build_router_chip(RouterCore& core,
                                              std::size_t link_fifo_depth) {
   sim::ChipConfig chip_cfg;
   chip_cfg.shape = sim::GridShape{4, 4};
-  chip_cfg.with_dynamic_network = true;
   chip_cfg.link_fifo_depth = link_fifo_depth;
   auto chip = std::make_unique<sim::Chip>(chip_cfg);
   core.chip = chip.get();

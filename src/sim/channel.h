@@ -12,16 +12,13 @@
 // With the default capacity of 4 (Raw's network FIFO depth) a channel
 // sustains one word per cycle.
 //
-// A channel runs in one of two driving modes:
-//   * attached (Chip-owned): the channel holds a pointer to the chip's
-//     EngineState and stamps itself with the engine cycle on first touch of
-//     each cycle, so `begin_cycle` never runs and untouched channels cost
-//     zero. Writes self-register on the engine's dirty list; the engine
-//     commits only those channels at cycle end (see commit()).
-//   * detached (standalone, e.g. unit tests): the classic eager protocol —
-//     the driver calls begin_cycle()/end_cycle() around each cycle.
-// Both modes are bit-identical; the epoch stamp reproduces exactly what the
-// eager begin-sweep used to compute, just on demand.
+// Every channel runs on an engine clock (EngineState, below): the chip's,
+// or a bare one a test or benchmark drives. A cycle is the agents' work at
+// `now`, then EngineState::commit_dirty(), then `++now`. The channel stamps
+// itself with `now` on its first touch of a cycle and refreshes its
+// start-of-cycle state then, so untouched channels cost nothing; a write
+// puts the channel on the engine's dirty list, and the commit walks only
+// those channels.
 #pragma once
 
 #include <algorithm>
@@ -29,10 +26,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/ring_buffer.h"
 #include "common/types.h"
-#include "sim/engine_state.h"
 #include "sim/link_codec.h"
 
 namespace raw::sim {
@@ -49,20 +46,53 @@ struct LinkProtectionParams {
   std::size_t replay_depth = 8;
 };
 
+class Channel;
+
+/// Shared state of the cycle engine (see DESIGN.md "Sparse cycle engine").
+/// A Chip owns one and hands it to every channel and its dynamic network.
+/// It carries the authoritative cycle counter (channels stamp themselves
+/// against it to refresh per-cycle state lazily) and, for the cycle in
+/// flight,
+///   * `dirty`  — channels that staged a write and must commit at cycle end;
+///   * `wakes`  — parked agents to return to the runnable set at cycle end.
+/// A parked agent waits in exactly one wake slot: an int32 holding its agent
+/// id (-1 when empty) owned by the object whose event it waits for — a
+/// channel's reader, writer or word-count slot, or a dynamic-network eject
+/// slot. The owner fires the slot through wake() when the event happens.
+/// Each channel has exactly one writer agent per cycle, so a channel lands
+/// on the dirty list at most once per cycle.
+struct EngineState {
+  /// The cycle counter (Chip::cycle() returns this field).
+  common::Cycle now = 0;
+  /// Channels with per-cycle stats sampling enabled; the chip runs the
+  /// explicit stats pass only while this is nonzero.
+  int stats_channels = 0;
+  std::vector<Channel*> dirty;
+  std::vector<std::int32_t> wakes;
+
+  /// Fires a wake slot: queues its agent (if any) for the end-of-cycle wake
+  /// and empties the slot.
+  void wake(std::int32_t& slot) {
+    if (slot < 0) return;
+    wakes.push_back(slot);
+    slot = -1;
+  }
+
+  /// Commits the channels written this cycle (queueing their reader and
+  /// count wakes) and empties the dirty list. Returns true when any word
+  /// crossed a link (the chip's forward-progress signal).
+  bool commit_dirty();
+};
+
 class Channel {
  public:
   using Word = common::Word;
 
   static constexpr std::size_t kDefaultCapacity = 4;
 
-  explicit Channel(std::string name = {}, std::size_t capacity = kDefaultCapacity)
-      : name_(std::move(name)), buf_(capacity), size_at_start_(0) {}
-
-  /// Binds the channel to a chip's engine state (the sparse driving mode).
-  /// Must happen before the first cycle; a bound channel no longer needs
-  /// begin_cycle()/end_cycle().
-  void attach(EngineState* engine) { engine_ = engine; }
-  [[nodiscard]] bool attached() const { return engine_ != nullptr; }
+  Channel(EngineState& engine, std::string name,
+          std::size_t capacity = kDefaultCapacity)
+      : name_(std::move(name)), buf_(capacity), size_at_start_(0), engine_(engine) {}
 
   /// True when this cycle's read slot has been used. A blocked writer does
   /// not park when the FIFO was drained this cycle: the slot frees at the
@@ -72,24 +102,8 @@ class Channel {
     return read_this_cycle_;
   }
 
-  /// Phase boundaries for the detached (standalone) driving mode.
-  void begin_cycle() {
-    ++local_now_;
-    size_at_start_ = buf_.size();
-    read_this_cycle_ = false;
-  }
-
-  /// Detached-mode commit: stages the word and samples stats, exactly one
-  /// call per cycle. Returns true when a word actually crossed the link.
-  bool end_cycle() {
-    const bool moved = commit();
-    sample_stats();
-    return moved;
-  }
-
   /// Commits this cycle's staged word; returns true when a word crossed the
-  /// link (the chip's forward-progress signal). Called by end_cycle() in
-  /// detached mode and by the engine's dirty-list drain in attached mode.
+  /// link. Called by EngineState::commit_dirty().
   bool commit() {
     touch();
     if (!staged_.has_value()) return false;
@@ -100,12 +114,10 @@ class Channel {
     }
     staged_.reset();
     ++words_transferred_;
-    if (engine_ != nullptr) {
-      // The committed word is readable next cycle: a parked reader wakes,
-      // and so does a count waiter whose target this word reaches.
-      engine_->wake(wait_reader_);
-      if (words_transferred_ >= wait_count_target_) engine_->wake(wait_count_);
-    }
+    // The committed word is readable next cycle: a parked reader wakes, and
+    // so does a count waiter whose target this word reaches.
+    engine_.wake(wait_reader_);
+    if (words_transferred_ >= wait_count_target_) engine_.wake(wait_count_);
     return true;
   }
 
@@ -146,7 +158,7 @@ class Channel {
     }
     // This cycle's read frees a slot at the *next* cycle start; a writer
     // parked on the full FIFO becomes runnable then.
-    if (engine_ != nullptr) engine_->wake(wait_writer_);
+    engine_.wake(wait_writer_);
     return buf_.pop();
   }
 
@@ -200,7 +212,7 @@ class Channel {
   void write_ready(Word w) {
     staged_ = w;
     if (guard_ != nullptr) guard_->staged = LinkFrame{w, guard_->next_seq++};
-    if (engine_ != nullptr) engine_->dirty.push_back(this);
+    engine_.dirty.push_back(this);
   }
 
   /// Enables the reliable-link layer on this channel. Must be called while
@@ -286,7 +298,7 @@ class Channel {
   void set_stats_enabled(bool on) {
     if (on == stats_enabled_) return;
     stats_enabled_ = on;
-    if (engine_ != nullptr) engine_->stats_channels += on ? 1 : -1;
+    engine_.stats_channels += on ? 1 : -1;
   }
   /// Cycles sampled since stats were enabled.
   [[nodiscard]] std::uint64_t stats_cycles() const { return stats_cycles_; }
@@ -341,25 +353,19 @@ class Channel {
   /// the runnable set, so the mutation is re-observed this cycle exactly as
   /// under dense stepping.
   void fault_wake() {
-    if (engine_ == nullptr) return;
-    engine_->wake(wait_reader_);
-    engine_->wake(wait_writer_);
+    engine_.wake(wait_reader_);
+    engine_.wake(wait_writer_);
   }
 
-  /// Current cycle: the engine clock in attached mode, the local
-  /// begin_cycle counter in detached mode.
-  [[nodiscard]] common::Cycle now() const {
-    return engine_ != nullptr ? engine_->now : local_now_;
-  }
+  [[nodiscard]] common::Cycle now() const { return engine_.now; }
 
-  /// Attached-mode lazy epoch refresh: on the first touch of a cycle,
-  /// recompute what begin_cycle() used to latch eagerly. Mutable fields make
+  /// Lazy epoch refresh: on the first touch of a cycle, latch the
+  /// start-of-cycle occupancy and free the read slot. Mutable fields make
   /// this callable from const observers (can_read/can_write), which is where
   /// first touches happen.
   void touch() const {
-    if (engine_ == nullptr) return;
-    if (last_cycle_ != engine_->now) {
-      last_cycle_ = engine_->now;
+    if (last_cycle_ != engine_.now) {
+      last_cycle_ = engine_.now;
       size_at_start_ = buf_.size();
       read_this_cycle_ = false;
     }
@@ -372,13 +378,9 @@ class Channel {
   mutable std::size_t size_at_start_;
   mutable bool read_this_cycle_ = false;
   bool stats_enabled_ = false;
-  EngineState* engine_ = nullptr;
+  EngineState& engine_;
   // Epoch stamp; kNoCycle forces a refresh on the very first touch.
   mutable common::Cycle last_cycle_ = ~common::Cycle{0};
-  // Detached-mode cycle counter, pre-incremented by begin_cycle (the first
-  // begun cycle is numbered 1; a fault_stall before any begin_cycle covers
-  // cycle 0, reproducing the eager decrement-per-begin semantics exactly).
-  common::Cycle local_now_ = 0;
   // Injected or NACK-round-trip link outage, exclusive end cycle. Mutable
   // for the same reason as buf_ (armed by front_intact()).
   mutable common::Cycle stall_until_ = 0;
@@ -393,5 +395,14 @@ class Channel {
   std::uint64_t occupancy_sum_ = 0;
   std::uint64_t full_cycles_ = 0;
 };
+
+inline bool EngineState::commit_dirty() {
+  bool progress = false;
+  for (Channel* ch : dirty) {
+    if (ch->commit()) progress = true;
+  }
+  dirty.clear();
+  return progress;
+}
 
 }  // namespace raw::sim

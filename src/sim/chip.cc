@@ -9,13 +9,13 @@
 
 namespace raw::sim {
 
-Chip::Chip(ChipConfig config) : config_(config) {
+Chip::Chip(ChipConfig config) : config_(config), dyn_(engine_, config_.shape) {
   const GridShape shape = config_.shape;
   const auto n = static_cast<std::size_t>(shape.num_tiles());
 
   tiles_.reserve(n);
   for (int t = 0; t < shape.num_tiles(); ++t) {
-    tiles_.push_back(std::make_unique<Tile>(t, shape.coord(t)));
+    tiles_.push_back(std::make_unique<Tile>(engine_, t, shape.coord(t)));
   }
 
   for (int net = 0; net < kNumStaticNets; ++net) {
@@ -30,10 +30,10 @@ Chip::Chip(ChipConfig config) : config_(config) {
         const std::string base =
             "net" + std::to_string(net + 1) + "." + tile_name(t) + "." + dir_name(d);
         links[static_cast<std::size_t>(t)][di] =
-            std::make_unique<Channel>(base + ".out", config_.link_fifo_depth);
+            std::make_unique<Channel>(engine_, base + ".out", config_.link_fifo_depth);
         if (!shape.contains(GridShape::neighbor(c, d))) {
           edges[static_cast<std::size_t>(t)][di] =
-              std::make_unique<Channel>(base + ".in", config_.link_fifo_depth);
+              std::make_unique<Channel>(engine_, base + ".in", config_.link_fifo_depth);
         }
       }
     }
@@ -52,11 +52,6 @@ Chip::Chip(ChipConfig config) : config_(config) {
       ports.out[switch_port(n8, Dir::kProc)] = &tile(t).csti(net);
     }
     tile(t).switch_proc().connect(ports);
-  }
-
-  if (config_.with_dynamic_network) {
-    dyn_ = std::make_unique<DynamicNetwork>(shape);
-    dyn_->attach(&engine_);
   }
 
   // Cache the full channel list for the cycle engine.
@@ -78,15 +73,12 @@ Chip::Chip(ChipConfig config) : config_(config) {
       all_channels_.push_back(&t->csti(net));
     }
   }
-  if (dyn_ != nullptr) {
-    for (Channel* ch : dyn_->all_channels()) all_channels_.push_back(ch);
-  }
+  for (Channel* ch : dyn_.all_channels()) all_channels_.push_back(ch);
 
-  // Bind every channel to the sparse engine and index names for O(1)
-  // find_channel (called per fault target and from tools).
+  // Index names for O(1) find_channel (called per fault target and from
+  // tools).
   channel_index_.reserve(all_channels_.size());
   for (Channel* ch : all_channels_) {
-    ch->attach(&engine_);
     if (!ch->name().empty()) channel_index_.emplace(ch->name(), ch);
   }
 
@@ -245,17 +237,6 @@ bool Chip::may_park_on(const Channel* ch, AgentState cause) {
   return true;
 }
 
-bool Chip::commit_dirty() {
-  if (profiler_ != nullptr) profiler_->count_commit(engine_.dirty.size());
-  bool progress = false;
-  for (Channel* ch : engine_.dirty) {
-    // commit() also fires the channel's reader and count wake slots.
-    if (ch->commit()) progress = true;
-  }
-  engine_.dirty.clear();
-  return progress;
-}
-
 void Chip::apply_wakes() {
   for (const std::int32_t aid : engine_.wakes) wake_agent(aid, engine_.now);
   engine_.wakes.clear();
@@ -402,8 +383,8 @@ std::string Chip::check_engine_invariants() const {
       }
     }
   }
-  for (int t = 0; dyn_ != nullptr && t < n; ++t) {
-    const std::int32_t& slot = dyn_->eject_slot(t);
+  for (int t = 0; t < n; ++t) {
+    const std::int32_t& slot = dyn_.eject_slot(t);
     if (const char* why = stale(slot, AgentState::kBusy)) {
       return "tile " + std::to_string(t) + " eject port wake slot holds agent " +
              std::to_string(slot) + why;
@@ -439,17 +420,17 @@ void Chip::step_cycle() {
     step_agents(dense);
   }
 
-  // dyn_ is null when ChipConfig::with_dynamic_network is false; when
-  // present it early-outs internally while no message words are in flight.
-  if (dyn_ != nullptr) {
+  {
+    // Early-outs internally while no message words are in flight.
     common::ProfScope ps(prof, common::ProfPhase::kSerialSection);
-    dyn_->step();
+    dyn_.step();
   }
 
   bool progress = false;
   {
     common::ProfScope ps(prof, common::ProfPhase::kChannelCommit);
-    progress = commit_dirty();
+    if (prof != nullptr) prof->count_commit(engine_.dirty.size());
+    progress = engine_.commit_dirty();
   }
   if (engine_.stats_channels > 0) {
     common::ProfScope ps(prof, common::ProfPhase::kStats);
@@ -464,12 +445,6 @@ void Chip::step_cycle() {
     prof->flight_snap(engine_.now);
   }
   ++engine_.now;
-}
-
-void Chip::step() {
-  wake_all_parked();  // pick up external mutations since the last cycle
-  step_cycle();
-  settle_parked();
 }
 
 void Chip::run(common::Cycle cycles) {
@@ -571,10 +546,8 @@ std::uint64_t Chip::state_digest() const {
       mix(sw.reg(static_cast<std::uint8_t>(r)));
     }
   }
-  if (dyn_ != nullptr) {
-    mix(dyn_->words_in_flight());
-    mix(dyn_->messages_delivered());
-  }
+  mix(dyn_.words_in_flight());
+  mix(dyn_.messages_delivered());
   return h;
 }
 

@@ -24,7 +24,6 @@
 #include "sim/channel.h"
 #include "sim/device.h"
 #include "sim/dynamic_network.h"
-#include "sim/engine_state.h"
 #include "sim/fault_plan.h"
 #include "sim/tile.h"
 #include "sim/trace.h"
@@ -37,9 +36,6 @@ namespace raw::sim {
 
 struct ChipConfig {
   GridShape shape{4, 4};
-  /// Instantiate the dynamic network (memory traffic substrate). The router
-  /// itself never uses it, so benches can drop it for speed.
-  bool with_dynamic_network = true;
   /// FIFO depth of every static-network link.
   std::size_t link_fifo_depth = Channel::kDefaultCapacity;
 };
@@ -68,7 +64,7 @@ class Chip {
   /// `net`. Asserts that the direction actually leaves the grid.
   [[nodiscard]] IoPort io_port(int net, int tile, Dir dir) const;
 
-  [[nodiscard]] DynamicNetwork* dynamic_network() { return dyn_.get(); }
+  [[nodiscard]] DynamicNetwork& dynamic_network() { return dyn_; }
 
   /// Devices are stepped (in registration order) at the start of every
   /// cycle; the chip does not own them.
@@ -138,11 +134,6 @@ class Chip {
     return pred();
   }
 
-  /// Runs a single cycle. Unlike run(), every agent's accounting is settled
-  /// on return, and external mutations made since the last cycle (programs
-  /// loaded, words written into channels by tests) are picked up.
-  void step();
-
   /// Attaches (or detaches, with nullptr) an engine profiler (see
   /// common/profiler.h). Hot paths gate on the pointer, so a chip with no
   /// profiler attached is bit- and byte-identical to an uninstrumented
@@ -152,8 +143,8 @@ class Chip {
 
   /// Settles the catch-up accounting of parked agents: busy/blocked/idle
   /// cycle counters become exactly what a dense engine would report through
-  /// the last completed cycle. Called automatically by run()/run_until()/
-  /// step() exits and export_metrics(); cheap (no-op when nothing is
+  /// the last completed cycle. Called automatically by run()/run_until()
+  /// exits and export_metrics(); cheap (no-op when nothing is
   /// parked, O(parked) otherwise).
   void sync_block_accounting() const { const_cast<Chip*>(this)->settle_parked(); }
 
@@ -246,13 +237,10 @@ class Chip {
   }
 
   /// One serial cycle of the sparse engine (no entry revalidation, no exit
-  /// settling — run()/run_until()/step() wrap it with those).
+  /// settling — run()/run_until() wrap it with those).
   void step_cycle();
   /// Tile stepping: dense, or flag-gated sparse stepping with parking.
   void step_agents(bool dense);
-  /// Commits the dirty channels and queues reader wakes. Returns true when
-  /// any word moved.
-  bool commit_dirty();
   /// Applies the queued wakes (end of cycle, before the clock advances).
   void apply_wakes();
 
@@ -274,6 +262,8 @@ class Chip {
   void wake_all_parked();
 
   ChipConfig config_;
+  // Declared before everything that runs on its clock.
+  EngineState engine_;
   std::vector<std::unique_ptr<Tile>> tiles_;
   // static_links_[net][tile][dir]: channel carrying words out of `tile`
   // toward `dir` (off the edge for boundary tiles — that is the I/O port's
@@ -284,7 +274,7 @@ class Chip {
   // direction `dir` (null for interior directions).
   std::array<std::vector<std::array<std::unique_ptr<Channel>, 4>>, kNumStaticNets>
       edge_in_;
-  std::unique_ptr<DynamicNetwork> dyn_;
+  DynamicNetwork dyn_;
   std::vector<Device*> devices_;
   std::vector<Channel*> all_channels_;
   std::unordered_map<std::string, Channel*> channel_index_;
@@ -293,7 +283,6 @@ class Chip {
   Trace trace_;
   common::Cycle last_progress_cycle_ = 0;
 
-  EngineState engine_;
   // run_flags_[tile]: bit 0 = switch runnable, bit 1 = processor runnable.
   std::vector<std::uint8_t> run_flags_;
   std::vector<Park> parks_;  // indexed by agent id, valid while parked

@@ -20,19 +20,22 @@ int dyn_header_dest(common::Word header) {
 }
 std::uint32_t dyn_header_len(common::Word header) { return header & 0xff; }
 
-DynamicNetwork::DynamicNetwork(GridShape shape, std::size_t endpoint_queue_words)
+DynamicNetwork::DynamicNetwork(EngineState& engine, GridShape shape,
+                               std::size_t endpoint_queue_words)
     : shape_(shape),
       routers_(static_cast<std::size_t>(shape.num_tiles())),
       links_(routers_.size()),
       in_(routers_.size()),
       route_(routers_.size() * routers_.size()),
-      eject_wait_(routers_.size(), -1) {
+      eject_wait_(routers_.size(), -1),
+      engine_(engine) {
   for (int t = 0; t < shape_.num_tiles(); ++t) {
     const TileCoord c = shape_.coord(t);
     for (const Dir d : kMeshDirs) {
       if (shape_.contains(GridShape::neighbor(c, d))) {
         links_[static_cast<std::size_t>(t)][static_cast<std::size_t>(d)] =
-            std::make_unique<Channel>("dyn" + std::to_string(t) + dir_name(d));
+            std::make_unique<Channel>(engine_,
+                                      "dyn" + std::to_string(t) + dir_name(d));
       }
     }
     inject_.emplace_back(endpoint_queue_words);
@@ -169,7 +172,7 @@ void DynamicNetwork::step() {
       if (eject) {
         eject_[t].push(word);
         --net_words_;
-        if (engine_ != nullptr) engine_->wake(eject_wait_[t]);
+        engine_.wake(eject_wait_[t]);
       } else {
         out->write(word);
       }
@@ -194,12 +197,6 @@ void DynamicNetwork::step() {
       }
     }
   }
-}
-
-void DynamicNetwork::step_standalone() {
-  for (Channel* ch : all_channels()) ch->begin_cycle();
-  step();
-  for (Channel* ch : all_channels()) ch->end_cycle();
 }
 
 std::uint64_t DynamicNetwork::reset() {

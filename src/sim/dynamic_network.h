@@ -25,7 +25,6 @@
 #include "common/types.h"
 #include "sim/channel.h"
 #include "sim/coords.h"
-#include "sim/engine_state.h"
 
 namespace raw::sim {
 
@@ -42,13 +41,13 @@ std::uint32_t dyn_header_len(common::Word header);
 
 class DynamicNetwork {
  public:
-  explicit DynamicNetwork(GridShape shape, std::size_t endpoint_queue_words = 64);
+  /// Runs on `engine`'s clock, as the chip's channels do: its link channels
+  /// commit through the engine's dirty list, and a word ejected at a tile
+  /// fires that tile's eject slot.
+  DynamicNetwork(EngineState& engine, GridShape shape,
+                 std::size_t endpoint_queue_words = 64);
 
   [[nodiscard]] GridShape shape() const { return shape_; }
-
-  /// Binds the network to a chip's engine state (as Chip does for its
-  /// channels), so a word ejected at a tile fires that tile's eject slot.
-  void attach(EngineState* engine) { engine_ = engine; }
 
   /// Injection from a tile processor. The whole message must fit in the
   /// tile's inject queue at once (the hardware blocks the processor
@@ -71,13 +70,13 @@ class DynamicNetwork {
   [[nodiscard]] std::int32_t& eject_slot(int tile) {
     return eject_wait_[static_cast<std::size_t>(tile)];
   }
+  [[nodiscard]] const std::int32_t& eject_slot(int tile) const {
+    return eject_wait_[static_cast<std::size_t>(tile)];
+  }
 
-  /// Advances all routers by one cycle. The chip calls this inside its own
-  /// channel begin/end phases; standalone users call step() directly.
+  /// Advances all routers by one cycle: the network's share of the cycle's
+  /// work, before the engine commits the dirty channels.
   void step();
-
-  /// Standalone cycle driver (begin/end the internal link channels too).
-  void step_standalone();
 
   [[nodiscard]] std::uint64_t flits_routed() const { return flits_routed_; }
   [[nodiscard]] std::uint64_t messages_delivered() const { return messages_delivered_; }
@@ -88,8 +87,8 @@ class DynamicNetwork {
   /// chip skip the whole router sweep on quiet cycles.
   [[nodiscard]] std::uint64_t words_in_flight() const { return net_words_; }
 
-  /// Internal link channels, exposed so the chip can include them in its
-  /// two-phase cycle driving.
+  /// Internal link channels, exposed so the chip can list them with its own
+  /// (stats, digests, diagnostics).
   [[nodiscard]] std::vector<Channel*> all_channels();
 
   /// Recovery reset (fault-adaptive reconfiguration): discards every queued
@@ -136,7 +135,7 @@ class DynamicNetwork {
   std::vector<common::RingBuffer<common::Word>> inject_;
   std::vector<common::RingBuffer<common::Word>> eject_;
   std::vector<std::int32_t> eject_wait_;  // per-tile eject slot, -1 = empty
-  EngineState* engine_ = nullptr;
+  EngineState& engine_;
   std::uint64_t flits_routed_ = 0;
   std::uint64_t messages_delivered_ = 0;
   std::uint64_t net_words_ = 0;

@@ -20,16 +20,16 @@ inline constexpr std::size_t kTileDmemWords = 8192;
 
 class Tile {
  public:
-  Tile(int index, TileCoord coord)
+  Tile(EngineState& engine, int index, TileCoord coord)
       : index_(index),
         coord_(coord),
-        csto_{Channel(tile_name(index) + ".csto"), Channel(tile_name(index) + ".csto2")},
-        csti_{Channel(tile_name(index) + ".csti"), Channel(tile_name(index) + ".csti2")} {}
+        csto_{Channel(engine, tile_name(index) + ".csto"),
+              Channel(engine, tile_name(index) + ".csto2")},
+        csti_{Channel(engine, tile_name(index) + ".csti"),
+              Channel(engine, tile_name(index) + ".csti2")} {}
 
   Tile(const Tile&) = delete;
   Tile& operator=(const Tile&) = delete;
-  Tile(Tile&&) = default;
-  Tile& operator=(Tile&&) = default;
 
   [[nodiscard]] int index() const { return index_; }
   [[nodiscard]] TileCoord coord() const { return coord_; }

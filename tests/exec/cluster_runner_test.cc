@@ -42,7 +42,6 @@ class ScopedThreadsEnv {
 int workers_for(int chips, int threads) {
   sim::ChipConfig cfg;
   cfg.shape = sim::GridShape{2, 2};
-  cfg.with_dynamic_network = false;
   std::vector<std::unique_ptr<sim::Chip>> owned;
   std::vector<sim::Chip*> chips_ptrs;
   for (int c = 0; c < chips; ++c) {

@@ -163,7 +163,6 @@ sim::TileTask consumer_task(sim::Channel& in, sim::Channel& out) {
 sim::ChipConfig bare_mesh(int dim) {
   sim::ChipConfig cfg;
   cfg.shape = sim::GridShape{dim, dim};
-  cfg.with_dynamic_network = false;
   return cfg;
 }
 
@@ -384,7 +383,7 @@ TEST(ExecSparsePark, ChunkedRunsMatchOneRunWithLookupsParked) {
   (void)chunked->run(2000);
   // At load 0.2 the lookup tiles spend most cycles parked on their eject
   // port; at least one of them must be parked across this boundary.
-  sim::DynamicNetwork& dyn = *chunked->chip().dynamic_network();
+  sim::DynamicNetwork& dyn = chunked->chip().dynamic_network();
   int parked_lookups = 0;
   for (int p = 0; p < router::kNumPorts; ++p) {
     const int t = chunked->layout().port(p).lookup;
@@ -456,7 +455,6 @@ TEST(ExecSparsePark, EventAwaitsMatchPollingLoopsAndStayParked) {
     const auto run_one = [eject](Wait how, bool force_dense) {
       sim::ChipConfig cfg;
       cfg.shape = sim::GridShape{2, 2};
-      cfg.with_dynamic_network = eject;
       sim::Chip chip(cfg);
       chip.set_force_dense(force_dense);
       common::Profiler prof;
@@ -468,9 +466,9 @@ TEST(ExecSparsePark, EventAwaitsMatchPollingLoopsAndStayParked) {
       sim::Channel& pipe = chip.tile(kWaiter).csti(0);
       if (eject) {
         chip.tile(0).set_program(
-            delayed_inject(*chip.dynamic_network(), 0, kWaiter, 40));
+            delayed_inject(chip.dynamic_network(), 0, kWaiter, 40));
         chip.tile(kWaiter).set_program(eject_waiter(
-            *chip.dynamic_network(), kWaiter, how, &woke, chip));
+            chip.dynamic_network(), kWaiter, how, &woke, chip));
       } else {
         chip.tile(0).set_program(two_writes(pipe, 20));
         chip.tile(kWaiter).set_program(words_waiter(pipe, how, &woke, chip));
@@ -529,17 +527,17 @@ TEST(ExecSparsePark, InvariantsReportStaleEventSlots) {
   // no slot: an eject slot naming one disagrees with its park record.
   chip.run(10);
   EXPECT_EQ(chip.check_engine_invariants(), "");
-  chip.dynamic_network()->eject_slot(2) = 5;
+  chip.dynamic_network().eject_slot(2) = 5;
   EXPECT_NE(chip.check_engine_invariants().find(
                 "tile 2 eject port wake slot holds agent 5 whose park record "
                 "disagrees"),
             std::string::npos)
       << chip.check_engine_invariants();
-  chip.dynamic_network()->eject_slot(2) = 99;
+  chip.dynamic_network().eject_slot(2) = 99;
   EXPECT_NE(chip.check_engine_invariants().find("(bogus agent)"),
             std::string::npos)
       << chip.check_engine_invariants();
-  chip.dynamic_network()->eject_slot(2) = -1;
+  chip.dynamic_network().eject_slot(2) = -1;
   EXPECT_EQ(chip.check_engine_invariants(), "");
 
   // Forward direction: a processor parked in until_words whose count slot

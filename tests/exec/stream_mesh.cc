@@ -48,7 +48,6 @@ void StreamMesh::Sink::step(sim::Chip&) {
 StreamMesh::StreamMesh(sim::GridShape shape, common::Cycle proc_work) {
   sim::ChipConfig chip_cfg;
   chip_cfg.shape = shape;
-  chip_cfg.with_dynamic_network = false;
   chip_ = std::make_unique<sim::Chip>(chip_cfg);
 
   // Every switch runs the same single-instruction dual-stream loop.

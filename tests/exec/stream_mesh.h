@@ -32,7 +32,7 @@ namespace raw::exec {
 class StreamMesh {
  public:
   /// `proc_work` > 0 modelled compute cycles per tile-processor loop
-  /// iteration. The chip has no dynamic network: the workload never uses it.
+  /// iteration. The workload never uses the chip's dynamic network.
   StreamMesh(sim::GridShape shape, common::Cycle proc_work);
 
   [[nodiscard]] sim::Chip& chip() { return *chip_; }

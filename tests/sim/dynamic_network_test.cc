@@ -7,14 +7,21 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "test_clock.h"
 
 namespace raw::sim {
 namespace {
 
+// One cycle of a network on its own engine clock: route, commit, advance.
+void run_cycle(TestClock& clk, DynamicNetwork& net) {
+  net.step();
+  clk.tick();
+}
+
 // Runs the network until `tile` has ejected a full message; returns
 // header + payload. Fails the test on timeout.
-std::vector<common::Word> drain_message(DynamicNetwork& net, int tile,
-                                        int max_cycles = 1000) {
+std::vector<common::Word> drain_message(TestClock& clk, DynamicNetwork& net,
+                                        int tile, int max_cycles = 1000) {
   std::vector<common::Word> msg;
   std::uint32_t want = 0;
   for (int c = 0; c < max_cycles; ++c) {
@@ -24,7 +31,7 @@ std::vector<common::Word> drain_message(DynamicNetwork& net, int tile,
       msg.push_back(w);
       if (msg.size() == want) return msg;
     }
-    net.step_standalone();
+    run_cycle(clk, net);
   }
   ADD_FAILURE() << "message did not arrive at tile " << tile;
   return msg;
@@ -38,10 +45,11 @@ TEST(DynHeaderTest, RoundTrip) {
 }
 
 TEST(DynamicNetworkTest, SelfDelivery) {
-  DynamicNetwork net(GridShape{4, 4});
+  TestClock clk;
+  DynamicNetwork net(clk.engine, GridShape{4, 4});
   const std::array<common::Word, 2> payload{111, 222};
   net.inject(5, 5, payload);
-  const auto msg = drain_message(net, 5);
+  const auto msg = drain_message(clk, net, 5);
   ASSERT_EQ(msg.size(), 3u);
   EXPECT_EQ(dyn_header_dest(msg[0]), 5);
   EXPECT_EQ(msg[1], 111u);
@@ -49,20 +57,22 @@ TEST(DynamicNetworkTest, SelfDelivery) {
 }
 
 TEST(DynamicNetworkTest, CornerToCornerDelivery) {
-  DynamicNetwork net(GridShape{4, 4});
+  TestClock clk;
+  DynamicNetwork net(clk.engine, GridShape{4, 4});
   std::vector<common::Word> payload;
   for (common::Word i = 0; i < 8; ++i) payload.push_back(i * 10);
   net.inject(0, 15, payload);
-  const auto msg = drain_message(net, 15);
+  const auto msg = drain_message(clk, net, 15);
   ASSERT_EQ(msg.size(), 9u);
   EXPECT_EQ(dyn_header_src(msg[0]), 0);
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(msg[i + 1], i * 10);
 }
 
 TEST(DynamicNetworkTest, ZeroLengthMessage) {
-  DynamicNetwork net(GridShape{4, 4});
+  TestClock clk;
+  DynamicNetwork net(clk.engine, GridShape{4, 4});
   net.inject(2, 13, {});
-  const auto msg = drain_message(net, 13);
+  const auto msg = drain_message(clk, net, 13);
   ASSERT_EQ(msg.size(), 1u);
   EXPECT_EQ(dyn_header_len(msg[0]), 0u);
   EXPECT_EQ(net.messages_delivered(), 1u);
@@ -71,7 +81,8 @@ TEST(DynamicNetworkTest, ZeroLengthMessage) {
 TEST(DynamicNetworkTest, WormsDoNotInterleaveAtDestination) {
   // Two senders target the same tile; each message must eject contiguously
   // (wormhole output locking).
-  DynamicNetwork net(GridShape{4, 4});
+  TestClock clk;
+  DynamicNetwork net(clk.engine, GridShape{4, 4});
   const std::array<common::Word, 4> pa{1, 2, 3, 4};
   const std::array<common::Word, 4> pb{9, 8, 7, 6};
   net.inject(0, 10, pa);
@@ -79,7 +90,7 @@ TEST(DynamicNetworkTest, WormsDoNotInterleaveAtDestination) {
   std::vector<common::Word> all;
   for (int c = 0; c < 1000 && all.size() < 10; ++c) {
     while (net.has_eject(10)) all.push_back(net.pop_eject(10));
-    net.step_standalone();
+    run_cycle(clk, net);
   }
   ASSERT_EQ(all.size(), 10u);
   // Parse messages in arrival order; each must be intact.
@@ -101,11 +112,12 @@ TEST(DynamicNetworkTest, WormsDoNotInterleaveAtDestination) {
 TEST(DynamicNetworkTest, PerSourceOrderingPreserved) {
   // Messages from one source to one destination arrive in injection order
   // (dimension-ordered routing uses a single path).
-  DynamicNetwork net(GridShape{4, 4});
+  TestClock clk;
+  DynamicNetwork net(clk.engine, GridShape{4, 4});
   for (common::Word m = 0; m < 5; ++m) {
     const std::array<common::Word, 1> payload{m};
     // Wait until there's queue space.
-    for (int c = 0; c < 1000 && !net.can_inject(1, 1); ++c) net.step_standalone();
+    for (int c = 0; c < 1000 && !net.can_inject(1, 1); ++c) run_cycle(clk, net);
     net.inject(1, 14, payload);
   }
   std::vector<common::Word> bodies;
@@ -115,24 +127,26 @@ TEST(DynamicNetworkTest, PerSourceOrderingPreserved) {
       ASSERT_EQ(dyn_header_len(h), 1u);
       ASSERT_TRUE(net.has_eject(14) || true);
       // Body word follows in the same or a later cycle.
-      while (!net.has_eject(14)) net.step_standalone();
+      while (!net.has_eject(14)) run_cycle(clk, net);
       bodies.push_back(net.pop_eject(14));
     }
-    net.step_standalone();
+    run_cycle(clk, net);
   }
   ASSERT_EQ(bodies.size(), 5u);
   for (common::Word m = 0; m < 5; ++m) EXPECT_EQ(bodies[m], m);
 }
 
 TEST(DynamicNetworkTest, InjectBackpressure) {
-  DynamicNetwork net(GridShape{4, 4}, /*endpoint_queue_words=*/8);
+  TestClock clk;
+  DynamicNetwork net(clk.engine, GridShape{4, 4}, /*endpoint_queue_words=*/8);
   EXPECT_TRUE(net.can_inject(0, 7));
   net.inject(0, 15, std::vector<common::Word>(7, 1));
   EXPECT_FALSE(net.can_inject(0, 7));  // queue full until drained
 }
 
 TEST(DynamicNetworkTest, RandomTrafficAllDelivered) {
-  DynamicNetwork net(GridShape{4, 4});
+  TestClock clk;
+  DynamicNetwork net(clk.engine, GridShape{4, 4});
   common::Rng rng(2026);
   int sent = 0;
   std::map<int, int> expected_words;  // per destination
@@ -141,14 +155,14 @@ TEST(DynamicNetworkTest, RandomTrafficAllDelivered) {
     const int dst = static_cast<int>(rng.below(16));
     const auto len = static_cast<std::uint32_t>(rng.below(8));
     if (!net.can_inject(src, len)) {
-      net.step_standalone();
+      run_cycle(clk, net);
       continue;
     }
     std::vector<common::Word> payload(len, static_cast<common::Word>(i));
     net.inject(src, dst, payload);
     ++sent;
     expected_words[dst] += static_cast<int>(len) + 1;
-    net.step_standalone();
+    run_cycle(clk, net);
   }
   // Drain everything.
   for (int c = 0; c < 5000; ++c) {
@@ -158,7 +172,7 @@ TEST(DynamicNetworkTest, RandomTrafficAllDelivered) {
         --expected_words[t];
       }
     }
-    net.step_standalone();
+    run_cycle(clk, net);
   }
   EXPECT_EQ(net.messages_delivered(), static_cast<std::uint64_t>(sent));
   for (const auto& [tile, remaining] : expected_words) {
@@ -177,7 +191,8 @@ TEST(DynamicNetworkTest, SparseTrafficCycleExactDigest) {
     h *= 0x100000001b3ULL;
   };
   for (const GridShape shape : {GridShape{4, 4}, GridShape{3, 5}}) {
-    DynamicNetwork net(shape);
+    TestClock clk;
+    DynamicNetwork net(clk.engine, shape);
     const int n = shape.num_tiles();
     common::Rng rng(4242);
     for (std::uint64_t cycle = 0; cycle < 4000; ++cycle) {
@@ -195,7 +210,7 @@ TEST(DynamicNetworkTest, SparseTrafficCycleExactDigest) {
           net.inject(src, dst, payload);
         }
       }
-      net.step_standalone();
+      run_cycle(clk, net);
       for (int t = 0; t < n; ++t) {
         while (net.has_eject(t)) {
           mix(cycle);
@@ -211,22 +226,25 @@ TEST(DynamicNetworkTest, SparseTrafficCycleExactDigest) {
 }
 
 TEST(DynamicNetworkTest, MaxPayloadEnforced) {
-  DynamicNetwork net(GridShape{4, 4});
+  TestClock clk;
+  DynamicNetwork net(clk.engine, GridShape{4, 4});
   const std::vector<common::Word> payload(kMaxDynPayloadWords, 5);
   net.inject(0, 1, payload);
-  const auto msg = drain_message(net, 1);
+  const auto msg = drain_message(clk, net, 1);
   EXPECT_EQ(msg.size(), kMaxDynPayloadWords + 1);
 }
 
 TEST(DynamicNetworkDeathTest, OversizedPayloadAborts) {
-  DynamicNetwork net(GridShape{4, 4});
+  TestClock clk;
+  DynamicNetwork net(clk.engine, GridShape{4, 4});
   const std::vector<common::Word> payload(kMaxDynPayloadWords + 1, 5);
   EXPECT_DEATH(net.inject(0, 1, payload), "");
 }
 
 TEST(DynamicNetworkDeathTest, OffChipDestinationAborts) {
   // Rejected at inject(), where the caller is, not at the first hop.
-  DynamicNetwork net(GridShape{4, 4});
+  TestClock clk;
+  DynamicNetwork net(clk.engine, GridShape{4, 4});
   const std::array<common::Word, 1> payload{7};
   EXPECT_DEATH(net.inject(0, 16, payload), "off-chip");
   EXPECT_DEATH(net.inject(0, -1, payload), "off-chip");

@@ -280,8 +280,8 @@ TEST(SwitchFuzzTest, DecodedSwitchMatchesReferenceInterpreter) {
     ref_chip.add_device(&ref);
 
     for (int cycle = 0; cycle < 300; ++cycle) {
-      chip.step();
-      ref_chip.step();
+      chip.run(1);
+      ref_chip.run(1);
       for (int t = 0; t < chip.num_tiles(); ++t) {
         const SwitchProcessor& sw = chip.tile(t).switch_proc();
         const RefSwitch& r = ref.at(t);

@@ -6,19 +6,20 @@
 #include <vector>
 
 #include "sim/switch_isa.h"
+#include "test_clock.h"
 
 namespace raw::sim {
 namespace {
 
-// Standalone harness: a switch processor with its own channels on every
-// port of both networks, driven cycle by cycle.
+// A switch processor with its own channels on every port of both networks,
+// driven cycle by cycle on a test engine clock.
 class SwitchHarness {
  public:
   SwitchHarness() {
     for (int net = 0; net < kNumStaticNets; ++net) {
       for (std::size_t d = 0; d < 5; ++d) {
-        in_[net].push_back(std::make_unique<Channel>("in"));
-        out_[net].push_back(std::make_unique<Channel>("out"));
+        in_[net].push_back(std::make_unique<Channel>(clk_.engine, "in"));
+        out_[net].push_back(std::make_unique<Channel>(clk_.engine, "out"));
       }
     }
     SwitchProcessor::Ports ports;
@@ -43,29 +44,22 @@ class SwitchHarness {
   SwitchProcessor& sw() { return sw_; }
 
   AgentState cycle() {
-    for_each_channel([](Channel& c) { c.begin_cycle(); });
     const AgentState s = sw_.step();
-    for_each_channel([](Channel& c) { c.end_cycle(); });
+    clk_.tick();
     return s;
   }
 
+  /// Ends a cycle in which the test itself read output channels.
+  void tick() { clk_.tick(); }
+
   /// Pushes a word into an input channel (visible next cycle).
   void feed(Dir d, common::Word w, int net = 0) {
-    Channel& ch = in(d, net);
-    ch.begin_cycle();
-    ch.write(w);
-    ch.end_cycle();
+    in(d, net).write(w);
+    clk_.tick();
   }
 
  private:
-  template <typename F>
-  void for_each_channel(F&& f) {
-    for (int net = 0; net < kNumStaticNets; ++net) {
-      for (auto& ch : in_[net]) f(*ch);
-      for (auto& ch : out_[net]) f(*ch);
-    }
-  }
-
+  TestClock clk_;
   std::vector<std::unique_ptr<Channel>> in_[kNumStaticNets];
   std::vector<std::unique_ptr<Channel>> out_[kNumStaticNets];
   SwitchProcessor sw_;
@@ -84,10 +78,9 @@ TEST(SwitchProcessorTest, RoutesOneWord) {
   EXPECT_EQ(h.cycle(), AgentState::kBusy);  // halt executes (one cycle)
   EXPECT_EQ(h.cycle(), AgentState::kIdle);  // halted
   Channel& out = h.out(Dir::kEast);
-  out.begin_cycle();
   ASSERT_TRUE(out.can_read());
   EXPECT_EQ(out.read(), 99u);
-  out.end_cycle();
+  h.tick();
 }
 
 TEST(SwitchProcessorTest, StallsOnMissingSource) {
@@ -129,9 +122,8 @@ TEST(SwitchProcessorTest, AtomicInstructionNoPartialMoves) {
   h.feed(Dir::kWest, 5);
   EXPECT_EQ(h.cycle(), AgentState::kBlockedRecv);
   Channel& out = h.out(Dir::kEast);
-  out.begin_cycle();
   EXPECT_FALSE(out.can_read());  // the ready W word must not have moved
-  out.end_cycle();
+  h.tick();
   // Word is still queued at W.
   h.feed(Dir::kNorth, 6);
   EXPECT_EQ(h.cycle(), AgentState::kBusy);
@@ -144,10 +136,9 @@ TEST(SwitchProcessorTest, MulticastFanOut) {
   EXPECT_EQ(h.cycle(), AgentState::kBusy);
   for (const Dir d : {Dir::kEast, Dir::kSouth, Dir::kProc}) {
     Channel& out = h.out(d);
-    out.begin_cycle();
     ASSERT_TRUE(out.can_read()) << dir_name(d);
     EXPECT_EQ(out.read(), 77u);
-    out.end_cycle();
+    h.tick();
   }
 }
 
@@ -159,12 +150,9 @@ TEST(SwitchProcessorTest, IndependentNetworksRouteSameCycle) {
   EXPECT_EQ(h.cycle(), AgentState::kBusy);
   Channel& o1 = h.out(Dir::kEast, 0);
   Channel& o2 = h.out(Dir::kEast, 1);
-  o1.begin_cycle();
-  o2.begin_cycle();
   EXPECT_EQ(o1.read(), 1u);
   EXPECT_EQ(o2.read(), 2u);
-  o1.end_cycle();
-  o2.end_cycle();
+  h.tick();
 }
 
 TEST(SwitchProcessorTest, CountedLoopStreamsExactWordCount) {
@@ -183,12 +171,11 @@ TEST(SwitchProcessorTest, CountedLoopStreamsExactWordCount) {
   Channel& out = h.out(Dir::kEast);
   int received = 0;
   for (int i = 0; i < 5; ++i) {
-    out.begin_cycle();
     if (out.can_read()) {
       EXPECT_EQ(out.read(), static_cast<common::Word>(received));
       ++received;
     }
-    out.end_cycle();
+    h.tick();
   }
   EXPECT_EQ(received, 3);
 }
@@ -245,10 +232,9 @@ TEST(SwitchProcessorTest, BnezdStreamsAtOneWordPerCycle) {
   EXPECT_TRUE(h.sw().halted());
   Channel& out = h.out(Dir::kEast);
   for (common::Word want = 1; want <= 3; ++want) {
-    out.begin_cycle();
     ASSERT_TRUE(out.can_read());
     EXPECT_EQ(out.read(), want);
-    out.end_cycle();
+    h.tick();
   }
 }
 
@@ -269,10 +255,9 @@ TEST(SwitchProcessorTest, JrDispatchesToProcChosenBlock) {
   EXPECT_EQ(h.sw().pc(), 3u);
   EXPECT_EQ(h.cycle(), AgentState::kBusy);  // route fires
   Channel& out = h.out(Dir::kEast);
-  out.begin_cycle();
   ASSERT_TRUE(out.can_read());
   EXPECT_EQ(out.read(), 42u);
-  out.end_cycle();
+  h.tick();
 }
 
 TEST(SwitchProcessorDeathTest, JrOutOfRangeAborts) {

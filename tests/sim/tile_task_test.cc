@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sim/channel.h"
+#include "test_clock.h"
 
 namespace raw::sim {
 namespace {
@@ -14,29 +15,30 @@ using task::mem_delay;
 using task::read;
 using task::write;
 
-// Drives a set of tasks and channels one cycle.
-AgentState cycle(std::vector<Channel*> chans, TileTask& t) {
-  for (Channel* c : chans) c->begin_cycle();
+// Steps a task for one cycle of the test clock.
+AgentState cycle(TestClock& clk, TileTask& t) {
   const AgentState s = t.step();
-  for (Channel* c : chans) c->end_cycle();
+  clk.tick();
   return s;
 }
 
 TEST(TileTaskTest, RunsToCompletion) {
+  TestClock clk;
   auto body = []() -> TileTask { co_return; };
   TileTask t = body();
   EXPECT_FALSE(t.done());
-  EXPECT_EQ(cycle({}, t), AgentState::kBusy);
+  EXPECT_EQ(cycle(clk, t), AgentState::kBusy);
   EXPECT_TRUE(t.done());
-  EXPECT_EQ(cycle({}, t), AgentState::kIdle);
+  EXPECT_EQ(cycle(clk, t), AgentState::kIdle);
 }
 
 TEST(TileTaskTest, DelayChargesExactCycles) {
+  TestClock clk;
   auto body = []() -> TileTask { co_await delay(5); };
   TileTask t = body();
   int busy = 0;
   while (!t.done()) {
-    ASSERT_EQ(cycle({}, t), AgentState::kBusy);
+    ASSERT_EQ(cycle(clk, t), AgentState::kBusy);
     ++busy;
     ASSERT_LT(busy, 100);
   }
@@ -45,55 +47,57 @@ TEST(TileTaskTest, DelayChargesExactCycles) {
 }
 
 TEST(TileTaskTest, ZeroDelayIsFree) {
+  TestClock clk;
   auto body = []() -> TileTask {
     co_await delay(0);
     co_await delay(0);
   };
   TileTask t = body();
-  EXPECT_EQ(cycle({}, t), AgentState::kBusy);
+  EXPECT_EQ(cycle(clk, t), AgentState::kBusy);
   EXPECT_TRUE(t.done());
 }
 
 TEST(TileTaskTest, MemDelayTracedAsMemoryStall) {
+  TestClock clk;
   auto body = []() -> TileTask { co_await mem_delay(3); };
   TileTask t = body();
-  EXPECT_EQ(cycle({}, t), AgentState::kBusy);  // initial resume
-  EXPECT_EQ(cycle({}, t), AgentState::kBlockedMem);
-  EXPECT_EQ(cycle({}, t), AgentState::kBlockedMem);
-  EXPECT_EQ(cycle({}, t), AgentState::kBlockedMem);
+  EXPECT_EQ(cycle(clk, t), AgentState::kBusy);  // initial resume
+  EXPECT_EQ(cycle(clk, t), AgentState::kBlockedMem);
+  EXPECT_EQ(cycle(clk, t), AgentState::kBlockedMem);
+  EXPECT_EQ(cycle(clk, t), AgentState::kBlockedMem);
   EXPECT_TRUE(t.done());
 }
 
 TEST(TileTaskTest, ReadBlocksUntilDataAvailable) {
-  Channel ch("c");
+  TestClock clk;
+  Channel ch(clk.engine, "c");
   common::Word got = 0;
   auto body = [&]() -> TileTask { got = co_await read(ch); };
   TileTask t = body();
-  EXPECT_EQ(cycle({&ch}, t), AgentState::kBusy);         // reach the await
-  EXPECT_EQ(cycle({&ch}, t), AgentState::kBlockedRecv);  // nothing there
-  ch.begin_cycle();
+  EXPECT_EQ(cycle(clk, t), AgentState::kBusy);         // reach the await
+  EXPECT_EQ(cycle(clk, t), AgentState::kBlockedRecv);  // nothing there
   ch.write(123);
-  ch.end_cycle();
-  EXPECT_EQ(cycle({&ch}, t), AgentState::kBusy);  // read fires
+  clk.tick();
+  EXPECT_EQ(cycle(clk, t), AgentState::kBusy);  // read fires
   EXPECT_TRUE(t.done());
   EXPECT_EQ(got, 123u);
 }
 
 TEST(TileTaskTest, WriteBlocksOnFullChannel) {
-  Channel ch("c", 1);
+  TestClock clk;
+  Channel ch(clk.engine, "c", 1);
   auto body = [&]() -> TileTask {
     co_await write(ch, 1);
     co_await write(ch, 2);
   };
   TileTask t = body();
-  EXPECT_EQ(cycle({&ch}, t), AgentState::kBusy);  // reach first await
-  EXPECT_EQ(cycle({&ch}, t), AgentState::kBusy);  // first write lands
+  EXPECT_EQ(cycle(clk, t), AgentState::kBusy);  // reach first await
+  EXPECT_EQ(cycle(clk, t), AgentState::kBusy);  // first write lands
   // Channel (capacity 1) now holds word 1; second write must block.
-  EXPECT_EQ(cycle({&ch}, t), AgentState::kBlockedSend);
-  ch.begin_cycle();
+  EXPECT_EQ(cycle(clk, t), AgentState::kBlockedSend);
   (void)ch.read();
-  ch.end_cycle();
-  EXPECT_EQ(cycle({&ch}, t), AgentState::kBusy);  // second write lands
+  clk.tick();
+  EXPECT_EQ(cycle(clk, t), AgentState::kBusy);  // second write lands
   EXPECT_TRUE(t.done());
 }
 
@@ -101,8 +105,9 @@ TEST(TileTaskTest, OneNetworkOpPerCycle) {
   // A tight read loop moves at most one word per two cycles through the
   // processor (read cycle + loop-back to the next await's service cycle is
   // the same cycle it resumes, so effectively one word per cycle of resume).
-  Channel in("in");
-  Channel out("out");
+  TestClock clk;
+  Channel in(clk.engine, "in");
+  Channel out(clk.engine, "out");
   auto body = [&]() -> TileTask {
     for (int i = 0; i < 3; ++i) {
       const common::Word w = co_await read(in);
@@ -112,13 +117,12 @@ TEST(TileTaskTest, OneNetworkOpPerCycle) {
   TileTask t = body();
   // Preload input with 3 words.
   for (common::Word w : {10u, 20u, 30u}) {
-    in.begin_cycle();
     in.write(w);
-    in.end_cycle();
+    clk.tick();
   }
   int cycles = 0;
   while (!t.done() && cycles < 50) {
-    (void)cycle({&in, &out}, t);
+    (void)cycle(clk, t);
     ++cycles;
   }
   ASSERT_TRUE(t.done());
@@ -126,16 +130,16 @@ TEST(TileTaskTest, OneNetworkOpPerCycle) {
   EXPECT_EQ(cycles, 7);
   std::vector<common::Word> results;
   for (int i = 0; i < 3; ++i) {
-    out.begin_cycle();
     if (out.can_read()) results.push_back(out.read());
-    out.end_cycle();
+    clk.tick();
   }
   EXPECT_EQ(results, (std::vector<common::Word>{11, 21, 31}));
 }
 
 TEST(TileTaskTest, PingPongBetweenTwoTasks) {
-  Channel a2b("a2b");
-  Channel b2a("b2a");
+  TestClock clk;
+  Channel a2b(clk.engine, "a2b");
+  Channel b2a(clk.engine, "b2a");
   int rounds_done = 0;
   auto ping = [&]() -> TileTask {
     for (int i = 0; i < 5; ++i) {
@@ -154,24 +158,22 @@ TEST(TileTaskTest, PingPongBetweenTwoTasks) {
   TileTask tp = ping();
   TileTask tq = pong();
   for (int c = 0; c < 200 && !tp.done(); ++c) {
-    a2b.begin_cycle();
-    b2a.begin_cycle();
     tp.step();
     tq.step();
-    a2b.end_cycle();
-    b2a.end_cycle();
+    clk.tick();
   }
   EXPECT_TRUE(tp.done());
   EXPECT_EQ(rounds_done, 5);
 }
 
 TEST(TileTaskTest, MoveTransfersOwnership) {
+  TestClock clk;
   auto body = []() -> TileTask { co_await delay(2); };
   TileTask a = body();
   TileTask b = std::move(a);
   EXPECT_FALSE(a.valid());  // NOLINT(bugprone-use-after-move) - testing move
   EXPECT_TRUE(b.valid());
-  EXPECT_EQ(cycle({}, b), AgentState::kBusy);
+  EXPECT_EQ(cycle(clk, b), AgentState::kBusy);
 }
 
 }  // namespace

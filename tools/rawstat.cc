@@ -118,7 +118,13 @@ void usage() { print_usage(stderr); }
 
 Args parse(int argc, char** argv) {
   Args a;
+  const char* chip_flag = nullptr;  // a flag only the chip path reads
+  bool remote = false;
   for (int i = 1; i < argc; ++i) {
+    for (const char* f : {"--trace", "--trace-budget", "--profile", "--pattern",
+                          "--quantum", "--channel-stats"}) {
+      if (!std::strcmp(argv[i], f)) chip_flag = f;
+    }
     const auto next = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", flag);
@@ -174,6 +180,7 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--cluster")) {
       a.cluster_chips = positive<int>("--cluster", next("--cluster"), usage);
     } else if (!std::strcmp(argv[i], "--remote")) {
+      remote = true;
       a.cluster_remote = real_flag("--remote", next("--remote"), 0.0,
                                    /*min_open=*/false, 1.0, usage);
     } else if (!std::strcmp(argv[i], "--channel-stats")) {
@@ -191,6 +198,15 @@ Args parse(int argc, char** argv) {
   }
   if (a.threads != 0 && a.cluster_chips == 0) {
     std::fprintf(stderr, "--threads needs --cluster (a chip steps serially)\n");
+    std::exit(2);
+  }
+  if (remote && a.cluster_chips == 0) {
+    std::fprintf(stderr, "--remote needs --cluster (chip traffic is local)\n");
+    std::exit(2);
+  }
+  if (chip_flag != nullptr && a.cluster_chips > 0) {
+    std::fprintf(stderr, "%s does not apply to --cluster (chip path only)\n",
+                 chip_flag);
     std::exit(2);
   }
   if (a.interval == 0) a.interval = a.cycles / 10 > 0 ? a.cycles / 10 : a.cycles;
