@@ -39,7 +39,6 @@ namespace {
 
 using raw::cluster::ClusterConfig;
 using raw::cluster::ClusterFabric;
-using raw::cluster::TopologyKind;
 using raw::tools::count_list;
 using raw::tools::non_negative;
 using raw::tools::positive;
@@ -72,7 +71,6 @@ void usage() {
 
 ClusterConfig make_config(const Options& opt, int chips, int threads) {
   ClusterConfig cfg;
-  cfg.topology = TopologyKind::kLeafSpine;
   cfg.num_chips = chips;
   cfg.threads = threads;
   cfg.link_latency = opt.link_latency;

@@ -7,9 +7,11 @@
 //
 // Prints the same rows the thesis plots, alongside the paper's reported
 // numbers and the closed-form analytic model's prediction. A bad value or
-// an unknown flag prints usage and exits 2 (tools/count_flag.h).
+// an unknown flag prints usage and exits 2 (tools/count_flag.h); a quantum
+// RouterConfig::validate() rejects (1-8 words) prints the reason and exits 2.
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "click/click_router.h"
@@ -64,19 +66,23 @@ struct Result {
   double mpps = 0.0;
 };
 
+raw::router::RouterConfig router_config(const Args& args) {
+  raw::router::RouterConfig cfg;
+  cfg.runtime.quantum_max_words = args.quantum;
+  return cfg;
+}
+
 Result run_router(const Args& args, raw::net::DestPattern pattern,
                   ByteCount bytes, raw::common::MetricRegistry* reg,
                   const std::string& prefix) {
-  raw::router::RouterConfig cfg;
-  cfg.runtime.quantum_max_words = args.quantum;
   raw::net::TrafficConfig t;
   t.num_ports = 4;
   t.pattern = pattern;
   t.size = raw::net::SizeDist::kFixed;
   t.fixed_bytes = bytes;
   t.load = 1.0;
-  raw::router::RawRouter router(cfg, raw::net::RouteTable::simple4(), t,
-                                args.seed);
+  raw::router::RawRouter router(router_config(args),
+                                raw::net::RouteTable::simple4(), t, args.seed);
   router.run(args.cycles);
   if (router.errors() != 0) {
     std::fprintf(stderr, "validation errors: %llu\n",
@@ -101,6 +107,13 @@ Result run_click(const Args& args, ByteCount bytes) {
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
+  try {
+    router_config(args).validate();
+  } catch (const std::invalid_argument& e) {
+    // A quantum the router rejects is a usage error, not an abort mid-run.
+    std::fprintf(stderr, "fig7_1_throughput: %s\n", e.what());
+    return 2;
+  }
 
   // Paper-reported values (Figure 7-1).
   const ByteCount sizes[] = {64, 128, 256, 512, 1024};

@@ -28,7 +28,6 @@ std::string ClusterChaosMix::name() const {
 ClusterConfig cluster_config_for(const ClusterChaosSpec& spec) {
   ClusterConfig cfg;
   cfg.num_chips = spec.num_chips;
-  cfg.topology = spec.topology;
   cfg.threads = spec.threads;
   cfg.reliable_links = spec.reliable_links;
   cfg.failover = spec.failover;
@@ -269,14 +268,8 @@ constexpr const char* kClusterSchema = "raw-cluster-chaos-repro/v3";
 constexpr const char* kClusterSchemaV2 = "raw-cluster-chaos-repro/v2";
 constexpr const char* kClusterSchemaV1 = "raw-cluster-chaos-repro/v1";
 
-const char* topology_name(TopologyKind t) {
-  switch (t) {
-    case TopologyKind::kPointToPoint: return "point_to_point";
-    case TopologyKind::kLeafSpine: return "leaf_spine";
-    case TopologyKind::kFatTree: return "fat_tree";
-  }
-  return "leaf_spine";
-}
+// Every cluster is a leaf-spine; bundles still name it.
+constexpr const char* kTopology = "leaf_spine";
 
 }  // namespace
 
@@ -288,7 +281,7 @@ std::string to_json(const ClusterChaosRepro& repro) {
   json::append_value(j, spec.seed);
   json::append_field(j, "mix", spec.mix.name());
   json::append_field(j, "num_chips", spec.num_chips);
-  json::append_field(j, "topology", topology_name(spec.topology));
+  json::append_field(j, "topology", kTopology);
   json::append_field(j, "run_cycles", spec.run_cycles);
   json::append_field(j, "drain_cycles", spec.drain_cycles);
   json::append_field(j, "faults_per_kind", spec.faults_per_kind);
@@ -331,10 +324,9 @@ bool from_json(const std::string& text, ClusterChaosRepro* out,
              (parse_cluster_mix(name, &spec.mix) || p.reject("unknown mix"));
     }
     if (k == "topology") {
-      return p.parse_enum(&spec.topology,
-                          {TopologyKind::kPointToPoint, TopologyKind::kLeafSpine,
-                           TopologyKind::kFatTree},
-                          topology_name, "unknown topology");
+      std::string name;
+      return p.parse(&name) &&
+             (name == kTopology || p.reject("unknown topology " + name));
     }
     if (k == "seed") return p.parse(&spec.seed);
     if (k == "num_chips") return p.parse(&spec.num_chips);

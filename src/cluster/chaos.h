@@ -55,7 +55,6 @@ struct ClusterChaosSpec {
   std::uint64_t seed = 1;
   ClusterChaosMix mix;
   int num_chips = 4;
-  TopologyKind topology = TopologyKind::kLeafSpine;
   common::Cycle run_cycles = 20000;
   common::Cycle drain_cycles = 600000;
   /// Scheduled events per enabled transient kind (corrupts, stalls).

@@ -8,6 +8,13 @@
 
 namespace raw::cluster {
 
+namespace {
+
+// Every chip runs the single-chip router's default settings.
+const router::RouterConfig kChipDefaults{};
+
+}  // namespace
+
 ClusterFabric::ClusterFabric(ClusterConfig config, std::uint64_t seed)
     : config_(std::move(config)), seed_(seed) {
   config_.validate();
@@ -22,18 +29,13 @@ ClusterFabric::ClusterFabric(ClusterConfig config, std::uint64_t seed)
   }
 
   // Links first: the trunk cards built per chip point into them.
+  InterChipLink::Params p;
+  p.latency = config_.link_latency;
+  p.throttle_numer = config_.throttle_numer;
+  p.throttle_denom = config_.throttle_denom;
+  p.reliable = config_.reliable_links;
   links_.reserve(topo_.links.size());
   for (std::size_t l = 0; l < topo_.links.size(); ++l) {
-    InterChipLink::Params p;
-    p.latency = config_.link_latency;
-    p.throttle_numer = config_.throttle_numer;
-    p.throttle_denom = config_.throttle_denom;
-    p.capacity_words = config_.link_capacity_words;
-    p.jitter = config_.link_jitter;
-    p.seed = link_seed(seed_, static_cast<int>(l));
-    p.reliable = config_.reliable_links;
-    p.retransmit_limit = config_.link_retransmit_limit;
-    p.retransmit_rtt = config_.link_retransmit_rtt;
     links_.push_back(std::make_unique<InterChipLink>(p));
   }
 
@@ -55,9 +57,6 @@ ClusterFabric::ClusterFabric(ClusterConfig config, std::uint64_t seed)
   for (const auto& n : nodes_) chips.push_back(n->chip.get());
   runner_ = std::make_unique<exec::ClusterRunner>(std::move(chips),
                                                   config_.threads);
-
-  epoch_ = config_.epoch_cycles != 0 ? config_.epoch_cycles
-                                     : config_.link_latency;
 }
 
 void ClusterFabric::build_chip(int c) {
@@ -75,12 +74,12 @@ void ClusterFabric::build_chip(int c) {
 
   node->core.table = &node->table;
   node->core.forwarding = &node->forwarding;
-  node->core.config = config_.runtime;
+  node->core.config = kChipDefaults.runtime;
   node->core.ledger = &ledger_;
   // The full single-chip router mapping on every node, regardless of port
   // roles: an idle ingress just circulates EMPTY headers.
   node->chip = router::build_router_chip(node->core, layout_, schedules_,
-                                         config_.link_fifo_depth);
+                                         kChipDefaults.link_fifo_depth);
 
   node->traffic = std::make_unique<net::TrafficGen>(config_.traffic,
                                                     chip_seed(seed_, c));
@@ -92,7 +91,6 @@ void ClusterFabric::build_cards(int c) {
   for (int p = 0; p < router::kNumPorts; ++p) {
     const PortRole role =
         topo_.roles[static_cast<std::size_t>(c)][static_cast<std::size_t>(p)];
-    if (role == PortRole::kUnused) continue;
     const router::PortTiles tiles = layout_.port(p);
     const router::PortEdges edges = layout_.edges(p);
     const sim::IoPort in_port =
@@ -107,7 +105,7 @@ void ClusterFabric::build_cards(int c) {
       *next_uid = make_host_uid(h, 1);
       auto in = std::make_unique<router::InputLineCard>(
           in_port.to_chip, h, node.traffic.get(), &ledger_, next_uid,
-          config_.line_card_queue_words);
+          kChipDefaults.line_card_queue_words);
       auto out = std::make_unique<router::OutputLineCard>(
           out_port.from_chip, h, &ledger_, &topo_.hops);
       node.chip->add_device(in.get());
@@ -272,7 +270,7 @@ void ClusterFabric::fail_over(std::vector<int> new_dead_chips,
 void ClusterFabric::run(common::Cycle cycles) {
   common::Cycle remaining = cycles;
   while (remaining > 0) {
-    const common::Cycle e = std::min(epoch_, remaining);
+    const common::Cycle e = std::min(epoch_cycles(), remaining);
     runner_->run_epoch(e);
     commit_links();
     remaining -= e;
@@ -299,10 +297,10 @@ bool ClusterFabric::drain(common::Cycle max_cycles) {
   common::Cycle last_shrink = 0;
   common::Cycle elapsed = 0;
   while (elapsed < max_cycles) {
-    runner_->run_epoch(epoch_);
+    runner_->run_epoch(epoch_cycles());
     commit_links();
-    elapsed += epoch_;
-    cycles_run_ += epoch_;
+    elapsed += epoch_cycles();
+    cycles_run_ += epoch_cycles();
     barrier_maintenance();
     const std::size_t in_flight = ledger_.in_flight.size();
     if (in_flight == 0 && inputs_idle()) {
@@ -579,7 +577,7 @@ void ClusterFabric::export_metrics(common::MetricRegistry& registry,
   registry.counter(prefix + "/links").set(links_.size());
   registry.counter(prefix + "/workers")
       .set(static_cast<std::uint64_t>(workers()));
-  registry.counter(prefix + "/epoch_cycles").set(epoch_);
+  registry.counter(prefix + "/epoch_cycles").set(epoch_cycles());
   registry.counter(prefix + "/cycles").set(cycles_run_);
 
   const common::Histogram lat = latency_histogram();

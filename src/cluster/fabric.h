@@ -1,17 +1,18 @@
-// ClusterFabric: N rotating-crossbar router chips wired into a cluster.
+// ClusterFabric: N rotating-crossbar router chips wired into a leaf-spine.
 //
 // The fabric instantiates one 4x4 Raw chip per cluster node — each with the
 // full single-chip router mapping (ingress/lookup/crossbar/egress tiles and
-// compile-time switch schedules) — assigns every chip-edge port a role from
-// the declarative topology (host line, inter-chip trunk, unused), and wires
-// trunk ports through seeded InterChipLinks. Forwarding is hierarchical:
-// each chip's route table maps every global host prefix 10.<host>/16 to a
-// local output port (its own host line, or a shortest-path trunk chosen by
-// destination-hash ECMP), so the unmodified single-chip tile programs route
-// cluster traffic hop by hop, decrementing TTL once per chip.
+// compile-time switch schedules) at the router's default settings — gives
+// every chip-edge port its role from the topology (host line or inter-chip
+// trunk), and wires trunk ports through InterChipLinks. Forwarding is
+// hierarchical: each chip's route table maps every global host prefix
+// 10.<host>/16 to a local output port (its own host line, or a
+// shortest-path trunk chosen by destination-hash ECMP), so the unmodified
+// single-chip tile programs route cluster traffic hop by hop, decrementing
+// TTL once per chip.
 //
-// Execution advances all chips in lock-step epochs of at most link_latency
-// cycles (conservative lookahead): within an epoch chips share nothing but
+// Execution advances all chips in lock-step epochs of link_latency cycles
+// (conservative lookahead): within an epoch chips share nothing but
 // barrier-committed link state and the mutex-guarded packet ledger, so the
 // epoch can run thread-per-chip (exec::ClusterRunner) with results
 // digest-identical to the serial schedule at any worker count.
@@ -135,7 +136,10 @@ class ClusterFabric {
   [[nodiscard]] int workers() const { return runner_->workers(); }
   /// Cycles every chip has run (identical across chips at barriers).
   [[nodiscard]] common::Cycle cycle() const { return cycles_run_; }
-  [[nodiscard]] common::Cycle epoch_cycles() const { return epoch_; }
+  /// Cycles per synchronisation epoch: the link latency.
+  [[nodiscard]] common::Cycle epoch_cycles() const {
+    return config_.link_latency;
+  }
 
   [[nodiscard]] sim::Chip& chip(int i) {
     return *nodes_[static_cast<std::size_t>(i)]->chip;
@@ -241,7 +245,6 @@ class ClusterFabric {
   std::vector<std::unique_ptr<router::TrunkEgressCard>> trunk_egress_;
   std::vector<std::unique_ptr<router::TrunkIngressCard>> trunk_ingress_;
   std::unique_ptr<exec::ClusterRunner> runner_;
-  common::Cycle epoch_ = 0;
   common::Cycle cycles_run_ = 0;
   bool drained_ = true;
   router::DrainOutcome drain_outcome_ = router::DrainOutcome::kDrained;

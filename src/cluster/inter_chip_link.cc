@@ -39,19 +39,7 @@ bool InterChipLink::can_send(common::Cycle now) {
 void InterChipLink::send(common::Word w, common::Cycle now) {
   RAW_ASSERT_MSG(tokens_ >= 1, "send without a token (call can_send first)");
   --tokens_;
-  const std::uint64_t seq = sent_total_;
-  common::Cycle deliver = now + params_.latency;
-  if (params_.jitter > 0) {
-    // Pure function of (seed, seq) — never of arrival order — so the draw
-    // for word N is identical whether or not earlier words were replayed.
-    deliver += common::mix64(params_.seed ^ common::mix64(seq + 1)) %
-               (params_.jitter + 1);
-  }
-  // Monotonic clamp: the link is a FIFO; jitter stretches gaps but never
-  // reorders words.
-  deliver = std::max(deliver, last_deliver_);
-  last_deliver_ = deliver;
-  staging_.push_back(Slot{deliver, w, w, seq});
+  staging_.push_back(Slot{now + params_.latency, w, w, sent_total_});
   ++sent_this_epoch_;
   ++sent_total_;
 }

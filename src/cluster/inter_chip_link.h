@@ -1,6 +1,6 @@
-// One direction of an inter-chip trunk: a seeded, deterministic word FIFO
-// with configurable latency, token-bucket bandwidth throttling, and an
-// optional CRC+sequence reliable layer.
+// One direction of an inter-chip trunk: a deterministic word FIFO with a
+// fixed latency, token-bucket bandwidth throttling, and an optional
+// CRC+sequence reliable layer.
 //
 // The link is the only state two chips share, and it is built for the
 // epoch-synchronised schedule (FireSim-style "big tokens"): during an epoch
@@ -9,10 +9,11 @@
 // epoch barrier, so the two sides touch disjoint state and an epoch can run
 // thread-per-chip without locks. commit_epoch() — called single-threaded at
 // the barrier — moves staging into the delivery queue and refreshes the
-// sender's occupancy view. Because the epoch length never exceeds the link
+// sender's occupancy view. Because the epoch length equals the link
 // latency, a word sent mid-epoch could not have arrived before the next
 // barrier anyway: the relaxed synchronisation is timing-exact, and the
-// serial and threaded schedules are digest-identical.
+// serial and threaded schedules are digest-identical. Every word is due
+// `latency` cycles after its send, so delivery times rise in send order.
 //
 // Reliable mode runs the on-chip links' codec (sim/link_codec.h) at trunk
 // scale: every word carries a sequence number, and the sender keeps the
@@ -38,7 +39,6 @@
 #include <deque>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/types.h"
 #include "router/line_cards.h"
 #include "sim/link_codec.h"
@@ -51,13 +51,9 @@ class InterChipLink final : public router::WordTx, public router::WordRx {
     common::Cycle latency = 16;
     std::uint64_t throttle_numer = 1;
     std::uint64_t throttle_denom = 1;
+    /// Words buffered in one direction; a full link backpressures the
+    /// sending chip's trunk card.
     std::size_t capacity_words = 256;
-    /// Uniform extra latency in [0, jitter] per word, monotonically clamped
-    /// so the FIFO never reorders. 0 = none. The draw is a pure function of
-    /// (seed, word sequence number) — never of arrival order — so jitter
-    /// composes with retransmit replay without perturbing later words.
-    common::Cycle jitter = 0;
-    std::uint64_t seed = 1;
     /// CRC+seq reliable layer: corrupted words are repaired by bounded
     /// retransmit instead of delivered as damage.
     bool reliable = false;
@@ -151,7 +147,6 @@ class InterChipLink final : public router::WordTx, public router::WordRx {
   std::uint64_t tokens_ = 0;
   std::uint64_t accum_ = 0;
   common::Cycle last_refill_ = 0;
-  common::Cycle last_deliver_ = 0;
   std::vector<Slot> staging_;
   std::size_t sent_this_epoch_ = 0;
   std::size_t occupancy_base_ = 0;  // queue size at the last barrier

@@ -9,107 +9,37 @@ namespace raw::cluster {
 
 namespace {
 
-/// Accumulates roles/links/hosts with the invariant that a port gets
-/// exactly one role. Hosts are assigned last, chip-major then port-minor,
-/// so host ids are stable and independent of trunk emission order.
-struct Builder {
-  Topology t;
-  std::vector<bool> host_eligible;  // false: spare ports stay kUnused
-
-  explicit Builder(int num_chips) {
-    t.num_chips = num_chips;
-    t.roles.assign(static_cast<std::size_t>(num_chips),
-                   {PortRole::kUnused, PortRole::kUnused, PortRole::kUnused,
-                    PortRole::kUnused});
-    host_eligible.assign(static_cast<std::size_t>(num_chips), true);
-  }
-
-  PortRole& role(int chip, int port) {
-    return t.roles[static_cast<std::size_t>(chip)][static_cast<std::size_t>(port)];
-  }
-
-  /// Full-duplex trunk between (a, pa) and (b, pb): two unidirectional
-  /// link plans.
-  void trunk(int a, int pa, int b, int pb) {
-    RAW_ASSERT_MSG(role(a, pa) == PortRole::kUnused &&
-                       role(b, pb) == PortRole::kUnused,
-                   "trunk port double-booked");
-    role(a, pa) = PortRole::kTrunk;
-    role(b, pb) = PortRole::kTrunk;
-    t.links.push_back(LinkPlan{a, pa, b, pb});
-    t.links.push_back(LinkPlan{b, pb, a, pa});
-  }
-
-  /// Every port still unused on a host-eligible chip becomes a host line.
-  void assign_hosts() {
-    for (int c = 0; c < t.num_chips; ++c) {
-      if (!host_eligible[static_cast<std::size_t>(c)]) continue;
-      for (int p = 0; p < 4; ++p) {
-        if (role(c, p) != PortRole::kUnused) continue;
-        role(c, p) = PortRole::kHost;
-        t.hosts.push_back(HostPlan{c, p});
-      }
-    }
-    RAW_ASSERT_MSG(!t.hosts.empty(), "topology left no host ports");
-  }
-};
-
-void build_chain(Builder& b, int n) {
-  // Chip i's port 1 faces right, port 3 faces left; the chain ends and all
-  // port-0/port-2 lines become hosts.
-  for (int i = 0; i + 1 < n; ++i) b.trunk(i, 1, i + 1, 3);
+PortRole& role(Topology& t, int chip, int port) {
+  return t.roles[static_cast<std::size_t>(chip)][static_cast<std::size_t>(port)];
 }
 
-void build_leaf_spine(Builder& b, int n) {
+/// Full-duplex trunk between (a, pa) and (b, pb): two unidirectional link
+/// plans.
+void trunk(Topology& t, int a, int pa, int b, int pb) {
+  RAW_ASSERT_MSG(role(t, a, pa) == PortRole::kHost &&
+                     role(t, b, pb) == PortRole::kHost,
+                 "trunk port double-booked");
+  role(t, a, pa) = PortRole::kTrunk;
+  role(t, b, pb) = PortRole::kTrunk;
+  t.links.push_back(LinkPlan{a, pa, b, pb});
+  t.links.push_back(LinkPlan{b, pb, a, pa});
+}
+
+void wire_leaf_spine(Topology& t) {
   // Smallest spine tier that can attach every leaf: one spine fans out to
   // at most 4 leaves; a spine ring (ports 0/1 around the ring) leaves two
   // leaf-facing ports per spine.
+  const int n = t.num_chips;
   int spines = 1;
   while ((spines == 1 ? 4 : 2 * spines) < n - spines) ++spines;
   const int leaves = n - spines;
   if (spines == 1) {
-    for (int l = 0; l < leaves; ++l) b.trunk(0, l, 1 + l, 0);
+    for (int l = 0; l < leaves; ++l) trunk(t, 0, l, 1 + l, 0);
   } else {
-    for (int j = 0; j < spines; ++j) b.trunk(j, 1, (j + 1) % spines, 0);
+    for (int j = 0; j < spines; ++j) trunk(t, j, 1, (j + 1) % spines, 0);
     for (int l = 0; l < leaves; ++l) {
-      b.trunk(l % spines, 2 + l / spines, spines + l, 0);
+      trunk(t, l % spines, 2 + l / spines, spines + l, 0);
     }
-  }
-  // Spare spine leaf-ports and every non-uplink leaf port become hosts.
-}
-
-void build_fat_tree(Builder& b, int k) {
-  if (k == 4) {
-    // 4 pods x (2 edge + 2 agg) + 4 core. Edge ports 0/1 are hosts, 2/3
-    // uplinks; agg ports 0/1 face its pod's edges, 2/3 the core row; core
-    // j,y reaches pod p's agg j through its port p.
-    const auto edge = [](int p, int i) { return 4 * p + i; };
-    const auto agg = [](int p, int j) { return 4 * p + 2 + j; };
-    const auto core = [](int j, int y) { return 16 + 2 * j + y; };
-    for (int p = 0; p < 4; ++p) {
-      for (int i = 0; i < 2; ++i) {
-        for (int j = 0; j < 2; ++j) b.trunk(edge(p, i), 2 + j, agg(p, j), i);
-      }
-      for (int j = 0; j < 2; ++j) {
-        for (int y = 0; y < 2; ++y) b.trunk(agg(p, j), 2 + y, core(j, y), p);
-      }
-      b.host_eligible[static_cast<std::size_t>(agg(p, 0))] = false;
-      b.host_eligible[static_cast<std::size_t>(agg(p, 1))] = false;
-    }
-    for (int j = 0; j < 2; ++j) {
-      for (int y = 0; y < 2; ++y) {
-        b.host_eligible[static_cast<std::size_t>(core(j, y))] = false;
-      }
-    }
-  } else {
-    // k=2, degenerate 5-chip tree: edges 0/1, aggs 2/3, core 4. Only the
-    // edge switches carry hosts; spare agg/core ports stay unused.
-    for (int p = 0; p < 2; ++p) {
-      b.trunk(p, 1, 2 + p, 0);
-      b.trunk(2 + p, 1, 4, p);
-      b.host_eligible[static_cast<std::size_t>(2 + p)] = false;
-    }
-    b.host_eligible[4] = false;
   }
 }
 
@@ -227,20 +157,20 @@ int Topology::reverse_link(int l) const {
 }
 
 Topology Topology::build(const ClusterConfig& cfg) {
-  Builder b(cfg.num_chips);
-  switch (cfg.topology) {
-    case TopologyKind::kPointToPoint:
-      build_chain(b, cfg.num_chips);
-      break;
-    case TopologyKind::kLeafSpine:
-      build_leaf_spine(b, cfg.num_chips);
-      break;
-    case TopologyKind::kFatTree:
-      build_fat_tree(b, cfg.fat_tree_k);
-      break;
+  Topology t;
+  t.num_chips = cfg.num_chips;
+  t.roles.assign(static_cast<std::size_t>(cfg.num_chips),
+                 {PortRole::kHost, PortRole::kHost, PortRole::kHost,
+                  PortRole::kHost});
+  wire_leaf_spine(t);
+  // Spare spine leaf-ports and every non-uplink leaf port are host lines,
+  // numbered chip-major then port-minor so host ids are stable and
+  // independent of trunk emission order.
+  for (int c = 0; c < t.num_chips; ++c) {
+    for (int p = 0; p < 4; ++p) {
+      if (role(t, c, p) == PortRole::kHost) t.hosts.push_back(HostPlan{c, p});
+    }
   }
-  b.assign_hosts();
-  Topology t = std::move(b.t);
 
   const auto n = static_cast<std::size_t>(t.num_chips);
   Routes rt = route(t, std::vector<bool>(t.links.size(), false),

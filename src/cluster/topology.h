@@ -1,11 +1,11 @@
-// Declarative cluster topologies over 4-port router chips.
+// The cluster's leaf-spine over 4-port router chips.
 //
 // Topology::build maps a ClusterConfig onto concrete wiring: every chip
-// port is assigned a role (host line, inter-chip trunk, or unused), every
-// trunk is expanded into two unidirectional link plans, every host line
-// gets a global host id, and chip-local forwarding is precomputed as a
-// next-hop table (shortest path with destination-hash ECMP over equal-cost
-// trunk ports) plus a host-to-host hop-count matrix the egress cards use to
+// port is assigned a role (host line or inter-chip trunk), every trunk is
+// expanded into two unidirectional link plans, every host line gets a
+// global host id, and chip-local forwarding is precomputed as a next-hop
+// table (shortest path with destination-hash ECMP over equal-cost trunk
+// ports) plus a host-to-host hop-count matrix the egress cards use to
 // validate the per-chip TTL decrements end to end.
 #pragma once
 
@@ -18,9 +18,8 @@
 namespace raw::cluster {
 
 enum class PortRole : std::uint8_t {
-  kHost,    // host line: cluster input + output cards attach here
-  kTrunk,   // inter-chip trunk: trunk egress + ingress cards attach here
-  kUnused,  // wired to nothing; the route tables never point at it
+  kHost,   // host line: cluster input + output cards attach here
+  kTrunk,  // inter-chip trunk: trunk egress + ingress cards attach here
 };
 
 /// One direction of an inter-chip trunk: words leave `src_chip` through
@@ -60,7 +59,7 @@ struct Topology {
   /// The reverse direction of unidirectional link `l` (same trunk), or -1.
   [[nodiscard]] int reverse_link(int l) const;
 
-  /// Builds the wiring for `cfg` (cfg.validate() must have passed).
+  /// Builds the leaf-spine for `cfg` (cfg.validate() must have passed).
   static Topology build(const ClusterConfig& cfg);
 
   /// Fail-over routing: next_hop recomputed over the surviving fabric.

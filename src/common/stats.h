@@ -1,10 +1,9 @@
 // Streaming statistics accumulators used by all measurement code.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-
-#include "common/types.h"
 
 namespace raw::common {
 
@@ -29,36 +28,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Counts bytes and packets over a measured cycle window and converts them to
-/// link-rate figures at a given clock frequency.
-class RateMeter {
- public:
-  void on_packet(ByteCount bytes) {
-    ++packets_;
-    bytes_ += bytes;
-  }
-
-  void set_window(Cycle cycles) { window_ = cycles; }
-
-  [[nodiscard]] std::uint64_t packets() const { return packets_; }
-  [[nodiscard]] ByteCount bytes() const { return bytes_; }
-  [[nodiscard]] Cycle window() const { return window_; }
-
-  [[nodiscard]] double gbps(double clock_hz = kRawClockHz) const {
-    return common::gbps(bytes_, window_, clock_hz);
-  }
-  [[nodiscard]] double mpps(double clock_hz = kRawClockHz) const {
-    return common::mpps(packets_, window_, clock_hz);
-  }
-
-  void reset() { *this = RateMeter{}; }
-
- private:
-  std::uint64_t packets_ = 0;
-  ByteCount bytes_ = 0;
-  Cycle window_ = 0;
 };
 
 /// Jain's fairness index over per-flow throughputs: (Σx)² / (n·Σx²).

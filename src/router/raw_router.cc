@@ -16,6 +16,13 @@ void RouterConfig::validate() const {
         " (edge FIFOs hold a full IP header); got " +
         std::to_string(link_fifo_depth));
   }
+  if (runtime.quantum_max_words >= 1 && runtime.quantum_max_words <= 8) {
+    throw std::invalid_argument(
+        "RouterConfig.runtime.quantum_max_words must be 0 (uncapped) or >= 9: "
+        "a smaller cap cuts fragments shorter than the 5 words the switch "
+        "schedules and egress descriptors need (fragment_words); got " +
+        std::to_string(runtime.quantum_max_words));
+  }
   if (line_card_queue_words == 0) {
     throw std::invalid_argument(
         "RouterConfig.line_card_queue_words must be positive: a zero-capacity "

@@ -85,8 +85,8 @@ struct RouterConfig {
   EnduranceConfig endurance;
 
   /// Rejects configurations that would misbehave deep inside the fabric
-  /// (edge FIFOs too small to hold an IP header, a zero-capacity line-card
-  /// queue, a zero watchdog interval, a reliable-link layer that cannot
+  /// (edge FIFOs too small to hold an IP header, a fragment cap of 1-8
+  /// words, a zero-capacity line-card queue, a zero watchdog interval, a reliable-link layer that cannot
   /// cover its own FIFOs, threads or max_lookahead other than 0 or 1).
   /// Throws std::invalid_argument with a message naming the field.
   void validate() const;

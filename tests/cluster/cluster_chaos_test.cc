@@ -245,6 +245,12 @@ TEST(ClusterChaosTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(from_json("{\"schema\": \"wrong/v9\"}", &out, &error));
   EXPECT_FALSE(from_json("{\"spec\": {}}", &out, &error));
   EXPECT_EQ(error, "missing \"schema\" marker");
+  // Every cluster is a leaf-spine: a bundle naming another shape is refused.
+  EXPECT_FALSE(from_json(
+      "{\"schema\": \"raw-cluster-chaos-repro/v3\", "
+      "\"spec\": {\"topology\": \"fat_tree\"}}",
+      &out, &error));
+  EXPECT_EQ(error, "unknown topology fat_tree");
 
   // The one loader needs a marker to know which reader applies.
   Repro any;

@@ -12,9 +12,8 @@
 namespace raw::cluster {
 namespace {
 
-ClusterConfig small_cluster(TopologyKind kind, int chips, int threads) {
+ClusterConfig small_cluster(int chips, int threads) {
   ClusterConfig cfg;
-  cfg.topology = kind;
   cfg.num_chips = chips;
   cfg.threads = threads;
   cfg.link_latency = 8;
@@ -25,7 +24,7 @@ ClusterConfig small_cluster(TopologyKind kind, int chips, int threads) {
 }
 
 TEST(ClusterFabricTest, DeliversAcrossChipsAndConserves) {
-  ClusterFabric fabric(small_cluster(TopologyKind::kPointToPoint, 2, 1), 7);
+  ClusterFabric fabric(small_cluster(2, 1), 7);
   fabric.run(6000);
   EXPECT_TRUE(fabric.drain(200000));
   EXPECT_GT(fabric.delivered_packets(), 0u);
@@ -45,7 +44,7 @@ TEST(ClusterFabricTest, DeliversAcrossChipsAndConserves) {
 }
 
 TEST(ClusterFabricTest, PurelyLocalTrafficStaysOffTheTrunks) {
-  ClusterConfig cfg = small_cluster(TopologyKind::kPointToPoint, 2, 1);
+  ClusterConfig cfg = small_cluster(2, 1);
   cfg.traffic.remote_fraction = 0.0;
   ClusterFabric fabric(cfg, 7);
   fabric.run(4000);
@@ -57,7 +56,7 @@ TEST(ClusterFabricTest, PurelyLocalTrafficStaysOffTheTrunks) {
 }
 
 TEST(ClusterFabricTest, LinkConservationUnderThrottling) {
-  ClusterConfig cfg = small_cluster(TopologyKind::kLeafSpine, 4, 1);
+  ClusterConfig cfg = small_cluster(4, 1);
   cfg.throttle_numer = 1;
   cfg.throttle_denom = 3;  // trunks at a third of line rate
   ClusterFabric fabric(cfg, 21);
@@ -89,7 +88,7 @@ std::uint64_t digest_at(const ClusterConfig& base, int threads,
 }
 
 TEST(ClusterFabricTest, DigestIdenticalAcrossWorkerCounts) {
-  const ClusterConfig cfg = small_cluster(TopologyKind::kLeafSpine, 4, 1);
+  const ClusterConfig cfg = small_cluster(4, 1);
   const std::uint64_t serial = digest_at(cfg, 1, 13);
   for (const int t : {2, 4, 8}) {
     EXPECT_EQ(digest_at(cfg, t, 13), serial) << "threads=" << t;
@@ -97,29 +96,19 @@ TEST(ClusterFabricTest, DigestIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ClusterFabricTest, DigestIdenticalDenseVsSparse) {
-  const ClusterConfig cfg = small_cluster(TopologyKind::kLeafSpine, 4, 1);
+  const ClusterConfig cfg = small_cluster(4, 1);
   EXPECT_EQ(digest_at(cfg, 1, 13), digest_at(cfg, 1, 13, /*dense=*/true));
   // And dense under threads matches too.
   EXPECT_EQ(digest_at(cfg, 4, 13), digest_at(cfg, 4, 13, /*dense=*/true));
 }
 
 TEST(ClusterFabricTest, DigestDependsOnSeedAndTopology) {
-  const ClusterConfig cfg = small_cluster(TopologyKind::kLeafSpine, 4, 1);
+  const ClusterConfig cfg = small_cluster(4, 1);
   EXPECT_NE(digest_at(cfg, 1, 13), digest_at(cfg, 1, 14));
 }
 
-TEST(ClusterFabricTest, FatTreeRoutesEndToEnd) {
-  ClusterConfig cfg = small_cluster(TopologyKind::kFatTree, 5, 2);
-  cfg.fat_tree_k = 2;
-  ClusterFabric fabric(cfg, 3);
-  fabric.run(4000);
-  EXPECT_TRUE(fabric.drain(300000));
-  EXPECT_GT(fabric.delivered_packets(), 0u);
-  EXPECT_EQ(fabric.errors(), 0u);
-}
-
 TEST(ClusterFabricTest, WorkerCountClampsToChips) {
-  ClusterFabric fabric(small_cluster(TopologyKind::kPointToPoint, 2, 8), 1);
+  ClusterFabric fabric(small_cluster(2, 8), 1);
   EXPECT_EQ(fabric.workers(), 2);
 }
 
@@ -127,7 +116,7 @@ TEST(ClusterFabricTest, DrainOutcomeNamesHowTheDrainEnded) {
   using router::DrainOutcome;
   // A clean leaf-spine fabric drains completely.
   {
-    ClusterFabric fabric(small_cluster(TopologyKind::kLeafSpine, 4, 1), 7);
+    ClusterFabric fabric(small_cluster(4, 1), 7);
     fabric.run(4000);
     EXPECT_TRUE(fabric.drain(200000));
     EXPECT_EQ(fabric.drain_outcome(), DrainOutcome::kDrained);
@@ -135,7 +124,7 @@ TEST(ClusterFabricTest, DrainOutcomeNamesHowTheDrainEnded) {
   // Corrupt words on reliable trunks, then a trunk cut with fail-over: the
   // degraded fabric's drain is a clean exit.
   {
-    ClusterConfig cfg = small_cluster(TopologyKind::kLeafSpine, 4, 1);
+    ClusterConfig cfg = small_cluster(4, 1);
     cfg.reliable_links = true;
     cfg.failover = true;
     cfg.watchdog_interval = 256;
@@ -153,7 +142,7 @@ TEST(ClusterFabricTest, DrainOutcomeNamesHowTheDrainEnded) {
   }
   // A drain given too few cycles to empty the fabric runs out of time.
   {
-    ClusterConfig cfg = small_cluster(TopologyKind::kLeafSpine, 4, 1);
+    ClusterConfig cfg = small_cluster(4, 1);
     cfg.traffic.load = 1.0;
     ClusterFabric fabric(cfg, 7);
     fabric.run(4000);
@@ -164,7 +153,7 @@ TEST(ClusterFabricTest, DrainOutcomeNamesHowTheDrainEnded) {
 }
 
 TEST(ClusterFabricTest, MetricsExportIsWellFormed) {
-  ClusterFabric fabric(small_cluster(TopologyKind::kLeafSpine, 4, 1), 5);
+  ClusterFabric fabric(small_cluster(4, 1), 5);
   fabric.run(2000);
   (void)fabric.drain(200000);
   common::MetricRegistry registry;

@@ -16,9 +16,8 @@
 namespace raw::cluster {
 namespace {
 
-ClusterConfig small_cluster(TopologyKind kind, int chips, int threads) {
+ClusterConfig small_cluster(int chips, int threads) {
   ClusterConfig cfg;
-  cfg.topology = kind;
   cfg.num_chips = chips;
   cfg.threads = threads;
   cfg.link_latency = 8;
@@ -28,8 +27,8 @@ ClusterConfig small_cluster(TopologyKind kind, int chips, int threads) {
   return cfg;
 }
 
-ClusterConfig failover_cluster(TopologyKind kind, int chips, int threads) {
-  ClusterConfig cfg = small_cluster(kind, chips, threads);
+ClusterConfig failover_cluster(int chips, int threads) {
+  ClusterConfig cfg = small_cluster(chips, threads);
   cfg.failover = true;
   cfg.watchdog_interval = 256;
   return cfg;
@@ -63,33 +62,31 @@ sim::FaultEvent freeze_chip(int chip, common::Cycle at) {
 // Topology::reroute — pure table computation, no fabric needed.
 
 TEST(ClusterFailoverTest, RerouteWithNoFailuresMatchesBuild) {
-  for (const TopologyKind kind :
-       {TopologyKind::kPointToPoint, TopologyKind::kLeafSpine}) {
-    ClusterConfig cfg = small_cluster(kind, 4, 1);
-    const Topology topo = Topology::build(cfg);
+  for (const int chips : {2, 4, 16}) {
+    const Topology topo = Topology::build(small_cluster(chips, 1));
     const Topology::RerouteResult rr =
         topo.reroute(std::vector<bool>(topo.links.size(), false),
-                     std::vector<bool>(static_cast<std::size_t>(4), false));
-    EXPECT_EQ(rr.next_hop, topo.next_hop);
-    EXPECT_TRUE(rr.unreachable_hosts.empty());
+                     std::vector<bool>(static_cast<std::size_t>(chips), false));
+    EXPECT_EQ(rr.next_hop, topo.next_hop) << chips << " chips";
+    EXPECT_TRUE(rr.unreachable_hosts.empty()) << chips << " chips";
   }
 }
 
 TEST(ClusterFailoverTest, ChainCutPartitionsTheFabric) {
-  // 4-chip chain: cutting the middle trunk (chips 1-2) splits hosts into
-  // two islands; every cross-island pair becomes unreachable.
-  ClusterConfig cfg = small_cluster(TopologyKind::kPointToPoint, 4, 1);
-  const Topology topo = Topology::build(cfg);
+  // 4-chip leaf-spine (a star around spine 0): cutting leaf 3's uplink pair
+  // splits the hosts into two islands, chip 3 and chips 0-2; every
+  // cross-island pair becomes unreachable.
+  const Topology topo = Topology::build(small_cluster(4, 1));
   std::vector<bool> link_dead(topo.links.size(), false);
-  int middle = -1;
+  int uplink = -1;
   for (std::size_t l = 0; l < topo.links.size(); ++l) {
-    if (topo.links[l].src_chip == 1 && topo.links[l].dst_chip == 2) {
-      middle = static_cast<int>(l);
+    if (topo.links[l].src_chip == 3 && topo.links[l].dst_chip == 0) {
+      uplink = static_cast<int>(l);
     }
   }
-  ASSERT_GE(middle, 0);
-  link_dead[static_cast<std::size_t>(middle)] = true;
-  link_dead[static_cast<std::size_t>(topo.reverse_link(middle))] = true;
+  ASSERT_GE(uplink, 0);
+  link_dead[static_cast<std::size_t>(uplink)] = true;
+  link_dead[static_cast<std::size_t>(topo.reverse_link(uplink))] = true;
   const Topology::RerouteResult rr =
       topo.reroute(link_dead, std::vector<bool>(4, false));
   // A partition leaves *every* host unreachable from the far side, so every
@@ -99,7 +96,7 @@ TEST(ClusterFailoverTest, ChainCutPartitionsTheFabric) {
     const int home = topo.hosts[h].chip;
     for (int c = 0; c < 4; ++c) {
       const int hop = rr.next_hop[static_cast<std::size_t>(c)][h];
-      const bool same_side = (c <= 1) == (home <= 1);
+      const bool same_side = (c == 3) == (home == 3);
       if (same_side) {
         EXPECT_GE(hop, 0) << "chip " << c << " host " << h;
       } else {
@@ -110,9 +107,9 @@ TEST(ClusterFailoverTest, ChainCutPartitionsTheFabric) {
 }
 
 TEST(ClusterFailoverTest, LeafSpineReroutesAroundASpineRingLink) {
-  // 8 chips => a spine ring (2 spines); killing one leaf's trunk isolates
+  // 8 chips => a spine ring (3 spines); killing one leaf's trunk isolates
   // exactly that leaf's hosts, while everyone else keeps full routes.
-  ClusterConfig cfg = small_cluster(TopologyKind::kLeafSpine, 8, 1);
+  ClusterConfig cfg = small_cluster(8, 1);
   const Topology topo = Topology::build(cfg);
   // Find a leaf: a chip bearing hosts whose single trunk leads to a spine.
   int leaf = -1;
@@ -164,60 +161,33 @@ TEST(ClusterFailoverTest, LeafSpineReroutesAroundASpineRingLink) {
   }
 }
 
-TEST(ClusterFailoverTest, FatTreeReroutesAroundADeadEdgeChip) {
-  // 5-chip k=2 fat-tree: hosts live on the two edge chips (0 and 1); chips
-  // 2/3 are aggregation and chip 4 the core. Killing edge chip 1 loses
-  // exactly its hosts — the surviving edge keeps full routes through
-  // agg + core.
-  ClusterConfig cfg = small_cluster(TopologyKind::kFatTree, 5, 1);
-  cfg.fat_tree_k = 2;
-  const Topology topo = Topology::build(cfg);
-  std::vector<bool> chip_dead(5, false);
-  chip_dead[1] = true;
+TEST(ClusterFailoverTest, LeafSpineReroutesAroundADeadLeafChip) {
+  // 8 chips => a ring of 3 spines (chips 0-2) and leaves 3-7, each on one
+  // uplink. Killing leaf chip 7 loses exactly its hosts: every surviving
+  // chip keeps full routes to every surviving host.
+  constexpr int kDead = 7;
+  const Topology topo = Topology::build(small_cluster(8, 1));
+  std::vector<bool> chip_dead(8, false);
+  chip_dead[kDead] = true;
   const Topology::RerouteResult rd =
       topo.reroute(std::vector<bool>(topo.links.size(), false), chip_dead);
   ASSERT_FALSE(rd.unreachable_hosts.empty());
   for (std::size_t h = 0; h < topo.hosts.size(); ++h) {
-    const bool on_dead = topo.hosts[h].chip == 1;
+    const bool on_dead = topo.hosts[h].chip == kDead;
     const bool reported =
         std::find(rd.unreachable_hosts.begin(), rd.unreachable_hosts.end(),
                   static_cast<int>(h)) != rd.unreachable_hosts.end();
     EXPECT_EQ(on_dead, reported) << "host " << h;
     if (on_dead) continue;
-    // Every surviving chip still routes to the surviving hosts.
-    for (int c = 0; c < 5; ++c) {
-      if (c == 1) continue;
+    for (int c = 0; c < 8; ++c) {
+      if (c == kDead) continue;
       EXPECT_GE(rd.next_hop[static_cast<std::size_t>(c)][h], 0)
           << "chip " << c << " host " << h;
     }
   }
   // Dead-chip rows are fully invalidated.
   for (std::size_t h = 0; h < topo.hosts.size(); ++h) {
-    EXPECT_EQ(rd.next_hop[1][h], -1);
-  }
-
-  // A k=2 tree has a single core, so cutting an agg-core trunk partitions
-  // the pods: every host is reported (the union covers both pods' views),
-  // but same-pod routing survives.
-  int agg_core = -1;
-  for (std::size_t l = 0; l < topo.links.size(); ++l) {
-    if ((topo.links[l].src_chip == 2 && topo.links[l].dst_chip == 4) ||
-        (topo.links[l].src_chip == 4 && topo.links[l].dst_chip == 2)) {
-      agg_core = static_cast<int>(l);
-      break;
-    }
-  }
-  ASSERT_GE(agg_core, 0);
-  std::vector<bool> link_dead(topo.links.size(), false);
-  link_dead[static_cast<std::size_t>(agg_core)] = true;
-  link_dead[static_cast<std::size_t>(topo.reverse_link(agg_core))] = true;
-  const Topology::RerouteResult rp =
-      topo.reroute(link_dead, std::vector<bool>(5, false));
-  EXPECT_EQ(rp.unreachable_hosts.size(), topo.hosts.size());
-  for (std::size_t h = 0; h < topo.hosts.size(); ++h) {
-    const auto home = static_cast<std::size_t>(topo.hosts[h].chip);
-    // Same-pod reachability survives the partition: edge 0 <-> agg 2.
-    EXPECT_GE(rp.next_hop[home][h], 0);
+    EXPECT_EQ(rd.next_hop[kDead][h], -1);
   }
 }
 
@@ -225,7 +195,7 @@ TEST(ClusterFailoverTest, FatTreeReroutesAroundADeadEdgeChip) {
 // Full-fabric fail-over.
 
 TEST(ClusterFailoverTest, TrunkCutIsDetectedWithinOneWatchdogInterval) {
-  ClusterConfig cfg = failover_cluster(TopologyKind::kLeafSpine, 4, 1);
+  ClusterConfig cfg = failover_cluster(4, 1);
   cfg.faults = cut_trunk(1, 2000);
   ClusterFabric fabric(cfg, 11);
   fabric.run(2000);
@@ -240,7 +210,7 @@ TEST(ClusterFailoverTest, TrunkCutIsDetectedWithinOneWatchdogInterval) {
 }
 
 TEST(ClusterFailoverTest, MidRunCutReroutesAndDrainsClean) {
-  ClusterConfig cfg = failover_cluster(TopologyKind::kLeafSpine, 4, 1);
+  ClusterConfig cfg = failover_cluster(4, 1);
   cfg.faults = cut_trunk(0, 3000);
   ClusterFabric fabric(cfg, 5);
   fabric.run(9000);
@@ -264,7 +234,7 @@ TEST(ClusterFailoverTest, MidRunCutReroutesAndDrainsClean) {
 }
 
 TEST(ClusterFailoverTest, ChipFreezeIsConfirmedAndAbandonsItsInputs) {
-  ClusterConfig cfg = failover_cluster(TopologyKind::kLeafSpine, 4, 1);
+  ClusterConfig cfg = failover_cluster(4, 1);
   cfg.faults = {freeze_chip(2, 2000)};
   ClusterFabric fabric(cfg, 13);
   // Detection needs up to two intervals: one to re-baseline the frozen
@@ -292,7 +262,7 @@ TEST(ClusterFailoverTest, ChipFreezeIsConfirmedAndAbandonsItsInputs) {
 }
 
 TEST(ClusterFailoverTest, InvariantsHoldThroughFailover) {
-  ClusterConfig cfg = failover_cluster(TopologyKind::kLeafSpine, 4, 1);
+  ClusterConfig cfg = failover_cluster(4, 1);
   cfg.reliable_links = true;
   cfg.faults = cut_trunk(1, 2000);
   ClusterFabric fabric(cfg, 17);
@@ -323,7 +293,7 @@ std::uint64_t digest_after_faults(const ClusterConfig& base, int threads,
 }
 
 TEST(ClusterFailoverTest, LinkCutDigestIdenticalAcrossWorkerCounts) {
-  ClusterConfig cfg = failover_cluster(TopologyKind::kLeafSpine, 8, 1);
+  ClusterConfig cfg = failover_cluster(8, 1);
   cfg.reliable_links = true;
   cfg.faults = cut_trunk(2, 3000);
   const std::uint64_t serial = digest_after_faults(cfg, 1, 23);
@@ -334,7 +304,7 @@ TEST(ClusterFailoverTest, LinkCutDigestIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ClusterFailoverTest, ChipFreezeDigestIdenticalAcrossWorkerCounts) {
-  ClusterConfig cfg = failover_cluster(TopologyKind::kLeafSpine, 8, 1);
+  ClusterConfig cfg = failover_cluster(8, 1);
   cfg.faults = {freeze_chip(3, 3000)};
   const std::uint64_t serial = digest_after_faults(cfg, 1, 29);
   for (const int workers : {2, 4, 8}) {
@@ -349,7 +319,7 @@ TEST(ClusterFailoverTest, FaultsOffDigestUnchangedByRobustnessCode) {
   // digest must not mix any new state when the features are off. Guarded by
   // comparing two identically-configured runs (the cross-build guarantee is
   // covered by the recorded ext_cluster digests in EXPERIMENTS.md).
-  ClusterConfig cfg = small_cluster(TopologyKind::kLeafSpine, 4, 1);
+  ClusterConfig cfg = small_cluster(4, 1);
   const std::uint64_t a = digest_after_faults(cfg, 1, 31);
   const std::uint64_t b = digest_after_faults(cfg, 2, 31);
   EXPECT_EQ(a, b);

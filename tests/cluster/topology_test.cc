@@ -1,7 +1,8 @@
-// Topology::build invariants across every declarative topology: port roles
-// are consistent with the link and host plans, every trunk is full-duplex,
-// next-hop tables are loop-free shortest paths, and the hop matrix matches
-// a walk of the next-hop tables.
+// Topology::build invariants across leaf-spine sizes: port roles are
+// consistent with the link and host plans, every trunk is full-duplex,
+// next-hop tables are loop-free shortest paths with destination-hash ECMP,
+// and the hop matrix matches a walk of the next-hop tables.
+#include <algorithm>
 #include <array>
 #include <set>
 #include <utility>
@@ -15,11 +16,9 @@
 namespace raw::cluster {
 namespace {
 
-ClusterConfig make(TopologyKind kind, int chips, int k = 2) {
+ClusterConfig make(int chips) {
   ClusterConfig cfg;
-  cfg.topology = kind;
   cfg.num_chips = chips;
-  cfg.fat_tree_k = k;
   cfg.validate();
   return cfg;
 }
@@ -105,73 +104,87 @@ void check_invariants(const Topology& t) {
   }
 }
 
-TEST(TopologyTest, PointToPointChain) {
-  for (const int n : {2, 3, 8}) {
-    const Topology t =
-        Topology::build(make(TopologyKind::kPointToPoint, n));
-    EXPECT_EQ(t.num_chips, n);
-    // A chain of n chips: ends keep 3 host ports, middles 2.
-    EXPECT_EQ(static_cast<int>(t.hosts.size()), n == 2 ? 6 : 2 * 3 + (n - 2) * 2);
-    EXPECT_EQ(t.links.size(), static_cast<std::size_t>(2 * (n - 1)));
-    check_invariants(t);
-    // End-to-end path visits every chip.
-    EXPECT_EQ(t.hops[0].back(), n);
-  }
-}
-
 TEST(TopologyTest, LeafSpineSmallUsesSingleSpineStar) {
-  const Topology t = Topology::build(make(TopologyKind::kLeafSpine, 4));
-  check_invariants(t);
-  // Chip 0 is the spine: three leaves, each one hop from the spine, so any
-  // cross-leaf path is 3 chips (leaf -> spine -> leaf).
-  for (std::size_t s = 0; s < t.hosts.size(); ++s) {
-    for (std::size_t d = 0; d < t.hosts.size(); ++d) {
-      EXPECT_LE(t.hops[s][d], 3);
+  for (const int n : {2, 4, 5}) {
+    const Topology t = Topology::build(make(n));
+    check_invariants(t);
+    // Chip 0 is the spine and every other chip a leaf on one trunk: each
+    // leaf keeps 3 host ports, the spine the 5 - n ports no leaf uses. Two
+    // chips are one trunk with 6 hosts.
+    EXPECT_EQ(static_cast<int>(t.hosts.size()), 2 * n + 2) << n << " chips";
+    EXPECT_EQ(t.links.size(), static_cast<std::size_t>(2 * (n - 1)));
+    // Any cross-leaf path is 3 chips (leaf -> spine -> leaf).
+    for (std::size_t s = 0; s < t.hosts.size(); ++s) {
+      for (std::size_t d = 0; d < t.hosts.size(); ++d) {
+        EXPECT_LE(t.hops[s][d], 3);
+      }
     }
   }
 }
 
 TEST(TopologyTest, LeafSpineScalesThroughSpineRing) {
   for (const int n : {6, 10, 16}) {
-    const Topology t = Topology::build(make(TopologyKind::kLeafSpine, n));
+    const Topology t = Topology::build(make(n));
     EXPECT_FALSE(t.hosts.empty());
     check_invariants(t);
   }
 }
 
-TEST(TopologyTest, FatTreeK2) {
-  const Topology t = Topology::build(make(TopologyKind::kFatTree, 5, 2));
-  check_invariants(t);
-  // Only edge chips carry hosts in the k=2 tree.
-  for (const HostPlan& h : t.hosts) EXPECT_LT(h.chip, 2);
-}
-
-TEST(TopologyTest, FatTreeK4) {
-  const Topology t = Topology::build(make(TopologyKind::kFatTree, 20, 4));
-  check_invariants(t);
-  // 8 edge chips x 2 spare ports each.
-  EXPECT_EQ(t.hosts.size(), 16u);
-  // Hosts 0/1 and 2/3 sit on the two edge chips of pod 0: same-pod
-  // cross-edge traffic turns at the aggregation layer (3 chips), cross-pod
-  // goes through the core (5 chips).
-  EXPECT_EQ(t.hosts[0].chip, 0);
-  EXPECT_EQ(t.hosts[2].chip, 1);
-  EXPECT_EQ(t.hops[0][2], 3);
-  bool saw_cross_pod = false;
-  for (std::size_t s = 0; s < t.hosts.size(); ++s) {
-    for (std::size_t d = 0; d < t.hosts.size(); ++d) {
-      EXPECT_LE(t.hops[s][d], 5);
-      if (t.hops[s][d] == 5) saw_cross_pod = true;
+/// All-pairs chip distances over the trunks (BFS).
+std::vector<std::vector<int>> chip_distances(const Topology& t) {
+  const auto n = static_cast<std::size_t>(t.num_chips);
+  std::vector<std::vector<int>> dist(n, std::vector<int>(n, -1));
+  for (std::size_t s = 0; s < n; ++s) {
+    dist[s][s] = 0;
+    std::vector<int> frontier{static_cast<int>(s)};
+    while (!frontier.empty()) {
+      std::vector<int> next;
+      for (const int c : frontier) {
+        for (const LinkPlan& l : t.links) {
+          if (l.src_chip != c) continue;
+          int& d = dist[s][static_cast<std::size_t>(l.dst_chip)];
+          if (d != -1) continue;
+          d = dist[s][static_cast<std::size_t>(c)] + 1;
+          next.push_back(l.dst_chip);
+        }
+      }
+      frontier = std::move(next);
     }
   }
-  EXPECT_TRUE(saw_cross_pod);
+  return dist;
 }
 
 TEST(TopologyTest, EcmpNextHopsAreDeterministicAndValid) {
-  const Topology a = Topology::build(make(TopologyKind::kFatTree, 20, 4));
-  const Topology b = Topology::build(make(TopologyKind::kFatTree, 20, 4));
+  // 16 chips need a ring of 6 spines: spines three hops apart reach each
+  // other both ways round, so some routes have two equal-cost trunks.
+  const Topology a = Topology::build(make(16));
+  const Topology b = Topology::build(make(16));
   EXPECT_EQ(a.next_hop, b.next_hop);
   EXPECT_EQ(a.hops, b.hops);
+
+  const std::vector<std::vector<int>> dist = chip_distances(a);
+  std::size_t widest = 0;
+  for (int c = 0; c < a.num_chips; ++c) {
+    const auto ci = static_cast<std::size_t>(c);
+    for (std::size_t h = 0; h < a.hosts.size(); ++h) {
+      const auto home = static_cast<std::size_t>(a.hosts[h].chip);
+      if (home == ci) continue;
+      std::vector<int> candidates;
+      for (int p = 0; p < 4; ++p) {
+        const int l = a.link_from(c, p);
+        if (l < 0) continue;
+        const auto nb =
+            static_cast<std::size_t>(a.links[static_cast<std::size_t>(l)].dst_chip);
+        if (dist[nb][home] == dist[ci][home] - 1) candidates.push_back(p);
+      }
+      // The pick is one of the equal-cost trunks, hashed by destination.
+      ASSERT_FALSE(candidates.empty()) << "chip " << c << " host " << h;
+      EXPECT_EQ(a.next_hop[ci][h], candidates[h % candidates.size()])
+          << "chip " << c << " host " << h;
+      widest = std::max(widest, candidates.size());
+    }
+  }
+  EXPECT_GE(widest, 2u);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <array>
 
+#include "common/types.h"
+
 namespace raw::common {
 namespace {
 
@@ -37,24 +39,6 @@ TEST(RunningStatTest, ResetClears) {
   s.reset();
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(RateMeterTest, ConvertsToGbpsAndMpps) {
-  RateMeter m;
-  // 1,000 packets of 1,024 bytes over 1,000,000 cycles at 250 MHz:
-  // bytes*8*clock/cycles = 1024000*8*250e6/1e6 = 2.048e12 b/s? No:
-  // 1,024,000 bytes * 8 bits = 8.192e6 bits over 4 ms -> 2.048 Gbps.
-  for (int i = 0; i < 1000; ++i) m.on_packet(1024);
-  m.set_window(1000000);
-  EXPECT_NEAR(m.gbps(), 2.048, 1e-9);
-  EXPECT_NEAR(m.mpps(), 0.25, 1e-9);
-}
-
-TEST(RateMeterTest, ZeroWindowIsZeroRate) {
-  RateMeter m;
-  m.on_packet(100);
-  EXPECT_EQ(m.gbps(), 0.0);
-  EXPECT_EQ(m.mpps(), 0.0);
 }
 
 TEST(JainFairnessTest, PerfectFairness) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "router/raw_router.h"
 #include "sim/fault_plan.h"
@@ -34,6 +35,19 @@ TEST(RouterConfigTest, RejectsFifoTooShallowForHeader) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   EXPECT_THROW(RawRouter(cfg, net::RouteTable::simple4(), traffic(), 1),
                std::invalid_argument);
+  // Fragments must not fall below the header floor either: a quantum cap
+  // of 8 words cuts some tails to 4, a cap of 9 never below 5.
+  cfg = RouterConfig{};
+  cfg.runtime.quantum_max_words = 8;
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "a quantum of 8 words must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("quantum_max_words"),
+              std::string::npos) << e.what();
+  }
+  cfg.runtime.quantum_max_words = 9;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(RouterConfigTest, RejectsZeroLineCardQueue) {

@@ -78,7 +78,7 @@ void print_usage(std::FILE* out) {
       "  --bytes B         fixed packet size in bytes (default 256)\n"
       "  --load L          offered load in (0,1] (default 1.0)\n"
       "  --pattern P       uniform | permutation (default uniform)\n"
-      "  --quantum W       max words per routing quantum (default 256)\n"
+      "  --quantum W       max words per routing quantum (>= 9, default 256)\n"
       "  --seed S          traffic RNG seed (default 1)\n"
       "  --json            dump the full metric registry as JSON (no dashboard)\n"
       "  --csv             dump the full metric registry as CSV (no dashboard)\n"
@@ -481,7 +481,6 @@ void print_cluster_dashboard(const Args& args, const MetricRegistry& reg,
 
 int run_cluster(const Args& args) {
   raw::cluster::ClusterConfig cfg;
-  cfg.topology = raw::cluster::TopologyKind::kLeafSpine;
   cfg.num_chips = args.cluster_chips;
   cfg.threads = args.threads;
   cfg.traffic.size = raw::net::SizeDist::kFixed;
@@ -634,7 +633,8 @@ int main(int argc, char** argv) {
     return args.cluster_chips > 0 ? run_cluster(args) : run_router(args);
   } catch (const std::invalid_argument& e) {
     // A configuration validate() rejects (a cluster size the fabric cannot
-    // build): a usage error, not a crash.
+    // build, a quantum below the router's fragment floor): a usage error,
+    // not a crash.
     std::fprintf(stderr, "rawstat: %s\n", e.what());
     return 2;
   }
