@@ -152,6 +152,7 @@ SoakReport run_soak(const SoakSpec& spec) {
     rep.checkpoints_captured += r.checkpoints_captured;
     rep.link_retransmits += r.link_retransmits;
     if (r.degraded) ++rep.recoveries;
+    rep.dense_sweeps += prof.dense_sweeps();
 
     const bool passed = r.pass;
     SoakEpochResult er;
@@ -235,6 +236,7 @@ std::string SoakReport::to_json() const {
   json::append_field(s, "checkpoints_captured", checkpoints_captured);
   json::append_field(s, "link_retransmits", link_retransmits);
   json::append_field(s, "recoveries", recoveries);
+  json::append_field(s, "dense_sweeps", dense_sweeps);
   s += "},\n  \"memory\": {\"rss_first\": ";
   s += std::to_string(rss_first);
   json::append_field(s, "rss_last", rss_last);

@@ -88,6 +88,9 @@ struct SoakReport {
   std::uint64_t checkpoints_captured = 0;
   std::uint64_t link_retransmits = 0;
   std::uint64_t recoveries = 0;  // epochs that ended degraded
+  // Cycles stepped densely, summed over epochs: 0 unless the spec forces
+  // dense stepping, since every fault the rotation injects is sparse-exact.
+  std::uint64_t dense_sweeps = 0;
   std::uint64_t rss_first = 0;
   std::uint64_t rss_last = 0;
   std::uint64_t rss_peak = 0;

@@ -125,9 +125,6 @@ void Chip::add_device(Device* device) {
 
 void Chip::set_fault_plan(FaultPlan* plan, int num_ports) {
   if (plan != nullptr) plan->bind(*this, num_ports);
-  // Entering (or leaving) fault mode switches the stepping density; start
-  // from a fully runnable set either way.
-  wake_all_parked();
   faults_ = plan;
 }
 
@@ -177,10 +174,18 @@ void Chip::step_agents(bool dense) {
   // progress until an event wakes them. Agents blocked on a
   // fault-stalled link stay runnable (the stall expires by time, not by a
   // channel event), and a fault that mutates a channel with parked agents
-  // wakes them (Channel::fault_wake), so flips and stalls are exact here;
-  // only tile-freeze windows force dense stepping (see dense_cycle()).
+  // wakes them (Channel::fault_wake), so flips and stalls are exact here.
+  // A frozen tile is skipped, as the dense path skips it. On its first
+  // frozen cycle its parked agents are credited through the cycle before
+  // and made runnable, so the freeze credits nothing and the thaw finds
+  // them stepping again; a wake already queued for one is then ignored.
+  const bool freezing = faults != nullptr && faults->any_tile_frozen();
   for (int t = 0; t < n; ++t) {
     const std::uint8_t f = run_flags_[static_cast<std::size_t>(t)];
+    if (freezing && faults->tile_frozen(t)) {
+      if (f != 3) unpark_tile(t, now - 1);
+      continue;
+    }
     if (f == 0) continue;
     Tile& tl = *tiles_[static_cast<std::size_t>(t)];
     if ((f & 1u) != 0) {
@@ -276,11 +281,14 @@ void Chip::credit_agent(std::int32_t aid, Park& park, common::Cycle upto) {
 }
 
 void Chip::wake_agent(std::int32_t aid, common::Cycle counted_through) {
+  std::uint8_t& f = run_flags_[static_cast<std::size_t>(aid >> 1)];
+  const auto bit = static_cast<std::uint8_t>(1u << (aid & 1));
+  // Runnable already: its frozen tile unparked it after the wake was queued.
+  if ((f & bit) != 0) return;
   Park& p = parks_[static_cast<std::size_t>(aid)];
   credit_agent(aid, p, counted_through);
   p.slot = nullptr;  // the event emptied the slot when it fired
-  run_flags_[static_cast<std::size_t>(aid >> 1)] |=
-      static_cast<std::uint8_t>(1u << (aid & 1));
+  f |= bit;
   --parked_count_;
   if (profiler_ != nullptr) profiler_->count_wake();
 }
@@ -304,21 +312,24 @@ void Chip::wake_all_parked() {
   const common::Cycle upto = engine_.now == 0 ? 0 : engine_.now - 1;
   const int n = num_tiles();
   for (int t = 0; t < n; ++t) {
-    std::uint8_t& f = run_flags_[static_cast<std::size_t>(t)];
-    if (f == 3) continue;
-    for (int a = 0; a < 2; ++a) {
-      if ((f & (1u << a)) != 0) continue;
-      const std::int32_t aid = 2 * t + a;
-      Park& p = parks_[static_cast<std::size_t>(aid)];
-      credit_agent(aid, p, upto);
-      if (p.slot != nullptr) {
-        if (*p.slot == aid) *p.slot = -1;
-        p.slot = nullptr;
-      }
-    }
-    f = 3;
+    if (run_flags_[static_cast<std::size_t>(t)] != 3) unpark_tile(t, upto);
   }
-  parked_count_ = 0;
+}
+
+void Chip::unpark_tile(int tile, common::Cycle upto) {
+  std::uint8_t& f = run_flags_[static_cast<std::size_t>(tile)];
+  for (int a = 0; a < 2; ++a) {
+    if ((f & (1u << a)) != 0) continue;
+    const std::int32_t aid = 2 * tile + a;
+    Park& p = parks_[static_cast<std::size_t>(aid)];
+    credit_agent(aid, p, upto);
+    if (p.slot != nullptr) {
+      if (*p.slot == aid) *p.slot = -1;
+      p.slot = nullptr;
+    }
+    --parked_count_;
+  }
+  f = 3;
 }
 
 std::string Chip::check_engine_invariants() const {

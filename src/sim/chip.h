@@ -79,12 +79,12 @@ class Chip {
   /// target throws std::invalid_argument and leaves the chip planless) and
   /// then stepped every cycle before devices run. `num_ports` is how many
   /// line-card ports the chip's devices serve, the range an overrun may
-  /// target; a bare chip serves none. The chip does not own the plan. A
-  /// chip with a plan attached steps sparsely except around tile-freeze
-  /// windows (the only fault the sparse path cannot honour — a frozen tile
-  /// must be *skipped*, which the park lists know nothing about; flips and
-  /// stalls instead wake the mutated channel's parked agents). Behaviour is
-  /// bit-identical to a planless chip once the plan is empty.
+  /// target; a bare chip serves none. The chip does not own the plan. Every
+  /// fault is exact under sparse stepping: flips and stalls wake the
+  /// mutated channel's parked agents, and a frozen tile is skipped (its
+  /// parked agents are returned to the runnable set on the first frozen
+  /// cycle). Behaviour is bit-identical to a planless chip once the plan is
+  /// empty.
   void set_fault_plan(FaultPlan* plan, int num_ports = 0);
   [[nodiscard]] FaultPlan* fault_plan() const { return faults_; }
 
@@ -225,15 +225,11 @@ class Chip {
   [[nodiscard]] Channel* out_link(int net, int tile, Dir dir) const;
   [[nodiscard]] Channel* in_link(int net, int tile, Dir dir) const;
 
-  /// True when this cycle must step densely: an attached fault plan is in
-  /// (or entering) a tile-freeze window, the utilization trace window is
-  /// open (it records every tile every cycle), or dense mode is forced.
-  /// Evaluated at the top of the cycle, before the plan fires — hence
-  /// FaultPlan::requires_dense's lookahead.
+  /// True when this cycle must step densely: dense mode is forced, or the
+  /// utilization trace window is open (it records every tile every cycle).
+  /// Faults never force it (see set_fault_plan).
   [[nodiscard]] bool dense_cycle() const {
-    return force_dense_ ||
-           (faults_ != nullptr && faults_->requires_dense(engine_.now)) ||
-           trace_.active(engine_.now);
+    return force_dense_ || trace_.active(engine_.now);
   }
 
   /// One serial cycle of the sparse engine (no entry revalidation, no exit
@@ -260,6 +256,9 @@ class Chip {
   /// Settles and returns every parked agent to the runnable set (run-entry
   /// revalidation and dense-mode transitions).
   void wake_all_parked();
+  /// Credits `tile`'s parked agents through `upto`, empties their wake
+  /// slots and returns them to the runnable set.
+  void unpark_tile(int tile, common::Cycle upto);
 
   ChipConfig config_;
   // Declared before everything that runs on its clock.

@@ -1,6 +1,6 @@
 #include "sim/dynamic_network.h"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/assert.h"
 
@@ -26,6 +26,7 @@ DynamicNetwork::DynamicNetwork(EngineState& engine, GridShape shape,
       routers_(static_cast<std::size_t>(shape.num_tiles())),
       links_(routers_.size()),
       in_(routers_.size()),
+      next_(routers_.size()),
       route_(routers_.size() * routers_.size()),
       eject_wait_(routers_.size(), -1),
       engine_(engine) {
@@ -48,6 +49,8 @@ DynamicNetwork::DynamicNetwork(EngineState& engine, GridShape shape,
     for (const Dir d : kMeshDirs) {
       const TileCoord nb = GridShape::neighbor(here, d);
       if (!shape_.contains(nb)) continue;
+      next_[ti][static_cast<std::size_t>(d)] =
+          static_cast<std::uint32_t>(shape_.index(nb));
       in_[ti][static_cast<std::size_t>(d)] =
           links_[static_cast<std::size_t>(shape_.index(nb))]
                 [static_cast<std::size_t>(opposite(d))]
@@ -88,6 +91,8 @@ void DynamicNetwork::inject(int tile, int dest_tile,
   q.push(make_dyn_header(tile, dest_tile, static_cast<std::uint32_t>(payload.size())));
   for (const common::Word w : payload) q.push(w);
   net_words_ += payload.size() + 1;
+  routers_[static_cast<std::size_t>(tile)].waiting +=
+      static_cast<std::uint32_t>(payload.size() + 1);
 }
 
 bool DynamicNetwork::has_eject(int tile) const {
@@ -108,93 +113,122 @@ void DynamicNetwork::step() {
   // round-robin pointers only advance when an input is chosen).
   if (net_words_ == 0) return;
   for (std::size_t t = 0; t < routers_.size(); ++t) {
-    auto& inject = inject_[t];
-    const std::array<Channel*, 4>& in = in_[t];
-    // Idle-router skip, exact for the same reason per router: with its
-    // inject queue and incoming links empty no input has a flit, so nothing
-    // is chosen and no pointer moves. (Flits routed by other routers this
-    // cycle are staged, not yet readable here.)
-    if (inject.empty() &&
-        std::all_of(in.begin(), in.end(), [](const Channel* ch) {
-          return ch == nullptr || ch->occupancy() == 0;
-        })) {
-      continue;
+    // Idle-router skip, exact for the same reason per router: with no word
+    // waiting at its inputs nothing is chosen and no pointer moves. The
+    // count also holds words staged toward it this cycle, which are not yet
+    // readable; such a router finds no head and changes nothing.
+    if (routers_[t].waiting != 0) step_router(t);
+  }
+}
+
+void DynamicNetwork::step_router(std::size_t t) {
+  constexpr std::uint32_t kAll = (1u << kNumInputs) - 1;
+  Router& r = routers_[t];
+  auto& inject = inject_[t];
+  const std::array<Channel*, 4>& in = in_[t];
+  const std::size_t n = routers_.size();
+
+  // Each input's head, read once. A read leaves a link unreadable for the
+  // rest of the cycle (one flit per link per cycle), but an inject pop
+  // exposes the next word at once, so only the inject head is refreshed.
+  std::array<common::Word, kNumInputs> head{};
+  std::uint32_t ready = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    Channel* ch = in[i];
+    if (ch != nullptr && ch->can_read()) {
+      head[i] = ch->front();
+      ready |= 1u << i;
     }
-    Router& r = routers_[t];
-    for (std::size_t o = 0; o < kNumOutputs; ++o) {
-      // Pick the sending input: a locked worm continues; otherwise arbitrate
-      // round-robin among inputs whose head flit is a header routed to o.
-      std::optional<std::size_t> chosen = r.locked_input[o];
-      if (!chosen.has_value()) {
-        for (std::size_t k = 0; k < kNumInputs; ++k) {
-          const std::size_t i = (r.rr[o] + k) % kNumInputs;
-          if (r.locked_output[i].has_value()) continue;  // busy with a worm
-          common::Word head = 0;
-          if (i == kInjectPort) {
-            if (inject.empty()) continue;
-            head = inject.front();
-          } else {
-            Channel* ch = in[i];
-            if (ch == nullptr || !ch->can_read()) continue;
-            head = ch->front();
-          }
-          if (route(t, head) != o) continue;
-          chosen = i;
-          r.rr[o] = (i + 1) % kNumInputs;
-          break;
-        }
-      }
-      if (!chosen.has_value()) continue;
-      const std::size_t i = *chosen;
+  }
+  if (!inject.empty()) {
+    head[kInjectPort] = inject.front();
+    ready |= 1u << kInjectPort;
+  }
 
-      // Source word available this cycle?
-      common::Word word = 0;
-      if (i == kInjectPort) {
-        if (inject.empty()) continue;
-        word = inject.front();
-      } else {
-        Channel* ch = in[i];
-        if (ch == nullptr || !ch->can_read()) continue;
-        word = ch->front();
-      }
+  // req[o]: unlocked inputs whose head (a header) routes to output o, from
+  // the X-first table. `off_chip`: unlocked inputs whose header names a tile
+  // off the grid. inject() admits only on-chip destinations, so only a
+  // header corrupted in flight lands there; it requests every output, and
+  // the arbiter that picks it aborts, as a full scan reaching it would.
+  std::array<std::uint32_t, kNumOutputs> req{};
+  std::uint32_t off_chip = 0;
+  const auto request = [&](std::size_t i) {
+    const auto dest = static_cast<std::size_t>(dyn_header_dest(head[i]));
+    if (dest < n) {
+      req[route_[t * n + dest]] |= 1u << i;
+    } else {
+      off_chip |= 1u << i;
+    }
+  };
+  for (std::uint32_t m = ready & ~r.locked; m != 0; m &= m - 1) {
+    request(static_cast<std::size_t>(std::countr_zero(m)));
+  }
 
-      // Destination space available?
-      const bool eject = o == kEjectPort;
-      Channel* out = eject ? nullptr : links_[t][o].get();
-      if (eject ? eject_[t].full() : !out->can_write()) continue;
+  for (std::size_t o = 0; o < kNumOutputs; ++o) {
+    // Pick the sending input: a locked worm continues; otherwise the first
+    // requester at or after the round-robin pointer wins.
+    std::size_t i = r.in_of[o];
+    if (i == kFree) {
+      const std::uint32_t cand = req[o] | off_chip;
+      if (cand == 0) continue;
+      const unsigned p = r.rr[o];
+      const std::uint32_t rot = ((cand >> p) | (cand << (kNumInputs - p))) & kAll;
+      i = p + static_cast<std::size_t>(std::countr_zero(rot));
+      if (i >= kNumInputs) i -= kNumInputs;
+      RAW_ASSERT_MSG((off_chip & (1u << i)) == 0,
+                     "dynamic header names an off-chip tile");
+      r.rr[o] = static_cast<std::uint8_t>(i + 1 == kNumInputs ? 0 : i + 1);
+    } else if ((ready & (1u << i)) == 0) {
+      continue;  // the worm's next flit has not arrived
+    }
 
-      // Transfer one flit.
-      if (i == kInjectPort) {
-        inject.pop();
-      } else {
-        (void)in[i]->read();
-      }
-      if (eject) {
-        eject_[t].push(word);
-        --net_words_;
-        engine_.wake(eject_wait_[t]);
-      } else {
-        out->write(word);
-      }
-      ++flits_routed_;
+    // Destination space available? (The pointer above has moved anyway.)
+    const bool eject = o == kEjectPort;
+    Channel* out = eject ? nullptr : links_[t][o].get();
+    if (eject ? eject_[t].full() : !out->can_write()) continue;
 
-      const bool was_header = !r.locked_output[i].has_value();
-      if (was_header) {
-        r.flits_left[i] = dyn_header_len(word);
-        if (r.flits_left[i] > 0) {
-          r.locked_output[i] = o;
-          r.locked_input[o] = i;
-        } else if (o == kEjectPort) {
-          ++messages_delivered_;
-        }
-      } else {
-        RAW_ASSERT(r.flits_left[i] > 0);
-        if (--r.flits_left[i] == 0) {
-          r.locked_output[i].reset();
-          r.locked_input[o].reset();
-          if (o == kEjectPort) ++messages_delivered_;
-        }
+    // Transfer one flit.
+    const common::Word word = head[i];
+    if (i == kInjectPort) {
+      inject.pop();
+    } else {
+      (void)in[i]->read_ready();
+    }
+    ready &= ~(1u << i);
+    --r.waiting;
+    if (eject) {
+      eject_[t].push(word);
+      --net_words_;
+      engine_.wake(eject_wait_[t]);
+    } else {
+      out->write_ready(word);
+      ++routers_[next_[t][o]].waiting;
+    }
+    ++flits_routed_;
+
+    if ((r.locked & (1u << i)) == 0) {  // a header
+      r.flits_left[i] = dyn_header_len(word);
+      if (r.flits_left[i] > 0) {
+        r.in_of[o] = static_cast<std::uint8_t>(i);
+        r.locked |= 1u << i;
+      } else if (eject) {
+        ++messages_delivered_;
       }
+    } else {
+      RAW_ASSERT(r.flits_left[i] > 0);
+      if (--r.flits_left[i] == 0) {
+        r.in_of[o] = kFree;
+        r.locked &= ~(1u << i);
+        if (eject) ++messages_delivered_;
+      }
+    }
+
+    // The next inject word is readable at once; once the lock update above
+    // is done, an unlocked inject port requests for its new header.
+    if (i == kInjectPort && !inject.empty()) {
+      head[kInjectPort] = inject.front();
+      ready |= 1u << kInjectPort;
+      if ((r.locked & (1u << kInjectPort)) == 0) request(kInjectPort);
     }
   }
 }

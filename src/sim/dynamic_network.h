@@ -6,21 +6,25 @@
 // locks each router output it acquires until its tail flit passes, exactly
 // like the hardware; one flit crosses each link per cycle.
 //
-// The Raw router design in this repository does not switch packets over the
-// dynamic network (the whole point of the thesis is that the *static*
-// network can do it faster); the dynamic network exists because the
-// architecture has one — it carries cache-miss/memory traffic and is used by
-// the non-blocking-memory future-work example (§8.2).
+// The Raw router's fast path switches packets over the *static* network (the
+// thesis' point is that it can do so faster). The dynamic network carries the
+// lookup requests and replies between ingress and lookup tiles, the
+// non-blocking-memory example's traffic (§8.2), and, after recovery from a
+// permanent tile freeze, every packet of the degraded router
+// (router/recovery.cc).
+//
+// Arbitration works like a crossbar scheduler: each router reads its input
+// heads once per cycle into per-output request bitmaps, and a round-robin
+// pointer picks the next requester with a rotate and a count of trailing
+// zeros. A router with no word waiting at any input is skipped.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "common/assert.h"
 #include "common/ring_buffer.h"
 #include "common/types.h"
 #include "sim/channel.h"
@@ -104,24 +108,24 @@ class DynamicNetwork {
   static constexpr std::size_t kEjectPort = 4;
   static constexpr std::size_t kInjectPort = 4;
 
+  static constexpr std::uint8_t kFree = 0xff;
+
   struct Router {
-    // locked_output[i]: output currently owned by input i's worm, if any.
-    std::array<std::optional<std::size_t>, kNumInputs> locked_output{};
+    // in_of[o]: input whose worm currently owns output o, or kFree.
+    std::array<std::uint8_t, kNumOutputs> in_of{kFree, kFree, kFree, kFree, kFree};
+    // Bit i set: input i's worm owns an output.
+    std::uint32_t locked = 0;
     std::array<std::uint32_t, kNumInputs> flits_left{};
-    // locked_input[o]: input currently owning output o, if any.
-    std::array<std::optional<std::size_t>, kNumOutputs> locked_input{};
-    // Round-robin arbitration pointer per output.
-    std::array<std::size_t, kNumOutputs> rr{};
+    // Round-robin arbitration pointer per output: the input tried first.
+    std::array<std::uint8_t, kNumOutputs> rr{};
+    // Words at this router's inputs: its inject queue plus every word
+    // written (staged or committed) into its incoming links and not yet
+    // read. Zero means no input can have a flit, so step() skips it.
+    std::uint32_t waiting = 0;
   };
 
-  /// Router output for a head flit at `tile`, from the X-first table.
-  [[nodiscard]] std::size_t route(std::size_t tile, common::Word header) const {
-    const auto dest = static_cast<std::size_t>(dyn_header_dest(header));
-    // inject() admits only on-chip destinations; this bound keeps a header
-    // corrupted in flight from indexing past the table.
-    RAW_ASSERT_MSG(dest < routers_.size(), "dynamic header names an off-chip tile");
-    return route_[tile * routers_.size() + dest];
-  }
+  /// One router's share of step(): arbitration and flit transfer at `t`.
+  void step_router(std::size_t t);
 
   GridShape shape_;
   std::vector<Router> routers_;
@@ -130,6 +134,8 @@ class DynamicNetwork {
   // in_[tile][dir]: channel carrying flits *into* `tile` from dir (the
   // neighbour's link pointing back at it); null on the chip edge.
   std::vector<std::array<Channel*, 4>> in_;
+  // next_[tile][dir]: the tile links_[tile][dir] leads to.
+  std::vector<std::array<std::uint32_t, 4>> next_;
   // route_[tile * num_tiles + dest]: X-first output port toward dest.
   std::vector<std::uint8_t> route_;
   std::vector<common::RingBuffer<common::Word>> inject_;

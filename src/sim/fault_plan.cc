@@ -167,19 +167,18 @@ void FaultPlan::check_and_sort(const Chip* chip, int num_ports,
   std::stable_sort(events_.begin(), events_.end(),
                    [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
   next_ = 0;
-  next_freeze_ = 0;
   bound_ = true;
 }
 
 void FaultPlan::bind(Chip& chip, int num_ports) {
   check_and_sort(&chip, num_ports, 0, 0);
   targets_.assign(events_.size(), nullptr);
-  freeze_at_.clear();
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const FaultEvent& e = events_[i];
     if (!e.channel.empty()) targets_[i] = chip.find_channel(e.channel);
-    if (e.kind == FaultKind::kTileFreeze) freeze_at_.push_back(e.at);
   }
+  freezes_.clear();
+  frozen_.assign(static_cast<std::size_t>(chip.num_tiles()), 0);
 }
 
 void FaultPlan::bind(std::size_t num_links, int num_chips) {
@@ -190,11 +189,10 @@ void FaultPlan::step(Chip& chip) {
   RAW_ASSERT_MSG(bound_, "FaultPlan stepped before bind()");
   const common::Cycle now = chip.cycle();
   fire_due(now, [&](const FaultEvent& e) { return fire(chip, e); });
-  while (next_freeze_ < freeze_at_.size() && freeze_at_[next_freeze_] <= now) {
-    ++next_freeze_;
-  }
-  std::erase_if(freezes_, [now](const FreezeWindow& w) {
-    return !w.permanent && now >= w.until;
+  std::erase_if(freezes_, [this, now](const FreezeWindow& w) {
+    if (w.permanent || now < w.until) return false;
+    --frozen_[static_cast<std::size_t>(w.tile)];
+    return true;
   });
   std::erase_if(overruns_, [now](const OverrunWindow& w) { return now >= w.until; });
   frozen_tile_cycles_ += freezes_.size();
@@ -214,6 +212,7 @@ bool FaultPlan::fire(Chip& chip, const FaultEvent& e) {
       break;
     case FaultKind::kTileFreeze:
       freezes_.push_back({e.tile, now + e.duration, e.permanent});
+      ++frozen_[static_cast<std::size_t>(e.tile)];
       break;
     case FaultKind::kOverrun:
       overruns_.push_back({e.port, now + e.duration, e.factor});
@@ -241,12 +240,6 @@ void FaultPlan::count(const FaultEvent& e, bool hit) {
       ++overrun_bursts_;
       break;
   }
-}
-
-bool FaultPlan::tile_frozen(int tile) const {
-  // step() drops every window that has ended before anything asks.
-  return std::any_of(freezes_.begin(), freezes_.end(),
-                     [tile](const FreezeWindow& w) { return w.tile == tile; });
 }
 
 std::vector<int> FaultPlan::permanently_frozen_tiles() const {

@@ -120,20 +120,14 @@ class FaultPlan {
     }
   }
 
-  /// True while `tile` is inside an injected freeze window.
-  [[nodiscard]] bool tile_frozen(int tile) const;
-
-  /// True when cycle `now` must step the chip densely for fault fidelity: a
-  /// freeze window is active, or a scheduled freeze fires at (or before)
-  /// `now`. Bit flips and link stalls are exact under the sparse engine (the
-  /// mutated channel wakes any parked agent), but a frozen tile must be
-  /// *prevented* from stepping, which only the dense path checks. The
-  /// upcoming-freeze lookahead matters because the engine picks its stepping
-  /// mode at the top of a cycle, before this plan fires.
-  [[nodiscard]] bool requires_dense(common::Cycle now) const {
-    if (!freezes_.empty()) return true;
-    return next_freeze_ < freeze_at_.size() && freeze_at_[next_freeze_] <= now;
+  /// True while `tile` is inside an injected freeze window. O(1): the plan
+  /// keeps a count of open windows per tile.
+  [[nodiscard]] bool tile_frozen(int tile) const {
+    const auto t = static_cast<std::size_t>(tile);
+    return t < frozen_.size() && frozen_[t] != 0;
   }
+  /// True while any tile is inside a freeze window.
+  [[nodiscard]] bool any_tile_frozen() const { return !freezes_.empty(); }
 
   /// Tiles inside a *permanent* freeze window right now, sorted and
   /// deduplicated — the recovery controller's dead-tile set.
@@ -186,12 +180,10 @@ class FaultPlan {
   std::vector<FaultEvent> events_;
   std::vector<Channel*> targets_;  // parallel to events_ (null for non-channel)
   std::size_t next_ = 0;           // first unfired event after bind()
-  // Sorted fire cycles of every tile freeze, with a cursor advanced by
-  // step(): requires_dense() answers in O(1) without scanning the schedule.
-  std::vector<common::Cycle> freeze_at_;
-  std::size_t next_freeze_ = 0;
   bool bound_ = false;
   std::vector<FreezeWindow> freezes_;
+  // frozen_[tile]: open freeze windows on `tile` (sized by bind(Chip&)).
+  std::vector<std::uint32_t> frozen_;
   std::vector<OverrunWindow> overruns_;
   common::PacketTracer* tracer_ = nullptr;
 

@@ -356,15 +356,120 @@ TEST(ExecSparseDifferential, EventWaitsSurviveRecoveryThroughPermafreeze) {
     sim::FaultPlan plan(events);
     router.set_fault_plan(&plan);
     router.chip().set_force_dense(force_dense);
+    common::Profiler prof;
+    router.chip().set_profiler(&prof);
     (void)router.run(spec.run_cycles);
     (void)router.drain(20000);
     EXPECT_EQ(router.chip().check_engine_invariants(), "");
     EXPECT_TRUE(router.degraded());
+    // Neither the freeze nor the degraded mode after it steps densely.
+    EXPECT_EQ(force_dense ? prof.sparse_cycles() : prof.dense_sweeps(), 0u);
+    EXPECT_EQ(prof.dense_sweeps() + prof.sparse_cycles(), router.chip().cycle());
     return capture(router);
   };
   const RouterRun dense = run_one(true);
   EXPECT_GT(dense.delivered, 0u);
   EXPECT_EQ(run_one(false), dense);
+}
+
+// True when an agent of `tile` (2*tile, 2*tile+1) is parked in a wake slot:
+// a channel's reader, writer or count slot, or its eject slot.
+bool parked_in_slot(sim::Chip& chip, int tile) {
+  const auto mine = [tile](std::int32_t aid) { return aid >= 0 && aid / 2 == tile; };
+  for (sim::Channel* ch : chip.all_channels()) {
+    if (mine(ch->reader_slot()) || mine(ch->writer_slot()) || mine(ch->count_slot())) {
+      return true;
+    }
+  }
+  return mine(chip.dynamic_network().eject_slot(tile));
+}
+
+// Transient freezes under the sparse engine, which skips a frozen tile: its
+// parked agents are credited through the cycle before the freeze and made
+// runnable, and a wake already queued for one of them is ignored. Freezes
+// land on every tile, busy or parked, and one lands in the very cycle a
+// flip wakes the tile's parked switch: the switch is parked blocked-send on
+// a link that a freeze downstream has filled, and the flip on that full
+// link queues its wake before the freeze skips the tile.
+TEST(ExecSparseDifferential, TransientFreezesMatchDense) {
+  constexpr common::Cycle kCycles = 6000;
+  const auto freeze = [](common::Cycle at, int tile, std::uint64_t duration) {
+    return sim::FaultEvent{.kind = sim::FaultKind::kTileFreeze, .at = at,
+                           .tile = tile, .duration = duration};
+  };
+  std::vector<sim::FaultEvent> events;
+  for (int t = 0; t < 16; ++t) {
+    events.push_back(freeze(301 + 97 * static_cast<common::Cycle>(t), t,
+                            30 + 11 * static_cast<std::uint64_t>(t)));
+  }
+
+  // Runs the router to kCycles with `extra` events; `observe` sees the chip
+  // between cycles.
+  const auto run_one = [&events](bool force_dense,
+                                 const std::vector<sim::FaultEvent>& extra,
+                                 const auto& observe) {
+    router::RawRouter router(router::RouterConfig{}, net::RouteTable::simple4(),
+                             fixed_traffic(64, net::DestPattern::kUniform, 0.6), 21);
+    std::vector<sim::FaultEvent> all = events;
+    all.insert(all.end(), extra.begin(), extra.end());
+    sim::FaultPlan plan(all);
+    router.set_fault_plan(&plan);
+    router.chip().set_force_dense(force_dense);
+    router.chip().enable_channel_stats(true);
+    (void)router.chip().run_until(
+        [&] {
+          observe(router.chip());
+          return false;
+        },
+        kCycles);
+    EXPECT_EQ(router.chip().check_engine_invariants(), "");
+    return capture(router);
+  };
+
+  // Probe: the first cycle past 1000 that starts with a switch parked on a
+  // full static link (a freeze downstream backed it up). Adding events at
+  // that cycle changes nothing before it.
+  common::Cycle queued_wake_at = 0;
+  std::string full_link;
+  int writer_tile = -1;
+  (void)run_one(false, {}, [&](sim::Chip& chip) {
+    if (writer_tile >= 0 || chip.cycle() <= 1000) return;
+    for (sim::Channel* ch : chip.all_channels()) {
+      const std::int32_t aid = ch->writer_slot();
+      if (aid >= 0 && aid % 2 == 0 && ch->name().rfind("net", 0) == 0 &&
+          ch->occupancy() == ch->capacity()) {
+        queued_wake_at = chip.cycle();
+        full_link = ch->name();
+        writer_tile = aid / 2;
+        return;
+      }
+    }
+  });
+  ASSERT_NE(writer_tile, -1) << "no switch parked on a full link";
+  const std::vector<sim::FaultEvent> queued_wake = {
+      sim::FaultEvent{.kind = sim::FaultKind::kBitFlip, .at = queued_wake_at,
+                      .channel = full_link, .bit = 7},
+      freeze(queued_wake_at, writer_tile, 50)};
+
+  const auto ignore = [](sim::Chip&) {};
+  const RouterRun dense = run_one(true, queued_wake, ignore);
+  EXPECT_GT(dense.delivered, 0u);
+  int parked_at_freeze = 0;
+  int busy_at_freeze = 0;
+  bool switch_parked_at_flip = false;
+  const RouterRun sparse = run_one(false, queued_wake, [&](sim::Chip& chip) {
+    const common::Cycle now = chip.cycle();
+    if (now == queued_wake_at) {
+      switch_parked_at_flip = chip.find_channel(full_link)->writer_slot() == 2 * writer_tile;
+    }
+    for (const sim::FaultEvent& e : events) {
+      if (e.at == now) ++(parked_in_slot(chip, e.tile) ? parked_at_freeze : busy_at_freeze);
+    }
+  });
+  EXPECT_TRUE(switch_parked_at_flip);
+  EXPECT_GT(parked_at_freeze, 0);
+  EXPECT_GT(busy_at_freeze, 0);
+  EXPECT_EQ(sparse, dense);
 }
 
 // Run-boundary revalidation with processors parked in event waits: a

@@ -117,6 +117,7 @@ TEST(SoakTest, SmallGreenSoakPasses) {
   EXPECT_GT(rep.invariant_sweeps, 0u);
   EXPECT_GT(rep.checkpoints_captured, 0u);
   EXPECT_GT(rep.delivered, 0u);
+  EXPECT_EQ(rep.dense_sweeps, 0u);
   EXPECT_FALSE(rep.replay.attempted);
   const std::string json = rep.to_json();
   EXPECT_NE(json.find("\"soak/v1\""), std::string::npos);

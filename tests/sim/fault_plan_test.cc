@@ -9,6 +9,7 @@
 
 #include "common/json.h"
 #include "common/metrics.h"
+#include "common/profiler.h"
 #include "common/trace_event.h"
 #include "sim/chip.h"
 
@@ -259,31 +260,32 @@ TEST(FaultPlanTest, OverrunFactorWindows) {
   EXPECT_EQ(plan.overrun_bursts(), 1u);
 }
 
-TEST(FaultPlanTest, RequiresDenseOnlyAroundFreezeWindows) {
-  // Flips and stalls are sparse-safe (the mutated channel wakes its parked
-  // agents); only tile freezes force dense stepping, and only while a window
-  // is pending-at or active.
+TEST(FaultPlanTest, FreezeWindowsStepSparse) {
+  // Every fault is exact under sparse stepping: flips and stalls wake the
+  // mutated channel's parked agents, and a frozen tile is skipped. Neither
+  // the freeze window nor the cycle it fires in steps the chip densely.
   FaultPlan plan;
   Chip probe;
   const std::string edge = probe.io_port(0, 4, Dir::kWest).to_chip->name();
   plan.add(flip(10, edge));
   plan.add(freeze(100, 5, 20));
   Chip chip;
+  common::Profiler prof;
+  chip.set_profiler(&prof);
   chip.set_fault_plan(&plan);
 
-  EXPECT_FALSE(plan.requires_dense(0));
-  EXPECT_FALSE(plan.requires_dense(99));
-  // Lookahead: the engine picks its stepping mode at the top of the cycle,
-  // before the plan fires, so the fire cycle itself must already read dense.
-  EXPECT_TRUE(plan.requires_dense(100));
-
-  chip.run(150);  // the window fires at 100 and thaws at 120
+  chip.run(110);  // inside the window, which fires at 100
+  EXPECT_TRUE(plan.tile_frozen(5));
+  EXPECT_FALSE(plan.tile_frozen(4));
+  chip.run(40);  // thawed at 120
   EXPECT_EQ(plan.tile_freezes(), 1u);
-  EXPECT_FALSE(plan.requires_dense(chip.cycle()));
+  EXPECT_FALSE(plan.tile_frozen(5));
+  EXPECT_EQ(prof.sparse_cycles(), chip.cycle());
+  EXPECT_EQ(prof.dense_sweeps(), 0u);
   EXPECT_TRUE(plan.permanently_frozen_tiles().empty());
 }
 
-TEST(FaultPlanTest, PermanentFreezeForcesDenseForever) {
+TEST(FaultPlanTest, PermanentFreezeStepsSparse) {
   FaultPlan plan;
   FaultEvent e;
   e.kind = FaultKind::kTileFreeze;
@@ -292,12 +294,16 @@ TEST(FaultPlanTest, PermanentFreezeForcesDenseForever) {
   e.tile = 5;
   plan.add(e);
   Chip chip;
+  common::Profiler prof;
+  chip.set_profiler(&prof);
   chip.set_fault_plan(&plan);
 
-  EXPECT_FALSE(plan.requires_dense(49));
-  chip.run(100);
+  chip.run(49);
+  EXPECT_FALSE(plan.tile_frozen(5));
+  chip.run(51);
   EXPECT_TRUE(plan.tile_frozen(5));
-  EXPECT_TRUE(plan.requires_dense(chip.cycle()));
+  EXPECT_EQ(prof.sparse_cycles(), chip.cycle());
+  EXPECT_EQ(prof.dense_sweeps(), 0u);
   EXPECT_EQ(plan.permanently_frozen_tiles(), std::vector<int>{5});
 }
 
