@@ -213,7 +213,8 @@ Options parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--load") && i + 1 < argc) {
       opt.load = real_flag("--load", argv[++i], 0.0, true, 1.0, usage);
     } else if (!std::strcmp(argv[i], "--bytes") && i + 1 < argc) {
-      opt.bytes = positive<raw::common::ByteCount>("--bytes", argv[++i], usage);
+      // An IPv4 total length is 16 bits.
+      opt.bytes = positive<std::uint16_t>("--bytes", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
       opt.seed = non_negative<std::uint64_t>("--seed", argv[++i], usage);
     } else if (!std::strcmp(argv[i], "--serial-only")) {

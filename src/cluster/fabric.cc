@@ -78,8 +78,7 @@ void ClusterFabric::build_chip(int c) {
   node->core.ledger = &ledger_;
   // The full single-chip router mapping on every node, regardless of port
   // roles: an idle ingress just circulates EMPTY headers.
-  node->chip = router::build_router_chip(node->core, layout_, schedules_,
-                                         kChipDefaults.link_fifo_depth);
+  node->chip = router::build_router_chip(node->core, layout_, schedules_);
 
   node->traffic = std::make_unique<net::TrafficGen>(config_.traffic,
                                                     chip_seed(seed_, c));
@@ -490,16 +489,7 @@ std::uint64_t ClusterFabric::cluster_digest() const {
   for (const auto& n : nodes_) {
     mix(n->chip->state_digest());
     for (const router::PortCounters& ctr : n->core.counters) {
-      mix(ctr.packets_in);
-      mix(ctr.fragments);
-      mix(ctr.grants);
-      mix(ctr.lookups);
-      mix(ctr.ttl_drops);
-      mix(ctr.no_route_drops);
-      mix(ctr.malformed_drops);
-      mix(ctr.resync_slides);
-      mix(ctr.cut_through);
-      mix(ctr.reassembled);
+      ctr.fold_digest(h);
     }
   }
   for (const auto& in : inputs_) {

@@ -18,31 +18,32 @@ namespace raw::router {
 struct AnalyticModel {
   /// Control cycles per routing quantum at the crossbar (preamble
   /// instructions + processor rule evaluation + dispatch writes).
-  common::Cycle quantum_overhead_cycles = 28;
+  static constexpr common::Cycle quantum_overhead_cycles = 28;
   /// Serial per-packet cycles at the ingress (5-word header ingest, lookup
   /// round trip, header rewrite, local-header/grant exchange).
-  common::Cycle ingress_packet_cycles = 55;
-  int ports = 4;
-  double clock_hz = common::kRawClockHz;
+  static constexpr common::Cycle ingress_packet_cycles = 55;
+  static constexpr int ports = 4;
+  static constexpr double clock_hz = common::kRawClockHz;
 
   /// Cycles separating packet starts on one port at peak rate.
-  [[nodiscard]] common::Cycle cycles_per_packet(common::ByteCount bytes) const {
+  [[nodiscard]] static common::Cycle cycles_per_packet(
+      common::ByteCount bytes) {
     const common::Cycle words = common::words_for_bytes(bytes);
     return std::max(words + quantum_overhead_cycles, ingress_packet_cycles);
   }
 
-  [[nodiscard]] double peak_mpps(common::ByteCount bytes) const {
+  [[nodiscard]] static double peak_mpps(common::ByteCount bytes) {
     return static_cast<double>(ports) * clock_hz /
            static_cast<double>(cycles_per_packet(bytes)) / 1e6;
   }
 
-  [[nodiscard]] double peak_gbps(common::ByteCount bytes) const {
+  [[nodiscard]] static double peak_gbps(common::ByteCount bytes) {
     return peak_mpps(bytes) * static_cast<double>(bytes) * 8.0 / 1e3;
   }
 
   /// Streaming efficiency: fraction of a quantum the static network moves
   /// body words (what the Figure 7-3 utilization plot shows per tile).
-  [[nodiscard]] double link_efficiency(common::ByteCount bytes) const {
+  [[nodiscard]] static double link_efficiency(common::ByteCount bytes) {
     const auto words = static_cast<double>(common::words_for_bytes(bytes));
     return words / static_cast<double>(cycles_per_packet(bytes));
   }

@@ -9,13 +9,6 @@
 namespace raw::router {
 
 void RouterConfig::validate() const {
-  if (link_fifo_depth < net::Ipv4Header::kWords) {
-    throw std::invalid_argument(
-        "RouterConfig.link_fifo_depth must be >= " +
-        std::to_string(net::Ipv4Header::kWords) +
-        " (edge FIFOs hold a full IP header); got " +
-        std::to_string(link_fifo_depth));
-  }
   if (runtime.quantum_max_words >= 1 && runtime.quantum_max_words <= 8) {
     throw std::invalid_argument(
         "RouterConfig.runtime.quantum_max_words must be 0 (uncapped) or >= 9: "
@@ -28,11 +21,6 @@ void RouterConfig::validate() const {
         "RouterConfig.line_card_queue_words must be positive: a zero-capacity "
         "card queue drops every packet before it reaches the chip");
   }
-  if (watchdog.check_interval == 0) {
-    throw std::invalid_argument(
-        "RouterConfig.watchdog.check_interval must be positive: the run loop "
-        "checks the watchdog every check_interval cycles");
-  }
   if (threads < 0 || threads > 1) {
     throw std::invalid_argument(
         "RouterConfig.threads must be 0 or 1 (a chip steps serially); got " +
@@ -42,24 +30,6 @@ void RouterConfig::validate() const {
     throw std::invalid_argument(
         "RouterConfig.max_lookahead must be 0 or 1 (a chip steps one cycle "
         "at a time); got " + std::to_string(max_lookahead));
-  }
-  if (link.enabled && link.max_retries == 0) {
-    throw std::invalid_argument(
-        "RouterConfig.link.max_retries must be positive when reliable links "
-        "are enabled: a zero retransmit budget can never repair a word");
-  }
-  if (link.enabled && link.replay_depth < link.retransmit_rtt) {
-    throw std::invalid_argument(
-        "RouterConfig.link.replay_depth (" + std::to_string(link.replay_depth) +
-        ") must cover the retransmit round-trip (" +
-        std::to_string(link.retransmit_rtt) +
-        " cycles): words in flight during a NACK need replay frames");
-  }
-  if (link.enabled && link.replay_depth < link_fifo_depth) {
-    throw std::invalid_argument(
-        "RouterConfig.link.replay_depth (" + std::to_string(link.replay_depth) +
-        ") must be >= link_fifo_depth (" + std::to_string(link_fifo_depth) +
-        "): every buffered word needs its replay frame");
   }
   if (endurance.enabled) {
     if (endurance.invariant_cadence == 0) {
@@ -78,12 +48,12 @@ void RouterConfig::validate() const {
           "RouterConfig.endurance.checkpoint_ring must be positive: with no "
           "retained checkpoints a failure bundle has no replay anchor");
     }
-    if (endurance.invariant_cadence < watchdog.check_interval) {
+    if (endurance.invariant_cadence < kWatchdogCheckInterval) {
       throw std::invalid_argument(
           "RouterConfig.endurance.invariant_cadence (" +
           std::to_string(endurance.invariant_cadence) +
-          ") must be >= watchdog.check_interval (" +
-          std::to_string(watchdog.check_interval) +
+          ") must be >= the watchdog check interval (" +
+          std::to_string(kWatchdogCheckInterval) +
           "): the watchdog is the finer-grained net, sweeping invariants "
           "more often than it just re-reads unchanged counters");
     }
@@ -116,13 +86,8 @@ RawRouter::RawRouter(RouterConfig config, net::RouteTable table,
   core_.forwarding = &forwarding_;
   core_.config = config_.runtime;
   core_.ledger = &ledger_;
-  chip_ = build_router_chip(core_, layout_, compile_port_schedules(compiler_),
-                            config_.link_fifo_depth);
-  if (config_.link.enabled) {
-    chip_->enable_link_protection(sim::LinkProtectionParams{
-        config_.link.max_retries, config_.link.retransmit_rtt,
-        config_.link.replay_depth});
-  }
+  chip_ = build_router_chip(core_, layout_, compile_port_schedules(compiler_));
+  if (config_.link.enabled) chip_->enable_link_protection(kLinkProtection);
 
   // Every packet crosses this one chip: one TTL decrement from any source.
   static const std::vector<std::vector<int>> kOneHop(
@@ -142,7 +107,7 @@ RawRouter::RawRouter(RouterConfig config, net::RouteTable table,
   }
 
   if (config_.channel_stats) chip_->enable_channel_stats();
-  next_watchdog_ = config_.watchdog.check_interval;
+  next_watchdog_ = kWatchdogCheckInterval;
 }
 
 void RawRouter::set_tracer(common::PacketTracer* tracer) {
@@ -282,7 +247,6 @@ void RawRouter::flight_mark() {
 }
 
 bool RawRouter::check_watchdog() {
-  const WatchdogConfig& wd = config_.watchdog;
   const common::Cycle now = chip_->cycle();
 
   // Hard trip: nothing moved anywhere for the bound while work is queued.
@@ -292,8 +256,9 @@ bool RawRouter::check_watchdog() {
   // pre-recovery progress staleness must not re-trip before the degraded
   // fabric has had a full bound to move a word (vacuously true before the
   // first recovery, when last_recovery_cycle_ is 0).
-  if (now - chip_->last_progress_cycle() >= wd.no_progress_bound &&
-      now - last_recovery_cycle_ >= wd.no_progress_bound && work_pending()) {
+  if (now - chip_->last_progress_cycle() >= kWatchdogNoProgressBound &&
+      now - last_recovery_cycle_ >= kWatchdogNoProgressBound &&
+      work_pending()) {
     if (try_recover()) return false;
     ++watchdog_trips_;
     stall_report_ = build_stall_report(*chip_, layout_,
@@ -313,7 +278,7 @@ bool RawRouter::check_watchdog() {
     if (grants != starve_grants_[pi] || inputs_[pi]->idle()) {
       starve_grants_[pi] = grants;
       starve_since_[pi] = now;
-    } else if (now - starve_since_[pi] >= wd.starvation_bound) {
+    } else if (now - starve_since_[pi] >= kWatchdogStarvationBound) {
       starved.push_back(p);
     }
   }
@@ -435,9 +400,9 @@ void RawRouter::register_standard_invariants(sim::InvariantMonitor& monitor) {
   // interval (detection quantum) — beyond bound + 2 intervals the net
   // itself has failed. Mirrors check_watchdog's recovery grace.
   monitor.add_check("router/watchdog_liveness", [this]() -> std::string {
-    const WatchdogConfig& wd = config_.watchdog;
+    constexpr common::Cycle slack =
+        kWatchdogNoProgressBound + 2 * kWatchdogCheckInterval;
     const common::Cycle now = chip_->cycle();
-    const common::Cycle slack = wd.no_progress_bound + 2 * wd.check_interval;
     if (work_pending() && now - chip_->last_progress_cycle() > slack &&
         now - last_recovery_cycle_ > slack) {
       return "no forward progress for " +
@@ -458,7 +423,6 @@ bool RawRouter::sweep_invariants() {
 }
 
 RunStatus RawRouter::run(common::Cycle cycles) {
-  const WatchdogConfig& wd = config_.watchdog;
   const EnduranceConfig& en = config_.endurance;
   const common::Cycle deadline = chip_->cycle() + cycles;
   while (chip_->cycle() < deadline) {
@@ -472,7 +436,7 @@ RunStatus RawRouter::run(common::Cycle cycles) {
     // the next-due cycles strictly in the future after a drain, which keeps
     // its own schedule.
     if (now >= next_watchdog_) {
-      while (next_watchdog_ <= now) next_watchdog_ += wd.check_interval;
+      while (next_watchdog_ <= now) next_watchdog_ += kWatchdogCheckInterval;
       if (check_watchdog()) return RunStatus::kStalled;
     }
     if (now >= next_checkpoint_) {
@@ -502,13 +466,12 @@ bool RawRouter::drain(common::Cycle max_cycles) {
   // for the no-progress bound, whatever remains is lost (eaten by an
   // injected fault) and is written off so the accounting still closes. The
   // watchdog chunks count from the start of the drain.
-  const WatchdogConfig& wd = config_.watchdog;
   const common::Cycle deadline = chip_->cycle() + max_cycles;
   std::size_t last_in_flight = ledger_.in_flight.size();
   common::Cycle last_shrink = chip_->cycle();
   while (true) {
     const common::Cycle remaining = deadline - chip_->cycle();
-    common::Cycle chunk = std::min(wd.check_interval, remaining);
+    common::Cycle chunk = std::min(kWatchdogCheckInterval, remaining);
     if (next_invariant_ > chip_->cycle()) {
       chunk = std::min(chunk, next_invariant_ - chip_->cycle());
     }
@@ -547,7 +510,7 @@ bool RawRouter::drain(common::Cycle max_cycles) {
       last_shrink = chip_->cycle();
     } else if (std::all_of(inputs_.begin(), inputs_.end(),
                            [](const auto& in) { return in->idle(); }) &&
-               chip_->cycle() - last_shrink >= wd.no_progress_bound) {
+               chip_->cycle() - last_shrink >= kWatchdogNoProgressBound) {
       ledger_.erased_lost += ledger_.in_flight.size();
       ledger_.in_flight.clear();
       drain_outcome_ = DrainOutcome::kLossQuiesced;
@@ -609,16 +572,7 @@ std::uint64_t RawRouter::state_digest() const {
   mix(dropped_at_card());
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     const PortCounters& ctr = core_.counters[p];
-    mix(ctr.packets_in);
-    mix(ctr.fragments);
-    mix(ctr.grants);
-    mix(ctr.lookups);
-    mix(ctr.ttl_drops);
-    mix(ctr.no_route_drops);
-    mix(ctr.malformed_drops);
-    mix(ctr.resync_slides);
-    mix(ctr.cut_through);
-    mix(ctr.reassembled);
+    ctr.fold_digest(h);
     mix(ctr.dead_port_drops);
     const OutputLineCard& out = *outputs_[p];
     mix(out.delivered_packets());

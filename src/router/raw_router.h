@@ -24,20 +24,26 @@ namespace raw::router {
 
 /// Reliable-link layer (RouterConfig::link): per-word CRC tag + bounded
 /// NACK/retransmit on every static-network wire (see sim::Channel and
-/// DESIGN.md "Recovery model"). Off by default and zero-cost when disabled;
-/// when enabled, an injected bit flip becomes a retransmit stall (counted
-/// under faults/recovered/*) instead of a corrupted delivery.
+/// DESIGN.md "Recovery model"), tuned by kLinkProtection. Off by default and
+/// zero-cost when disabled; when enabled, an injected bit flip becomes a
+/// retransmit stall (counted under faults/recovered/*) instead of a
+/// corrupted delivery.
 struct LinkProtectionConfig {
   bool enabled = false;
-  /// Retransmit attempts per word before delivering it corrupt anyway (so a
-  /// hard-stuck wire degrades instead of wedging the fabric).
-  std::uint32_t max_retries = 3;
-  /// Modelled NACK round-trip: cycles the receiver stalls per retransmit.
-  common::Cycle retransmit_rtt = 4;
-  /// Sender-side replay ring depth (words). Must cover the link FIFO depth
-  /// (every buffered word needs its frame) and the retransmit round-trip.
-  std::size_t replay_depth = 8;
 };
+
+/// The reliable links' tuning: 3 retransmit attempts per word before
+/// delivering it corrupt anyway (so a hard-stuck wire degrades instead of
+/// wedging the fabric), a modelled NACK round-trip of 4 cycles the receiver
+/// stalls per retransmit, and a sender-side replay ring of 8 words.
+inline constexpr sim::LinkProtectionParams kLinkProtection{
+    .max_retries = 3, .retransmit_rtt = 4, .replay_depth = 8};
+static_assert(kLinkProtection.max_retries >= 1,
+              "a zero retransmit budget can never repair a word");
+static_assert(kLinkProtection.replay_depth >= kLinkProtection.retransmit_rtt,
+              "words in flight during a NACK need replay frames");
+static_assert(kLinkProtection.replay_depth >= kLinkFifoDepth,
+              "every buffered word needs its replay frame");
 
 /// Endurance-run instrumentation (soak tier): periodic invariant sweeps and
 /// a ring of checkpoint digests that a failure replay must reproduce. Off by
@@ -46,9 +52,9 @@ struct LinkProtectionConfig {
 /// invariant and checkpoint streams of the run loop are never due.
 struct EnduranceConfig {
   bool enabled = false;
-  /// Cycles between invariant sweeps. Must be >= the watchdog check
-  /// interval (the watchdog is the cheaper, tighter liveness net; sweeping
-  /// more often than it just re-reads unchanged counters).
+  /// Cycles between invariant sweeps. Must be >= kWatchdogCheckInterval
+  /// (the watchdog is the cheaper, tighter liveness net; sweeping more
+  /// often than it just re-reads unchanged counters).
   common::Cycle invariant_cadence = 16384;
   /// Cycles between checkpoint captures into the ring: run() captures at
   /// every multiple of this interval.
@@ -59,19 +65,12 @@ struct EnduranceConfig {
 
 struct RouterConfig {
   RuntimeConfig runtime;
-  /// FIFO depth of the static links (the edge FIFOs must hold a full IP
-  /// header, so >= 5; the hardware interface has similar small SRAM FIFOs).
-  std::size_t link_fifo_depth = 8;
   /// External line-card buffering per input port, in words (§4.4: buffering
   /// and dropping happen outside the chip).
   std::size_t line_card_queue_words = 1 << 15;
   /// Sample per-channel FIFO occupancy/backpressure every cycle (small
   /// constant cost per channel; off for throughput benches).
   bool channel_stats = false;
-  /// Progress watchdog (see router/watchdog.h). Always on: run() checks at
-  /// absolute multiples of `check_interval` and the checks read only
-  /// counters, so cycle-exact behaviour is unchanged.
-  WatchdogConfig watchdog;
   /// Kept only for the benchmark harness, which sets it; must be 0 or 1.
   int threads = 0;
   /// Kept only for the benchmark harness, which sets it; must be 0 or 1.
@@ -85,9 +84,8 @@ struct RouterConfig {
   EnduranceConfig endurance;
 
   /// Rejects configurations that would misbehave deep inside the fabric
-  /// (edge FIFOs too small to hold an IP header, a fragment cap of 1-8
-  /// words, a zero-capacity line-card queue, a zero watchdog interval, a reliable-link layer that cannot
-  /// cover its own FIFOs, threads or max_lookahead other than 0 or 1).
+  /// (a fragment cap of 1-8 words, a zero-capacity line-card queue,
+  /// threads or max_lookahead other than 0 or 1, broken endurance knobs).
   /// Throws std::invalid_argument with a message naming the field.
   void validate() const;
 };

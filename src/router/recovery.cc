@@ -65,7 +65,7 @@ TileTask degraded_ingress_body(RouterCore& core, int port,
   for (;;) {
     while (held < net::Ipv4Header::kWords) win[held++] = co_await read(csti);
 
-    co_await delay(core.config.header_proc_cost);  // checksum verify + TTL
+    co_await delay(kHeaderProcCost);  // checksum verify + TTL
     const std::optional<net::Ipv4Header> judged =
         judge_header(core, port, win, aligned, win, held);
     aligned = judged.has_value();
@@ -98,9 +98,9 @@ TileTask degraded_ingress_body(RouterCore& core, int port,
       const auto result = core.forwarding->lookup(hdr.dst);
       const unsigned lines = result.has_value()
                                  ? static_cast<unsigned>(result->accesses)
-                                 : core.config.lookup_lines;
-      co_await mem_delay(core.config.memory.table_access_cost(
-          lines, core.config.lookup_miss_ratio));
+                                 : kLookupLines;
+      co_await mem_delay(
+          kTileMemory.table_access_cost(lines, kLookupMissRatio));
       ++ctr.lookups;
       out_port = result.has_value() ? static_cast<Word>(result->value) : kNoRoute;
       if (tracing) {

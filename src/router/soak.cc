@@ -39,7 +39,13 @@ constexpr Rotation kRotation[] = {
     {"flip+stall+freeze+overrun", "uniform", 0.80},
     {"permafreeze", "imix", 0.90},
 };
+
 constexpr std::size_t kRotationSize = sizeof(kRotation) / sizeof(kRotation[0]);
+
+// Memory-flatness slack: the recent-window mean RSS may exceed the first
+// window's by this many bytes plus this fraction.
+constexpr std::uint64_t kMemSlackBytes = 64ull << 20;
+constexpr double kMemSlackFraction = 0.10;
 
 }  // namespace
 
@@ -123,9 +129,9 @@ SoakReport run_soak(const SoakSpec& spec) {
     sim::InvariantMonitor monitor;
     monitor.add_check(
         "soak/memory_flat",
-        [&mem, &spec]() -> std::string {
+        [&mem]() -> std::string {
           mem.sample(common::rss_bytes());
-          if (mem.flat(spec.mem_slack_bytes, spec.mem_slack_fraction)) {
+          if (mem.flat(kMemSlackBytes, kMemSlackFraction)) {
             return "";
           }
           return "rss not flat: " + mem.summary();
@@ -208,7 +214,7 @@ SoakReport run_soak(const SoakSpec& spec) {
   rep.rss_first = mem.first();
   rep.rss_last = mem.last();
   rep.rss_peak = mem.peak();
-  rep.mem_flat = mem.flat(spec.mem_slack_bytes, spec.mem_slack_fraction);
+  rep.mem_flat = mem.flat(kMemSlackBytes, kMemSlackFraction);
   if (rep.failure.empty() && !rep.mem_flat) {
     rep.failure = "memory not flat over the soak: " + mem.summary();
   }

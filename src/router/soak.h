@@ -42,10 +42,6 @@ struct SoakSpec {
   common::Cycle invariant_cadence = 16384;
   common::Cycle checkpoint_interval = 1u << 19;
   std::size_t checkpoint_ring = 4;
-  /// Memory-flatness slack: recent-window mean RSS may exceed the first
-  /// window's by this many bytes plus this fraction.
-  std::uint64_t mem_slack_bytes = 64ull << 20;
-  double mem_slack_fraction = 0.10;
   /// Soak self-test: soak-absolute cycle at which an always-failing check
   /// arms inside the owning epoch (0 = off). Proves the violation ->
   /// bundle -> replay path end to end.

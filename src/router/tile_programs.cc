@@ -115,7 +115,7 @@ TileTask ingress_body(RouterCore& core, int port, IngressSchedule s) {
     }
 
     if (have_candidate) {
-      co_await delay(core.config.header_proc_cost);  // checksum verify + TTL
+      co_await delay(kHeaderProcCost);  // checksum verify + TTL
       const std::optional<net::Ipv4Header> judged =
           judge_header(core, port, raw, aligned, win, held);
       if (!judged.has_value()) continue;
@@ -246,9 +246,8 @@ TileTask lookup_body(RouterCore& core, int port) {
     const auto result = core.forwarding->lookup(addr);
     const unsigned lines = result.has_value()
                                ? static_cast<unsigned>(result->accesses)
-                               : core.config.lookup_lines;
-    co_await mem_delay(core.config.memory.table_access_cost(
-        lines, core.config.lookup_miss_ratio));
+                               : kLookupLines;
+    co_await mem_delay(kTileMemory.table_access_cost(lines, kLookupMissRatio));
     ++ctr.lookups;
 
     const std::array<Word, 1> reply{
@@ -285,15 +284,14 @@ TileTask crossbar_body(RouterCore& core, int port, CrossbarSchedule s) {
 
     // Every tile evaluates the same rule on the same inputs (§6.5: a jump
     // table indexed while the previous body still streams).
-    co_await delay(core.config.rule_eval_cost);
+    co_await delay(kRuleEvalCost);
     std::array<HeaderReq, kNumPorts> reqs;
     for (int i = 0; i < kNumPorts; ++i) {
       reqs[static_cast<std::size_t>(i)] =
           headers[static_cast<std::size_t>(i)].to_request();
     }
-    RuleOptions options = core.config.rule;
-    options.quantum_cap = core.config.quantum_max_words;
-    const RingConfig cfg = evaluate_rule(reqs, token, options);
+    const RingConfig cfg = evaluate_rule(
+        reqs, token, RuleOptions{.quantum_cap = core.config.quantum_max_words});
 
     const TileConfig tc = project(cfg, reqs, me);
     ++ctr.quanta;
@@ -441,11 +439,10 @@ PortSchedules compile_port_schedules(const ScheduleCompiler& compiler) {
 
 std::unique_ptr<sim::Chip> build_router_chip(RouterCore& core,
                                              const Layout& layout,
-                                             const PortSchedules& schedules,
-                                             std::size_t link_fifo_depth) {
+                                             const PortSchedules& schedules) {
   sim::ChipConfig chip_cfg;
   chip_cfg.shape = sim::GridShape{4, 4};
-  chip_cfg.link_fifo_depth = link_fifo_depth;
+  chip_cfg.link_fifo_depth = kLinkFifoDepth;
   auto chip = std::make_unique<sim::Chip>(chip_cfg);
   core.chip = chip.get();
   core.layout = &layout;

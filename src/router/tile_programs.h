@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 
@@ -40,28 +41,39 @@
 
 namespace raw::router {
 
-/// Tunables of the router programs (costs from the thesis's constraints).
+/// Tunables of the router programs that a run sets.
 struct RuntimeConfig {
   /// Largest fragment streamed in one quantum (words). 256 words = 1,024
   /// bytes: the thesis's largest benchmarked packet crosses in one quantum.
   std::uint32_t quantum_max_words = 256;
-  RuleOptions rule;
   /// §8.7 weighted-token QoS: quanta the token stays with each port.
   std::array<std::uint32_t, kNumPorts> token_weights{1, 1, 1, 1};
   /// Ablation (§5.4): false freezes the token on port 0, reproducing the
   /// starvation behaviour of non-token (fixed-priority) arbitration.
   bool rotate_token = true;
-  sim::MemoryModel memory;
-  /// Route-table accesses per lookup and their cache-miss ratio (a
-  /// Degermark-style small forwarding table, [6] in the thesis).
-  unsigned lookup_lines = 2;
-  double lookup_miss_ratio = 0.05;
-  /// Cycles the crossbar processor spends indexing the configuration jump
-  /// table (§6.5) once all headers are in.
-  common::Cycle rule_eval_cost = 6;
-  /// Cycles the ingress processor spends on checksum verify + TTL update.
-  common::Cycle header_proc_cost = 4;
 };
+
+// Fixed costs of the 250 MHz chip the programs run on: calibrations of the
+// one design, not settings.
+
+/// The tile's data cache and DRAM backing (§3.2, §8.2).
+inline constexpr sim::MemoryModel kTileMemory{};
+/// Route-table cache lines a lookup touches when it finds no route, and the
+/// cache-miss ratio of every line (a Degermark-style small forwarding
+/// table, [6] in the thesis; §8.2).
+inline constexpr unsigned kLookupLines = 2;
+inline constexpr double kLookupMissRatio = 0.05;
+/// Cycles the crossbar processor spends indexing the configuration jump
+/// table once all headers are in (§6.5).
+inline constexpr common::Cycle kRuleEvalCost = 6;
+/// Cycles the ingress processor spends on checksum verify + TTL update
+/// (§4.2).
+inline constexpr common::Cycle kHeaderProcCost = 4;
+/// FIFO depth of the static links, in words. The edge FIFOs must hold a
+/// full IP header; the hardware interface has similar small SRAM FIFOs.
+inline constexpr std::size_t kLinkFifoDepth = 8;
+static_assert(kLinkFifoDepth >= net::Ipv4Header::kWords,
+              "edge FIFOs hold a full IP header");
 
 /// Counters shared between the programs and the harness.
 struct PortCounters {
@@ -81,6 +93,17 @@ struct PortCounters {
   std::uint64_t out_descs = 0;         // descriptors sent toward the egress
   std::uint64_t out_words = 0;         // body words promised to the egress
   std::uint64_t dead_port_drops = 0;   // degraded mode: destination tx died
+
+  /// Folds the counters the router and cluster digests share (packets_in
+  /// through reassembled, in that order) into an FNV-1a accumulator.
+  void fold_digest(std::uint64_t& h) const {
+    for (const std::uint64_t v :
+         {packets_in, fragments, grants, lookups, ttl_drops, no_route_drops,
+          malformed_drops, resync_slides, cut_through, reassembled}) {
+      h ^= v;
+      h *= 0x100000001b3ULL;
+    }
+  }
 };
 
 struct PacketLedger;
@@ -119,7 +142,7 @@ inline constexpr common::Word kNoRoute = 0xffffffffu;
 using HeaderWords = std::array<common::Word, net::Ipv4Header::kWords>;
 
 /// The header judge of the normal and the degraded ingress (the caller
-/// charges header_proc_cost first): returns the header when `words` passes
+/// charges kHeaderProcCost first): returns the header when `words` passes
 /// the structural check and the checksum. Otherwise the claimed length is
 /// untrustworthy: a candidate from a trusted packet boundary (`aligned`)
 /// counts a malformed drop and erases its uid's ledger entry (best effort),
@@ -131,13 +154,12 @@ std::optional<net::Ipv4Header> judge_header(RouterCore& core, int port,
                                             std::size_t& held);
 
 /// Builds one router chip: a 4x4 grid with the dynamic network (the lookup
-/// RPC path) and edge FIFOs of `link_fifo_depth` words. Points `core.chip`
+/// RPC path) and links of kLinkFifoDepth words. Points `core.chip`
 /// and `core.layout` at it, then loads every port's three switch schedules
 /// and four tile programs. The caller fills in the rest of `core` (tables,
 /// runtime config, ledger) beforehand and attaches the line cards after.
 std::unique_ptr<sim::Chip> build_router_chip(RouterCore& core,
                                              const Layout& layout,
-                                             const PortSchedules& schedules,
-                                             std::size_t link_fifo_depth);
+                                             const PortSchedules& schedules);
 
 }  // namespace raw::router

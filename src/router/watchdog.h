@@ -3,14 +3,15 @@
 // The Rotating Crossbar is deadlock-free by construction (§4.3): the quantum
 // ring circulates even when idle, so on a healthy chip *some* word crosses
 // *some* channel essentially every cycle. The watchdog exploits this: if no
-// word moves on any channel for `no_progress_bound` cycles while work is
-// still queued, the fabric has genuinely wedged (a frozen tile, a severed
-// link) and the run is stopped with a structured StallReport instead of
-// spinning silently forever. A second, softer check flags per-port
-// starvation — a port with queued input whose crossbar grant counter has not
-// advanced within `starvation_bound` — which is reported but does not stop
-// the run (an unfair token policy starves ports without wedging the fabric,
-// and ablation experiments do exactly that on purpose).
+// word moves on any channel for kWatchdogNoProgressBound cycles while work
+// is still queued, the fabric has genuinely wedged (a frozen tile, a
+// severed link) and the run is stopped with a structured StallReport
+// instead of spinning silently forever. A second, softer check flags
+// per-port starvation — a port with queued input whose crossbar grant
+// counter has not advanced within kWatchdogStarvationBound — which is
+// reported but does not stop the run (an unfair token policy starves ports
+// without wedging the fabric, and ablation experiments do exactly that on
+// purpose). The three bounds are constants of the one chip design.
 #pragma once
 
 #include <cstdint>
@@ -28,18 +29,15 @@ namespace raw::router {
 
 class Layout;
 
-struct WatchdogConfig {
-  /// Trip when no word crosses any channel for this many cycles while work
-  /// is queued. Must exceed the longest legitimate quiet spell; the idle
-  /// ring's period is tens of cycles, so 20k is ~3 orders of margin.
-  common::Cycle no_progress_bound = 20000;
-  /// Flag a port whose grant counter stalls for this long with input queued.
-  common::Cycle starvation_bound = 120000;
-  /// Cycles between watchdog checks, which fall at absolute multiples of it;
-  /// bounds detection latency and keeps the per-cycle hot path untouched.
-  /// Must be positive.
-  common::Cycle check_interval = 2048;
-};
+/// Trip when no word crosses any channel for this many cycles while work is
+/// queued. Must exceed the longest legitimate quiet spell; the idle ring's
+/// period is tens of cycles, so 20k is ~3 orders of margin.
+inline constexpr common::Cycle kWatchdogNoProgressBound = 20000;
+/// Flag a port whose grant counter stalls for this long with input queued.
+inline constexpr common::Cycle kWatchdogStarvationBound = 120000;
+/// Cycles between watchdog checks, which fall at absolute multiples of it;
+/// bounds detection latency and keeps the per-cycle hot path untouched.
+inline constexpr common::Cycle kWatchdogCheckInterval = 2048;
 
 /// Snapshot of why (and where) the fabric stopped, built when the watchdog
 /// trips. `tiles` lists every non-idle tile with its block cause so the

@@ -28,8 +28,6 @@ class DrainOutcomeTest : public ::testing::TestWithParam<int> {
     RouterConfig cfg;
     cfg.threads = GetParam();
     cfg.recovery.enabled = recovery;
-    cfg.watchdog.no_progress_bound = 6000;
-    cfg.watchdog.check_interval = 1024;
     return cfg;
   }
 };

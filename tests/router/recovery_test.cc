@@ -29,8 +29,6 @@ net::TrafficConfig traffic(double load = 0.9) {
 RouterConfig recovery_config() {
   RouterConfig cfg;
   cfg.recovery.enabled = true;
-  cfg.watchdog.no_progress_bound = 6000;
-  cfg.watchdog.check_interval = 1024;
   return cfg;
 }
 

@@ -137,8 +137,8 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--interval")) {
       a.interval = non_negative<Cycle>("--interval", next("--interval"), usage);
     } else if (!std::strcmp(argv[i], "--bytes")) {
-      a.bytes = positive<raw::common::ByteCount>("--bytes", next("--bytes"),
-                                                 usage);
+      // An IPv4 total length is 16 bits.
+      a.bytes = positive<std::uint16_t>("--bytes", next("--bytes"), usage);
     } else if (!std::strcmp(argv[i], "--load")) {
       a.load = real_flag("--load", next("--load"), 0.0, /*min_open=*/true,
                          1.0, usage);
@@ -412,33 +412,28 @@ void print_cluster_dashboard(const Args& args, const MetricRegistry& reg,
   const bool recovery_armed = fabric.config().reliable_links ||
                               fabric.config().failover ||
                               !fabric.config().faults.empty();
+  std::printf("\n%-6s %-12s %10s %12s %10s", "link", "route", "sent",
+              "delivered", "in-flight");
   if (recovery_armed) {
-    std::printf("\n%-6s %-12s %10s %12s %10s %9s %8s %5s\n", "link", "route",
-                "sent", "delivered", "in-flight", "rexmit", "wroff", "dead");
-    for (std::size_t l = 0; l < fabric.num_links(); ++l) {
-      const auto& plan = fabric.topology().links[l];
-      const std::string base = "cluster/link" + std::to_string(l);
-      char route[16];
-      std::snprintf(route, sizeof route, "%d.%d -> %d.%d", plan.src_chip,
-                    plan.src_port, plan.dst_chip, plan.dst_port);
-      std::printf("%-6zu %-12s %10llu %12llu %10llu %9llu %8llu %5s\n", l,
-                  route, c(base + "/sent_words"), c(base + "/delivered_words"),
-                  c(base + "/in_flight"), c(base + "/retransmits"),
+    std::printf(" %9s %8s %5s\n", "rexmit", "wroff", "dead");
+  } else {
+    std::printf(" %9s\n", "occ");
+  }
+  for (std::size_t l = 0; l < fabric.num_links(); ++l) {
+    const auto& plan = fabric.topology().links[l];
+    const std::string base = "cluster/link" + std::to_string(l);
+    char route[16];
+    std::snprintf(route, sizeof route, "%d.%d -> %d.%d", plan.src_chip,
+                  plan.src_port, plan.dst_chip, plan.dst_port);
+    std::printf("%-6zu %-12s %10llu %12llu %10llu", l, route,
+                c(base + "/sent_words"), c(base + "/delivered_words"),
+                c(base + "/in_flight"));
+    if (recovery_armed) {
+      std::printf(" %9llu %8llu %5s\n", c(base + "/retransmits"),
                   c(base + "/written_off"),
                   c(base + "/dead") != 0 ? "DEAD" : "-");
-    }
-  } else {
-    std::printf("\n%-6s %-12s %10s %12s %10s %9s\n", "link", "route",
-                "sent", "delivered", "in-flight", "occ");
-    for (std::size_t l = 0; l < fabric.num_links(); ++l) {
-      const auto& plan = fabric.topology().links[l];
-      const std::string base = "cluster/link" + std::to_string(l);
-      char route[16];
-      std::snprintf(route, sizeof route, "%d.%d -> %d.%d", plan.src_chip,
-                    plan.src_port, plan.dst_chip, plan.dst_port);
-      std::printf("%-6zu %-12s %10llu %12llu %10llu %9llu\n", l, route,
-                  c(base + "/sent_words"), c(base + "/delivered_words"),
-                  c(base + "/in_flight"), c(base + "/occupancy"));
+    } else {
+      std::printf(" %9llu\n", c(base + "/occupancy"));
     }
   }
   std::printf("trunk egress elastic buffers: %llu words queued "
