@@ -81,13 +81,34 @@ void BM_SmallTableLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_SmallTableLookup)->Arg(10000)->Arg(100000);
 
-void BM_SmallTableBuild(benchmark::State& state) {
-  const auto table = raw::net::RouteTable::random(10000, 4, 11);
+// A cluster chip's table: one 10.<host>.0.0/16 route per host, 32 hosts.
+raw::net::RouteTable leaf_table_32_hosts() {
+  raw::net::RouteTable table;
+  for (std::uint8_t h = 0; h < 32; ++h) {
+    table.add_route(raw::net::make_addr(10, h, 0, 0), 16, h % 4);
+  }
+  return table;
+}
+
+raw::net::RouteTable random_table_10000() {
+  return raw::net::RouteTable::random(10000, 4, 11);
+}
+
+// Compiling the table from its routes: the two shapes router and cluster
+// setup build, and a large random table.
+void BM_SmallTableBuild(benchmark::State& state,
+                        raw::net::RouteTable (*make_table)()) {
+  const raw::net::RouteTable table = make_table();
   for (auto _ : state) {
     benchmark::DoNotOptimize(raw::net::SmallTable::build(table.trie()));
   }
 }
-BENCHMARK(BM_SmallTableBuild);
+BENCHMARK_CAPTURE(BM_SmallTableBuild, simple4, &raw::net::RouteTable::simple4)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SmallTableBuild, leaf_32_hosts, &leaf_table_32_hosts)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SmallTableBuild, random_10000, &random_table_10000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_IslipMatch(benchmark::State& state) {
   const int ports = static_cast<int>(state.range(0));

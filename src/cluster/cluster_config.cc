@@ -4,6 +4,7 @@
 #include <string>
 
 #include "cluster/topology.h"
+#include "router/tile_programs.h"
 
 namespace raw::cluster {
 
@@ -42,6 +43,7 @@ void ClusterConfig::validate() const {
         "ClusterConfig.traffic.remote_fraction must be in [0, 1]; got " +
         std::to_string(traffic.remote_fraction));
   }
+  router::check_packet_bytes(traffic);
   if (failover && watchdog_interval == 0) {
     throw std::invalid_argument(
         "ClusterConfig.watchdog_interval must be positive when failover is "

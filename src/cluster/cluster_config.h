@@ -65,7 +65,8 @@ struct ClusterConfig {
 
   /// Rejects nonsensical knobs (a chip count outside [2, 32], zero link
   /// latency, a throttle that exceeds line rate, negative threads, a
-  /// remote fraction outside [0, 1], a zero watchdog interval with
+  /// remote fraction outside [0, 1], traffic that can draw a packet above
+  /// router::kMaxPacketBytes, a zero watchdog interval with
   /// fail-over armed, a fault event whose target is not a link or chip of
   /// the topology). Throws std::invalid_argument naming the field or the
   /// event.

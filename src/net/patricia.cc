@@ -71,20 +71,20 @@ std::optional<std::uint32_t> PatriciaTrie::find_exact(Addr prefix, int len) cons
   return n->value;
 }
 
-bool PatriciaTrie::has_longer_prefix(Addr prefix, int len) const {
-  const Node* n = root_.get();
-  for (int d = 0; d < len && n != nullptr; ++d) {
-    n = n->child[bit_at(prefix, d)].get();
-  }
-  if (n == nullptr) return false;
-  struct Scan {
-    static bool has_value(const Node* x) {
-      if (x == nullptr) return false;
-      if (x->value.has_value()) return true;
-      return has_value(x->child[0].get()) || has_value(x->child[1].get());
+void PatriciaTrie::for_each_route(
+    const std::function<void(Addr prefix, int len, std::uint32_t value)>& visit)
+    const {
+  struct Walk {
+    const std::function<void(Addr, int, std::uint32_t)>& visit;
+    void operator()(const Node* n, Addr prefix, int depth) const {
+      if (n == nullptr) return;
+      if (n->value.has_value()) visit(prefix, depth, *n->value);
+      if (depth == 32) return;
+      (*this)(n->child[0].get(), prefix, depth + 1);
+      (*this)(n->child[1].get(), prefix | Addr{1} << (31 - depth), depth + 1);
     }
   };
-  return Scan::has_value(n->child[0].get()) || Scan::has_value(n->child[1].get());
+  Walk{visit}(root_.get(), 0, 0);
 }
 
 }  // namespace raw::net

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -42,9 +43,12 @@ class PatriciaTrie {
   /// Exact-match probe (management plane).
   [[nodiscard]] std::optional<std::uint32_t> find_exact(Addr prefix, int len) const;
 
-  /// True when some route strictly longer than `len` lies under prefix/len
-  /// (used by the SmallTable compiler to decide where leaf-pushing stops).
-  [[nodiscard]] bool has_longer_prefix(Addr prefix, int len) const;
+  /// Calls visit(prefix, len, value) once per route, in address order: a
+  /// prefix comes before the longer routes under it (the SmallTable
+  /// compiler's route list).
+  void for_each_route(
+      const std::function<void(Addr prefix, int len, std::uint32_t value)>& visit)
+      const;
 
   [[nodiscard]] std::size_t size() const { return size_; }
 

@@ -1,6 +1,8 @@
 #include "net/small_table.h"
 
+#include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "common/assert.h"
 
@@ -22,40 +24,77 @@ std::uint32_t intern(std::vector<std::vector<std::uint32_t>>& store,
   return id;
 }
 
-std::uint32_t value_at(const PatriciaTrie& trie, Addr addr) {
-  const auto r = trie.lookup(addr);
-  return r.has_value() ? r->value + 1 : 0;  // leaf encoding
+/// A route as the compiler paints it: `leaf` is its value's leaf encoding.
+struct Route {
+  Addr prefix = 0;
+  int len = 0;
+  std::uint32_t leaf = 0;
+};
+
+/// Sort key: the routes of /16 or shorter first, shortest first (level 1);
+/// then the longer routes grouped by /16, each group's /17-/24 routes
+/// shortest first (its level-2 chunk) ahead of its /25-/32 routes grouped
+/// by /24 and shortest first within it (its level-3 chunks). Routes that
+/// tie have one length within one array, so they never overlap.
+std::tuple<bool, Addr, Addr, int> compile_order(const Route& r) {
+  if (r.len <= 16) return {false, 0, 0, r.len};
+  const Addr block24 = r.len <= 24 ? 0 : 1 + (r.prefix >> 8 & 0xff);
+  return {true, r.prefix >> 16, block24, r.len};
+}
+
+/// Paints `r` into `entries`, a level array with `stride`-bit indices whose
+/// entries each cover one /`depth` block: the route sets the 2^(depth -
+/// len) entries its prefix spans. Shorter routes are painted first, so a
+/// longer one overrides them.
+void paint(std::uint32_t* entries, const Route& r, int depth, int stride) {
+  const std::uint32_t first = r.prefix >> (32 - depth) & ((1u << stride) - 1);
+  std::fill_n(entries + first, std::size_t{1} << (depth - r.len), r.leaf);
 }
 
 }  // namespace
 
 SmallTable SmallTable::build(const PatriciaTrie& trie) {
+  std::vector<Route> routes;
+  routes.reserve(trie.size());
+  trie.for_each_route([&routes](Addr prefix, int len, std::uint32_t value) {
+    routes.push_back({prefix, len, value + 1});
+  });
+  std::sort(routes.begin(), routes.end(), [](const Route& a, const Route& b) {
+    return compile_order(a) < compile_order(b);
+  });
+
   SmallTable table;
-  table.level1_.resize(1u << 16);
+  table.level1_.assign(1u << 16, 0);
+  auto it = routes.begin();
+  // Leaf-push: each /16 range takes its longest /16-or-shorter route.
+  for (; it != routes.end() && it->len <= 16; ++it) {
+    paint(table.level1_.data(), *it, 16, 16);
+  }
+
+  // A /16 that holds a longer route gets a level-2 chunk, and a /24 that
+  // holds a route longer than /24 a level-3 chunk. Each chunk starts from
+  // the leaf of the level above; chunks intern in ascending address order,
+  // a /16's level-3 chunks before its level-2 chunk.
   std::map<Chunk, std::uint32_t> l2_index;
   std::map<Chunk, std::uint32_t> l3_index;
-
-  for (std::uint32_t p1 = 0; p1 < (1u << 16); ++p1) {
-    const Addr base1 = p1 << 16;
-    if (!trie.has_longer_prefix(base1, 16)) {
-      // Leaf-push: the whole /16 range shares one longest-prefix result.
-      table.level1_[p1] = value_at(trie, base1);
-      continue;
+  while (it != routes.end()) {
+    const Addr block16 = it->prefix >> 16;
+    Chunk l2(kChunkSize, table.level1_[block16]);
+    for (; it != routes.end() && it->prefix >> 16 == block16 && it->len <= 24;
+         ++it) {
+      paint(l2.data(), *it, 24, 8);
     }
-    Chunk l2(kChunkSize);
-    for (std::uint32_t p2 = 0; p2 < kChunkSize; ++p2) {
-      const Addr base2 = base1 | p2 << 8;
-      if (!trie.has_longer_prefix(base2, 24)) {
-        l2[p2] = value_at(trie, base2);
-        continue;
+    while (it != routes.end() && it->prefix >> 16 == block16) {
+      const Addr block24 = it->prefix >> 8;
+      Entry& l2_entry = l2[block24 & 0xff];
+      Chunk l3(kChunkSize, l2_entry);
+      for (; it != routes.end() && it->prefix >> 8 == block24; ++it) {
+        paint(l3.data(), *it, 32, 8);
       }
-      Chunk l3(kChunkSize);
-      for (std::uint32_t p3 = 0; p3 < kChunkSize; ++p3) {
-        l3[p3] = value_at(trie, base2 | p3);
-      }
-      l2[p2] = kPointerBit | intern(table.level3_, l3_index, std::move(l3));
+      l2_entry = kPointerBit | intern(table.level3_, l3_index, std::move(l3));
     }
-    table.level1_[p1] = kPointerBit | intern(table.level2_, l2_index, std::move(l2));
+    table.level1_[block16] =
+        kPointerBit | intern(table.level2_, l2_index, std::move(l2));
   }
   return table;
 }

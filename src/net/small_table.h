@@ -11,7 +11,10 @@
 //
 // The structure is an immutable snapshot compiled from a PatriciaTrie (the
 // network processor builds small per-forwarding-engine tables from its full
-// routing information, §2.2.1); route changes rebuild it.
+// routing information, §2.2.1); route changes rebuild it. The compile walks
+// the routes, not the address space: it paints level 1 from the routes of
+// /16 or shorter, then builds a chunk only under a /16 or /24 that holds a
+// longer route, in O(R log R + 2^16 + 256 x chunks) for R routes.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +49,6 @@ class SmallTable {
   // so "no route" needs no separate bitmap.
   using Entry = std::uint32_t;
   static constexpr Entry kPointerBit = 0x80000000u;
-
-  static Entry leaf(std::optional<std::uint32_t> value) {
-    return value.has_value() ? *value + 1 : 0;
-  }
 
   using Chunk = std::vector<Entry>;  // 256 entries
 

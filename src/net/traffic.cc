@@ -112,6 +112,20 @@ int TrafficGen::draw_dest(int src_port, common::Rng& rng) {
   RAW_UNREACHABLE("bad DestPattern");
 }
 
+common::ByteCount max_packet_bytes(const TrafficConfig& config) {
+  switch (config.size) {
+    case SizeDist::kFixed:
+      return config.fixed_bytes;
+    case SizeDist::kBimodal:
+      return std::max(config.small_bytes, config.large_bytes);
+    case SizeDist::kImix:
+      return 1500;
+    case SizeDist::kUniformRange:
+      return config.max_bytes;
+  }
+  RAW_UNREACHABLE("bad SizeDist");
+}
+
 common::ByteCount TrafficGen::draw_size(common::Rng& rng) {
   switch (config_.size) {
     case SizeDist::kFixed:

@@ -76,6 +76,9 @@ struct TrafficConfig {
   std::uint64_t flow_max_packets = 16384;
 };
 
+/// The largest packet `config`'s size distribution can draw.
+[[nodiscard]] common::ByteCount max_packet_bytes(const TrafficConfig& config);
+
 struct PacketDesc {
   int dst_port = 0;
   common::ByteCount bytes = 0;

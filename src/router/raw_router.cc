@@ -81,6 +81,7 @@ RawRouter::RawRouter(RouterConfig config, net::RouteTable table,
       traffic_(traffic, seed) {
   RAW_ASSERT_MSG(traffic.num_ports == kNumPorts, "router has four ports");
   config_.validate();
+  check_packet_bytes(traffic);
 
   core_.table = &table_;
   core_.forwarding = &forwarding_;

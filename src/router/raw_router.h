@@ -116,6 +116,8 @@ const char* drain_outcome_name(DrainOutcome o);
 
 class RawRouter {
  public:
+  /// Throws std::invalid_argument when `config` fails validate() or
+  /// `traffic` can draw a packet above kMaxPacketBytes.
   RawRouter(RouterConfig config, net::RouteTable table,
             net::TrafficConfig traffic, std::uint64_t seed);
 

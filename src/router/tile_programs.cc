@@ -1,6 +1,8 @@
 #include "router/tile_programs.h"
 
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/assert.h"
@@ -424,6 +426,18 @@ std::optional<net::Ipv4Header> judge_header(RouterCore& core, int port,
   for (std::size_t i = 1; i < words.size(); ++i) win[i - 1] = words[i];
   held = net::Ipv4Header::kWords - 1;
   return std::nullopt;
+}
+
+void check_packet_bytes(const net::TrafficConfig& traffic) {
+  const common::ByteCount bytes = net::max_packet_bytes(traffic);
+  if (bytes > kMaxPacketBytes) {
+    throw std::invalid_argument(
+        "packet size " + std::to_string(bytes) + " B exceeds the router's " +
+        std::to_string(kMaxPacketBytes) +
+        " B limit: the egress tile buffers one partly reassembled packet per "
+        "source port in its " + std::to_string(sim::kTileDmemWords) +
+        "-word data memory");
+  }
 }
 
 PortSchedules compile_port_schedules(const ScheduleCompiler& compiler) {

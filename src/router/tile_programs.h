@@ -33,10 +33,12 @@
 #include "net/ipv4.h"
 #include "net/route_table.h"
 #include "net/small_table.h"
+#include "net/traffic.h"
 #include "router/layout.h"
 #include "router/schedule_compiler.h"
 #include "sim/chip.h"
 #include "sim/memory_model.h"
+#include "sim/tile.h"
 #include "sim/tile_task.h"
 
 namespace raw::router {
@@ -74,6 +76,16 @@ inline constexpr common::Cycle kHeaderProcCost = 4;
 inline constexpr std::size_t kLinkFifoDepth = 8;
 static_assert(kLinkFifoDepth >= net::Ipv4Header::kWords,
               "edge FIFOs hold a full IP header");
+/// Largest packet the router carries, in bytes (8,192). The egress tile
+/// buffers at most one partly reassembled packet per source port in its
+/// data memory, so kNumPorts of them must fit in kTileDmemWords.
+inline constexpr common::ByteCount kMaxPacketBytes =
+    sim::kTileDmemWords / static_cast<std::size_t>(kNumPorts) *
+    common::kBytesPerWord;
+
+/// Throws std::invalid_argument when `traffic` can draw a packet larger
+/// than kMaxPacketBytes.
+void check_packet_bytes(const net::TrafficConfig& traffic);
 
 /// Counters shared between the programs and the harness.
 struct PortCounters {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_config.h"
+#include "router/tile_programs.h"
 
 namespace raw::cluster {
 namespace {
@@ -41,6 +42,18 @@ TEST(ClusterConfigTest, RejectsBadChipCount) {
   expect_throws_mentioning(cfg, "num_chips");
   cfg.num_chips = 33;
   expect_throws_mentioning(cfg, "num_chips");
+}
+
+TEST(ClusterConfigTest, RejectsPacketsAboveTheEgressBuffer) {
+  ClusterConfig cfg = valid_config();
+  cfg.traffic.fixed_bytes = router::kMaxPacketBytes;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.traffic.fixed_bytes = router::kMaxPacketBytes + 4;
+  expect_throws_mentioning(cfg, "8192 B limit");
+  cfg.traffic.fixed_bytes = 64;
+  cfg.traffic.size = net::SizeDist::kUniformRange;
+  cfg.traffic.max_bytes = router::kMaxPacketBytes + 4;
+  expect_throws_mentioning(cfg, "8192 B limit");
 }
 
 TEST(ClusterConfigTest, RejectsZeroLinkLatency) {

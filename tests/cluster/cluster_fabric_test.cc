@@ -43,6 +43,18 @@ TEST(ClusterFabricTest, DeliversAcrossChipsAndConserves) {
   EXPECT_GE(fabric.latency_histogram().count(), fabric.delivered_packets());
 }
 
+// The largest packet the egress tile can buffer crosses chips intact.
+TEST(ClusterFabricTest, CarriesTheLargestPacket) {
+  ClusterConfig cfg = small_cluster(2, 1);
+  cfg.traffic.fixed_bytes = router::kMaxPacketBytes;
+  ClusterFabric fabric(cfg, 7);
+  fabric.run(30000);
+  EXPECT_TRUE(fabric.drain(400000));
+  EXPECT_GT(fabric.delivered_packets(), 0u);
+  EXPECT_EQ(fabric.errors(), 0u);
+  EXPECT_EQ(fabric.lost_packets(), 0u);
+}
+
 TEST(ClusterFabricTest, PurelyLocalTrafficStaysOffTheTrunks) {
   ClusterConfig cfg = small_cluster(2, 1);
   cfg.traffic.remote_fraction = 0.0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -75,6 +76,35 @@ TEST(PatriciaTest, NodesVisitedBoundedByDepth) {
   const auto r = t.lookup(make_addr(10, 1, 2, 3));
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->nodes_visited, 33);  // root + 32 bit levels
+}
+
+// The visitor reports every live route once (erased ones and the interior
+// nodes they leave behind are skipped), in (prefix, length) order.
+TEST(PatriciaTest, ForEachRouteVisitsLiveRoutesInAddressOrder) {
+  common::Rng rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    PatriciaTrie trie;
+    std::map<std::pair<Addr, int>, std::uint32_t> expect;
+    const int n = 1 + static_cast<int>(rng.below(60));
+    for (int i = 0; i < n; ++i) {
+      const int len = static_cast<int>(rng.below(33));
+      const Addr mask = len == 0 ? 0 : ~Addr{0} << (32 - len);
+      const Addr prefix = static_cast<Addr>(rng.next()) & mask;
+      trie.insert(prefix, len, static_cast<std::uint32_t>(i));
+      expect[{prefix, len}] = static_cast<std::uint32_t>(i);
+      if (rng.chance(0.3)) {
+        EXPECT_TRUE(trie.erase(prefix, len));
+        expect.erase({prefix, len});
+      }
+    }
+    std::vector<std::pair<std::pair<Addr, int>, std::uint32_t>> got;
+    trie.for_each_route([&got](Addr prefix, int len, std::uint32_t value) {
+      got.push_back({{prefix, len}, value});
+    });
+    EXPECT_EQ(got, (std::vector<std::pair<std::pair<Addr, int>, std::uint32_t>>(
+                       expect.begin(), expect.end())));
+    EXPECT_EQ(got.size(), trie.size());
+  }
 }
 
 // Property test: trie agrees with a brute-force linear LPM over random

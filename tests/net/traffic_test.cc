@@ -93,6 +93,23 @@ TEST(TrafficTest, BimodalMixesTwoSizes) {
   EXPECT_NEAR(static_cast<double>(small) / kDraws, 0.75, 0.03);
 }
 
+// The largest draw of each size distribution, whichever of its fields the
+// distribution reads.
+TEST(TrafficTest, MaxPacketBytesFollowsTheSizeDistribution) {
+  TrafficConfig cfg;
+  cfg.fixed_bytes = 512;
+  cfg.small_bytes = 2000;
+  cfg.large_bytes = 1024;
+  cfg.max_bytes = 9000;
+  EXPECT_EQ(max_packet_bytes(cfg), 512u);
+  cfg.size = SizeDist::kBimodal;
+  EXPECT_EQ(max_packet_bytes(cfg), 2000u);
+  cfg.size = SizeDist::kImix;
+  EXPECT_EQ(max_packet_bytes(cfg), 1500u);
+  cfg.size = SizeDist::kUniformRange;
+  EXPECT_EQ(max_packet_bytes(cfg), 9000u);
+}
+
 TEST(TrafficTest, ImixAverageNear340Bytes) {
   TrafficConfig cfg;
   cfg.size = SizeDist::kImix;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/metrics.h"
 #include "common/trace_event.h"
 
@@ -78,6 +80,34 @@ TEST(RawRouterTest, FragmentedPacketsReassemble) {
   std::uint64_t reassembled = 0;
   for (const auto& c : router.core().counters) reassembled += c.reassembled;
   EXPECT_GT(reassembled, 0u);
+}
+
+// The egress tile buffers at most one partly reassembled packet per source
+// port in its data memory: the largest packet fits from all four sources at
+// once, and a larger one is refused at construction rather than aborting
+// mid-run.
+TEST(RawRouterTest, LargestPacketReassemblesFromEverySource) {
+  static_assert(kMaxPacketBytes == 8192);
+  RawRouter router(default_config(), net::RouteTable::simple4(),
+                   traffic(net::DestPattern::kUniform, kMaxPacketBytes), 6);
+  router.run(40000);
+  EXPECT_TRUE(router.drain(400000));
+  EXPECT_EQ(router.errors(), 0u);
+  EXPECT_GT(router.delivered_packets(), 10u);
+}
+
+TEST(RawRouterTest, RefusesPacketsAboveTheEgressBuffer) {
+  const auto build = [](const net::TrafficConfig& t) {
+    RawRouter router(default_config(), net::RouteTable::simple4(), t, 1);
+  };
+  EXPECT_THROW(build(traffic(net::DestPattern::kUniform, kMaxPacketBytes + 4)),
+               std::invalid_argument);
+  net::TrafficConfig bimodal = traffic(net::DestPattern::kUniform, 64);
+  bimodal.size = net::SizeDist::kBimodal;
+  bimodal.large_bytes = kMaxPacketBytes + 4;
+  EXPECT_THROW(build(bimodal), std::invalid_argument);
+  bimodal.large_bytes = kMaxPacketBytes;
+  EXPECT_NO_THROW(build(bimodal));
 }
 
 TEST(RawRouterTest, ThroughputGrowsWithPacketSize) {
